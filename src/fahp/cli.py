@@ -98,8 +98,7 @@ def _format_results(study: StudyDocument, doc: ResultsDocument) -> str:
     lines = [f"study: {doc.study}"]
     cfg = doc.config
     lines.append(
-        f"solver: lambda in [{cfg.lambda_lo:g}, {cfg.lambda_cap:g}], "
-        f"bisection tol {cfg.bisection_tol:g}, weight floor {cfg.weight_floor:g}"
+        f"solver: lambda cap {cfg.lambda_cap:g}, weight floor {cfg.weight_floor:g}"
     )
     for block, res in doc.blocks.items():
         lines.append("")
@@ -136,13 +135,6 @@ def _format_results(study: StudyDocument, doc: ResultsDocument) -> str:
 def cmd_solve(args: argparse.Namespace) -> int:
     study = load_study(args.study)
     config = study.config
-    if args.tol is not None:
-        config = SolverConfig(
-            lambda_lo=config.lambda_lo,
-            lambda_cap=config.lambda_cap,
-            bisection_tol=args.tol,
-            weight_floor=config.weight_floor,
-        )
     blocks = _solve_blocks(study.hierarchy, config)
     ranking = _compose(study.hierarchy, blocks)
     doc = ResultsDocument(
@@ -350,9 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("study", help="path to a study JSON document")
     p_solve.add_argument("--out", help="write a results JSON document here")
-    p_solve.add_argument(
-        "--tol", type=float, help="override the bisection tolerance"
-    )
     p_solve.add_argument(
         "--no-timestamp",
         action="store_true",

@@ -30,7 +30,7 @@ from .solver import SolveResult, SolverConfig
 _STUDY_KEYS = {"name", "scale", "hierarchy", "matrices", "solver"}
 _NODE_KEYS = {"id", "label", "children"}
 _JUDGMENT_KEYS = {"row", "col", "judgment"}
-_CONFIG_KEYS = {"lambda_lo", "lambda_cap", "bisection_tol", "weight_floor"}
+_CONFIG_KEYS = {"lambda_cap", "weight_floor"}
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def _parse_judgment_value(
             raise ValidationError(f"{where}: numeric judgment needs exactly [l, m, u]")
         try:
             return TriangularFuzzyNumber(*(float(v) for v in value))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ValidationError) as exc:
             raise ValidationError(f"{where}: {exc}") from exc
     if isinstance(value, dict):
         _check_keys(value, {"term"}, where)
@@ -119,6 +119,9 @@ def _parse_matrix(
         _check_keys(entry, _JUDGMENT_KEYS, at)
         row = _require(entry, "row", at)
         col = _require(entry, "col", at)
+        for key, value in (("row", row), ("col", col)):
+            if not isinstance(value, str):
+                raise ValidationError(f"{at}: {key!r} must be an item id string")
         value = _parse_judgment_value(_require(entry, "judgment", at), scale, at)
         judgments.append(ComparisonJudgment(row=row, col=col, value=value))
     items = tuple(c.id for c in node.children)
@@ -134,7 +137,7 @@ def _parse_scale(obj: Any) -> LinguisticScale:
             raise ValidationError(f"scale term {term!r}: value must be [l, m, u]")
         try:
             entries.append((term, TriangularFuzzyNumber(*(float(v) for v in triple))))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ValidationError) as exc:
             raise ValidationError(f"scale term {term!r}: {exc}") from exc
     try:
         return LinguisticScale(entries=tuple(entries))
@@ -211,12 +214,7 @@ def bundled_study_path() -> Path:
 
 
 def _config_dict(config: SolverConfig) -> dict[str, float]:
-    return {
-        "lambda_lo": config.lambda_lo,
-        "lambda_cap": config.lambda_cap,
-        "bisection_tol": config.bisection_tol,
-        "weight_floor": config.weight_floor,
-    }
+    return {"lambda_cap": config.lambda_cap, "weight_floor": config.weight_floor}
 
 
 def results_to_dict(doc: ResultsDocument) -> dict[str, Any]:

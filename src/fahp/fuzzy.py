@@ -24,17 +24,17 @@ _CRISP_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TriangularFuzzyNumber:
-    """A fuzzy ratio with support [l, u] and mode m, 0 < l <= m <= u."""
+    """A fuzzy ratio with support [l, u] and mode m, 0 < l <= m <= u < inf."""
 
     l: float
     m: float
     u: float
 
     def __post_init__(self):
-        if not (self.l > 0 and self.l <= self.m <= self.u):
+        if not (self.l > 0 and self.l <= self.m <= self.u < math.inf):
             raise ValidationError(
                 f"invalid triangular fuzzy number ({self.l}, {self.m}, {self.u}): "
-                "requires 0 < l <= m <= u"
+                "requires finite 0 < l <= m <= u"
             )
 
     @property

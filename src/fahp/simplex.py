@@ -3,8 +3,13 @@
 Minimizes c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq, x >= 0.
 Bland's pivot rule is used throughout (lowest eligible entering column,
 lowest basic variable index on ratio ties), so the iteration cannot cycle
-on degenerate vertices. Sized for problems with tens of rows; this is not
-a general-purpose LP library.
+on degenerate vertices. Each pivot is one numpy rank-1 update of the
+tableau. Round-off that the pivots accumulate is caught after each phase:
+a phase 1 that ends "unbounded" or with a positive residual, and a phase-2
+solution that misses the original rows, get their tableau recomputed from
+the original rows for the current basis and iterate once more. A solution
+is reported only once it meets the original rows. Sized for problems with
+tens of rows; this is not a general-purpose LP library.
 """
 
 from __future__ import annotations
@@ -32,9 +37,11 @@ class LPResult:
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    # One rank-1 update. Each entry gets a - f * p, as it did in a loop over
+    # the rows; a row with f = 0 keeps its values.
+    tableau -= factors[:, None] * tableau[row]
     basis[row] = col
 
 
@@ -44,44 +51,79 @@ def _ratio_row(tableau: np.ndarray, basis: list[int], col: int) -> int:
     Minimum-ratio test with ties broken by the lowest basic variable index
     (the second half of Bland's rule).
     """
-    m = tableau.shape[0] - 1
-    last = tableau.shape[1] - 1
+    column = tableau[:-1, col]
+    candidates = (column > _PIVOT_TOL).nonzero()[0]
+    ratios = tableau[candidates, -1] / column[candidates]
     leave = -1
     best = np.inf
-    for i in range(m):
-        aij = tableau[i, col]
-        if aij > _PIVOT_TOL:
-            ratio = tableau[i, last] / aij
-            if ratio < best - _RATIO_TIE or (
-                abs(ratio - best) <= _RATIO_TIE
-                and leave >= 0
-                and basis[i] < basis[leave]
-            ):
-                best = ratio
-                leave = i
+    for i, ratio in zip(candidates.tolist(), ratios.tolist()):
+        if ratio < best - _RATIO_TIE or (
+            abs(ratio - best) <= _RATIO_TIE and leave >= 0 and basis[i] < basis[leave]
+        ):
+            best = ratio
+            leave = i
     return leave
 
 
 def _iterate(tableau: np.ndarray, basis: list[int], max_iter: int) -> str:
     """Run simplex pivots until optimal or unbounded, with Bland's rule."""
-    m = tableau.shape[0] - 1
-    last = tableau.shape[1] - 1
+    costs = tableau[-1, :-1]
     for _ in range(max_iter):
-        pivoted = False
-        for j in range(last):  # Bland: lowest improving column first
-            if tableau[m, j] >= -_COST_TOL:
-                continue
+        # Bland: lowest improving column first
+        for j in (costs < -_COST_TOL).nonzero()[0].tolist():
             leave = _ratio_row(tableau, basis, j)
             if leave >= 0:
                 _pivot(tableau, basis, leave, j)
-                pivoted = True
                 break
-            if tableau[m, j] < -_UNBOUNDED_TOL:
+            if costs[j] < -_UNBOUNDED_TOL:
                 return "unbounded"
             # else: cost is float dust; treat the column as non-improving
-        if not pivoted:
+        else:
             return "optimal"
     raise RuntimeError("simplex iteration limit exceeded")
+
+
+def _price(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
+    """Set the reduced-cost row for `basis`, from the column costs `cost`
+    (whose last entry, for the right-hand side, is 0)."""
+    tableau[-1] = cost - cost[basis] @ tableau[:-1]
+
+
+def _refactor(
+    tableau: np.ndarray, basis: list[int], system: np.ndarray, cost: np.ndarray
+) -> None:
+    """Recompute the tableau for `basis` from the original rows [A | b].
+
+    Pivots accumulate round-off in the tableau. Pivoting the basic columns
+    afresh into the original rows, each at the free row where its entry is
+    largest, discards it (numpy only: LAPACK's workspace would add a
+    megabyte or more to the process). A phase-2 basis may have fewer columns
+    than the system has rows; the rows left over are the redundant ones.
+    """
+    fresh = system.copy()
+    free = list(range(len(fresh)))
+    rows = []
+    for col in basis:
+        row = max(free, key=lambda r: abs(fresh[r, col]))
+        if abs(fresh[row, col]) <= _PIVOT_TOL:
+            raise RuntimeError("simplex round-off: the basis is singular")
+        free.remove(row)
+        _pivot(fresh, [col] * len(fresh), row, col)  # a throwaway basis list
+        rows.append(row)
+    tableau[:-1] = fresh[rows]
+    _price(tableau, basis, cost)
+
+
+def _satisfies(a_ub, b_ub, a_eq, b_eq, x: np.ndarray) -> bool:
+    """Whether x meets the original constraint rows to within _FEAS_TOL,
+    relative to the size of the right-hand sides."""
+    tol = _FEAS_TOL * (
+        1.0 + max(np.abs(b_ub).max(initial=0.0), np.abs(b_eq).max(initial=0.0))
+    )
+    return bool(
+        (a_ub @ x - b_ub).max(initial=0.0) <= tol
+        and np.abs(a_eq @ x - b_eq).max(initial=0.0) <= tol
+    )
 
 
 def solve_lp(
@@ -132,12 +174,16 @@ def solve_lp(
     tableau[:m, ncols : ncols + m] = np.eye(m)
     tableau[:m, -1] = rhs
     basis = list(range(ncols, ncols + m))
-    tableau[m, ncols : ncols + m] = 1.0
-    for r in range(m):
-        tableau[m] -= tableau[r]
+    cost = np.repeat([0.0, 1.0, 0.0], [ncols, m, 1])
+    _price(tableau, basis, cost)
     status = _iterate(tableau, basis, max_iter)
-    if status != "optimal":
-        raise RuntimeError(f"phase-1 simplex ended with status {status!r}")
+    if status != "optimal" or -tableau[m, -1] > _FEAS_TOL:
+        # Phase 1 is bounded below by 0, so "unbounded" can only come from
+        # round-off, and a positive residual may too: rebuild and go on.
+        _refactor(tableau, basis, np.hstack([rows, np.eye(m), rhs[:, None]]), cost)
+        status = _iterate(tableau, basis, max_iter)
+        if status != "optimal":
+            raise RuntimeError(f"phase-1 simplex ended with status {status!r}")
     if -tableau[m, -1] > _FEAS_TOL:
         return LPResult("infeasible", None, None)
 
@@ -151,19 +197,21 @@ def solve_lp(
                 _pivot(tableau, basis, r, piv)
 
     keep = [r for r in range(m) if basis[r] < ncols]  # drop redundant rows
-    basis2 = [basis[r] for r in keep]
+    basis = [basis[r] for r in keep]
     t2 = np.zeros((len(keep) + 1, ncols + 1))
-    t2[: len(keep), :ncols] = tableau[keep, :ncols]
-    t2[: len(keep), -1] = tableau[keep, -1]
-    c_full = np.concatenate([c, np.zeros(m_ub)])
-    t2[-1, :ncols] = c_full
-    for r, bv in enumerate(basis2):
-        t2[-1] -= c_full[bv] * t2[r]
-    status = _iterate(t2, basis2, max_iter)
-    if status == "unbounded":
-        return LPResult("unbounded", None, None)
-    x_full = np.zeros(ncols)
-    for r, bv in enumerate(basis2):
-        x_full[bv] = t2[r, -1]
-    x = np.clip(x_full[:n], 0.0, None)
-    return LPResult("optimal", x, float(c @ x))
+    t2[:-1, :ncols] = tableau[keep, :ncols]
+    t2[:-1, -1] = tableau[keep, -1]
+    tableau = t2
+    cost = np.concatenate([c, np.zeros(m_ub + 1)])
+    _price(tableau, basis, cost)
+    for attempt in range(2):
+        if attempt:  # the solution misses its rows: rebuild and go on
+            _refactor(tableau, basis, np.hstack([rows, rhs[:, None]]), cost)
+        if _iterate(tableau, basis, max_iter) == "unbounded":
+            return LPResult("unbounded", None, None)
+        x = np.zeros(ncols)
+        x[basis] = tableau[:-1, -1]
+        x = np.clip(x[:n], 0.0, None)
+        if _satisfies(a_ub, b_ub, a_eq, b_eq, x):
+            return LPResult("optimal", x, float(c @ x))
+    raise RuntimeError("simplex round-off: the solution violates its constraints")

@@ -2,17 +2,24 @@
 
 Finds the crisp weight vector whose ratios satisfy every fuzzy judgment to
 the highest common membership degree lambda. Each judgment (l, m, u) on the
-pair (row, col) contributes two linear constraints at a given lambda:
+pair (row, col) has two sides, and the membership of each is a ratio of
+linear functions of w:
 
-    ((m - l) * lambda + l) * w_col - w_row <= 0
-    ((u - m) * lambda - u) * w_col + w_row <= 0
+    rising  = (w_row - l * w_col) / ((m - l) * w_col)
+    falling = (u * w_col - w_row) / ((u - m) * w_col)
 
-Both constraint families tighten monotonically as lambda grows, so the
-optimum is found by bisection on lambda with an exact max-slack feasibility
-program solved at every probe. lambda >= 0 certifies that some weight vector
-lies inside every judgment's support; negative lambda measures how strongly
-the judgments contradict each other. lambda is capped at 1: beyond full
-membership there is nothing left to optimize.
+so lambda* = max_w min_i N_i(w) / D_i(w) is a generalized fractional
+program. It is solved exactly by the normalized Dinkelbach iteration of
+Crouzeix, Ferland and Schaible (JOTA 47, 1985): at lambda_k = lambda_at(w_k)
+one LP maximizes t subject to N_i(w) - lambda_k * D_i(w) >= t * D_i(w_k)
+for every side, and its solution w_{k+1} raises lambda until t reaches 0
+(to within 1e-8).
+A side with zero spread (m == l or u == m) is a hard bound on the ratio, a
+constraint that does not depend on lambda. The reported lambda is
+lambda_at(weights); lambda >= 0 certifies that some weight vector lies
+inside every judgment's support, and negative lambda measures how strongly
+the judgments contradict each other. lambda is capped at lambda_cap (1 by
+default): beyond full membership there is nothing left to optimize.
 
 A brute-force grid oracle over the simplex lattice is included as an
 independent check on the optimizer.
@@ -20,6 +27,7 @@ independent check on the optimizer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -32,6 +40,11 @@ from .simplex import solve_lp
 
 # Slack this close to zero still counts as feasible; absorbs LP float noise.
 _SLACK_FEAS_TOL = 1e-11
+# The Dinkelbach iteration stops once its normalized slack is this small, ten
+# times the LP's own tolerances. Below that the LP cannot tell the vertices
+# of the optimal face apart, and the one it returned would depend on the
+# order of the items.
+_DINKELBACH_TOL = 1e-8
 # Relative tolerance for hard (zero-spread) judgment sides in the oracle.
 _HARD_REL_TOL = 1e-9
 
@@ -45,29 +58,29 @@ _ORACLE_MAX_POINTS = 20_000_000
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search window and tolerances for the bisection solver."""
+    """Membership cap and weight floor for the solver."""
 
-    lambda_lo: float = -10.0
     lambda_cap: float = 1.0
-    bisection_tol: float = 1e-6
     weight_floor: float = 1e-6
 
     def __post_init__(self):
-        if not self.lambda_lo < self.lambda_cap:
-            raise ValueError("lambda_lo must be below lambda_cap")
-        if not self.bisection_tol > 0:
-            raise ValueError("bisection_tol must be positive")
-        if not self.weight_floor > 0:
-            raise ValueError("weight_floor must be positive")
+        if not math.isfinite(self.lambda_cap):
+            raise ValueError(f"lambda_cap must be finite, got {self.lambda_cap}")
+        if not (self.weight_floor > 0 and math.isfinite(self.weight_floor)):
+            raise ValueError(
+                f"weight_floor must be positive and finite, got {self.weight_floor}"
+            )
 
 
 @dataclass(frozen=True)
 class SolveResult:
     """Weights and diagnostics for one comparison block.
 
-    ``slack`` is the max-slack objective at the returned lambda; a clearly
-    positive slack means the weight vector is not pinned down uniquely at
-    that lambda. The oracle leaves it as None.
+    ``iterations`` counts the LPs solved. ``slack`` is the objective of the
+    last max-slack LP, solved at the returned lambda (normalized by each
+    side's denominator unless the block is clamped); a clearly positive
+    slack means the weight vector is not pinned down uniquely at that
+    lambda. The oracle leaves it as None.
     """
 
     weights: dict[str, float]
@@ -85,25 +98,29 @@ def _index(matrix: ComparisonMatrix) -> dict[str, int]:
     return {item: i for i, item in enumerate(matrix.items)}
 
 
-def _judgment_rows(
-    matrix: ComparisonMatrix, lam: float
-) -> list[tuple[np.ndarray, tuple[str, str]]]:
-    """Constraint rows a @ w <= 0 for all judgments at a fixed lambda."""
+def _sides(
+    matrix: ComparisonMatrix,
+) -> tuple[np.ndarray, np.ndarray, list[tuple[str, str]]]:
+    """Constraint rows of every judgment side, as base + lambda * spread.
+
+    Side i holds at level lambda when (base_i + lambda * spread_i) @ w <= 0,
+    and spread_i @ w is its denominator D_i(w): (m - l) * w_col for the
+    rising side, (u - m) * w_col for the falling one. A hard side has a
+    zero spread row. Also returns the (row, col) pair of each side.
+    """
     idx = _index(matrix)
-    n = len(matrix.items)
-    rows = []
-    for j in matrix.judgments:
+    k = 2 * len(matrix.judgments)
+    base = np.zeros((k, len(matrix.items)))
+    spread = np.zeros_like(base)
+    pairs = []
+    for i, j in enumerate(matrix.judgments):
         r, c = idx[j.row], idx[j.col]
         l, m, u = j.value.as_tuple()
-        lower = np.zeros(n)
-        lower[c] = (m - l) * lam + l
-        lower[r] = -1.0
-        rows.append((lower, (j.row, j.col)))
-        upper = np.zeros(n)
-        upper[c] = (u - m) * lam - u
-        upper[r] = 1.0
-        rows.append((upper, (j.row, j.col)))
-    return rows
+        rising, falling = 2 * i, 2 * i + 1
+        base[rising, c], base[rising, r], spread[rising, c] = l, -1.0, m - l
+        base[falling, c], base[falling, r], spread[falling, c] = -u, 1.0, u - m
+        pairs += [(j.row, j.col)] * 2
+    return base, spread, pairs
 
 
 def _check_floor(matrix: ComparisonMatrix, config: SolverConfig) -> None:
@@ -115,25 +132,23 @@ def _check_floor(matrix: ComparisonMatrix, config: SolverConfig) -> None:
 
 
 def _max_slack(
-    matrix: ComparisonMatrix, lam: float, config: SolverConfig
-) -> tuple[float, np.ndarray]:
-    """Best uniform slack t and its weight vector at a fixed lambda.
+    rows: np.ndarray, scale: np.ndarray, config: SolverConfig
+) -> tuple[float, np.ndarray] | None:
+    """Best slack t and its weight vector for the constraint rows, or None
+    when the rows with a zero scale cannot all hold.
 
-    Solves max t subject to a_k @ w + t <= 0 for every judgment row,
-    sum w = 1, w >= weight_floor. t >= 0 exactly when lambda is feasible.
+    Solves max t subject to rows_k @ w + t * scale_k <= 0 for every row,
+    sum w = 1, w >= weight_floor. With a unit scale t >= 0 exactly when
+    every row can hold.
     """
-    n = len(matrix.items)
+    k, n = rows.shape
     eps = config.weight_floor
-    rows = _judgment_rows(matrix, lam)
-    k = len(rows)
     # variables: v = w - eps (n), then t = tp - tn split into nonnegatives
     a_ub = np.zeros((k, n + 2))
-    b_ub = np.zeros(k)
-    for i, (a, _) in enumerate(rows):
-        a_ub[i, :n] = a
-        a_ub[i, n] = 1.0
-        a_ub[i, n + 1] = -1.0
-        b_ub[i] = -eps * a.sum()
+    a_ub[:, :n] = rows
+    a_ub[:, n] = scale
+    a_ub[:, n + 1] = -scale
+    b_ub = -eps * rows.sum(axis=1)
     a_eq = np.zeros((1, n + 2))
     a_eq[0, :n] = 1.0
     b_eq = np.array([1.0 - n * eps])
@@ -141,14 +156,13 @@ def _max_slack(
     c[n] = -1.0
     c[n + 1] = 1.0
     res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    if res.status == "infeasible":
+        return None
     if res.status != "optimal":
-        raise RuntimeError(
-            f"max-slack subproblem unexpectedly {res.status} at lambda={lam}"
-        )
+        raise RuntimeError(f"max-slack subproblem unexpectedly {res.status}")
     t = float(res.x[n] - res.x[n + 1])
     w = res.x[:n] + eps
-    w = w / w.sum()
-    return t, w
+    return t, w / w.sum()
 
 
 def _as_vector(matrix: ComparisonMatrix, w) -> np.ndarray:
@@ -170,22 +184,25 @@ def _as_vector(matrix: ComparisonMatrix, w) -> np.ndarray:
     return vec
 
 
-def lambda_at(matrix: ComparisonMatrix, w) -> float:
-    """Lowest membership any judgment assigns to the weight vector w.
-
-    Accepts a mapping item -> weight or a sequence aligned with
-    matrix.items. This is the objective the solver maximizes, so for any
-    solved block lambda_at(matrix, result.weights) >= result.lambda_ up to
-    the bisection tolerance.
-    """
-    validate_matrix(matrix)
-    vec = _as_vector(matrix, w)
+def _lowest_membership(matrix: ComparisonMatrix, vec: np.ndarray) -> float:
     idx = _index(matrix)
     worst = float("inf")
     for j in matrix.judgments:
         ratio = vec[idx[j.row]] / vec[idx[j.col]]
         worst = min(worst, membership(j.value, ratio))
     return min(worst, 1.0)
+
+
+def lambda_at(matrix: ComparisonMatrix, w) -> float:
+    """Lowest membership any judgment assigns to the weight vector w.
+
+    Accepts a mapping item -> weight or a sequence aligned with
+    matrix.items. This is the objective the solver maximizes; for any
+    solved block that is not clamped, lambda_at(matrix, result.weights)
+    equals result.lambda_.
+    """
+    validate_matrix(matrix)
+    return _lowest_membership(matrix, _as_vector(matrix, w))
 
 
 def feasible_at(
@@ -200,20 +217,31 @@ def feasible_at(
     cfg = config or SolverConfig()
     validate_matrix(matrix)
     _check_floor(matrix, cfg)
-    t, w = _max_slack(matrix, lam, cfg)
+    base, spread, _ = _sides(matrix)
+    t, w = _max_slack(base + lam * spread, np.ones(len(base)), cfg)
     if t < -_SLACK_FEAS_TOL:
         return None
     return dict(zip(matrix.items, (float(x) for x in w)))
 
 
-def _violated_pairs(
-    matrix: ComparisonMatrix, lam: float, w: np.ndarray
-) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = []
-    for a, pair in _judgment_rows(matrix, lam):
-        if float(a @ w) > _SLACK_FEAS_TOL and pair not in pairs:
-            pairs.append(pair)
-    return pairs
+def _raise_conflict(
+    matrix: ComparisonMatrix,
+    rows: np.ndarray,
+    pairs: list[tuple[str, str]],
+    cfg: SolverConfig,
+) -> None:
+    """Raise InfeasibleJudgmentsError for hard sides that cannot all hold,
+    naming the pairs whose sides the max-slack vector over them violates."""
+    _, w = _max_slack(rows, np.ones(len(rows)), cfg)
+    violated = list(
+        dict.fromkeys(p for p, a in zip(pairs, rows @ w) if a > _SLACK_FEAS_TOL)
+    )
+    listing = ", ".join(f"({r}, {c})" for r, c in violated) or "unknown"
+    raise InfeasibleJudgmentsError(
+        f"matrix {matrix.parent!r}: no weight vector meets the zero-spread "
+        f"judgment bounds; violated pairs: {listing}",
+        pairs=violated,
+    )
 
 
 def solve_fpp(
@@ -222,46 +250,54 @@ def solve_fpp(
     """Maximize the common membership level lambda over the weight simplex.
 
     Probes lambda_cap first (consistent blocks short-circuit there), then
-    bisects between lambda_lo and lambda_cap keeping the lower end feasible.
-    Raises InfeasibleJudgmentsError, naming the conflicting pairs, if the
-    judgments cannot be met even at lambda_lo.
+    runs the Dinkelbach iteration from that probe's weight vector until its
+    slack reaches zero. It stops before the slack falls to the LP's noise
+    level, where ties between vertices of the optimal face would make the
+    weights depend on the order of the items. Raises
+    InfeasibleJudgmentsError, naming the conflicting pairs, when the hard
+    (zero-spread) sides of the judgments cannot all hold.
     """
     cfg = config or SolverConfig()
     validate_matrix(matrix)
     _check_floor(matrix, cfg)
-    probes = 0
-    t_cap, w_cap = _max_slack(matrix, cfg.lambda_cap, cfg)
-    probes += 1
-    if t_cap >= -_SLACK_FEAS_TOL:
-        lam, w, slack = cfg.lambda_cap, w_cap, t_cap
-        clamped = True
-    else:
-        t_lo, w_lo = _max_slack(matrix, cfg.lambda_lo, cfg)
+    base, spread, pairs = _sides(matrix)
+    hard = ~spread.any(axis=1)
+    # Hard sides are held as constraints, not slacked, unless nothing else
+    # bounds the slack.
+    scale = np.ones(len(base)) if hard.all() else (~hard).astype(float)
+    probe = _max_slack(base + cfg.lambda_cap * spread, scale, cfg)
+    if probe is None or (hard.all() and probe[0] < -_SLACK_FEAS_TOL):
+        _raise_conflict(matrix, base[hard], [p for p, h in zip(pairs, hard) if h], cfg)
+    slack, w = probe
+    probes = 1
+    if slack >= -_SLACK_FEAS_TOL:
+        return _result(matrix, w, cfg.lambda_cap, probes, True, slack)
+    lam = _lowest_membership(matrix, w)
+    while True:
+        # max t s.t. N_i(w) - lam * D_i(w) >= t * D_i(w_k) on every soft side
+        slack, w_next = _max_slack(base + lam * spread, spread @ w, cfg)
         probes += 1
-        if t_lo < -_SLACK_FEAS_TOL:
-            pairs = _violated_pairs(matrix, cfg.lambda_lo, w_lo)
-            listing = ", ".join(f"({r}, {c})" for r, c in pairs) or "unknown"
-            raise InfeasibleJudgmentsError(
-                f"matrix {matrix.parent!r}: no weight vector meets the judgments "
-                f"even at lambda = {cfg.lambda_lo}; violated pairs: {listing}",
-                pairs=pairs,
-            )
-        lo, hi = cfg.lambda_lo, cfg.lambda_cap
-        w, slack = w_lo, t_lo
-        while hi - lo > cfg.bisection_tol:
-            mid = 0.5 * (lo + hi)
-            t_mid, w_mid = _max_slack(matrix, mid, cfg)
-            probes += 1
-            if t_mid >= -_SLACK_FEAS_TOL:
-                lo, w, slack = mid, w_mid, t_mid
-            else:
-                hi = mid
-        lam = lo
-        clamped = (cfg.lambda_cap - lam) <= cfg.bisection_tol
-    weights = dict(zip(matrix.items, (float(x) for x in w)))
+        if slack <= _DINKELBACH_TOL:
+            break
+        lam_next = _lowest_membership(matrix, w_next)
+        if not lam_next > lam:
+            break
+        lam, w = lam_next, w_next
+    return _result(matrix, w, lam, probes, False, slack)
+
+
+def _result(
+    matrix: ComparisonMatrix,
+    w: np.ndarray,
+    lam: float,
+    probes: int,
+    clamped: bool,
+    slack: float,
+) -> SolveResult:
+    lam = float(lam)
     return SolveResult(
-        weights=weights,
-        lambda_=float(lam),
+        weights=dict(zip(matrix.items, (float(x) for x in w))),
+        lambda_=lam,
         consistent=lam >= 0.0,
         iterations=probes,
         clamped=clamped,

@@ -72,6 +72,35 @@ def test_solve_unknown_key_exits_2(tmp_path):
     assert main(["solve", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "judgment, solver, named",
+    [
+        ({"row": "b", "col": "a", "judgment": [1, 2, float("inf")]}, None, "judgment 1"),
+        ({"row": ["b"], "col": "a", "judgment": [2, 3, 4]}, None, "'row'"),
+        ({"row": "b", "col": 7, "judgment": [2, 3, 4]}, None, "'col'"),
+        (None, {"lambda_cap": float("inf")}, "lambda_cap"),
+        (None, {"weight_floor": float("nan")}, "weight_floor"),
+        (None, {"lambda_lo": -10}, "lambda_lo"),
+        (None, {"bisection_tol": 1e-6}, "bisection_tol"),
+    ],
+)
+def test_solve_bad_field_exits_2_naming_it(tmp_path, capsys, judgment, solver, named):
+    matrices = {"goal": [judgment]} if judgment else None
+    path = _tiny_study(tmp_path, matrices=matrices)
+    if solver:
+        doc = json.loads(path.read_text())
+        doc["solver"] = solver
+        path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_solve_has_no_tolerance_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(_tiny_study(tmp_path)), "--tol", "1e-6"])
+    assert exc.value.code == 2
+
+
 def test_solve_conflicting_crisp_judgments_exit_3(tmp_path, capsys):
     path = _tiny_study(
         tmp_path,

@@ -61,10 +61,10 @@ def test_parse_custom_scale():
 
 
 def test_parse_solver_section():
-    doc = _study(solver={"lambda_cap": 0.5, "bisection_tol": 1e-5})
+    doc = _study(solver={"lambda_cap": 0.5, "weight_floor": 1e-5})
     parsed = parse_study(json.dumps(doc))
     assert parsed.config.lambda_cap == 0.5
-    assert parsed.config.bisection_tol == 1e-5
+    assert parsed.config.weight_floor == 1e-5
 
 
 def test_unknown_top_level_key_is_named():

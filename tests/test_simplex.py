@@ -1,10 +1,16 @@
 """The in-repo two-phase simplex, cross-checked against scipy.optimize.linprog."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from fahp import simplex
 from fahp.simplex import solve_lp
+
+ROUNDOFF_LPS = Path(__file__).parent / "fixtures" / "roundoff" / "lps.json"
 
 
 def test_simple_box_maximum():
@@ -112,3 +118,95 @@ def test_matches_scipy_on_random_instances(rng):
         elif ref.status == 3:
             assert ours.status == "unbounded", f"trial {trial}"
     assert agree >= 10  # the population must actually exercise the optimal path
+
+
+@pytest.mark.parametrize("name", ["phase1_unbounded", "phase2_infeasible_basis"])
+def test_roundoff_is_recovered(name):
+    # Max-slack LPs from the solver (a 3-item and a 6-item block) whose pivots
+    # accumulate enough round-off that phase 1 used to report "unbounded" and
+    # phase 2 used to end at a point that violates its rows. Recomputing the
+    # tableau from the basis recovers both.
+    lp = json.loads(ROUNDOFF_LPS.read_text())[name]
+    args = [lp[key] for key in ("c", "a_ub", "b_ub", "a_eq", "b_eq")]
+    res = solve_lp(*args)
+    ref = linprog(*args[:1], A_ub=args[1], b_ub=args[2], A_eq=args[3], b_eq=args[4],
+                  method="highs")
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(ref.fun, abs=1e-12)
+    assert np.all(np.asarray(args[1]) @ res.x <= np.asarray(args[2]) + 1e-9)
+
+
+# The row-loop pivoting the vectorized simplex replaced, kept as the
+# reference it must match bit for bit.
+def _pivot_loop(tableau, basis, row, col):
+    tableau[row] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and tableau[r, col] != 0.0:
+            tableau[r] -= tableau[r, col] * tableau[row]
+    basis[row] = col
+
+
+def _ratio_row_loop(tableau, basis, col):
+    m = tableau.shape[0] - 1
+    last = tableau.shape[1] - 1
+    leave = -1
+    best = np.inf
+    for i in range(m):
+        aij = tableau[i, col]
+        if aij > simplex._PIVOT_TOL:
+            ratio = tableau[i, last] / aij
+            if ratio < best - simplex._RATIO_TIE or (
+                abs(ratio - best) <= simplex._RATIO_TIE
+                and leave >= 0
+                and basis[i] < basis[leave]
+            ):
+                best = ratio
+                leave = i
+    return leave
+
+
+def _iterate_loop(tableau, basis, max_iter):
+    m = tableau.shape[0] - 1
+    last = tableau.shape[1] - 1
+    for _ in range(max_iter):
+        pivoted = False
+        for j in range(last):
+            if tableau[m, j] >= -simplex._COST_TOL:
+                continue
+            leave = _ratio_row_loop(tableau, basis, j)
+            if leave >= 0:
+                _pivot_loop(tableau, basis, leave, j)
+                pivoted = True
+                break
+            if tableau[m, j] < -simplex._UNBOUNDED_TOL:
+                return "unbounded"
+        if not pivoted:
+            return "optimal"
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
+def test_vectorized_pivots_match_the_row_loop(rng, monkeypatch):
+    # the instances of test_matches_scipy_on_random_instances
+    optimal = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        m_ub = int(rng.integers(1, 5))
+        c = rng.normal(size=n)
+        a_ub = rng.normal(size=(m_ub, n))
+        b_ub = rng.normal(size=m_ub) + 1.0
+        use_eq = bool(rng.integers(0, 2))
+        a_eq = rng.normal(size=(1, n)) if use_eq else None
+        b_eq = rng.normal(size=1) + 1.0 if use_eq else None
+
+        fast = solve_lp(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex, "_pivot", _pivot_loop)
+            patch.setattr(simplex, "_ratio_row", _ratio_row_loop)
+            patch.setattr(simplex, "_iterate", _iterate_loop)
+            slow = solve_lp(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        assert fast.status == slow.status
+        if fast.status == "optimal":
+            assert np.array_equal(fast.x, slow.x)
+            assert fast.objective == slow.objective
+            optimal += 1
+    assert optimal >= 10

@@ -1,4 +1,4 @@
-"""Preference-programming solver: bisection, feasibility LP, and the grid oracle."""
+"""Preference-programming solver: Dinkelbach iteration, feasibility LP, and the grid oracle."""
 
 import math
 
@@ -125,10 +125,6 @@ def test_feasible_at_brackets_the_optimum():
 
 
 def test_infeasible_solver_config_rejected():
-    with pytest.raises(ValueError):
-        SolverConfig(lambda_lo=2.0, lambda_cap=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(bisection_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(weight_floor=-1e-6)
 

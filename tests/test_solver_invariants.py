@@ -1,0 +1,156 @@
+"""Invariants of the Dinkelbach solver on random blocks of 2-10 items, some
+with hard (zero-spread) sides, and regressions for blocks that once failed."""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+
+from fahp import (
+    TFN,
+    ComparisonJudgment,
+    ComparisonMatrix,
+    lambda_at,
+    load_study,
+    solve_fpp,
+)
+from fahp.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures" / "roundoff"
+WEIGHT_FLOOR = 1e-6
+
+
+def _random_block(rng, n, hard_share=0.15):
+    """A complete block around a latent weight vector.
+
+    Modes are the latent ratios times log-normal noise and the spreads are
+    log-uniform. A hard side is placed on the latent side of its mode, so
+    the latent vector meets every hard side and the block is feasible.
+    """
+    items = tuple(f"i{k}" for k in range(n))
+    w = np.maximum(rng.dirichlet(np.full(n, 2.0)), 1e-2)
+    judgments = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            ratio = w[a] / w[b]
+            noise = float(rng.normal(0.0, 0.35))
+            lo = math.exp(rng.uniform(math.log(0.05), math.log(0.8)))
+            hi = math.exp(rng.uniform(math.log(0.05), math.log(0.8)))
+            if rng.random() < hard_share:  # hard lower side: ratio >= l = m
+                m = ratio * math.exp(-abs(noise))
+                value = TFN(m, m, m * math.exp(hi))
+            elif rng.random() < hard_share:  # hard upper side: ratio <= u = m
+                m = ratio * math.exp(abs(noise))
+                value = TFN(m * math.exp(-lo), m, m)
+            else:
+                m = ratio * math.exp(noise)
+                value = TFN(m * math.exp(-lo), m, m * math.exp(hi))
+            judgments.append(ComparisonJudgment(items[a], items[b], value))
+    return ComparisonMatrix(parent="rnd", items=items, judgments=tuple(judgments))
+
+
+def _blocks(seed=20261018):
+    rng = np.random.default_rng(seed)
+    return [_random_block(rng, n) for n in range(2, 11) for _ in range(4)]
+
+
+def _highs_max_slack(matrix, lam):
+    """max t s.t. every judgment side + t <= 0 at level lam, by HiGHS."""
+    idx = {it: i for i, it in enumerate(matrix.items)}
+    n = len(matrix.items)
+    rows = []
+    for j in matrix.judgments:
+        l, m, u = j.value.as_tuple()
+        lower = np.zeros(n + 1)
+        lower[idx[j.col]] = (m - l) * lam + l
+        lower[idx[j.row]] = -1.0
+        upper = np.zeros(n + 1)
+        upper[idx[j.col]] = (u - m) * lam - u
+        upper[idx[j.row]] = 1.0
+        lower[n] = upper[n] = 1.0
+        rows += [lower, upper]
+    a_eq = np.zeros((1, n + 1))
+    a_eq[0, :n] = 1.0
+    cost = np.zeros(n + 1)
+    cost[n] = -1.0
+    res = linprog(
+        cost,
+        A_ub=np.array(rows),
+        b_ub=np.zeros(len(rows)),
+        A_eq=a_eq,
+        b_eq=[1.0],
+        bounds=[(WEIGHT_FLOOR, None)] * n + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def _permuted(matrix, perm):
+    """The block with item i renamed to item perm[i]."""
+    relabel = {matrix.items[i]: matrix.items[perm[i]] for i in range(len(perm))}
+    judgments = tuple(
+        ComparisonJudgment(relabel[j.row], relabel[j.col], j.value)
+        for j in matrix.judgments
+    )
+    return ComparisonMatrix(parent=matrix.parent, items=matrix.items, judgments=judgments)
+
+
+def test_random_block_invariants():
+    hard = negative = 0
+    for block in _blocks():
+        res = solve_fpp(block)
+        assert abs(lambda_at(block, res.weights) - res.lambda_) <= 1e-12
+        if res.lambda_ < 1.0:
+            assert _highs_max_slack(block, res.lambda_ + 1e-6) < 0.0
+        hard += any(j.value.l == j.value.m or j.value.m == j.value.u for j in block.judgments)
+        negative += res.lambda_ < 0.0
+    # the population exercises hard sides and inconsistent blocks
+    assert hard >= 10 and negative >= 10
+
+
+def test_solution_is_permutation_equivariant():
+    # The optimal face of a large block is often more than a point; the
+    # weights picked on it must not depend on the order of the items.
+    rng = np.random.default_rng(7)
+    for block in _blocks():
+        perm = rng.permutation(len(block.items))
+        relabel = {block.items[i]: block.items[perm[i]] for i in range(len(perm))}
+        a, b = solve_fpp(block), solve_fpp(_permuted(block, perm))
+        assert abs(a.lambda_ - b.lambda_) <= 1e-9
+        for item in block.items:
+            assert abs(b.weights[relabel[item]] - a.weights[item]) <= 1e-6
+
+
+def test_block_below_minus_ten_without_hard_sides_solves():
+    # a tight three-cycle: the equal weights are optimal at lambda = -19
+    m = ComparisonMatrix(
+        parent="cycle",
+        items=("a", "b", "c"),
+        judgments=tuple(
+            ComparisonJudgment(r, c, TFN(1.95, 2.0, 2.05))
+            for r, c in (("b", "a"), ("c", "b"), ("a", "c"))
+        ),
+    )
+    res = solve_fpp(m)
+    assert res.lambda_ == pytest.approx(-19.0, abs=1e-9)
+    assert lambda_at(m, res.weights) == res.lambda_
+    for w in res.weights.values():
+        assert w == pytest.approx(1 / 3, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "name", ["phase1_unbounded", "max_slack_infeasible", "lambda_at_gap"]
+)
+def test_roundoff_blocks_solve_to_the_optimum(name, tmp_path):
+    path = FIXTURES / f"{name}.json"
+    block = load_study(path).hierarchy.matrices["goal"]
+    res = solve_fpp(block)
+    assert lambda_at(block, res.weights) == res.lambda_
+    assert _highs_max_slack(block, res.lambda_ + 1e-6) < 0.0
+    out = tmp_path / "results.json"
+    assert main(["solve", str(path), "--no-timestamp", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["blocks"]["goal"]["lambda"] == res.lambda_
