@@ -1,15 +1,26 @@
 """Small dense two-phase simplex used by the feasibility subproblems.
 
 Minimizes c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq, x >= 0.
-Bland's pivot rule is used throughout (lowest eligible entering column,
-lowest basic variable index on ratio ties), so the iteration cannot cycle
-on degenerate vertices. Each pivot is one numpy rank-1 update of the
-tableau. Round-off that the pivots accumulate is caught after each phase:
-a phase 1 that ends "unbounded" or with a positive residual, and a phase-2
-solution that misses the original rows, get their tableau recomputed from
-the original rows for the current basis and iterate once more. A solution
-is reported only once it meets the original rows. Sized for problems with
-tens of rows; this is not a general-purpose LP library.
+Phase 1 starts from the slack basis: an inequality row with a nonnegative
+right-hand side starts with its own slack basic, and only the equality rows
+and the inequality rows whose right-hand side was negative (and got flipped)
+get an artificial variable. The leaving row comes from Harris's two-pass
+ratio test (Math. Programming 5, 1973): pass 1 bounds the step by the
+smallest ratio with every right-hand side relaxed by a small tolerance,
+pass 2 takes the largest pivot entry among the rows within that bound, so a
+tiny entry on a row that is only at its bound by round-off is not pivoted
+on while a larger one fits. Bland's rule picks the entering column only:
+the lowest-index improving column, except that a column whose pivot entry
+would still be tiny waits until no other column can enter. Neither rule
+keeps Bland's proof that degenerate vertices cannot cycle, so the
+iteration limit stays as a guard. Each pivot is one numpy rank-1 update
+of the tableau. Round-off that the pivots accumulate is
+caught after each phase: a phase 1 that ends "unbounded" or with a positive
+residual, and a phase-2 solution that misses the original rows, get their
+tableau recomputed from the original rows for the current basis and iterate
+once more. A solution is reported only once it meets the original rows.
+Sized for problems with tens of rows; this is not a general-purpose LP
+library.
 """
 
 from __future__ import annotations
@@ -21,7 +32,12 @@ import numpy as np
 _COST_TOL = 1e-9
 _PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-9
-_RATIO_TIE = 1e-12
+# Harris's relaxation of each right-hand side in the first ratio pass.
+_HARRIS_DELTA = 1e-12
+# A pivot on an entry this small scales its row by the reciprocal. Taken on
+# a row that sat at its bound only by round-off, such pivots grew the
+# tableau by 1e8 and left a basis that could not be rebuilt.
+_SMALL_PIVOT = 1e-5
 # A column whose reduced cost is below _COST_TOL but above this is float
 # dust from earlier pivots; only a decisively negative cost with no pivot
 # row proves an unbounded ray.
@@ -33,6 +49,7 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float | None
+    pivots: int  # simplex pivots of both phases
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -48,38 +65,53 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
 def _ratio_row(tableau: np.ndarray, basis: list[int], col: int) -> int:
     """Leaving row for the entering column, or -1 when no entry is positive.
 
-    Minimum-ratio test with ties broken by the lowest basic variable index
-    (the second half of Bland's rule).
+    Harris's two-pass test. Pass 1 clips each right-hand side at 0 and bounds
+    the step by min((rhs + delta) / a) over the entries a > _PIVOT_TOL. Pass
+    2 takes, among the rows whose ratio rhs / a is within that bound, the one
+    with the largest entry a, ties going to the lowest basic variable index.
     """
     column = tableau[:-1, col]
     candidates = (column > _PIVOT_TOL).nonzero()[0]
-    ratios = tableau[candidates, -1] / column[candidates]
-    leave = -1
-    best = np.inf
-    for i, ratio in zip(candidates.tolist(), ratios.tolist()):
-        if ratio < best - _RATIO_TIE or (
-            abs(ratio - best) <= _RATIO_TIE and leave >= 0 and basis[i] < basis[leave]
-        ):
-            best = ratio
-            leave = i
-    return leave
+    if candidates.size <= 1:
+        return int(candidates[0]) if candidates.size else -1
+    entries = column[candidates]
+    rhs = np.maximum(tableau[candidates, -1], 0.0)
+    bound = ((rhs + _HARRIS_DELTA) / entries).min()
+    fits = rhs / entries <= bound
+    rows = candidates[fits]
+    if rows.size == 1:
+        return int(rows[0])
+    entries = entries[fits]
+    top = rows[entries == entries.max()].tolist()
+    return top[0] if len(top) == 1 else min(top, key=basis.__getitem__)
 
 
-def _iterate(tableau: np.ndarray, basis: list[int], max_iter: int) -> str:
-    """Run simplex pivots until optimal or unbounded, with Bland's rule."""
+def _iterate(tableau: np.ndarray, basis: list[int], max_iter: int) -> tuple[str, int]:
+    """Run simplex pivots until optimal or unbounded; return the status and
+    the number of pivots taken.
+
+    The entering column is the lowest-index improving one (Bland's rule)
+    whose pivot entry is at least _SMALL_PIVOT; a column with a smaller one
+    enters only when no other column can.
+    """
     costs = tableau[-1, :-1]
-    for _ in range(max_iter):
-        # Bland: lowest improving column first
+    for pivots in range(max_iter):
+        small = None
         for j in (costs < -_COST_TOL).nonzero()[0].tolist():
             leave = _ratio_row(tableau, basis, j)
             if leave >= 0:
-                _pivot(tableau, basis, leave, j)
-                break
-            if costs[j] < -_UNBOUNDED_TOL:
-                return "unbounded"
+                if tableau[leave, j] >= _SMALL_PIVOT:
+                    _pivot(tableau, basis, leave, j)
+                    break
+                if small is None:
+                    small = leave, j
+            elif costs[j] < -_UNBOUNDED_TOL:
+                return "unbounded", pivots
             # else: cost is float dust; treat the column as non-improving
         else:
-            return "optimal"
+            if small is None:
+                return "optimal", pivots
+            _pivot(tableau, basis, *small)
     raise RuntimeError("simplex iteration limit exceeded")
 
 
@@ -143,7 +175,7 @@ def solve_lp(
 
     Returns:
         LPResult with status "optimal" (x and objective set), "infeasible",
-        or "unbounded".
+        or "unbounded", and the number of pivots it took.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -168,24 +200,27 @@ def solve_lp(
     rows[flip] *= -1.0
     rhs[flip] *= -1.0
 
-    # phase 1: one artificial per row, minimize their sum
-    tableau = np.zeros((m + 1, ncols + m + 1))
-    tableau[:m, :ncols] = rows
-    tableau[:m, ncols : ncols + m] = np.eye(m)
-    tableau[:m, -1] = rhs
-    basis = list(range(ncols, ncols + m))
-    cost = np.repeat([0.0, 1.0, 0.0], [ncols, m, 1])
+    # phase 1: an inequality row that kept its sign starts with its own slack
+    # basic; every other row gets an artificial, and their sum is minimized
+    art_rows = flip[:m_ub].nonzero()[0].tolist() + list(range(m_ub, m))
+    system = np.hstack([rows, np.eye(m)[:, art_rows], rhs[:, None]])
+    tableau = np.vstack([system, np.zeros(system.shape[1])])
+    basis = list(range(n, n + m))  # row r's slack is column n + r
+    for j, r in enumerate(art_rows):
+        basis[r] = ncols + j
+    cost = np.repeat([0.0, 1.0, 0.0], [ncols, len(art_rows), 1])
     _price(tableau, basis, cost)
-    status = _iterate(tableau, basis, max_iter)
+    status, pivots = _iterate(tableau, basis, max_iter)
     if status != "optimal" or -tableau[m, -1] > _FEAS_TOL:
         # Phase 1 is bounded below by 0, so "unbounded" can only come from
         # round-off, and a positive residual may too: rebuild and go on.
-        _refactor(tableau, basis, np.hstack([rows, np.eye(m), rhs[:, None]]), cost)
-        status = _iterate(tableau, basis, max_iter)
+        _refactor(tableau, basis, system, cost)
+        status, more = _iterate(tableau, basis, max_iter)
+        pivots += more
         if status != "optimal":
             raise RuntimeError(f"phase-1 simplex ended with status {status!r}")
     if -tableau[m, -1] > _FEAS_TOL:
-        return LPResult("infeasible", None, None)
+        return LPResult("infeasible", None, None, pivots)
 
     # drive any artificial still basic (at level ~0) out of the basis
     for r in range(m):
@@ -195,6 +230,7 @@ def solve_lp(
             )
             if piv is not None:
                 _pivot(tableau, basis, r, piv)
+                pivots += 1
 
     keep = [r for r in range(m) if basis[r] < ncols]  # drop redundant rows
     basis = [basis[r] for r in keep]
@@ -207,11 +243,13 @@ def solve_lp(
     for attempt in range(2):
         if attempt:  # the solution misses its rows: rebuild and go on
             _refactor(tableau, basis, np.hstack([rows, rhs[:, None]]), cost)
-        if _iterate(tableau, basis, max_iter) == "unbounded":
-            return LPResult("unbounded", None, None)
+        status, more = _iterate(tableau, basis, max_iter)
+        pivots += more
+        if status == "unbounded":
+            return LPResult("unbounded", None, None, pivots)
         x = np.zeros(ncols)
         x[basis] = tableau[:-1, -1]
         x = np.clip(x[:n], 0.0, None)
         if _satisfies(a_ub, b_ub, a_eq, b_eq, x):
-            return LPResult("optimal", x, float(c @ x))
+            return LPResult("optimal", x, float(c @ x), pivots)
     raise RuntimeError("simplex round-off: the solution violates its constraints")

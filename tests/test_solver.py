@@ -15,6 +15,7 @@ from fahp import (
     feasible_at,
     lambda_at,
     oracle_solve,
+    reciprocal,
     solve_fpp,
 )
 from conftest import random_matrix
@@ -93,6 +94,17 @@ def test_crisp_conflicting_cycle_raises():
     with pytest.raises(InfeasibleJudgmentsError) as exc:
         solve_fpp(m)
     assert set(exc.value.pairs) == {("b", "a"), ("c", "b"), ("a", "c")}
+
+
+def test_reciprocal_flip_changes_lambda():
+    # Membership is linear in the ratio as entered, so stating a judgment the
+    # other way round, (col, row, 1/u, 1/m, 1/l), is a different constraint
+    # and moves lambda. Judgments are solved in the orientation given.
+    triples = [("a", "b", (1, 2, 3)), ("b", "c", (1, 2, 3)), ("a", "c", (1, 2, 3))]
+    flipped = triples[:2] + [("c", "a", reciprocal(TFN(1, 2, 3)).as_tuple())]
+    as_entered = solve_fpp(_mat("abc", triples)).lambda_
+    as_flipped = solve_fpp(_mat("abc", flipped)).lambda_
+    assert abs(as_entered - as_flipped) > 1e-3
 
 
 def test_lambda_at_accepts_mapping_and_sequence():
