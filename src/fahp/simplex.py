@@ -14,13 +14,20 @@ the lowest-index improving column, except that a column whose pivot entry
 would still be tiny waits until no other column can enter. Neither rule
 keeps Bland's proof that degenerate vertices cannot cycle, so the
 iteration limit stays as a guard. Each pivot is one numpy rank-1 update
-of the tableau. Round-off that the pivots accumulate is
-caught after each phase: a phase 1 that ends "unbounded" or with a positive
-residual, and a phase-2 solution that misses the original rows, get their
-tableau recomputed from the original rows for the current basis and iterate
-once more. A solution is reported only once it meets the original rows.
-Sized for problems with tens of rows; this is not a general-purpose LP
-library.
+of the tableau.
+
+The phase-2 tableau keeps the artificial columns but never lets them
+enter. The starting basis (the slacks and artificials of phase 1) is the
+identity in the original rows, so those columns of the tableau hold B^-1
+for the current basis B. Each phase-2 solution gets one step of iterative
+refinement from them: the basic values move by B^-1 (b - A x), which takes
+out most of the round-off the pivots left in x without a LAPACK call.
+Round-off that remains is caught after each phase: a phase 1 that ends
+"unbounded" or with a positive residual, and a phase-2 solution that misses
+the original rows, get their tableau recomputed from the original rows for
+the current basis and iterate once more. A solution is reported only once
+it meets the original rows. Sized for problems with tens of rows; this is
+not a general-purpose LP library.
 """
 
 from __future__ import annotations
@@ -29,7 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_COST_TOL = 1e-9
+# A column improves when its reduced cost is below -_COST_TOL. The solver
+# stops its Dinkelbach iteration at a slack of 1e-8, so the LPs must resolve
+# their optimum well below that: at 1e-9 a column of cost -6e-10 was taken
+# as optimal, and a max-slack LP ended 1.6e-11 short of its optimum at a
+# vertex whose weights were 0.001 away (in one of a block's two item orders).
+_COST_TOL = 1e-10
 _PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-9
 # Harris's relaxation of each right-hand side in the first ratio pass.
@@ -86,15 +98,18 @@ def _ratio_row(tableau: np.ndarray, basis: list[int], col: int) -> int:
     return top[0] if len(top) == 1 else min(top, key=basis.__getitem__)
 
 
-def _iterate(tableau: np.ndarray, basis: list[int], max_iter: int) -> tuple[str, int]:
+def _iterate(
+    tableau: np.ndarray, basis: list[int], max_iter: int, enter: int
+) -> tuple[str, int]:
     """Run simplex pivots until optimal or unbounded; return the status and
     the number of pivots taken.
 
-    The entering column is the lowest-index improving one (Bland's rule)
-    whose pivot entry is at least _SMALL_PIVOT; a column with a smaller one
-    enters only when no other column can.
+    Only the columns below `enter` may enter the basis. The entering column
+    is the lowest-index improving one (Bland's rule) whose pivot entry is at
+    least _SMALL_PIVOT; a column with a smaller one enters only when no
+    other column can.
     """
-    costs = tableau[-1, :-1]
+    costs = tableau[-1, :enter]
     for pivots in range(max_iter):
         small = None
         for j in (costs < -_COST_TOL).nonzero()[0].tolist():
@@ -205,17 +220,19 @@ def solve_lp(
     art_rows = flip[:m_ub].nonzero()[0].tolist() + list(range(m_ub, m))
     system = np.hstack([rows, np.eye(m)[:, art_rows], rhs[:, None]])
     tableau = np.vstack([system, np.zeros(system.shape[1])])
-    basis = list(range(n, n + m))  # row r's slack is column n + r
+    init = list(range(n, n + m))  # row r's slack is column n + r
     for j, r in enumerate(art_rows):
-        basis[r] = ncols + j
+        init[r] = ncols + j
+    basis = init.copy()
     cost = np.repeat([0.0, 1.0, 0.0], [ncols, len(art_rows), 1])
     _price(tableau, basis, cost)
-    status, pivots = _iterate(tableau, basis, max_iter)
+    all_cols = ncols + len(art_rows)
+    status, pivots = _iterate(tableau, basis, max_iter, all_cols)
     if status != "optimal" or -tableau[m, -1] > _FEAS_TOL:
         # Phase 1 is bounded below by 0, so "unbounded" can only come from
         # round-off, and a positive residual may too: rebuild and go on.
         _refactor(tableau, basis, system, cost)
-        status, more = _iterate(tableau, basis, max_iter)
+        status, more = _iterate(tableau, basis, max_iter, all_cols)
         pivots += more
         if status != "optimal":
             raise RuntimeError(f"phase-1 simplex ended with status {status!r}")
@@ -232,23 +249,26 @@ def solve_lp(
                 _pivot(tableau, basis, r, piv)
                 pivots += 1
 
-    keep = [r for r in range(m) if basis[r] < ncols]  # drop redundant rows
+    # Drop the redundant rows. The artificial columns stay, never to enter:
+    # with those of the slack start they make up the columns `init`, where
+    # the system holds the identity and the tableau therefore B^-1.
+    keep = [r for r in range(m) if basis[r] < ncols]
     basis = [basis[r] for r in keep]
-    t2 = np.zeros((len(keep) + 1, ncols + 1))
-    t2[:-1, :ncols] = tableau[keep, :ncols]
-    t2[:-1, -1] = tableau[keep, -1]
-    tableau = t2
-    cost = np.concatenate([c, np.zeros(m_ub + 1)])
+    tableau = tableau[keep + [m]]
+    cost = np.zeros(system.shape[1])
+    cost[:n] = c
     _price(tableau, basis, cost)
     for attempt in range(2):
         if attempt:  # the solution misses its rows: rebuild and go on
-            _refactor(tableau, basis, np.hstack([rows, rhs[:, None]]), cost)
-        status, more = _iterate(tableau, basis, max_iter)
+            _refactor(tableau, basis, system, cost)
+        status, more = _iterate(tableau, basis, max_iter, ncols)
         pivots += more
         if status == "unbounded":
             return LPResult("unbounded", None, None, pivots)
+        # one step of iterative refinement: x_B += B^-1 (b - A x)
         x = np.zeros(ncols)
         x[basis] = tableau[:-1, -1]
+        x[basis] += tableau[:-1, init] @ (rhs - system[:, :ncols] @ x)
         x = np.clip(x[:n], 0.0, None)
         if _satisfies(a_ub, b_ub, a_eq, b_eq, x):
             return LPResult("optimal", x, float(c @ x), pivots)

@@ -140,15 +140,27 @@ def _max_slack(
     Solves max t subject to rows_k @ w + t * scale_k <= 0 for every row,
     sum w = 1, w >= weight_floor. With a unit scale t >= 0 exactly when
     every row can hold.
+
+    The LP is posed in v = w - weight_floor, which leaves the right-hand
+    side -weight_floor * rows_k.sum() on each row, about half of them
+    negative. t is free and every row with scale_k > 0 carries it, so it is
+    solved for t + theta instead, with theta the least shift that makes all
+    of those right-hand sides nonnegative: each such row then starts the
+    simplex with its own slack basic, and only the equality row and the
+    hard (zero-scale) rows with a negative right-hand side need phase 1.
     """
     k, n = rows.shape
     eps = config.weight_floor
-    # variables: v = w - eps (n), then t = tp - tn split into nonnegatives
+    # variables: v = w - eps (n), then t + theta = tp - tn split into
+    # nonnegatives
     a_ub = np.zeros((k, n + 2))
     a_ub[:, :n] = rows
     a_ub[:, n] = scale
     a_ub[:, n + 1] = -scale
     b_ub = -eps * rows.sum(axis=1)
+    soft = scale > 0
+    theta = float((-b_ub[soft] / scale[soft]).max(initial=0.0))
+    b_ub += theta * scale
     a_eq = np.zeros((1, n + 2))
     a_eq[0, :n] = 1.0
     b_eq = np.array([1.0 - n * eps])
@@ -160,7 +172,7 @@ def _max_slack(
         return None
     if res.status != "optimal":
         raise RuntimeError(f"max-slack subproblem unexpectedly {res.status}")
-    t = float(res.x[n] - res.x[n + 1])
+    t = float(res.x[n] - res.x[n + 1]) - theta
     w = res.x[:n] + eps
     return t, w / w.sum()
 

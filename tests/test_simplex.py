@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from fahp import simplex
+from fahp import simplex, solve_fpp, solver
 from fahp.simplex import solve_lp
+from test_solver_invariants import _blocks
 
 ROUNDOFF_LPS = Path(__file__).parent / "fixtures" / "roundoff" / "lps.json"
 
@@ -134,6 +135,30 @@ def test_roundoff_is_recovered(name):
     assert res.status == "optimal"
     assert res.objective == pytest.approx(ref.fun, abs=1e-12)
     assert np.all(np.asarray(args[1]) @ res.x <= np.asarray(args[2]) + 1e-9)
+
+
+def test_solutions_meet_their_rows_to_round_off(monkeypatch):
+    # Every max-slack LP of the random invariant blocks: after the refinement
+    # step an optimal solution meets its rows to within a few ulps of the
+    # right-hand sides, far inside the 1e-9 that solve_lp checks.
+    worst = []
+
+    def checked(c, a_ub, b_ub, a_eq, b_eq):
+        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+        if res.status == "optimal":
+            scale = 1.0 + max(np.abs(b_ub).max(initial=0.0), np.abs(b_eq).max())
+            miss = max(
+                (a_ub @ res.x - b_ub).max(initial=0.0),
+                np.abs(a_eq @ res.x - b_eq).max(),
+            )
+            worst.append(miss / scale)
+        return res
+
+    monkeypatch.setattr(solver, "solve_lp", checked)
+    for block in _blocks():
+        solve_fpp(block)
+    assert len(worst) > 100
+    assert max(worst) <= 1e-15
 
 
 # The row-loop pivoting the vectorized simplex replaced, kept as the

@@ -92,6 +92,27 @@ def _highs_max_slack(matrix, lam):
     return -res.fun
 
 
+def _highs_slack(rows, scale):
+    """max t s.t. rows @ w + t * scale <= 0, sum w = 1, w >= the floor, by
+    HiGHS."""
+    k, n = rows.shape
+    a_eq = np.zeros((1, n + 1))
+    a_eq[0, :n] = 1.0
+    cost = np.zeros(n + 1)
+    cost[n] = -1.0
+    res = linprog(
+        cost,
+        A_ub=np.column_stack([rows, scale]),
+        b_ub=np.zeros(k),
+        A_eq=a_eq,
+        b_eq=[1.0],
+        bounds=[(WEIGHT_FLOOR, None)] * n + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
 def _permuted(matrix, perm):
     """The block with item i renamed to item perm[i]."""
     relabel = {matrix.items[i]: matrix.items[perm[i]] for i in range(len(perm))}
@@ -128,6 +149,25 @@ def test_solution_is_permutation_equivariant():
             assert abs(b.weights[relabel[item]] - a.weights[item]) <= 1e-6
 
 
+def test_max_slack_reports_the_unshifted_slack():
+    # _max_slack solves for t + theta, so that its LP starts feasible, and
+    # reports t. On the bundled blocks, t must be HiGHS's optimum on the same
+    # rows: at lambda_cap with a unit scale, and at the solved lambda with
+    # the Dinkelbach scale D_i(w). The shift is 2.5e-6 to 1.5e-4 there.
+    cfg = solver.SolverConfig()
+    for block in load_study(bundled_study_path()).hierarchy.matrices.values():
+        base, spread, _ = solver._sides(block)
+        res = solve_fpp(block)
+        w = res.weight_vector()
+        for lam, scale in (
+            (cfg.lambda_cap, np.ones(len(base))),
+            (res.lambda_, spread @ w),
+        ):
+            rows = base + lam * spread
+            t, _ = solver._max_slack(rows, scale, cfg)
+            assert abs(t - _highs_slack(rows, scale)) <= 1e-9
+
+
 def test_block_below_minus_ten_without_hard_sides_solves():
     # a tight three-cycle: the equal weights are optimal at lambda = -19
     m = ComparisonMatrix(
@@ -159,7 +199,22 @@ def test_roundoff_blocks_solve_to_the_optimum(name, tmp_path):
     assert json.loads(out.read_text())["blocks"]["goal"]["lambda"] == res.lambda_
 
 
-# Blocks of a seeded sweep: for each rng seed 11-18, 300 blocks drawn with
+# 10-item blocks whose modes are drawn log-uniformly from [1/9, 9] apart from
+# any weight vector, log-spreads of 0.005-0.3 and a fifth of the sides hard,
+# so that lambda is far below -100 and weights sit on the floor. Without the
+# refinement step, the solutions missed a hard side by more than
+# membership's tolerance: on contradictory_101_45 lambda_at gave -inf and the
+# next LP raised, and contradictory_101_768 stopped at lambda -4213.0
+# instead of -233.9.
+@pytest.mark.parametrize("name", ["contradictory_101_45", "contradictory_101_768"])
+def test_contradictory_blocks_solve_to_the_optimum(name):
+    block = load_study(FIXTURES / f"{name}.json").hierarchy.matrices["goal"]
+    res = solve_fpp(block)
+    assert lambda_at(block, res.weights) == res.lambda_
+    assert _highs_max_slack(block, res.lambda_ + 1e-5 * abs(res.lambda_)) < 0.0
+
+
+# Blocks of a seeded sweep: for each rng seed, 300 blocks drawn with
 # n = rng.integers(2, 11), _random_block(rng, n) and perm = rng.permutation(n),
 # each solved as drawn and with its items reordered by perm. The fixture is
 # the block as drawn; the value is perm. The first six raised "simplex
@@ -168,7 +223,15 @@ def test_roundoff_blocks_solve_to_the_optimum(name, tmp_path):
 # minimum-ratio test. The next five raised it with the slack start and
 # Harris's ratio test while the entering column was always the lowest-index
 # improving one, however small its pivot. On sweep_12_138 the slack start
-# without Harris's test moved a weight by 0.0024 between the two orders.
+# without Harris's test moved a weight by 0.0024 between the two orders. The
+# last five (from seeds 24-46) missed a hard side by more than membership's
+# tolerance, so lambda_at gave -inf and the iteration stopped early, while
+# the max-slack LP was shifted to start feasible and its solution was not
+# refined; sweep_26_274 ended at lambda -18.79 instead of -3.73. With the
+# shift and the refinement, sweep_56_281 ended 1.5e-9 lower in lambda, and
+# 0.0011 away in the weights, in its reordered form while a reduced cost of
+# -6e-10 counted as optimal. sweep_52_182 raised "the basis is singular" in
+# its reordered form before the shift.
 SWEEP_BLOCKS = {
     "sweep_11_280": [0, 3, 4, 1, 5, 2],
     "sweep_12_68": [7, 2, 6, 5, 9, 8, 4, 3, 0, 1],
@@ -182,6 +245,13 @@ SWEEP_BLOCKS = {
     "sweep_16_21": [3, 0, 7, 6, 1, 8, 2, 5, 4],
     "sweep_18_249": [7, 6, 5, 4, 3, 0, 1, 2],
     "sweep_12_138": [4, 7, 5, 3, 6, 0, 1, 2],
+    "sweep_24_218": [3, 2, 0, 4, 6, 1, 7, 5],
+    "sweep_26_274": [4, 1, 9, 6, 8, 5, 2, 7, 0, 3],
+    "sweep_32_20": [4, 2, 3, 0, 6, 1, 5, 7],
+    "sweep_43_199": [3, 5, 1, 4, 0, 2],
+    "sweep_46_283": [3, 4, 5, 0, 2, 9, 7, 1, 6, 8],
+    "sweep_56_281": [0, 7, 2, 6, 1, 5, 3, 9, 8, 4],
+    "sweep_52_182": [2, 3, 5, 1, 4, 0],
 }
 
 
@@ -203,9 +273,12 @@ def test_sweep_blocks_solve_in_either_order(name):
 
 def test_pivot_counts_do_not_grow(monkeypatch):
     # Pivots repeat exactly from run to run, where wall time does not. The
-    # bounds are the sums measured with phase 1 started from the slack basis
-    # and Harris's ratio test; an artificial in every row and the plain
-    # minimum-ratio test took 12,206 and 308 pivots.
+    # bounds are the sums measured with the max-slack LP's slack shifted so
+    # that every soft row starts with its own slack basic, and a reduced cost
+    # counted as improving below -1e-10 (3,109 at -1e-9). Without the shift
+    # (phase 1 from the slack basis, Harris's ratio test) they were 5,761
+    # and 183; an artificial in every row and the plain minimum-ratio test
+    # took 12,206 and 308.
     pivots = []
 
     def counted(*args):
@@ -216,8 +289,8 @@ def test_pivot_counts_do_not_grow(monkeypatch):
     monkeypatch.setattr(solver, "solve_lp", counted)
     for block in _blocks():
         solve_fpp(block)
-    assert 0 < sum(pivots) <= 5761
+    assert 0 < sum(pivots) <= 3123
     pivots.clear()
     for block in load_study(bundled_study_path()).hierarchy.matrices.values():
         solve_fpp(block)
-    assert 0 < sum(pivots) <= 183
+    assert 0 < sum(pivots) <= 143
