@@ -14,30 +14,19 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .composition import GlobalRanking, compose_global
 from .documents import (
     ResultsDocument,
     StudyDocument,
     load_study,
-    results_to_dict,
     serialize_results,
+    solve_study,
 )
 from .errors import (
     InfeasibleJudgmentsError,
     UndefinedStatisticError,
     ValidationError,
 )
-from .hierarchy import Hierarchy, Node
-from .reproduce import build_report, format_report, report_to_dict
-from .solver import (
-    ORACLE_LAMBDA_TOL,
-    ORACLE_MAX_ITEMS,
-    ORACLE_WEIGHT_TOL,
-    SolveResult,
-    SolverConfig,
-    oracle_solve,
-    solve_fpp,
-)
+from .solver import ORACLE_LAMBDA_TOL, ORACLE_MAX_ITEMS, ORACLE_WEIGHT_TOL, oracle_solve
 from .survey import DelphiRatings, ItemResponses, cronbach_alpha, run_delphi
 
 EXIT_OK = 0
@@ -49,47 +38,6 @@ EXIT_ORACLE = 4
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _solve_blocks(
-    hierarchy: Hierarchy, config: SolverConfig
-) -> dict[str, SolveResult]:
-    results = {}
-    for node in hierarchy.walk():
-        if node.id in hierarchy.matrices:
-            results[node.id] = solve_fpp(hierarchy.matrices[node.id], config)
-    return results
-
-
-def _compose(hierarchy: Hierarchy, blocks: dict[str, SolveResult]) -> GlobalRanking:
-    """Global ranking of leaves: path product of local weights.
-
-    A leaf's category is its immediate parent; the category weight is the
-    product of local weights along the path above that parent, so
-    global = category_weight * local_weight holds at any depth. An
-    only-child (no matrix over it) carries local weight 1.
-    """
-    category_weights: dict[str, float] = {}
-    local_weights: dict[str, dict[str, float]] = {}
-
-    def local_of(parent: Node, child: Node) -> float:
-        if parent.id in blocks:
-            return blocks[parent.id].weights[child.id]
-        return 1.0  # single child, nothing to compare
-
-    def descend(node: Node, above: float) -> None:
-        leaf_children = [c for c in node.children if c.is_leaf]
-        if leaf_children:
-            category_weights[node.id] = above
-            local_weights[node.id] = {
-                c.id: local_of(node, c) for c in leaf_children
-            }
-        for child in node.children:
-            if not child.is_leaf:
-                descend(child, above * local_of(node, child))
-
-    descend(hierarchy.root, 1.0)
-    return compose_global(category_weights, local_weights)
 
 
 def _format_results(study: StudyDocument, doc: ResultsDocument) -> str:
@@ -134,17 +82,7 @@ def _format_results(study: StudyDocument, doc: ResultsDocument) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     study = load_study(args.study)
-    config = study.config
-    blocks = _solve_blocks(study.hierarchy, config)
-    ranking = _compose(study.hierarchy, blocks)
-    doc = ResultsDocument(
-        study=study.name,
-        tool_version=__version__,
-        config=config,
-        generated_at=None if args.no_timestamp else _timestamp(),
-        blocks=blocks,
-        ranking=ranking,
-    )
+    doc = solve_study(study, None if args.no_timestamp else _timestamp())
     if args.out:
         Path(args.out).write_text(serialize_results(doc), encoding="utf-8")
     sys.stdout.write(_format_results(study, doc))
@@ -152,6 +90,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce_paper(args: argparse.Namespace) -> int:
+    # imported here so that the other subcommands do not load the module
+    from .reproduce import build_report, format_report, report_to_dict
+
     report = build_report()
     if not report.identity_ok:
         raise RuntimeError(
@@ -167,21 +108,19 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     study = load_study(args.study)
+    for node in study.hierarchy.walk():
+        if len(node.children) > ORACLE_MAX_ITEMS:
+            raise ValidationError(
+                f"block {node.id!r} has {len(node.children)} items; the oracle "
+                f"handles at most {ORACLE_MAX_ITEMS}"
+            )
     breaches = 0
     lines = []
-    for node in study.hierarchy.walk():
-        matrix = study.hierarchy.matrices.get(node.id)
-        if matrix is None:
-            continue
+    for block, fpp in solve_study(study).blocks.items():
+        matrix = study.hierarchy.matrices[block]
         n = len(matrix.items)
-        if n > ORACLE_MAX_ITEMS:
-            raise ValidationError(
-                f"block {node.id!r} has {n} items; the oracle handles at most "
-                f"{ORACLE_MAX_ITEMS}"
-            )
         # four-item lattices get dense fast; never go finer than 0.01 there
         step = args.step if n < 4 else max(args.step, 0.01)
-        fpp = solve_fpp(matrix, study.config)
         grid = oracle_solve(matrix, step)
         lam_delta = abs(fpp.lambda_ - grid.lambda_)
         w_delta = max(
@@ -191,7 +130,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         if not ok:
             breaches += 1
         lines.append(
-            f"block {node.id:<6} n={n} step {step:g}: "
+            f"block {block:<6} n={n} step {step:g}: "
             f"lambda {fpp.lambda_:.6g} vs {grid.lambda_:.6g} "
             f"(delta {lam_delta:.4f}), max weight delta {w_delta:.4f} "
             f"[{'ok' if ok else 'BREACH'}]"

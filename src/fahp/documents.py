@@ -4,7 +4,8 @@ A study document holds a named hierarchy, its comparison matrices (numeric
 triples or linguistic terms), an optional replacement scale, and optional
 solver settings. A results document echoes the configuration and carries
 per-block solver output plus the composed global ranking; serialization is
-deterministic and round-trips losslessly.
+deterministic and round-trips losslessly. solve_study turns the one into the
+other, and every command that solves a study goes through it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .composition import GlobalRanking, RankingRow
+from . import __version__
+from .composition import GlobalRanking, RankingRow, compose_global
 from .errors import ValidationError
 from .fuzzy import DEFAULT_SCALE, LinguisticScale, TriangularFuzzyNumber, scale_lookup
 from .hierarchy import (
@@ -25,7 +27,7 @@ from .hierarchy import (
     Node,
     validate,
 )
-from .solver import SolveResult, SolverConfig
+from .solver import SolveResult, SolverConfig, solve_fpp
 
 _STUDY_KEYS = {"name", "scale", "hierarchy", "matrices", "solver"}
 _NODE_KEYS = {"id", "label", "children"}
@@ -213,8 +215,63 @@ def bundled_study_path() -> Path:
     return Path(str(resources.files("fahp").joinpath("data/supply_chain_study.json")))
 
 
+def solve_study(
+    study: StudyDocument, generated_at: str | None = None
+) -> ResultsDocument:
+    """Solve every block in walk order and rank the leaves globally.
+
+    A leaf's category is its immediate parent; the category weight is the
+    product of local weights along the path above that parent, so
+    global = category_weight * local_weight holds at any depth. An
+    only-child (no matrix over it) carries local weight 1.
+    """
+    h = study.hierarchy
+    blocks = {
+        node.id: solve_fpp(h.matrices[node.id], study.config)
+        for node in h.walk()
+        if node.id in h.matrices
+    }
+    category_weights: dict[str, float] = {}
+    local_weights: dict[str, dict[str, float]] = {}
+
+    def descend(node: Node, above: float) -> None:
+        if node.id in blocks:
+            local = blocks[node.id].weights
+        else:  # a single child, nothing to compare
+            local = {c.id: 1.0 for c in node.children}
+        leaves = {c.id: local[c.id] for c in node.children if c.is_leaf}
+        if leaves:
+            category_weights[node.id] = above
+            local_weights[node.id] = leaves
+        for child in node.children:
+            if not child.is_leaf:
+                descend(child, above * local[child.id])
+
+    descend(h.root, 1.0)
+    return ResultsDocument(
+        study=study.name,
+        tool_version=__version__,
+        config=study.config,
+        generated_at=generated_at,
+        blocks=blocks,
+        ranking=compose_global(category_weights, local_weights),
+    )
+
+
 def _config_dict(config: SolverConfig) -> dict[str, float]:
     return {"lambda_cap": config.lambda_cap, "weight_floor": config.weight_floor}
+
+
+def block_to_dict(res: SolveResult) -> dict[str, Any]:
+    """One block's solver output, as results and deviation documents store it."""
+    return {
+        "weights": dict(res.weights),
+        "lambda": res.lambda_,
+        "consistent": res.consistent,
+        "clamped": res.clamped,
+        "iterations": res.iterations,
+        "slack": res.slack,
+    }
 
 
 def results_to_dict(doc: ResultsDocument) -> dict[str, Any]:
@@ -225,17 +282,7 @@ def results_to_dict(doc: ResultsDocument) -> dict[str, Any]:
     }
     if doc.generated_at is not None:
         out["generated_at"] = doc.generated_at
-    out["blocks"] = {
-        block: {
-            "weights": {k: v for k, v in res.weights.items()},
-            "lambda": res.lambda_,
-            "consistent": res.consistent,
-            "clamped": res.clamped,
-            "iterations": res.iterations,
-            "slack": res.slack,
-        }
-        for block, res in doc.blocks.items()
-    }
+    out["blocks"] = {block: block_to_dict(res) for block, res in doc.blocks.items()}
     out["ranking"] = [
         {
             "leaf": r.leaf,

@@ -167,94 +167,3 @@ def validate(h: Hierarchy) -> Hierarchy:
                 "comparison matrix"
             )
     return h
-
-
-def _tfn(l: float, m: float, u: float) -> TriangularFuzzyNumber:
-    return TriangularFuzzyNumber(l, m, u)
-
-
-def _j(row: str, col: str, l: float, m: float, u: float) -> ComparisonJudgment:
-    return ComparisonJudgment(row, col, _tfn(l, m, u))
-
-
-def paper_study() -> Hierarchy:
-    """The bundled Supply Chain 4.0 challenge study.
-
-    Ten implementation challenges in three categories, with aggregated
-    expert judgments for the category block and each within-category block.
-    """
-    root = Node(
-        id="goal",
-        label="Supply Chain 4.0 implementation challenges",
-        children=(
-            Node(
-                id="W1",
-                label="Technical challenges",
-                children=(
-                    Node("W11", "System complexity"),
-                    Node("W12", "Data analytics and computational load"),
-                    Node("W13", "Security and privacy"),
-                    Node("W14", "Connectivity"),
-                ),
-            ),
-            Node(
-                id="W2",
-                label="Environmental, financial and cultural challenges",
-                children=(
-                    Node("W21", "Environmental risks"),
-                    Node("W22", "Energy management"),
-                    Node("W23", "Investment cost"),
-                    Node("W24", "Lack of trust"),
-                ),
-            ),
-            Node(
-                id="W3",
-                label="Technological challenges",
-                children=(
-                    Node("W31", "Lack of knowledge and skills"),
-                    Node("W32", "Lack of suitable infrastructure"),
-                ),
-            ),
-        ),
-    )
-    matrices = {
-        "goal": ComparisonMatrix(
-            parent="goal",
-            items=("W1", "W2", "W3"),
-            judgments=(
-                _j("W2", "W1", 2.1, 2.7, 3.8),
-                _j("W3", "W1", 1.5, 1.75, 2.5),
-                _j("W3", "W2", 3.1, 3.95, 5.12),
-            ),
-        ),
-        "W1": ComparisonMatrix(
-            parent="W1",
-            items=("W11", "W12", "W13", "W14"),
-            judgments=(
-                _j("W12", "W11", 3.1, 4.2, 5.1),
-                _j("W13", "W11", 2.1, 2.8, 4.7),
-                _j("W13", "W12", 2.3, 3.1, 4.2),
-                _j("W14", "W11", 3.1, 3.5, 5.4),
-                _j("W14", "W12", 3.1, 3.5, 4.5),
-                _j("W14", "W13", 2.1, 2.45, 3.21),
-            ),
-        ),
-        "W2": ComparisonMatrix(
-            parent="W2",
-            items=("W21", "W22", "W23", "W24"),
-            judgments=(
-                _j("W22", "W21", 2.5, 3.5, 4.2),
-                _j("W23", "W21", 2.8, 3.1, 3.9),
-                _j("W23", "W22", 2.25, 3.4, 4.9),
-                _j("W24", "W21", 3.1, 3.25, 3.9),
-                _j("W24", "W22", 2.35, 3.41, 4.25),
-                _j("W24", "W23", 1.25, 2.47, 4.31),
-            ),
-        ),
-        "W3": ComparisonMatrix(
-            parent="W3",
-            items=("W31", "W32"),
-            judgments=(_j("W32", "W31", 2.5, 3.47, 4.25),),
-        ),
-    }
-    return validate(Hierarchy(root=root, matrices=matrices))

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from .composition import GlobalRanking, compose_global
-from .hierarchy import paper_study
-from .solver import SolveResult, SolverConfig, solve_fpp
+from .documents import block_to_dict, bundled_study_path, load_study, solve_study
+from .solver import SolveResult
 
 #: Weights of the three categories as originally published.
 PUBLISHED_CATEGORY_WEIGHTS = {"W1": 0.373887, "W2": 0.281210, "W3": 0.347111}
@@ -54,8 +54,6 @@ PUBLISHED_GLOBAL_WEIGHTS = {
 #: published values carry six decimals, so products agree to ~1e-6.
 IDENTITY_TOL = 5e-6
 
-_BLOCK_ORDER = ("goal", "W1", "W2", "W3")
-
 
 @dataclass(frozen=True)
 class DeviationRow:
@@ -88,45 +86,38 @@ class ReproduceReport:
         return self.identity_max_delta <= IDENTITY_TOL
 
 
-def build_report(config: SolverConfig | None = None) -> ReproduceReport:
+def build_report() -> ReproduceReport:
     """Solve the bundled study and tabulate deviations from the published run."""
-    cfg = config or SolverConfig()
-    study = paper_study()
-    blocks = {
-        block: solve_fpp(study.matrices[block], cfg) for block in _BLOCK_ORDER
-    }
-
-    local_rows = []
-    for block in _BLOCK_ORDER:
-        for item, published in PUBLISHED_LOCAL_WEIGHTS[block].items():
-            local_rows.append(
-                DeviationRow(
-                    block=block,
-                    item=item,
-                    published=published,
-                    computed=blocks[block].weights[item],
-                )
-            )
+    results = solve_study(load_study(bundled_study_path()))
+    blocks = results.blocks
+    local_rows = tuple(
+        DeviationRow(
+            block=block,
+            item=item,
+            published=published,
+            computed=blocks[block].weights[item],
+        )
+        for block, weights in PUBLISHED_LOCAL_WEIGHTS.items()
+        for item, published in weights.items()
+    )
     lambda_rows = tuple(
         DeviationRow(
             block=block,
             item="",
-            published=PUBLISHED_LAMBDAS[block],
+            published=published,
             computed=blocks[block].lambda_,
         )
-        for block in _BLOCK_ORDER
+        for block, published in PUBLISHED_LAMBDAS.items()
     )
 
-    computed_ranking = compose_global(
-        category_weights=blocks["goal"].weights,
-        local_weights={b: blocks[b].weights for b in ("W1", "W2", "W3")},
-    )
     published_ranking = compose_global(
         category_weights=PUBLISHED_CATEGORY_WEIGHTS,
-        local_weights={b: PUBLISHED_LOCAL_WEIGHTS[b] for b in ("W1", "W2", "W3")},
+        local_weights={
+            c: PUBLISHED_LOCAL_WEIGHTS[c] for c in PUBLISHED_CATEGORY_WEIGHTS
+        },
     )
 
-    computed_globals = computed_ranking.as_dict()
+    computed_globals = results.ranking.as_dict()
     global_rows = tuple(
         DeviationRow(
             block="",
@@ -148,11 +139,11 @@ def build_report(config: SolverConfig | None = None) -> ReproduceReport:
     )
     return ReproduceReport(
         blocks=blocks,
-        local_rows=tuple(local_rows),
+        local_rows=local_rows,
         lambda_rows=lambda_rows,
         global_rows=global_rows,
         identity_rows=identity_rows,
-        computed_ranking=computed_ranking,
+        computed_ranking=results.ranking,
         published_ranking=published_ranking,
     )
 
@@ -168,17 +159,7 @@ def report_to_dict(report: ReproduceReport) -> dict[str, Any]:
         return out
 
     return {
-        "blocks": {
-            block: {
-                "weights": res.weights,
-                "lambda": res.lambda_,
-                "consistent": res.consistent,
-                "clamped": res.clamped,
-                "iterations": res.iterations,
-                "slack": res.slack,
-            }
-            for block, res in report.blocks.items()
-        },
+        "blocks": {block: block_to_dict(res) for block, res in report.blocks.items()},
         "local_weight_rows": [dev(r) for r in report.local_rows],
         "lambda_rows": [dev(r) for r in report.lambda_rows],
         "global_rows": [dev(r) for r in report.global_rows],
@@ -215,9 +196,8 @@ def format_report(report: ReproduceReport) -> str:
         "published judgments do not admit the published weights (negative-"
     )
     lines.append("lambda blocks), so deltas below measure that gap.")
-    for block in _BLOCK_ORDER:
+    for block, lam_pub in PUBLISHED_LAMBDAS.items():
         res = report.blocks[block]
-        lam_pub = PUBLISHED_LAMBDAS[block]
         lines.append("")
         lines.append(
             f"block {block}  lambda published {lam_pub:.6g}  computed "

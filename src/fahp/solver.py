@@ -318,34 +318,20 @@ def _result(
 
 
 def _lattice(n: int, units: int) -> np.ndarray:
-    """All integer vectors of length n with positive entries summing to units."""
+    """All integer vectors of length n with positive entries summing to units,
+    in lexicographic order."""
     if units < n:
         raise ValueError("grid step too coarse: fewer lattice units than items")
-    if n == 2:
-        k1 = np.arange(1, units, dtype=np.int64)
-        return np.stack([k1, units - k1], axis=1)
-    blocks = []
-    if n == 3:
-        for k1 in range(1, units - 1):
-            k2 = np.arange(1, units - k1, dtype=np.int64)
-            block = np.empty((k2.size, 3), dtype=np.int64)
-            block[:, 0] = k1
-            block[:, 1] = k2
-            block[:, 2] = units - k1 - k2
-            blocks.append(block)
-    elif n == 4:
-        for k1 in range(1, units - 2):
-            for k2 in range(1, units - 1 - k1):
-                k3 = np.arange(1, units - k1 - k2, dtype=np.int64)
-                block = np.empty((k3.size, 4), dtype=np.int64)
-                block[:, 0] = k1
-                block[:, 1] = k2
-                block[:, 2] = k3
-                block[:, 3] = units - k1 - k2 - k3
-                blocks.append(block)
-    else:
-        raise ValueError(f"lattice enumeration not supported for n = {n}")
-    return np.concatenate(blocks, axis=0)
+    points = np.empty((1, 0), dtype=np.int64)
+    left = np.array([units], dtype=np.int64)
+    for free in range(n - 1, 0, -1):
+        # each point takes k = 1 .. left - free next, leaving 1 for the rest
+        counts = left - free
+        parent = np.repeat(np.arange(left.size), counts)
+        k = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+        points = np.column_stack([points[parent], k])
+        left = left[parent] - k
+    return np.column_stack([points, left])
 
 
 def _lattice_size(n: int, units: int) -> int:

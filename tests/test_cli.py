@@ -1,11 +1,18 @@
 """Command-line interface: subcommands, exit codes, and output files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fahp
 from fahp import bundled_study_path
 from fahp.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _write_delphi_csv(path, ratings):
@@ -158,6 +165,53 @@ def test_oracle_rejects_large_blocks(tmp_path, capsys):
     rc = main(["oracle", str(path)])
     assert rc == 2
     assert capsys.readouterr().err != ""
+
+
+def test_oracle_checks_block_sizes_before_solving(capsys):
+    # the goal block's crisp judgments contradict each other, and solving it
+    # would exit 3; the five-item block below it is refused first
+    path = FIXTURES / "oracle_oversized_after_infeasible.json"
+    rc = main(["oracle", str(path)])
+    assert rc == 2
+    assert "block 'A' has 5 items" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["solve", str(bundled_study_path()), "--no-timestamp"], "solve.txt"),
+        (["reproduce-paper"], "reproduce.txt"),
+    ],
+)
+def test_bundled_study_text_matches_golden(argv, golden, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (FIXTURES / "golden" / golden).read_bytes()
+
+
+def test_reproduce_paper_blocks_equal_solve_blocks(tmp_path):
+    solved, reproduced = tmp_path / "solve.json", tmp_path / "reproduce.json"
+    assert main(["solve", str(bundled_study_path()), "--out", str(solved)]) == 0
+    assert main(["reproduce-paper", "--out", str(reproduced)]) == 0
+    want = json.loads(solved.read_text())["blocks"]
+    got = json.loads(reproduced.read_text())["blocks"]
+    assert list(got) == list(want)
+    for block, res in want.items():
+        assert got[block]["lambda"] == res["lambda"], block
+        assert got[block]["weights"] == res["weights"], block
+
+
+def test_cli_import_leaves_reproduce_unloaded():
+    src = Path(fahp.__file__).resolve().parents[1]
+    code = "import fahp.cli, sys; print('fahp.reproduce' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_reproduce_paper_runs(capsys):

@@ -8,7 +8,6 @@ from fahp import (
     ValidationError,
     bundled_study_path,
     load_study,
-    paper_study,
     parse_study,
 )
 from fahp.cli import main
@@ -108,20 +107,6 @@ def test_invalid_matrix_inside_document():
     doc = _study(matrices={"goal": [{"row": "b", "col": "b", "judgment": [2, 3, 4]}]})
     with pytest.raises(ValidationError):
         parse_study(json.dumps(doc))
-
-
-def test_bundled_study_matches_embedded_hierarchy():
-    path = bundled_study_path()
-    assert path.exists()
-    doc = load_study(path)
-    embedded = paper_study()
-    assert [n.id for n in doc.hierarchy.walk()] == [n.id for n in embedded.walk()]
-    for parent, matrix in embedded.matrices.items():
-        loaded = doc.hierarchy.matrices[parent]
-        assert loaded.items == matrix.items
-        got = {(j.row, j.col): j.value.as_tuple() for j in loaded.judgments}
-        want = {(j.row, j.col): j.value.as_tuple() for j in matrix.judgments}
-        assert got == want
 
 
 def test_load_study_missing_file(tmp_path):

@@ -9,7 +9,8 @@ from fahp import (
     Hierarchy,
     Node,
     ValidationError,
-    paper_study,
+    bundled_study_path,
+    load_study,
     validate,
     validate_matrix,
 )
@@ -140,7 +141,7 @@ def test_validate_hierarchy_rejects_unknown_parent():
 
 
 def test_bundled_study_shape():
-    h = paper_study()
+    h = load_study(bundled_study_path()).hierarchy
     validate(h)
     assert h.root.id == "goal"
     assert [n.id for n in h.root.children] == ["W1", "W2", "W3"]
@@ -161,6 +162,6 @@ def test_bundled_study_shape():
 
 
 def test_bundled_study_labels_are_descriptive():
-    h = paper_study()
+    h = load_study(bundled_study_path()).hierarchy
     assert h.node("W13").label == "Security and privacy"
     assert h.node("W31").label == "Lack of knowledge and skills"

@@ -1,5 +1,6 @@
 """Preference-programming solver: Dinkelbach iteration, feasibility LP, and the grid oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from fahp import (
     reciprocal,
     solve_fpp,
 )
+from fahp.solver import _lattice, _lattice_size
 from conftest import random_matrix
 
 
@@ -205,3 +207,19 @@ def test_oracle_agrees_on_cyclic_fixture():
     o = oracle_solve(CYCLIC, 0.005)
     assert o.lambda_ < 0
     assert o.lambda_ == pytest.approx(f.lambda_, abs=0.03)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("extra", [0, 1, 5, 37])
+def test_lattice_matches_stars_and_bars(n, extra):
+    # n - 1 cut points among units - 1 gaps give the positive compositions,
+    # and combinations() yields them in the same lexicographic order
+    units = n + extra
+    cuts = itertools.combinations(range(1, units), n - 1)
+    want = [
+        [b - a for a, b in zip((0,) + c, c + (units,))] for c in cuts
+    ]
+    got = _lattice(n, units)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    assert len(got) == _lattice_size(n, units)
