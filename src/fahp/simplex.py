@@ -26,8 +26,21 @@ Round-off that remains is caught after each phase: a phase 1 that ends
 "unbounded" or with a positive residual, and a phase-2 solution that misses
 the original rows, get their tableau recomputed from the original rows for
 the current basis and iterate once more. A solution is reported only once
-it meets the original rows. Sized for problems with tens of rows; this is
-not a general-purpose LP library.
+it meets the original rows.
+
+A caller that solves a run of LPs of the same shape can pass the final
+basis of one (`LPResult.basis`) as the starting-basis hint of the next.
+The hint is checked without building a tableau: its basic structural
+columns and the rows whose slack is nonbasic form a square system, at most
+n + 2 columns for the solver's max-slack LPs, inverted by Gauss-Jordan
+elimination with partial pivoting (numpy only). The basic values and the
+duals read from that inverse certify the basis when every basic value is
+at least -_FEAS_TOL, every reduced cost of a nonbasic column is at least
+-_COST_TOL and the solution meets the original rows; the LP then returns
+with 0 pivots. A hint that fails any check, or is singular, of the wrong
+length or out of range, is dropped and the two-phase solve runs as
+without it. Sized for problems with tens of rows; this is not a
+general-purpose LP library.
 """
 
 from __future__ import annotations
@@ -62,6 +75,10 @@ class LPResult:
     x: np.ndarray | None
     objective: float | None
     pivots: int  # simplex pivots of both phases
+    # basic columns of the final tableau, structural then slack numbering
+    # (slack of inequality row r is column n + r); None when not optimal or
+    # when phase 1 dropped a redundant row
+    basis: tuple[int, ...] | None = None
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -161,6 +178,68 @@ def _refactor(
     _price(tableau, basis, cost)
 
 
+def _inverse(mat: np.ndarray) -> np.ndarray | None:
+    """Inverse of a small square matrix by Gauss-Jordan elimination with
+    partial pivoting (numpy only, as in _refactor), or None when no pivot
+    left in a column is above _PIVOT_TOL."""
+    k = len(mat)
+    aug = np.hstack([mat, np.eye(k)])
+    rows, spare = [], [0] * k  # pivot rows in column order; a throwaway basis
+    for col in range(k):
+        column = np.abs(aug[:, col])
+        column[rows] = 0.0
+        row = int(column.argmax())
+        if column[row] <= _PIVOT_TOL:
+            return None
+        _pivot(aug, spare, row, col)
+        rows.append(row)
+    # column j of mat was pivoted in at rows[j], so row j of its inverse is
+    # row rows[j] of the right half
+    return aug[rows, k:]
+
+
+def _certify(c, a_ub, b_ub, a_eq, b_eq, hint) -> LPResult | None:
+    """The optimal solution of the basis `hint`, or None unless the hint is a
+    primal and dual feasible basis of this LP.
+
+    The basic structural columns S and the tight rows T (inequality rows
+    whose slack is nonbasic, and every equality row) form a square system
+    M = A[T, S]; every other basic column is a slack. x_S = M^-1 b_T, refined
+    once, and the duals y = c_S M^-1 give the reduced costs c - y A[T] of the
+    structural columns and -y of the tight rows' slacks.
+    """
+    n, m_ub = c.size, b_ub.size
+    cols = sorted(set(hint))
+    if len(hint) != m_ub + b_eq.size or len(cols) != len(hint):
+        return None
+    if cols and not (0 <= cols[0] and cols[-1] < n + m_ub):
+        return None
+    basic = np.zeros(n + m_ub, dtype=bool)
+    basic[cols] = True
+    struct = basic[:n].nonzero()[0]
+    tight = (~basic[n:]).nonzero()[0]
+    rows = np.vstack([a_ub[tight], a_eq])
+    rhs = np.concatenate([b_ub[tight], b_eq])
+    mat = rows[:, struct]
+    inv = _inverse(mat)
+    if inv is None:
+        return None
+    xs = inv @ rhs
+    xs += inv @ (rhs - mat @ xs)
+    y = c[struct] @ inv
+    if (
+        xs.min(initial=0.0) < -_FEAS_TOL
+        or (c - y @ rows).min(initial=0.0) < -_COST_TOL
+        or y[: len(tight)].max(initial=0.0) > _COST_TOL
+    ):
+        return None
+    x = np.zeros(n)
+    x[struct] = np.clip(xs, 0.0, None)
+    if not _satisfies(a_ub, b_ub, a_eq, b_eq, x):
+        return None
+    return LPResult("optimal", x, float(c @ x), 0, tuple(hint))
+
+
 def _satisfies(a_ub, b_ub, a_eq, b_eq, x: np.ndarray) -> bool:
     """Whether x meets the original constraint rows to within _FEAS_TOL,
     relative to the size of the right-hand sides."""
@@ -180,6 +259,8 @@ def solve_lp(
     a_eq=None,
     b_eq=None,
     max_iter: int = 10_000,
+    *,
+    basis=None,
 ) -> LPResult:
     """Two-phase dense simplex.
 
@@ -187,10 +268,13 @@ def solve_lp(
         c: objective coefficients, length n (minimized).
         a_ub, b_ub: inequality rows A_ub @ x <= b_ub.
         a_eq, b_eq: equality rows A_eq @ x = b_eq.
+        basis: optional starting-basis hint, the `basis` of an earlier
+            LPResult of an LP with the same shape. When it is optimal for
+            this LP it is returned with 0 pivots; otherwise it is ignored.
 
     Returns:
-        LPResult with status "optimal" (x and objective set), "infeasible",
-        or "unbounded", and the number of pivots it took.
+        LPResult with status "optimal" (x, objective and basis set),
+        "infeasible", or "unbounded", and the number of pivots it took.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -200,6 +284,10 @@ def solve_lp(
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
     if a_ub.shape != (b_ub.size, n) or a_eq.shape != (b_eq.size, n):
         raise ValueError("constraint shapes do not match the objective length")
+    if basis is not None:
+        warm = _certify(c, a_ub, b_ub, a_eq, b_eq, basis)
+        if warm is not None:
+            return warm
 
     m_ub, m_eq = b_ub.size, b_eq.size
     m = m_ub + m_eq
@@ -271,5 +359,6 @@ def solve_lp(
         x[basis] += tableau[:-1, init] @ (rhs - system[:, :ncols] @ x)
         x = np.clip(x[:n], 0.0, None)
         if _satisfies(a_ub, b_ub, a_eq, b_eq, x):
-            return LPResult("optimal", x, float(c @ x), pivots)
+            final = tuple(basis) if len(basis) == m else None
+            return LPResult("optimal", x, float(c @ x), pivots, final)
     raise RuntimeError("simplex round-off: the solution violates its constraints")

@@ -13,7 +13,11 @@ program. It is solved exactly by the normalized Dinkelbach iteration of
 Crouzeix, Ferland and Schaible (JOTA 47, 1985): at lambda_k = lambda_at(w_k)
 one LP maximizes t subject to N_i(w) - lambda_k * D_i(w) >= t * D_i(w_k)
 for every side, and its solution w_{k+1} raises lambda until t reaches 0
-(to within 1e-8).
+(to within 1e-8). Consecutive LPs of a block differ only in their
+coefficients, so each starts from the final basis of the one before (the
+lambda_cap probe's, for the first): when that basis is still optimal,
+solve_lp certifies it from a small square system and returns without a
+pivot, and otherwise solves the LP cold, in two phases.
 A side with zero spread (m == l or u == m) is a hard bound on the ratio, a
 constraint that does not depend on lambda. The reported lambda is
 lambda_at(weights); lambda >= 0 certifies that some weight vector lies
@@ -64,8 +68,11 @@ class SolverConfig:
     weight_floor: float = 1e-6
 
     def __post_init__(self):
-        if not math.isfinite(self.lambda_cap):
-            raise ValueError(f"lambda_cap must be finite, got {self.lambda_cap}")
+        # memberships are capped at 1, so a larger cap never binds
+        if not (math.isfinite(self.lambda_cap) and self.lambda_cap <= 1.0):
+            raise ValueError(
+                f"lambda_cap must be finite and at most 1, got {self.lambda_cap}"
+            )
         if not (self.weight_floor > 0 and math.isfinite(self.weight_floor)):
             raise ValueError(
                 f"weight_floor must be positive and finite, got {self.weight_floor}"
@@ -132,10 +139,12 @@ def _check_floor(matrix: ComparisonMatrix, config: SolverConfig) -> None:
 
 
 def _max_slack(
-    rows: np.ndarray, scale: np.ndarray, config: SolverConfig
-) -> tuple[float, np.ndarray] | None:
-    """Best slack t and its weight vector for the constraint rows, or None
-    when the rows with a zero scale cannot all hold.
+    rows: np.ndarray, scale: np.ndarray, config: SolverConfig, basis=None
+) -> tuple[float, np.ndarray, tuple[int, ...] | None] | None:
+    """Best slack t, its weight vector and the LP's final basis for the
+    constraint rows, or None when the rows with a zero scale cannot all hold.
+    `basis` is the final basis of an earlier call on rows of the same shape,
+    passed to solve_lp as its starting-basis hint.
 
     Solves max t subject to rows_k @ w + t * scale_k <= 0 for every row,
     sum w = 1, w >= weight_floor. With a unit scale t >= 0 exactly when
@@ -167,14 +176,14 @@ def _max_slack(
     c = np.zeros(n + 2)
     c[n] = -1.0
     c[n + 1] = 1.0
-    res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    res = solve_lp(c, a_ub, b_ub, a_eq, b_eq, basis=basis)
     if res.status == "infeasible":
         return None
     if res.status != "optimal":
         raise RuntimeError(f"max-slack subproblem unexpectedly {res.status}")
     t = float(res.x[n] - res.x[n + 1]) - theta
     w = res.x[:n] + eps
-    return t, w / w.sum()
+    return t, w / w.sum(), res.basis
 
 
 def _as_vector(matrix: ComparisonMatrix, w) -> np.ndarray:
@@ -230,7 +239,7 @@ def feasible_at(
     validate_matrix(matrix)
     _check_floor(matrix, cfg)
     base, spread, _ = _sides(matrix)
-    t, w = _max_slack(base + lam * spread, np.ones(len(base)), cfg)
+    t, w, _ = _max_slack(base + lam * spread, np.ones(len(base)), cfg)
     if t < -_SLACK_FEAS_TOL:
         return None
     return dict(zip(matrix.items, (float(x) for x in w)))
@@ -244,7 +253,7 @@ def _raise_conflict(
 ) -> None:
     """Raise InfeasibleJudgmentsError for hard sides that cannot all hold,
     naming the pairs whose sides the max-slack vector over them violates."""
-    _, w = _max_slack(rows, np.ones(len(rows)), cfg)
+    _, w, _ = _max_slack(rows, np.ones(len(rows)), cfg)
     violated = list(
         dict.fromkeys(p for p, a in zip(pairs, rows @ w) if a > _SLACK_FEAS_TOL)
     )
@@ -280,14 +289,14 @@ def solve_fpp(
     probe = _max_slack(base + cfg.lambda_cap * spread, scale, cfg)
     if probe is None or (hard.all() and probe[0] < -_SLACK_FEAS_TOL):
         _raise_conflict(matrix, base[hard], [p for p, h in zip(pairs, hard) if h], cfg)
-    slack, w = probe
+    slack, w, basis = probe
     probes = 1
     if slack >= -_SLACK_FEAS_TOL:
         return _result(matrix, w, cfg.lambda_cap, probes, True, slack)
     lam = _lowest_membership(matrix, w)
     while True:
         # max t s.t. N_i(w) - lam * D_i(w) >= t * D_i(w_k) on every soft side
-        slack, w_next = _max_slack(base + lam * spread, spread @ w, cfg)
+        slack, w_next, basis = _max_slack(base + lam * spread, spread @ w, cfg, basis)
         probes += 1
         if slack <= _DINKELBACH_TOL:
             break

@@ -89,6 +89,7 @@ def test_solve_unknown_key_exits_2(tmp_path):
         (None, {"weight_floor": float("nan")}, "weight_floor"),
         (None, {"lambda_lo": -10}, "lambda_lo"),
         (None, {"bisection_tol": 1e-6}, "bisection_tol"),
+        (None, {"lambda_cap": 1e15}, "lambda_cap"),
     ],
 )
 def test_solve_bad_field_exits_2_naming_it(tmp_path, capsys, judgment, solver, named):

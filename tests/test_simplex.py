@@ -143,8 +143,8 @@ def test_solutions_meet_their_rows_to_round_off(monkeypatch):
     # right-hand sides, far inside the 1e-9 that solve_lp checks.
     worst = []
 
-    def checked(c, a_ub, b_ub, a_eq, b_eq):
-        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    def checked(c, a_ub, b_ub, a_eq, b_eq, **kwargs):
+        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq, **kwargs)
         if res.status == "optimal":
             scale = 1.0 + max(np.abs(b_ub).max(initial=0.0), np.abs(b_eq).max())
             miss = max(
@@ -195,3 +195,80 @@ def test_vectorized_pivots_match_the_row_loop(rng, monkeypatch):
             assert fast.objective == slow.objective
             optimal += 1
     assert optimal >= 10
+
+
+def _same(res, ref):
+    """Whether two LPResults are identical, bit for bit."""
+    return (
+        res.status == ref.status
+        and res.pivots == ref.pivots
+        and res.basis == ref.basis
+        and res.objective == ref.objective
+        and (res.x is ref.x or np.array_equal(res.x, ref.x))
+    )
+
+
+def test_optimal_basis_passed_back_returns_the_same_x(rng):
+    # an optimal cold basis, passed back as the hint, is certified without
+    # a pivot: on the random instances above and the solver's round-off LPs
+    lps = [
+        dict(c=[-2, -3], a_ub=[[1, 1], [1, 3]], b_ub=[4, 6]),
+        dict(c=[-1, -2, 0.5], a_ub=[[1, 2, 1], [3, 0, 2]], b_ub=[4, 6],
+             a_eq=[[1, 1, 1]], b_eq=[2]),
+    ]
+    for lp in json.loads(ROUNDOFF_LPS.read_text()).values():
+        lps.append({key: lp[key] for key in ("c", "a_ub", "b_ub", "a_eq", "b_eq")})
+    for _ in range(60):
+        n, m_ub = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        lps.append(dict(c=rng.normal(size=n), a_ub=rng.normal(size=(m_ub, n)),
+                        b_ub=rng.normal(size=m_ub) + 1.0))
+    warm = 0
+    for lp in lps:
+        cold = solve_lp(**lp)
+        if cold.status != "optimal":
+            continue
+        assert cold.basis is not None
+        res = solve_lp(**lp, basis=cold.basis)
+        assert res.status == "optimal"
+        assert res.pivots == 0
+        assert res.basis == cold.basis
+        assert res.x == pytest.approx(cold.x, abs=1e-12)
+        assert res.objective == pytest.approx(cold.objective, abs=1e-12)
+        warm += 1
+    assert warm >= 20
+
+
+# min -2x - 3y s.t. x + y <= 4, x + 3y <= 6: the optimal basis is {x, y};
+# columns are x, y, then the slacks of the two rows
+VERTEX_LP = dict(c=[-2, -3], a_ub=[[1, 1], [1, 3]], b_ub=[4, 6])
+# min -x - y s.t. x <= 2, y <= 3
+BOX_LP = dict(c=[-1, -1], a_ub=[[1, 0], [0, 1]], b_ub=[2, 3])
+
+
+@pytest.mark.parametrize(
+    "lp, hint",
+    [
+        (VERTEX_LP, [0, 2]),  # x basic on the tight second row: x = 6 overruns row 1
+        (VERTEX_LP, [0, 3]),  # x = 4 on the tight first row: feasible, y still improves
+        (VERTEX_LP, [2, 3]),  # the slack basis: feasible, not optimal
+        (BOX_LP, [1, 3]),  # y basic on the tight row x <= 2: the system is [[0]]
+        (VERTEX_LP, [0]),  # wrong length
+        (VERTEX_LP, [0, 1, 2]),  # wrong length
+        (VERTEX_LP, [0, 0]),  # a repeated column
+        (VERTEX_LP, [0, 4]),  # out of range
+        (VERTEX_LP, [-1, 0]),  # out of range
+    ],
+)
+def test_unusable_hint_gives_the_cold_result(lp, hint):
+    cold = solve_lp(**lp)
+    assert cold.status == "optimal" and cold.pivots > 0
+    assert _same(solve_lp(**lp, basis=hint), cold)
+
+
+def test_infeasible_lp_with_a_hint_reports_infeasible():
+    # x >= 2 conflicts with x <= 1, whichever basis is offered
+    lp = dict(c=[1], a_ub=[[-1], [1]], b_ub=[-2, 1])
+    for hint in ([0, 2], [1, 2], [0, 1]):
+        res = solve_lp(**lp, basis=hint)
+        assert res.status == "infeasible"
+        assert res.basis is None

@@ -16,6 +16,7 @@ from fahp import (
     bundled_study_path,
     lambda_at,
     load_study,
+    simplex,
     solve_fpp,
     solver,
 )
@@ -164,7 +165,7 @@ def test_max_slack_reports_the_unshifted_slack():
             (res.lambda_, spread @ w),
         ):
             rows = base + lam * spread
-            t, _ = solver._max_slack(rows, scale, cfg)
+            t, _, _ = solver._max_slack(rows, scale, cfg)
             assert abs(t - _highs_slack(rows, scale)) <= 1e-9
 
 
@@ -205,8 +206,12 @@ def test_roundoff_blocks_solve_to_the_optimum(name, tmp_path):
 # refinement step, the solutions missed a hard side by more than
 # membership's tolerance: on contradictory_101_45 lambda_at gave -inf and the
 # next LP raised, and contradictory_101_768 stopped at lambda -4213.0
-# instead of -233.9.
-@pytest.mark.parametrize("name", ["contradictory_101_45", "contradictory_101_768"])
+# instead of -233.9. contradictory_103_267 raises "simplex round-off: the
+# basis is singular" when every LP is solved cold; each LP started from its
+# predecessor's basis solves it.
+@pytest.mark.parametrize(
+    "name", ["contradictory_101_45", "contradictory_101_768", "contradictory_103_267"]
+)
 def test_contradictory_blocks_solve_to_the_optimum(name):
     block = load_study(FIXTURES / f"{name}.json").hierarchy.matrices["goal"]
     res = solve_fpp(block)
@@ -271,26 +276,77 @@ def test_sweep_blocks_solve_in_either_order(name):
         assert abs(a.weights[item] - b.weights[item]) <= 1e-9
 
 
+def _warm_cold_blocks():
+    """_blocks(), every SWEEP_BLOCKS fixture in both orders and the
+    contradictory fixtures."""
+    blocks = _blocks()
+    for name, perm in SWEEP_BLOCKS.items():
+        block = load_study(FIXTURES / f"{name}.json").hierarchy.matrices["goal"]
+        blocks.append(block)
+        blocks.append(
+            ComparisonMatrix(
+                parent=block.parent,
+                items=tuple(block.items[k] for k in perm),
+                judgments=block.judgments,
+            )
+        )
+    # not contradictory_103_267, whose cold solve raises
+    for name in ("contradictory_101_45", "contradictory_101_768"):
+        blocks.append(load_study(FIXTURES / f"{name}.json").hierarchy.matrices["goal"])
+    return blocks
+
+
+def test_warm_start_agrees_with_cold_solves(monkeypatch):
+    # Each Dinkelbach LP starts from the previous LP's final basis. Solved
+    # once as shipped and once with that hint dropped, every block must come
+    # out the same, and some hint must have been certified, or the warm
+    # path would be dead code.
+    blocks = _warm_cold_blocks()
+    certify, certified = simplex._certify, []
+
+    def counting(*args):
+        res = certify(*args)
+        certified.append(res is not None)
+        return res
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_certify", counting)
+        warm = [solve_fpp(block) for block in blocks]
+    assert sum(certified) > 0
+
+    def cold_lp(*args, basis=None, **kwargs):
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_lp", cold_lp)
+    for block, a in zip(blocks, warm):
+        b = solve_fpp(block)
+        assert abs(a.lambda_ - b.lambda_) <= 1e-9
+        for item in block.items:
+            assert abs(a.weights[item] - b.weights[item]) <= 1e-9
+
+
 def test_pivot_counts_do_not_grow(monkeypatch):
     # Pivots repeat exactly from run to run, where wall time does not. The
-    # bounds are the sums measured with the max-slack LP's slack shifted so
-    # that every soft row starts with its own slack basic, and a reduced cost
-    # counted as improving below -1e-10 (3,109 at -1e-9). Without the shift
-    # (phase 1 from the slack basis, Harris's ratio test) they were 5,761
-    # and 183; an artificial in every row and the plain minimum-ratio test
-    # took 12,206 and 308.
+    # bounds are the sums measured with each Dinkelbach LP started from the
+    # previous LP's final basis when that basis is still optimal. Solved
+    # cold, with the max-slack LP's slack shifted so that every soft row
+    # starts with its own slack basic and a reduced cost counted as
+    # improving below -1e-10, they were 3,123 and 143 (3,109 at -1e-9).
+    # Without the shift (phase 1 from the slack basis, Harris's ratio test)
+    # they were 5,761 and 183; an artificial in every row and the plain
+    # minimum-ratio test took 12,206 and 308.
     pivots = []
 
-    def counted(*args):
-        res = solve_lp(*args)
+    def counted(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
         pivots.append(res.pivots)
         return res
 
     monkeypatch.setattr(solver, "solve_lp", counted)
     for block in _blocks():
         solve_fpp(block)
-    assert 0 < sum(pivots) <= 3123
+    assert 0 < sum(pivots) <= 1510
     pivots.clear()
     for block in load_study(bundled_study_path()).hierarchy.matrices.values():
         solve_fpp(block)
-    assert 0 < sum(pivots) <= 143
+    assert 0 < sum(pivots) <= 43
