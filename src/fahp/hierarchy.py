@@ -14,6 +14,13 @@ from typing import Iterator, Mapping
 from .errors import ValidationError
 from .fuzzy import TriangularFuzzyNumber
 
+#: Every component of a judgment must lie in this range. Outside it the
+#: max-slack LPs mix coefficients far apart in size, and their round-off
+#: made the solver fail: hard-sided judgments at 1e-6 to 1e-5 and judgments
+#: beyond 1e9 did. The range keeps a factor of ten from the first; a scale
+#: of verbal judgments spans about 1/9 to 9.
+JUDGMENT_RANGE = (1e-4, 1e4)
+
 
 @dataclass(frozen=True)
 class Node:
@@ -60,8 +67,9 @@ def validate_matrix(m: ComparisonMatrix) -> ComparisonMatrix:
     """Check one comparison block in isolation.
 
     Enforces: at least two items, unique item ids, judgments referencing
-    known items with row != col, at most one judgment per unordered pair,
-    and a connected judgment graph (every item is tied to every other
+    known items with row != col, judgment components within
+    JUDGMENT_RANGE, at most one judgment per unordered pair, and a
+    connected judgment graph (every item is tied to every other
     through some chain of judged pairs).
     """
     where = f"matrix {m.parent!r}"
@@ -70,6 +78,7 @@ def validate_matrix(m: ComparisonMatrix) -> ComparisonMatrix:
     if len(set(m.items)) != len(m.items):
         raise ValidationError(f"{where}: duplicate item ids")
     seen_pairs: set[frozenset[str]] = set()
+    lo, hi = JUDGMENT_RANGE
     index = {it: i for i, it in enumerate(m.items)}
     adjacency: dict[str, set[str]] = {it: set() for it in m.items}
     for j in m.judgments:
@@ -79,6 +88,12 @@ def validate_matrix(m: ComparisonMatrix) -> ComparisonMatrix:
             )
         if j.row == j.col:
             raise ValidationError(f"{where}: judgment compares {j.row!r} with itself")
+        if not lo <= j.value.l <= j.value.u <= hi:  # l <= m <= u holds
+            name, value = ("l", j.value.l) if j.value.l < lo else ("u", j.value.u)
+            raise ValidationError(
+                f"{where}: judgment ({j.row}, {j.col}) has {name} = {value!r}, "
+                f"outside [{lo:g}, {hi:g}]"
+            )
         pair = frozenset((j.row, j.col))
         if pair in seen_pairs:
             raise ValidationError(

@@ -21,26 +21,33 @@ enter. The starting basis (the slacks and artificials of phase 1) is the
 identity in the original rows, so those columns of the tableau hold B^-1
 for the current basis B. Each phase-2 solution gets one step of iterative
 refinement from them: the basic values move by B^-1 (b - A x), which takes
-out most of the round-off the pivots left in x without a LAPACK call.
-Round-off that remains is caught after each phase: a phase 1 that ends
-"unbounded" or with a positive residual, and a phase-2 solution that misses
-the original rows, get their tableau recomputed from the original rows for
-the current basis and iterate once more. A solution is reported only once
-it meets the original rows.
+out most of the round-off the pivots left in x. Round-off that remains is
+caught after each phase: a phase 1 that ends "unbounded" or with a
+positive residual, and a phase-2 solution that misses the original rows,
+get their tableau recomputed from the original rows for the current basis
+and iterate once more. A solution is reported only once it meets the
+original rows.
 
 A caller that solves a run of LPs of the same shape can pass the final
 basis of one (`LPResult.basis`) as the starting-basis hint of the next.
-The hint is checked without building a tableau: its basic structural
-columns and the rows whose slack is nonbasic form a square system, at most
-n + 2 columns for the solver's max-slack LPs, inverted by Gauss-Jordan
-elimination with partial pivoting (numpy only). The basic values and the
-duals read from that inverse certify the basis when every basic value is
-at least -_FEAS_TOL, every reduced cost of a nonbasic column is at least
--_COST_TOL and the solution meets the original rows; the LP then returns
-with 0 pivots. A hint that fails any check, or is singular, of the wrong
-length or out of range, is dropped and the two-phase solve runs as
-without it. Sized for problems with tens of rows; this is not a
-general-purpose LP library.
+Its basic structural columns and the rows whose slack is nonbasic form a
+square system, at most n + 2 columns for the solver's max-slack LPs,
+inverted once by numpy's LAPACK-backed `inv` and rejected when that
+inverse is not finite or not accurate to 1e-8. The basic values and the
+duals read from it certify the basis when every basic value is at least
+-_FEAS_TOL, every reduced cost of a nonbasic column is at least -_COST_TOL
+and the solution meets the original rows; the LP then returns with 0
+pivots. Otherwise the same inverse gives the hinted basis's phase-2
+tableau, and the LP is re-optimised from there: by the primal simplex when
+the basis is primal feasible; by the dual simplex (Lemke 1954) and then
+the primal one when it is not, with every negative reduced cost first
+raised to 0 (cost shifting, as in Koberstein's "The dual simplex method",
+2005) when it is dual infeasible too. A hint of the wrong length, with a
+repeated or out-of-range column, or with a singular system runs the cold
+two-phase solve, as does a re-optimisation that ends unbounded, proves
+the LP infeasible, reaches the iteration limit or misses the original
+rows. Sized for problems with tens of rows; this is not a general-purpose
+LP library.
 """
 
 from __future__ import annotations
@@ -160,9 +167,8 @@ def _refactor(
 
     Pivots accumulate round-off in the tableau. Pivoting the basic columns
     afresh into the original rows, each at the free row where its entry is
-    largest, discards it (numpy only: LAPACK's workspace would add a
-    megabyte or more to the process). A phase-2 basis may have fewer columns
-    than the system has rows; the rows left over are the redundant ones.
+    largest, discards it. A phase-2 basis may have fewer columns than the
+    system has rows; the rows left over are the redundant ones.
     """
     fresh = system.copy()
     free = list(range(len(fresh)))
@@ -179,43 +185,64 @@ def _refactor(
 
 
 def _inverse(mat: np.ndarray) -> np.ndarray | None:
-    """Inverse of a small square matrix by Gauss-Jordan elimination with
-    partial pivoting (numpy only, as in _refactor), or None when no pivot
-    left in a column is above _PIVOT_TOL."""
-    k = len(mat)
-    aug = np.hstack([mat, np.eye(k)])
-    rows, spare = [], [0] * k  # pivot rows in column order; a throwaway basis
-    for col in range(k):
-        column = np.abs(aug[:, col])
-        column[rows] = 0.0
-        row = int(column.argmax())
-        if column[row] <= _PIVOT_TOL:
-            return None
-        _pivot(aug, spare, row, col)
-        rows.append(row)
-    # column j of mat was pivoted in at rows[j], so row j of its inverse is
-    # row rows[j] of the right half
-    return aug[rows, k:]
+    """Inverse of a small square matrix, or None when it is singular or so
+    ill-conditioned that inv @ mat is off the identity by more than 1e-8."""
+    try:
+        inv = np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(inv).all():
+        return None
+    with np.errstate(all="ignore"):  # an overflow fails the check below
+        off = np.abs(inv @ mat - np.eye(len(mat))).max(initial=0.0)
+    return inv if off <= 1e-8 else None
 
 
-def _certify(c, a_ub, b_ub, a_eq, b_eq, hint) -> LPResult | None:
-    """The optimal solution of the basis `hint`, or None unless the hint is a
-    primal and dual feasible basis of this LP.
+def _dual_iterate(
+    tableau: np.ndarray, basis: list[int], max_iter: int, enter: int
+) -> tuple[str, int]:
+    """Run dual simplex pivots until every basic value is at least
+    -_FEAS_TOL ("feasible") or a row proves the LP infeasible ("infeasible");
+    return the status and the number of pivots taken.
 
-    The basic structural columns S and the tight rows T (inequality rows
-    whose slack is nonbasic, and every equality row) form a square system
-    M = A[T, S]; every other basic column is a slack. x_S = M^-1 b_T, refined
-    once, and the duals y = c_S M^-1 give the reduced costs c - y A[T] of the
-    structural columns and -y of the tight rows' slacks.
+    The leaving row holds the most negative basic value. The entering column,
+    among those below `enter` whose entry a in that row is below
+    -_PIVOT_TOL, comes from a two-pass ratio test like _ratio_row's: pass 1
+    bounds the step by min((d + delta) / |a|) over the reduced costs d
+    clipped at 0, pass 2 takes the largest |a| among the columns within that
+    bound, ties going to the lowest index.
     """
-    n, m_ub = c.size, b_ub.size
-    cols = sorted(set(hint))
-    if len(hint) != m_ub + b_eq.size or len(cols) != len(hint):
-        return None
-    if cols and not (0 <= cols[0] and cols[-1] < n + m_ub):
-        return None
-    basic = np.zeros(n + m_ub, dtype=bool)
-    basic[cols] = True
+    costs = tableau[-1, :enter]
+    for pivots in range(max_iter):
+        values = tableau[:-1, -1]
+        row = int(values.argmin())
+        if values[row] >= -_FEAS_TOL:
+            return "feasible", pivots
+        entries = tableau[row, :enter]
+        candidates = (entries < -_PIVOT_TOL).nonzero()[0]
+        if not candidates.size:
+            return "infeasible", pivots
+        sizes = -entries[candidates]
+        gaps = np.maximum(costs[candidates], 0.0)
+        fits = gaps / sizes <= ((gaps + _HARRIS_DELTA) / sizes).min()
+        _pivot(tableau, basis, row, int(candidates[fits][sizes[fits].argmax()]))
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
+def _certify(c, a_ub, b_ub, a_eq, b_eq, basic: np.ndarray):
+    """Solve the LP's basis whose columns are flagged in `basic` from its
+    square system: (the basic structural columns S, the tight rows T, M^-1,
+    and the basis's solution x when the basis is optimal, else None), or
+    None when M is singular.
+
+    The tight rows are the inequality rows whose slack is nonbasic and every
+    equality row; M = A[T, S], and every other basic column is a slack.
+    x_S = M^-1 b_T, refined once, and the duals y = c_S M^-1 give the
+    reduced costs c - y A[T] of the structural columns and -y of the tight
+    rows' slacks. The basis is optimal when every x_S and reduced cost is
+    above its tolerance and x meets the rows.
+    """
+    n = c.size
     struct = basic[:n].nonzero()[0]
     tight = (~basic[n:]).nonzero()[0]
     rows = np.vstack([a_ub[tight], a_eq])
@@ -228,16 +255,87 @@ def _certify(c, a_ub, b_ub, a_eq, b_eq, hint) -> LPResult | None:
     xs += inv @ (rhs - mat @ xs)
     y = c[struct] @ inv
     if (
-        xs.min(initial=0.0) < -_FEAS_TOL
-        or (c - y @ rows).min(initial=0.0) < -_COST_TOL
-        or y[: len(tight)].max(initial=0.0) > _COST_TOL
+        xs.min(initial=0.0) >= -_FEAS_TOL
+        and (c - y @ rows).min(initial=0.0) >= -_COST_TOL
+        and y[: len(tight)].max(initial=0.0) <= _COST_TOL
     ):
+        x = np.zeros(n)
+        x[struct] = np.clip(xs, 0.0, None)
+        if _satisfies(a_ub, b_ub, a_eq, b_eq, x):
+            return struct, tight, inv, x
+    return struct, tight, inv, None
+
+
+def _warm(c, a_ub, b_ub, a_eq, b_eq, hint, max_iter: int) -> LPResult | None:
+    """The optimal solution reached from the basis `hint`, or None when the
+    hint is unusable or its re-optimisation fails.
+
+    A hint that _certify finds optimal is returned with 0 pivots. Any other
+    nonsingular hint gets its tableau from the same inverse: the rows of the
+    basic structurals are M^-1 [A_T | I_T | b_T], those of the basic slacks
+    [A_N | I_N | b_N] - A[N, S] M^-1 [A_T | I_T | b_T]. From a primal
+    feasible basis the primal simplex finishes; from a dual feasible one the
+    dual simplex reaches primal feasibility first. When the basis is
+    neither, each negative reduced cost is raised to 0 for the dual simplex
+    (cost shifting), and the true costs are restored before the primal
+    simplex. The solution is read off the final basis by _certify, as a
+    hint's is: the tableau's values carry the round-off of the pivots.
+    """
+    n, m_ub = c.size, b_ub.size
+    m = m_ub + b_eq.size
+    cols = sorted(set(hint))
+    if len(hint) != m or len(cols) != m:
         return None
-    x = np.zeros(n)
-    x[struct] = np.clip(xs, 0.0, None)
-    if not _satisfies(a_ub, b_ub, a_eq, b_eq, x):
+    if cols and not (0 <= cols[0] and cols[-1] < n + m_ub):
         return None
-    return LPResult("optimal", x, float(c @ x), 0, tuple(hint))
+    basic = np.zeros(n + m_ub, dtype=bool)
+    basic[cols] = True
+    found = _certify(c, a_ub, b_ub, a_eq, b_eq, basic)
+    if found is None:
+        return None
+    struct, tight, inv, x = found
+    if x is not None:
+        return LPResult("optimal", x, float(c @ x), 0, tuple(hint))
+
+    # the rows [A | slacks | b]; an equality row has no slack and is tight
+    ncols = n + m_ub
+    system = np.hstack([
+        np.vstack([a_ub, a_eq]),
+        np.eye(m)[:, :m_ub],
+        np.concatenate([b_ub, b_eq])[:, None],
+    ])
+    loose = basic[n:].nonzero()[0]
+    top = inv @ system[np.concatenate([tight, np.arange(m_ub, m)])]
+    bottom = system[loose] - a_ub[np.ix_(loose, struct)] @ top
+    tableau = np.vstack([top, bottom, np.zeros((1, ncols + 1))])
+    basis = struct.tolist() + (n + loose).tolist()
+    cost = np.zeros(ncols + 1)
+    cost[:n] = c
+    _price(tableau, basis, cost)
+    pivots = 0
+    try:
+        if tableau[:-1, -1].min(initial=0.0) < -_FEAS_TOL:
+            costs = tableau[-1, :ncols]
+            shifted = costs.min(initial=0.0) < -_COST_TOL
+            if shifted:
+                np.maximum(costs, 0.0, out=costs)
+            status, pivots = _dual_iterate(tableau, basis, max_iter, ncols)
+            if status != "feasible":
+                return None
+            if shifted:
+                _price(tableau, basis, cost)
+        status, more = _iterate(tableau, basis, max_iter, ncols)
+    except RuntimeError:  # the iteration limit
+        return None
+    if status != "optimal":
+        return None
+    basic[:] = False
+    basic[basis] = True
+    found = _certify(c, a_ub, b_ub, a_eq, b_eq, basic)
+    if found is None or found[3] is None:
+        return None
+    x = found[3]
+    return LPResult("optimal", x, float(c @ x), pivots + more, tuple(basis))
 
 
 def _satisfies(a_ub, b_ub, a_eq, b_eq, x: np.ndarray) -> bool:
@@ -270,7 +368,11 @@ def solve_lp(
         a_eq, b_eq: equality rows A_eq @ x = b_eq.
         basis: optional starting-basis hint, the `basis` of an earlier
             LPResult of an LP with the same shape. When it is optimal for
-            this LP it is returned with 0 pivots; otherwise it is ignored.
+            this LP it is returned with 0 pivots; when it is any other
+            nonsingular basis, the LP is re-optimised from it by the dual
+            and primal simplex. An unusable hint, or a re-optimisation
+            that fails, leaves the cold two-phase solve (and its pivot
+            count) as without a hint.
 
     Returns:
         LPResult with status "optimal" (x, objective and basis set),
@@ -285,7 +387,7 @@ def solve_lp(
     if a_ub.shape != (b_ub.size, n) or a_eq.shape != (b_eq.size, n):
         raise ValueError("constraint shapes do not match the objective length")
     if basis is not None:
-        warm = _certify(c, a_ub, b_ub, a_eq, b_eq, basis)
+        warm = _warm(c, a_ub, b_ub, a_eq, b_eq, basis, max_iter)
         if warm is not None:
             return warm
 

@@ -15,9 +15,10 @@ one LP maximizes t subject to N_i(w) - lambda_k * D_i(w) >= t * D_i(w_k)
 for every side, and its solution w_{k+1} raises lambda until t reaches 0
 (to within 1e-8). Consecutive LPs of a block differ only in their
 coefficients, so each starts from the final basis of the one before (the
-lambda_cap probe's, for the first): when that basis is still optimal,
-solve_lp certifies it from a small square system and returns without a
-pivot, and otherwise solves the LP cold, in two phases.
+lambda_cap probe's, for the first): solve_lp certifies that basis from a
+small square system when it is still optimal, and returns without a
+pivot, and otherwise re-optimises from it with the dual and primal
+simplex. Only the probe, and a basis that cannot be used, are solved cold.
 A side with zero spread (m == l or u == m) is a hard bound on the ratio, a
 constraint that does not depend on lambda. The reported lambda is
 lambda_at(weights); lambda >= 0 certifies that some weight vector lies
@@ -33,12 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleJudgmentsError, ValidationError
-from .fuzzy import membership
+from .fuzzy import _CRISP_REL_TOL
 from .hierarchy import ComparisonMatrix, validate_matrix
 from .simplex import solve_lp
 
@@ -205,13 +206,62 @@ def _as_vector(matrix: ComparisonMatrix, w) -> np.ndarray:
     return vec
 
 
-def _lowest_membership(matrix: ComparisonMatrix, vec: np.ndarray) -> float:
+class _Judged(NamedTuple):
+    """The judgments of a block as arrays, made once per block for
+    _lowest_membership. A hard side has a span of 1 and its bound in
+    `floor` or `ceiling`."""
+
+    row: np.ndarray  # item index of each judgment's row
+    col: np.ndarray
+    l: np.ndarray
+    m: np.ndarray
+    u: np.ndarray
+    rise_span: np.ndarray  # m - l
+    fall_span: np.ndarray  # u - m
+    hard_rise: np.ndarray  # indices of the judgments with m == l
+    floor: np.ndarray  # l * (1 - tol) of those
+    hard_fall: np.ndarray  # indices of the judgments with u == m
+    ceiling: np.ndarray  # u * (1 + tol) of those
+    crisp: np.ndarray  # indices of the judgments with l == u
+
+
+def _judged(matrix: ComparisonMatrix) -> _Judged:
     idx = _index(matrix)
-    worst = float("inf")
-    for j in matrix.judgments:
-        ratio = vec[idx[j.row]] / vec[idx[j.col]]
-        worst = min(worst, membership(j.value, ratio))
-    return min(worst, 1.0)
+    row = np.array([idx[j.row] for j in matrix.judgments])
+    col = np.array([idx[j.col] for j in matrix.judgments])
+    l, m, u = np.array([j.value.as_tuple() for j in matrix.judgments]).T
+    hard_rise, hard_fall = (m == l).nonzero()[0], (u == m).nonzero()[0]
+    return _Judged(
+        row, col, l, m, u,
+        np.where(m > l, m - l, 1.0),
+        np.where(u > m, u - m, 1.0),
+        hard_rise, l[hard_rise] * (1 - _CRISP_REL_TOL),
+        hard_fall, u[hard_fall] * (1 + _CRISP_REL_TOL),
+        (l == u).nonzero()[0],
+    )
+
+
+def _lowest_membership(judged: _Judged, vec: np.ndarray) -> float:
+    """min(1, the lowest fuzzy.membership any judgment assigns to the ratio
+    vec[row] / vec[col]), bit for bit: the same arithmetic, on arrays."""
+    ratio = vec[judged.row] / vec[judged.col]
+    rising = (ratio - judged.l) / judged.rise_span
+    falling = (judged.u - ratio) / judged.fall_span
+    if judged.hard_rise.size:
+        rising[judged.hard_rise] = np.where(
+            ratio[judged.hard_rise] >= judged.floor, np.inf, -np.inf
+        )
+    if judged.hard_fall.size:
+        falling[judged.hard_fall] = np.where(
+            ratio[judged.hard_fall] <= judged.ceiling, np.inf, -np.inf
+        )
+    value = np.minimum(rising, falling)
+    if judged.crisp.size:
+        # math.isclose(ratio, m, rel_tol=_CRISP_REL_TOL), for finite ratios
+        at, mode = ratio[judged.crisp], judged.m[judged.crisp]
+        hit = np.abs(at - mode) <= _CRISP_REL_TOL * np.maximum(at, mode)
+        value[judged.crisp] = np.where(hit & (at < np.inf), 1.0, -np.inf)
+    return min(float(value.min()), 1.0)
 
 
 def lambda_at(matrix: ComparisonMatrix, w) -> float:
@@ -223,7 +273,7 @@ def lambda_at(matrix: ComparisonMatrix, w) -> float:
     equals result.lambda_.
     """
     validate_matrix(matrix)
-    return _lowest_membership(matrix, _as_vector(matrix, w))
+    return _lowest_membership(_judged(matrix), _as_vector(matrix, w))
 
 
 def feasible_at(
@@ -293,14 +343,15 @@ def solve_fpp(
     probes = 1
     if slack >= -_SLACK_FEAS_TOL:
         return _result(matrix, w, cfg.lambda_cap, probes, True, slack)
-    lam = _lowest_membership(matrix, w)
+    judged = _judged(matrix)
+    lam = _lowest_membership(judged, w)
     while True:
         # max t s.t. N_i(w) - lam * D_i(w) >= t * D_i(w_k) on every soft side
         slack, w_next, basis = _max_slack(base + lam * spread, spread @ w, cfg, basis)
         probes += 1
         if slack <= _DINKELBACH_TOL:
             break
-        lam_next = _lowest_membership(matrix, w_next)
+        lam_next = _lowest_membership(judged, w_next)
         if not lam_next > lam:
             break
         lam, w = lam_next, w_next

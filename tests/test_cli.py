@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fahp
 from fahp import bundled_study_path
 from fahp.cli import main
+from fahp.hierarchy import JUDGMENT_RANGE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -90,6 +92,11 @@ def test_solve_unknown_key_exits_2(tmp_path):
         (None, {"lambda_lo": -10}, "lambda_lo"),
         (None, {"bisection_tol": 1e-6}, "bisection_tol"),
         (None, {"lambda_cap": 1e15}, "lambda_cap"),
+        # components outside JUDGMENT_RANGE; these exited 1 on round-off
+        ({"row": "b", "col": "a", "judgment": [1e9, 1e10, 1e11]}, None, "(b, a) has u"),
+        ({"row": "b", "col": "a", "judgment": [1e10, 1e10, 1e10]}, None, "(b, a) has u"),
+        ({"row": "b", "col": "a", "judgment": [1e-12, 1e-11, 1e-10]}, None, "(b, a) has l"),
+        ({"row": "b", "col": "a", "judgment": [5e-5, 3, 4]}, None, "(b, a) has l"),
     ],
 )
 def test_solve_bad_field_exits_2_naming_it(tmp_path, capsys, judgment, solver, named):
@@ -101,6 +108,30 @@ def test_solve_bad_field_exits_2_naming_it(tmp_path, capsys, judgment, solver, n
         path.write_text(json.dumps(doc))
     assert main(["solve", str(path)]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_no_judgment_in_range_exits_1(tmp_path, capsys):
+    # The goal's first judgment of the bundled study, replaced by crisp,
+    # hard-sided, narrow and wide judgments at magnitudes across
+    # JUDGMENT_RANGE, in both orientations. Below it, judgments at 1e-6 to
+    # 1e-5 exited 1 on round-off (in W1 as well as in the goal).
+    lo, hi = JUDGMENT_RANGE
+    doc = json.loads(bundled_study_path().read_text())
+    path = tmp_path / "study.json"
+    shapes = [(1, 1, 1), (1, 1, 1.5), (1 / 1.5, 1, 1), (1, 1.01, 1.02), (0.5, 1, 2)]
+    solved = 0
+    for k in np.arange(np.log10(lo), np.log10(hi) + 0.01, 0.5):
+        for shape in shapes:
+            value = [10.0**k * f for f in shape]
+            for judgment in (value, [1 / v for v in reversed(value)]):
+                if not lo <= min(judgment) <= max(judgment) <= hi:
+                    continue
+                doc["matrices"]["goal"][0]["judgment"] = judgment
+                path.write_text(json.dumps(doc))
+                assert main(["solve", str(path)]) in (0, 3), judgment
+                capsys.readouterr()
+                solved += 1
+    assert solved >= 120
 
 
 def test_solve_has_no_tolerance_flag(tmp_path):

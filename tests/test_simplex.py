@@ -1,5 +1,6 @@
 """The in-repo two-phase simplex, cross-checked against scipy.optimize.linprog."""
 
+import collections
 import json
 from pathlib import Path
 
@@ -243,26 +244,122 @@ def test_optimal_basis_passed_back_returns_the_same_x(rng):
 VERTEX_LP = dict(c=[-2, -3], a_ub=[[1, 1], [1, 3]], b_ub=[4, 6])
 # min -x - y s.t. x <= 2, y <= 3
 BOX_LP = dict(c=[-1, -1], a_ub=[[1, 0], [0, 1]], b_ub=[2, 3])
+# min -x - 2y s.t. x <= 3, y <= 2, x + y <= 4
+CORNER_LP = dict(c=[-1, -2], a_ub=[[1, 0], [0, 1], [1, 1]], b_ub=[3, 2, 4])
+# min -x - y s.t. 0.1 x + 0.3 y <= 1, 0.1 x + (0.3 + 1e-13) y <= 1: the two
+# rows are parallel to round-off
+SLIVER_LP = dict(c=[-1, -1], a_ub=[[0.1, 0.3], [0.1, 0.3 + 1e-13]], b_ub=[1, 1])
 
 
 @pytest.mark.parametrize(
     "lp, hint",
     [
-        (VERTEX_LP, [0, 2]),  # x basic on the tight second row: x = 6 overruns row 1
-        (VERTEX_LP, [0, 3]),  # x = 4 on the tight first row: feasible, y still improves
-        (VERTEX_LP, [2, 3]),  # the slack basis: feasible, not optimal
         (BOX_LP, [1, 3]),  # y basic on the tight row x <= 2: the system is [[0]]
         (VERTEX_LP, [0]),  # wrong length
         (VERTEX_LP, [0, 1, 2]),  # wrong length
         (VERTEX_LP, [0, 0]),  # a repeated column
         (VERTEX_LP, [0, 4]),  # out of range
         (VERTEX_LP, [-1, 0]),  # out of range
+        (SLIVER_LP, [0, 1]),  # inv @ M is off the identity by more than 1e-8
+        (CORNER_LP, [0, 2, 4]),  # x and the slacks of rows 1, 3: row 2 is 0
+        (CORNER_LP, [0, 1, 5]),  # out of range
     ],
 )
 def test_unusable_hint_gives_the_cold_result(lp, hint):
     cold = solve_lp(**lp)
     assert cold.status == "optimal" and cold.pivots > 0
     assert _same(solve_lp(**lp, basis=hint), cold)
+
+
+def _reaches_the_cold_optimum(lp, hint):
+    """Solve lp from hint and cold; both optimal, the same objective within
+    1e-12 and a warm solution that meets the rows. Returns both results."""
+    cold = solve_lp(**lp)
+    res = solve_lp(**lp, basis=hint)
+    assert cold.status == res.status == "optimal"
+    assert res.objective == pytest.approx(cold.objective, abs=1e-12)
+    a_eq = np.asarray(lp.get("a_eq", np.zeros((0, len(lp["c"])))), dtype=float)
+    b_eq = np.asarray(lp.get("b_eq", np.zeros(0)), dtype=float)
+    a_ub, b_ub = (np.asarray(lp[key], dtype=float) for key in ("a_ub", "b_ub"))
+    assert simplex._satisfies(a_ub, b_ub, a_eq, b_eq, res.x)
+    return res, cold
+
+
+@pytest.mark.parametrize(
+    "lp, hint, kind",
+    [
+        # x = 6 on the tight second row overruns row 1; y and the second
+        # slack have costs 3 and 2
+        (VERTEX_LP, [0, 2], "dual"),
+        # x = 4 on the tight first row: feasible, y still improves
+        (VERTEX_LP, [0, 3], "primal"),
+        (VERTEX_LP, [2, 3], "primal"),  # the slack basis
+        # x = 4 on the tight row x + y <= 4 overruns x <= 3, and y improves
+        (CORNER_LP, [0, 2, 3], "neither"),
+    ],
+)
+def test_stale_hint_is_reoptimised(lp, hint, kind, monkeypatch):
+    # A nonsingular hint that is not optimal is re-optimised from its own
+    # tableau: by the dual simplex when it is not primal feasible (with its
+    # negative reduced costs shifted to 0 when it is not dual feasible
+    # either), then by the primal simplex. It takes no more pivots than the
+    # cold solve.
+    duals = []
+    dual_iterate = simplex._dual_iterate
+
+    def counted(tableau, *args):
+        duals.append(tableau[-1, : args[-1]].min())
+        return dual_iterate(tableau, *args)
+
+    monkeypatch.setattr(simplex, "_dual_iterate", counted)
+    res, cold = _reaches_the_cold_optimum(lp, hint)
+    assert res.x == pytest.approx(cold.x, abs=1e-12)
+    assert 0 < res.pivots <= cold.pivots
+    assert len(duals) == (kind != "primal")
+    # a shifted start has no negative reduced cost left
+    assert all(d >= 0.0 for d in duals)
+
+
+def _kind(c, a_ub, b_ub, a_eq, b_eq, hint):
+    """Whether the basis `hint` is "optimal", "primal" or "dual" feasible
+    only, or "neither", from a dense solve of its basis matrix."""
+    m_ub = len(b_ub)
+    a = np.hstack([np.vstack([a_ub, a_eq]), np.eye(m_ub + len(b_eq))[:, :m_ub]])
+    cost = np.concatenate([c, np.zeros(m_ub)])
+    basis = a[:, list(hint)]
+    primal = np.linalg.solve(basis, np.concatenate([b_ub, b_eq])).min() >= -1e-9
+    dual = (cost - np.linalg.solve(basis.T, cost[list(hint)]) @ a).min() >= -1e-10
+    return {(True, True): "optimal", (True, False): "primal",
+            (False, True): "dual", (False, False): "neither"}[primal, dual]
+
+
+def test_hints_of_perturbed_lps_reach_the_cold_optimum(rng):
+    # The final basis of a random LP is the hint for the same LP with its
+    # coefficients perturbed, as the solver's consecutive LPs are. Every
+    # class of hint turns up, and none falls back to the cold solve. When the
+    # perturbed LP is infeasible or unbounded, the hint changes nothing.
+    kinds = collections.Counter()
+    for _ in range(200):
+        n, m_ub = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        lp = dict(c=rng.normal(size=n), a_ub=rng.normal(size=(m_ub, n)),
+                  b_ub=rng.normal(size=m_ub) + 1.0,
+                  a_eq=np.abs(rng.normal(size=(1, n))) + 0.1, b_eq=[1.0])
+        first = solve_lp(**lp)
+        if first.status != "optimal":
+            continue
+        moved = {key: np.asarray(value) + 0.3 * rng.normal(size=np.shape(value))
+                 for key, value in lp.items()}
+        cold = solve_lp(**moved)
+        if cold.status != "optimal":
+            assert _same(solve_lp(**moved, basis=first.basis), cold)
+            kinds[cold.status] += 1
+            continue
+        args = [moved[key] for key in ("c", "a_ub", "b_ub", "a_eq", "b_eq")]
+        assert simplex._warm(*args, first.basis, 10_000) is not None
+        _reaches_the_cold_optimum(moved, first.basis)
+        kinds[_kind(*args, first.basis)] += 1
+    assert min(kinds[k] for k in ("optimal", "primal", "dual", "neither")) >= 10
+    assert kinds["infeasible"] and kinds["unbounded"]
 
 
 def test_infeasible_lp_with_a_hint_reports_infeasible():

@@ -15,12 +15,15 @@ from fahp import (
     ValidationError,
     feasible_at,
     lambda_at,
+    load_study,
+    membership,
     oracle_solve,
     reciprocal,
     solve_fpp,
 )
-from fahp.solver import _lattice, _lattice_size
+from fahp.solver import _judged, _lattice, _lattice_size, _lowest_membership
 from conftest import random_matrix
+from test_solver_invariants import FIXTURES, SWEEP_BLOCKS, _blocks
 
 
 def _mat(items, triples, parent="t"):
@@ -223,3 +226,52 @@ def test_lattice_matches_stars_and_bars(n, extra):
     assert got.dtype == np.int64
     assert got.tolist() == want
     assert len(got) == _lattice_size(n, units)
+
+
+def _lowest_membership_loop(matrix, vec):
+    """The per-judgment loop that _lowest_membership replaced."""
+    idx = {item: i for i, item in enumerate(matrix.items)}
+    worst = float("inf")
+    for j in matrix.judgments:
+        worst = min(worst, membership(j.value, vec[idx[j.row]] / vec[idx[j.col]]))
+    return min(worst, 1.0)
+
+
+def test_lowest_membership_matches_the_loop(rng):
+    # Bit for bit, on the random invariant blocks and the sweep fixtures
+    # (which have hard sides) plus crisp blocks: at the solved weights, at
+    # random weights, and with each judgment's ratio put on l, m and u and
+    # moved by 0.5e-12 and 1.5e-12 of it either way, inside and outside the
+    # 1e-12 bands of the crisp and hard-side rules.
+    blocks = _blocks() + [
+        load_study(FIXTURES / f"{name}.json").hierarchy.matrices["goal"]
+        for name in SWEEP_BLOCKS
+    ]
+    blocks += [
+        _mat("ab", [("b", "a", (2, 2, 2))]),
+        _mat("ab", [("a", "b", (1 / 3, 1 / 3, 1 / 3))]),
+        _mat("abc", [("b", "a", (2, 2, 2)), ("c", "b", (1.5, 1.5, 1.5))]),
+        _mat("abc", [("b", "a", (2, 2, 2)), ("c", "a", (2, 3, 3)), ("c", "b", (1, 1, 1.6))]),
+    ]
+    hard = crisp = 0
+    for block in blocks:
+        judged = _judged(block)
+        hard += judged.hard_rise.size + judged.hard_fall.size
+        crisp += judged.crisp.size
+        n = len(block.items)
+        vectors = [rng.dirichlet(np.ones(n)) for _ in range(5)]
+        if len(block.items) <= 6:
+            try:
+                vectors.append(solve_fpp(block).weight_vector())
+            except InfeasibleJudgmentsError:
+                pass
+        idx = {item: i for i, item in enumerate(block.items)}
+        for j in block.judgments:
+            for bound in j.value.as_tuple():
+                for nudge in 1.0 + np.array([-1.5, -0.5, 0.0, 0.5, 1.5]) * 1e-12:
+                    vec = np.ones(n)
+                    vec[idx[j.row]] = bound * nudge
+                    vectors.append(vec / vec.sum())
+        for vec in vectors:
+            assert _lowest_membership(judged, vec) == _lowest_membership_loop(block, vec)
+    assert hard >= 50 and crisp >= 5
