@@ -345,5 +345,5 @@ def parse_results(text: str, source: str = "results") -> ResultsDocument:
             blocks=blocks,
             ranking=GlobalRanking(rows=rows),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{source}: malformed results document: {exc}") from exc

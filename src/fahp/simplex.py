@@ -12,21 +12,20 @@ tiny entry on a row that is only at its bound by round-off is not pivoted
 on while a larger one fits. Bland's rule picks the entering column only:
 the lowest-index improving column, except that a column whose pivot entry
 would still be tiny waits until no other column can enter. Neither rule
-keeps Bland's proof that degenerate vertices cannot cycle, so the
-iteration limit stays as a guard. Each pivot is one numpy rank-1 update
-of the tableau.
+keeps Bland's proof that degenerate vertices cannot cycle, so a limit of
+_MAX_ITER pivots stays as a guard. Each pivot is one numpy rank-1 update of
+the tableau.
 
 The phase-2 tableau keeps the artificial columns but never lets them
 enter. The starting basis (the slacks and artificials of phase 1) is the
 identity in the original rows, so those columns of the tableau hold B^-1
 for the current basis B. Each phase-2 solution gets one step of iterative
 refinement from them: the basic values move by B^-1 (b - A x), which takes
-out most of the round-off the pivots left in x. Round-off that remains is
-caught after each phase: a phase 1 that ends "unbounded" or with a
-positive residual, and a phase-2 solution that misses the original rows,
-get their tableau recomputed from the original rows for the current basis
-and iterate once more. A solution is reported only once it meets the
-original rows.
+out most of the round-off the pivots left in x. A solution is reported
+only once it meets the original rows; one that does not raises, as does a
+phase 1 that ends "unbounded", which only round-off can cause since its
+objective is bounded below by 0. A phase 1 that ends with a positive
+residual reports the LP infeasible.
 
 A caller that solves a run of LPs of the same shape can pass the final
 basis of one (`LPResult.basis`) as the starting-basis hint of the next.
@@ -68,12 +67,14 @@ _FEAS_TOL = 1e-9
 _HARRIS_DELTA = 1e-12
 # A pivot on an entry this small scales its row by the reciprocal. Taken on
 # a row that sat at its bound only by round-off, such pivots grew the
-# tableau by 1e8 and left a basis that could not be rebuilt.
+# tableau by 1e8 and left a basis that was singular to round-off.
 _SMALL_PIVOT = 1e-5
 # A column whose reduced cost is below _COST_TOL but above this is float
 # dust from earlier pivots; only a decisively negative cost with no pivot
 # row proves an unbounded ray.
 _UNBOUNDED_TOL = 1e-7
+# Pivots per call of _iterate or _dual_iterate before it gives up.
+_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,7 @@ def _ratio_row(tableau: np.ndarray, basis: list[int], col: int) -> int:
     return top[0] if len(top) == 1 else min(top, key=basis.__getitem__)
 
 
-def _iterate(
-    tableau: np.ndarray, basis: list[int], max_iter: int, enter: int
-) -> tuple[str, int]:
+def _iterate(tableau: np.ndarray, basis: list[int], enter: int) -> tuple[str, int]:
     """Run simplex pivots until optimal or unbounded; return the status and
     the number of pivots taken.
 
@@ -134,7 +133,7 @@ def _iterate(
     other column can.
     """
     costs = tableau[-1, :enter]
-    for pivots in range(max_iter):
+    for pivots in range(_MAX_ITER):
         small = None
         for j in (costs < -_COST_TOL).nonzero()[0].tolist():
             leave = _ratio_row(tableau, basis, j)
@@ -160,30 +159,6 @@ def _price(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
     tableau[-1] = cost - cost[basis] @ tableau[:-1]
 
 
-def _refactor(
-    tableau: np.ndarray, basis: list[int], system: np.ndarray, cost: np.ndarray
-) -> None:
-    """Recompute the tableau for `basis` from the original rows [A | b].
-
-    Pivots accumulate round-off in the tableau. Pivoting the basic columns
-    afresh into the original rows, each at the free row where its entry is
-    largest, discards it. A phase-2 basis may have fewer columns than the
-    system has rows; the rows left over are the redundant ones.
-    """
-    fresh = system.copy()
-    free = list(range(len(fresh)))
-    rows = []
-    for col in basis:
-        row = max(free, key=lambda r: abs(fresh[r, col]))
-        if abs(fresh[row, col]) <= _PIVOT_TOL:
-            raise RuntimeError("simplex round-off: the basis is singular")
-        free.remove(row)
-        _pivot(fresh, [col] * len(fresh), row, col)  # a throwaway basis list
-        rows.append(row)
-    tableau[:-1] = fresh[rows]
-    _price(tableau, basis, cost)
-
-
 def _inverse(mat: np.ndarray) -> np.ndarray | None:
     """Inverse of a small square matrix, or None when it is singular or so
     ill-conditioned that inv @ mat is off the identity by more than 1e-8."""
@@ -198,27 +173,25 @@ def _inverse(mat: np.ndarray) -> np.ndarray | None:
     return inv if off <= 1e-8 else None
 
 
-def _dual_iterate(
-    tableau: np.ndarray, basis: list[int], max_iter: int, enter: int
-) -> tuple[str, int]:
+def _dual_iterate(tableau: np.ndarray, basis: list[int]) -> tuple[str, int]:
     """Run dual simplex pivots until every basic value is at least
     -_FEAS_TOL ("feasible") or a row proves the LP infeasible ("infeasible");
     return the status and the number of pivots taken.
 
     The leaving row holds the most negative basic value. The entering column,
-    among those below `enter` whose entry a in that row is below
-    -_PIVOT_TOL, comes from a two-pass ratio test like _ratio_row's: pass 1
-    bounds the step by min((d + delta) / |a|) over the reduced costs d
-    clipped at 0, pass 2 takes the largest |a| among the columns within that
-    bound, ties going to the lowest index.
+    among those whose entry a in that row is below -_PIVOT_TOL, comes from a
+    two-pass ratio test like _ratio_row's: pass 1 bounds the step by
+    min((d + delta) / |a|) over the reduced costs d clipped at 0, pass 2
+    takes the largest |a| among the columns within that bound, ties going to
+    the lowest index.
     """
-    costs = tableau[-1, :enter]
-    for pivots in range(max_iter):
+    costs = tableau[-1, :-1]
+    for pivots in range(_MAX_ITER):
         values = tableau[:-1, -1]
         row = int(values.argmin())
         if values[row] >= -_FEAS_TOL:
             return "feasible", pivots
-        entries = tableau[row, :enter]
+        entries = tableau[row, :-1]
         candidates = (entries < -_PIVOT_TOL).nonzero()[0]
         if not candidates.size:
             return "infeasible", pivots
@@ -266,7 +239,7 @@ def _certify(c, a_ub, b_ub, a_eq, b_eq, basic: np.ndarray):
     return struct, tight, inv, None
 
 
-def _warm(c, a_ub, b_ub, a_eq, b_eq, hint, max_iter: int) -> LPResult | None:
+def _warm(c, a_ub, b_ub, a_eq, b_eq, hint) -> LPResult | None:
     """The optimal solution reached from the basis `hint`, or None when the
     hint is unusable or its re-optimisation fails.
 
@@ -319,12 +292,12 @@ def _warm(c, a_ub, b_ub, a_eq, b_eq, hint, max_iter: int) -> LPResult | None:
             shifted = costs.min(initial=0.0) < -_COST_TOL
             if shifted:
                 np.maximum(costs, 0.0, out=costs)
-            status, pivots = _dual_iterate(tableau, basis, max_iter, ncols)
+            status, pivots = _dual_iterate(tableau, basis)
             if status != "feasible":
                 return None
             if shifted:
                 _price(tableau, basis, cost)
-        status, more = _iterate(tableau, basis, max_iter, ncols)
+        status, more = _iterate(tableau, basis, ncols)
     except RuntimeError:  # the iteration limit
         return None
     if status != "optimal":
@@ -356,7 +329,6 @@ def solve_lp(
     b_ub=None,
     a_eq=None,
     b_eq=None,
-    max_iter: int = 10_000,
     *,
     basis=None,
 ) -> LPResult:
@@ -377,6 +349,11 @@ def solve_lp(
     Returns:
         LPResult with status "optimal" (x, objective and basis set),
         "infeasible", or "unbounded", and the number of pivots it took.
+
+    Raises:
+        RuntimeError: when round-off defeats the cold solve (a phase 1 that
+            ends "unbounded", or a refined solution that misses the
+            original rows) or a phase takes more than _MAX_ITER pivots.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -387,7 +364,7 @@ def solve_lp(
     if a_ub.shape != (b_ub.size, n) or a_eq.shape != (b_eq.size, n):
         raise ValueError("constraint shapes do not match the objective length")
     if basis is not None:
-        warm = _warm(c, a_ub, b_ub, a_eq, b_eq, basis, max_iter)
+        warm = _warm(c, a_ub, b_ub, a_eq, b_eq, basis)
         if warm is not None:
             return warm
 
@@ -416,16 +393,9 @@ def solve_lp(
     basis = init.copy()
     cost = np.repeat([0.0, 1.0, 0.0], [ncols, len(art_rows), 1])
     _price(tableau, basis, cost)
-    all_cols = ncols + len(art_rows)
-    status, pivots = _iterate(tableau, basis, max_iter, all_cols)
-    if status != "optimal" or -tableau[m, -1] > _FEAS_TOL:
-        # Phase 1 is bounded below by 0, so "unbounded" can only come from
-        # round-off, and a positive residual may too: rebuild and go on.
-        _refactor(tableau, basis, system, cost)
-        status, more = _iterate(tableau, basis, max_iter, all_cols)
-        pivots += more
-        if status != "optimal":
-            raise RuntimeError(f"phase-1 simplex ended with status {status!r}")
+    status, pivots = _iterate(tableau, basis, ncols + len(art_rows))
+    if status != "optimal":  # phase 1 is bounded below by 0: round-off
+        raise RuntimeError(f"phase-1 simplex ended with status {status!r}")
     if -tableau[m, -1] > _FEAS_TOL:
         return LPResult("infeasible", None, None, pivots)
 
@@ -448,19 +418,16 @@ def solve_lp(
     cost = np.zeros(system.shape[1])
     cost[:n] = c
     _price(tableau, basis, cost)
-    for attempt in range(2):
-        if attempt:  # the solution misses its rows: rebuild and go on
-            _refactor(tableau, basis, system, cost)
-        status, more = _iterate(tableau, basis, max_iter, ncols)
-        pivots += more
-        if status == "unbounded":
-            return LPResult("unbounded", None, None, pivots)
-        # one step of iterative refinement: x_B += B^-1 (b - A x)
-        x = np.zeros(ncols)
-        x[basis] = tableau[:-1, -1]
-        x[basis] += tableau[:-1, init] @ (rhs - system[:, :ncols] @ x)
-        x = np.clip(x[:n], 0.0, None)
-        if _satisfies(a_ub, b_ub, a_eq, b_eq, x):
-            final = tuple(basis) if len(basis) == m else None
-            return LPResult("optimal", x, float(c @ x), pivots, final)
-    raise RuntimeError("simplex round-off: the solution violates its constraints")
+    status, more = _iterate(tableau, basis, ncols)
+    pivots += more
+    if status == "unbounded":
+        return LPResult("unbounded", None, None, pivots)
+    # one step of iterative refinement: x_B += B^-1 (b - A x)
+    x = np.zeros(ncols)
+    x[basis] = tableau[:-1, -1]
+    x[basis] += tableau[:-1, init] @ (rhs - system[:, :ncols] @ x)
+    x = np.clip(x[:n], 0.0, None)
+    if not _satisfies(a_ub, b_ub, a_eq, b_eq, x):
+        raise RuntimeError("simplex round-off: the solution violates its constraints")
+    final = tuple(basis) if len(basis) == m else None
+    return LPResult("optimal", x, float(c @ x), pivots, final)

@@ -126,6 +126,26 @@ def test_results_roundtrip_is_fixed_point(tmp_path):
     assert doc.ranking.rows[0].rank == 1
 
 
+def _as_list(data, *path):
+    """Replace the object at `path` in data with the list of its values."""
+    *outer, key = path
+    for part in outer:
+        data = data[part]
+    data[key] = list(data[key].values())
+
+
+@pytest.mark.parametrize(
+    "path", [("config",), ("blocks",), ("blocks", "goal", "weights")]
+)
+def test_results_with_a_list_for_an_object_are_rejected(path, tmp_path):
+    out = tmp_path / "results.json"
+    main(["solve", str(bundled_study_path()), "--no-timestamp", "--out", str(out)])
+    data = json.loads(out.read_text())
+    _as_list(data, *path)
+    with pytest.raises(ValidationError, match="malformed results document"):
+        parse_results(json.dumps(data))
+
+
 def test_results_document_key_order(tmp_path):
     out = tmp_path / "results.json"
     main(["solve", str(bundled_study_path()), "--no-timestamp", "--out", str(out)])

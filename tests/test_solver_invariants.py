@@ -14,6 +14,7 @@ from fahp import (
     TFN,
     ComparisonJudgment,
     ComparisonMatrix,
+    InfeasibleJudgmentsError,
     bundled_study_path,
     lambda_at,
     load_study,
@@ -207,9 +208,10 @@ def test_roundoff_blocks_solve_to_the_optimum(name, tmp_path):
 # refinement step, the solutions missed a hard side by more than
 # membership's tolerance: on contradictory_101_45 lambda_at gave -inf and the
 # next LP raised, and contradictory_101_768 stopped at lambda -4213.0
-# instead of -233.9. contradictory_103_267 raises "simplex round-off: the
-# basis is singular" when every LP is solved cold; each LP started from its
-# predecessor's basis solves it.
+# instead of -233.9. contradictory_103_267 raises "phase-1 simplex ended
+# with status 'unbounded'" when every LP is solved cold (before the phase-1
+# rebuild was removed, "simplex round-off: the basis is singular"); each LP
+# started from its predecessor's basis solves it.
 @pytest.mark.parametrize(
     "name", ["contradictory_101_45", "contradictory_101_768", "contradictory_103_267"]
 )
@@ -218,6 +220,57 @@ def test_contradictory_blocks_solve_to_the_optimum(name):
     res = solve_fpp(block)
     assert lambda_at(block, res.weights) == res.lambda_
     assert _highs_max_slack(block, res.lambda_ + 1e-5 * abs(res.lambda_)) < 0.0
+
+
+def _contradictory_block(rng):
+    """A complete block of 3-10 items whose modes ignore any weight vector.
+
+    Modes are log-uniform in [1/9, 9], the log-spreads of the two sides are
+    log-uniform in [0.005, 0.3], and a tenth of the judgments have a hard
+    lower side (l = m) and another tenth a hard upper side (u = m). Block k
+    drawn from rng seed 101 is the fixture contradictory_101_k.
+    """
+    n = int(rng.integers(3, 11))
+    items = tuple(f"i{k}" for k in range(n))
+    judgments = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            m = math.exp(rng.uniform(math.log(1 / 9), math.log(9)))
+            lo = math.exp(rng.uniform(math.log(0.005), math.log(0.3)))
+            hi = math.exp(rng.uniform(math.log(0.005), math.log(0.3)))
+            draw = rng.random()
+            if draw < 0.1:
+                value = TFN(m, m, m * math.exp(hi))
+            elif draw < 0.2:
+                value = TFN(m * math.exp(-lo), m, m)
+            else:
+                value = TFN(m * math.exp(-lo), m, m * math.exp(hi))
+            judgments.append(ComparisonJudgment(items[a], items[b], value))
+    return ComparisonMatrix(parent="goal", items=items, judgments=tuple(judgments))
+
+
+def test_infeasible_verdicts_agree_with_highs():
+    # solve_fpp raises InfeasibleJudgmentsError exactly when the phase 1 of
+    # its first LP finds no weight vector that meets every hard side. HiGHS
+    # must agree on each block: the hard sides cannot all hold exactly when
+    # the best slack over them alone, with a unit scale, is negative.
+    rng = np.random.default_rng(101)
+    blocks = [_contradictory_block(rng) for _ in range(300)]
+    fixture = load_study(FIXTURES / "contradictory_101_45.json").hierarchy.matrices
+    assert blocks[45] == fixture["goal"]
+    infeasible = 0
+    for block in blocks:
+        base, spread, _ = solver._sides(block)
+        hard = ~spread.any(axis=1)
+        expected = hard.any() and _highs_slack(base[hard], np.ones(hard.sum())) < 0.0
+        try:
+            solve_fpp(block)
+            raised = False
+        except InfeasibleJudgmentsError:
+            raised = True
+        assert raised == expected
+        infeasible += expected
+    assert infeasible >= 15
 
 
 # Blocks of a seeded sweep: for each rng seed, 300 blocks drawn with
@@ -295,7 +348,8 @@ def _warm_cold_blocks():
                 judgments=block.judgments,
             )
         )
-    # not contradictory_103_267, whose cold solve raises
+    # not contradictory_103_267, whose cold solve raises "phase-1 simplex
+    # ended with status 'unbounded'"
     for name in ("contradictory_101_45", "contradictory_101_768"):
         blocks.append(load_study(FIXTURES / f"{name}.json").hierarchy.matrices["goal"])
     return blocks
