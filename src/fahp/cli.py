@@ -14,6 +14,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .composition import rank
 from .documents import (
     ResultsDocument,
     StudyDocument,
@@ -27,7 +28,13 @@ from .errors import (
     ValidationError,
 )
 from .solver import ORACLE_LAMBDA_TOL, ORACLE_MAX_ITEMS, ORACLE_WEIGHT_TOL, oracle_solve
-from .survey import DelphiRatings, ItemResponses, cronbach_alpha, run_delphi
+from .survey import (
+    DelphiRatings,
+    ItemResponses,
+    cronbach_alpha,
+    delphi_round,
+    run_delphi,
+)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -55,15 +62,14 @@ def _format_results(study: StudyDocument, doc: ResultsDocument) -> str:
             f"{'consistent' if res.consistent else 'inconsistent'}"
             f"{', clamped' if res.clamped else ''}"
         )
-        ordered = sorted(res.weights.items(), key=lambda kv: (-kv[1], kv[0]))
         lines.append(
             f"  {'item':<34} {'code':<6} {'weight':>10} {'rank':>4} {'lambda':>10}"
         )
-        for pos, (item, weight) in enumerate(ordered):
-            lam = f"{res.lambda_:.6g}" if pos == 0 else ""
+        for item, pos in rank(res.weights).items():
+            lam = f"{res.lambda_:.6g}" if pos == 1 else ""
             lines.append(
                 f"  {labels.get(item, item):<34.34} {item:<6} "
-                f"{weight:>10.6g} {pos + 1:>4} {lam:>10}"
+                f"{res.weights[item]:>10.6g} {pos:>4} {lam:>10}"
             )
     lines.append("")
     lines.append("global ranking")
@@ -142,45 +148,49 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_ORACLE if breaches else EXIT_OK
 
 
+def _read_csv(path: str, kind: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """A CSV file's header and its non-blank rows, numbered from 2."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"cannot read {kind} file {path}: {exc}") from exc
+    body = [
+        (lineno, row)
+        for lineno, row in enumerate(rows[1:], start=2)
+        if row and (len(row) > 1 or row[0].strip())
+    ]
+    return (rows[0] if rows else []), body
+
+
 def _read_ratings_csv(path: str) -> DelphiRatings:
+    header, body = _read_csv(path, "ratings")
+    if header != ["item", "expert", "rating"]:
+        raise ValidationError(f"{path}: header must be exactly 'item,expert,rating'")
     items: list[str] = []
     experts: list[str] = []
     cells: dict[tuple[str, str], int] = {}
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["item", "expert", "rating"]:
-                raise ValidationError(
-                    f"{path}: header must be exactly 'item,expert,rating'"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 3:
-                    raise ValidationError(
-                        f"{path}: row {lineno}: expected 3 fields, got {len(row)}"
-                    )
-                item, expert, rating_raw = (f.strip() for f in row)
-                try:
-                    rating = int(rating_raw)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: row {lineno}: rating {rating_raw!r} is not an "
-                        "integer"
-                    ) from None
-                if item not in items:
-                    items.append(item)
-                if expert not in experts:
-                    experts.append(expert)
-                if (item, expert) in cells:
-                    raise ValidationError(
-                        f"{path}: row {lineno}: duplicate rating for "
-                        f"({item}, {expert})"
-                    )
-                cells[(item, expert)] = rating
-    except OSError as exc:
-        raise ValidationError(f"cannot read ratings file {path}: {exc}") from exc
+    for lineno, row in body:
+        if len(row) != 3:
+            raise ValidationError(
+                f"{path}: row {lineno}: expected 3 fields, got {len(row)}"
+            )
+        item, expert, rating_raw = (f.strip() for f in row)
+        try:
+            rating = int(rating_raw)
+        except ValueError:
+            raise ValidationError(
+                f"{path}: row {lineno}: rating {rating_raw!r} is not an integer"
+            ) from None
+        if item not in items:
+            items.append(item)
+        if expert not in experts:
+            experts.append(expert)
+        if (item, expert) in cells:
+            raise ValidationError(
+                f"{path}: row {lineno}: duplicate rating for ({item}, {expert})"
+            )
+        cells[(item, expert)] = rating
     if not cells:
         raise ValidationError(f"{path}: no ratings found")
     missing = [
@@ -209,12 +219,11 @@ def cmd_delphi(args: argparse.Namespace) -> int:
     final_accepted = run_delphi(rounds, threshold=args.threshold)
     lines = []
     for i, rnd in enumerate(rounds, start=1):
-        accepted, deferred = set(), set()
+        accepted, deferred = delphi_round(rnd, args.threshold)
         lines.append(f"round {i} ({len(rnd.experts)} experts, threshold {args.threshold:g})")
         for item in rnd.items:
             frac = rnd.agreement_fraction(item)
-            verdict = "accepted" if frac >= args.threshold - 1e-12 else "deferred"
-            (accepted if verdict == "accepted" else deferred).add(item)
+            verdict = "accepted" if item in accepted else "deferred"
             lines.append(f"  {item:<12} agreement {frac:.6g}  {verdict}")
         lines.append(
             f"  -> {len(accepted)} accepted, {len(deferred)} deferred"
@@ -228,30 +237,22 @@ def cmd_delphi(args: argparse.Namespace) -> int:
 
 
 def _read_responses_csv(path: str) -> ItemResponses:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or any(not h.strip() for h in header):
-                raise ValidationError(f"{path}: first row must list item ids")
-            items = tuple(h.strip() for h in header)
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != len(items):
-                    raise ValidationError(
-                        f"{path}: row {lineno}: expected {len(items)} values, "
-                        f"got {len(row)}"
-                    )
-                try:
-                    rows.append(tuple(float(v) for v in row))
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: row {lineno}: non-numeric response"
-                    ) from None
-    except OSError as exc:
-        raise ValidationError(f"cannot read responses file {path}: {exc}") from exc
+    header, body = _read_csv(path, "responses")
+    if not header or any(not h.strip() for h in header):
+        raise ValidationError(f"{path}: first row must list item ids")
+    items = tuple(h.strip() for h in header)
+    rows = []
+    for lineno, row in body:
+        if len(row) != len(items):
+            raise ValidationError(
+                f"{path}: row {lineno}: expected {len(items)} values, got {len(row)}"
+            )
+        try:
+            rows.append(tuple(float(v) for v in row))
+        except ValueError:
+            raise ValidationError(
+                f"{path}: row {lineno}: non-numeric response"
+            ) from None
     return ItemResponses(items=items, rows=tuple(rows))
 
 

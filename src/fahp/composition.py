@@ -36,16 +36,15 @@ class GlobalRanking:
         return {r.leaf: r.rank for r in self.rows}
 
 
-def _ordered(weights: Mapping[str, float]) -> list[tuple[str, float]]:
-    # descending weight, ascending id on ties
-    return sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
 def rank(weights: Mapping[str, float]) -> dict[str, int]:
-    """Dense 1..n ranks by descending weight; ties break by ascending id."""
+    """Dense 1..n ranks by descending weight; ties break by ascending id.
+
+    The returned mapping iterates in rank order.
+    """
     if not weights:
         raise ValueError("cannot rank an empty weight map")
-    return {item: pos + 1 for pos, (item, _) in enumerate(_ordered(weights))}
+    ordered = sorted(weights, key=lambda item: (-weights[item], item))
+    return {item: pos + 1 for pos, item in enumerate(ordered)}
 
 
 def normalize(weights: Mapping[str, float]) -> dict[str, float]:
@@ -71,8 +70,7 @@ def compose_global(
     Every category appearing in local_weights must have a category weight;
     a missing one raises CompositionError naming the stranded leaves.
     """
-    flat: list[tuple[str, str, float, float]] = []
-    seen: set[str] = set()
+    by_leaf: dict[str, tuple[str, float, float]] = {}
     for category, locals_ in local_weights.items():
         if category not in category_weights:
             raise CompositionError(
@@ -83,28 +81,17 @@ def compose_global(
         if cw <= 0:
             raise CompositionError(f"category weight for {category!r} must be positive")
         for leaf, lw in locals_.items():
-            if leaf in seen:
+            if leaf in by_leaf:
                 raise CompositionError(f"leaf {leaf!r} appears in more than one category")
-            seen.add(leaf)
             if lw <= 0:
                 raise CompositionError(f"local weight for {leaf!r} must be positive")
-            flat.append((leaf, category, cw, float(lw)))
-    if not flat:
+            by_leaf[leaf] = (category, cw, float(lw))
+    if not by_leaf:
         raise CompositionError("no leaves to compose")
-    globals_ = {leaf: cw * lw for leaf, _, cw, lw in flat}
-    ranks = rank(globals_)
-    by_leaf = {leaf: (category, cw, lw) for leaf, category, cw, lw in flat}
-    rows = []
-    for leaf, _ in _ordered(globals_):
-        category, cw, lw = by_leaf[leaf]
-        rows.append(
-            RankingRow(
-                leaf=leaf,
-                category=category,
-                category_weight=cw,
-                local_weight=lw,
-                global_weight=globals_[leaf],
-                rank=ranks[leaf],
-            )
+    globals_ = {leaf: cw * lw for leaf, (_, cw, lw) in by_leaf.items()}
+    return GlobalRanking(
+        rows=tuple(
+            RankingRow(leaf, *by_leaf[leaf], globals_[leaf], pos)
+            for leaf, pos in rank(globals_).items()
         )
-    return GlobalRanking(rows=tuple(rows))
+    )

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from . import __version__
 from .composition import GlobalRanking, RankingRow, compose_global
@@ -143,7 +143,7 @@ def _parse_scale(obj: Any) -> LinguisticScale:
             raise ValidationError(f"scale term {term!r}: {exc}") from exc
     try:
         return LinguisticScale(entries=tuple(entries))
-    except ValueError as exc:
+    except ValidationError as exc:
         raise ValidationError(f"scale: {exc}") from exc
 
 
@@ -162,8 +162,8 @@ def _parse_config(obj: Any) -> SolverConfig:
         raise ValidationError(f"solver settings: {exc}") from exc
 
 
-def parse_study(text: str, source: str = "study") -> StudyDocument:
-    """Parse and validate a study document from JSON text."""
+def _decode(text: str, source: str) -> dict[str, Any]:
+    """The top-level object of a JSON document."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -171,8 +171,16 @@ def parse_study(text: str, source: str = "study") -> StudyDocument:
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ValidationError(f"{source}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{source}: top level must be an object")
+    return data
+
+
+def parse_study(text: str, source: str = "study") -> StudyDocument:
+    """Parse and validate a study document from JSON text."""
+    data = _decode(text, source)
     _check_keys(data, _STUDY_KEYS, source)
     name = _require(data, "name", source)
     if not isinstance(name, str) or not name:
@@ -205,7 +213,7 @@ def load_study(path: str | Path) -> StudyDocument:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read study file {p}: {exc}") from exc
     return parse_study(text, source=str(p))
 
@@ -274,6 +282,21 @@ def block_to_dict(res: SolveResult) -> dict[str, Any]:
     }
 
 
+def ranking_to_list(ranking: GlobalRanking) -> list[dict[str, Any]]:
+    """The ranking rows, as results and deviation documents store them."""
+    return [
+        {
+            "leaf": r.leaf,
+            "category": r.category,
+            "category_weight": r.category_weight,
+            "local_weight": r.local_weight,
+            "global_weight": r.global_weight,
+            "rank": r.rank,
+        }
+        for r in ranking.rows
+    ]
+
+
 def results_to_dict(doc: ResultsDocument) -> dict[str, Any]:
     out: dict[str, Any] = {
         "study": doc.study,
@@ -283,17 +306,7 @@ def results_to_dict(doc: ResultsDocument) -> dict[str, Any]:
     if doc.generated_at is not None:
         out["generated_at"] = doc.generated_at
     out["blocks"] = {block: block_to_dict(res) for block, res in doc.blocks.items()}
-    out["ranking"] = [
-        {
-            "leaf": r.leaf,
-            "category": r.category,
-            "category_weight": r.category_weight,
-            "local_weight": r.local_weight,
-            "global_weight": r.global_weight,
-            "rank": r.rank,
-        }
-        for r in doc.ranking.rows
-    ]
+    out["ranking"] = ranking_to_list(doc.ranking)
     return out
 
 
@@ -302,48 +315,62 @@ def serialize_results(doc: ResultsDocument) -> str:
     return json.dumps(results_to_dict(doc), indent=2, ensure_ascii=False) + "\n"
 
 
+def _field(obj: Any, key: str, convert: Callable[[Any], Any], where: str) -> Any:
+    """obj[key], converted; an error names where and the key."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: must be an object")
+    try:
+        return convert(_require(obj, key, where))
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: key {key!r}: {exc}") from exc
+
+
+def _object(value: Any) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise TypeError("must be an object")
+    return value
+
+
+def _floats(value: Any) -> dict[str, float]:
+    return {k: float(v) for k, v in _object(value).items()}
+
+
 def parse_results(text: str, source: str = "results") -> ResultsDocument:
-    """Parse a results document; inverse of serialize_results."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}"
-        ) from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"{source}: top level must be an object")
-    try:
-        config = SolverConfig(**{k: float(v) for k, v in data["config"].items()})
-        blocks = {
-            block: SolveResult(
-                weights={k: float(v) for k, v in raw["weights"].items()},
-                lambda_=float(raw["lambda"]),
-                consistent=bool(raw["consistent"]),
-                iterations=int(raw["iterations"]),
-                clamped=bool(raw["clamped"]),
-                slack=None if raw["slack"] is None else float(raw["slack"]),
-            )
-            for block, raw in data["blocks"].items()
-        }
-        rows = tuple(
+    """Parse a results document; inverse of serialize_results.
+
+    An error names the block or ranking row and the key that is wrong.
+    """
+    data = _decode(text, source)
+    where = f"{source}: malformed results document"
+    blocks = {}
+    for block, raw in _field(data, "blocks", _object, where).items():
+        at = f"{where}: block {block!r}"
+        blocks[block] = SolveResult(
+            weights=_field(raw, "weights", _floats, at),
+            lambda_=_field(raw, "lambda", float, at),
+            consistent=_field(raw, "consistent", bool, at),
+            iterations=_field(raw, "iterations", int, at),
+            clamped=_field(raw, "clamped", bool, at),
+            slack=_field(raw, "slack", lambda v: None if v is None else float(v), at),
+        )
+    rows = []
+    for i, raw in enumerate(_field(data, "ranking", list, where), start=1):
+        at = f"{where}: ranking row {i}"
+        rows.append(
             RankingRow(
-                leaf=r["leaf"],
-                category=r["category"],
-                category_weight=float(r["category_weight"]),
-                local_weight=float(r["local_weight"]),
-                global_weight=float(r["global_weight"]),
-                rank=int(r["rank"]),
+                leaf=_field(raw, "leaf", str, at),
+                category=_field(raw, "category", str, at),
+                category_weight=_field(raw, "category_weight", float, at),
+                local_weight=_field(raw, "local_weight", float, at),
+                global_weight=_field(raw, "global_weight", float, at),
+                rank=_field(raw, "rank", int, at),
             )
-            for r in data["ranking"]
         )
-        return ResultsDocument(
-            study=data["study"],
-            tool_version=data["tool_version"],
-            config=config,
-            generated_at=data.get("generated_at"),
-            blocks=blocks,
-            ranking=GlobalRanking(rows=rows),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{source}: malformed results document: {exc}") from exc
+    return ResultsDocument(
+        study=_field(data, "study", str, where),
+        tool_version=_field(data, "tool_version", str, where),
+        config=_field(data, "config", lambda v: SolverConfig(**_floats(v)), where),
+        generated_at=data.get("generated_at"),
+        blocks=blocks,
+        ranking=GlobalRanking(rows=tuple(rows)),
+    )

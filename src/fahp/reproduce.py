@@ -16,10 +16,16 @@ the precision they were printed with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Mapping
 
 from .composition import GlobalRanking, compose_global
-from .documents import block_to_dict, bundled_study_path, load_study, solve_study
+from .documents import (
+    block_to_dict,
+    bundled_study_path,
+    load_study,
+    ranking_to_list,
+    solve_study,
+)
 from .solver import SolveResult
 
 #: Weights of the three categories as originally published.
@@ -75,7 +81,6 @@ class ReproduceReport:
     global_rows: tuple[DeviationRow, ...]
     identity_rows: tuple[DeviationRow, ...]
     computed_ranking: GlobalRanking
-    published_ranking: GlobalRanking
 
     @property
     def identity_max_delta(self) -> float:
@@ -86,65 +91,40 @@ class ReproduceReport:
         return self.identity_max_delta <= IDENTITY_TOL
 
 
+def _deviations(
+    published: Mapping[str, float], computed: Mapping[str, float], block: str = ""
+) -> tuple[DeviationRow, ...]:
+    """One row per published item, against the computed value of that item."""
+    return tuple(
+        DeviationRow(block, item, value, computed[item])
+        for item, value in published.items()
+    )
+
+
 def build_report() -> ReproduceReport:
     """Solve the bundled study and tabulate deviations from the published run."""
     results = solve_study(load_study(bundled_study_path()))
     blocks = results.blocks
-    local_rows = tuple(
-        DeviationRow(
-            block=block,
-            item=item,
-            published=published,
-            computed=blocks[block].weights[item],
-        )
-        for block, weights in PUBLISHED_LOCAL_WEIGHTS.items()
-        for item, published in weights.items()
-    )
-    lambda_rows = tuple(
-        DeviationRow(
-            block=block,
-            item="",
-            published=published,
-            computed=blocks[block].lambda_,
-        )
-        for block, published in PUBLISHED_LAMBDAS.items()
-    )
-
-    published_ranking = compose_global(
+    identity = compose_global(
         category_weights=PUBLISHED_CATEGORY_WEIGHTS,
         local_weights={
             c: PUBLISHED_LOCAL_WEIGHTS[c] for c in PUBLISHED_CATEGORY_WEIGHTS
         },
     )
-
-    computed_globals = results.ranking.as_dict()
-    global_rows = tuple(
-        DeviationRow(
-            block="",
-            item=leaf,
-            published=published,
-            computed=computed_globals[leaf],
-        )
-        for leaf, published in PUBLISHED_GLOBAL_WEIGHTS.items()
-    )
-    identity_globals = published_ranking.as_dict()
-    identity_rows = tuple(
-        DeviationRow(
-            block="",
-            item=leaf,
-            published=published,
-            computed=identity_globals[leaf],
-        )
-        for leaf, published in PUBLISHED_GLOBAL_WEIGHTS.items()
-    )
     return ReproduceReport(
         blocks=blocks,
-        local_rows=local_rows,
-        lambda_rows=lambda_rows,
-        global_rows=global_rows,
-        identity_rows=identity_rows,
+        local_rows=tuple(
+            row
+            for block, weights in PUBLISHED_LOCAL_WEIGHTS.items()
+            for row in _deviations(weights, blocks[block].weights, block)
+        ),
+        lambda_rows=tuple(
+            DeviationRow(block, "", published, blocks[block].lambda_)
+            for block, published in PUBLISHED_LAMBDAS.items()
+        ),
+        global_rows=_deviations(PUBLISHED_GLOBAL_WEIGHTS, results.ranking.as_dict()),
+        identity_rows=_deviations(PUBLISHED_GLOBAL_WEIGHTS, identity.as_dict()),
         computed_ranking=results.ranking,
-        published_ranking=published_ranking,
     )
 
 
@@ -169,62 +149,44 @@ def report_to_dict(report: ReproduceReport) -> dict[str, Any]:
             "tolerance": IDENTITY_TOL,
             "ok": report.identity_ok,
         },
-        "computed_ranking": [
-            {
-                "leaf": r.leaf,
-                "category": r.category,
-                "global_weight": r.global_weight,
-                "rank": r.rank,
-            }
-            for r in report.computed_ranking.rows
-        ],
+        "computed_ranking": ranking_to_list(report.computed_ranking),
     }
+
+
+def _format_row(row: DeviationRow) -> str:
+    return (
+        f"  {row.item:<6} {row.published:>12.6f} "
+        f"{row.computed:>12.6f} {row.delta:>12.6f}"
+    )
 
 
 def format_report(report: ReproduceReport) -> str:
     """Human-readable deviation tables."""
-    lines: list[str] = []
-    lines.append("Reproduction of the published supply-chain challenge ranking")
-    lines.append("")
-    lines.append(
-        "Published block weights are compared against this solver's output."
-    )
-    lines.append(
-        "Differences are expected and reported, not asserted away: the"
-    )
-    lines.append(
-        "published judgments do not admit the published weights (negative-"
-    )
-    lines.append("lambda blocks), so deltas below measure that gap.")
-    for block, lam_pub in PUBLISHED_LAMBDAS.items():
-        res = report.blocks[block]
-        lines.append("")
-        lines.append(
-            f"block {block}  lambda published {lam_pub:.6g}  computed "
-            f"{res.lambda_:.6g}  (computed sign: "
-            f"{'nonnegative' if res.lambda_ >= 0 else 'negative'})"
-        )
-        lines.append(f"  {'item':<6} {'published':>12} {'computed':>12} {'delta':>12}")
-        for row in report.local_rows:
-            if row.block == block:
-                lines.append(
-                    f"  {row.item:<6} {row.published:>12.6f} "
-                    f"{row.computed:>12.6f} {row.delta:>12.6f}"
-                )
-    lines.append("")
-    lines.append("global weights (published vs composed from computed blocks)")
-    lines.append(f"  {'leaf':<6} {'published':>12} {'computed':>12} {'delta':>12}")
-    for row in report.global_rows:
-        lines.append(
-            f"  {row.item:<6} {row.published:>12.6f} "
-            f"{row.computed:>12.6f} {row.delta:>12.6f}"
-        )
-    lines.append("")
-    lines.append(
-        "identity check: published category x published local = published global"
-    )
-    lines.append(
+    lines = [
+        "Reproduction of the published supply-chain challenge ranking",
+        "",
+        "Published block weights are compared against this solver's output.",
+        "Differences are expected and reported, not asserted away: the",
+        "published judgments do not admit the published weights (negative-",
+        "lambda blocks), so deltas below measure that gap.",
+    ]
+    for lam in report.lambda_rows:
+        lines += [
+            "",
+            f"block {lam.block}  lambda published {lam.published:.6g}  computed "
+            f"{lam.computed:.6g}  (computed sign: "
+            f"{'nonnegative' if lam.computed >= 0 else 'negative'})",
+            f"  {'item':<6} {'published':>12} {'computed':>12} {'delta':>12}",
+            *(_format_row(r) for r in report.local_rows if r.block == lam.block),
+        ]
+    lines += [
+        "",
+        "global weights (published vs composed from computed blocks)",
+        f"  {'leaf':<6} {'published':>12} {'computed':>12} {'delta':>12}",
+        *(_format_row(r) for r in report.global_rows),
+        "",
+        "identity check: published category x published local = published global",
         f"  max delta {report.identity_max_delta:.2e} within {IDENTITY_TOL:.0e}: "
-        f"{'ok' if report.identity_ok else 'FAILED'}"
-    )
+        f"{'ok' if report.identity_ok else 'FAILED'}",
+    ]
     return "\n".join(lines) + "\n"

@@ -347,7 +347,13 @@ def solve_fpp(
     lam = _lowest_membership(judged, w)
     while True:
         # max t s.t. N_i(w) - lam * D_i(w) >= t * D_i(w_k) on every soft side
-        slack, w_next, basis = _max_slack(base + lam * spread, spread @ w, cfg, basis)
+        step = _max_slack(base + lam * spread, spread @ w, cfg, basis)
+        if step is None:  # the probe held the same hard rows; only round-off
+            raise RuntimeError(
+                f"max-slack subproblem unexpectedly infeasible in block "
+                f"{matrix.parent!r} at lambda {lam}"
+            )
+        slack, w_next, basis = step
         probes += 1
         if slack <= _DINKELBACH_TOL:
             break

@@ -110,6 +110,123 @@ def test_solve_bad_field_exits_2_naming_it(tmp_path, capsys, judgment, solver, n
     assert named in capsys.readouterr().err
 
 
+_DROP = object()
+
+
+def _mutated(doc, keys, value):
+    """doc with the value at the end of keys replaced (or dropped, or added)."""
+    if not keys:
+        return value
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    if value is _DROP:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    return doc
+
+
+_CHILD = ("hierarchy", "children", 0)
+_JUDGMENT = ("matrices", "goal", 0, "judgment")
+
+
+@pytest.mark.parametrize(
+    "keys, value, named",
+    [
+        pytest.param((), [1], "top level must be an object", id="top-level"),
+        pytest.param(("name",), _DROP, "'name'", id="name-missing"),
+        pytest.param(("name",), "", "name must be a non-empty", id="name-empty"),
+        pytest.param(("hierarchy",), _DROP, "'hierarchy'", id="hierarchy-missing"),
+        pytest.param(_CHILD, "a", "node must be an object", id="node-not-object"),
+        pytest.param(_CHILD + ("id",), _DROP, "'id'", id="node-id-missing"),
+        pytest.param(_CHILD + ("id",), 5, "node id", id="node-id-number"),
+        pytest.param(_CHILD + ("label",), 3, "node label", id="node-label"),
+        pytest.param(_CHILD + ("colour",), "red", "colour", id="node-unknown-key"),
+        pytest.param(
+            ("hierarchy", "children"), {"a": {}}, "children must be a list",
+            id="children-not-list",
+        ),
+        pytest.param(("matrices",), _DROP, "'matrices'", id="matrices-missing"),
+        pytest.param(("matrices",), [], "matrices must be an object", id="matrices"),
+        pytest.param(("matrices", "zzz"), [], "'zzz'", id="matrix-unknown-node"),
+        pytest.param(
+            ("matrices", "goal"), {}, "matrix 'goal': must be a list",
+            id="matrix-not-list",
+        ),
+        pytest.param(
+            ("matrices", "goal", 0), "b>a", "judgment 1: must be an object",
+            id="judgment-not-object",
+        ),
+        pytest.param(_JUDGMENT, _DROP, "'judgment'", id="judgment-missing"),
+        pytest.param(_JUDGMENT, [2, 3], "[l, m, u]", id="judgment-length"),
+        pytest.param(
+            _JUDGMENT, ["two", 3, 4], "judgment 1: could not convert",
+            id="judgment-not-number",
+        ),
+        pytest.param(_JUDGMENT, "high", "judgment must be", id="judgment-string"),
+        pytest.param(
+            _JUDGMENT, {"term": "high", "note": 1}, "note", id="term-unknown-key"
+        ),
+        pytest.param(_JUDGMENT, {}, "'term'", id="term-missing"),
+        pytest.param(("scale",), [], "scale must be", id="scale-not-object"),
+        pytest.param(
+            ("scale",), {"meh": [1, 2]}, "scale term 'meh'", id="scale-term-length"
+        ),
+        pytest.param(
+            ("scale",), {"meh": ["one", 2, 3]}, "scale term 'meh'",
+            id="scale-term-not-number",
+        ),
+        pytest.param(
+            ("scale",), {"meh": [2, 3, 4], "wow": [1, 2, 3]},
+            "scale: linguistic scale modes", id="scale-modes",
+        ),
+        pytest.param(
+            ("solver",), [], "solver settings must be an object", id="solver"
+        ),
+        pytest.param(
+            ("solver",), {"lambda_cap": "1"}, "solver setting 'lambda_cap'",
+            id="solver-not-number",
+        ),
+    ],
+)
+def test_malformed_study_exits_2_naming_the_key(tmp_path, capsys, keys, value, named):
+    path = _tiny_study(tmp_path)
+    path.write_text(json.dumps(_mutated(json.loads(path.read_text()), keys, value)))
+    assert main(["solve", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def _long_field_csv(path):
+    path.write_text("item,expert,rating\n" + "x" * 200_000 + ",e1,4\n")
+
+
+def _deep_json(path):
+    path.write_text("[" * 100_000)
+
+
+def _latin1(path):
+    path.write_bytes(b"item,expert,rating\n\xff,e1,4\n")
+
+
+@pytest.mark.parametrize(
+    "command, write",
+    [
+        ("delphi", _long_field_csv),
+        ("alpha", _long_field_csv),
+        ("solve", _deep_json),
+        ("solve", _latin1),
+        ("delphi", _latin1),
+        ("alpha", _latin1),
+    ],
+)
+def test_unreadable_file_exits_2_naming_it(tmp_path, capsys, command, write):
+    path = tmp_path / "input.file"
+    write(path)
+    assert main([command, str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_no_judgment_in_range_exits_1(tmp_path, capsys):
     # The goal's first judgment of the bundled study, replaced by crisp,
     # hard-sided, narrow and wide judgments at magnitudes across

@@ -9,6 +9,7 @@ from fahp import (
     bundled_study_path,
     load_study,
     parse_study,
+    solve_study,
 )
 from fahp.cli import main
 from fahp.documents import parse_results, serialize_results
@@ -142,8 +143,66 @@ def test_results_with_a_list_for_an_object_are_rejected(path, tmp_path):
     main(["solve", str(bundled_study_path()), "--no-timestamp", "--out", str(out)])
     data = json.loads(out.read_text())
     _as_list(data, *path)
-    with pytest.raises(ValidationError, match="malformed results document"):
+    with pytest.raises(ValidationError, match="malformed results document") as exc:
         parse_results(json.dumps(data))
+    assert f"key {path[-1]!r}: must be an object" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        pytest.param(
+            ("ranking", 0), "W32", "ranking row 1: must be an object", id="row-string"
+        ),
+        pytest.param(
+            ("blocks", "goal", "lambda"), None,
+            "block 'goal': missing required key 'lambda'", id="lambda-missing",
+        ),
+        pytest.param(
+            ("ranking", 2, "rank"), "third", "ranking row 3: key 'rank'", id="rank-text"
+        ),
+    ],
+)
+def test_malformed_results_name_the_field(path, value, named, tmp_path):
+    out = tmp_path / "results.json"
+    main(["solve", str(bundled_study_path()), "--no-timestamp", "--out", str(out)])
+    data = json.loads(out.read_text())
+    *outer, key = path
+    target = data
+    for part in outer:
+        target = target[part]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(ValidationError) as exc:
+        parse_results(json.dumps(data))
+    assert str(exc.value).startswith("results: malformed results document: ")
+    assert named in str(exc.value)
+
+
+def test_a_category_with_one_leaf_passes_its_weight_down():
+    doc = _study(
+        hierarchy={
+            "id": "goal",
+            "children": [
+                {"id": "A", "children": [{"id": "a1"}]},
+                {"id": "B", "children": [{"id": "b1"}, {"id": "b2"}]},
+            ],
+        },
+        matrices={
+            "goal": [{"row": "B", "col": "A", "judgment": [2, 3, 4]}],
+            "B": [{"row": "b2", "col": "b1", "judgment": [1, 2, 3]}],
+        },
+    )
+    results = solve_study(parse_study(json.dumps(doc)))
+    assert sorted(results.blocks) == ["B", "goal"]
+    rows = {r.leaf: r for r in results.ranking.rows}
+    category_a = results.blocks["goal"].weights["A"]
+    assert rows["a1"].category == "A"
+    assert rows["a1"].local_weight == 1.0
+    assert rows["a1"].category_weight == category_a
+    assert rows["a1"].global_weight == category_a
 
 
 def test_results_document_key_order(tmp_path):

@@ -21,6 +21,7 @@ from fahp import (
     reciprocal,
     solve_fpp,
 )
+from fahp import solver
 from fahp.solver import _judged, _lattice, _lattice_size, _lowest_membership
 from conftest import random_matrix
 from test_solver_invariants import FIXTURES, SWEEP_BLOCKS, _blocks
@@ -66,6 +67,22 @@ def test_cyclic_matrix_is_strongly_inconsistent():
     # symmetry of the cycle forces near-equal weights
     for w in res.weights.values():
         assert w == pytest.approx(1 / 3, abs=1e-3)
+
+
+def test_infeasible_dinkelbach_lp_names_the_block_and_lambda(monkeypatch):
+    # Each Dinkelbach LP keeps the hard rows of the probe that held, so only
+    # round-off can make one infeasible; that must not be an unpacking error.
+    calls = []
+    max_slack = solver._max_slack
+
+    def second_infeasible(*args):
+        calls.append(args)
+        return None if len(calls) == 2 else max_slack(*args)
+
+    monkeypatch.setattr(solver, "_max_slack", second_infeasible)
+    with pytest.raises(RuntimeError, match=r"infeasible in block 't' at lambda -\d"):
+        solve_fpp(CYCLIC)
+    assert len(calls) == 2
 
 
 def test_weights_sum_to_one_and_respect_floor():
