@@ -163,9 +163,22 @@ def _parse_config(obj: Any) -> SolverConfig:
 
 
 def _decode(text: str, source: str) -> dict[str, Any]:
-    """The top-level object of a JSON document."""
+    """The top-level object of a JSON document. A key repeated within one
+    object is an error, not silently the last of its values."""
+
+    def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            names = [k for k, _ in pairs]
+            key = next(k for i, k in enumerate(names) if k in names[:i])
+            raise ValidationError(
+                f"{source}: duplicate key {key!r} in the object with keys "
+                + ", ".join(map(repr, obj))
+            )
+        return obj
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: "

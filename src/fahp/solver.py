@@ -13,12 +13,18 @@ program. It is solved exactly by the normalized Dinkelbach iteration of
 Crouzeix, Ferland and Schaible (JOTA 47, 1985): at lambda_k = lambda_at(w_k)
 one LP maximizes t subject to N_i(w) - lambda_k * D_i(w) >= t * D_i(w_k)
 for every side, and its solution w_{k+1} raises lambda until t reaches 0
-(to within 1e-8). Consecutive LPs of a block differ only in their
-coefficients, so each starts from the final basis of the one before (the
-lambda_cap probe's, for the first): solve_lp certifies that basis from a
-small square system when it is still optimal, and returns without a
-pivot, and otherwise re-optimises from it with the dual and primal
-simplex. Only the probe, and a basis that cannot be used, are solved cold.
+(to within 1e-8). The iteration starts from the logarithmic least-squares
+weights of the judgments' modes (Crawford and Williams, J. Math. Psych. 29,
+1985), one n x n linear system, and its first LP from a crash basis whose
+tight rows are the n soft sides of lowest membership there. Consecutive LPs
+of a block differ only in their coefficients, so each later one starts from
+the final basis of the one before. solve_lp certifies a starting basis from
+a small square system when it is optimal, and returns without a pivot, and
+otherwise re-optimises from it with the dual and primal simplex. Where the
+least-squares weights miss a hard side, or the modes are consistent, a cold
+LP at lambda_cap (the probe) comes first, and an iteration that reaches
+lambda_cap ends with it. Only the probe, and a basis that cannot be used,
+are solved cold.
 A side with zero spread (m == l or u == m) is a hard bound on the ratio, a
 constraint that does not depend on lambda. The reported lambda is
 lambda_at(weights); lambda >= 0 certifies that some weight vector lies
@@ -84,11 +90,12 @@ class SolverConfig:
 class SolveResult:
     """Weights and diagnostics for one comparison block.
 
-    ``iterations`` counts the LPs solved. ``slack`` is the objective of the
-    last max-slack LP, solved at the returned lambda (normalized by each
-    side's denominator unless the block is clamped); a clearly positive
-    slack means the weight vector is not pinned down uniquely at that
-    lambda. The oracle leaves it as None.
+    ``iterations`` counts the LPs solved, the lambda_cap probe included
+    when it ran. ``slack`` is the objective of the last max-slack LP,
+    solved at the returned lambda (normalized by each side's denominator
+    unless the block is clamped); a clearly positive slack means the weight
+    vector is not pinned down uniquely at that lambda. The oracle leaves it
+    as None.
     """
 
     weights: dict[str, float]
@@ -297,15 +304,19 @@ def feasible_at(
 
 def _raise_conflict(
     matrix: ComparisonMatrix,
-    rows: np.ndarray,
+    base: np.ndarray,
     pairs: list[tuple[str, str]],
+    hard: np.ndarray,
     cfg: SolverConfig,
 ) -> None:
-    """Raise InfeasibleJudgmentsError for hard sides that cannot all hold,
-    naming the pairs whose sides the max-slack vector over them violates."""
+    """Raise InfeasibleJudgmentsError for the hard sides (flagged in `hard`)
+    that cannot all hold, naming the pairs whose sides the max-slack vector
+    over them violates."""
+    rows = base[hard]
     _, w, _ = _max_slack(rows, np.ones(len(rows)), cfg)
+    hard_pairs = [p for p, h in zip(pairs, hard) if h]
     violated = list(
-        dict.fromkeys(p for p, a in zip(pairs, rows @ w) if a > _SLACK_FEAS_TOL)
+        dict.fromkeys(p for p, a in zip(hard_pairs, rows @ w) if a > _SLACK_FEAS_TOL)
     )
     listing = ", ".join(f"({r}, {c})" for r, c in violated) or "unknown"
     raise InfeasibleJudgmentsError(
@@ -315,16 +326,97 @@ def _raise_conflict(
     )
 
 
+def _probe(
+    matrix: ComparisonMatrix,
+    base: np.ndarray,
+    spread: np.ndarray,
+    pairs: list[tuple[str, str]],
+    hard: np.ndarray,
+    cfg: SolverConfig,
+) -> tuple[float, np.ndarray, tuple[int, ...] | None]:
+    """The max-slack LP at lambda_cap, solved cold: (slack, weights, basis).
+    Every soft side is slacked with a unit scale and the hard sides are held
+    as constraints, unless nothing else bounds the slack; a slack of at least
+    -_SLACK_FEAS_TOL means lambda_cap is attainable. Raises
+    InfeasibleJudgmentsError when the hard sides cannot all hold."""
+    scale = np.ones(len(base)) if hard.all() else (~hard).astype(float)
+    probe = _max_slack(base + cfg.lambda_cap * spread, scale, cfg)
+    if probe is None or (hard.all() and probe[0] < -_SLACK_FEAS_TOL):
+        _raise_conflict(matrix, base, pairs, hard, cfg)
+    return probe
+
+
+def _least_squares_start(
+    judged: _Judged, n: int, cfg: SolverConfig
+) -> tuple[np.ndarray, float] | None:
+    """The logarithmic least-squares weights of the judgments' modes
+    (Crawford and Williams, J. Math. Psych. 29, 1985) and their lambda, or
+    None where they cannot start the Dinkelbach iteration: their lambda is
+    -inf (they miss a hard side), or within _DINKELBACH_TOL of lambda_cap
+    (the modes are consistent). A block whose every side is hard has a
+    lambda of 1 or -inf at any weight vector, so it always gets None.
+
+    x = log w minimizes the sum of (x_row - x_col - log m)^2 over the
+    judgments: L x = b, with L the Laplacian of the comparison graph. The
+    all-ones gauge makes L + 1 1^T nonsingular on a connected graph and
+    fixes sum x = 0. The system is inverted by `inv`, which the LPs load
+    anyway: `np.linalg.solve`, like `np.argsort` in _crash_basis, would
+    add a tenth of a megabyte or more of numpy code to every process.
+
+    Weights below the floor are mixed with it, w = floor + (1 - n * floor)
+    * w, so that the start lies in the LP's region: a start outside it
+    would be returned when no weight vector inside does better.
+    """
+    log_m = np.log(judged.m)
+    normal = np.ones((n, n))
+    normal[judged.row, judged.col] -= 1.0
+    normal[judged.col, judged.row] -= 1.0
+    normal.flat[:: n + 1] += np.bincount(judged.row, minlength=n) + np.bincount(
+        judged.col, minlength=n
+    )
+    rhs = np.bincount(judged.row, log_m, n) - np.bincount(judged.col, log_m, n)
+    g = np.exp(np.linalg.inv(normal) @ rhs)
+    w = g / g.sum()
+    if w.min() < cfg.weight_floor:
+        w = cfg.weight_floor + (1.0 - n * cfg.weight_floor) * w
+    lam = _lowest_membership(judged, w)
+    if lam == -math.inf or lam >= cfg.lambda_cap - _DINKELBACH_TOL:
+        return None
+    return w, lam
+
+
+def _crash_basis(base: np.ndarray, spread: np.ndarray, w: np.ndarray):
+    """A starting-basis hint for the first Dinkelbach LP from w, in
+    _max_slack's column numbering, or None when the block has fewer soft
+    sides than items. The weights and t are basic, the n soft sides with the
+    lowest membership at w are the tight rows (the sides that bind at a
+    vertex near w), and every other row's slack is basic."""
+    k, n = base.shape
+    denom = spread @ w
+    soft = (denom > 0).nonzero()[0]
+    if soft.size < n:
+        return None
+    member = (-(base[soft] @ w) / denom[soft]).tolist()
+    tight = soft[sorted(range(soft.size), key=member.__getitem__)[:n]]
+    loose = np.ones(k, dtype=bool)
+    loose[tight] = False
+    return tuple(range(n + 1)) + tuple((n + 2 + loose.nonzero()[0]).tolist())
+
+
 def solve_fpp(
     matrix: ComparisonMatrix, config: SolverConfig | None = None
 ) -> SolveResult:
     """Maximize the common membership level lambda over the weight simplex.
 
-    Probes lambda_cap first (consistent blocks short-circuit there), then
-    runs the Dinkelbach iteration from that probe's weight vector until its
+    Runs the Dinkelbach iteration from the logarithmic least-squares weights
+    of the judgments' modes, with a crash basis for the first LP, until its
     slack reaches zero. It stops before the slack falls to the LP's noise
     level, where ties between vertices of the optimal face would make the
-    weights depend on the order of the items. Raises
+    weights depend on the order of the items. Where those weights cannot
+    start it (see _least_squares_start), the lambda_cap probe comes first:
+    a block that reaches lambda_cap there is clamped, and any other starts
+    from the probe's weights. An iteration that reaches lambda_cap also
+    ends with the probe, and is clamped when the probe holds. Raises
     InfeasibleJudgmentsError, naming the conflicting pairs, when the hard
     (zero-spread) sides of the judgments cannot all hold.
     """
@@ -333,22 +425,25 @@ def solve_fpp(
     _check_floor(matrix, cfg)
     base, spread, pairs = _sides(matrix)
     hard = ~spread.any(axis=1)
-    # Hard sides are held as constraints, not slacked, unless nothing else
-    # bounds the slack.
-    scale = np.ones(len(base)) if hard.all() else (~hard).astype(float)
-    probe = _max_slack(base + cfg.lambda_cap * spread, scale, cfg)
-    if probe is None or (hard.all() and probe[0] < -_SLACK_FEAS_TOL):
-        _raise_conflict(matrix, base[hard], [p for p, h in zip(pairs, hard) if h], cfg)
-    slack, w, basis = probe
-    probes = 1
-    if slack >= -_SLACK_FEAS_TOL:
-        return _result(matrix, w, cfg.lambda_cap, probes, True, slack)
     judged = _judged(matrix)
-    lam = _lowest_membership(judged, w)
+    start = _least_squares_start(judged, len(matrix.items), cfg)
+    if start is None:
+        slack, w, basis = _probe(matrix, base, spread, pairs, hard, cfg)
+        if slack >= -_SLACK_FEAS_TOL:
+            return _result(matrix, w, cfg.lambda_cap, 1, True, slack)
+        lam, probes = _lowest_membership(judged, w), 1
+    else:
+        w, lam = start
+        basis, probes = _crash_basis(base, spread, w), 0
+    probed = start is None
     while True:
         # max t s.t. N_i(w) - lam * D_i(w) >= t * D_i(w_k) on every soft side
         step = _max_slack(base + lam * spread, spread @ w, cfg, basis)
-        if step is None:  # the probe held the same hard rows; only round-off
+        if step is None:
+            # The first LP from the least-squares start is the hard sides'
+            # verdict; after that they have held once, so only round-off.
+            if probes == 0 and hard.any():
+                _raise_conflict(matrix, base, pairs, hard, cfg)
             raise RuntimeError(
                 f"max-slack subproblem unexpectedly infeasible in block "
                 f"{matrix.parent!r} at lambda {lam}"
@@ -358,6 +453,12 @@ def solve_fpp(
         if slack <= _DINKELBACH_TOL:
             break
         lam_next = _lowest_membership(judged, w_next)
+        if not probed and lam_next >= cfg.lambda_cap - _DINKELBACH_TOL:
+            cap_slack, cap_w, _ = _probe(matrix, base, spread, pairs, hard, cfg)
+            probes += 1
+            if cap_slack >= -_SLACK_FEAS_TOL:
+                return _result(matrix, cap_w, cfg.lambda_cap, probes, True, cap_slack)
+            probed = True
         if not lam_next > lam:
             break
         lam, w = lam_next, w_next

@@ -197,6 +197,42 @@ def test_malformed_study_exits_2_naming_the_key(tmp_path, capsys, keys, value, n
     assert named in capsys.readouterr().err
 
 
+_GOAL = '[{"row": "b", "col": "a", "judgment": [2, 3, 4]}]'
+_CHILDREN = '"hierarchy": {"id": "goal", "children": [{"id": "a"}, {"id": "b"}]}'
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        pytest.param(
+            '{"name": "x", "name": "y", ' + _CHILDREN + ', "matrices": {"goal": '
+            + _GOAL + "}}",
+            "duplicate key 'name' in the object with keys 'name', 'hierarchy'",
+            id="name",
+        ),
+        pytest.param(
+            '{"name": "x", ' + _CHILDREN + ', "matrices": {"goal": ' + _GOAL
+            + ', "goal": [{"row": "a", "col": "b", "judgment": [1, 2, 3]}]}}',
+            "duplicate key 'goal' in the object with keys 'goal'",
+            id="goal",
+        ),
+        pytest.param(
+            '{"name": "x", ' + _CHILDREN + ', "matrices": {"goal": [{"row": "b", '
+            '"col": "a", "judgment": [2, 3, 4], "judgment": [1, 2, 3]}]}}',
+            "duplicate key 'judgment' in the object with keys 'row', 'col', "
+            "'judgment'",
+            id="judgment",
+        ),
+    ],
+)
+def test_duplicate_key_exits_2_naming_it(tmp_path, capsys, text, named):
+    # json keeps the last of a repeated key; a study must not lose the others
+    path = tmp_path / "study.json"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 2
+    assert f"{path}: {named}" in capsys.readouterr().err
+
+
 def _long_field_csv(path):
     path.write_text("item,expert,rating\n" + "x" * 200_000 + ",e1,4\n")
 

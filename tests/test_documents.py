@@ -181,6 +181,14 @@ def test_malformed_results_name_the_field(path, value, named, tmp_path):
     assert named in str(exc.value)
 
 
+def test_results_with_a_duplicate_key_are_rejected(tmp_path):
+    out = tmp_path / "results.json"
+    main(["solve", str(bundled_study_path()), "--no-timestamp", "--out", str(out)])
+    text = out.read_text().replace('"lambda": ', '"lambda": 0.5, "lambda": ', 1)
+    with pytest.raises(ValidationError, match="results: duplicate key 'lambda' in "):
+        parse_results(text)
+
+
 def test_a_category_with_one_leaf_passes_its_weight_down():
     doc = _study(
         hierarchy={

@@ -38,6 +38,14 @@ CONSISTENT3 = _mat(
     [("b", "a", (1.5, 2, 2.5)), ("c", "a", (3, 4, 5)), ("c", "b", (1.6, 2, 2.4))],
 )
 CYCLIC = _mat("abc", [("b", "a", (2, 3, 4)), ("c", "b", (2, 3, 4)), ("a", "c", (2, 3, 4))])
+SKEWED_CYCLE_TRIPLES = [
+    ("b", "a", (2, 3, 4)), ("c", "b", (1, 2, 3)), ("a", "c", (2, 3, 4))
+]
+SKEWED_CYCLE = _mat("abc", SKEWED_CYCLE_TRIPLES)
+LOPSIDED = _mat(
+    "abc",
+    [("b", "a", (1, 2, 3)), ("c", "b", (1.5, 2, 6)), ("c", "a", (1.5, 2, 6))],
+)
 
 
 def test_single_judgment_reaches_the_cap():
@@ -69,20 +77,90 @@ def test_cyclic_matrix_is_strongly_inconsistent():
         assert w == pytest.approx(1 / 3, abs=1e-3)
 
 
-def test_infeasible_dinkelbach_lp_names_the_block_and_lambda(monkeypatch):
-    # Each Dinkelbach LP keeps the hard rows of the probe that held, so only
-    # round-off can make one infeasible; that must not be an unpacking error.
+def _infeasible_at(monkeypatch, call):
+    """Make the call-th _max_slack call report the rows infeasible; return
+    the list of calls made."""
     calls = []
     max_slack = solver._max_slack
 
-    def second_infeasible(*args):
+    def infeasible(*args):
         calls.append(args)
-        return None if len(calls) == 2 else max_slack(*args)
+        return None if len(calls) == call else max_slack(*args)
 
-    monkeypatch.setattr(solver, "_max_slack", second_infeasible)
+    monkeypatch.setattr(solver, "_max_slack", infeasible)
+    return calls
+
+
+def test_infeasible_dinkelbach_lp_names_the_block_and_lambda(monkeypatch):
+    # Once a Dinkelbach LP has held, the next keeps the same hard rows, so
+    # only round-off can make it infeasible; that must not be an unpacking
+    # error. SKEWED_CYCLE takes five LPs from its least-squares start.
+    assert solve_fpp(SKEWED_CYCLE).iterations >= 2
+    calls = _infeasible_at(monkeypatch, 2)
     with pytest.raises(RuntimeError, match=r"infeasible in block 't' at lambda -\d"):
-        solve_fpp(CYCLIC)
+        solve_fpp(SKEWED_CYCLE)
     assert len(calls) == 2
+
+
+def test_infeasible_first_lp_without_hard_sides_is_round_off(monkeypatch):
+    # With no hard sides the first LP cannot be infeasible either.
+    calls = _infeasible_at(monkeypatch, 1)
+    with pytest.raises(RuntimeError, match=r"infeasible in block 't' at lambda -\d"):
+        solve_fpp(SKEWED_CYCLE)
+    assert len(calls) == 1
+
+
+def test_infeasible_first_lp_with_hard_sides_is_the_conflict_verdict(monkeypatch):
+    # From the least-squares start, the first LP is the first to hold the hard
+    # sides; its infeasibility is the verdict that they conflict.
+    block = _mat("abc", [*SKEWED_CYCLE_TRIPLES[:2], ("a", "c", (0.25, 1, 1))])
+    assert solver._least_squares_start(
+        _judged(block), 3, SolverConfig()
+    ) is not None
+    _infeasible_at(monkeypatch, 1)
+    with pytest.raises(InfeasibleJudgmentsError):
+        solve_fpp(block)
+
+
+def _probe_first(monkeypatch):
+    """Start every solve with the lambda_cap probe, as when the least-squares
+    weights cannot start it."""
+    monkeypatch.setattr(solver, "_least_squares_start", lambda *args: None)
+
+
+def test_missed_hard_side_starts_from_the_probe(monkeypatch):
+    # The least-squares weights of this block miss a hard side (lambda -inf),
+    # so it is solved exactly as from the probe.
+    block = _blocks()[7]
+    judged = _judged(block)
+    assert judged.hard_rise.size + judged.hard_fall.size
+    assert solver._least_squares_start(judged, 3, SolverConfig()) is None
+    res = solve_fpp(block)
+    _probe_first(monkeypatch)
+    assert solve_fpp(block) == res
+
+
+@pytest.mark.parametrize(
+    "block", [TWO, CONSISTENT3, _blocks()[0]], ids=["two", "consistent", "two-hard"]
+)
+def test_consistent_modes_are_clamped_by_the_probe_alone(block):
+    res = solve_fpp(block)
+    assert res.lambda_ == 1.0 and res.clamped and res.iterations == 1
+
+
+def test_iteration_reaching_the_cap_ends_with_the_probe(monkeypatch):
+    # LOPSIDED starts at lambda 0.17 and its optimum is 0.71: with the cap at
+    # 0.5 the iteration crosses the cap and ends with the probe's clamped
+    # result.
+    cfg = SolverConfig(lambda_cap=0.5)
+    start = solver._least_squares_start(_judged(LOPSIDED), 3, cfg)
+    assert start is not None and start[1] < 0.5 < solve_fpp(LOPSIDED).lambda_
+    res = solve_fpp(LOPSIDED, cfg)
+    assert res.lambda_ == 0.5 and res.clamped
+    _probe_first(monkeypatch)
+    probe = solve_fpp(LOPSIDED, cfg)
+    assert probe.iterations == 1 and probe.clamped
+    assert res.weights == probe.weights and res.slack == probe.slack
 
 
 def test_weights_sum_to_one_and_respect_floor():

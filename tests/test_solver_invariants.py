@@ -386,17 +386,21 @@ def test_warm_start_agrees_with_cold_solves(monkeypatch):
 
 
 def test_pivot_counts_do_not_grow(monkeypatch):
-    # Pivots repeat exactly from run to run, where wall time does not. The
-    # bounds are the sums measured with each Dinkelbach LP started from the
-    # previous LP's final basis, re-optimised by the dual simplex (and the
-    # primal one) when that basis is no longer optimal. With only a basis
-    # that was still optimal used, and every other LP solved cold, they were
-    # 1,510 and 43. Solved all cold, with the max-slack LP's slack shifted so
-    # that every soft row starts with its own slack basic and a reduced cost
-    # counted as improving below -1e-10, they were 3,123 and 143 (3,109 at
-    # -1e-9). Without the shift (phase 1 from the slack basis, Harris's ratio
-    # test) they were 5,761 and 183; an artificial in every row and the plain
-    # minimum-ratio test took 12,206 and 308.
+    # Pivots and LPs repeat exactly from run to run, where wall time does
+    # not. The bounds are the sums measured with each block's Dinkelbach
+    # iteration started from the logarithmic least-squares weights, its
+    # first LP from a crash basis, and every later LP from the previous
+    # LP's final basis, re-optimised by the dual simplex (and the primal
+    # one) when that basis is no longer optimal. Started from a cold
+    # lambda_cap probe instead, they were 914 and 23 pivots over 192 and 20
+    # LPs. With only a basis that was still optimal used, and every other
+    # LP solved cold, they were 1,510 and 43. Solved all cold, with the
+    # max-slack LP's slack shifted so that every soft row starts with its
+    # own slack basic and a reduced cost counted as improving below -1e-10,
+    # they were 3,123 and 143 (3,109 at -1e-9). Without the shift (phase 1
+    # from the slack basis, Harris's ratio test) they were 5,761 and 183; an
+    # artificial in every row and the plain minimum-ratio test took 12,206
+    # and 308.
     pivots = []
 
     def counted(*args, **kwargs):
@@ -407,8 +411,10 @@ def test_pivot_counts_do_not_grow(monkeypatch):
     monkeypatch.setattr(solver, "solve_lp", counted)
     for block in _blocks():
         solve_fpp(block)
-    assert 0 < sum(pivots) <= 914
+    assert 0 < sum(pivots) <= 746
+    assert len(pivots) <= 178
     pivots.clear()
     for block in load_study(bundled_study_path()).hierarchy.matrices.values():
         solve_fpp(block)
-    assert 0 < sum(pivots) <= 23
+    assert 0 < sum(pivots) <= 8
+    assert len(pivots) <= 13
