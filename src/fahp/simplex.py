@@ -1,57 +1,45 @@
-"""Small dense two-phase simplex used by the feasibility subproblems.
+"""Small dense simplex used by the feasibility subproblems.
 
 Minimizes c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq, x >= 0.
-Phase 1 starts from the slack basis: an inequality row with a nonnegative
-right-hand side starts with its own slack basic, and only the equality rows
-and the inequality rows whose right-hand side was negative (and got flipped)
-get an artificial variable. The leaving row comes from Harris's two-pass
-ratio test (Math. Programming 5, 1973): pass 1 bounds the step by the
-smallest ratio with every right-hand side relaxed by a small tolerance,
-pass 2 takes the largest pivot entry among the rows within that bound, so a
-tiny entry on a row that is only at its bound by round-off is not pivoted
-on while a larger one fits. Bland's rule picks the entering column only:
-the lowest-index improving column, except that a column whose pivot entry
-would still be tiny waits until no other column can enter. Neither rule
-keeps Bland's proof that degenerate vertices cannot cycle, so a limit of
-_MAX_ITER pivots stays as a guard. Each pivot is one numpy rank-1 update of
-the tableau.
+Every LP is solved from a starting basis by one routine, _from_basis. The
+basis's basic structural columns and the rows whose slack is nonbasic form
+a square system, at most n + 2 columns for the solver's max-slack LPs,
+inverted once by numpy's LAPACK-backed `inv`. A basis that the inverse
+certifies optimal is returned with 0 pivots. From any other, the same
+inverse gives the tableau; the dual simplex (Lemke 1954) reaches primal
+feasibility, with every negative reduced cost first raised to 0 (cost
+shifting, as in Koberstein's "The dual simplex method", 2005), and the
+primal simplex finishes. The tableau's values carry the round-off of the
+pivots, so the optimal x is read off the final basis's square system, with
+two steps of iterative refinement, and is reported only once it meets the
+original rows.
 
-The phase-2 tableau keeps the artificial columns but never lets them
-enter. The starting basis (the slacks and artificials of phase 1) is the
-identity in the original rows, so those columns of the tableau hold B^-1
-for the current basis B. Each phase-2 solution gets one step of iterative
-refinement from them: the basic values move by B^-1 (b - A x), which takes
-out most of the round-off the pivots left in x. A solution is reported
-only once it meets the original rows; one that does not raises, as does a
-phase 1 that ends "unbounded", which only round-off can cause since its
-objective is bounded below by 0. A phase 1 that ends with a positive
-residual reports the LP infeasible.
+The leaving row of a primal pivot comes from Harris's two-pass ratio test
+(Math. Programming 5, 1973): pass 1 bounds the step by the smallest ratio
+with every right-hand side relaxed by a small tolerance, pass 2 takes the
+largest pivot entry among the rows within that bound, so a tiny entry on a
+row that is only at its bound by round-off is not pivoted on while a larger
+one fits. Bland's rule picks the entering column only: the lowest-index
+improving column, except that a column whose pivot entry would still be
+tiny waits until no other column can enter. Neither rule keeps Bland's
+proof that degenerate vertices cannot cycle, so a limit of _MAX_ITER pivots
+stays as a guard. Each pivot is one numpy rank-1 update of the tableau.
 
-A caller that solves a run of LPs of the same shape can pass the final
-basis of one (`LPResult.basis`) as the starting-basis hint of the next.
-Its basic structural columns and the rows whose slack is nonbasic form a
-square system, at most n + 2 columns for the solver's max-slack LPs,
-inverted once by numpy's LAPACK-backed `inv` and rejected when that
-inverse is not finite or not accurate to 1e-8. The basic values and the
-duals read from it certify the basis when every basic value is at least
--_FEAS_TOL, every reduced cost of a nonbasic column is at least -_COST_TOL
-and the solution meets the original rows; the LP then returns with 0
-pivots. Otherwise the same inverse gives the hinted basis's phase-2
-tableau, and the LP is re-optimised from there: by the primal simplex when
-the basis is primal feasible; by the dual simplex (Lemke 1954) and then
-the primal one when it is not, with every negative reduced cost first
-raised to 0 (cost shifting, as in Koberstein's "The dual simplex method",
-2005) when it is dual infeasible too. A hint of the wrong length, with a
-repeated or out-of-range column, or with a singular system runs the cold
-two-phase solve, as does a re-optimisation that ends unbounded, proves
-the LP infeasible, reaches the iteration limit or misses the original
-rows. Sized for problems with tens of rows; this is not a general-purpose
-LP library.
+Without a hint the start is the slack basis: every inequality row's slack,
+and one structural column per equality row, picked by Gauss-Jordan
+elimination with partial pivoting. An equality row that reduces to 0 = 0 is
+dropped as redundant; one that reduces to 0 = b with b nonzero makes the LP
+infeasible. A caller that solves a run of LPs of the same shape can pass
+the final basis of one (`LPResult.basis`) as the starting basis of the
+next. A hint of the wrong length, with a repeated or out-of-range column or
+with a singular system, or whose solve ends in anything but an optimum, is
+dropped for the slack basis, whose verdict is final. Sized for problems
+with tens of rows; this is not a general-purpose LP library.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,6 +63,11 @@ _SMALL_PIVOT = 1e-5
 _UNBOUNDED_TOL = 1e-7
 # Pivots per call of _iterate or _dual_iterate before it gives up.
 _MAX_ITER = 10_000
+# How far inv @ M may be off the identity: for a starting basis, whose
+# inverse builds the tableau, and for the final basis, whose inverse only
+# refines a solution that must then meet the rows.
+_START_INV_TOL = 1e-8
+_FINAL_INV_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -82,10 +75,10 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float | None
-    pivots: int  # simplex pivots of both phases
+    pivots: int  # simplex pivots of the dual and primal simplex
     # basic columns of the final tableau, structural then slack numbering
     # (slack of inequality row r is column n + r); None when not optimal or
-    # when phase 1 dropped a redundant row
+    # when a redundant equality row was dropped
     basis: tuple[int, ...] | None = None
 
 
@@ -123,16 +116,15 @@ def _ratio_row(tableau: np.ndarray, basis: list[int], col: int) -> int:
     return top[0] if len(top) == 1 else min(top, key=basis.__getitem__)
 
 
-def _iterate(tableau: np.ndarray, basis: list[int], enter: int) -> tuple[str, int]:
+def _iterate(tableau: np.ndarray, basis: list[int]) -> tuple[str, int]:
     """Run simplex pivots until optimal or unbounded; return the status and
     the number of pivots taken.
 
-    Only the columns below `enter` may enter the basis. The entering column
-    is the lowest-index improving one (Bland's rule) whose pivot entry is at
-    least _SMALL_PIVOT; a column with a smaller one enters only when no
-    other column can.
+    The entering column is the lowest-index improving one (Bland's rule)
+    whose pivot entry is at least _SMALL_PIVOT; a column with a smaller one
+    enters only when no other column can.
     """
-    costs = tableau[-1, :enter]
+    costs = tableau[-1, :-1]
     for pivots in range(_MAX_ITER):
         small = None
         for j in (costs < -_COST_TOL).nonzero()[0].tolist():
@@ -159,9 +151,9 @@ def _price(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
     tableau[-1] = cost - cost[basis] @ tableau[:-1]
 
 
-def _inverse(mat: np.ndarray) -> np.ndarray | None:
+def _inverse(mat: np.ndarray, tol: float) -> np.ndarray | None:
     """Inverse of a small square matrix, or None when it is singular or so
-    ill-conditioned that inv @ mat is off the identity by more than 1e-8."""
+    ill-conditioned that inv @ mat is off the identity by more than tol."""
     try:
         inv = np.linalg.inv(mat)
     except np.linalg.LinAlgError:
@@ -170,7 +162,7 @@ def _inverse(mat: np.ndarray) -> np.ndarray | None:
         return None
     with np.errstate(all="ignore"):  # an overflow fails the check below
         off = np.abs(inv @ mat - np.eye(len(mat))).max(initial=0.0)
-    return inv if off <= 1e-8 else None
+    return inv if off <= tol else None
 
 
 def _dual_iterate(tableau: np.ndarray, basis: list[int]) -> tuple[str, int]:
@@ -202,73 +194,87 @@ def _dual_iterate(tableau: np.ndarray, basis: list[int]) -> tuple[str, int]:
     raise RuntimeError("simplex iteration limit exceeded")
 
 
-def _certify(c, a_ub, b_ub, a_eq, b_eq, basic: np.ndarray):
-    """Solve the LP's basis whose columns are flagged in `basic` from its
-    square system: (the basic structural columns S, the tight rows T, M^-1,
-    and the basis's solution x when the basis is optimal, else None), or
-    None when M is singular.
+def _square(a_ub, b_ub, a_eq, b_eq, basic: np.ndarray, tol: float):
+    """The square system of the basis whose columns are flagged in `basic`:
+    (the basic structural columns S, the tight rows T, the rows A[T], b_T,
+    M = A[T, S] and M^-1), or None when M^-1 is off by more than tol.
 
     The tight rows are the inequality rows whose slack is nonbasic and every
-    equality row; M = A[T, S], and every other basic column is a slack.
-    x_S = M^-1 b_T, refined once, and the duals y = c_S M^-1 give the
-    reduced costs c - y A[T] of the structural columns and -y of the tight
-    rows' slacks. The basis is optimal when every x_S and reduced cost is
-    above its tolerance and x meets the rows.
+    equality row; every basic column outside S is a slack.
     """
-    n = c.size
+    n = a_ub.shape[1]
     struct = basic[:n].nonzero()[0]
     tight = (~basic[n:]).nonzero()[0]
     rows = np.vstack([a_ub[tight], a_eq])
     rhs = np.concatenate([b_ub[tight], b_eq])
     mat = rows[:, struct]
-    inv = _inverse(mat)
-    if inv is None:
-        return None
+    inv = _inverse(mat, tol)
+    return None if inv is None else (struct, tight, rows, rhs, mat, inv)
+
+
+def _solution(n: int, struct, rhs, mat, inv, steps: int):
+    """x_S = M^-1 b_T with `steps` steps of iterative refinement, as the
+    refined basic values and as the full x (those values clipped at 0)."""
     xs = inv @ rhs
-    xs += inv @ (rhs - mat @ xs)
+    for _ in range(steps):
+        xs += inv @ (rhs - mat @ xs)
+    x = np.zeros(n)
+    x[struct] = np.clip(xs, 0.0, None)
+    return xs, x
+
+
+def _certify(c, a_ub, b_ub, a_eq, b_eq, square) -> np.ndarray | None:
+    """The solution of the basis whose square system (from _square) is
+    `square` when that basis is optimal, else None.
+
+    x_S = M^-1 b_T, refined once, and the duals y = c_S M^-1 give the
+    reduced costs c - y A[T] of the structural columns and -y of the tight
+    rows' slacks. The basis is optimal when every x_S and reduced cost is
+    above its tolerance and x meets the rows.
+    """
+    struct, tight, rows, rhs, mat, inv = square
+    xs, x = _solution(c.size, struct, rhs, mat, inv, 1)
     y = c[struct] @ inv
     if (
         xs.min(initial=0.0) >= -_FEAS_TOL
         and (c - y @ rows).min(initial=0.0) >= -_COST_TOL
         and y[: len(tight)].max(initial=0.0) <= _COST_TOL
+        and _satisfies(a_ub, b_ub, a_eq, b_eq, x)
     ):
-        x = np.zeros(n)
-        x[struct] = np.clip(xs, 0.0, None)
-        if _satisfies(a_ub, b_ub, a_eq, b_eq, x):
-            return struct, tight, inv, x
-    return struct, tight, inv, None
+        return x
+    return None
 
 
-def _warm(c, a_ub, b_ub, a_eq, b_eq, hint) -> LPResult | None:
-    """The optimal solution reached from the basis `hint`, or None when the
-    hint is unusable or its re-optimisation fails.
+def _from_basis(c, a_ub, b_ub, a_eq, b_eq, start) -> LPResult | None:
+    """Solve the LP from the basis `start`: "optimal", "infeasible" or
+    "unbounded", or None when the start is unusable or no solution that
+    meets the rows can be read off the final basis.
 
-    A hint that _certify finds optimal is returned with 0 pivots. Any other
-    nonsingular hint gets its tableau from the same inverse: the rows of the
+    A start that _certify finds optimal is returned with 0 pivots. Any other
+    nonsingular start gets its tableau from the same inverse: the rows of the
     basic structurals are M^-1 [A_T | I_T | b_T], those of the basic slacks
     [A_N | I_N | b_N] - A[N, S] M^-1 [A_T | I_T | b_T]. From a primal
-    feasible basis the primal simplex finishes; from a dual feasible one the
-    dual simplex reaches primal feasibility first. When the basis is
-    neither, each negative reduced cost is raised to 0 for the dual simplex
-    (cost shifting), and the true costs are restored before the primal
-    simplex. The solution is read off the final basis by _certify, as a
-    hint's is: the tableau's values carry the round-off of the pivots.
+    feasible basis the primal simplex finishes; from any other the dual
+    simplex reaches primal feasibility first, with each negative reduced
+    cost raised to 0 (cost shifting) and the true costs restored before the
+    primal simplex.
     """
     n, m_ub = c.size, b_ub.size
     m = m_ub + b_eq.size
-    cols = sorted(set(hint))
-    if len(hint) != m or len(cols) != m:
+    cols = sorted(set(start))
+    if len(start) != m or len(cols) != m:
         return None
     if cols and not (0 <= cols[0] and cols[-1] < n + m_ub):
         return None
     basic = np.zeros(n + m_ub, dtype=bool)
     basic[cols] = True
-    found = _certify(c, a_ub, b_ub, a_eq, b_eq, basic)
-    if found is None:
+    square = _square(a_ub, b_ub, a_eq, b_eq, basic, _START_INV_TOL)
+    if square is None:
         return None
-    struct, tight, inv, x = found
+    x = _certify(c, a_ub, b_ub, a_eq, b_eq, square)
     if x is not None:
-        return LPResult("optimal", x, float(c @ x), 0, tuple(hint))
+        return LPResult("optimal", x, float(c @ x), 0, tuple(start))
+    struct, tight, _, _, _, inv = square
 
     # the rows [A | slacks | b]; an equality row has no slack and is tight
     ncols = n + m_ub
@@ -286,29 +292,55 @@ def _warm(c, a_ub, b_ub, a_eq, b_eq, hint) -> LPResult | None:
     cost[:n] = c
     _price(tableau, basis, cost)
     pivots = 0
-    try:
-        if tableau[:-1, -1].min(initial=0.0) < -_FEAS_TOL:
-            costs = tableau[-1, :ncols]
-            shifted = costs.min(initial=0.0) < -_COST_TOL
-            if shifted:
-                np.maximum(costs, 0.0, out=costs)
-            status, pivots = _dual_iterate(tableau, basis)
-            if status != "feasible":
-                return None
-            if shifted:
-                _price(tableau, basis, cost)
-        status, more = _iterate(tableau, basis, ncols)
-    except RuntimeError:  # the iteration limit
-        return None
-    if status != "optimal":
-        return None
+    if tableau[:-1, -1].min(initial=0.0) < -_FEAS_TOL:
+        costs = tableau[-1, :ncols]
+        shifted = costs.min(initial=0.0) < -_COST_TOL
+        if shifted:
+            np.maximum(costs, 0.0, out=costs)
+        status, pivots = _dual_iterate(tableau, basis)
+        if status == "infeasible":
+            return LPResult("infeasible", None, None, pivots)
+        if shifted:
+            _price(tableau, basis, cost)
+    status, more = _iterate(tableau, basis)
+    pivots += more
+    if status == "unbounded":
+        return LPResult("unbounded", None, None, pivots)
     basic[:] = False
     basic[basis] = True
-    found = _certify(c, a_ub, b_ub, a_eq, b_eq, basic)
-    if found is None or found[3] is None:
+    square = _square(a_ub, b_ub, a_eq, b_eq, basic, _FINAL_INV_TOL)
+    if square is None:
         return None
-    x = found[3]
-    return LPResult("optimal", x, float(c @ x), pivots + more, tuple(basis))
+    struct, _, _, rhs, mat, inv = square
+    x = _solution(n, struct, rhs, mat, inv, 2)[1]
+    if not _satisfies(a_ub, b_ub, a_eq, b_eq, x):
+        return None
+    return LPResult("optimal", x, float(c @ x), pivots, tuple(basis))
+
+
+def _slack_basis(a_eq: np.ndarray, b_eq: np.ndarray, m_ub: int):
+    """The cold start: (the slack basis, the equality rows it keeps), or
+    None when an equality row reduces to 0 = b with b nonzero.
+
+    Gauss-Jordan elimination with partial pivoting over the equality rows in
+    order picks for each the structural column of its largest entry; a row
+    whose entries all reduce below _PIVOT_TOL is dropped. Every inequality
+    row's slack is basic too.
+    """
+    n = a_eq.shape[1]
+    system = np.hstack([a_eq, b_eq[:, None]])
+    struct, keep = [], []
+    for r, row in enumerate(system):
+        col = int(np.abs(row[:n]).argmax())
+        if abs(row[col]) <= _PIVOT_TOL:
+            if abs(row[-1]) > _FEAS_TOL:
+                return None
+            continue
+        row /= row[col]
+        system[r + 1 :] -= system[r + 1 :, col, None] * row
+        struct.append(col)
+        keep.append(r)
+    return struct + list(range(n, n + m_ub)), keep
 
 
 def _satisfies(a_ub, b_ub, a_eq, b_eq, x: np.ndarray) -> bool:
@@ -332,28 +364,29 @@ def solve_lp(
     *,
     basis=None,
 ) -> LPResult:
-    """Two-phase dense simplex.
+    """Dense simplex from a starting basis.
 
     Args:
         c: objective coefficients, length n (minimized).
         a_ub, b_ub: inequality rows A_ub @ x <= b_ub.
         a_eq, b_eq: equality rows A_eq @ x = b_eq.
-        basis: optional starting-basis hint, the `basis` of an earlier
-            LPResult of an LP with the same shape. When it is optimal for
-            this LP it is returned with 0 pivots; when it is any other
-            nonsingular basis, the LP is re-optimised from it by the dual
-            and primal simplex. An unusable hint, or a re-optimisation
-            that fails, leaves the cold two-phase solve (and its pivot
-            count) as without a hint.
+        basis: optional starting basis, the `basis` of an earlier LPResult
+            of an LP with the same shape. When it is optimal for this LP it
+            is returned with 0 pivots; when it is any other nonsingular
+            basis, the LP is re-optimised from it by the dual and primal
+            simplex. An unusable hint, or a solve from it that ends in
+            anything but an optimum, leaves the solve from the slack basis
+            (and its pivot count) as without a hint.
 
     Returns:
         LPResult with status "optimal" (x, objective and basis set),
         "infeasible", or "unbounded", and the number of pivots it took.
 
     Raises:
-        RuntimeError: when round-off defeats the cold solve (a phase 1 that
-            ends "unbounded", or a refined solution that misses the
-            original rows) or a phase takes more than _MAX_ITER pivots.
+        RuntimeError: when round-off defeats the solve from the slack basis
+            (its system is singular to round-off, or the solution read off
+            its final basis misses the original rows) or the dual or primal
+            simplex takes more than _MAX_ITER pivots.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -364,70 +397,18 @@ def solve_lp(
     if a_ub.shape != (b_ub.size, n) or a_eq.shape != (b_eq.size, n):
         raise ValueError("constraint shapes do not match the objective length")
     if basis is not None:
-        warm = _warm(c, a_ub, b_ub, a_eq, b_eq, basis)
-        if warm is not None:
+        try:
+            warm = _from_basis(c, a_ub, b_ub, a_eq, b_eq, basis)
+        except RuntimeError:  # the iteration limit
+            warm = None
+        if warm is not None and warm.status == "optimal":
             return warm
 
-    m_ub, m_eq = b_ub.size, b_eq.size
-    m = m_ub + m_eq
-    ncols = n + m_ub  # structural + slack columns
-    rows = np.zeros((m, ncols))
-    rhs = np.zeros(m)
-    rows[:m_ub, :n] = a_ub
-    rows[:m_ub, n:] = np.eye(m_ub)
-    rhs[:m_ub] = b_ub
-    rows[m_ub:, :n] = a_eq
-    rhs[m_ub:] = b_eq
-    flip = rhs < 0
-    rows[flip] *= -1.0
-    rhs[flip] *= -1.0
-
-    # phase 1: an inequality row that kept its sign starts with its own slack
-    # basic; every other row gets an artificial, and their sum is minimized
-    art_rows = flip[:m_ub].nonzero()[0].tolist() + list(range(m_ub, m))
-    system = np.hstack([rows, np.eye(m)[:, art_rows], rhs[:, None]])
-    tableau = np.vstack([system, np.zeros(system.shape[1])])
-    init = list(range(n, n + m))  # row r's slack is column n + r
-    for j, r in enumerate(art_rows):
-        init[r] = ncols + j
-    basis = init.copy()
-    cost = np.repeat([0.0, 1.0, 0.0], [ncols, len(art_rows), 1])
-    _price(tableau, basis, cost)
-    status, pivots = _iterate(tableau, basis, ncols + len(art_rows))
-    if status != "optimal":  # phase 1 is bounded below by 0: round-off
-        raise RuntimeError(f"phase-1 simplex ended with status {status!r}")
-    if -tableau[m, -1] > _FEAS_TOL:
-        return LPResult("infeasible", None, None, pivots)
-
-    # drive any artificial still basic (at level ~0) out of the basis
-    for r in range(m):
-        if basis[r] >= ncols:
-            piv = next(
-                (j for j in range(ncols) if abs(tableau[r, j]) > _PIVOT_TOL), None
-            )
-            if piv is not None:
-                _pivot(tableau, basis, r, piv)
-                pivots += 1
-
-    # Drop the redundant rows. The artificial columns stay, never to enter:
-    # with those of the slack start they make up the columns `init`, where
-    # the system holds the identity and the tableau therefore B^-1.
-    keep = [r for r in range(m) if basis[r] < ncols]
-    basis = [basis[r] for r in keep]
-    tableau = tableau[keep + [m]]
-    cost = np.zeros(system.shape[1])
-    cost[:n] = c
-    _price(tableau, basis, cost)
-    status, more = _iterate(tableau, basis, ncols)
-    pivots += more
-    if status == "unbounded":
-        return LPResult("unbounded", None, None, pivots)
-    # one step of iterative refinement: x_B += B^-1 (b - A x)
-    x = np.zeros(ncols)
-    x[basis] = tableau[:-1, -1]
-    x[basis] += tableau[:-1, init] @ (rhs - system[:, :ncols] @ x)
-    x = np.clip(x[:n], 0.0, None)
-    if not _satisfies(a_ub, b_ub, a_eq, b_eq, x):
+    cold = _slack_basis(a_eq, b_eq, b_ub.size)
+    if cold is None:
+        return LPResult("infeasible", None, None, 0)
+    start, keep = cold
+    res = _from_basis(c, a_ub, b_ub, a_eq[keep], b_eq[keep], start)
+    if res is None:
         raise RuntimeError("simplex round-off: the solution violates its constraints")
-    final = tuple(basis) if len(basis) == m else None
-    return LPResult("optimal", x, float(c @ x), pivots, final)
+    return res if len(keep) == b_eq.size else replace(res, basis=None)

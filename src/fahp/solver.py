@@ -21,10 +21,10 @@ of a block differ only in their coefficients, so each later one starts from
 the final basis of the one before. solve_lp certifies a starting basis from
 a small square system when it is optimal, and returns without a pivot, and
 otherwise re-optimises from it with the dual and primal simplex. Where the
-least-squares weights miss a hard side, or the modes are consistent, a cold
-LP at lambda_cap (the probe) comes first, and an iteration that reaches
-lambda_cap ends with it. Only the probe, and a basis that cannot be used,
-are solved cold.
+least-squares weights miss a hard side, or the modes are consistent, an LP
+at lambda_cap (the probe) comes first, and an iteration that reaches
+lambda_cap ends with it. Only the probe, and an LP whose hint cannot be
+used, start from solve_lp's slack basis.
 A side with zero spread (m == l or u == m) is a hard bound on the ratio, a
 constraint that does not depend on lambda. The reported lambda is
 lambda_at(weights); lambda >= 0 certifies that some weight vector lies
@@ -156,28 +156,17 @@ def _max_slack(
 
     Solves max t subject to rows_k @ w + t * scale_k <= 0 for every row,
     sum w = 1, w >= weight_floor. With a unit scale t >= 0 exactly when
-    every row can hold.
-
-    The LP is posed in v = w - weight_floor, which leaves the right-hand
-    side -weight_floor * rows_k.sum() on each row, about half of them
-    negative. t is free and every row with scale_k > 0 carries it, so it is
-    solved for t + theta instead, with theta the least shift that makes all
-    of those right-hand sides nonnegative: each such row then starts the
-    simplex with its own slack basic, and only the equality row and the
-    hard (zero-scale) rows with a negative right-hand side need phase 1.
+    every row can hold. The LP is posed in v = w - weight_floor, which
+    leaves the right-hand side -weight_floor * rows_k.sum() on each row.
     """
     k, n = rows.shape
     eps = config.weight_floor
-    # variables: v = w - eps (n), then t + theta = tp - tn split into
-    # nonnegatives
+    # variables: v = w - eps (n), then t = tp - tn split into nonnegatives
     a_ub = np.zeros((k, n + 2))
     a_ub[:, :n] = rows
     a_ub[:, n] = scale
     a_ub[:, n + 1] = -scale
     b_ub = -eps * rows.sum(axis=1)
-    soft = scale > 0
-    theta = float((-b_ub[soft] / scale[soft]).max(initial=0.0))
-    b_ub += theta * scale
     a_eq = np.zeros((1, n + 2))
     a_eq[0, :n] = 1.0
     b_eq = np.array([1.0 - n * eps])
@@ -189,7 +178,7 @@ def _max_slack(
         return None
     if res.status != "optimal":
         raise RuntimeError(f"max-slack subproblem unexpectedly {res.status}")
-    t = float(res.x[n] - res.x[n + 1]) - theta
+    t = float(res.x[n] - res.x[n + 1])
     w = res.x[:n] + eps
     return t, w / w.sum(), res.basis
 
@@ -290,11 +279,16 @@ def feasible_at(
     or None when that level is unattainable.
 
     The vector returned is the max-slack one, i.e. the deepest interior
-    point of the feasible region at that lambda.
+    point of the feasible region at that lambda. No vector meets a level
+    above 1, full membership. Raises ValueError when lam is not finite.
     """
     cfg = config or SolverConfig()
     validate_matrix(matrix)
     _check_floor(matrix, cfg)
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
+    if lam > 1.0:
+        return None
     base, spread, _ = _sides(matrix)
     t, w, _ = _max_slack(base + lam * spread, np.ones(len(base)), cfg)
     if t < -_SLACK_FEAS_TOL:
@@ -310,19 +304,27 @@ def _raise_conflict(
     cfg: SolverConfig,
 ) -> None:
     """Raise InfeasibleJudgmentsError for the hard sides (flagged in `hard`)
-    that cannot all hold, naming the pairs whose sides the max-slack vector
-    over them violates."""
-    rows = base[hard]
-    _, w, _ = _max_slack(rows, np.ones(len(rows)), cfg)
-    hard_pairs = [p for p, h in zip(pairs, hard) if h]
-    violated = list(
-        dict.fromkeys(p for p, a in zip(hard_pairs, rows @ w) if a > _SLACK_FEAS_TOL)
-    )
-    listing = ", ".join(f"({r}, {c})" for r, c in violated) or "unknown"
+    that cannot all hold, naming the pairs of an irreducible subset of them.
+
+    The subset comes from a deletion filter (Chinneck and Dravnieks, ORSA J.
+    Computing 3, 1991) over the hard sides in judgment order: each side is
+    dropped when the rest still cannot all hold, that is when their best
+    slack with a unit scale is below -_SLACK_FEAS_TOL. The verdicts do not
+    depend on the order of the items, so neither do the named pairs.
+    """
+    keep = hard.nonzero()[0].tolist()
+    for side in list(keep):
+        rest = [k for k in keep if k != side]
+        if not rest:
+            continue
+        if _max_slack(base[rest], np.ones(len(rest)), cfg)[0] < -_SLACK_FEAS_TOL:
+            keep = rest
+    conflict = list(dict.fromkeys(pairs[k] for k in keep))
+    listing = ", ".join(f"({r}, {c})" for r, c in conflict)
     raise InfeasibleJudgmentsError(
         f"matrix {matrix.parent!r}: no weight vector meets the zero-spread "
-        f"judgment bounds; violated pairs: {listing}",
-        pairs=violated,
+        f"judgment bounds; conflicting pairs: {listing}",
+        pairs=conflict,
     )
 
 
@@ -334,7 +336,8 @@ def _probe(
     hard: np.ndarray,
     cfg: SolverConfig,
 ) -> tuple[float, np.ndarray, tuple[int, ...] | None]:
-    """The max-slack LP at lambda_cap, solved cold: (slack, weights, basis).
+    """The max-slack LP at lambda_cap, solved from the slack basis: (slack,
+    weights, basis).
     Every soft side is slacked with a unit scale and the hard sides are held
     as constraints, unless nothing else bounds the slack; a slack of at least
     -_SLACK_FEAS_TOL means lambda_cap is attainable. Raises

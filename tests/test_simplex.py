@@ -1,11 +1,14 @@
-"""The in-repo two-phase simplex, cross-checked against scipy.optimize.linprog."""
+"""The in-repo simplex, cross-checked against scipy.optimize.linprog."""
 
 import collections
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from fahp import simplex, solve_fpp, solver
@@ -355,7 +358,8 @@ def test_hints_of_perturbed_lps_reach_the_cold_optimum(rng):
             kinds[cold.status] += 1
             continue
         args = [moved[key] for key in ("c", "a_ub", "b_ub", "a_eq", "b_eq")]
-        assert simplex._warm(*args, first.basis) is not None
+        warm = simplex._from_basis(*args, first.basis)
+        assert warm is not None and warm.status == "optimal"
         _reaches_the_cold_optimum(moved, first.basis)
         kinds[_kind(*args, first.basis)] += 1
     assert min(kinds[k] for k in ("optimal", "primal", "dual", "neither")) >= 10
@@ -369,3 +373,65 @@ def test_infeasible_lp_with_a_hint_reports_infeasible():
         res = solve_lp(**lp, basis=hint)
         assert res.status == "infeasible"
         assert res.basis is None
+
+
+def _max_slack_lp(n, sides, floor=1e-6):
+    """The LP solver._max_slack poses: max t subject to rows @ w + t * scale
+    <= 0 and sum w = 1 over v = w - floor, with t = tp - tn. Each side
+    (r, c, upper, q, scale) is the row w_r - q w_c <= 0 when `upper`, else
+    q w_c - w_r <= 0; a hard side has scale 0."""
+    rows, scale = np.zeros((len(sides), n)), np.zeros(len(sides))
+    for i, (r, c, upper, q, s) in enumerate(sides):
+        sign = 1.0 if upper else -1.0
+        rows[i, r], rows[i, c], scale[i] = sign, -sign * q, s
+    a_eq = np.zeros((1, n + 2))
+    a_eq[0, :n] = 1.0
+    return dict(
+        c=np.concatenate([np.zeros(n), [-1.0, 1.0]]),
+        a_ub=np.column_stack([rows, scale, -scale]),
+        b_ub=-floor * rows.sum(axis=1),
+        a_eq=a_eq,
+        b_eq=[1.0 - n * floor],
+    )
+
+
+@st.composite
+def max_slack_lps(draw):
+    """A max-slack LP of 2-8 weights whose sides have ratios in [1/9, 9],
+    about a fifth of them hard, and the same LP with every ratio and scale
+    moved by up to 10 %."""
+    n = draw(st.integers(2, 8))
+    sides, moved = [], []
+    for _ in range(draw(st.integers(1, 3 * n))):
+        r = draw(st.integers(0, n - 1))
+        c = (r + draw(st.integers(1, n - 1))) % n
+        upper = draw(st.booleans())
+        q = math.exp(draw(st.floats(-math.log(9), math.log(9))))
+        scale = 0.0 if draw(st.integers(0, 4)) == 0 else draw(st.floats(0.01, 5.0))
+        dq, ds = (math.exp(draw(st.floats(-0.1, 0.1))) for _ in range(2))
+        sides.append((r, c, upper, q, scale))
+        moved.append((r, c, upper, q * dq, scale * ds))
+    return _max_slack_lp(n, sides), _max_slack_lp(n, moved)
+
+
+HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+# HiGHS's default feasibility tolerance of 1e-7 accepts a row missed by
+# 6e-8, far outside solve_lp's 1e-9.
+HIGHS_TOLERANCES = dict(primal_feasibility_tolerance=1e-10,
+                        dual_feasibility_tolerance=1e-10)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(max_slack_lps())
+def test_max_slack_lps_agree_with_highs(lps):
+    # Solved cold, and from the final basis of a perturbed copy as the
+    # solver's consecutive LPs are, each LP has HiGHS's status and, when
+    # optimal, its objective within 1e-9 (1 + |objective|).
+    lp, moved = lps
+    ref = linprog(lp["c"], A_ub=lp["a_ub"], b_ub=lp["b_ub"], A_eq=lp["a_eq"],
+                  b_eq=lp["b_eq"], method="highs", options=HIGHS_TOLERANCES)
+    hint = solve_lp(**moved).basis
+    for res in (solve_lp(**lp), solve_lp(**lp, basis=hint)):
+        assert res.status == HIGHS_STATUS[ref.status]
+        if res.status == "optimal":
+            assert abs(res.objective - ref.fun) <= 1e-9 * (1.0 + abs(ref.fun))

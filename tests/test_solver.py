@@ -236,6 +236,17 @@ def test_feasible_at_brackets_the_optimum():
     assert lambda_at(CYCLIC, below) >= res.lambda_ - 0.05 - 1e-9
 
 
+def test_feasible_at_rejects_levels_no_vector_meets():
+    # Membership is at most 1, so a level above it is unattainable without
+    # an LP; a level that is not a number is the caller's error.
+    assert feasible_at(CONSISTENT3, 1.0) is not None
+    assert feasible_at(CONSISTENT3, 1.0 + 1e-9) is None
+    assert feasible_at(CYCLIC, 1e12) is None
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            feasible_at(CYCLIC, lam)
+
+
 def test_infeasible_solver_config_rejected():
     with pytest.raises(ValueError):
         SolverConfig(weight_floor=-1e-6)

@@ -153,10 +153,10 @@ def test_solution_is_permutation_equivariant():
 
 
 def test_max_slack_reports_the_unshifted_slack():
-    # _max_slack solves for t + theta, so that its LP starts feasible, and
-    # reports t. On the bundled blocks, t must be HiGHS's optimum on the same
-    # rows: at lambda_cap with a unit scale, and at the solved lambda with
-    # the Dinkelbach scale D_i(w). The shift is 2.5e-6 to 1.5e-4 there.
+    # On the bundled blocks, the slack t that _max_slack reports must be
+    # HiGHS's optimum on the same rows: at lambda_cap with a unit scale, and
+    # at the solved lambda with the Dinkelbach scale D_i(w). (It once solved
+    # for t + theta, a shift of 2.5e-6 to 1.5e-4 there, and subtracted it.)
     cfg = solver.SolverConfig()
     for block in load_study(bundled_study_path()).hierarchy.matrices.values():
         base, spread, _ = solver._sides(block)
@@ -208,10 +208,10 @@ def test_roundoff_blocks_solve_to_the_optimum(name, tmp_path):
 # refinement step, the solutions missed a hard side by more than
 # membership's tolerance: on contradictory_101_45 lambda_at gave -inf and the
 # next LP raised, and contradictory_101_768 stopped at lambda -4213.0
-# instead of -233.9. contradictory_103_267 raises "phase-1 simplex ended
-# with status 'unbounded'" when every LP is solved cold (before the phase-1
-# rebuild was removed, "simplex round-off: the basis is singular"); each LP
-# started from its predecessor's basis solves it.
+# instead of -233.9. contradictory_103_267 raised "phase-1 simplex ended
+# with status 'unbounded'" (before that, "simplex round-off: the basis is
+# singular") when every LP was solved cold by the two-phase simplex; from
+# the slack basis it solves cold too.
 @pytest.mark.parametrize(
     "name", ["contradictory_101_45", "contradictory_101_768", "contradictory_103_267"]
 )
@@ -271,6 +271,36 @@ def test_infeasible_verdicts_agree_with_highs():
         assert raised == expected
         infeasible += expected
     assert infeasible >= 15
+
+
+def test_conflict_names_an_irreducible_set_in_either_order():
+    # On the infeasible contradictory blocks, the pairs named by
+    # InfeasibleJudgmentsError do not depend on the order of the items, their
+    # hard sides cannot all hold by HiGHS, and dropping the sides of any one
+    # named pair leaves the rest feasible.
+    rng = np.random.default_rng(101)
+    blocks = [_contradictory_block(rng) for _ in range(300)]
+    perms = np.random.default_rng(7)
+    named = 0
+    for block in blocks:
+        try:
+            solve_fpp(block)
+            continue
+        except InfeasibleJudgmentsError as exc:
+            conflict = exc.pairs
+        perm = perms.permutation(len(block.items))
+        relabel = {block.items[i]: block.items[perm[i]] for i in range(len(perm))}
+        with pytest.raises(InfeasibleJudgmentsError) as moved:
+            solve_fpp(_permuted(block, perm))
+        assert moved.value.pairs == tuple((relabel[r], relabel[c]) for r, c in conflict)
+        base, spread, pairs = solver._sides(block)
+        sides = [k for k in (~spread.any(axis=1)).nonzero()[0] if pairs[k] in conflict]
+        assert _highs_slack(base[sides], np.ones(len(sides))) < 0.0
+        for pair in conflict:
+            rest = [k for k in sides if pairs[k] != pair]
+            assert _highs_slack(base[rest], np.ones(len(rest))) >= -1e-11
+        named += 1
+    assert named >= 15
 
 
 # Blocks of a seeded sweep: for each rng seed, 300 blocks drawn with
@@ -348,9 +378,9 @@ def _warm_cold_blocks():
                 judgments=block.judgments,
             )
         )
-    # not contradictory_103_267, whose cold solve raises "phase-1 simplex
-    # ended with status 'unbounded'"
-    for name in ("contradictory_101_45", "contradictory_101_768"):
+    for name in (
+        "contradictory_101_45", "contradictory_101_768", "contradictory_103_267"
+    ):
         blocks.append(load_study(FIXTURES / f"{name}.json").hierarchy.matrices["goal"])
     return blocks
 
@@ -361,16 +391,21 @@ def test_warm_start_agrees_with_cold_solves(monkeypatch):
     # out the same. Some hint must have been certified as optimal and some
     # re-optimised from its own tableau, or a warm path would be dead code.
     blocks = _warm_cold_blocks()
-    warm_lp, reached = simplex._warm, collections.Counter()
+    from_basis, hints, reached = simplex._from_basis, [None], collections.Counter()
+
+    def hinting(*args, basis=None, **kwargs):
+        hints[0] = basis
+        return solve_lp(*args, basis=basis, **kwargs)
 
     def counting(*args):
-        res = warm_lp(*args)
-        if res is not None:
+        res = from_basis(*args)
+        if args[-1] is hints[0] and res is not None and res.status == "optimal":
             reached["reoptimised" if res.pivots else "certified"] += 1
         return res
 
     with monkeypatch.context() as patch:
-        patch.setattr(simplex, "_warm", counting)
+        patch.setattr(solver, "solve_lp", hinting)
+        patch.setattr(simplex, "_from_basis", counting)
         warm = [solve_fpp(block) for block in blocks]
     assert reached["certified"] > 0 and reached["reoptimised"] > 0
 
@@ -400,7 +435,9 @@ def test_pivot_counts_do_not_grow(monkeypatch):
     # they were 3,123 and 143 (3,109 at -1e-9). Without the shift (phase 1
     # from the slack basis, Harris's ratio test) they were 5,761 and 183; an
     # artificial in every row and the plain minimum-ratio test took 12,206
-    # and 308.
+    # and 308. Each of these counts comes from the two-phase simplex for
+    # the cold LPs; with those started from the slack basis by the dual and
+    # primal simplex, the sums went from 746 and 8 to 688 and 7.
     pivots = []
 
     def counted(*args, **kwargs):
@@ -411,10 +448,10 @@ def test_pivot_counts_do_not_grow(monkeypatch):
     monkeypatch.setattr(solver, "solve_lp", counted)
     for block in _blocks():
         solve_fpp(block)
-    assert 0 < sum(pivots) <= 746
+    assert 0 < sum(pivots) <= 688
     assert len(pivots) <= 178
     pivots.clear()
     for block in load_study(bundled_study_path()).hierarchy.matrices.values():
         solve_fpp(block)
-    assert 0 < sum(pivots) <= 8
+    assert 0 < sum(pivots) <= 7
     assert len(pivots) <= 13
