@@ -1,29 +1,36 @@
 """Small dense simplex used by the feasibility subproblems.
 
-Minimizes c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq, x >= 0.
-Every LP is solved from a starting basis by one routine, _from_basis. The
-basis's basic structural columns and the rows whose slack is nonbasic form
-a square system, at most n + 2 columns for the solver's max-slack LPs,
-inverted once by numpy's LAPACK-backed `inv`. A basis that the inverse
-certifies optimal is returned with 0 pivots. From any other, the same
-inverse gives the tableau; the dual simplex (Lemke 1954) reaches primal
-feasibility, with every negative reduced cost first raised to 0 (cost
-shifting, as in Koberstein's "The dual simplex method", 2005), and the
-primal simplex finishes. The tableau's values carry the round-off of the
-pivots, so the optimal x is read off the final basis's square system, with
-two steps of iterative refinement, and is reported only once it meets the
-original rows.
+Minimizes c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq, x >= 0, in
+the active-set form of the simplex method (Gill, Murray and Wright,
+"Numerical Linear Algebra and Optimization", 1991). Each column of the
+standard form is read as a constraint: structural column j as -x_j <= 0,
+the slack of inequality row r as that row. A basis's nonbasic columns are
+its active constraints, and with every equality row they make the working
+set: one n x n matrix B (n + 2 columns for the solver's max-slack LPs)
+whose inverse comes once from numpy's LAPACK-backed `inv`. B^-1 gives the
+vertex x = B^-1 b_W, the slack h - G x of every constraint (the basic
+values) and the reduced costs d = -c B^-1 of the nonbasic columns, which
+are the LP's duals. A pivot swaps one row of B for another and updates
+B^-1 by one rank-1 (Sherman-Morrison) step.
 
-The leaving row of a primal pivot comes from Harris's two-pass ratio test
-(Math. Programming 5, 1973): pass 1 bounds the step by the smallest ratio
-with every right-hand side relaxed by a small tolerance, pass 2 takes the
-largest pivot entry among the rows within that bound, so a tiny entry on a
-row that is only at its bound by round-off is not pivoted on while a larger
-one fits. Bland's rule picks the entering column only: the lowest-index
-improving column, except that a column whose pivot entry would still be
-tiny waits until no other column can enter. Neither rule keeps Bland's
-proof that degenerate vertices cannot cycle, so a limit of _MAX_ITER pivots
-stays as a guard. Each pivot is one numpy rank-1 update of the tableau.
+One loop re-optimises from any basis. While a basic value is below
+-_FEAS_TOL it takes a dual pivot (Lemke 1954) on the most negative one;
+when a run of dual pivots starts with a negative reduced cost, every
+negative one is first raised to 0 (cost shifting, as in Koberstein's "The
+dual simplex method", 2005). Otherwise it takes a primal pivot on the true
+costs, or stops at the optimum: a start that needs no pivot is certified
+as it stands. The entering column of a primal pivot is Bland's lowest-index
+improving one, except that a column whose pivot entry would be tiny waits
+until no other column can enter. The leaving column comes from Harris's
+two-pass ratio test (Math. Programming 5, 1973): pass 1 bounds the step by
+the smallest ratio with every basic value relaxed by a small tolerance,
+pass 2 takes the largest pivot entry among the columns within that bound,
+so a tiny entry on a row that is only at its bound by round-off is not
+pivoted on while a larger one fits. The dual ratio test is its mirror
+image over the reduced costs. Neither rule keeps Bland's proof that
+degenerate vertices cannot cycle, so pivot limits stay as guards. The
+optimal x is refined twice on B and is reported only once it meets the
+original rows.
 
 Without a hint the start is the slack basis: every inequality row's slack,
 and one structural column per equality row, picked by Gauss-Jordan
@@ -32,9 +39,9 @@ dropped as redundant; one that reduces to 0 = b with b nonzero makes the LP
 infeasible. A caller that solves a run of LPs of the same shape can pass
 the final basis of one (`LPResult.basis`) as the starting basis of the
 next. A hint of the wrong length, with a repeated or out-of-range column or
-with a singular system, or whose solve ends in anything but an optimum, is
-dropped for the slack basis, whose verdict is final. Sized for problems
-with tens of rows; this is not a general-purpose LP library.
+with a singular working set, or whose solve ends in anything but an
+optimum, is dropped for the slack basis, whose verdict is final. Sized for
+problems with tens of rows; this is not a general-purpose LP library.
 """
 
 from __future__ import annotations
@@ -53,18 +60,24 @@ _PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-9
 # Harris's relaxation of each right-hand side in the first ratio pass.
 _HARRIS_DELTA = 1e-12
-# A pivot on an entry this small scales its row by the reciprocal. Taken on
-# a row that sat at its bound only by round-off, such pivots grew the
-# tableau by 1e8 and left a basis that was singular to round-off.
+# A pivot on an entry this small scales the inverse by its reciprocal. Taken
+# on a row that sat at its bound only by round-off, such pivots grew an
+# earlier tableau simplex by 1e8 and left a basis singular to round-off.
 _SMALL_PIVOT = 1e-5
 # A column whose reduced cost is below _COST_TOL but above this is float
 # dust from earlier pivots; only a decisively negative cost with no pivot
 # row proves an unbounded ray.
 _UNBOUNDED_TOL = 1e-7
-# Pivots per call of _iterate or _dual_iterate before it gives up.
+# Pivots of a solve from the slack basis before it gives up.
 _MAX_ITER = 10_000
-# How far inv @ M may be off the identity: for a starting basis, whose
-# inverse builds the tableau, and for the final basis, whose inverse only
+# Pivots per row and column of the LP before a solve from a hint gives up
+# for the slack basis. Over the rng 11-68 sweep and the contradictory blocks
+# of the solver's tests, a hinted solve took at most 78 pivots (91 rows, 12
+# columns) and at most 0.83 per row and column, where the dual simplex of a
+# tableau once cycled to _MAX_ITER from two hints.
+_HINT_PIVOTS = 2
+# How far inv @ B may be off the identity: for a starting basis, whose
+# inverse every pivot updates, and for the final basis, whose inverse only
 # refines a solution that must then meet the rows.
 _START_INV_TOL = 1e-8
 _FINAL_INV_TOL = 1e-3
@@ -75,80 +88,20 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float | None
-    pivots: int  # simplex pivots of the dual and primal simplex
-    # basic columns of the final tableau, structural then slack numbering
-    # (slack of inequality row r is column n + r); None when not optimal or
-    # when a redundant equality row was dropped
+    pivots: int  # working-set exchanges, dual and primal
+    # basic columns of the final basis in ascending order, structural then
+    # slack numbering (slack of inequality row r is column n + r); None when
+    # not optimal or when a redundant equality row was dropped
     basis: tuple[int, ...] | None = None
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    # One rank-1 update. Each entry gets a - f * p, as it did in a loop over
-    # the rows; a row with f = 0 keeps its values.
-    tableau -= factors[:, None] * tableau[row]
-    basis[row] = col
-
-
-def _ratio_row(tableau: np.ndarray, basis: list[int], col: int) -> int:
-    """Leaving row for the entering column, or -1 when no entry is positive.
-
-    Harris's two-pass test. Pass 1 clips each right-hand side at 0 and bounds
-    the step by min((rhs + delta) / a) over the entries a > _PIVOT_TOL. Pass
-    2 takes, among the rows whose ratio rhs / a is within that bound, the one
-    with the largest entry a, ties going to the lowest basic variable index.
-    """
-    column = tableau[:-1, col]
-    candidates = (column > _PIVOT_TOL).nonzero()[0]
-    if candidates.size <= 1:
-        return int(candidates[0]) if candidates.size else -1
-    entries = column[candidates]
-    rhs = np.maximum(tableau[candidates, -1], 0.0)
-    bound = ((rhs + _HARRIS_DELTA) / entries).min()
-    fits = rhs / entries <= bound
-    rows = candidates[fits]
-    if rows.size == 1:
-        return int(rows[0])
-    entries = entries[fits]
-    top = rows[entries == entries.max()].tolist()
-    return top[0] if len(top) == 1 else min(top, key=basis.__getitem__)
-
-
-def _iterate(tableau: np.ndarray, basis: list[int]) -> tuple[str, int]:
-    """Run simplex pivots until optimal or unbounded; return the status and
-    the number of pivots taken.
-
-    The entering column is the lowest-index improving one (Bland's rule)
-    whose pivot entry is at least _SMALL_PIVOT; a column with a smaller one
-    enters only when no other column can.
-    """
-    costs = tableau[-1, :-1]
-    for pivots in range(_MAX_ITER):
-        small = None
-        for j in (costs < -_COST_TOL).nonzero()[0].tolist():
-            leave = _ratio_row(tableau, basis, j)
-            if leave >= 0:
-                if tableau[leave, j] >= _SMALL_PIVOT:
-                    _pivot(tableau, basis, leave, j)
-                    break
-                if small is None:
-                    small = leave, j
-            elif costs[j] < -_UNBOUNDED_TOL:
-                return "unbounded", pivots
-            # else: cost is float dust; treat the column as non-improving
-        else:
-            if small is None:
-                return "optimal", pivots
-            _pivot(tableau, basis, *small)
-    raise RuntimeError("simplex iteration limit exceeded")
-
-
-def _price(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
-    """Set the reduced-cost row for `basis`, from the column costs `cost`
-    (whose last entry, for the right-hand side, is 0)."""
-    tableau[-1] = cost - cost[basis] @ tableau[:-1]
+def _off(inv: np.ndarray, mat: np.ndarray) -> float:
+    """How far inv @ mat is off the identity, inf on overflow."""
+    with np.errstate(all="ignore"):
+        prod = inv @ mat
+        prod.flat[:: len(mat) + 1] -= 1.0
+        off = np.abs(prod, out=prod).max(initial=0.0)
+    return off if np.isfinite(off) else np.inf
 
 
 def _inverse(mat: np.ndarray, tol: float) -> np.ndarray | None:
@@ -158,164 +111,155 @@ def _inverse(mat: np.ndarray, tol: float) -> np.ndarray | None:
         inv = np.linalg.inv(mat)
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(inv).all():
+    if not np.isfinite(inv).all() or _off(inv, mat) > tol:
         return None
-    with np.errstate(all="ignore"):  # an overflow fails the check below
-        off = np.abs(inv @ mat - np.eye(len(mat))).max(initial=0.0)
-    return inv if off <= tol else None
+    return inv
 
 
-def _dual_iterate(tableau: np.ndarray, basis: list[int]) -> tuple[str, int]:
-    """Run dual simplex pivots until every basic value is at least
-    -_FEAS_TOL ("feasible") or a row proves the LP infeasible ("infeasible");
-    return the status and the number of pivots taken.
+def _ratio_row(alpha: np.ndarray, values: np.ndarray) -> int:
+    """Leaving column of a primal pivot, or -1 when no entry is positive.
 
-    The leaving row holds the most negative basic value. The entering column,
-    among those whose entry a in that row is below -_PIVOT_TOL, comes from a
-    two-pass ratio test like _ratio_row's: pass 1 bounds the step by
-    min((d + delta) / |a|) over the reduced costs d clipped at 0, pass 2
-    takes the largest |a| among the columns within that bound, ties going to
-    the lowest index.
+    alpha holds the entering column's entry for each basic column (0 for a
+    nonbasic one) and `values` their values. Harris's two-pass test: pass 1
+    clips each value at 0 and bounds the step by min((value + delta) / a)
+    over the entries a > _PIVOT_TOL. Pass 2 takes, among the columns whose
+    ratio value / a is within that bound, the one with the largest entry a,
+    ties going to the lowest index.
     """
-    costs = tableau[-1, :-1]
-    for pivots in range(_MAX_ITER):
-        values = tableau[:-1, -1]
-        row = int(values.argmin())
-        if values[row] >= -_FEAS_TOL:
-            return "feasible", pivots
-        entries = tableau[row, :-1]
-        candidates = (entries < -_PIVOT_TOL).nonzero()[0]
-        if not candidates.size:
-            return "infeasible", pivots
-        sizes = -entries[candidates]
-        gaps = np.maximum(costs[candidates], 0.0)
-        fits = gaps / sizes <= ((gaps + _HARRIS_DELTA) / sizes).min()
-        _pivot(tableau, basis, row, int(candidates[fits][sizes[fits].argmax()]))
-    raise RuntimeError("simplex iteration limit exceeded")
+    candidates = (alpha > _PIVOT_TOL).nonzero()[0]
+    if candidates.size <= 1:
+        return int(candidates[0]) if candidates.size else -1
+    entries = alpha[candidates]
+    rhs = np.maximum(values[candidates], 0.0)
+    fits = rhs / entries <= ((rhs + _HARRIS_DELTA) / entries).min()
+    return int(candidates[np.where(fits, entries, 0.0).argmax()])
 
 
-def _square(a_ub, b_ub, a_eq, b_eq, basic: np.ndarray, tol: float):
-    """The square system of the basis whose columns are flagged in `basic`:
-    (the basic structural columns S, the tight rows T, the rows A[T], b_T,
-    M = A[T, S] and M^-1), or None when M^-1 is off by more than tol.
+def _entering(u: np.ndarray, d: np.ndarray, soft: np.ndarray, work) -> int:
+    """Working-set position that enters the basis in a dual pivot, or -1
+    when the leaving column's row proves the LP infeasible.
 
-    The tight rows are the inequality rows whose slack is nonbasic and every
-    equality row; every basic column outside S is a slack.
+    The row's entry in the column of position p is -u[p], and d holds the
+    reduced costs by position; `soft` flags the positions that may leave
+    the working set and `work` their columns. Among the entries below
+    -_PIVOT_TOL, a two-pass test like _ratio_row's: pass 1 bounds the step
+    by min((d + delta) / u) over the reduced costs clipped at 0, pass 2
+    takes the largest u among the positions within that bound, ties going
+    to the lowest column.
     """
-    n = a_ub.shape[1]
-    struct = basic[:n].nonzero()[0]
-    tight = (~basic[n:]).nonzero()[0]
-    rows = np.vstack([a_ub[tight], a_eq])
-    rhs = np.concatenate([b_ub[tight], b_eq])
-    mat = rows[:, struct]
-    inv = _inverse(mat, tol)
-    return None if inv is None else (struct, tight, rows, rhs, mat, inv)
+    candidates = ((u > _PIVOT_TOL) & soft).nonzero()[0]
+    if candidates.size <= 1:
+        return int(candidates[0]) if candidates.size else -1
+    sizes = u[candidates]
+    gaps = np.maximum(d[candidates], 0.0)
+    fits = gaps / sizes <= ((gaps + _HARRIS_DELTA) / sizes).min()
+    sizes = np.where(fits, sizes, 0.0)
+    top = candidates[sizes == sizes.max()].tolist()
+    return top[0] if len(top) == 1 else min(top, key=work.__getitem__)
 
 
-def _solution(n: int, struct, rhs, mat, inv, steps: int):
-    """x_S = M^-1 b_T with `steps` steps of iterative refinement, as the
-    refined basic values and as the full x (those values clipped at 0)."""
-    xs = inv @ rhs
-    for _ in range(steps):
-        xs += inv @ (rhs - mat @ xs)
-    x = np.zeros(n)
-    x[struct] = np.clip(xs, 0.0, None)
-    return xs, x
-
-
-def _certify(c, a_ub, b_ub, a_eq, b_eq, square) -> np.ndarray | None:
-    """The solution of the basis whose square system (from _square) is
-    `square` when that basis is optimal, else None.
-
-    x_S = M^-1 b_T, refined once, and the duals y = c_S M^-1 give the
-    reduced costs c - y A[T] of the structural columns and -y of the tight
-    rows' slacks. The basis is optimal when every x_S and reduced cost is
-    above its tolerance and x meets the rows.
-    """
-    struct, tight, rows, rhs, mat, inv = square
-    xs, x = _solution(c.size, struct, rhs, mat, inv, 1)
-    y = c[struct] @ inv
-    if (
-        xs.min(initial=0.0) >= -_FEAS_TOL
-        and (c - y @ rows).min(initial=0.0) >= -_COST_TOL
-        and y[: len(tight)].max(initial=0.0) <= _COST_TOL
-        and _satisfies(a_ub, b_ub, a_eq, b_eq, x)
-    ):
-        return x
-    return None
-
-
-def _from_basis(c, a_ub, b_ub, a_eq, b_eq, start) -> LPResult | None:
-    """Solve the LP from the basis `start`: "optimal", "infeasible" or
+def _from_basis(c, a_ub, b_ub, a_eq, b_eq, start, limit=None) -> LPResult | None:
+    """Solve the LP from the basis `start` in at most `limit` pivots (by
+    default _HINT_PIVOTS per row and column): "optimal", "infeasible" or
     "unbounded", or None when the start is unusable or no solution that
-    meets the rows can be read off the final basis.
+    meets the rows can be read off the final working set. Raises
+    RuntimeError past the limit.
 
-    A start that _certify finds optimal is returned with 0 pivots. Any other
-    nonsingular start gets its tableau from the same inverse: the rows of the
-    basic structurals are M^-1 [A_T | I_T | b_T], those of the basic slacks
-    [A_N | I_N | b_N] - A[N, S] M^-1 [A_T | I_T | b_T]. From a primal
-    feasible basis the primal simplex finishes; from any other the dual
-    simplex reaches primal feasibility first, with each negative reduced
-    cost raised to 0 (cost shifting) and the true costs restored before the
-    primal simplex.
+    Constraint k is g_k x <= h_k, row k of G = [-I; A_ub; A_eq]: for
+    k < n + m_ub the constraint of column k, then the equality rows. `work`
+    lists the working set, so B = G[work] and `inv` = B^-1; `basic` flags
+    the basic columns. Leaving the constraint at position p of `work` moves
+    x by -B^-1 e_p per unit of its slack, so a basic column's entry in the
+    entering column is alpha = -G B^-1 e_p, and the entries of the row of
+    a leaving column k are -u with u = g_k B^-1.
     """
     n, m_ub = c.size, b_ub.size
-    m = m_ub + b_eq.size
-    cols = sorted(set(start))
-    if len(start) != m or len(cols) != m:
-        return None
-    if cols and not (0 <= cols[0] and cols[-1] < n + m_ub):
-        return None
-    basic = np.zeros(n + m_ub, dtype=bool)
-    basic[cols] = True
-    square = _square(a_ub, b_ub, a_eq, b_eq, basic, _START_INV_TOL)
-    if square is None:
-        return None
-    x = _certify(c, a_ub, b_ub, a_eq, b_eq, square)
-    if x is not None:
-        return LPResult("optimal", x, float(c @ x), 0, tuple(start))
-    struct, tight, _, _, _, inv = square
-
-    # the rows [A | slacks | b]; an equality row has no slack and is tight
     ncols = n + m_ub
-    system = np.hstack([
-        np.vstack([a_ub, a_eq]),
-        np.eye(m)[:, :m_ub],
-        np.concatenate([b_ub, b_eq])[:, None],
-    ])
-    loose = basic[n:].nonzero()[0]
-    top = inv @ system[np.concatenate([tight, np.arange(m_ub, m)])]
-    bottom = system[loose] - a_ub[np.ix_(loose, struct)] @ top
-    tableau = np.vstack([top, bottom, np.zeros((1, ncols + 1))])
-    basis = struct.tolist() + (n + loose).tolist()
-    cost = np.zeros(ncols + 1)
-    cost[:n] = c
-    _price(tableau, basis, cost)
-    pivots = 0
-    if tableau[:-1, -1].min(initial=0.0) < -_FEAS_TOL:
-        costs = tableau[-1, :ncols]
-        shifted = costs.min(initial=0.0) < -_COST_TOL
-        if shifted:
-            np.maximum(costs, 0.0, out=costs)
-        status, pivots = _dual_iterate(tableau, basis)
-        if status == "infeasible":
-            return LPResult("infeasible", None, None, pivots)
-        if shifted:
-            _price(tableau, basis, cost)
-    status, more = _iterate(tableau, basis)
-    pivots += more
-    if status == "unbounded":
-        return LPResult("unbounded", None, None, pivots)
-    basic[:] = False
-    basic[basis] = True
-    square = _square(a_ub, b_ub, a_eq, b_eq, basic, _FINAL_INV_TOL)
-    if square is None:
+    if limit is None:
+        limit = _HINT_PIVOTS * (n + m_ub + b_eq.size)
+    cols = sorted(set(start))
+    if len(start) != m_ub + b_eq.size or len(cols) != len(start):
         return None
-    struct, _, _, rhs, mat, inv = square
-    x = _solution(n, struct, rhs, mat, inv, 2)[1]
+    if cols and not (0 <= cols[0] and cols[-1] < ncols):
+        return None
+    g = np.zeros((ncols + b_eq.size, n))
+    g[:n].flat[:: n + 1] = -1.0
+    g[n:ncols] = a_ub
+    g[ncols:] = a_eq
+    h = np.concatenate([np.zeros(n), b_ub, b_eq])
+    basic = np.zeros(ncols, dtype=bool)
+    basic[cols] = True
+    work = np.concatenate([(~basic).nonzero()[0], np.arange(ncols, h.size)])
+    mat, rhs = g[work], h[work]
+    inv = _inverse(mat, _START_INV_TOL)
+    if inv is None:
+        return None
+    soft = work < ncols  # the positions whose constraint can leave
+    hide = np.where(basic, 0.0, np.inf)  # keeps nonbasic values out of tests
+    g_cols, h_cols = g[:ncols], h[:ncols]
+    cost, pivots = c, 0
+    while True:
+        x = inv @ rhs
+        values = h_cols - g_cols @ x
+        values += hide
+        leave = int(values.argmin())
+        y = cost @ inv  # -d: the reduced cost of each position's column, negated
+        if values[leave] < -_FEAS_TOL:  # dual pivot
+            if cost is c and (y * soft).max() > _COST_TOL:
+                # cost shifting: raise every negative reduced cost to 0
+                shift = np.maximum(y, 0.0) * soft
+                cost, y = c - shift @ mat, y - shift
+            u = g[leave] @ inv
+            p = _entering(u, -y, soft, work)
+            if p < 0:
+                return LPResult("infeasible", None, None, pivots)
+        elif cost is not c:  # primal feasible: restore the true costs
+            cost = c
+            continue
+        else:  # primal pivot
+            step = small = None
+            improving = ((y > _COST_TOL) & soft).nonzero()[0].tolist()
+            for p in sorted(improving, key=work.__getitem__):
+                alpha = np.where(basic, g_cols @ inv[:, p], 0.0)
+                np.negative(alpha, out=alpha)
+                row = _ratio_row(alpha, values)
+                if row >= 0:
+                    if alpha[row] >= _SMALL_PIVOT:
+                        step = row, p
+                        break
+                    small = small or (row, p)
+                elif y[p] > _UNBOUNDED_TOL:
+                    return LPResult("unbounded", None, None, pivots)
+                # else: cost is float dust; treat the column as non-improving
+            step = step or small
+            if step is None:
+                break
+            leave, p = step
+            u = g[leave] @ inv
+        if pivots == limit:
+            raise RuntimeError("simplex iteration limit exceeded")
+        col = inv[:, p] / u[p]
+        inv -= col[:, None] * u
+        inv[:, p] = col
+        enter = work[p]
+        basic[enter], basic[leave] = True, False
+        hide[enter], hide[leave] = 0.0, np.inf
+        work[p], mat[p], rhs[p] = leave, g[leave], h[leave]
+        pivots += 1
+
+    if pivots and _off(inv, mat) > _START_INV_TOL:
+        inv = _inverse(mat, _FINAL_INV_TOL)
+        if inv is None:
+            return None
+        x = inv @ rhs
+    for _ in range(2):
+        x += inv @ (rhs - mat @ x)
+    x[~basic[:n]] = 0.0
+    np.maximum(x, 0.0, out=x)
     if not _satisfies(a_ub, b_ub, a_eq, b_eq, x):
         return None
-    return LPResult("optimal", x, float(c @ x), pivots, tuple(basis))
+    basis = tuple(basic.nonzero()[0].tolist())
+    return LPResult("optimal", x, float(c @ x), pivots, basis)
 
 
 def _slack_basis(a_eq: np.ndarray, b_eq: np.ndarray, m_ub: int):
@@ -373,10 +317,11 @@ def solve_lp(
         basis: optional starting basis, the `basis` of an earlier LPResult
             of an LP with the same shape. When it is optimal for this LP it
             is returned with 0 pivots; when it is any other nonsingular
-            basis, the LP is re-optimised from it by the dual and primal
-            simplex. An unusable hint, or a solve from it that ends in
-            anything but an optimum, leaves the solve from the slack basis
-            (and its pivot count) as without a hint.
+            basis, the LP is re-optimised from it by dual and primal
+            pivots. An unusable hint, or a solve from it that ends in
+            anything but an optimum or takes more than _HINT_PIVOTS pivots
+            per row and column, leaves the solve from the slack basis (and
+            its pivot count) as without a hint.
 
     Returns:
         LPResult with status "optimal" (x, objective and basis set),
@@ -384,9 +329,9 @@ def solve_lp(
 
     Raises:
         RuntimeError: when round-off defeats the solve from the slack basis
-            (its system is singular to round-off, or the solution read off
-            its final basis misses the original rows) or the dual or primal
-            simplex takes more than _MAX_ITER pivots.
+            (its working set is singular to round-off, or the solution read
+            off its final working set misses the original rows) or takes
+            more than _MAX_ITER pivots.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -399,7 +344,7 @@ def solve_lp(
     if basis is not None:
         try:
             warm = _from_basis(c, a_ub, b_ub, a_eq, b_eq, basis)
-        except RuntimeError:  # the iteration limit
+        except RuntimeError:  # the pivot limit
             warm = None
         if warm is not None and warm.status == "optimal":
             return warm
@@ -408,7 +353,7 @@ def solve_lp(
     if cold is None:
         return LPResult("infeasible", None, None, 0)
     start, keep = cold
-    res = _from_basis(c, a_ub, b_ub, a_eq[keep], b_eq[keep], start)
+    res = _from_basis(c, a_ub, b_ub, a_eq[keep], b_eq[keep], start, _MAX_ITER)
     if res is None:
         raise RuntimeError("simplex round-off: the solution violates its constraints")
     return res if len(keep) == b_eq.size else replace(res, basis=None)

@@ -16,11 +16,12 @@ for every side, and its solution w_{k+1} raises lambda until t reaches 0
 (to within 1e-8). The iteration starts from the logarithmic least-squares
 weights of the judgments' modes (Crawford and Williams, J. Math. Psych. 29,
 1985), one n x n linear system, and its first LP from a crash basis whose
-tight rows are the n soft sides of lowest membership there. Consecutive LPs
-of a block differ only in their coefficients, so each later one starts from
-the final basis of the one before. solve_lp certifies a starting basis from
-a small square system when it is optimal, and returns without a pivot, and
-otherwise re-optimises from it with the dual and primal simplex. Where the
+tight rows are n soft sides of low membership there that span the items.
+Consecutive LPs of a block differ only in their coefficients, so each later
+one starts from the final basis of the one before. solve_lp inverts the
+starting basis's working set, an (n + 2)-square matrix, returns without a
+pivot when that basis is optimal, and otherwise re-optimises from it with
+dual and primal pivots on the same inverse. Where the
 least-squares weights miss a hard side, or the modes are consistent, an LP
 at lambda_cap (the probe) comes first, and an iteration that reaches
 lambda_cap ends with it. Only the probe, and an LP whose hint cannot be
@@ -388,21 +389,46 @@ def _least_squares_start(
     return w, lam
 
 
-def _crash_basis(base: np.ndarray, spread: np.ndarray, w: np.ndarray):
+def _crash_basis(
+    base: np.ndarray, spread: np.ndarray, w: np.ndarray, judged: _Judged
+):
     """A starting-basis hint for the first Dinkelbach LP from w, in
-    _max_slack's column numbering, or None when the block has fewer soft
-    sides than items. The weights and t are basic, the n soft sides with the
-    lowest membership at w are the tight rows (the sides that bind at a
-    vertex near w), and every other row's slack is basic."""
+    _max_slack's column numbering, or None when the soft sides do not span
+    the items. The weights and t are basic and n soft sides are tight (the
+    sides that bind at a vertex near w); every other row's slack is basic.
+
+    The tight sides are picked in ascending membership at w, the way
+    Kruskal's algorithm picks a spanning tree: a side is taken while it
+    joins two components of the item graph, until n - 1 of them span the
+    items, and then the lowest side that closes a cycle. Tight sides picked
+    by membership alone could make the working set singular."""
     k, n = base.shape
     denom = spread @ w
     soft = (denom > 0).nonzero()[0]
-    if soft.size < n:
-        return None
     member = (-(base[soft] @ w) / denom[soft]).tolist()
-    tight = soft[sorted(range(soft.size), key=member.__getitem__)[:n]]
+    group = list(range(n))  # union-find forest over the items
+
+    def root(i: int) -> int:
+        while group[i] != i:
+            group[i] = group[group[i]]
+            i = group[i]
+        return i
+
+    tree, cycle = [], None
+    for s in sorted(range(soft.size), key=member.__getitem__):
+        side = int(soft[s])
+        a, b = root(int(judged.row[side // 2])), root(int(judged.col[side // 2]))
+        if a != b:
+            group[a] = b
+            tree.append(side)
+        elif cycle is None:
+            cycle = side
+        if len(tree) == n - 1 and cycle is not None:
+            break
+    else:
+        return None
     loose = np.ones(k, dtype=bool)
-    loose[tight] = False
+    loose[tree + [cycle]] = False
     return tuple(range(n + 1)) + tuple((n + 2 + loose.nonzero()[0]).tolist())
 
 
@@ -437,7 +463,7 @@ def solve_fpp(
         lam, probes = _lowest_membership(judged, w), 1
     else:
         w, lam = start
-        basis, probes = _crash_basis(base, spread, w), 0
+        basis, probes = _crash_basis(base, spread, w, judged), 0
     probed = start is None
     while True:
         # max t s.t. N_i(w) - lam * D_i(w) >= t * D_i(w_k) on every soft side

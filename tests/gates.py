@@ -1,0 +1,168 @@
+"""Solver gates over two seeded block populations.
+
+    PYTHONPATH=src python tests/gates.py [--out RUN.json] [--compare OTHER.json]
+
+The sweep: for each rng seed 11-68, 300 blocks drawn as SWEEP_BLOCKS in
+test_solver_invariants describes, each solved as drawn and with its items
+reordered (34,800 solves). The contradictory blocks: 1,500 blocks drawn by
+_contradictory_block from rng seed 101. Prints the exceptions, the solves
+whose lambda_at is -inf, the infeasible verdicts, the LPs and pivots, the
+largest lambda and weight gaps between the two item orders, and the largest
+pivot count of a solve from a starting-basis hint. --out writes every solve's
+outcome as JSON; --compare reports the largest lambda and weight differences
+from another run's file, and the solves whose outcome kind differs.
+
+Not collected by pytest (the name does not start with test_); it takes a
+few minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import json
+import math
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+import numpy as np  # noqa: E402
+
+from fahp import (  # noqa: E402
+    ComparisonMatrix,
+    InfeasibleJudgmentsError,
+    lambda_at,
+    simplex,
+    solve_fpp,
+    solver,
+)
+from test_solver_invariants import _contradictory_block, _random_block  # noqa: E402
+
+SWEEP_SEEDS = range(11, 69)
+SWEEP_BLOCKS = 300
+CONTRADICTORY_SEED = 101
+CONTRADICTORY_BLOCKS = 1500
+
+
+def _population():
+    """(key, block) for every solve. A reordered block keeps the item names,
+    so both orders' weights compare item by item."""
+    for seed in SWEEP_SEEDS:
+        rng = np.random.default_rng(seed)
+        for k in range(SWEEP_BLOCKS):
+            n = int(rng.integers(2, 11))
+            block = _random_block(rng, n)
+            perm = rng.permutation(n)
+            reordered = ComparisonMatrix(
+                parent=block.parent,
+                items=tuple(block.items[i] for i in perm),
+                judgments=block.judgments,
+            )
+            yield f"sweep {seed} {k} a", block
+            yield f"sweep {seed} {k} b", reordered
+    rng = np.random.default_rng(CONTRADICTORY_SEED)
+    for k in range(CONTRADICTORY_BLOCKS):
+        yield f"contradictory {CONTRADICTORY_SEED} {k}", _contradictory_block(rng)
+
+
+def run() -> tuple[dict, collections.Counter, tuple[int, str]]:
+    """Solve the population: (outcome per key, totals, (largest hinted
+    pivot count, its key))."""
+    totals = collections.Counter()
+    hinted = [0, ""]
+    current = [""]
+    solve_lp, from_basis = solver.solve_lp, simplex._from_basis
+    in_hint = [False]
+
+    def counted(*args, basis=None, **kwargs):
+        in_hint[0] = basis is not None
+        res = solve_lp(*args, basis=basis, **kwargs)
+        in_hint[0] = False
+        totals["lps"] += 1
+        totals["pivots"] += res.pivots
+        return res
+
+    def watched(*args, **kwargs):
+        try:
+            res = from_basis(*args, **kwargs)
+        except RuntimeError:  # the iteration limit
+            if in_hint[0]:
+                totals["hint_limit"] += 1
+                print(f"{current[0]}: a hinted solve reached the iteration limit")
+            raise
+        if in_hint[0]:
+            in_hint[0] = False  # the slack-basis retry is not hinted
+            if res is not None and res.pivots > hinted[0]:
+                hinted[:] = [res.pivots, current[0]]
+        return res
+
+    solver.solve_lp, simplex._from_basis = counted, watched
+    outcomes = {}
+    try:
+        for key, block in _population():
+            current[0] = key
+            try:
+                res = solve_fpp(block)
+            except InfeasibleJudgmentsError as exc:
+                totals["infeasible"] += 1
+                outcomes[key] = {"infeasible": [list(p) for p in exc.pairs]}
+                continue
+            except Exception as exc:  # noqa: BLE001 - every exception is a finding
+                totals["exceptions"] += 1
+                outcomes[key] = {"exception": f"{type(exc).__name__}: {exc}"}
+                print(f"{key}: {type(exc).__name__}: {exc}")
+                continue
+            if lambda_at(block, res.weights) == -math.inf:
+                totals["minus_inf"] += 1
+                print(f"{key}: lambda_at is -inf")
+            outcomes[key] = {"lambda": res.lambda_, "weights": res.weights}
+    finally:
+        solver.solve_lp, simplex._from_basis = solve_lp, from_basis
+    return outcomes, totals, tuple(hinted)
+
+
+def _gaps(outcomes: dict, other: dict, pairs) -> tuple[float, float, list[str]]:
+    """Largest lambda and weight differences between outcomes[a] and
+    other[b] over `pairs` of keys, and the keys whose outcome kinds differ."""
+    lam = weight = 0.0
+    differ = []
+    for a, b in pairs:
+        x, y = outcomes[a], other[b]
+        if x.keys() != y.keys() or ("infeasible" in x and x != y):
+            differ.append(a)
+        elif "lambda" in x:
+            lam = max(lam, abs(x["lambda"] - y["lambda"]))
+            weight = max(weight, max(abs(x["weights"][i] - y["weights"][i])
+                                     for i in x["weights"]))
+    return lam, weight, differ
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, help="write every outcome here")
+    parser.add_argument("--compare", type=Path, help="an earlier run's --out file")
+    args = parser.parse_args(argv)
+    outcomes, totals, (most, where) = run()
+    print(f"solves {len(outcomes)}, exceptions {totals['exceptions']}, "
+          f"lambda_at -inf {totals['minus_inf']}, infeasible {totals['infeasible']}")
+    print(f"LPs {totals['lps']}, pivots {totals['pivots']}, "
+          f"largest hinted pivot count {most} ({where}), "
+          f"hinted solves at the iteration limit {totals['hint_limit']}")
+    orders = [(k, k[:-1] + "b") for k in outcomes if k.endswith(" a")]
+    lam, weight, differ = _gaps(outcomes, outcomes, orders)
+    print(f"between item orders: lambda {lam:.3g}, weights {weight:.3g}, "
+          f"{len(differ)} verdicts differ")
+    if args.out:
+        args.out.write_text(json.dumps(outcomes))
+    if args.compare:
+        other = json.loads(args.compare.read_text())
+        lam, weight, differ = _gaps(outcomes, other, [(k, k) for k in outcomes])
+        print(f"against {args.compare}: lambda {lam:.3g}, weights {weight:.3g}, "
+              f"{len(differ)} outcomes differ{': ' if differ else ''}"
+              f"{', '.join(differ[:10])}")
+    return 1 if totals["exceptions"] or totals["minus_inf"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

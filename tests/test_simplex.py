@@ -125,12 +125,18 @@ def test_matches_scipy_on_random_instances(rng):
     assert agree >= 10  # the population must actually exercise the optimal path
 
 
-@pytest.mark.parametrize("name", ["phase1_unbounded", "phase2_infeasible_basis"])
+@pytest.mark.parametrize(
+    "name", ["phase1_unbounded", "phase2_infeasible_basis", "parallel_rows"]
+)
 def test_roundoff_is_recovered(name):
     # Max-slack LPs from the solver (a 3-item and a 6-item block) whose pivots
     # accumulate enough round-off that phase 1 used to report "unbounded" and
-    # phase 2 used to end at a point that violates its rows. The cold solve
-    # must reach the optimum of both with a solution that meets the rows.
+    # phase 2 used to end at a point that violates its rows, and a 5-weight
+    # one whose rows 1 and 4 are parallel to 1.2e-7: the tableau simplex
+    # pivoted on a 1.2e-7 entry there, ended "optimal" at a basis whose
+    # solution misses the rows by 1e-6 and raised "simplex round-off". The
+    # cold solve must reach the optimum of each with a solution that meets
+    # the rows.
     lp = json.loads(ROUNDOFF_LPS.read_text())[name]
     args = [lp[key] for key in ("c", "a_ub", "b_ub", "a_eq", "b_eq")]
     res = solve_lp(*args)
@@ -165,40 +171,51 @@ def test_solutions_meet_their_rows_to_round_off(monkeypatch):
     assert max(worst) <= 1e-15
 
 
-# The row-loop pivoting the vectorized simplex replaced, kept as the
-# reference its rank-1 update must match bit for bit.
-def _pivot_loop(tableau, basis, row, col):
-    tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
-    basis[row] = col
+def _working_set(lp, basis):
+    """The working matrix of `basis`: the constraint rows of its nonbasic
+    columns (-e_j for structural j, row r for the slack of row r), then the
+    equality rows."""
+    c = np.asarray(lp["c"], dtype=float)
+    n = c.size
+    a_eq = np.asarray(lp.get("a_eq", np.zeros((0, n))), dtype=float)
+    rows = np.vstack([-np.eye(n), np.asarray(lp["a_ub"], dtype=float)])
+    nonbasic = sorted(set(range(len(rows))) - set(basis))
+    return np.vstack([rows[nonbasic], a_eq])
 
 
-def test_vectorized_pivots_match_the_row_loop(rng, monkeypatch):
-    # the instances of test_matches_scipy_on_random_instances
-    optimal = 0
+def test_updated_inverse_matches_a_fresh_one(rng, monkeypatch):
+    # The instances of test_matches_scipy_on_random_instances. After the
+    # last pivot, the inverse that one rank-1 update per pivot kept must
+    # match np.linalg.inv of the final working matrix. _off sees the start's
+    # inverse and then, in the final drift check, the updated one; a third
+    # call would be a fresh inverse taken because the updated one drifted.
+    seen = []
+    off = simplex._off
+
+    def recorded(inv, mat):
+        seen.append((inv.copy(), mat.copy()))
+        return off(inv, mat)
+
+    monkeypatch.setattr(simplex, "_off", recorded)
+    updated = 0
     for _ in range(60):
         n = int(rng.integers(2, 6))
         m_ub = int(rng.integers(1, 5))
-        c = rng.normal(size=n)
-        a_ub = rng.normal(size=(m_ub, n))
-        b_ub = rng.normal(size=m_ub) + 1.0
-        use_eq = bool(rng.integers(0, 2))
-        a_eq = rng.normal(size=(1, n)) if use_eq else None
-        b_eq = rng.normal(size=1) + 1.0 if use_eq else None
-
-        fast = solve_lp(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-        with monkeypatch.context() as patch:
-            patch.setattr(simplex, "_pivot", _pivot_loop)
-            slow = solve_lp(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-        assert fast.status == slow.status
-        assert fast.pivots == slow.pivots
-        if fast.status == "optimal":
-            assert np.array_equal(fast.x, slow.x)
-            assert fast.objective == slow.objective
-            optimal += 1
-    assert optimal >= 10
+        lp = dict(c=rng.normal(size=n), a_ub=rng.normal(size=(m_ub, n)),
+                  b_ub=rng.normal(size=m_ub) + 1.0)
+        if rng.integers(0, 2):
+            lp.update(a_eq=rng.normal(size=(1, n)), b_eq=rng.normal(size=1) + 1.0)
+        seen.clear()
+        res = solve_lp(**lp)
+        if res.status != "optimal" or not res.pivots:
+            continue
+        assert len(seen) == 2
+        inv, mat = seen[-1]
+        assert sorted(map(tuple, mat)) == sorted(map(tuple, _working_set(lp, res.basis)))
+        fresh = np.linalg.inv(mat)
+        assert np.abs(inv - fresh).max() <= 1e-12 * np.abs(fresh).max()
+        updated += 1
+    assert updated >= 10
 
 
 def _same(res, ref):
@@ -303,22 +320,22 @@ def _reaches_the_cold_optimum(lp, hint):
 )
 def test_stale_hint_is_reoptimised(lp, hint, kind, monkeypatch):
     # A nonsingular hint that is not optimal is re-optimised from its own
-    # tableau: by the dual simplex when it is not primal feasible (with its
+    # working set: by dual pivots when it is not primal feasible (with its
     # negative reduced costs shifted to 0 when it is not dual feasible
-    # either), then by the primal simplex. It takes no more pivots than the
-    # cold solve.
+    # either), then by primal pivots. It takes no more pivots than the cold
+    # solve.
     duals = []
-    dual_iterate = simplex._dual_iterate
+    entering = simplex._entering
 
-    def counted(tableau, *args):
-        duals.append(tableau[-1, :-1].min())
-        return dual_iterate(tableau, *args)
+    def counted(u, d, soft, work):
+        duals.append(d[soft].min(initial=0.0))
+        return entering(u, d, soft, work)
 
-    monkeypatch.setattr(simplex, "_dual_iterate", counted)
+    monkeypatch.setattr(simplex, "_entering", counted)
     res, cold = _reaches_the_cold_optimum(lp, hint)
     assert res.x == pytest.approx(cold.x, abs=1e-12)
     assert 0 < res.pivots <= cold.pivots
-    assert len(duals) == (kind != "primal")
+    assert bool(duals) == (kind != "primal")
     # a shifted start has no negative reduced cost left
     assert all(d >= 0.0 for d in duals)
 

@@ -389,7 +389,8 @@ def test_warm_start_agrees_with_cold_solves(monkeypatch):
     # Each Dinkelbach LP starts from the previous LP's final basis. Solved
     # once as shipped and once with that hint dropped, every block must come
     # out the same. Some hint must have been certified as optimal and some
-    # re-optimised from its own tableau, or a warm path would be dead code.
+    # re-optimised from its own working set, or a warm path would be dead
+    # code.
     blocks = _warm_cold_blocks()
     from_basis, hints, reached = simplex._from_basis, [None], collections.Counter()
 
@@ -437,7 +438,12 @@ def test_pivot_counts_do_not_grow(monkeypatch):
     # artificial in every row and the plain minimum-ratio test took 12,206
     # and 308. Each of these counts comes from the two-phase simplex for
     # the cold LPs; with those started from the slack basis by the dual and
-    # primal simplex, the sums went from 746 and 8 to 688 and 7.
+    # primal simplex, the sums went from 746 and 8 to 688 and 7. An
+    # active-set pivot (one exchange in the working set) is counted as one
+    # tableau pivot was; re-optimised on the working-set inverse by one loop
+    # that takes a dual pivot whenever a basic value is negative, with the
+    # crash basis's tight sides picked as a spanning tree and a cycle, they
+    # were 682 and 7.
     pivots = []
 
     def counted(*args, **kwargs):
@@ -448,10 +454,109 @@ def test_pivot_counts_do_not_grow(monkeypatch):
     monkeypatch.setattr(solver, "solve_lp", counted)
     for block in _blocks():
         solve_fpp(block)
-    assert 0 < sum(pivots) <= 688
+    assert 0 < sum(pivots) <= 682
     assert len(pivots) <= 178
     pivots.clear()
     for block in load_study(bundled_study_path()).hierarchy.matrices.values():
         solve_fpp(block)
     assert 0 < sum(pivots) <= 7
     assert len(pivots) <= 13
+
+
+def test_crash_bases_are_nonsingular(monkeypatch):
+    # The 300 sweep blocks of rng seed 11, as drawn: the working set of every
+    # crash basis must be nonsingular, or the first LP runs from the slack
+    # basis. Picking the tight sides by membership alone left 4 of the 101
+    # crash bases here singular.
+    crash_basis, from_basis, crashes, singular = (
+        solver._crash_basis, simplex._from_basis, [], []
+    )
+
+    def crash(*args):
+        crashes.append(crash_basis(*args))
+        return crashes[-1]
+
+    def checked(*args):
+        res = from_basis(*args)
+        if args[-1] is crashes[-1] and res is None:
+            singular.append(args[-1])
+        return res
+
+    monkeypatch.setattr(solver, "_crash_basis", crash)
+    monkeypatch.setattr(simplex, "_from_basis", checked)
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(2, 11))
+        block = _random_block(rng, n)
+        rng.permutation(n)
+        crashes.append(None)
+        try:
+            solve_fpp(block)
+        except InfeasibleJudgmentsError:
+            pass
+    assert sum(hint is not None for hint in crashes) >= 100
+    assert not singular
+
+
+def test_hinted_solves_stay_below_the_pivot_limit(monkeypatch):
+    # Sweep block 53/147 (as drawn) and contradictory block 101/821: the
+    # dual simplex on the tableau cycled from a hint on each until _MAX_ITER
+    # pivots (0.26-0.57 s) before the LP started again from the slack basis.
+    # No call of _from_basis may reach a pivot limit on them.
+    rng = np.random.default_rng(53)
+    for _ in range(148):
+        n = int(rng.integers(2, 11))
+        sweep = _random_block(rng, n)
+        rng.permutation(n)
+    rng = np.random.default_rng(101)
+    for _ in range(822):
+        contradictory = _contradictory_block(rng)
+    from_basis, limited, reoptimised = simplex._from_basis, [], []
+
+    def checked(*args):
+        try:
+            res = from_basis(*args)
+        except RuntimeError as exc:
+            limited.append(exc)
+            raise
+        if res is not None and res.pivots:
+            reoptimised.append(res.pivots)
+        return res
+
+    monkeypatch.setattr(simplex, "_from_basis", checked)
+    for block in (sweep, contradictory):
+        reoptimised.clear()
+        solve_fpp(block)
+        assert reoptimised
+    assert not limited
+
+
+def test_final_duals_agree_with_highs(monkeypatch):
+    # The reduced costs d = -c B^-1 of the final working set are the LP's
+    # duals, one per judgment side whose row is tight (0 for every other):
+    # on the last max-slack LP of each bundled block they must be HiGHS's
+    # (its marginals are the derivatives of the optimum in b_ub, so -d).
+    calls = []
+
+    def recorded(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        calls.append((args, res))
+        return res
+
+    monkeypatch.setattr(solver, "solve_lp", recorded)
+    for block in load_study(bundled_study_path()).hierarchy.matrices.values():
+        solve_fpp(block)
+        (c, a_ub, b_ub, a_eq, b_eq), res = calls[-1]
+        n = c.size
+        rows = np.vstack([-np.eye(n), a_ub])
+        nonbasic = sorted(set(range(len(rows))) - set(res.basis))
+        d = np.zeros(len(rows))
+        d[nonbasic] = -np.linalg.solve(np.vstack([rows[nonbasic], a_eq]).T, c)[
+            : len(nonbasic)
+        ]
+        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs",
+                      options=dict(primal_feasibility_tolerance=1e-10,
+                                   dual_feasibility_tolerance=1e-10))
+        assert ref.status == 0
+        assert d.min() >= -1e-12
+        assert np.abs(d[n:] + ref.ineqlin.marginals).max() <= 1e-9
