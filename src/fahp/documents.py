@@ -88,16 +88,20 @@ def _parse_node(obj: Any, where: str) -> Node:
     return Node(id=node_id, label=label, children=children)
 
 
+def _parse_triple(value: Any, where: str) -> TriangularFuzzyNumber:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ValidationError(f"{where}: needs exactly three numbers [l, m, u]")
+    try:
+        return TriangularFuzzyNumber(*(float(v) for v in value))
+    except (TypeError, ValueError, ValidationError) as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
 def _parse_judgment_value(
     value: Any, scale: LinguisticScale, where: str
 ) -> TriangularFuzzyNumber:
     if isinstance(value, list):
-        if len(value) != 3:
-            raise ValidationError(f"{where}: numeric judgment needs exactly [l, m, u]")
-        try:
-            return TriangularFuzzyNumber(*(float(v) for v in value))
-        except (TypeError, ValueError, ValidationError) as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+        return _parse_triple(value, where)
     if isinstance(value, dict):
         _check_keys(value, {"term"}, where)
         term = _require(value, "term", where)
@@ -133,14 +137,10 @@ def _parse_matrix(
 def _parse_scale(obj: Any) -> LinguisticScale:
     if not isinstance(obj, dict) or not obj:
         raise ValidationError("scale must be a non-empty object of term -> [l, m, u]")
-    entries = []
-    for term, triple in obj.items():
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise ValidationError(f"scale term {term!r}: value must be [l, m, u]")
-        try:
-            entries.append((term, TriangularFuzzyNumber(*(float(v) for v in triple))))
-        except (TypeError, ValueError, ValidationError) as exc:
-            raise ValidationError(f"scale term {term!r}: {exc}") from exc
+    entries = [
+        (term, _parse_triple(triple, f"scale term {term!r}"))
+        for term, triple in obj.items()
+    ]
     try:
         return LinguisticScale(entries=tuple(entries))
     except ValidationError as exc:

@@ -26,8 +26,9 @@ two-pass ratio test (Math. Programming 5, 1973): pass 1 bounds the step by
 the smallest ratio with every basic value relaxed by a small tolerance,
 pass 2 takes the largest pivot entry among the columns within that bound,
 so a tiny entry on a row that is only at its bound by round-off is not
-pivoted on while a larger one fits. The dual ratio test is its mirror
-image over the reduced costs. Neither rule keeps Bland's proof that
+pivoted on while a larger one fits. The entering column of a dual pivot
+comes from the same test, run on the leaving row's entries with the
+reduced costs as the gaps. Neither rule keeps Bland's proof that
 degenerate vertices cannot cycle, so pivot limits stay as guards. The
 optimal x is refined twice on B and is reported only once it meets the
 original rows.
@@ -116,46 +117,26 @@ def _inverse(mat: np.ndarray, tol: float) -> np.ndarray | None:
     return inv
 
 
-def _ratio_row(alpha: np.ndarray, values: np.ndarray) -> int:
-    """Leaving column of a primal pivot, or -1 when no entry is positive.
+def _ratio_test(entries, gaps, allowed, order=None) -> int:
+    """Harris's two-pass ratio test: the position that leaves (primal) or
+    enters (dual) the basis, or -1 when no allowed entry is positive.
 
-    alpha holds the entering column's entry for each basic column (0 for a
-    nonbasic one) and `values` their values. Harris's two-pass test: pass 1
-    clips each value at 0 and bounds the step by min((value + delta) / a)
-    over the entries a > _PIVOT_TOL. Pass 2 takes, among the columns whose
-    ratio value / a is within that bound, the one with the largest entry a,
-    ties going to the lowest index.
+    The candidates are the positions flagged in `allowed` whose entry is
+    above _PIVOT_TOL. Pass 1 clips each candidate's gap at 0 and bounds the
+    step by min((gap + delta) / entry). Pass 2 takes, among the candidates
+    whose ratio gap / entry is within that bound, the one with the largest
+    entry; ties go to the lowest position, or to the lowest `order` value
+    when `order` is given.
     """
-    candidates = (alpha > _PIVOT_TOL).nonzero()[0]
+    candidates = ((entries > _PIVOT_TOL) & allowed).nonzero()[0]
     if candidates.size <= 1:
         return int(candidates[0]) if candidates.size else -1
-    entries = alpha[candidates]
-    rhs = np.maximum(values[candidates], 0.0)
-    fits = rhs / entries <= ((rhs + _HARRIS_DELTA) / entries).min()
-    return int(candidates[np.where(fits, entries, 0.0).argmax()])
-
-
-def _entering(u: np.ndarray, d: np.ndarray, soft: np.ndarray, work) -> int:
-    """Working-set position that enters the basis in a dual pivot, or -1
-    when the leaving column's row proves the LP infeasible.
-
-    The row's entry in the column of position p is -u[p], and d holds the
-    reduced costs by position; `soft` flags the positions that may leave
-    the working set and `work` their columns. Among the entries below
-    -_PIVOT_TOL, a two-pass test like _ratio_row's: pass 1 bounds the step
-    by min((d + delta) / u) over the reduced costs clipped at 0, pass 2
-    takes the largest u among the positions within that bound, ties going
-    to the lowest column.
-    """
-    candidates = ((u > _PIVOT_TOL) & soft).nonzero()[0]
-    if candidates.size <= 1:
-        return int(candidates[0]) if candidates.size else -1
-    sizes = u[candidates]
-    gaps = np.maximum(d[candidates], 0.0)
+    sizes = entries[candidates]
+    gaps = np.maximum(gaps[candidates], 0.0)
     fits = gaps / sizes <= ((gaps + _HARRIS_DELTA) / sizes).min()
     sizes = np.where(fits, sizes, 0.0)
     top = candidates[sizes == sizes.max()].tolist()
-    return top[0] if len(top) == 1 else min(top, key=work.__getitem__)
+    return top[0] if order is None else min(top, key=order.__getitem__)
 
 
 def _from_basis(c, a_ub, b_ub, a_eq, b_eq, start, limit=None) -> LPResult | None:
@@ -210,7 +191,7 @@ def _from_basis(c, a_ub, b_ub, a_eq, b_eq, start, limit=None) -> LPResult | None
                 shift = np.maximum(y, 0.0) * soft
                 cost, y = c - shift @ mat, y - shift
             u = g[leave] @ inv
-            p = _entering(u, -y, soft, work)
+            p = _ratio_test(u, -y, soft, work)
             if p < 0:
                 return LPResult("infeasible", None, None, pivots)
         elif cost is not c:  # primal feasible: restore the true costs
@@ -220,9 +201,8 @@ def _from_basis(c, a_ub, b_ub, a_eq, b_eq, start, limit=None) -> LPResult | None
             step = small = None
             improving = ((y > _COST_TOL) & soft).nonzero()[0].tolist()
             for p in sorted(improving, key=work.__getitem__):
-                alpha = np.where(basic, g_cols @ inv[:, p], 0.0)
-                np.negative(alpha, out=alpha)
-                row = _ratio_row(alpha, values)
+                alpha = -(g_cols @ inv[:, p])
+                row = _ratio_test(alpha, values, basic)
                 if row >= 0:
                     if alpha[row] >= _SMALL_PIVOT:
                         step = row, p

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -110,35 +110,6 @@ class SolveResult:
         return np.array(list(self.weights.values()))
 
 
-def _index(matrix: ComparisonMatrix) -> dict[str, int]:
-    return {item: i for i, item in enumerate(matrix.items)}
-
-
-def _sides(
-    matrix: ComparisonMatrix,
-) -> tuple[np.ndarray, np.ndarray, list[tuple[str, str]]]:
-    """Constraint rows of every judgment side, as base + lambda * spread.
-
-    Side i holds at level lambda when (base_i + lambda * spread_i) @ w <= 0,
-    and spread_i @ w is its denominator D_i(w): (m - l) * w_col for the
-    rising side, (u - m) * w_col for the falling one. A hard side has a
-    zero spread row. Also returns the (row, col) pair of each side.
-    """
-    idx = _index(matrix)
-    k = 2 * len(matrix.judgments)
-    base = np.zeros((k, len(matrix.items)))
-    spread = np.zeros_like(base)
-    pairs = []
-    for i, j in enumerate(matrix.judgments):
-        r, c = idx[j.row], idx[j.col]
-        l, m, u = j.value.as_tuple()
-        rising, falling = 2 * i, 2 * i + 1
-        base[rising, c], base[rising, r], spread[rising, c] = l, -1.0, m - l
-        base[falling, c], base[falling, r], spread[falling, c] = -u, 1.0, u - m
-        pairs += [(j.row, j.col)] * 2
-    return base, spread, pairs
-
-
 def _check_floor(matrix: ComparisonMatrix, config: SolverConfig) -> None:
     if len(matrix.items) * config.weight_floor >= 1.0:
         raise ValueError(
@@ -203,11 +174,18 @@ def _as_vector(matrix: ComparisonMatrix, w) -> np.ndarray:
     return vec
 
 
-class _Judged(NamedTuple):
-    """The judgments of a block as arrays, made once per block for
-    _lowest_membership. A hard side has a span of 1 and its bound in
-    `floor` or `ceiling`."""
+class _Block(NamedTuple):
+    """A comparison block's judgments as arrays, built once per solve_fpp,
+    feasible_at or lambda_at call.
 
+    Judgment i's rising side is side 2i and its falling side 2i + 1. Side s
+    holds at level lambda when (base_s + lambda * spread_s) @ w <= 0, and
+    spread_s @ w is its denominator D_s(w): (m - l) * w_col for the rising
+    side, (u - m) * w_col for the falling one. A hard side has a zero spread
+    row, is flagged in `hard`, and has a span of 1 and its bound in `floor`
+    or `ceiling` for _lowest_membership."""
+
+    matrix: ComparisonMatrix
     row: np.ndarray  # item index of each judgment's row
     col: np.ndarray
     l: np.ndarray
@@ -220,44 +198,56 @@ class _Judged(NamedTuple):
     hard_fall: np.ndarray  # indices of the judgments with u == m
     ceiling: np.ndarray  # u * (1 + tol) of those
     crisp: np.ndarray  # indices of the judgments with l == u
+    base: np.ndarray  # one row per side
+    spread: np.ndarray
+    hard: np.ndarray  # the sides with a zero spread row
 
 
-def _judged(matrix: ComparisonMatrix) -> _Judged:
-    idx = _index(matrix)
+def _block(matrix: ComparisonMatrix) -> _Block:
+    """Validate the block and build its arrays."""
+    validate_matrix(matrix)
+    idx = {item: i for i, item in enumerate(matrix.items)}
     row = np.array([idx[j.row] for j in matrix.judgments])
     col = np.array([idx[j.col] for j in matrix.judgments])
     l, m, u = np.array([j.value.as_tuple() for j in matrix.judgments]).T
+    rising = np.arange(0, 2 * row.size, 2)
+    falling = rising + 1
+    base = np.zeros((2 * row.size, len(matrix.items)))
+    spread = np.zeros_like(base)
+    base[rising, col], base[rising, row], spread[rising, col] = l, -1.0, m - l
+    base[falling, col], base[falling, row], spread[falling, col] = -u, 1.0, u - m
     hard_rise, hard_fall = (m == l).nonzero()[0], (u == m).nonzero()[0]
-    return _Judged(
-        row, col, l, m, u,
+    return _Block(
+        matrix, row, col, l, m, u,
         np.where(m > l, m - l, 1.0),
         np.where(u > m, u - m, 1.0),
         hard_rise, l[hard_rise] * (1 - _CRISP_REL_TOL),
         hard_fall, u[hard_fall] * (1 + _CRISP_REL_TOL),
         (l == u).nonzero()[0],
+        base, spread, ~spread.any(axis=1),
     )
 
 
-def _lowest_membership(judged: _Judged, vec: np.ndarray) -> float:
+def _lowest_membership(block: _Block, vec: np.ndarray) -> float:
     """min(1, the lowest fuzzy.membership any judgment assigns to the ratio
     vec[row] / vec[col]), bit for bit: the same arithmetic, on arrays."""
-    ratio = vec[judged.row] / vec[judged.col]
-    rising = (ratio - judged.l) / judged.rise_span
-    falling = (judged.u - ratio) / judged.fall_span
-    if judged.hard_rise.size:
-        rising[judged.hard_rise] = np.where(
-            ratio[judged.hard_rise] >= judged.floor, np.inf, -np.inf
+    ratio = vec[block.row] / vec[block.col]
+    rising = (ratio - block.l) / block.rise_span
+    falling = (block.u - ratio) / block.fall_span
+    if block.hard_rise.size:
+        rising[block.hard_rise] = np.where(
+            ratio[block.hard_rise] >= block.floor, np.inf, -np.inf
         )
-    if judged.hard_fall.size:
-        falling[judged.hard_fall] = np.where(
-            ratio[judged.hard_fall] <= judged.ceiling, np.inf, -np.inf
+    if block.hard_fall.size:
+        falling[block.hard_fall] = np.where(
+            ratio[block.hard_fall] <= block.ceiling, np.inf, -np.inf
         )
     value = np.minimum(rising, falling)
-    if judged.crisp.size:
+    if block.crisp.size:
         # math.isclose(ratio, m, rel_tol=_CRISP_REL_TOL), for finite ratios
-        at, mode = ratio[judged.crisp], judged.m[judged.crisp]
+        at, mode = ratio[block.crisp], block.m[block.crisp]
         hit = np.abs(at - mode) <= _CRISP_REL_TOL * np.maximum(at, mode)
-        value[judged.crisp] = np.where(hit & (at < np.inf), 1.0, -np.inf)
+        value[block.crisp] = np.where(hit & (at < np.inf), 1.0, -np.inf)
     return min(float(value.min()), 1.0)
 
 
@@ -269,8 +259,7 @@ def lambda_at(matrix: ComparisonMatrix, w) -> float:
     solved block that is not clamped, lambda_at(matrix, result.weights)
     equals result.lambda_.
     """
-    validate_matrix(matrix)
-    return _lowest_membership(_judged(matrix), _as_vector(matrix, w))
+    return _lowest_membership(_block(matrix), _as_vector(matrix, w))
 
 
 def feasible_at(
@@ -284,28 +273,22 @@ def feasible_at(
     above 1, full membership. Raises ValueError when lam is not finite.
     """
     cfg = config or SolverConfig()
-    validate_matrix(matrix)
+    block = _block(matrix)
     _check_floor(matrix, cfg)
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     if lam > 1.0:
         return None
-    base, spread, _ = _sides(matrix)
-    t, w, _ = _max_slack(base + lam * spread, np.ones(len(base)), cfg)
+    rows = block.base + lam * block.spread
+    t, w, _ = _max_slack(rows, np.ones(len(rows)), cfg)
     if t < -_SLACK_FEAS_TOL:
         return None
     return dict(zip(matrix.items, (float(x) for x in w)))
 
 
-def _raise_conflict(
-    matrix: ComparisonMatrix,
-    base: np.ndarray,
-    pairs: list[tuple[str, str]],
-    hard: np.ndarray,
-    cfg: SolverConfig,
-) -> None:
-    """Raise InfeasibleJudgmentsError for the hard sides (flagged in `hard`)
-    that cannot all hold, naming the pairs of an irreducible subset of them.
+def _raise_conflict(block: _Block, cfg: SolverConfig) -> None:
+    """Raise InfeasibleJudgmentsError for the hard sides that cannot all
+    hold, naming the pairs of an irreducible subset of them.
 
     The subset comes from a deletion filter (Chinneck and Dravnieks, ORSA J.
     Computing 3, 1991) over the hard sides in judgment order: each side is
@@ -313,14 +296,16 @@ def _raise_conflict(
     slack with a unit scale is below -_SLACK_FEAS_TOL. The verdicts do not
     depend on the order of the items, so neither do the named pairs.
     """
-    keep = hard.nonzero()[0].tolist()
+    base, matrix = block.base, block.matrix
+    keep = block.hard.nonzero()[0].tolist()
     for side in list(keep):
         rest = [k for k in keep if k != side]
         if not rest:
             continue
         if _max_slack(base[rest], np.ones(len(rest)), cfg)[0] < -_SLACK_FEAS_TOL:
             keep = rest
-    conflict = list(dict.fromkeys(pairs[k] for k in keep))
+    judged = (matrix.judgments[side // 2] for side in keep)
+    conflict = list(dict.fromkeys((j.row, j.col) for j in judged))
     listing = ", ".join(f"({r}, {c})" for r, c in conflict)
     raise InfeasibleJudgmentsError(
         f"matrix {matrix.parent!r}: no weight vector meets the zero-spread "
@@ -330,12 +315,7 @@ def _raise_conflict(
 
 
 def _probe(
-    matrix: ComparisonMatrix,
-    base: np.ndarray,
-    spread: np.ndarray,
-    pairs: list[tuple[str, str]],
-    hard: np.ndarray,
-    cfg: SolverConfig,
+    block: _Block, cfg: SolverConfig
 ) -> tuple[float, np.ndarray, tuple[int, ...] | None]:
     """The max-slack LP at lambda_cap, solved from the slack basis: (slack,
     weights, basis).
@@ -343,15 +323,16 @@ def _probe(
     as constraints, unless nothing else bounds the slack; a slack of at least
     -_SLACK_FEAS_TOL means lambda_cap is attainable. Raises
     InfeasibleJudgmentsError when the hard sides cannot all hold."""
-    scale = np.ones(len(base)) if hard.all() else (~hard).astype(float)
-    probe = _max_slack(base + cfg.lambda_cap * spread, scale, cfg)
+    hard = block.hard
+    scale = np.ones(len(hard)) if hard.all() else (~hard).astype(float)
+    probe = _max_slack(block.base + cfg.lambda_cap * block.spread, scale, cfg)
     if probe is None or (hard.all() and probe[0] < -_SLACK_FEAS_TOL):
-        _raise_conflict(matrix, base, pairs, hard, cfg)
+        _raise_conflict(block, cfg)
     return probe
 
 
 def _least_squares_start(
-    judged: _Judged, n: int, cfg: SolverConfig
+    block: _Block, cfg: SolverConfig
 ) -> tuple[np.ndarray, float] | None:
     """The logarithmic least-squares weights of the judgments' modes
     (Crawford and Williams, J. Math. Psych. 29, 1985) and their lambda, or
@@ -371,27 +352,26 @@ def _least_squares_start(
     * w, so that the start lies in the LP's region: a start outside it
     would be returned when no weight vector inside does better.
     """
-    log_m = np.log(judged.m)
+    n = len(block.matrix.items)
+    log_m = np.log(block.m)
     normal = np.ones((n, n))
-    normal[judged.row, judged.col] -= 1.0
-    normal[judged.col, judged.row] -= 1.0
-    normal.flat[:: n + 1] += np.bincount(judged.row, minlength=n) + np.bincount(
-        judged.col, minlength=n
+    normal[block.row, block.col] -= 1.0
+    normal[block.col, block.row] -= 1.0
+    normal.flat[:: n + 1] += np.bincount(block.row, minlength=n) + np.bincount(
+        block.col, minlength=n
     )
-    rhs = np.bincount(judged.row, log_m, n) - np.bincount(judged.col, log_m, n)
+    rhs = np.bincount(block.row, log_m, n) - np.bincount(block.col, log_m, n)
     g = np.exp(np.linalg.inv(normal) @ rhs)
     w = g / g.sum()
     if w.min() < cfg.weight_floor:
         w = cfg.weight_floor + (1.0 - n * cfg.weight_floor) * w
-    lam = _lowest_membership(judged, w)
+    lam = _lowest_membership(block, w)
     if lam == -math.inf or lam >= cfg.lambda_cap - _DINKELBACH_TOL:
         return None
     return w, lam
 
 
-def _crash_basis(
-    base: np.ndarray, spread: np.ndarray, w: np.ndarray, judged: _Judged
-):
+def _crash_basis(block: _Block, w: np.ndarray):
     """A starting-basis hint for the first Dinkelbach LP from w, in
     _max_slack's column numbering, or None when the soft sides do not span
     the items. The weights and t are basic and n soft sides are tight (the
@@ -402,10 +382,10 @@ def _crash_basis(
     joins two components of the item graph, until n - 1 of them span the
     items, and then the lowest side that closes a cycle. Tight sides picked
     by membership alone could make the working set singular."""
-    k, n = base.shape
-    denom = spread @ w
+    k, n = block.base.shape
+    denom = block.spread @ w
     soft = (denom > 0).nonzero()[0]
-    member = (-(base[soft] @ w) / denom[soft]).tolist()
+    member = (-(block.base[soft] @ w) / denom[soft]).tolist()
     group = list(range(n))  # union-find forest over the items
 
     def root(i: int) -> int:
@@ -417,7 +397,7 @@ def _crash_basis(
     tree, cycle = [], None
     for s in sorted(range(soft.size), key=member.__getitem__):
         side = int(soft[s])
-        a, b = root(int(judged.row[side // 2])), root(int(judged.col[side // 2]))
+        a, b = root(int(block.row[side // 2])), root(int(block.col[side // 2]))
         if a != b:
             group[a] = b
             tree.append(side)
@@ -450,20 +430,18 @@ def solve_fpp(
     (zero-spread) sides of the judgments cannot all hold.
     """
     cfg = config or SolverConfig()
-    validate_matrix(matrix)
+    block = _block(matrix)
     _check_floor(matrix, cfg)
-    base, spread, pairs = _sides(matrix)
-    hard = ~spread.any(axis=1)
-    judged = _judged(matrix)
-    start = _least_squares_start(judged, len(matrix.items), cfg)
+    base, spread = block.base, block.spread
+    start = _least_squares_start(block, cfg)
     if start is None:
-        slack, w, basis = _probe(matrix, base, spread, pairs, hard, cfg)
+        slack, w, basis = _probe(block, cfg)
         if slack >= -_SLACK_FEAS_TOL:
             return _result(matrix, w, cfg.lambda_cap, 1, True, slack)
-        lam, probes = _lowest_membership(judged, w), 1
+        lam, probes = _lowest_membership(block, w), 1
     else:
         w, lam = start
-        basis, probes = _crash_basis(base, spread, w, judged), 0
+        basis, probes = _crash_basis(block, w), 0
     probed = start is None
     while True:
         # max t s.t. N_i(w) - lam * D_i(w) >= t * D_i(w_k) on every soft side
@@ -471,8 +449,8 @@ def solve_fpp(
         if step is None:
             # The first LP from the least-squares start is the hard sides'
             # verdict; after that they have held once, so only round-off.
-            if probes == 0 and hard.any():
-                _raise_conflict(matrix, base, pairs, hard, cfg)
+            if probes == 0 and block.hard.any():
+                _raise_conflict(block, cfg)
             raise RuntimeError(
                 f"max-slack subproblem unexpectedly infeasible in block "
                 f"{matrix.parent!r} at lambda {lam}"
@@ -481,9 +459,9 @@ def solve_fpp(
         probes += 1
         if slack <= _DINKELBACH_TOL:
             break
-        lam_next = _lowest_membership(judged, w_next)
+        lam_next = _lowest_membership(block, w_next)
         if not probed and lam_next >= cfg.lambda_cap - _DINKELBACH_TOL:
-            cap_slack, cap_w, _ = _probe(matrix, base, spread, pairs, hard, cfg)
+            cap_slack, cap_w, _ = _probe(block, cfg)
             probes += 1
             if cap_slack >= -_SLACK_FEAS_TOL:
                 return _result(matrix, cap_w, cfg.lambda_cap, probes, True, cap_slack)
@@ -566,7 +544,7 @@ def oracle_solve(matrix: ComparisonMatrix, grid_step: float) -> SolveResult:
         )
     lattice = _lattice(n, units)
     weights = lattice.astype(float) / units
-    idx = _index(matrix)
+    idx = {item: i for i, item in enumerate(matrix.items)}
     lam = np.full(weights.shape[0], np.inf)
     hard_violation = np.zeros(weights.shape[0])
     for j in matrix.judgments:

@@ -9,8 +9,9 @@ _contradictory_block from rng seed 101. Prints the exceptions, the solves
 whose lambda_at is -inf, the infeasible verdicts, the LPs and pivots, the
 largest lambda and weight gaps between the two item orders, and the largest
 pivot count of a solve from a starting-basis hint. --out writes every solve's
-outcome as JSON; --compare reports the largest lambda and weight differences
-from another run's file, and the solves whose outcome kind differs.
+outcome, the totals and the largest hinted pivot count as JSON; --compare
+reports the largest lambda and weight differences from another run's file,
+the solves whose outcome kind differs, and the LP and pivot differences.
 
 Not collected by pytest (the name does not start with test_); it takes a
 few minutes.
@@ -154,13 +155,21 @@ def main(argv=None) -> int:
     print(f"between item orders: lambda {lam:.3g}, weights {weight:.3g}, "
           f"{len(differ)} verdicts differ")
     if args.out:
-        args.out.write_text(json.dumps(outcomes))
+        args.out.write_text(json.dumps(
+            {"totals": totals, "hinted": [most, where], "outcomes": outcomes}
+        ))
     if args.compare:
         other = json.loads(args.compare.read_text())
-        lam, weight, differ = _gaps(outcomes, other, [(k, k) for k in outcomes])
+        pairs = [(k, k) for k in outcomes]
+        lam, weight, differ = _gaps(outcomes, other["outcomes"], pairs)
         print(f"against {args.compare}: lambda {lam:.3g}, weights {weight:.3g}, "
               f"{len(differ)} outcomes differ{': ' if differ else ''}"
               f"{', '.join(differ[:10])}")
+        theirs = collections.Counter(other["totals"])
+        print(f"LPs {totals['lps'] - theirs['lps']:+d}, "
+              f"pivots {totals['pivots'] - theirs['pivots']:+d} "
+              f"(theirs {theirs['lps']} and {theirs['pivots']}), "
+              f"largest hinted pivot count theirs {other['hinted'][0]}")
     return 1 if totals["exceptions"] or totals["minus_inf"] else 0
 
 

@@ -325,13 +325,14 @@ def test_stale_hint_is_reoptimised(lp, hint, kind, monkeypatch):
     # either), then by primal pivots. It takes no more pivots than the cold
     # solve.
     duals = []
-    entering = simplex._entering
+    ratio_test = simplex._ratio_test
 
-    def counted(u, d, soft, work):
-        duals.append(d[soft].min(initial=0.0))
-        return entering(u, d, soft, work)
+    def counted(entries, gaps, allowed, order=None):
+        if order is not None:  # the dual ratio test breaks ties by column
+            duals.append(gaps[allowed].min(initial=0.0))
+        return ratio_test(entries, gaps, allowed, order)
 
-    monkeypatch.setattr(simplex, "_entering", counted)
+    monkeypatch.setattr(simplex, "_ratio_test", counted)
     res, cold = _reaches_the_cold_optimum(lp, hint)
     assert res.x == pytest.approx(cold.x, abs=1e-12)
     assert 0 < res.pivots <= cold.pivots

@@ -22,7 +22,7 @@ from fahp import (
     solve_fpp,
 )
 from fahp import solver
-from fahp.solver import _judged, _lattice, _lattice_size, _lowest_membership
+from fahp.solver import _block, _lattice, _lattice_size, _lowest_membership
 from conftest import random_matrix
 from test_solver_invariants import FIXTURES, SWEEP_BLOCKS, _blocks
 
@@ -115,7 +115,7 @@ def test_infeasible_first_lp_with_hard_sides_is_the_conflict_verdict(monkeypatch
     # sides; its infeasibility is the verdict that they conflict.
     block = _mat("abc", [*SKEWED_CYCLE_TRIPLES[:2], ("a", "c", (0.25, 1, 1))])
     assert solver._least_squares_start(
-        _judged(block), 3, SolverConfig()
+        _block(block), SolverConfig()
     ) is not None
     _infeasible_at(monkeypatch, 1)
     with pytest.raises(InfeasibleJudgmentsError):
@@ -132,9 +132,9 @@ def test_missed_hard_side_starts_from_the_probe(monkeypatch):
     # The least-squares weights of this block miss a hard side (lambda -inf),
     # so it is solved exactly as from the probe.
     block = _blocks()[7]
-    judged = _judged(block)
+    judged = _block(block)
     assert judged.hard_rise.size + judged.hard_fall.size
-    assert solver._least_squares_start(judged, 3, SolverConfig()) is None
+    assert solver._least_squares_start(judged, SolverConfig()) is None
     res = solve_fpp(block)
     _probe_first(monkeypatch)
     assert solve_fpp(block) == res
@@ -153,7 +153,7 @@ def test_iteration_reaching_the_cap_ends_with_the_probe(monkeypatch):
     # 0.5 the iteration crosses the cap and ends with the probe's clamped
     # result.
     cfg = SolverConfig(lambda_cap=0.5)
-    start = solver._least_squares_start(_judged(LOPSIDED), 3, cfg)
+    start = solver._least_squares_start(_block(LOPSIDED), cfg)
     assert start is not None and start[1] < 0.5 < solve_fpp(LOPSIDED).lambda_
     res = solve_fpp(LOPSIDED, cfg)
     assert res.lambda_ == 0.5 and res.clamped
@@ -343,25 +343,28 @@ def _lowest_membership_loop(matrix, vec):
     return min(worst, 1.0)
 
 
-def test_lowest_membership_matches_the_loop(rng):
-    # Bit for bit, on the random invariant blocks and the sweep fixtures
-    # (which have hard sides) plus crisp blocks: at the solved weights, at
-    # random weights, and with each judgment's ratio put on l, m and u and
-    # moved by 0.5e-12 and 1.5e-12 of it either way, inside and outside the
-    # 1e-12 bands of the crisp and hard-side rules.
-    blocks = _blocks() + [
+def _array_blocks():
+    """The random invariant blocks and the sweep fixtures (which have hard
+    sides) plus crisp blocks."""
+    return _blocks() + [
         load_study(FIXTURES / f"{name}.json").hierarchy.matrices["goal"]
         for name in SWEEP_BLOCKS
-    ]
-    blocks += [
+    ] + [
         _mat("ab", [("b", "a", (2, 2, 2))]),
         _mat("ab", [("a", "b", (1 / 3, 1 / 3, 1 / 3))]),
         _mat("abc", [("b", "a", (2, 2, 2)), ("c", "b", (1.5, 1.5, 1.5))]),
         _mat("abc", [("b", "a", (2, 2, 2)), ("c", "a", (2, 3, 3)), ("c", "b", (1, 1, 1.6))]),
     ]
+
+
+def test_lowest_membership_matches_the_loop(rng):
+    # Bit for bit, on _array_blocks(): at the solved weights, at random
+    # weights, and with each judgment's ratio put on l, m and u and moved by
+    # 0.5e-12 and 1.5e-12 of it either way, inside and outside the 1e-12
+    # bands of the crisp and hard-side rules.
     hard = crisp = 0
-    for block in blocks:
-        judged = _judged(block)
+    for block in _array_blocks():
+        judged = _block(block)
         hard += judged.hard_rise.size + judged.hard_fall.size
         crisp += judged.crisp.size
         n = len(block.items)
@@ -381,3 +384,34 @@ def test_lowest_membership_matches_the_loop(rng):
         for vec in vectors:
             assert _lowest_membership(judged, vec) == _lowest_membership_loop(block, vec)
     assert hard >= 50 and crisp >= 5
+
+
+def _sides_loop(matrix):
+    """The per-judgment loop that _block's side rows replaced: judgment i's
+    rising side is row 2i and its falling side row 2i + 1."""
+    idx = {item: i for i, item in enumerate(matrix.items)}
+    k = 2 * len(matrix.judgments)
+    base = np.zeros((k, len(matrix.items)))
+    spread = np.zeros_like(base)
+    hard = np.zeros(k, dtype=bool)
+    for i, j in enumerate(matrix.judgments):
+        r, c = idx[j.row], idx[j.col]
+        l, m, u = j.value.as_tuple()
+        rising, falling = 2 * i, 2 * i + 1
+        base[rising, c], base[rising, r], spread[rising, c] = l, -1.0, m - l
+        base[falling, c], base[falling, r], spread[falling, c] = -u, 1.0, u - m
+        hard[rising], hard[falling] = m == l, u == m
+    return base, spread, hard
+
+
+def test_side_rows_match_the_loop():
+    # Bit for bit, on the blocks whose memberships are checked above.
+    hard = 0
+    for matrix in _array_blocks():
+        block = _block(matrix)
+        base, spread, hard_sides = _sides_loop(matrix)
+        assert np.array_equal(block.base, base)
+        assert np.array_equal(block.spread, spread)
+        assert np.array_equal(block.hard, hard_sides)
+        hard += hard_sides.sum()
+    assert hard >= 50

@@ -159,7 +159,8 @@ def test_max_slack_reports_the_unshifted_slack():
     # for t + theta, a shift of 2.5e-6 to 1.5e-4 there, and subtracted it.)
     cfg = solver.SolverConfig()
     for block in load_study(bundled_study_path()).hierarchy.matrices.values():
-        base, spread, _ = solver._sides(block)
+        arrays = solver._block(block)
+        base, spread = arrays.base, arrays.spread
         res = solve_fpp(block)
         w = res.weight_vector()
         for lam, scale in (
@@ -260,8 +261,8 @@ def test_infeasible_verdicts_agree_with_highs():
     assert blocks[45] == fixture["goal"]
     infeasible = 0
     for block in blocks:
-        base, spread, _ = solver._sides(block)
-        hard = ~spread.any(axis=1)
+        arrays = solver._block(block)
+        base, hard = arrays.base, arrays.hard
         expected = hard.any() and _highs_slack(base[hard], np.ones(hard.sum())) < 0.0
         try:
             solve_fpp(block)
@@ -293,7 +294,9 @@ def test_conflict_names_an_irreducible_set_in_either_order():
         with pytest.raises(InfeasibleJudgmentsError) as moved:
             solve_fpp(_permuted(block, perm))
         assert moved.value.pairs == tuple((relabel[r], relabel[c]) for r, c in conflict)
-        base, spread, pairs = solver._sides(block)
+        arrays = solver._block(block)
+        base, spread = arrays.base, arrays.spread
+        pairs = [(j.row, j.col) for j in block.judgments for _ in range(2)]
         sides = [k for k in (~spread.any(axis=1)).nonzero()[0] if pairs[k] in conflict]
         assert _highs_slack(base[sides], np.ones(len(sides))) < 0.0
         for pair in conflict:
