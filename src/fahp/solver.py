@@ -13,19 +13,21 @@ program. It is solved exactly by the normalized Dinkelbach iteration of
 Crouzeix, Ferland and Schaible (JOTA 47, 1985): at lambda_k = lambda_at(w_k)
 one LP maximizes t subject to N_i(w) - lambda_k * D_i(w) >= t * D_i(w_k)
 for every side, and its solution w_{k+1} raises lambda until t reaches 0
-(to within 1e-8). The iteration starts from the logarithmic least-squares
+(to within 1e-8). Every block starts from the logarithmic least-squares
 weights of the judgments' modes (Crawford and Williams, J. Math. Psych. 29,
 1985), one n x n linear system, and its first LP from a crash basis whose
 tight rows are n soft sides of low membership there that span the items.
+Weights that reach lambda_cap, the start or any iterate, are returned
+clamped; consistent modes are clamped without an LP. Where the start misses
+a hard side, its lambda is -inf and the first LP is posed at lambda_cap
+instead; its solution is the first iterate. The first LP is also the
+verdict on the hard sides: it is infeasible when they conflict.
 Consecutive LPs of a block differ only in their coefficients, so each later
 one starts from the final basis of the one before. solve_lp inverts the
 starting basis's working set, an (n + 2)-square matrix, returns without a
 pivot when that basis is optimal, and otherwise re-optimises from it with
-dual and primal pivots on the same inverse. Where the
-least-squares weights miss a hard side, or the modes are consistent, an LP
-at lambda_cap (the probe) comes first, and an iteration that reaches
-lambda_cap ends with it. Only the probe, and an LP whose hint cannot be
-used, start from solve_lp's slack basis.
+dual and primal pivots on the same inverse. Only an LP whose hint cannot be
+used starts from solve_lp's slack basis.
 A side with zero spread (m == l or u == m) is a hard bound on the ratio, a
 constraint that does not depend on lambda. The reported lambda is
 lambda_at(weights); lambda >= 0 certifies that some weight vector lies
@@ -57,6 +59,8 @@ _SLACK_FEAS_TOL = 1e-11
 # of the optimal face apart, and the one it returned would depend on the
 # order of the items.
 _DINKELBACH_TOL = 1e-8
+# Weights whose lambda is this close to lambda_cap are returned clamped.
+_CLAMP_TOL = 1e-9
 # Relative tolerance for hard (zero-spread) judgment sides in the oracle.
 _HARD_REL_TOL = 1e-9
 
@@ -76,10 +80,11 @@ class SolverConfig:
     weight_floor: float = 1e-6
 
     def __post_init__(self):
-        # memberships are capped at 1, so a larger cap never binds
-        if not (math.isfinite(self.lambda_cap) and self.lambda_cap <= 1.0):
+        # memberships are capped at 1, so a larger cap never binds; a cap
+        # below 0 would report blocks as clamped at a negative lambda
+        if not 0.0 <= self.lambda_cap <= 1.0:
             raise ValueError(
-                f"lambda_cap must be finite and at most 1, got {self.lambda_cap}"
+                f"lambda_cap must lie between 0 and 1, got {self.lambda_cap}"
             )
         if not (self.weight_floor > 0 and math.isfinite(self.weight_floor)):
             raise ValueError(
@@ -91,12 +96,9 @@ class SolverConfig:
 class SolveResult:
     """Weights and diagnostics for one comparison block.
 
-    ``iterations`` counts the LPs solved, the lambda_cap probe included
-    when it ran. ``slack`` is the objective of the last max-slack LP,
-    solved at the returned lambda (normalized by each side's denominator
-    unless the block is clamped); a clearly positive slack means the weight
-    vector is not pinned down uniquely at that lambda. The oracle leaves it
-    as None.
+    ``iterations`` counts the LPs solved; it is 0 for a block clamped at its
+    least-squares weights. ``slack`` is the objective of the last max-slack
+    LP, or None when no LP ran. The oracle leaves it as None.
     """
 
     weights: dict[str, float]
@@ -314,32 +316,13 @@ def _raise_conflict(block: _Block, cfg: SolverConfig) -> None:
     )
 
 
-def _probe(
-    block: _Block, cfg: SolverConfig
-) -> tuple[float, np.ndarray, tuple[int, ...] | None]:
-    """The max-slack LP at lambda_cap, solved from the slack basis: (slack,
-    weights, basis).
-    Every soft side is slacked with a unit scale and the hard sides are held
-    as constraints, unless nothing else bounds the slack; a slack of at least
-    -_SLACK_FEAS_TOL means lambda_cap is attainable. Raises
-    InfeasibleJudgmentsError when the hard sides cannot all hold."""
-    hard = block.hard
-    scale = np.ones(len(hard)) if hard.all() else (~hard).astype(float)
-    probe = _max_slack(block.base + cfg.lambda_cap * block.spread, scale, cfg)
-    if probe is None or (hard.all() and probe[0] < -_SLACK_FEAS_TOL):
-        _raise_conflict(block, cfg)
-    return probe
-
-
 def _least_squares_start(
     block: _Block, cfg: SolverConfig
-) -> tuple[np.ndarray, float] | None:
+) -> tuple[np.ndarray, float]:
     """The logarithmic least-squares weights of the judgments' modes
-    (Crawford and Williams, J. Math. Psych. 29, 1985) and their lambda, or
-    None where they cannot start the Dinkelbach iteration: their lambda is
-    -inf (they miss a hard side), or within _DINKELBACH_TOL of lambda_cap
-    (the modes are consistent). A block whose every side is hard has a
-    lambda of 1 or -inf at any weight vector, so it always gets None.
+    (Crawford and Williams, J. Math. Psych. 29, 1985) and their lambda, which
+    is -inf where they miss a hard side. A block whose every side is hard has
+    a lambda of 1 or -inf at any weight vector.
 
     x = log w minimizes the sum of (x_row - x_col - log m)^2 over the
     judgments: L x = b, with L the Laplacian of the comparison graph. The
@@ -365,10 +348,7 @@ def _least_squares_start(
     w = g / g.sum()
     if w.min() < cfg.weight_floor:
         w = cfg.weight_floor + (1.0 - n * cfg.weight_floor) * w
-    lam = _lowest_membership(block, w)
-    if lam == -math.inf or lam >= cfg.lambda_cap - _DINKELBACH_TOL:
-        return None
-    return w, lam
+    return w, _lowest_membership(block, w)
 
 
 def _crash_basis(block: _Block, w: np.ndarray):
@@ -421,34 +401,33 @@ def solve_fpp(
     of the judgments' modes, with a crash basis for the first LP, until its
     slack reaches zero. It stops before the slack falls to the LP's noise
     level, where ties between vertices of the optimal face would make the
-    weights depend on the order of the items. Where those weights cannot
-    start it (see _least_squares_start), the lambda_cap probe comes first:
-    a block that reaches lambda_cap there is clamped, and any other starts
-    from the probe's weights. An iteration that reaches lambda_cap also
-    ends with the probe, and is clamped when the probe holds. Raises
-    InfeasibleJudgmentsError, naming the conflicting pairs, when the hard
-    (zero-spread) sides of the judgments cannot all hold.
+    weights depend on the order of the items. Where those weights miss a
+    hard side, the first LP is posed at lambda_cap, and its solution is the
+    first iterate. The first weights, start or iterate, whose lambda reaches
+    lambda_cap are returned clamped. Raises InfeasibleJudgmentsError, naming
+    the conflicting pairs, when the hard (zero-spread) sides of the judgments
+    cannot all hold.
     """
     cfg = config or SolverConfig()
     block = _block(matrix)
     _check_floor(matrix, cfg)
-    base, spread = block.base, block.spread
-    start = _least_squares_start(block, cfg)
-    if start is None:
-        slack, w, basis = _probe(block, cfg)
-        if slack >= -_SLACK_FEAS_TOL:
-            return _result(matrix, w, cfg.lambda_cap, 1, True, slack)
-        lam, probes = _lowest_membership(block, w), 1
-    else:
-        w, lam = start
-        basis, probes = _crash_basis(block, w), 0
-    probed = start is None
+    base, spread, cap = block.base, block.spread, cfg.lambda_cap
+    all_hard = block.hard.all()
+    w, lam = _least_squares_start(block, cfg)
+    if lam >= cap - _CLAMP_TOL:
+        return _result(matrix, w, cap, 0, True, None)
+    basis, probes = _crash_basis(block, w), 0
     while True:
-        # max t s.t. N_i(w) - lam * D_i(w) >= t * D_i(w_k) on every soft side
-        step = _max_slack(base + lam * spread, spread @ w, cfg, basis)
-        if step is None:
-            # The first LP from the least-squares start is the hard sides'
-            # verdict; after that they have held once, so only round-off.
+        # max t s.t. N_i(w) - lam * D_i(w) >= t * D_i(w_k) on every soft side,
+        # at lambda_cap while w misses a hard side; an all-hard block has no
+        # D_i, so its slack gets a unit scale
+        missed = lam == -math.inf
+        scale = np.ones(len(base)) if all_hard else spread @ w
+        step = _max_slack(base + (cap if missed else lam) * spread, scale, cfg, basis)
+        if step is None or (all_hard and step[0] < -_SLACK_FEAS_TOL):
+            # The first LP is the hard sides' verdict (a negative slack, in an
+            # all-hard block); after that they have held once, so only
+            # round-off.
             if probes == 0 and block.hard.any():
                 _raise_conflict(block, cfg)
             raise RuntimeError(
@@ -457,15 +436,12 @@ def solve_fpp(
             )
         slack, w_next, basis = step
         probes += 1
-        if slack <= _DINKELBACH_TOL:
+        if not missed and slack <= _DINKELBACH_TOL:
             break
         lam_next = _lowest_membership(block, w_next)
-        if not probed and lam_next >= cfg.lambda_cap - _DINKELBACH_TOL:
-            cap_slack, cap_w, _ = _probe(block, cfg)
-            probes += 1
-            if cap_slack >= -_SLACK_FEAS_TOL:
-                return _result(matrix, cap_w, cfg.lambda_cap, probes, True, cap_slack)
-            probed = True
+        # an all-hard block whose sides hold meets every judgment in full
+        if lam_next >= cap - _CLAMP_TOL or all_hard:
+            return _result(matrix, w_next, cap, probes, True, slack)
         if not lam_next > lam:
             break
         lam, w = lam_next, w_next
@@ -478,7 +454,7 @@ def _result(
     lam: float,
     probes: int,
     clamped: bool,
-    slack: float,
+    slack: float | None,
 ) -> SolveResult:
     lam = float(lam)
     return SolveResult(
@@ -487,7 +463,7 @@ def _result(
         consistent=lam >= 0.0,
         iterations=probes,
         clamped=clamped,
-        slack=float(slack),
+        slack=None if slack is None else float(slack),
     )
 
 

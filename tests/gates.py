@@ -7,11 +7,13 @@ test_solver_invariants describes, each solved as drawn and with its items
 reordered (34,800 solves). The contradictory blocks: 1,500 blocks drawn by
 _contradictory_block from rng seed 101. Prints the exceptions, the solves
 whose lambda_at is -inf, the infeasible verdicts, the LPs and pivots, the
-largest lambda and weight gaps between the two item orders, and the largest
-pivot count of a solve from a starting-basis hint. --out writes every solve's
-outcome, the totals and the largest hinted pivot count as JSON; --compare
-reports the largest lambda and weight differences from another run's file,
-the solves whose outcome kind differs, and the LP and pivot differences.
+LPs that start with no basis hint outside _raise_conflict's deletion filter
+(cold LPs), the largest lambda and weight gaps between the two item orders,
+and the largest pivot count of a solve from a starting-basis hint. --out
+writes every solve's outcome, the totals and the largest hinted pivot count
+as JSON; --compare reports the largest lambda and weight differences from
+another run's file, the solves whose outcome kind differs, and the LP, pivot
+and cold-LP differences.
 
 Not collected by pytest (the name does not start with test_); it takes a
 few minutes.
@@ -74,7 +76,8 @@ def run() -> tuple[dict, collections.Counter, tuple[int, str]]:
     hinted = [0, ""]
     current = [""]
     solve_lp, from_basis = solver.solve_lp, simplex._from_basis
-    in_hint = [False]
+    raise_conflict = solver._raise_conflict
+    in_hint, in_conflict = [False], [False]
 
     def counted(*args, basis=None, **kwargs):
         in_hint[0] = basis is not None
@@ -82,7 +85,15 @@ def run() -> tuple[dict, collections.Counter, tuple[int, str]]:
         in_hint[0] = False
         totals["lps"] += 1
         totals["pivots"] += res.pivots
+        totals["cold"] += basis is None and not in_conflict[0]
         return res
+
+    def conflict(*args, **kwargs):
+        in_conflict[0] = True
+        try:
+            return raise_conflict(*args, **kwargs)
+        finally:
+            in_conflict[0] = False
 
     def watched(*args, **kwargs):
         try:
@@ -99,6 +110,7 @@ def run() -> tuple[dict, collections.Counter, tuple[int, str]]:
         return res
 
     solver.solve_lp, simplex._from_basis = counted, watched
+    solver._raise_conflict = conflict
     outcomes = {}
     try:
         for key, block in _population():
@@ -120,6 +132,7 @@ def run() -> tuple[dict, collections.Counter, tuple[int, str]]:
             outcomes[key] = {"lambda": res.lambda_, "weights": res.weights}
     finally:
         solver.solve_lp, simplex._from_basis = solve_lp, from_basis
+        solver._raise_conflict = raise_conflict
     return outcomes, totals, tuple(hinted)
 
 
@@ -148,7 +161,7 @@ def main(argv=None) -> int:
     print(f"solves {len(outcomes)}, exceptions {totals['exceptions']}, "
           f"lambda_at -inf {totals['minus_inf']}, infeasible {totals['infeasible']}")
     print(f"LPs {totals['lps']}, pivots {totals['pivots']}, "
-          f"largest hinted pivot count {most} ({where}), "
+          f"cold LPs {totals['cold']}, largest hinted pivot count {most} ({where}), "
           f"hinted solves at the iteration limit {totals['hint_limit']}")
     orders = [(k, k[:-1] + "b") for k in outcomes if k.endswith(" a")]
     lam, weight, differ = _gaps(outcomes, outcomes, orders)
@@ -167,8 +180,9 @@ def main(argv=None) -> int:
               f"{', '.join(differ[:10])}")
         theirs = collections.Counter(other["totals"])
         print(f"LPs {totals['lps'] - theirs['lps']:+d}, "
-              f"pivots {totals['pivots'] - theirs['pivots']:+d} "
-              f"(theirs {theirs['lps']} and {theirs['pivots']}), "
+              f"pivots {totals['pivots'] - theirs['pivots']:+d}, "
+              f"cold LPs {totals['cold'] - theirs['cold']:+d} "
+              f"(theirs {theirs['lps']}, {theirs['pivots']} and {theirs['cold']}), "
               f"largest hinted pivot count theirs {other['hinted'][0]}")
     return 1 if totals["exceptions"] or totals["minus_inf"] else 0
 

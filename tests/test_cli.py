@@ -97,6 +97,9 @@ def test_solve_unknown_key_exits_2(tmp_path):
         ({"row": "b", "col": "a", "judgment": [1e10, 1e10, 1e10]}, None, "(b, a) has u"),
         ({"row": "b", "col": "a", "judgment": [1e-12, 1e-11, 1e-10]}, None, "(b, a) has l"),
         ({"row": "b", "col": "a", "judgment": [5e-5, 3, 4]}, None, "(b, a) has l"),
+        # negative caps clamped blocks at a negative lambda, or exited 1 on round-off
+        (None, {"lambda_cap": -0.5}, "lambda_cap"),
+        (None, {"lambda_cap": -1e300}, "lambda_cap"),
     ],
 )
 def test_solve_bad_field_exits_2_naming_it(tmp_path, capsys, judgment, solver, named):

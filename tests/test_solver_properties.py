@@ -1,10 +1,11 @@
 """Differential properties of solve_fpp on generated blocks of 2-10 items:
-the least-squares start against the lambda_cap probe start, the returned
+the least-squares start against an equal-weights start, the returned
 weights against lambda_at, item order, and HiGHS."""
 
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -65,13 +66,19 @@ def _solve(block):
         return None
 
 
+def _equal_weights(block, cfg):
+    """The start (w, lambda) at equal weights."""
+    w = np.full(len(block.matrix.items), 1.0 / len(block.matrix.items))
+    return w, solver._lowest_membership(block, w)
+
+
 @pytest.mark.parametrize("hard", [False, True], ids=["soft", "hard"])
 def test_least_squares_start_agrees_with_the_probe_start(hard):
     @PROPERTY_SETTINGS
     @given(blocks(hard))
     def check(block):
         res = _solve(block)
-        with mock.patch.object(solver, "_least_squares_start", lambda *args: None):
+        with mock.patch.object(solver, "_least_squares_start", _equal_weights):
             probe = _solve(block)
         assert (res is None) == (probe is None)
         if res is not None:
