@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -86,11 +87,18 @@ def _format_results(study: StudyDocument, doc: ResultsDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(path: str, text: str, kind: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {kind} file {path}: {exc}") from exc
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     study = load_study(args.study)
     doc = solve_study(study, None if args.no_timestamp else _timestamp())
     if args.out:
-        Path(args.out).write_text(serialize_results(doc), encoding="utf-8")
+        _write(args.out, serialize_results(doc), "results")
     sys.stdout.write(_format_results(study, doc))
     return EXIT_OK
 
@@ -107,7 +115,7 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
         )
     if args.out:
         payload = json.dumps(report_to_dict(report), indent=2, ensure_ascii=False)
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        _write(args.out, payload + "\n", "report")
     sys.stdout.write(format_report(report))
     return EXIT_OK
 
@@ -266,7 +274,10 @@ def cmd_alpha(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every call of main reads its arguments the same way."""
     parser = argparse.ArgumentParser(
         prog="fahp",
         description=(
@@ -348,8 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

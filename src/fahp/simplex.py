@@ -43,11 +43,21 @@ next. A hint of the wrong length, with a repeated or out-of-range column or
 with a singular working set, or whose solve ends in anything but an
 optimum, is dropped for the slack basis, whose verdict is final. Sized for
 problems with tens of rows; this is not a general-purpose LP library.
+
+Every LP is solved by one routine, _solve, over a prebuilt _Form: c, the
+stacked constraint rows G = [-I; A_ub; A_eq] and their right-hand sides h.
+solve_lp builds the form from its arrays and turns a basis tuple into the
+mask of basic columns that _solve takes. The solver keeps one form per
+comparison block, rewrites its coefficients in place between LPs and
+passes the final mask of one LP to the next, with no array rebuilt and no
+tuple in between. The arithmetic is the same either way, so each result is
+bit for bit what solve_lp returns on the same arrays from the same basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,12 +117,13 @@ def _off(inv: np.ndarray, mat: np.ndarray) -> float:
 
 def _inverse(mat: np.ndarray, tol: float) -> np.ndarray | None:
     """Inverse of a small square matrix, or None when it is singular or so
-    ill-conditioned that inv @ mat is off the identity by more than tol."""
+    ill-conditioned that inv @ mat is off the identity by more than tol (an
+    inverse with a non-finite entry is off by inf)."""
     try:
         inv = np.linalg.inv(mat)
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(inv).all() or _off(inv, mat) > tol:
+    if _off(inv, mat) > tol:
         return None
     return inv
 
@@ -126,50 +137,68 @@ def _ratio_test(entries, gaps, allowed, order=None) -> int:
     step by min((gap + delta) / entry). Pass 2 takes, among the candidates
     whose ratio gap / entry is within that bound, the one with the largest
     entry; ties go to the lowest position, or to the lowest `order` value
-    when `order` is given.
+    when `order` is given. A call has a handful of candidates, and mostly
+    one of them fits, so both passes run on them as Python floats, which
+    round as numpy's do, rather than as a dozen whole-array numpy calls.
     """
-    candidates = ((entries > _PIVOT_TOL) & allowed).nonzero()[0]
-    if candidates.size <= 1:
-        return int(candidates[0]) if candidates.size else -1
-    sizes = entries[candidates]
-    gaps = np.maximum(gaps[candidates], 0.0)
-    fits = gaps / sizes <= ((gaps + _HARRIS_DELTA) / sizes).min()
-    sizes = np.where(fits, sizes, 0.0)
-    top = candidates[sizes == sizes.max()].tolist()
+    candidates = ((entries > _PIVOT_TOL) & allowed).nonzero()[0].tolist()
+    if len(candidates) <= 1:
+        return candidates[0] if candidates else -1
+    sizes = entries[candidates].tolist()
+    gaps = [gap if gap > 0.0 else 0.0 for gap in gaps[candidates].tolist()]
+    bound = min((gap + _HARRIS_DELTA) / size for gap, size in zip(gaps, sizes))
+    best, top = 0.0, []
+    for p, gap, size in zip(candidates, gaps, sizes):
+        if gap / size <= bound:
+            if size > best:
+                best, top = size, [p]
+            elif size == best:
+                top.append(p)
     return top[0] if order is None else min(top, key=order.__getitem__)
 
 
-def _from_basis(c, a_ub, b_ub, a_eq, b_eq, start, limit=None) -> LPResult | None:
-    """Solve the LP from the basis `start` in at most `limit` pivots (by
-    default _HINT_PIVOTS per row and column): "optimal", "infeasible" or
-    "unbounded", or None when the start is unusable or no solution that
-    meets the rows can be read off the final working set. Raises
-    RuntimeError past the limit.
+class _Form(NamedTuple):
+    """An LP in the form the active-set loop works on: minimize c @ x
+    subject to g_k x <= h_k for k < ncols and g_k x = h_k for k >= ncols.
 
-    Constraint k is g_k x <= h_k, row k of G = [-I; A_ub; A_eq]: for
-    k < n + m_ub the constraint of column k, then the equality rows. `work`
-    lists the working set, so B = G[work] and `inv` = B^-1; `basic` flags
-    the basic columns. Leaving the constraint at position p of `work` moves
-    x by -B^-1 e_p per unit of its slack, so a basic column's entry in the
-    entering column is alpha = -G B^-1 e_p, and the entries of the row of
-    a leaving column k are -u with u = g_k B^-1.
+    The first n rows of g are -I (the constraints x >= 0 of the structural
+    columns), then the inequality rows, then the equality rows, so column k
+    of the standard form, for k < ncols = n + m_ub, is constraint k. A
+    caller that solves a run of LPs of one shape may keep one form and
+    rewrite its coefficients in place between solves.
     """
+
+    c: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+    ncols: int
+
+
+def _form(c, a_ub, b_ub, a_eq, b_eq) -> _Form:
+    """The form of min c @ x s.t. a_ub @ x <= b_ub, a_eq @ x = b_eq, x >= 0."""
     n, m_ub = c.size, b_ub.size
-    ncols = n + m_ub
-    if limit is None:
-        limit = _HINT_PIVOTS * (n + m_ub + b_eq.size)
-    cols = sorted(set(start))
-    if len(start) != m_ub + b_eq.size or len(cols) != len(start):
-        return None
-    if cols and not (0 <= cols[0] and cols[-1] < ncols):
-        return None
-    g = np.zeros((ncols + b_eq.size, n))
+    g = np.zeros((n + m_ub + b_eq.size, n))
     g[:n].flat[:: n + 1] = -1.0
-    g[n:ncols] = a_ub
-    g[ncols:] = a_eq
-    h = np.concatenate([np.zeros(n), b_ub, b_eq])
-    basic = np.zeros(ncols, dtype=bool)
-    basic[cols] = True
+    g[n : n + m_ub] = a_ub
+    g[n + m_ub :] = a_eq
+    return _Form(c, g, np.concatenate([np.zeros(n), b_ub, b_eq]), n + m_ub)
+
+
+def _reoptimise(form: _Form, basic: np.ndarray, limit: int) -> LPResult | None:
+    """Solve the LP of `form` from the basis whose columns `basic` flags, in
+    at most `limit` pivots: "optimal", "infeasible" or "unbounded", or None
+    when the start's working set is singular or no solution that meets the
+    rows can be read off the final one. `basic` is updated in place and
+    ends flagging the final basis. The result's `basis` is left None.
+    Raises RuntimeError past the limit.
+
+    `work` lists the working set, so B = g[work] and `inv` = B^-1. Leaving
+    the constraint at position p of `work` moves x by -B^-1 e_p per unit of
+    its slack, so a basic column's entry in the entering column is
+    alpha = -g B^-1 e_p, and the entries of the row of a leaving column k
+    are -u with u = g_k B^-1.
+    """
+    c, g, h, ncols = form
     work = np.concatenate([(~basic).nonzero()[0], np.arange(ncols, h.size)])
     mat, rhs = g[work], h[work]
     inv = _inverse(mat, _START_INV_TOL)
@@ -234,26 +263,28 @@ def _from_basis(c, a_ub, b_ub, a_eq, b_eq, start, limit=None) -> LPResult | None
         x = inv @ rhs
     for _ in range(2):
         x += inv @ (rhs - mat @ x)
-    x[~basic[:n]] = 0.0
+    x[~basic[: c.size]] = 0.0
     np.maximum(x, 0.0, out=x)
-    if not _satisfies(a_ub, b_ub, a_eq, b_eq, x):
+    if not _satisfies(form, x):
         return None
-    basis = tuple(basic.nonzero()[0].tolist())
-    return LPResult("optimal", x, float(c @ x), pivots, basis)
+    return LPResult("optimal", x, float(c @ x), pivots)
 
 
-def _slack_basis(a_eq: np.ndarray, b_eq: np.ndarray, m_ub: int):
-    """The cold start: (the slack basis, the equality rows it keeps), or
-    None when an equality row reduces to 0 = b with b nonzero.
+def _slack_basis(form: _Form) -> tuple[np.ndarray, list[int]] | None:
+    """The cold start: (the slack basis's column mask, the equality rows it
+    keeps), or None when an equality row reduces to 0 = b with b nonzero.
 
     Gauss-Jordan elimination with partial pivoting over the equality rows in
     order picks for each the structural column of its largest entry; a row
     whose entries all reduce below _PIVOT_TOL is dropped. Every inequality
     row's slack is basic too.
     """
-    n = a_eq.shape[1]
-    system = np.hstack([a_eq, b_eq[:, None]])
-    struct, keep = [], []
+    c, g, h, ncols = form
+    n = c.size
+    system = np.hstack([g[ncols:], h[ncols:, None]])
+    basic = np.zeros(ncols, dtype=bool)
+    basic[n:] = True
+    keep = []
     for r, row in enumerate(system):
         col = int(np.abs(row[:n]).argmax())
         if abs(row[col]) <= _PIVOT_TOL:
@@ -262,21 +293,67 @@ def _slack_basis(a_eq: np.ndarray, b_eq: np.ndarray, m_ub: int):
             continue
         row /= row[col]
         system[r + 1 :] -= system[r + 1 :, col, None] * row
-        struct.append(col)
+        basic[col] = True
         keep.append(r)
-    return struct + list(range(n, n + m_ub)), keep
+    return basic, keep
 
 
-def _satisfies(a_ub, b_ub, a_eq, b_eq, x: np.ndarray) -> bool:
-    """Whether x meets the original constraint rows to within _FEAS_TOL,
-    relative to the size of the right-hand sides."""
-    tol = _FEAS_TOL * (
-        1.0 + max(np.abs(b_ub).max(initial=0.0), np.abs(b_eq).max(initial=0.0))
-    )
+def _satisfies(form: _Form, x: np.ndarray) -> bool:
+    """Whether x meets the form's inequality and equality rows to within
+    _FEAS_TOL, relative to the size of their right-hand sides."""
+    n, m_ub = form.c.size, form.ncols - form.c.size
+    rhs = form.h[n:]
+    tol = _FEAS_TOL * (1.0 + np.abs(rhs).max(initial=0.0))
+    miss = form.g[n:] @ x - rhs
     return bool(
-        (a_ub @ x - b_ub).max(initial=0.0) <= tol
-        and np.abs(a_eq @ x - b_eq).max(initial=0.0) <= tol
+        miss[:m_ub].max(initial=0.0) <= tol
+        and np.abs(miss[m_ub:]).max(initial=0.0) <= tol
     )
+
+
+def _solve(form: _Form, basic: np.ndarray | None = None):
+    """The one LP routine: (the result, the final basis's column mask).
+
+    The LP is re-optimised from the basis `basic` flags, when given, in at
+    most _HINT_PIVOTS pivots per row and column; `basic` is updated in
+    place. A start whose working set is singular, or whose solve ends in
+    anything but an optimum or passes that limit, leaves the solve from the
+    slack basis (and its pivot count) as without a start. The mask is None
+    when the LP is not optimal or a redundant equality row was dropped.
+    Raises RuntimeError as solve_lp does.
+    """
+    if basic is not None:
+        try:
+            warm = _reoptimise(form, basic, _HINT_PIVOTS * form.h.size)
+        except RuntimeError:  # the pivot limit
+            warm = None
+        if warm is not None and warm.status == "optimal":
+            return warm, basic
+    cold = _slack_basis(form)
+    if cold is None:
+        return LPResult("infeasible", None, None, 0), None
+    basic, keep = cold
+    dropped = len(keep) < form.h.size - form.ncols
+    if dropped:
+        rows = list(range(form.ncols)) + [form.ncols + r for r in keep]
+        form = form._replace(g=form.g[rows], h=form.h[rows])
+    res = _reoptimise(form, basic, _MAX_ITER)
+    if res is None:
+        raise RuntimeError("simplex round-off: the solution violates its constraints")
+    return res, (None if dropped or res.status != "optimal" else basic)
+
+
+def _hint(start, form: _Form) -> np.ndarray | None:
+    """The column mask of the starting basis `start`, or None when it has
+    the wrong length or a repeated or out-of-range column."""
+    cols = sorted(set(start))
+    if len(start) != form.h.size - form.c.size or len(cols) != len(start):
+        return None
+    if cols and not (0 <= cols[0] and cols[-1] < form.ncols):
+        return None
+    basic = np.zeros(form.ncols, dtype=bool)
+    basic[cols] = True
+    return basic
 
 
 def solve_lp(
@@ -321,19 +398,9 @@ def solve_lp(
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
     if a_ub.shape != (b_ub.size, n) or a_eq.shape != (b_eq.size, n):
         raise ValueError("constraint shapes do not match the objective length")
-    if basis is not None:
-        try:
-            warm = _from_basis(c, a_ub, b_ub, a_eq, b_eq, basis)
-        except RuntimeError:  # the pivot limit
-            warm = None
-        if warm is not None and warm.status == "optimal":
-            return warm
-
-    cold = _slack_basis(a_eq, b_eq, b_ub.size)
-    if cold is None:
-        return LPResult("infeasible", None, None, 0)
-    start, keep = cold
-    res = _from_basis(c, a_ub, b_ub, a_eq[keep], b_eq[keep], start, _MAX_ITER)
-    if res is None:
-        raise RuntimeError("simplex round-off: the solution violates its constraints")
-    return res if len(keep) == b_eq.size else replace(res, basis=None)
+    form = _form(c, a_ub, b_ub, a_eq, b_eq)
+    res, basic = _solve(form, None if basis is None else _hint(basis, form))
+    if basic is None:
+        return res
+    return LPResult(res.status, res.x, res.objective, res.pivots,
+                    tuple(basic.nonzero()[0].tolist()))

@@ -22,12 +22,17 @@ clamped; consistent modes are clamped without an LP. Where the start misses
 a hard side, its lambda is -inf and the first LP is posed at lambda_cap
 instead; its solution is the first iterate. The first LP is also the
 verdict on the hard sides: it is infeasible when they conflict.
-Consecutive LPs of a block differ only in their coefficients, so each later
-one starts from the final basis of the one before. solve_lp inverts the
-starting basis's working set, an (n + 2)-square matrix, returns without a
-pivot when that basis is optimal, and otherwise re-optimises from it with
-dual and primal pivots on the same inverse. Only an LP whose hint cannot be
-used starts from solve_lp's slack basis.
+Consecutive LPs of a block differ only in their coefficients. The block's
+LP is allocated once (_slack_form), in the form the simplex works on, with
+the weight bounds, the sum-to-one row and the objective fixed; each step
+writes its side rows, their slack scale and right-hand sides in place
+(_pose) and re-solves from the final basis of the LP before, kept as the
+mask of its basic columns. The simplex inverts that basis's working set,
+an (n + 2)-square matrix, returns without a pivot when the basis is
+optimal, and otherwise re-optimises from it with dual and primal pivots on
+the same inverse. Only an LP whose basis cannot be used starts from the
+slack basis. Each result is bit for bit that of solve_lp on the same
+arrays from the same basis.
 A side with zero spread (m == l or u == m) is a hard bound on the ratio, a
 constraint that does not depend on lambda. The reported lambda is
 lambda_at(weights); lambda >= 0 certifies that some weight vector lies
@@ -50,7 +55,7 @@ import numpy as np
 from .errors import InfeasibleJudgmentsError, ValidationError
 from .fuzzy import _CRISP_REL_TOL
 from .hierarchy import ComparisonMatrix, validate_matrix
-from .simplex import solve_lp
+from . import simplex
 
 # Slack this close to zero still counts as feasible; absorbs LP float noise.
 _SLACK_FEAS_TOL = 1e-11
@@ -120,41 +125,62 @@ def _check_floor(matrix: ComparisonMatrix, config: SolverConfig) -> None:
         )
 
 
-def _max_slack(
-    rows: np.ndarray, scale: np.ndarray, config: SolverConfig, basis=None
-) -> tuple[float, np.ndarray, tuple[int, ...] | None] | None:
-    """Best slack t, its weight vector and the LP's final basis for the
-    constraint rows, or None when the rows with a zero scale cannot all hold.
-    `basis` is the final basis of an earlier call on rows of the same shape,
-    passed to solve_lp as its starting-basis hint.
+def _slack_form(k: int, n: int, cfg: SolverConfig) -> simplex._Form:
+    """The max-slack LP of k rows over n weights, in the simplex's form, with
+    everything set that does not depend on the rows: _pose writes those.
 
-    Solves max t subject to rows_k @ w + t * scale_k <= 0 for every row,
-    sum w = 1, w >= weight_floor. With a unit scale t >= 0 exactly when
-    every row can hold. The LP is posed in v = w - weight_floor, which
-    leaves the right-hand side -weight_floor * rows_k.sum() on each row.
+    The LP is max t subject to rows_k @ w + t * scale_k <= 0 for every row,
+    sum w = 1, w >= weight_floor. It is posed in v = w - weight_floor, which
+    leaves the right-hand side -weight_floor * rows_k.sum() on each row, and
+    t = tp - tn split into nonnegatives: columns v, then tp and tn. With a
+    unit scale t >= 0 exactly when every row can hold.
     """
-    k, n = rows.shape
-    eps = config.weight_floor
-    # variables: v = w - eps (n), then t = tp - tn split into nonnegatives
-    a_ub = np.zeros((k, n + 2))
-    a_ub[:, :n] = rows
-    a_ub[:, n] = scale
-    a_ub[:, n + 1] = -scale
-    b_ub = -eps * rows.sum(axis=1)
-    a_eq = np.zeros((1, n + 2))
-    a_eq[0, :n] = 1.0
-    b_eq = np.array([1.0 - n * eps])
+    g = np.zeros((n + k + 3, n + 2))
+    g[: n + 2].flat[:: n + 3] = -1.0
+    g[-1, :n] = 1.0
+    h = np.zeros(n + k + 3)
+    h[-1] = 1.0 - n * cfg.weight_floor
     c = np.zeros(n + 2)
     c[n] = -1.0
     c[n + 1] = 1.0
-    res = solve_lp(c, a_ub, b_ub, a_eq, b_eq, basis=basis)
+    return simplex._Form(c, g, h, n + k + 2)
+
+
+def _pose(
+    form: simplex._Form, rows: np.ndarray, scale: np.ndarray, cfg: SolverConfig
+) -> None:
+    """Write the rows and their slack scale into the form, in place."""
+    n = rows.shape[1]
+    sides = form.g[n + 2 : -1]
+    sides[:, :n] = rows
+    sides[:, n] = scale
+    np.negative(scale, out=sides[:, n + 1])
+    form.h[n + 2 : -1] = -cfg.weight_floor * rows.sum(axis=1)
+
+
+def _max_t(
+    form: simplex._Form, cfg: SolverConfig, basic: np.ndarray | None = None
+) -> tuple[float, np.ndarray, np.ndarray | None] | None:
+    """Best slack t of the posed max-slack LP, its weight vector and the
+    final basis's column mask, or None when the rows with a zero scale
+    cannot all hold. `basic` flags the columns of a starting basis, such as
+    the final basis of the LP before, and is updated in place."""
+    res, basic = simplex._solve(form, basic)
     if res.status == "infeasible":
         return None
     if res.status != "optimal":
         raise RuntimeError(f"max-slack subproblem unexpectedly {res.status}")
+    n = form.c.size - 2
     t = float(res.x[n] - res.x[n + 1])
-    w = res.x[:n] + eps
-    return t, w / w.sum(), res.basis
+    w = res.x[:n] + cfg.weight_floor
+    return t, w / w.sum(), basic
+
+
+def _unit_slack(rows: np.ndarray, cfg: SolverConfig) -> tuple | None:
+    """_max_t for the rows with a unit scale, solved from the slack basis."""
+    form = _slack_form(*rows.shape, cfg)
+    _pose(form, rows, np.ones(len(rows)), cfg)
+    return _max_t(form, cfg)
 
 
 def _as_vector(matrix: ComparisonMatrix, w) -> np.ndarray:
@@ -281,8 +307,7 @@ def feasible_at(
         raise ValueError(f"lam must be finite, got {lam}")
     if lam > 1.0:
         return None
-    rows = block.base + lam * block.spread
-    t, w, _ = _max_slack(rows, np.ones(len(rows)), cfg)
+    t, w, _ = _unit_slack(block.base + lam * block.spread, cfg)
     if t < -_SLACK_FEAS_TOL:
         return None
     return dict(zip(matrix.items, (float(x) for x in w)))
@@ -304,7 +329,7 @@ def _raise_conflict(block: _Block, cfg: SolverConfig) -> None:
         rest = [k for k in keep if k != side]
         if not rest:
             continue
-        if _max_slack(base[rest], np.ones(len(rest)), cfg)[0] < -_SLACK_FEAS_TOL:
+        if _unit_slack(base[rest], cfg)[0] < -_SLACK_FEAS_TOL:
             keep = rest
     judged = (matrix.judgments[side // 2] for side in keep)
     conflict = list(dict.fromkeys((j.row, j.col) for j in judged))
@@ -352,10 +377,11 @@ def _least_squares_start(
 
 
 def _crash_basis(block: _Block, w: np.ndarray):
-    """A starting-basis hint for the first Dinkelbach LP from w, in
-    _max_slack's column numbering, or None when the soft sides do not span
-    the items. The weights and t are basic and n soft sides are tight (the
-    sides that bind at a vertex near w); every other row's slack is basic.
+    """A starting basis for the first Dinkelbach LP from w, as the mask of
+    its basic columns in _slack_form's numbering, or None when the soft
+    sides do not span the items. The weights and t are basic and n soft
+    sides are tight (the sides that bind at a vertex near w); every other
+    row's slack is basic.
 
     The tight sides are picked in ascending membership at w, the way
     Kruskal's algorithm picks a spanning tree: a side is taken while it
@@ -387,9 +413,10 @@ def _crash_basis(block: _Block, w: np.ndarray):
             break
     else:
         return None
-    loose = np.ones(k, dtype=bool)
-    loose[tree + [cycle]] = False
-    return tuple(range(n + 1)) + tuple((n + 2 + loose.nonzero()[0]).tolist())
+    basic = np.ones(n + 2 + k, dtype=bool)
+    basic[n + 1] = False  # tn
+    basic[[n + 2 + side for side in tree + [cycle]]] = False
+    return basic
 
 
 def solve_fpp(
@@ -416,14 +443,16 @@ def solve_fpp(
     w, lam = _least_squares_start(block, cfg)
     if lam >= cap - _CLAMP_TOL:
         return _result(matrix, w, cap, 0, True, None)
-    basis, probes = _crash_basis(block, w), 0
+    form = _slack_form(*base.shape, cfg)
+    basic, probes = _crash_basis(block, w), 0
     while True:
         # max t s.t. N_i(w) - lam * D_i(w) >= t * D_i(w_k) on every soft side,
         # at lambda_cap while w misses a hard side; an all-hard block has no
         # D_i, so its slack gets a unit scale
         missed = lam == -math.inf
         scale = np.ones(len(base)) if all_hard else spread @ w
-        step = _max_slack(base + (cap if missed else lam) * spread, scale, cfg, basis)
+        _pose(form, base + (cap if missed else lam) * spread, scale, cfg)
+        step = _max_t(form, cfg, basic)
         if step is None or (all_hard and step[0] < -_SLACK_FEAS_TOL):
             # The first LP is the hard sides' verdict (a negative slack, in an
             # all-hard block); after that they have held once, so only
@@ -434,7 +463,7 @@ def solve_fpp(
                 f"max-slack subproblem unexpectedly infeasible in block "
                 f"{matrix.parent!r} at lambda {lam}"
             )
-        slack, w_next, basis = step
+        slack, w_next, basic = step
         probes += 1
         if not missed and slack <= _DINKELBACH_TOL:
             break

@@ -1,6 +1,7 @@
 """Solver gates over two seeded block populations.
 
     PYTHONPATH=src python tests/gates.py [--out RUN.json] [--compare OTHER.json]
+        [--expect tests/fixtures/gates_totals.json]
 
 The sweep: for each rng seed 11-68, 300 blocks drawn as SWEEP_BLOCKS in
 test_solver_invariants describes, each solved as drawn and with its items
@@ -13,7 +14,9 @@ and the largest pivot count of a solve from a starting-basis hint. --out
 writes every solve's outcome, the totals and the largest hinted pivot count
 as JSON; --compare reports the largest lambda and weight differences from
 another run's file, the solves whose outcome kind differs, and the LP, pivot
-and cold-LP differences.
+and cold-LP differences. --expect checks the totals against a committed
+file: the run fails when its LPs, pivots or cold LPs exceed the file's, or
+its solve or infeasible counts differ from them.
 
 Not collected by pytest (the name does not start with test_); it takes a
 few minutes.
@@ -46,6 +49,8 @@ SWEEP_SEEDS = range(11, 69)
 SWEEP_BLOCKS = 300
 CONTRADICTORY_SEED = 101
 CONTRADICTORY_BLOCKS = 1500
+# Totals that --expect bounds from above; every other total must match.
+_CEILINGS = ("lps", "pivots", "cold")
 
 
 def _population():
@@ -75,17 +80,17 @@ def run() -> tuple[dict, collections.Counter, tuple[int, str]]:
     totals = collections.Counter()
     hinted = [0, ""]
     current = [""]
-    solve_lp, from_basis = solver.solve_lp, simplex._from_basis
+    solve, reoptimise = simplex._solve, simplex._reoptimise
     raise_conflict = solver._raise_conflict
-    in_hint, in_conflict = [False], [False]
+    hint, in_conflict = [None], [False]
 
-    def counted(*args, basis=None, **kwargs):
-        in_hint[0] = basis is not None
-        res = solve_lp(*args, basis=basis, **kwargs)
-        in_hint[0] = False
+    def counted(form, basic=None):
+        hint[0] = basic
+        res = solve(form, basic)
+        hint[0] = None
         totals["lps"] += 1
-        totals["pivots"] += res.pivots
-        totals["cold"] += basis is None and not in_conflict[0]
+        totals["pivots"] += res[0].pivots
+        totals["cold"] += basic is None and not in_conflict[0]
         return res
 
     def conflict(*args, **kwargs):
@@ -95,21 +100,20 @@ def run() -> tuple[dict, collections.Counter, tuple[int, str]]:
         finally:
             in_conflict[0] = False
 
-    def watched(*args, **kwargs):
+    def watched(form, basic, limit):
+        from_hint = basic is hint[0]  # the slack-basis retry has its own mask
         try:
-            res = from_basis(*args, **kwargs)
+            res = reoptimise(form, basic, limit)
         except RuntimeError:  # the iteration limit
-            if in_hint[0]:
+            if from_hint:
                 totals["hint_limit"] += 1
                 print(f"{current[0]}: a hinted solve reached the iteration limit")
             raise
-        if in_hint[0]:
-            in_hint[0] = False  # the slack-basis retry is not hinted
-            if res is not None and res.pivots > hinted[0]:
-                hinted[:] = [res.pivots, current[0]]
+        if from_hint and res is not None and res.pivots > hinted[0]:
+            hinted[:] = [res.pivots, current[0]]
         return res
 
-    solver.solve_lp, simplex._from_basis = counted, watched
+    simplex._solve, simplex._reoptimise = counted, watched
     solver._raise_conflict = conflict
     outcomes = {}
     try:
@@ -131,7 +135,7 @@ def run() -> tuple[dict, collections.Counter, tuple[int, str]]:
                 print(f"{key}: lambda_at is -inf")
             outcomes[key] = {"lambda": res.lambda_, "weights": res.weights}
     finally:
-        solver.solve_lp, simplex._from_basis = solve_lp, from_basis
+        simplex._solve, simplex._reoptimise = solve, reoptimise
         solver._raise_conflict = raise_conflict
     return outcomes, totals, tuple(hinted)
 
@@ -152,10 +156,25 @@ def _gaps(outcomes: dict, other: dict, pairs) -> tuple[float, float, list[str]]:
     return lam, weight, differ
 
 
+def _meets(totals: collections.Counter, solves: int, expected: dict) -> bool:
+    """Whether the run's counts meet the expected ones: at most as many LPs,
+    pivots and cold LPs, and the same number of solves and infeasible
+    verdicts. Prints each count that does not."""
+    found = collections.Counter(totals, solves=solves)
+    misses = [
+        f"{key} {found[key]} (expected {'at most ' if key in _CEILINGS else ''}{value})"
+        for key, value in expected.items()
+        if (found[key] > value if key in _CEILINGS else found[key] != value)
+    ]
+    print(f"against the expected totals: {'; '.join(misses) or 'met'}")
+    return not misses
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, help="write every outcome here")
     parser.add_argument("--compare", type=Path, help="an earlier run's --out file")
+    parser.add_argument("--expect", type=Path, help="committed totals to check")
     args = parser.parse_args(argv)
     outcomes, totals, (most, where) = run()
     print(f"solves {len(outcomes)}, exceptions {totals['exceptions']}, "
@@ -184,7 +203,10 @@ def main(argv=None) -> int:
               f"cold LPs {totals['cold'] - theirs['cold']:+d} "
               f"(theirs {theirs['lps']}, {theirs['pivots']} and {theirs['cold']}), "
               f"largest hinted pivot count theirs {other['hinted'][0]}")
-    return 1 if totals["exceptions"] or totals["minus_inf"] else 0
+    failed = bool(totals["exceptions"] or totals["minus_inf"])
+    if args.expect:
+        failed |= not _meets(totals, len(outcomes), json.loads(args.expect.read_text()))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -266,6 +266,60 @@ def test_unreadable_file_exits_2_naming_it(tmp_path, capsys, command, write):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["solve", str(bundled_study_path())], "missing/results.json"),
+        (["solve", str(bundled_study_path())], "."),
+        (["reproduce-paper"], "missing/report.json"),
+        (["reproduce-paper"], "."),
+    ],
+)
+def test_unwritable_out_exits_2_naming_it(tmp_path, capsys, argv, target):
+    # a missing directory, or a directory where the file should be
+    path = tmp_path / target
+    assert main([*argv, "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and str(path) in err
+
+
+CLI_ENTRY = "import sys; from fahp.cli import main; sys.exit(main())"
+
+
+def _in_process(argv, capsys):
+    """main(argv) in this process: (exit code, stdout, stderr)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors and --version
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_repeated_main_calls_match_separate_processes(monkeypatch, capsys):
+    # The parser is built once per process. A usage error, --version and a
+    # solve, called one after another in one process and then again, must
+    # each give what the same command gives in a process of its own.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    monkeypatch.setenv("PYTHONIOENCODING", "utf-8")
+    src = Path(fahp.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    commands = [
+        ["solve"],
+        ["--version"],
+        ["solve", str(bundled_study_path()), "--no-timestamp"],
+    ]
+    separate = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-c", CLI_ENTRY, *argv],
+                              capture_output=True, env=env)
+        separate.append((proc.returncode, proc.stdout.decode(), proc.stderr.decode()))
+    assert [code for code, _, _ in separate] == [2, 0, 0]
+    for _ in range(2):
+        for argv, expected in zip(commands, separate):
+            assert _in_process(argv, capsys) == expected, argv
+
+
 def test_no_judgment_in_range_exits_1(tmp_path, capsys):
     # The goal's first judgment of the bundled study, replaced by crisp,
     # hard-sided, narrow and wide judgments at magnitudes across

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from fahp import simplex, solve_fpp, solver
+from fahp import simplex, solve_fpp
 from fahp.simplex import solve_lp
-from test_solver_invariants import _blocks
+from test_solver_invariants import _blocks, _lp_arrays
 
 ROUNDOFF_LPS = Path(__file__).parent / "fixtures" / "roundoff" / "lps.json"
 
@@ -152,19 +152,23 @@ def test_solutions_meet_their_rows_to_round_off(monkeypatch):
     # step an optimal solution meets its rows to within a few ulps of the
     # right-hand sides, far inside the 1e-9 that solve_lp checks.
     worst = []
+    solve = simplex._solve
 
-    def checked(c, a_ub, b_ub, a_eq, b_eq, **kwargs):
-        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq, **kwargs)
+    def checked(form, basic=None):
+        res, final = solve(form, basic)
         if res.status == "optimal":
+            a_ub, b_ub, a_eq, b_eq = (
+                _lp_arrays(form)[key] for key in ("a_ub", "b_ub", "a_eq", "b_eq")
+            )
             scale = 1.0 + max(np.abs(b_ub).max(initial=0.0), np.abs(b_eq).max())
             miss = max(
                 (a_ub @ res.x - b_ub).max(initial=0.0),
                 np.abs(a_eq @ res.x - b_eq).max(),
             )
             worst.append(miss / scale)
-        return res
+        return res, final
 
-    monkeypatch.setattr(solver, "solve_lp", checked)
+    monkeypatch.setattr(simplex, "_solve", checked)
     for block in _blocks():
         solve_fpp(block)
     assert len(worst) > 100
@@ -301,7 +305,8 @@ def _reaches_the_cold_optimum(lp, hint):
     a_eq = np.asarray(lp.get("a_eq", np.zeros((0, len(lp["c"])))), dtype=float)
     b_eq = np.asarray(lp.get("b_eq", np.zeros(0)), dtype=float)
     a_ub, b_ub = (np.asarray(lp[key], dtype=float) for key in ("a_ub", "b_ub"))
-    assert simplex._satisfies(a_ub, b_ub, a_eq, b_eq, res.x)
+    c = np.asarray(lp["c"], dtype=float)
+    assert simplex._satisfies(simplex._form(c, a_ub, b_ub, a_eq, b_eq), res.x)
     return res, cold
 
 
@@ -341,6 +346,54 @@ def test_stale_hint_is_reoptimised(lp, hint, kind, monkeypatch):
     assert all(d >= 0.0 for d in duals)
 
 
+def _numpy_ratio_test(entries, gaps, allowed, order=None) -> int:
+    """Harris's two-pass ratio test as whole-array numpy operations, the
+    reference for simplex._ratio_test, which runs both passes on the
+    candidates as Python floats."""
+    candidates = ((entries > simplex._PIVOT_TOL) & allowed).nonzero()[0]
+    if candidates.size <= 1:
+        return int(candidates[0]) if candidates.size else -1
+    sizes = entries[candidates]
+    gaps = np.maximum(gaps[candidates], 0.0)
+    fits = gaps / sizes <= ((gaps + simplex._HARRIS_DELTA) / sizes).min()
+    sizes = np.where(fits, sizes, 0.0)
+    top = candidates[sizes == sizes.max()].tolist()
+    return top[0] if order is None else min(top, key=order.__getitem__)
+
+
+@st.composite
+def ratio_tests(draw):
+    """Entries, gaps, the allowed mask and a tie-breaking order for one
+    ratio test. Entries and gaps are drawn from small pools, so that sizes
+    and ratios tie; the pools hold zero, negative values, values at and
+    below the pivot tolerance, gaps within Harris's relaxation of each
+    other and infinite gaps."""
+    size = draw(st.integers(1, 12))
+    finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    special = st.sampled_from([0.0, -0.0, 1e-10, 2e-10, 1e-12, 1e-5, 1.0, 2.0])
+    entry_pool = draw(st.lists(finite | special, min_size=1, max_size=4))
+    gap_pool = draw(st.lists(
+        finite | special | st.sampled_from([np.inf, 5e-13, -1e-13]), min_size=1, max_size=4
+    ))
+    entries = np.array([draw(st.sampled_from(entry_pool)) for _ in range(size)])
+    gaps = np.array([draw(st.sampled_from(gap_pool)) for _ in range(size)])
+    # a gap proportional to its entry ties the ratios exactly
+    for i in draw(st.lists(st.integers(0, size - 1), max_size=size)):
+        gaps[i] = 0.5 * entries[i]
+    allowed = np.array([draw(st.booleans()) for _ in range(size)])
+    order = np.array(draw(st.permutations(range(size))))
+    return entries, gaps, allowed, order
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(ratio_tests())
+def test_ratio_test_matches_the_numpy_two_pass_test(case):
+    entries, gaps, allowed, order = case
+    for tie_break in (None, order):
+        ours = simplex._ratio_test(entries, gaps, allowed, tie_break)
+        assert ours == _numpy_ratio_test(entries, gaps, allowed, tie_break)
+
+
 def _kind(c, a_ub, b_ub, a_eq, b_eq, hint):
     """Whether the basis `hint` is "optimal", "primal" or "dual" feasible
     only, or "neither", from a dense solve of its basis matrix."""
@@ -376,7 +429,10 @@ def test_hints_of_perturbed_lps_reach_the_cold_optimum(rng):
             kinds[cold.status] += 1
             continue
         args = [moved[key] for key in ("c", "a_ub", "b_ub", "a_eq", "b_eq")]
-        warm = simplex._from_basis(*args, first.basis)
+        form = simplex._form(*args)
+        warm = simplex._reoptimise(
+            form, simplex._hint(first.basis, form), simplex._HINT_PIVOTS * form.h.size
+        )
         assert warm is not None and warm.status == "optimal"
         _reaches_the_cold_optimum(moved, first.basis)
         kinds[_kind(*args, first.basis)] += 1
@@ -394,7 +450,7 @@ def test_infeasible_lp_with_a_hint_reports_infeasible():
 
 
 def _max_slack_lp(n, sides, floor=1e-6):
-    """The LP solver._max_slack poses: max t subject to rows @ w + t * scale
+    """The LP solver._slack_form poses: max t subject to rows @ w + t * scale
     <= 0 and sum w = 1 over v = w - floor, with t = tp - tn. Each side
     (r, c, upper, q, scale) is the row w_r - q w_c <= 0 when `upper`, else
     q w_c - w_r <= 0; a hard side has scale 0."""

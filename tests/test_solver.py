@@ -21,7 +21,7 @@ from fahp import (
     reciprocal,
     solve_fpp,
 )
-from fahp import solver
+from fahp import simplex, solver
 from fahp.solver import _block, _lattice, _lattice_size, _lowest_membership
 from conftest import random_matrix
 from test_solver_invariants import FIXTURES, SWEEP_BLOCKS, _blocks
@@ -78,16 +78,18 @@ def test_cyclic_matrix_is_strongly_inconsistent():
 
 
 def _infeasible_at(monkeypatch, call):
-    """Make the call-th _max_slack call report the rows infeasible; return
-    the list of calls made."""
+    """Make the call-th LP report "infeasible", as the simplex reports an LP
+    whose rows cannot all hold; return the list of calls made."""
     calls = []
-    max_slack = solver._max_slack
+    solve = simplex._solve
 
     def infeasible(*args):
         calls.append(args)
-        return None if len(calls) == call else max_slack(*args)
+        if len(calls) == call:
+            return simplex.LPResult("infeasible", None, None, 0), None
+        return solve(*args)
 
-    monkeypatch.setattr(solver, "_max_slack", infeasible)
+    monkeypatch.setattr(simplex, "_solve", infeasible)
     return calls
 
 
@@ -129,13 +131,13 @@ def test_missed_hard_side_starts_from_the_probe(monkeypatch):
     assert judged.hard_rise.size + judged.hard_fall.size
     assert solver._least_squares_start(judged, SolverConfig())[1] == -math.inf
     hints = []
-    solve_lp = solver.solve_lp
+    solve = simplex._solve
 
-    def hinted(*args, basis=None, **kwargs):
-        hints.append(basis)
-        return solve_lp(*args, basis=basis, **kwargs)
+    def hinted(form, basic=None):
+        hints.append(basic)
+        return solve(form, basic)
 
-    monkeypatch.setattr(solver, "solve_lp", hinted)
+    monkeypatch.setattr(simplex, "_solve", hinted)
     res = solve_fpp(block)
     assert hints[0] is not None
     assert not res.clamped and lambda_at(block, res.weights) == res.lambda_

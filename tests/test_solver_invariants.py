@@ -63,6 +63,19 @@ def _blocks(seed=20261018):
     return [_random_block(rng, n) for n in range(2, 11) for _ in range(4)]
 
 
+def _lp_arrays(form):
+    """Copies of the arrays of a simplex form, as solve_lp takes them; the
+    solver rewrites its form in place between LPs."""
+    n, ncols = form.c.size, form.ncols
+    return dict(
+        c=form.c.copy(),
+        a_ub=form.g[n:ncols].copy(),
+        b_ub=form.h[n:ncols].copy(),
+        a_eq=form.g[ncols:].copy(),
+        b_eq=form.h[ncols:].copy(),
+    )
+
+
 def _highs_max_slack(matrix, lam):
     """max t s.t. every judgment side + t <= 0 at level lam, by HiGHS."""
     idx = {it: i for i, it in enumerate(matrix.items)}
@@ -153,7 +166,7 @@ def test_solution_is_permutation_equivariant():
 
 
 def test_max_slack_reports_the_unshifted_slack():
-    # On the bundled blocks, the slack t that _max_slack reports must be
+    # On the bundled blocks, the slack t that _max_t reports must be
     # HiGHS's optimum on the same rows: at lambda_cap with a unit scale, and
     # at the solved lambda with the Dinkelbach scale D_i(w). (It once solved
     # for t + theta, a shift of 2.5e-6 to 1.5e-4 there, and subtracted it.)
@@ -168,7 +181,9 @@ def test_max_slack_reports_the_unshifted_slack():
             (res.lambda_, spread @ w),
         ):
             rows = base + lam * spread
-            t, _, _ = solver._max_slack(rows, scale, cfg)
+            form = solver._slack_form(*rows.shape, cfg)
+            solver._pose(form, rows, scale, cfg)
+            t, _, _ = solver._max_t(form, cfg)
             assert abs(t - _highs_slack(rows, scale)) <= 1e-9
 
 
@@ -395,28 +410,29 @@ def test_warm_start_agrees_with_cold_solves(monkeypatch):
     # re-optimised from its own working set, or a warm path would be dead
     # code.
     blocks = _warm_cold_blocks()
-    from_basis, hints, reached = simplex._from_basis, [None], collections.Counter()
+    solve, reoptimise = simplex._solve, simplex._reoptimise
+    hints, reached = [None], collections.Counter()
 
-    def hinting(*args, basis=None, **kwargs):
-        hints[0] = basis
-        return solve_lp(*args, basis=basis, **kwargs)
+    def hinting(form, basic=None):
+        hints[0] = basic
+        return solve(form, basic)
 
-    def counting(*args):
-        res = from_basis(*args)
-        if args[-1] is hints[0] and res is not None and res.status == "optimal":
+    def counting(form, basic, limit):
+        res = reoptimise(form, basic, limit)
+        if basic is hints[0] and res is not None and res.status == "optimal":
             reached["reoptimised" if res.pivots else "certified"] += 1
         return res
 
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "solve_lp", hinting)
-        patch.setattr(simplex, "_from_basis", counting)
+        patch.setattr(simplex, "_solve", hinting)
+        patch.setattr(simplex, "_reoptimise", counting)
         warm = [solve_fpp(block) for block in blocks]
     assert reached["certified"] > 0 and reached["reoptimised"] > 0
 
-    def cold_lp(*args, basis=None, **kwargs):
-        return solve_lp(*args, **kwargs)
+    def cold_lp(form, basic=None):
+        return solve(form)
 
-    monkeypatch.setattr(solver, "solve_lp", cold_lp)
+    monkeypatch.setattr(simplex, "_solve", cold_lp)
     for block, a in zip(blocks, warm):
         b = solve_fpp(block)
         assert abs(a.lambda_ - b.lambda_) <= 1e-9
@@ -450,15 +466,17 @@ def test_pivot_counts_do_not_grow(monkeypatch):
     # lambda_cap probe where the least-squares weights missed a hard side or
     # reached the cap, and where an iterate reached it. With the first LP
     # posed at the cap from the crash basis instead, and no LP at a clamp,
-    # they are 334 and 5 over 140 and 12 LPs.
+    # they are 334 and 5 over 140 and 12 LPs. Re-solving each block's LPs in
+    # one form, rewritten in place, left every count as it was.
     pivots = []
+    solve = simplex._solve
 
-    def counted(*args, **kwargs):
-        res = solve_lp(*args, **kwargs)
-        pivots.append(res.pivots)
+    def counted(form, basic=None):
+        res = solve(form, basic)
+        pivots.append(res[0].pivots)
         return res
 
-    monkeypatch.setattr(solver, "solve_lp", counted)
+    monkeypatch.setattr(simplex, "_solve", counted)
     for block in _blocks():
         solve_fpp(block)
     assert 0 < sum(pivots) <= 334
@@ -474,23 +492,28 @@ def test_crash_bases_are_nonsingular(monkeypatch):
     # The 300 sweep blocks of rng seed 11, as drawn: the working set of every
     # crash basis must be nonsingular, or the first LP runs from the slack
     # basis. Picking the tight sides by membership alone left 4 of the 101
-    # crash bases here singular.
-    crash_basis, from_basis, crashes, singular = (
-        solver._crash_basis, simplex._from_basis, [], []
+    # crash bases here singular. The solver updates a crash basis in place
+    # as the LPs go on, so only the first solve from it is checked.
+    crash_basis, reoptimise, crashes, singular = (
+        solver._crash_basis, simplex._reoptimise, [], []
     )
+    fresh = [None]
 
     def crash(*args):
         crashes.append(crash_basis(*args))
+        fresh[0] = crashes[-1]
         return crashes[-1]
 
-    def checked(*args):
-        res = from_basis(*args)
-        if args[-1] is crashes[-1] and res is None:
-            singular.append(args[-1])
+    def checked(form, basic, limit):
+        res = reoptimise(form, basic, limit)
+        if basic is fresh[0]:
+            fresh[0] = None
+            if res is None:
+                singular.append(basic.copy())
         return res
 
     monkeypatch.setattr(solver, "_crash_basis", crash)
-    monkeypatch.setattr(simplex, "_from_basis", checked)
+    monkeypatch.setattr(simplex, "_reoptimise", checked)
     rng = np.random.default_rng(11)
     for _ in range(300):
         n = int(rng.integers(2, 11))
@@ -509,7 +532,7 @@ def test_hinted_solves_stay_below_the_pivot_limit(monkeypatch):
     # Sweep block 53/147 (as drawn) and contradictory block 101/821: the
     # dual simplex on the tableau cycled from a hint on each until _MAX_ITER
     # pivots (0.26-0.57 s) before the LP started again from the slack basis.
-    # No call of _from_basis may reach a pivot limit on them.
+    # No call of _reoptimise may reach a pivot limit on them.
     rng = np.random.default_rng(53)
     for _ in range(148):
         n = int(rng.integers(2, 11))
@@ -518,11 +541,11 @@ def test_hinted_solves_stay_below_the_pivot_limit(monkeypatch):
     rng = np.random.default_rng(101)
     for _ in range(822):
         contradictory = _contradictory_block(rng)
-    from_basis, limited, reoptimised = simplex._from_basis, [], []
+    reoptimise, limited, reoptimised = simplex._reoptimise, [], []
 
     def checked(*args):
         try:
-            res = from_basis(*args)
+            res = reoptimise(*args)
         except RuntimeError as exc:
             limited.append(exc)
             raise
@@ -530,7 +553,7 @@ def test_hinted_solves_stay_below_the_pivot_limit(monkeypatch):
             reoptimised.append(res.pivots)
         return res
 
-    monkeypatch.setattr(simplex, "_from_basis", checked)
+    monkeypatch.setattr(simplex, "_reoptimise", checked)
     for block in (sweep, contradictory):
         reoptimised.clear()
         solve_fpp(block)
@@ -544,19 +567,22 @@ def test_final_duals_agree_with_highs(monkeypatch):
     # on the last max-slack LP of each bundled block they must be HiGHS's
     # (its marginals are the derivatives of the optimum in b_ub, so -d).
     calls = []
+    solve = simplex._solve
 
-    def recorded(*args, **kwargs):
-        res = solve_lp(*args, **kwargs)
-        calls.append((args, res))
-        return res
+    def recorded(form, basic=None):
+        lp = _lp_arrays(form)
+        res, final = solve(form, basic)
+        calls.append((lp, final.copy()))
+        return res, final
 
-    monkeypatch.setattr(solver, "solve_lp", recorded)
+    monkeypatch.setattr(simplex, "_solve", recorded)
     for block in load_study(bundled_study_path()).hierarchy.matrices.values():
         solve_fpp(block)
-        (c, a_ub, b_ub, a_eq, b_eq), res = calls[-1]
+        lp, basic = calls[-1]
+        c, a_ub, b_ub, a_eq, b_eq = (lp[k] for k in ("c", "a_ub", "b_ub", "a_eq", "b_eq"))
         n = c.size
         rows = np.vstack([-np.eye(n), a_ub])
-        nonbasic = sorted(set(range(len(rows))) - set(res.basis))
+        nonbasic = (~basic).nonzero()[0]
         d = np.zeros(len(rows))
         d[nonbasic] = -np.linalg.solve(np.vstack([rows[nonbasic], a_eq]).T, c)[
             : len(nonbasic)
@@ -567,3 +593,32 @@ def test_final_duals_agree_with_highs(monkeypatch):
         assert ref.status == 0
         assert d.min() >= -1e-12
         assert np.abs(d[n:] + ref.ineqlin.marginals).max() <= 1e-9
+
+
+def test_in_place_lps_equal_solve_lp(monkeypatch):
+    # Each block's Dinkelbach LPs are re-solved in one form, rewritten in
+    # place, from the previous LP's final basis kept as a column mask. Every
+    # such LP of _blocks() must equal solve_lp on the same arrays from the
+    # same starting basis, given as a tuple, bit for bit: status, x,
+    # objective, pivots and basis.
+    solve, seen = simplex._solve, []
+
+    def recorded(form, basic=None):
+        lp = _lp_arrays(form)
+        hint = None if basic is None else tuple(basic.nonzero()[0].tolist())
+        res, final = solve(form, basic)
+        basis = None if final is None else tuple(final.nonzero()[0].tolist())
+        seen.append((lp, hint, res, basis))
+        return res, final
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_solve", recorded)
+        for block in _blocks():
+            solve_fpp(block)
+    assert len(seen) > 100
+    assert sum(res.pivots > 0 for _, hint, res, _ in seen if hint is not None) > 10
+    for lp, hint, res, basis in seen:
+        ref = solve_lp(**lp, basis=hint)
+        assert (ref.status, ref.pivots, ref.basis) == (res.status, res.pivots, basis)
+        assert np.float64(ref.objective).tobytes() == np.float64(res.objective).tobytes()
+        assert ref.x.tobytes() == res.x.tobytes()
