@@ -21,6 +21,15 @@ from .fuzzy import TriangularFuzzyNumber
 #: of verbal judgments spans about 1/9 to 9.
 JUDGMENT_RANGE = (1e-4, 1e4)
 
+#: A side's spread, m - l or u - m, is either 0 (a hard bound on the ratio)
+#: or at least this fraction of m. Narrower sides make nearly parallel LP
+#: rows, and their round-off made the solver fail. In contradictory blocks
+#: of 3-7 items where six judgments in ten have one side of a given relative
+#: spread, 30,000 blocks per spread, one block raised at 7e-6 and none at
+#: 1e-5, 1.4e-5, 2e-5 or 4e-5; 60,000 blocks at 1e-4 raised none. The bound
+#: keeps a factor of ten from the first failure.
+MIN_SPREAD = 1e-4
+
 
 @dataclass(frozen=True)
 class Node:
@@ -68,7 +77,8 @@ def validate_matrix(m: ComparisonMatrix) -> ComparisonMatrix:
 
     Enforces: at least two items, unique item ids, judgments referencing
     known items with row != col, judgment components within
-    JUDGMENT_RANGE, at most one judgment per unordered pair, and a
+    JUDGMENT_RANGE, side spreads m - l and u - m that are 0 or at least
+    MIN_SPREAD times m, at most one judgment per unordered pair, and a
     connected judgment graph (every item is tied to every other
     through some chain of judged pairs).
     """
@@ -88,11 +98,20 @@ def validate_matrix(m: ComparisonMatrix) -> ComparisonMatrix:
             )
         if j.row == j.col:
             raise ValidationError(f"{where}: judgment compares {j.row!r} with itself")
-        if not lo <= j.value.l <= j.value.u <= hi:  # l <= m <= u holds
-            name, value = ("l", j.value.l) if j.value.l < lo else ("u", j.value.u)
+        low, mode, high = j.value.l, j.value.m, j.value.u
+        if not lo <= low <= high <= hi:  # l <= m <= u holds
+            name, value = ("l", low) if low < lo else ("u", high)
             raise ValidationError(
                 f"{where}: judgment ({j.row}, {j.col}) has {name} = {value!r}, "
                 f"outside [{lo:g}, {hi:g}]"
+            )
+        narrow = MIN_SPREAD * mode
+        if 0.0 < mode - low < narrow or 0.0 < high - mode < narrow:
+            name, value = ("l", low) if 0.0 < mode - low < narrow else ("u", high)
+            raise ValidationError(
+                f"{where}: judgment ({j.row}, {j.col}) has {name} = {value!r}, "
+                f"within {MIN_SPREAD:g} * m of m = {mode!r}; use {name} = m "
+                "for a hard bound"
             )
         pair = frozenset((j.row, j.col))
         if pair in seen_pairs:

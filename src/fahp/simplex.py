@@ -7,11 +7,20 @@ standard form is read as a constraint: structural column j as -x_j <= 0,
 the slack of inequality row r as that row. A basis's nonbasic columns are
 its active constraints, and with every equality row they make the working
 set: one n x n matrix B (n + 2 columns for the solver's max-slack LPs)
-whose inverse comes once from numpy's LAPACK-backed `inv`. B^-1 gives the
-vertex x = B^-1 b_W, the slack h - G x of every constraint (the basic
-values) and the reduced costs d = -c B^-1 of the nonbasic columns, which
-are the LP's duals. A pivot swaps one row of B for another and updates
-B^-1 by one rank-1 (Sherman-Morrison) step.
+whose inverse comes once from numpy's LAPACK-backed `inv`, kept only when
+B^-1 B is within 1e-8 of the identity. B^-1 gives the vertex x = B^-1 b_W,
+the slack h - G x of every constraint (the basic values) and the reduced
+costs d = -c B^-1 of the nonbasic columns, which are the LP's duals. A
+pivot swaps one row of B for another and updates B^-1 by one rank-1
+(Sherman-Morrison) step. The nonbasic columns stay the first positions of
+the working set, since a pivot puts the column that leaves where the one
+that enters was.
+
+The arrays are small (tens of rows), so an LP's time is mostly the fixed
+cost of each numpy call, not arithmetic. The loop's products on contiguous
+arrays are `ndarray.dot` calls, which reach the same BLAS routine as `@`
+without its gufunc dispatch, so the results are the same bit for bit; the
+final check of the rows is one residual and one maximum.
 
 One loop re-optimises from any basis. While a basic value is below
 -_FEAS_TOL it takes a dual pivot (Lemke 1954) on the most negative one;
@@ -56,7 +65,10 @@ bit for bit what solve_lp returns on the same arrays from the same basis.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -106,13 +118,21 @@ class LPResult:
     basis: tuple[int, ...] | None = None
 
 
+@lru_cache(maxsize=64)
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, shared by every caller and so read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _off(inv: np.ndarray, mat: np.ndarray) -> float:
     """How far inv @ mat is off the identity, inf on overflow."""
     with np.errstate(all="ignore"):
-        prod = inv @ mat
-        prod.flat[:: len(mat) + 1] -= 1.0
-        off = np.abs(prod, out=prod).max(initial=0.0)
-    return off if np.isfinite(off) else np.inf
+        prod = inv.dot(mat)
+        prod -= _eye(len(mat))
+        off = float(np.abs(prod, out=prod).max(initial=0.0))
+    return off if off <= math.inf else math.inf  # NaN is off by inf
 
 
 def _inverse(mat: np.ndarray, tol: float) -> np.ndarray | None:
@@ -141,14 +161,14 @@ def _ratio_test(entries, gaps, allowed, order=None) -> int:
     one of them fits, so both passes run on them as Python floats, which
     round as numpy's do, rather than as a dozen whole-array numpy calls.
     """
-    candidates = ((entries > _PIVOT_TOL) & allowed).nonzero()[0].tolist()
-    if len(candidates) <= 1:
-        return candidates[0] if candidates else -1
+    candidates = ((entries > _PIVOT_TOL) & allowed).nonzero()[0]
+    if candidates.size <= 1:
+        return int(candidates[0]) if candidates.size else -1
     sizes = entries[candidates].tolist()
     gaps = [gap if gap > 0.0 else 0.0 for gap in gaps[candidates].tolist()]
     bound = min((gap + _HARRIS_DELTA) / size for gap, size in zip(gaps, sizes))
     best, top = 0.0, []
-    for p, gap, size in zip(candidates, gaps, sizes):
+    for p, gap, size in zip(candidates.tolist(), gaps, sizes):
         if gap / size <= bound:
             if size > best:
                 best, top = size, [p]
@@ -187,8 +207,10 @@ def _form(c, a_ub, b_ub, a_eq, b_eq) -> _Form:
 def _reoptimise(form: _Form, basic: np.ndarray, limit: int) -> LPResult | None:
     """Solve the LP of `form` from the basis whose columns `basic` flags, in
     at most `limit` pivots: "optimal", "infeasible" or "unbounded", or None
-    when the start's working set is singular or no solution that meets the
-    rows can be read off the final one. `basic` is updated in place and
+    when the start's working set is singular, when a primal pivot's entry
+    read off the leaving row does not have the sign its column gave (the
+    inverse has lost its accuracy), or when no solution that meets the rows
+    can be read off the final working set. `basic` is updated in place and
     ends flagging the final basis. The result's `basis` is left None.
     Raises RuntimeError past the limit.
 
@@ -199,27 +221,33 @@ def _reoptimise(form: _Form, basic: np.ndarray, limit: int) -> LPResult | None:
     are -u with u = g_k B^-1.
     """
     c, g, h, ncols = form
-    work = np.concatenate([(~basic).nonzero()[0], np.arange(ncols, h.size)])
+    nonbasic = (~basic).nonzero()[0]
+    nsoft = nonbasic.size
+    work = np.concatenate([nonbasic, np.arange(ncols, h.size)])
     mat, rhs = g[work], h[work]
     inv = _inverse(mat, _START_INV_TOL)
     if inv is None:
         return None
-    soft = work < ncols  # the positions whose constraint can leave
-    hide = np.where(basic, 0.0, np.inf)  # keeps nonbasic values out of tests
+    # The positions whose constraint can leave are the first nsoft of work:
+    # a pivot puts the basic column that leaves where the nonbasic one was.
+    soft = work < ncols
+    hide = np.zeros(ncols)  # keeps nonbasic values out of tests
+    hide[nonbasic] = np.inf
     g_cols, h_cols = g[:ncols], h[:ncols]
     cost, pivots = c, 0
     while True:
-        x = inv @ rhs
-        values = h_cols - g_cols @ x
+        x = inv.dot(rhs)
+        values = h_cols - g_cols.dot(x)
         values += hide
         leave = int(values.argmin())
-        y = cost @ inv  # -d: the reduced cost of each position's column, negated
+        y = cost.dot(inv)  # -d: the reduced cost of each position's column, negated
         if values[leave] < -_FEAS_TOL:  # dual pivot
-            if cost is c and (y * soft).max() > _COST_TOL:
+            if cost is c and y[:nsoft].max(initial=0.0) > _COST_TOL:
                 # cost shifting: raise every negative reduced cost to 0
-                shift = np.maximum(y, 0.0) * soft
-                cost, y = c - shift @ mat, y - shift
-            u = g[leave] @ inv
+                shift = np.zeros(y.size)
+                np.maximum(y[:nsoft], 0.0, out=shift[:nsoft])
+                cost, y = c - shift.dot(mat), y - shift
+            u = g[leave].dot(inv)
             p = _ratio_test(u, -y, soft, work)
             if p < 0:
                 return LPResult("infeasible", None, None, pivots)
@@ -228,7 +256,7 @@ def _reoptimise(form: _Form, basic: np.ndarray, limit: int) -> LPResult | None:
             continue
         else:  # primal pivot
             step = small = None
-            improving = ((y > _COST_TOL) & soft).nonzero()[0].tolist()
+            improving = (y[:nsoft] > _COST_TOL).nonzero()[0].tolist()
             for p in sorted(improving, key=work.__getitem__):
                 alpha = -(g_cols @ inv[:, p])
                 row = _ratio_test(alpha, values, basic)
@@ -244,7 +272,9 @@ def _reoptimise(form: _Form, basic: np.ndarray, limit: int) -> LPResult | None:
             if step is None:
                 break
             leave, p = step
-            u = g[leave] @ inv
+            u = g[leave].dot(inv)
+            if not u[p] < 0.0:  # u[p] = -alpha[leave] in exact arithmetic
+                return None
         if pivots == limit:
             raise RuntimeError("simplex iteration limit exceeded")
         col = inv[:, p] / u[p]
@@ -260,14 +290,14 @@ def _reoptimise(form: _Form, basic: np.ndarray, limit: int) -> LPResult | None:
         inv = _inverse(mat, _FINAL_INV_TOL)
         if inv is None:
             return None
-        x = inv @ rhs
+        x = inv.dot(rhs)
     for _ in range(2):
-        x += inv @ (rhs - mat @ x)
+        x += inv.dot(rhs - mat.dot(x))
     x[~basic[: c.size]] = 0.0
     np.maximum(x, 0.0, out=x)
     if not _satisfies(form, x):
         return None
-    return LPResult("optimal", x, float(c @ x), pivots)
+    return LPResult("optimal", x, float(c.dot(x)), pivots)
 
 
 def _slack_basis(form: _Form) -> tuple[np.ndarray, list[int]] | None:
@@ -301,14 +331,14 @@ def _slack_basis(form: _Form) -> tuple[np.ndarray, list[int]] | None:
 def _satisfies(form: _Form, x: np.ndarray) -> bool:
     """Whether x meets the form's inequality and equality rows to within
     _FEAS_TOL, relative to the size of their right-hand sides."""
-    n, m_ub = form.c.size, form.ncols - form.c.size
+    n, ncols = form.c.size, form.ncols
     rhs = form.h[n:]
     tol = _FEAS_TOL * (1.0 + np.abs(rhs).max(initial=0.0))
-    miss = form.g[n:] @ x - rhs
-    return bool(
-        miss[:m_ub].max(initial=0.0) <= tol
-        and np.abs(miss[m_ub:]).max(initial=0.0) <= tol
-    )
+    miss = form.g[n:].dot(x)
+    miss -= rhs
+    eq = miss[ncols - n :]  # an equality row misses both ways
+    np.abs(eq, out=eq)
+    return bool(miss.max(initial=0.0) <= tol)
 
 
 def _solve(form: _Form, basic: np.ndarray | None = None):
@@ -385,12 +415,17 @@ def solve_lp(
         "infeasible", or "unbounded", and the number of pivots it took.
 
     Raises:
+        ValueError: when c is empty, an array has a non-finite entry, the
+            constraint shapes do not match c, or basis holds anything but
+            column indices.
         RuntimeError: when round-off defeats the solve from the slack basis
             (its working set is singular to round-off, or the solution read
             off its final working set misses the original rows) or takes
             more than _MAX_ITER pivots.
     """
     c = np.asarray(c, dtype=float)
+    if c.ndim != 1 or not c.size:
+        raise ValueError(f"c must be a nonempty vector, got shape {c.shape}")
     n = c.size
     a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
@@ -398,6 +433,15 @@ def solve_lp(
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
     if a_ub.shape != (b_ub.size, n) or a_eq.shape != (b_eq.size, n):
         raise ValueError("constraint shapes do not match the objective length")
+    arrays = {"c": c, "a_ub": a_ub, "b_ub": b_ub, "a_eq": a_eq, "b_eq": b_eq}
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} has a non-finite entry")
+    if basis is not None:
+        try:
+            basis = [operator.index(k) for k in basis]
+        except TypeError:
+            raise ValueError(f"basis must hold column indices, got {basis!r}") from None
     form = _form(c, a_ub, b_ub, a_eq, b_eq)
     res, basic = _solve(form, None if basis is None else _hint(basis, form))
     if basic is None:

@@ -237,18 +237,27 @@ def _block(matrix: ComparisonMatrix) -> _Block:
     idx = {item: i for i, item in enumerate(matrix.items)}
     row = np.array([idx[j.row] for j in matrix.judgments])
     col = np.array([idx[j.col] for j in matrix.judgments])
-    l, m, u = np.array([j.value.as_tuple() for j in matrix.judgments]).T
+    values = [x for j in matrix.judgments for x in j.value.as_tuple()]
+    l, m, u = np.array(values, dtype=float).reshape(-1, 3).T
+    rise, fall = m - l, u - m
     rising = np.arange(0, 2 * row.size, 2)
     falling = rising + 1
     base = np.zeros((2 * row.size, len(matrix.items)))
     spread = np.zeros_like(base)
-    base[rising, col], base[rising, row], spread[rising, col] = l, -1.0, m - l
-    base[falling, col], base[falling, row], spread[falling, col] = -u, 1.0, u - m
-    hard_rise, hard_fall = (m == l).nonzero()[0], (u == m).nonzero()[0]
+    base[rising, col], base[rising, row], spread[rising, col] = l, -1.0, rise
+    base[falling, col], base[falling, row], spread[falling, col] = -u, 1.0, fall
+    if rise.all() and fall.all():  # no hard side, so no crisp judgment
+        empty = np.zeros(0, dtype=np.intp)
+        return _Block(
+            matrix, row, col, l, m, u, rise, fall,
+            empty, np.zeros(0), empty, np.zeros(0), empty,
+            base, spread, np.zeros(2 * row.size, dtype=bool),
+        )
+    hard_rise, hard_fall = (rise == 0.0).nonzero()[0], (fall == 0.0).nonzero()[0]
     return _Block(
         matrix, row, col, l, m, u,
-        np.where(m > l, m - l, 1.0),
-        np.where(u > m, u - m, 1.0),
+        np.where(rise > 0.0, rise, 1.0),
+        np.where(fall > 0.0, fall, 1.0),
         hard_rise, l[hard_rise] * (1 - _CRISP_REL_TOL),
         hard_fall, u[hard_fall] * (1 + _CRISP_REL_TOL),
         (l == u).nonzero()[0],
@@ -369,7 +378,7 @@ def _least_squares_start(
         block.col, minlength=n
     )
     rhs = np.bincount(block.row, log_m, n) - np.bincount(block.col, log_m, n)
-    g = np.exp(np.linalg.inv(normal) @ rhs)
+    g = np.exp(np.linalg.inv(normal).dot(rhs))
     w = g / g.sum()
     if w.min() < cfg.weight_floor:
         w = cfg.weight_floor + (1.0 - n * cfg.weight_floor) * w
@@ -389,9 +398,10 @@ def _crash_basis(block: _Block, w: np.ndarray):
     items, and then the lowest side that closes a cycle. Tight sides picked
     by membership alone could make the working set singular."""
     k, n = block.base.shape
-    denom = block.spread @ w
+    denom = block.spread.dot(w)
     soft = (denom > 0).nonzero()[0]
-    member = (-(block.base[soft] @ w) / denom[soft]).tolist()
+    member = (-(block.base[soft].dot(w)) / denom[soft]).tolist()
+    soft, row, col = soft.tolist(), block.row.tolist(), block.col.tolist()
     group = list(range(n))  # union-find forest over the items
 
     def root(i: int) -> int:
@@ -401,9 +411,9 @@ def _crash_basis(block: _Block, w: np.ndarray):
         return i
 
     tree, cycle = [], None
-    for s in sorted(range(soft.size), key=member.__getitem__):
-        side = int(soft[s])
-        a, b = root(int(block.row[side // 2])), root(int(block.col[side // 2]))
+    for s in sorted(range(len(soft)), key=member.__getitem__):
+        side = soft[s]
+        a, b = root(row[side // 2]), root(col[side // 2])
         if a != b:
             group[a] = b
             tree.append(side)
@@ -450,7 +460,7 @@ def solve_fpp(
         # at lambda_cap while w misses a hard side; an all-hard block has no
         # D_i, so its slack gets a unit scale
         missed = lam == -math.inf
-        scale = np.ones(len(base)) if all_hard else spread @ w
+        scale = np.ones(len(base)) if all_hard else spread.dot(w)
         _pose(form, base + (cap if missed else lam) * spread, scale, cfg)
         step = _max_t(form, cfg, basic)
         if step is None or (all_hard and step[0] < -_SLACK_FEAS_TOL):

@@ -100,6 +100,13 @@ def test_solve_unknown_key_exits_2(tmp_path):
         # negative caps clamped blocks at a negative lambda, or exited 1 on round-off
         (None, {"lambda_cap": -0.5}, "lambda_cap"),
         (None, {"lambda_cap": -1e300}, "lambda_cap"),
+        # nonzero side spreads below MIN_SPREAD * m (see the next test)
+        ({"row": "b", "col": "a", "judgment": [2, 2.000000002, 3]}, None,
+         "(b, a) has l = 2.0, within"),
+        ({"row": "b", "col": "a", "judgment": [2, 3, 3.0001]}, None,
+         "(b, a) has u = 3.0001, within"),
+        ({"row": "a", "col": "b", "judgment": [0.5, 0.500000001, 1]}, None,
+         "use l = m for a hard bound"),
     ],
 )
 def test_solve_bad_field_exits_2_naming_it(tmp_path, capsys, judgment, solver, named):
@@ -111,6 +118,24 @@ def test_solve_bad_field_exits_2_naming_it(tmp_path, capsys, judgment, solver, n
         path.write_text(json.dumps(doc))
     assert main(["solve", str(path)]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_narrow_spread_study_exits_2(tmp_path, capsys):
+    # Sides this narrow exited 1: "internal error: simplex round-off: the
+    # solution violates its constraints".
+    doc = {
+        "name": "narrow",
+        "hierarchy": {"id": "goal", "children": [{"id": x} for x in "abc"]},
+        "matrices": {"goal": [
+            {"row": "a", "col": "b", "judgment": [2, 2.000000002, 3]},
+            {"row": "b", "col": "c", "judgment": [2, 2.000000002, 3]},
+            {"row": "a", "col": "c", "judgment": [0.5, 0.500000001, 1]},
+        ]},
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 2
+    assert "judgment (a, b) has l = 2.0" in capsys.readouterr().err
 
 
 _DROP = object()

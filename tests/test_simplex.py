@@ -509,3 +509,116 @@ def test_max_slack_lps_agree_with_highs(lps):
         assert res.status == HIGHS_STATUS[ref.status]
         if res.status == "optimal":
             assert abs(res.objective - ref.fun) <= 1e-9 * (1.0 + abs(ref.fun))
+
+
+@pytest.mark.parametrize(
+    "lp, named",
+    [
+        (dict(c=[]), "c must be a nonempty vector"),
+        (dict(c=[1.0, math.inf]), "c has a non-finite entry"),
+        (dict(c=[1.0], a_ub=[[1.0]], b_ub=[math.nan]), "b_ub has a non-finite entry"),
+        (dict(c=[1.0], a_ub=[[math.inf]], b_ub=[1.0]), "a_ub has a non-finite entry"),
+        (dict(c=[1.0], a_eq=[[1.0]], b_eq=[-math.inf]), "b_eq has a non-finite entry"),
+        (dict(c=[1.0], a_ub=[[1.0]], b_ub=[1.0], basis=("a",)), "basis must hold"),
+        (dict(c=[1.0], a_ub=[[1.0]], b_ub=[1.0], basis=(0.5,)), "basis must hold"),
+    ],
+)
+def test_bad_input_raises_value_error_naming_it(lp, named):
+    # These surfaced as numpy internals: an argmin of an empty sequence, a
+    # RuntimeWarning from matmul, "simplex round-off", a TypeError and an
+    # IndexError.
+    with pytest.raises(ValueError, match=named):
+        solve_lp(**lp)
+
+
+def test_integer_hint_of_any_integer_type_is_used():
+    # A hint may hold numpy integers, as a basis read off an array does.
+    lp = dict(c=[-1.0, -1.0], a_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[2.0, 3.0])
+    cold = solve_lp(**lp)
+    warm = solve_lp(**lp, basis=cold.basis)
+    assert warm.pivots == 0
+    assert _same(solve_lp(**lp, basis=tuple(np.array(cold.basis))), warm)
+
+
+def test_off_is_zero_for_an_exact_inverse():
+    mat = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 4.0], [0.0, 0.5, 0.0]])
+    assert simplex._off(np.linalg.inv(mat), mat) == 0.0
+    assert simplex._off(np.eye(1), np.eye(1)) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_off_is_inf_for_a_non_finite_inverse(bad):
+    mat = np.array([[1.0, 2.0], [3.0, 4.0]])
+    inv = np.linalg.inv(mat)
+    inv[1, 0] = bad
+    assert simplex._off(inv, mat) == math.inf
+
+
+def test_off_is_inf_when_the_product_overflows():
+    mat = np.array([[1e300, 1e300], [1e300, -1e300]])
+    inv = np.full((2, 2), 1e300)
+    assert simplex._off(inv, mat) == math.inf
+    # the shared identity it subtracts is left as it was, and is read-only
+    assert np.array_equal(simplex._eye(2), np.eye(2))
+    assert not simplex._eye(2).flags.writeable
+
+
+def _two_max_satisfies(form, x):
+    """_satisfies as two maxima, over the inequality and the equality
+    misses, the reference for its one pass."""
+    n, m_ub = form.c.size, form.ncols - form.c.size
+    rhs = form.h[n:]
+    tol = simplex._FEAS_TOL * (1.0 + np.abs(rhs).max(initial=0.0))
+    miss = form.g[n:] @ x - rhs
+    return bool(
+        miss[:m_ub].max(initial=0.0) <= tol
+        and np.abs(miss[m_ub:]).max(initial=0.0) <= tol
+    )
+
+
+_SATISFIES_FORMS = {
+    "no inequality rows": (np.ones(2), np.zeros((0, 2)), np.zeros(0),
+                           np.array([[1.0, 1.0]]), np.array([1.0])),
+    "no equality rows": (np.ones(2), np.array([[1.0, -1.0], [0.0, 1.0]]),
+                         np.array([0.25, 0.5]), np.zeros((0, 2)), np.zeros(0)),
+    "an equality row violated": (np.ones(3), np.array([[1.0, 0.0, 1.0]]),
+                                 np.array([2.0]), np.array([[1.0, 1.0, 1.0],
+                                                            [0.0, 1.0, -1.0]]),
+                                 np.array([1.0, 0.5])),
+}
+
+
+@pytest.mark.parametrize("arrays", _SATISFIES_FORMS.values(), ids=_SATISFIES_FORMS)
+def test_satisfies_matches_the_two_max_test(arrays, rng):
+    form = simplex._form(*arrays)
+    n = form.c.size
+    points = [rng.uniform(0.0, 1.0, n) for _ in range(200)]
+    # points that meet the equality rows, and points that miss one by
+    # about the tolerance
+    for x in points[:100]:
+        a_eq, b_eq = arrays[3], arrays[4]
+        if b_eq.size:
+            fix = np.linalg.lstsq(a_eq, b_eq - a_eq @ x, rcond=None)[0]
+            points.append(x + fix)
+            points.append(x + fix + rng.choice([-2e-9, 2e-9, 5e-10]))
+    verdicts = collections.Counter()
+    for x in points:
+        ours = simplex._satisfies(form, x)
+        assert ours == _two_max_satisfies(form, x)
+        verdicts[ours] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_hint_whose_inverse_loses_its_accuracy_gives_the_cold_result():
+    # A max-slack LP of a 7-item block whose narrow sides sit at about
+    # 1e-4 of m, and the final basis of the LP before it. After 50 pivots
+    # from that hint the inverse holds entries near 1e21; the column of the
+    # entering constraint gave a pivot entry of 0.99 while the row of the
+    # leaving one gave exactly 0, and dividing by it warned and filled the
+    # inverse with inf and NaN. The hinted solve now stops there, and the
+    # LP is solved from the slack basis, warning-free.
+    lp = json.loads(ROUNDOFF_LPS.read_text())["lost_inverse"]
+    args = [lp[key] for key in ("c", "a_ub", "b_ub", "a_eq", "b_eq")]
+    cold = solve_lp(*args)
+    assert cold.status == "optimal"
+    assert _same(solve_lp(*args, basis=lp["basis"]), cold)

@@ -1,5 +1,6 @@
 """Preference-programming solver: Dinkelbach iteration, feasibility LP, and the grid oracle."""
 
+import collections
 import itertools
 import math
 
@@ -22,9 +23,11 @@ from fahp import (
     solve_fpp,
 )
 from fahp import simplex, solver
+from fahp.fuzzy import _CRISP_REL_TOL
+from fahp.hierarchy import MIN_SPREAD
 from fahp.solver import _block, _lattice, _lattice_size, _lowest_membership
 from conftest import random_matrix
-from test_solver_invariants import FIXTURES, SWEEP_BLOCKS, _blocks
+from test_solver_invariants import FIXTURES, SWEEP_BLOCKS, _blocks, _random_block
 
 
 def _mat(items, triples, parent="t"):
@@ -420,3 +423,80 @@ def test_side_rows_match_the_loop():
         assert np.array_equal(block.hard, hard_sides)
         hard += hard_sides.sum()
     assert hard >= 50
+
+
+def _former_block(matrix):
+    """_block's fields after `matrix` as they were built before a block
+    without hard sides skipped the bound arrays: the reference."""
+    idx = {item: i for i, item in enumerate(matrix.items)}
+    row = np.array([idx[j.row] for j in matrix.judgments])
+    col = np.array([idx[j.col] for j in matrix.judgments])
+    l, m, u = np.array([j.value.as_tuple() for j in matrix.judgments]).T
+    base, spread, hard = _sides_loop(matrix)
+    hard_rise, hard_fall = (m == l).nonzero()[0], (u == m).nonzero()[0]
+    return (
+        row, col, l, m, u,
+        np.where(m > l, m - l, 1.0),
+        np.where(u > m, u - m, 1.0),
+        hard_rise, l[hard_rise] * (1 - _CRISP_REL_TOL),
+        hard_fall, u[hard_fall] * (1 + _CRISP_REL_TOL),
+        (l == u).nonzero()[0],
+        base, spread, hard,
+    )
+
+
+def test_block_fields_match_the_former_construction():
+    # Every field, with and without hard sides. The former l, m and u kept
+    # the integer dtype of integer judgments; they are float now.
+    rng = np.random.default_rng(7)
+    soft = [_random_block(rng, n, hard_share=0.0) for n in range(2, 11)]
+    kinds = collections.Counter()
+    for matrix in _array_blocks() + soft + [TWO, CONSISTENT3, CYCLIC]:
+        block = _block(matrix)
+        kinds[bool(block.hard.any())] += 1
+        for name, old in zip(solver._Block._fields[1:], _former_block(matrix)):
+            new = getattr(block, name)
+            assert np.array_equal(new, old), name
+            if name in ("l", "m", "u"):
+                assert new.dtype == np.float64, name
+            else:
+                assert new.dtype == old.dtype, name
+    assert kinds[True] >= 30 and kinds[False] >= 12
+
+
+def _narrow_block(rng, spread):
+    """A complete block of 3-7 items with modes log-uniform in [1/9, 9] and
+    side spreads log-uniform in [0.005, 0.3] of m, except that in six
+    judgments in ten one side, either one, spans `spread` times m."""
+    n = int(rng.integers(3, 8))
+    items = tuple(f"i{k}" for k in range(n))
+    judgments = []
+    for a, b in itertools.combinations(range(n), 2):
+        m = math.exp(rng.uniform(math.log(1 / 9), math.log(9)))
+        lo, hi = (math.exp(rng.uniform(math.log(0.005), math.log(0.3))) for _ in range(2))
+        if rng.random() < 0.6:
+            if rng.random() < 0.5:
+                lo = spread
+            else:
+                hi = spread
+        value = TFN(m * (1 - lo), m, m * (1 + hi))
+        judgments.append(ComparisonJudgment(items[a], items[b], value))
+    return ComparisonMatrix(parent="goal", items=items, judgments=tuple(judgments))
+
+
+def test_blocks_at_the_spread_bound_solve():
+    # Narrow sides just inside MIN_SPREAD (m - l rounds to either side of
+    # MIN_SPREAD * m at exactly MIN_SPREAD). Below it, such blocks raised
+    # "simplex round-off" and "iteration limit" errors. Every block solves,
+    # warning-free, to a lambda that its weights attain.
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        block = _narrow_block(rng, MIN_SPREAD * (1 + 1e-9))
+        res = solve_fpp(block)
+        assert res.clamped or lambda_at(block, res.weights) == res.lambda_
+
+
+def test_narrower_sides_are_rejected():
+    rng = np.random.default_rng(8)
+    with pytest.raises(ValidationError, match="for a hard bound"):
+        solve_fpp(_narrow_block(rng, MIN_SPREAD * (1 - 1e-9)))
