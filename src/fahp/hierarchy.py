@@ -23,12 +23,17 @@ JUDGMENT_RANGE = (1e-4, 1e4)
 
 #: A side's spread, m - l or u - m, is either 0 (a hard bound on the ratio)
 #: or at least this fraction of m. Narrower sides make nearly parallel LP
-#: rows, and their round-off made the solver fail. In contradictory blocks
-#: of 3-7 items where six judgments in ten have one side of a given relative
-#: spread, 30,000 blocks per spread, one block raised at 7e-6 and none at
-#: 1e-5, 1.4e-5, 2e-5 or 4e-5; 60,000 blocks at 1e-4 raised none. The bound
-#: keeps a factor of ten from the first failure.
-MIN_SPREAD = 1e-4
+#: rows, and their round-off made the solver fail. The sweep: contradictory
+#: blocks of 3-7 items where six judgments in ten have one side of a given
+#: relative spread, run with warnings as errors. With 10,000 blocks per
+#: spread, 9 raised at 1e-6 and 2 at 3e-6, none from 1e-5 up (nor in 40,000
+#: more at each of 1e-4, 3e-4 and 1e-3). But at 1e-4 a hinted LP once
+#: divided by an exact 0 (a warning; the solver now falls back to the slack
+#: basis there). Hinted solves fall back to that basis about once in 450
+#: at 1e-4, once in 1,800 to 2,600 at 3e-4 and once in 12,000 to 35,000 at
+#: 1e-3, as at 3e-3 and 1e-2 (once in 13,000 to 67,000). The bound keeps a
+#: factor of ten from that first failure.
+MIN_SPREAD = 1e-3
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -118,19 +117,11 @@ class LPResult:
     basis: tuple[int, ...] | None = None
 
 
-@lru_cache(maxsize=64)
-def _eye(n: int) -> np.ndarray:
-    """The n x n identity, shared by every caller and so read-only."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
 def _off(inv: np.ndarray, mat: np.ndarray) -> float:
     """How far inv @ mat is off the identity, inf on overflow."""
     with np.errstate(all="ignore"):
         prod = inv.dot(mat)
-        prod -= _eye(len(mat))
+        prod.flat[:: len(mat) + 1] -= 1.0
         off = float(np.abs(prod, out=prod).max(initial=0.0))
     return off if off <= math.inf else math.inf  # NaN is off by inf
 
@@ -369,7 +360,10 @@ def _solve(form: _Form, basic: np.ndarray | None = None):
         form = form._replace(g=form.g[rows], h=form.h[rows])
     res = _reoptimise(form, basic, _MAX_ITER)
     if res is None:
-        raise RuntimeError("simplex round-off: the solution violates its constraints")
+        raise RuntimeError(
+            "simplex round-off: the working set's inverse lost its accuracy, "
+            "or the solution violates its constraints"
+        )
     return res, (None if dropped or res.status != "optimal" else basic)
 
 
@@ -419,9 +413,11 @@ def solve_lp(
             constraint shapes do not match c, or basis holds anything but
             column indices.
         RuntimeError: when round-off defeats the solve from the slack basis
-            (its working set is singular to round-off, or the solution read
-            off its final working set misses the original rows) or takes
-            more than _MAX_ITER pivots.
+            (its working set is singular to round-off, a pivot entry read
+            off the leaving row has the wrong sign because the updated
+            inverse lost its accuracy, or the solution read off its final
+            working set misses the original rows) or takes more than
+            _MAX_ITER pivots.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or not c.size:

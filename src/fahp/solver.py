@@ -246,13 +246,6 @@ def _block(matrix: ComparisonMatrix) -> _Block:
     spread = np.zeros_like(base)
     base[rising, col], base[rising, row], spread[rising, col] = l, -1.0, rise
     base[falling, col], base[falling, row], spread[falling, col] = -u, 1.0, fall
-    if rise.all() and fall.all():  # no hard side, so no crisp judgment
-        empty = np.zeros(0, dtype=np.intp)
-        return _Block(
-            matrix, row, col, l, m, u, rise, fall,
-            empty, np.zeros(0), empty, np.zeros(0), empty,
-            base, spread, np.zeros(2 * row.size, dtype=bool),
-        )
     hard_rise, hard_fall = (rise == 0.0).nonzero()[0], (fall == 0.0).nonzero()[0]
     return _Block(
         matrix, row, col, l, m, u,

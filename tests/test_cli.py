@@ -107,6 +107,8 @@ def test_solve_unknown_key_exits_2(tmp_path):
          "(b, a) has u = 3.0001, within"),
         ({"row": "a", "col": "b", "judgment": [0.5, 0.500000001, 1]}, None,
          "use l = m for a hard bound"),
+        ({"row": "b", "col": "a", "judgment": [2, 3, 3.002]}, None,
+         "(b, a) has u = 3.002, within 0.001 * m"),
     ],
 )
 def test_solve_bad_field_exits_2_naming_it(tmp_path, capsys, judgment, solver, named):

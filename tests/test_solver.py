@@ -486,9 +486,10 @@ def _narrow_block(rng, spread):
 
 def test_blocks_at_the_spread_bound_solve():
     # Narrow sides just inside MIN_SPREAD (m - l rounds to either side of
-    # MIN_SPREAD * m at exactly MIN_SPREAD). Below it, such blocks raised
-    # "simplex round-off" and "iteration limit" errors. Every block solves,
-    # warning-free, to a lambda that its weights attain.
+    # MIN_SPREAD * m at exactly MIN_SPREAD). Far below it, such blocks
+    # raised "simplex round-off" and "iteration limit" errors, and at a tenth
+    # of it a hinted LP divided by zero. Every block solves, warning-free, to
+    # a lambda that its weights attain.
     rng = np.random.default_rng(8)
     for _ in range(300):
         block = _narrow_block(rng, MIN_SPREAD * (1 + 1e-9))
