@@ -38,35 +38,32 @@ so a tiny entry on a row that is only at its bound by round-off is not
 pivoted on while a larger one fits. The entering column of a dual pivot
 comes from the same test, run on the leaving row's entries with the
 reduced costs as the gaps. Neither rule keeps Bland's proof that
-degenerate vertices cannot cycle, so pivot limits stay as guards. The
-optimal x is refined twice on B and is reported only once it meets the
-original rows.
+degenerate vertices cannot cycle, and a cold dual simplex did cycle. So a
+solve from the slack basis that passes _HINT_PIVOTS pivots per row and
+column falls back to Bland's smallest-index rule (Math. Oper. Res. 2,
+1977): a dual pivot takes the lowest-index violated row, a primal pivot
+the lowest-index improving column, and the other side of each is the
+smallest ratio, ties to the lowest index. That rule ignores pivot sizes,
+so after each of its pivots the inverse is taken afresh. The optimal x is
+refined twice on B and is reported only once it meets the original rows.
 
-Without a hint the start is the slack basis: every inequality row's slack,
-and one structural column per equality row, picked by Gauss-Jordan
-elimination with partial pivoting. An equality row that reduces to 0 = 0 is
-dropped as redundant; one that reduces to 0 = b with b nonzero makes the LP
-infeasible. A caller that solves a run of LPs of the same shape can pass
-the final basis of one (`LPResult.basis`) as the starting basis of the
-next. A hint of the wrong length, with a repeated or out-of-range column or
-with a singular working set, or whose solve ends in anything but an
-optimum, is dropped for the slack basis, whose verdict is final. Sized for
+The one entry point is _solve, on a _Form built by _form: c, the stacked
+constraint rows G = [-I; A_ub; A_eq] and their right-hand sides h. The
+equality rows must be linearly independent. The start is a basis given as
+the mask of its basic columns, such as the final mask of an LP of the same
+shape; the solver keeps one form per comparison block, rewrites its
+coefficients in place between LPs and passes each final mask on. A start
+whose working set is singular, or whose solve ends in anything but an
+optimum or passes _HINT_PIVOTS pivots per row and column, is dropped for
+the slack basis, whose verdict is final: every
+inequality row's slack, and one structural column per equality row,
+picked by Gauss-Jordan elimination with partial pivoting. Sized for
 problems with tens of rows; this is not a general-purpose LP library.
-
-Every LP is solved by one routine, _solve, over a prebuilt _Form: c, the
-stacked constraint rows G = [-I; A_ub; A_eq] and their right-hand sides h.
-solve_lp builds the form from its arrays and turns a basis tuple into the
-mask of basic columns that _solve takes. The solver keeps one form per
-comparison block, rewrites its coefficients in place between LPs and
-passes the final mask of one LP to the next, with no array rebuilt and no
-tuple in between. The arithmetic is the same either way, so each result is
-bit for bit what solve_lp returns on the same arrays from the same basis.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,10 +90,11 @@ _UNBOUNDED_TOL = 1e-7
 # Pivots of a solve from the slack basis before it gives up.
 _MAX_ITER = 10_000
 # Pivots per row and column of the LP before a solve from a hint gives up
-# for the slack basis. Over the rng 11-68 sweep and the contradictory blocks
-# of the solver's tests, a hinted solve took at most 78 pivots (91 rows, 12
-# columns) and at most 0.83 per row and column, where the dual simplex of a
-# tableau once cycled to _MAX_ITER from two hints.
+# for the slack basis, and past which a solve from the slack basis follows
+# Bland's rule. Over the rng 11-68 sweep and the contradictory blocks
+# of the solver's tests (tests/gates.py), a hinted solve took at most 102
+# pivots, on 90 rows and 12 columns (0.99 per row and column), where the
+# dual simplex of a tableau once cycled to _MAX_ITER from two hints.
 _HINT_PIVOTS = 2
 # How far inv @ B may be off the identity: for a starting basis, whose
 # inverse every pivot updates, and for the final basis, whose inverse only
@@ -111,10 +109,6 @@ class LPResult:
     x: np.ndarray | None
     objective: float | None
     pivots: int  # working-set exchanges, dual and primal
-    # basic columns of the final basis in ascending order, structural then
-    # slack numbering (slack of inequality row r is column n + r); None when
-    # not optimal or when a redundant equality row was dropped
-    basis: tuple[int, ...] | None = None
 
 
 def _off(inv: np.ndarray, mat: np.ndarray) -> float:
@@ -139,7 +133,7 @@ def _inverse(mat: np.ndarray, tol: float) -> np.ndarray | None:
     return inv
 
 
-def _ratio_test(entries, gaps, allowed, order=None) -> int:
+def _ratio_test(entries, gaps, allowed, order=None, bland=False) -> int:
     """Harris's two-pass ratio test: the position that leaves (primal) or
     enters (dual) the basis, or -1 when no allowed entry is positive.
 
@@ -151,12 +145,18 @@ def _ratio_test(entries, gaps, allowed, order=None) -> int:
     when `order` is given. A call has a handful of candidates, and mostly
     one of them fits, so both passes run on them as Python floats, which
     round as numpy's do, rather than as a dozen whole-array numpy calls.
+    With `bland`, Bland's rule replaces both passes: the smallest ratio,
+    ties to the lowest position or `order` value.
     """
     candidates = ((entries > _PIVOT_TOL) & allowed).nonzero()[0]
     if candidates.size <= 1:
         return int(candidates[0]) if candidates.size else -1
     sizes = entries[candidates].tolist()
     gaps = [gap if gap > 0.0 else 0.0 for gap in gaps[candidates].tolist()]
+    if bland:
+        index = candidates if order is None else order[candidates]
+        ratios = [(gap / size, k) for gap, size, k in zip(gaps, sizes, index.tolist())]
+        return int(candidates[ratios.index(min(ratios))])
     bound = min((gap + _HARRIS_DELTA) / size for gap, size in zip(gaps, sizes))
     best, top = 0.0, []
     for p, gap, size in zip(candidates.tolist(), gaps, sizes):
@@ -202,8 +202,9 @@ def _reoptimise(form: _Form, basic: np.ndarray, limit: int) -> LPResult | None:
     read off the leaving row does not have the sign its column gave (the
     inverse has lost its accuracy), or when no solution that meets the rows
     can be read off the final working set. `basic` is updated in place and
-    ends flagging the final basis. The result's `basis` is left None.
-    Raises RuntimeError past the limit.
+    ends flagging the final basis. Raises RuntimeError past the limit.
+    Past _HINT_PIVOTS pivots per row and column, which only a solve from the
+    slack basis reaches, every pivot follows Bland's smallest-index rule.
 
     `work` lists the working set, so B = g[work] and `inv` = B^-1. Leaving
     the constraint at position p of `work` moves x by -B^-1 e_p per unit of
@@ -232,14 +233,17 @@ def _reoptimise(form: _Form, basic: np.ndarray, limit: int) -> LPResult | None:
         values += hide
         leave = int(values.argmin())
         y = cost.dot(inv)  # -d: the reduced cost of each position's column, negated
+        bland = pivots > _HINT_PIVOTS * h.size
         if values[leave] < -_FEAS_TOL:  # dual pivot
+            if bland:  # the lowest-index violated row leaves
+                leave = int((values < -_FEAS_TOL).argmax())
             if cost is c and y[:nsoft].max(initial=0.0) > _COST_TOL:
                 # cost shifting: raise every negative reduced cost to 0
                 shift = np.zeros(y.size)
                 np.maximum(y[:nsoft], 0.0, out=shift[:nsoft])
                 cost, y = c - shift.dot(mat), y - shift
             u = g[leave].dot(inv)
-            p = _ratio_test(u, -y, soft, work)
+            p = _ratio_test(u, -y, soft, work, bland)
             if p < 0:
                 return LPResult("infeasible", None, None, pivots)
         elif cost is not c:  # primal feasible: restore the true costs
@@ -250,9 +254,9 @@ def _reoptimise(form: _Form, basic: np.ndarray, limit: int) -> LPResult | None:
             improving = (y[:nsoft] > _COST_TOL).nonzero()[0].tolist()
             for p in sorted(improving, key=work.__getitem__):
                 alpha = -(g_cols @ inv[:, p])
-                row = _ratio_test(alpha, values, basic)
+                row = _ratio_test(alpha, values, basic, None, bland)
                 if row >= 0:
-                    if alpha[row] >= _SMALL_PIVOT:
+                    if bland or alpha[row] >= _SMALL_PIVOT:
                         step = row, p
                         break
                     small = small or (row, p)
@@ -276,6 +280,10 @@ def _reoptimise(form: _Form, basic: np.ndarray, limit: int) -> LPResult | None:
         hide[enter], hide[leave] = 0.0, np.inf
         work[p], mat[p], rhs[p] = leave, g[leave], h[leave]
         pivots += 1
+        if bland:  # Bland's rule ignores pivot sizes: invert afresh
+            inv = _inverse(mat, _FINAL_INV_TOL)
+            if inv is None:
+                return None
 
     if pivots and _off(inv, mat) > _START_INV_TOL:
         inv = _inverse(mat, _FINAL_INV_TOL)
@@ -291,32 +299,24 @@ def _reoptimise(form: _Form, basic: np.ndarray, limit: int) -> LPResult | None:
     return LPResult("optimal", x, float(c.dot(x)), pivots)
 
 
-def _slack_basis(form: _Form) -> tuple[np.ndarray, list[int]] | None:
-    """The cold start: (the slack basis's column mask, the equality rows it
-    keeps), or None when an equality row reduces to 0 = b with b nonzero.
+def _slack_basis(form: _Form) -> np.ndarray:
+    """The cold start: the slack basis's column mask.
 
     Gauss-Jordan elimination with partial pivoting over the equality rows in
-    order picks for each the structural column of its largest entry; a row
-    whose entries all reduce below _PIVOT_TOL is dropped. Every inequality
-    row's slack is basic too.
+    order picks for each the structural column of its largest entry. Every
+    inequality row's slack is basic too.
     """
     c, g, h, ncols = form
     n = c.size
-    system = np.hstack([g[ncols:], h[ncols:, None]])
+    system = g[ncols:].copy()
     basic = np.zeros(ncols, dtype=bool)
     basic[n:] = True
-    keep = []
     for r, row in enumerate(system):
-        col = int(np.abs(row[:n]).argmax())
-        if abs(row[col]) <= _PIVOT_TOL:
-            if abs(row[-1]) > _FEAS_TOL:
-                return None
-            continue
+        col = int(np.abs(row).argmax())
         row /= row[col]
         system[r + 1 :] -= system[r + 1 :, col, None] * row
         basic[col] = True
-        keep.append(r)
-    return basic, keep
+    return basic
 
 
 def _satisfies(form: _Form, x: np.ndarray) -> bool:
@@ -340,8 +340,13 @@ def _solve(form: _Form, basic: np.ndarray | None = None):
     place. A start whose working set is singular, or whose solve ends in
     anything but an optimum or passes that limit, leaves the solve from the
     slack basis (and its pivot count) as without a start. The mask is None
-    when the LP is not optimal or a redundant equality row was dropped.
-    Raises RuntimeError as solve_lp does.
+    when the LP is not optimal.
+
+    Raises RuntimeError when round-off defeats the solve from the slack
+    basis (its working set is singular to round-off, a pivot entry read off
+    the leaving row has the wrong sign because the updated inverse lost its
+    accuracy, or the solution read off its final working set misses the
+    rows) or when it takes more than _MAX_ITER pivots.
     """
     if basic is not None:
         try:
@@ -350,97 +355,11 @@ def _solve(form: _Form, basic: np.ndarray | None = None):
             warm = None
         if warm is not None and warm.status == "optimal":
             return warm, basic
-    cold = _slack_basis(form)
-    if cold is None:
-        return LPResult("infeasible", None, None, 0), None
-    basic, keep = cold
-    dropped = len(keep) < form.h.size - form.ncols
-    if dropped:
-        rows = list(range(form.ncols)) + [form.ncols + r for r in keep]
-        form = form._replace(g=form.g[rows], h=form.h[rows])
+    basic = _slack_basis(form)
     res = _reoptimise(form, basic, _MAX_ITER)
     if res is None:
         raise RuntimeError(
             "simplex round-off: the working set's inverse lost its accuracy, "
             "or the solution violates its constraints"
         )
-    return res, (None if dropped or res.status != "optimal" else basic)
-
-
-def _hint(start, form: _Form) -> np.ndarray | None:
-    """The column mask of the starting basis `start`, or None when it has
-    the wrong length or a repeated or out-of-range column."""
-    cols = sorted(set(start))
-    if len(start) != form.h.size - form.c.size or len(cols) != len(start):
-        return None
-    if cols and not (0 <= cols[0] and cols[-1] < form.ncols):
-        return None
-    basic = np.zeros(form.ncols, dtype=bool)
-    basic[cols] = True
-    return basic
-
-
-def solve_lp(
-    c,
-    a_ub=None,
-    b_ub=None,
-    a_eq=None,
-    b_eq=None,
-    *,
-    basis=None,
-) -> LPResult:
-    """Dense simplex from a starting basis.
-
-    Args:
-        c: objective coefficients, length n (minimized).
-        a_ub, b_ub: inequality rows A_ub @ x <= b_ub.
-        a_eq, b_eq: equality rows A_eq @ x = b_eq.
-        basis: optional starting basis, the `basis` of an earlier LPResult
-            of an LP with the same shape. When it is optimal for this LP it
-            is returned with 0 pivots; when it is any other nonsingular
-            basis, the LP is re-optimised from it by dual and primal
-            pivots. An unusable hint, or a solve from it that ends in
-            anything but an optimum or takes more than _HINT_PIVOTS pivots
-            per row and column, leaves the solve from the slack basis (and
-            its pivot count) as without a hint.
-
-    Returns:
-        LPResult with status "optimal" (x, objective and basis set),
-        "infeasible", or "unbounded", and the number of pivots it took.
-
-    Raises:
-        ValueError: when c is empty, an array has a non-finite entry, the
-            constraint shapes do not match c, or basis holds anything but
-            column indices.
-        RuntimeError: when round-off defeats the solve from the slack basis
-            (its working set is singular to round-off, a pivot entry read
-            off the leaving row has the wrong sign because the updated
-            inverse lost its accuracy, or the solution read off its final
-            working set misses the original rows) or takes more than
-            _MAX_ITER pivots.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or not c.size:
-        raise ValueError(f"c must be a nonempty vector, got shape {c.shape}")
-    n = c.size
-    a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float)
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
-    a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-    if a_ub.shape != (b_ub.size, n) or a_eq.shape != (b_eq.size, n):
-        raise ValueError("constraint shapes do not match the objective length")
-    arrays = {"c": c, "a_ub": a_ub, "b_ub": b_ub, "a_eq": a_eq, "b_eq": b_eq}
-    for name, values in arrays.items():
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} has a non-finite entry")
-    if basis is not None:
-        try:
-            basis = [operator.index(k) for k in basis]
-        except TypeError:
-            raise ValueError(f"basis must hold column indices, got {basis!r}") from None
-    form = _form(c, a_ub, b_ub, a_eq, b_eq)
-    res, basic = _solve(form, None if basis is None else _hint(basis, form))
-    if basic is None:
-        return res
-    return LPResult(res.status, res.x, res.objective, res.pivots,
-                    tuple(basic.nonzero()[0].tolist()))
+    return res, (basic if res.status == "optimal" else None)

@@ -31,8 +31,9 @@ mask of its basic columns. The simplex inverts that basis's working set,
 an (n + 2)-square matrix, returns without a pivot when the basis is
 optimal, and otherwise re-optimises from it with dual and primal pivots on
 the same inverse. Only an LP whose basis cannot be used starts from the
-slack basis. Each result is bit for bit that of solve_lp on the same
-arrays from the same basis.
+slack basis. Each result is bit for bit that of the same LP posed in a
+fresh form and solved from the same basis. A block whose every side is
+hard has no denominators: one LP with a unit scale decides it.
 A side with zero spread (m == l or u == m) is a hard bound on the ratio, a
 constraint that does not depend on lambda. The reported lambda is
 lambda_at(weights); lambda >= 0 certifies that some weight vector lies
@@ -68,6 +69,12 @@ _DINKELBACH_TOL = 1e-8
 _CLAMP_TOL = 1e-9
 # Relative tolerance for hard (zero-spread) judgment sides in the oracle.
 _HARD_REL_TOL = 1e-9
+# feasible_at refuses levels below this. Its LP's side rows grow with |lam|
+# while the sum row stays 1. Over the 600 solves of gates seed 11 and the
+# 1,500 contradictory blocks of rng seed 101, at every tenth of a decade
+# from -10 to -1e6, it first failed ("simplex round-off") at -1.6e5; the
+# bound keeps a factor of ten from that.
+FEASIBLE_AT_MIN_LAMBDA = -1e4
 
 #: Documented agreement tolerances between solve_fpp and oracle_solve on
 #: matrices whose judgment spreads are wide relative to the grid step.
@@ -135,15 +142,12 @@ def _slack_form(k: int, n: int, cfg: SolverConfig) -> simplex._Form:
     t = tp - tn split into nonnegatives: columns v, then tp and tn. With a
     unit scale t >= 0 exactly when every row can hold.
     """
-    g = np.zeros((n + k + 3, n + 2))
-    g[: n + 2].flat[:: n + 3] = -1.0
-    g[-1, :n] = 1.0
-    h = np.zeros(n + k + 3)
-    h[-1] = 1.0 - n * cfg.weight_floor
     c = np.zeros(n + 2)
-    c[n] = -1.0
-    c[n + 1] = 1.0
-    return simplex._Form(c, g, h, n + k + 2)
+    c[n], c[n + 1] = -1.0, 1.0
+    total = np.zeros((1, n + 2))
+    total[0, :n] = 1.0
+    floor = np.array([1.0 - n * cfg.weight_floor])
+    return simplex._form(c, np.zeros((k, n + 2)), np.zeros(k), total, floor)
 
 
 def _pose(
@@ -300,13 +304,18 @@ def feasible_at(
 
     The vector returned is the max-slack one, i.e. the deepest interior
     point of the feasible region at that lambda. No vector meets a level
-    above 1, full membership. Raises ValueError when lam is not finite.
+    above 1, full membership. Raises ValueError when lam is not finite or
+    is below FEASIBLE_AT_MIN_LAMBDA (-1e4), where round-off defeats the LP.
     """
     cfg = config or SolverConfig()
     block = _block(matrix)
     _check_floor(matrix, cfg)
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
+    if lam < FEASIBLE_AT_MIN_LAMBDA:
+        raise ValueError(
+            f"lam must be at least {FEASIBLE_AT_MIN_LAMBDA:g}, got {lam:g}"
+        )
     if lam > 1.0:
         return None
     t, w, _ = _unit_slack(block.base + lam * block.spread, cfg)
@@ -442,24 +451,27 @@ def solve_fpp(
     block = _block(matrix)
     _check_floor(matrix, cfg)
     base, spread, cap = block.base, block.spread, cfg.lambda_cap
-    all_hard = block.hard.all()
     w, lam = _least_squares_start(block, cfg)
     if lam >= cap - _CLAMP_TOL:
         return _result(matrix, w, cap, 0, True, None)
+    if block.hard.all():
+        # no side has a denominator, so one LP with a unit scale decides:
+        # when the sides hold, they meet every judgment in full
+        step = _unit_slack(base, cfg)
+        if step is None or step[0] < -_SLACK_FEAS_TOL:
+            _raise_conflict(block, cfg)
+        return _result(matrix, step[1], cap, 1, True, step[0])
     form = _slack_form(*base.shape, cfg)
     basic, probes = _crash_basis(block, w), 0
     while True:
         # max t s.t. N_i(w) - lam * D_i(w) >= t * D_i(w_k) on every soft side,
-        # at lambda_cap while w misses a hard side; an all-hard block has no
-        # D_i, so its slack gets a unit scale
+        # at lambda_cap while w misses a hard side
         missed = lam == -math.inf
-        scale = np.ones(len(base)) if all_hard else spread.dot(w)
-        _pose(form, base + (cap if missed else lam) * spread, scale, cfg)
+        _pose(form, base + (cap if missed else lam) * spread, spread.dot(w), cfg)
         step = _max_t(form, cfg, basic)
-        if step is None or (all_hard and step[0] < -_SLACK_FEAS_TOL):
-            # The first LP is the hard sides' verdict (a negative slack, in an
-            # all-hard block); after that they have held once, so only
-            # round-off.
+        if step is None:
+            # The first LP is the hard sides' verdict; after that they have
+            # held once, so only round-off.
             if probes == 0 and block.hard.any():
                 _raise_conflict(block, cfg)
             raise RuntimeError(
@@ -471,8 +483,7 @@ def solve_fpp(
         if not missed and slack <= _DINKELBACH_TOL:
             break
         lam_next = _lowest_membership(block, w_next)
-        # an all-hard block whose sides hold meets every judgment in full
-        if lam_next >= cap - _CLAMP_TOL or all_hard:
+        if lam_next >= cap - _CLAMP_TOL:
             return _result(matrix, w_next, cap, probes, True, slack)
         if not lam_next > lam:
             break

@@ -1,18 +1,24 @@
 """Command-line interface: subcommands, exit codes, and output files."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fahp
 from fahp import bundled_study_path
 from fahp.cli import main
-from fahp.hierarchy import JUDGMENT_RANGE
+from fahp.hierarchy import JUDGMENT_RANGE, MIN_SPREAD
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -588,3 +594,83 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+_BUNDLED = json.loads(bundled_study_path().read_text())
+_LARGEST_BLOCK = max(len(entries) for entries in _BUNDLED["matrices"].values())
+
+
+@st.composite
+def _judgments(draw, mode):
+    """A judgment in place of one of mode `mode`: mostly within a decade of
+    it, sometimes anywhere across JUDGMENT_RANGE and a decade beyond it on
+    each end, with each side hard, at or below MIN_SPREAD * m, or wide; or
+    a crisp one."""
+    lo, hi = JUDGMENT_RANGE
+    if draw(st.integers(0, 3)) == 0:
+        m = 10.0 ** draw(st.floats(np.log10(lo) - 1.0, np.log10(hi) + 1.0))
+    else:
+        m = mode * 10.0 ** draw(st.floats(-1.0, 1.0))
+    if draw(st.integers(0, 4)) == 0:
+        return [m, m, m]
+    spread = st.sampled_from([0.0, 0.0, MIN_SPREAD, 0.5 * MIN_SPREAD]) | st.floats(0.01, 0.9)
+    return [m - draw(spread) * m, m, m + draw(spread) * m]
+
+
+@st.composite
+def _mutated_studies(draw):
+    """The bundled study with judgments replaced, solver settings added and
+    keys removed, and the names that an error about each mutation may give:
+    its matrix or its key."""
+    doc, names = copy.deepcopy(_BUNDLED), []
+    block = draw(st.sampled_from(sorted(doc["matrices"])))
+    for _ in range(draw(st.integers(0, 4))):
+        entry = draw(st.sampled_from(doc["matrices"][block]))
+        entry["judgment"] = draw(_judgments(entry["judgment"][1]))
+        names.append(f"matrix {block!r}")
+    if draw(st.booleans()):
+        settings_ = {
+            "lambda_cap": draw(st.floats(0.0, 1.0)),
+            "weight_floor": draw(
+                st.floats(0.0, 1.0 / _LARGEST_BLOCK, exclude_min=True)
+            ),
+        }
+        doc["solver"] = {key: settings_[key] for key in draw(
+            st.sets(st.sampled_from(sorted(settings_)))
+        )}
+        names += ["lambda_cap", "weight_floor"]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        where = draw(st.sampled_from(["study", "matrices", "judgment"]))
+        if where == "study":
+            target = doc
+        elif where == "matrices" and isinstance(doc.get("matrices"), dict):
+            target = doc["matrices"]
+        elif where == "judgment" and doc.get("matrices"):
+            block = draw(st.sampled_from(sorted(doc["matrices"])))
+            target = draw(st.sampled_from(doc["matrices"][block]))
+        else:
+            continue
+        if target:
+            key = draw(st.sampled_from(sorted(target)))
+            del target[key]
+            names.append(repr(key))
+    return doc, names
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(_mutated_studies())
+def test_mutated_studies_never_exit_1(case):
+    # Any study the bundled one can be mutated into by out-of-range, narrow
+    # or crisp judgments, solver settings in range or removed keys solves
+    # (0), is refused as invalid input naming the matrix or the key (2), or
+    # is refused as infeasible (3). Exit 1 is an internal error.
+    doc, names = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "study.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["solve", str(path), "--no-timestamp"])
+    assert rc in (0, 2, 3), err.getvalue()
+    if rc == 2:
+        assert any(name in err.getvalue() for name in names), (err.getvalue(), names)

@@ -12,15 +12,43 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from fahp import simplex, solve_fpp
-from fahp.simplex import solve_lp
 from test_solver_invariants import _blocks, _lp_arrays
 
 ROUNDOFF_LPS = Path(__file__).parent / "fixtures" / "roundoff" / "lps.json"
 
 
+def _arrays(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+    """The LP's arrays as floats, with no rows where a pair is missing."""
+    c = np.asarray(c, dtype=float)
+
+    def rows(a, b):
+        if b is None:
+            return np.zeros((0, c.size)), np.zeros(0)
+        return np.asarray(a, dtype=float).reshape(-1, c.size), np.asarray(b, dtype=float)
+
+    return (c, *rows(a_ub, b_ub), *rows(a_eq, b_eq))
+
+
+def _mask(columns, ncols):
+    """The column mask of the basis whose basic columns are `columns`."""
+    basic = np.zeros(ncols, dtype=bool)
+    basic[list(columns)] = True
+    return basic
+
+
+def _solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, hint=None):
+    """simplex._solve on the form of the LP, started from the basis whose
+    basic columns `hint` lists (structural columns, then the slack of
+    inequality row r as column n + r): the result and the final basis's
+    columns, or None when it is not optimal."""
+    form = simplex._form(*_arrays(c, a_ub, b_ub, a_eq, b_eq))
+    res, final = simplex._solve(form, None if hint is None else _mask(hint, form.ncols))
+    return res, None if final is None else tuple(final.nonzero()[0].tolist())
+
+
 def test_simple_box_maximum():
     # min -x - y subject to x <= 2, y <= 3
-    res = solve_lp(c=[-1, -1], a_ub=[[1, 0], [0, 1]], b_ub=[2, 3])
+    res, _ = _solve(c=[-1, -1], a_ub=[[1, 0], [0, 1]], b_ub=[2, 3])
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-5.0)
     assert res.x == pytest.approx([2.0, 3.0])
@@ -28,40 +56,29 @@ def test_simple_box_maximum():
 
 def test_two_constraint_vertex():
     # optimum sits on the intersection of both constraints
-    res = solve_lp(c=[-2, -3], a_ub=[[1, 1], [1, 3]], b_ub=[4, 6])
+    res, _ = _solve(c=[-2, -3], a_ub=[[1, 1], [1, 3]], b_ub=[4, 6])
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-9.0)
     assert res.x == pytest.approx([3.0, 1.0])
 
 
 def test_equality_constraint():
-    res = solve_lp(c=[1, 1], a_eq=[[1, 1]], b_eq=[4])
+    res, _ = _solve(c=[1, 1], a_eq=[[1, 1]], b_eq=[4])
     assert res.status == "optimal"
     assert res.objective == pytest.approx(4.0)
     assert sum(res.x) == pytest.approx(4.0)
     assert min(res.x) >= 0
 
 
-def test_duplicate_equality_rows_are_tolerated():
-    res = solve_lp(c=[1, 2], a_eq=[[1, 1], [1, 1]], b_eq=[2, 2])
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(2.0)
-
-
 def test_infeasible():
     # x >= 2 conflicts with x <= 1
-    res = solve_lp(c=[1], a_ub=[[-1], [1]], b_ub=[-2, 1])
-    assert res.status == "infeasible"
-
-
-def test_infeasible_equalities():
-    res = solve_lp(c=[1, 1], a_eq=[[1, 1], [1, 1]], b_eq=[2, 3])
+    res, _ = _solve(c=[1], a_ub=[[-1], [1]], b_ub=[-2, 1])
     assert res.status == "infeasible"
 
 
 def test_unbounded():
     # objective pushes x1 to infinity while the only bound touches x2
-    res = solve_lp(c=[-1, 0], a_ub=[[0, 1]], b_ub=[3])
+    res, _ = _solve(c=[-1, 0], a_ub=[[0, 1]], b_ub=[3])
     assert res.status == "unbounded"
 
 
@@ -75,14 +92,9 @@ def test_cycling_prone_instance():
         [0.0, 0.0, 1.0, 0.0],
     ]
     b_ub = [0.0, 0.0, 1.0]
-    res = solve_lp(c=c, a_ub=a_ub, b_ub=b_ub)
+    res, _ = _solve(c=c, a_ub=a_ub, b_ub=b_ub)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-0.05)
-
-
-def test_shape_mismatch_rejected():
-    with pytest.raises(ValueError):
-        solve_lp(c=[1, 2], a_ub=[[1, 2, 3]], b_ub=[1])
 
 
 def test_solution_satisfies_constraints():
@@ -90,7 +102,7 @@ def test_solution_satisfies_constraints():
     b_ub = [4, 6]
     a_eq = [[1, 1, 1]]
     b_eq = [2]
-    res = solve_lp(c=[-1, -2, 0.5], a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    res, _ = _solve(c=[-1, -2, 0.5], a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     assert res.status == "optimal"
     x = np.asarray(res.x)
     assert np.all(x >= -1e-12)
@@ -110,7 +122,7 @@ def test_matches_scipy_on_random_instances(rng):
         a_eq = rng.normal(size=(1, n)) if use_eq else None
         b_eq = rng.normal(size=1) + 1.0 if use_eq else None
 
-        ours = solve_lp(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        ours, _ = _solve(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
         ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                       bounds=(0, None), method="highs")
 
@@ -137,20 +149,46 @@ def test_roundoff_is_recovered(name):
     # solution misses the rows by 1e-6 and raised "simplex round-off". The
     # cold solve must reach the optimum of each with a solution that meets
     # the rows.
-    lp = json.loads(ROUNDOFF_LPS.read_text())[name]
+    _reaches_the_highs_optimum(json.loads(ROUNDOFF_LPS.read_text())[name])
+
+
+def _reaches_the_highs_optimum(lp):
+    """Solve the fixture LP cold: optimal, HiGHS's objective within 1e-12
+    and a solution that meets the rows. Returns the result."""
     args = [lp[key] for key in ("c", "a_ub", "b_ub", "a_eq", "b_eq")]
-    res = solve_lp(*args)
+    res, _ = _solve(*args)
     ref = linprog(*args[:1], A_ub=args[1], b_ub=args[2], A_eq=args[3], b_eq=args[4],
                   method="highs")
     assert res.status == "optimal"
     assert res.objective == pytest.approx(ref.fun, abs=1e-12)
     assert np.all(np.asarray(args[1]) @ res.x <= np.asarray(args[2]) + 1e-9)
+    return res
+
+
+@pytest.mark.parametrize("name", ["dual_cycle", "bland_drift"])
+def test_cold_solve_past_the_fallback_threshold(name):
+    # Cold LPs of feasible_at that pass _HINT_PIVOTS pivots per row and
+    # column, where Bland's rule takes over. dual_cycle is the LP at lambda
+    # -1000 of an 8-item block, the 119th of 150 drawn by _random_block
+    # (2-10 items) from rng seed 3: 56 rows over 10 columns. Its dual
+    # pivots on the most negative row, with Harris's ratio test, came back
+    # to the basis of pivot 41 at pivot 56 and repeated that cycle until
+    # the iteration limit. bland_drift is the LP at lambda -10^3.2 of the
+    # 246th seed-11 sweep block of tests/gates.py, reordered: 90 rows over
+    # 12 columns. Bland's pivots ignore entry sizes, and with rank-1
+    # updates its inverse drifted until a reduced cost of 2.8e-5 on t's
+    # negative part read as an unbounded ray; a fresh inverse after each
+    # such pivot reaches the optimum.
+    lp = json.loads(ROUNDOFF_LPS.read_text())[name]
+    res = _reaches_the_highs_optimum(lp)
+    rows = len(lp["c"]) + len(lp["b_ub"]) + len(lp["b_eq"])
+    assert simplex._HINT_PIVOTS * rows < res.pivots < simplex._MAX_ITER
 
 
 def test_solutions_meet_their_rows_to_round_off(monkeypatch):
     # Every max-slack LP of the random invariant blocks: after the refinement
     # step an optimal solution meets its rows to within a few ulps of the
-    # right-hand sides, far inside the 1e-9 that solve_lp checks.
+    # right-hand sides, far inside the 1e-9 that _satisfies checks.
     worst = []
     solve = simplex._solve
 
@@ -210,24 +248,25 @@ def test_updated_inverse_matches_a_fresh_one(rng, monkeypatch):
         if rng.integers(0, 2):
             lp.update(a_eq=rng.normal(size=(1, n)), b_eq=rng.normal(size=1) + 1.0)
         seen.clear()
-        res = solve_lp(**lp)
+        res, basis = _solve(**lp)
         if res.status != "optimal" or not res.pivots:
             continue
         assert len(seen) == 2
         inv, mat = seen[-1]
-        assert sorted(map(tuple, mat)) == sorted(map(tuple, _working_set(lp, res.basis)))
+        assert sorted(map(tuple, mat)) == sorted(map(tuple, _working_set(lp, basis)))
         fresh = np.linalg.inv(mat)
         assert np.abs(inv - fresh).max() <= 1e-12 * np.abs(fresh).max()
         updated += 1
     assert updated >= 10
 
 
-def _same(res, ref):
-    """Whether two LPResults are identical, bit for bit."""
+def _same(solved, ref):
+    """Whether two (LPResult, final basis) pairs are identical, bit for bit."""
+    (res, basis), (ref, ref_basis) = solved, ref
     return (
         res.status == ref.status
         and res.pivots == ref.pivots
-        and res.basis == ref.basis
+        and basis == ref_basis
         and res.objective == ref.objective
         and (res.x is ref.x or np.array_equal(res.x, ref.x))
     )
@@ -249,14 +288,14 @@ def test_optimal_basis_passed_back_returns_the_same_x(rng):
                         b_ub=rng.normal(size=m_ub) + 1.0))
     warm = 0
     for lp in lps:
-        cold = solve_lp(**lp)
+        cold, cold_basis = _solve(**lp)
         if cold.status != "optimal":
             continue
-        assert cold.basis is not None
-        res = solve_lp(**lp, basis=cold.basis)
+        assert cold_basis is not None
+        res, basis = _solve(**lp, hint=cold_basis)
         assert res.status == "optimal"
         assert res.pivots == 0
-        assert res.basis == cold.basis
+        assert basis == cold_basis
         assert res.x == pytest.approx(cold.x, abs=1e-12)
         assert res.objective == pytest.approx(cold.objective, abs=1e-12)
         warm += 1
@@ -279,27 +318,27 @@ SLIVER_LP = dict(c=[-1, -1], a_ub=[[0.1, 0.3], [0.1, 0.3 + 1e-13]], b_ub=[1, 1])
     "lp, hint",
     [
         (BOX_LP, [1, 3]),  # y basic on the tight row x <= 2: the system is [[0]]
-        (VERTEX_LP, [0]),  # wrong length
-        (VERTEX_LP, [0, 1, 2]),  # wrong length
-        (VERTEX_LP, [0, 0]),  # a repeated column
-        (VERTEX_LP, [0, 4]),  # out of range
-        (VERTEX_LP, [-1, 0]),  # out of range
+        (VERTEX_LP, [0]),  # one column too few: the working set is not square
+        (VERTEX_LP, [0, 1, 2]),  # one column too many
+        (VERTEX_LP, [0, 0]),  # a repeated column flags one column: too few
         (SLIVER_LP, [0, 1]),  # inv @ M is off the identity by more than 1e-8
         (CORNER_LP, [0, 2, 4]),  # x and the slacks of rows 1, 3: row 2 is 0
-        (CORNER_LP, [0, 1, 5]),  # out of range
     ],
+    # the cases keep the names they had when out-of-range column lists,
+    # which a mask cannot hold, were cases 4, 5 and 8
+    ids=[f"lp{i}-hint{i}" for i in (0, 1, 2, 3, 6, 7)],
 )
 def test_unusable_hint_gives_the_cold_result(lp, hint):
-    cold = solve_lp(**lp)
-    assert cold.status == "optimal" and cold.pivots > 0
-    assert _same(solve_lp(**lp, basis=hint), cold)
+    cold = _solve(**lp)
+    assert cold[0].status == "optimal" and cold[0].pivots > 0
+    assert _same(_solve(**lp, hint=hint), cold)
 
 
 def _reaches_the_cold_optimum(lp, hint):
     """Solve lp from hint and cold; both optimal, the same objective within
     1e-12 and a warm solution that meets the rows. Returns both results."""
-    cold = solve_lp(**lp)
-    res = solve_lp(**lp, basis=hint)
+    cold, _ = _solve(**lp)
+    res, _ = _solve(**lp, hint=hint)
     assert cold.status == res.status == "optimal"
     assert res.objective == pytest.approx(cold.objective, abs=1e-12)
     a_eq = np.asarray(lp.get("a_eq", np.zeros((0, len(lp["c"])))), dtype=float)
@@ -332,10 +371,10 @@ def test_stale_hint_is_reoptimised(lp, hint, kind, monkeypatch):
     duals = []
     ratio_test = simplex._ratio_test
 
-    def counted(entries, gaps, allowed, order=None):
+    def counted(entries, gaps, allowed, order=None, bland=False):
         if order is not None:  # the dual ratio test breaks ties by column
             duals.append(gaps[allowed].min(initial=0.0))
-        return ratio_test(entries, gaps, allowed, order)
+        return ratio_test(entries, gaps, allowed, order, bland)
 
     monkeypatch.setattr(simplex, "_ratio_test", counted)
     res, cold = _reaches_the_cold_optimum(lp, hint)
@@ -346,18 +385,22 @@ def test_stale_hint_is_reoptimised(lp, hint, kind, monkeypatch):
     assert all(d >= 0.0 for d in duals)
 
 
-def _numpy_ratio_test(entries, gaps, allowed, order=None) -> int:
-    """Harris's two-pass ratio test as whole-array numpy operations, the
-    reference for simplex._ratio_test, which runs both passes on the
-    candidates as Python floats."""
+def _numpy_ratio_test(entries, gaps, allowed, order=None, bland=False) -> int:
+    """Harris's two-pass ratio test, or with `bland` the smallest ratio, as
+    whole-array numpy operations, the reference for simplex._ratio_test,
+    which runs on the candidates as Python floats."""
     candidates = ((entries > simplex._PIVOT_TOL) & allowed).nonzero()[0]
     if candidates.size <= 1:
         return int(candidates[0]) if candidates.size else -1
     sizes = entries[candidates]
     gaps = np.maximum(gaps[candidates], 0.0)
-    fits = gaps / sizes <= ((gaps + simplex._HARRIS_DELTA) / sizes).min()
-    sizes = np.where(fits, sizes, 0.0)
-    top = candidates[sizes == sizes.max()].tolist()
+    if bland:
+        ratios = gaps / sizes
+        top = candidates[ratios == ratios.min()].tolist()
+    else:
+        fits = gaps / sizes <= ((gaps + simplex._HARRIS_DELTA) / sizes).min()
+        sizes = np.where(fits, sizes, 0.0)
+        top = candidates[sizes == sizes.max()].tolist()
     return top[0] if order is None else min(top, key=order.__getitem__)
 
 
@@ -390,8 +433,9 @@ def ratio_tests(draw):
 def test_ratio_test_matches_the_numpy_two_pass_test(case):
     entries, gaps, allowed, order = case
     for tie_break in (None, order):
-        ours = simplex._ratio_test(entries, gaps, allowed, tie_break)
-        assert ours == _numpy_ratio_test(entries, gaps, allowed, tie_break)
+        for bland in (False, True):
+            ours = simplex._ratio_test(entries, gaps, allowed, tie_break, bland)
+            assert ours == _numpy_ratio_test(entries, gaps, allowed, tie_break, bland)
 
 
 def _kind(c, a_ub, b_ub, a_eq, b_eq, hint):
@@ -418,24 +462,24 @@ def test_hints_of_perturbed_lps_reach_the_cold_optimum(rng):
         lp = dict(c=rng.normal(size=n), a_ub=rng.normal(size=(m_ub, n)),
                   b_ub=rng.normal(size=m_ub) + 1.0,
                   a_eq=np.abs(rng.normal(size=(1, n))) + 0.1, b_eq=[1.0])
-        first = solve_lp(**lp)
+        first, basis = _solve(**lp)
         if first.status != "optimal":
             continue
         moved = {key: np.asarray(value) + 0.3 * rng.normal(size=np.shape(value))
                  for key, value in lp.items()}
-        cold = solve_lp(**moved)
-        if cold.status != "optimal":
-            assert _same(solve_lp(**moved, basis=first.basis), cold)
-            kinds[cold.status] += 1
+        cold = _solve(**moved)
+        if cold[0].status != "optimal":
+            assert _same(_solve(**moved, hint=basis), cold)
+            kinds[cold[0].status] += 1
             continue
         args = [moved[key] for key in ("c", "a_ub", "b_ub", "a_eq", "b_eq")]
         form = simplex._form(*args)
         warm = simplex._reoptimise(
-            form, simplex._hint(first.basis, form), simplex._HINT_PIVOTS * form.h.size
+            form, _mask(basis, form.ncols), simplex._HINT_PIVOTS * form.h.size
         )
         assert warm is not None and warm.status == "optimal"
-        _reaches_the_cold_optimum(moved, first.basis)
-        kinds[_kind(*args, first.basis)] += 1
+        _reaches_the_cold_optimum(moved, basis)
+        kinds[_kind(*args, basis)] += 1
     assert min(kinds[k] for k in ("optimal", "primal", "dual", "neither")) >= 10
     assert kinds["infeasible"] and kinds["unbounded"]
 
@@ -444,9 +488,9 @@ def test_infeasible_lp_with_a_hint_reports_infeasible():
     # x >= 2 conflicts with x <= 1, whichever basis is offered
     lp = dict(c=[1], a_ub=[[-1], [1]], b_ub=[-2, 1])
     for hint in ([0, 2], [1, 2], [0, 1]):
-        res = solve_lp(**lp, basis=hint)
+        res, basis = _solve(**lp, hint=hint)
         assert res.status == "infeasible"
-        assert res.basis is None
+        assert basis is None
 
 
 def _max_slack_lp(n, sides, floor=1e-6):
@@ -490,7 +534,7 @@ def max_slack_lps(draw):
 
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 # HiGHS's default feasibility tolerance of 1e-7 accepts a row missed by
-# 6e-8, far outside solve_lp's 1e-9.
+# 6e-8, far outside the simplex's 1e-9.
 HIGHS_TOLERANCES = dict(primal_feasibility_tolerance=1e-10,
                         dual_feasibility_tolerance=1e-10)
 
@@ -504,40 +548,11 @@ def test_max_slack_lps_agree_with_highs(lps):
     lp, moved = lps
     ref = linprog(lp["c"], A_ub=lp["a_ub"], b_ub=lp["b_ub"], A_eq=lp["a_eq"],
                   b_eq=lp["b_eq"], method="highs", options=HIGHS_TOLERANCES)
-    hint = solve_lp(**moved).basis
-    for res in (solve_lp(**lp), solve_lp(**lp, basis=hint)):
+    hint = _solve(**moved)[1]
+    for res, _ in (_solve(**lp), _solve(**lp, hint=hint)):
         assert res.status == HIGHS_STATUS[ref.status]
         if res.status == "optimal":
             assert abs(res.objective - ref.fun) <= 1e-9 * (1.0 + abs(ref.fun))
-
-
-@pytest.mark.parametrize(
-    "lp, named",
-    [
-        (dict(c=[]), "c must be a nonempty vector"),
-        (dict(c=[1.0, math.inf]), "c has a non-finite entry"),
-        (dict(c=[1.0], a_ub=[[1.0]], b_ub=[math.nan]), "b_ub has a non-finite entry"),
-        (dict(c=[1.0], a_ub=[[math.inf]], b_ub=[1.0]), "a_ub has a non-finite entry"),
-        (dict(c=[1.0], a_eq=[[1.0]], b_eq=[-math.inf]), "b_eq has a non-finite entry"),
-        (dict(c=[1.0], a_ub=[[1.0]], b_ub=[1.0], basis=("a",)), "basis must hold"),
-        (dict(c=[1.0], a_ub=[[1.0]], b_ub=[1.0], basis=(0.5,)), "basis must hold"),
-    ],
-)
-def test_bad_input_raises_value_error_naming_it(lp, named):
-    # These surfaced as numpy internals: an argmin of an empty sequence, a
-    # RuntimeWarning from matmul, "simplex round-off", a TypeError and an
-    # IndexError.
-    with pytest.raises(ValueError, match=named):
-        solve_lp(**lp)
-
-
-def test_integer_hint_of_any_integer_type_is_used():
-    # A hint may hold numpy integers, as a basis read off an array does.
-    lp = dict(c=[-1.0, -1.0], a_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[2.0, 3.0])
-    cold = solve_lp(**lp)
-    warm = solve_lp(**lp, basis=cold.basis)
-    assert warm.pivots == 0
-    assert _same(solve_lp(**lp, basis=tuple(np.array(cold.basis))), warm)
 
 
 def test_off_is_zero_for_an_exact_inverse():
@@ -616,6 +631,6 @@ def test_hint_whose_inverse_loses_its_accuracy_gives_the_cold_result():
     # LP is solved from the slack basis, warning-free.
     lp = json.loads(ROUNDOFF_LPS.read_text())["lost_inverse"]
     args = [lp[key] for key in ("c", "a_ub", "b_ub", "a_eq", "b_eq")]
-    cold = solve_lp(*args)
-    assert cold.status == "optimal"
-    assert _same(solve_lp(*args, basis=lp["basis"]), cold)
+    cold = _solve(*args)
+    assert cold[0].status == "optimal"
+    assert _same(_solve(*args, hint=lp["basis"]), cold)

@@ -255,6 +255,25 @@ def test_feasible_at_rejects_levels_no_vector_meets():
             feasible_at(CYCLIC, lam)
 
 
+@pytest.mark.parametrize("block", [CYCLIC, _mat("abc", [
+    ("a", "b", (1, 2, 3)), ("b", "c", (1, 2, 3)), ("a", "c", (3, 4, 5))
+])])
+def test_feasible_at_refuses_levels_below_its_bound(block):
+    # Below the bound the LP's side rows outgrow its sum row: on the second
+    # block -1e7, -1e9 and -1e15 raised "simplex round-off", -1e12 a
+    # TypeError and -1e300 the iteration limit. Every decade from -1e300 to
+    # -1e5 is refused naming the bound, and every decade from -1e4 to 0
+    # gives a vector that meets the level exactly when lambda* reaches it.
+    bound, best = solver.FEASIBLE_AT_MIN_LAMBDA, solve_fpp(block).lambda_
+    for exponent in range(300, 4, -1):
+        with pytest.raises(ValueError, match=f"at least {bound:g}"):
+            feasible_at(block, -(10.0**exponent))
+    for lam in [-(10.0**exponent) for exponent in range(4, -1, -1)] + [bound, 0.0]:
+        w = feasible_at(block, lam)
+        assert (w is not None) == (lam <= best)
+        assert w is None or lambda_at(block, w) >= lam
+
+
 def test_infeasible_solver_config_rejected():
     with pytest.raises(ValueError):
         SolverConfig(weight_floor=-1e-6)

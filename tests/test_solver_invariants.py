@@ -23,7 +23,6 @@ from fahp import (
     solver,
 )
 from fahp.cli import main
-from fahp.simplex import solve_lp
 
 FIXTURES = Path(__file__).parent / "fixtures" / "roundoff"
 WEIGHT_FLOOR = 1e-6
@@ -64,8 +63,8 @@ def _blocks(seed=20261018):
 
 
 def _lp_arrays(form):
-    """Copies of the arrays of a simplex form, as solve_lp takes them; the
-    solver rewrites its form in place between LPs."""
+    """Copies of the arrays of a simplex form, as simplex._form takes them;
+    the solver rewrites its form in place between LPs."""
     n, ncols = form.c.size, form.ncols
     return dict(
         c=form.c.copy(),
@@ -595,20 +594,21 @@ def test_final_duals_agree_with_highs(monkeypatch):
         assert np.abs(d[n:] + ref.ineqlin.marginals).max() <= 1e-9
 
 
-def test_in_place_lps_equal_solve_lp(monkeypatch):
+def test_in_place_lps_equal_fresh_forms(monkeypatch):
     # Each block's Dinkelbach LPs are re-solved in one form, rewritten in
     # place, from the previous LP's final basis kept as a column mask. Every
-    # such LP of _blocks() must equal solve_lp on the same arrays from the
-    # same starting basis, given as a tuple, bit for bit: status, x,
-    # objective, pivots and basis.
+    # such LP of _blocks() must equal the same rows posed in a fresh
+    # _slack_form and solved from a copy of the same starting mask, bit for
+    # bit: status, x, objective, pivots and final mask.
     solve, seen = simplex._solve, []
 
     def recorded(form, basic=None):
-        lp = _lp_arrays(form)
-        hint = None if basic is None else tuple(basic.nonzero()[0].tolist())
+        n = form.c.size - 2
+        sides = form.g[n + 2 : -1]
+        posed = sides[:, :n].copy(), sides[:, n].copy()
+        start = None if basic is None else basic.copy()
         res, final = solve(form, basic)
-        basis = None if final is None else tuple(final.nonzero()[0].tolist())
-        seen.append((lp, hint, res, basis))
+        seen.append((posed, start, res, None if final is None else final.copy()))
         return res, final
 
     with monkeypatch.context() as patch:
@@ -616,9 +616,14 @@ def test_in_place_lps_equal_solve_lp(monkeypatch):
         for block in _blocks():
             solve_fpp(block)
     assert len(seen) > 100
-    assert sum(res.pivots > 0 for _, hint, res, _ in seen if hint is not None) > 10
-    for lp, hint, res, basis in seen:
-        ref = solve_lp(**lp, basis=hint)
-        assert (ref.status, ref.pivots, ref.basis) == (res.status, res.pivots, basis)
+    assert sum(res.pivots > 0 for _, start, res, _ in seen if start is not None) > 10
+    cfg = solver.SolverConfig()
+    for (rows, scale), start, res, final in seen:
+        form = solver._slack_form(*rows.shape, cfg)
+        solver._pose(form, rows, scale, cfg)
+        ref, ref_final = solve(form, None if start is None else start.copy())
+        assert (ref.status, ref.pivots) == (res.status, res.pivots)
+        assert (ref_final is None) == (final is None)
+        assert final is None or np.array_equal(ref_final, final)
         assert np.float64(ref.objective).tobytes() == np.float64(res.objective).tobytes()
         assert ref.x.tobytes() == res.x.tobytes()
