@@ -25,6 +25,7 @@ from .hierarchy import (
     ComparisonMatrix,
     Hierarchy,
     Node,
+    _nodes_by_id,
     validate,
 )
 from .solver import SolveResult, SolverConfig, solve_fpp
@@ -204,19 +205,14 @@ def parse_study(text: str, source: str = "study") -> StudyDocument:
     matrices_raw = _require(data, "matrices", source)
     if not isinstance(matrices_raw, dict):
         raise ValidationError(f"{source}: matrices must be an object")
-    nodes = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        nodes[node.id] = node
-        stack.extend(node.children)
+    nodes = _nodes_by_id(root)
     matrices = {}
     for parent, entries in matrices_raw.items():
-        if parent not in nodes:
-            raise ValidationError(
-                f"{source}: matrix attached to unknown node {parent!r}"
-            )
-        matrices[parent] = _parse_matrix(parent, entries, nodes[parent], scale)
+        node = nodes.get(parent)
+        if node is None or node.is_leaf:
+            kind = "unknown" if node is None else "leaf"
+            raise ValidationError(f"{source}: matrix attached to {kind} node {parent!r}")
+        matrices[parent] = _parse_matrix(parent, entries, node, scale)
     hierarchy = validate(Hierarchy(root=root, matrices=matrices))
     return StudyDocument(name=name, hierarchy=hierarchy, scale=scale, config=config)
 

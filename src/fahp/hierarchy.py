@@ -3,7 +3,8 @@
 A study is a tree of nodes. Every internal node with two or more children
 carries exactly one comparison matrix over those children. Judgments are
 stored in the orientation the analyst entered them (row over column); no
-reciprocal flipping happens behind the analyst's back.
+reciprocal flipping happens behind the analyst's back. A comparison matrix
+is checked when it is built; validate checks the tree around it on demand.
 """
 
 from __future__ import annotations
@@ -66,25 +67,23 @@ class ComparisonJudgment:
 
 @dataclass(frozen=True)
 class ComparisonMatrix:
-    """The judged pairs among the children of one parent node."""
+    """The judged pairs among the children of one parent node; valid once built."""
 
     parent: str
     items: tuple[str, ...]
     judgments: tuple[ComparisonJudgment, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.items)
+    def __post_init__(self):
+        validate_matrix(self)
 
 
 def validate_matrix(m: ComparisonMatrix) -> ComparisonMatrix:
-    """Check one comparison block in isolation.
-
-    Enforces: at least two items, unique item ids, judgments referencing
-    known items with row != col, judgment components within
-    JUDGMENT_RANGE, side spreads m - l and u - m that are 0 or at least
-    MIN_SPREAD times m, at most one judgment per unordered pair, and a
-    connected judgment graph (every item is tied to every other
+    """Check one comparison block in isolation and return it; every
+    ComparisonMatrix runs it when built. Enforces: at least two items, unique
+    item ids, judgments referencing known items with row != col, judgment
+    components within JUDGMENT_RANGE, side spreads m - l and u - m that are
+    0 or at least MIN_SPREAD times m, at most one judgment per unordered
+    pair, and a connected judgment graph (every item is tied to every other
     through some chain of judged pairs).
     """
     where = f"matrix {m.parent!r}"
@@ -144,7 +143,7 @@ def validate_matrix(m: ComparisonMatrix) -> ComparisonMatrix:
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """A validated-on-demand decision tree plus its comparison blocks."""
+    """A decision tree plus its comparison blocks; validate checks the tree."""
 
     root: Node
     matrices: Mapping[str, ComparisonMatrix] = field(default_factory=dict)
@@ -170,18 +169,26 @@ class Hierarchy:
         raise KeyError(node_id)
 
 
-def validate(h: Hierarchy) -> Hierarchy:
-    """Validate the whole hierarchy and return it unchanged.
-
-    Beyond per-matrix checks, enforces globally unique node ids, one matrix
-    for every internal node with two or more children, matrix items equal to
-    that node's children, and no matrices attached to unknown or leaf nodes.
-    """
-    ids = [n.id for n in h.walk()]
-    dup = {i for i in ids if ids.count(i) > 1}
+def _nodes_by_id(root: Node) -> dict[str, Node]:
+    """Every node under root by id, in walk order; a repeated id raises."""
+    by_id: dict[str, Node] = {}
+    dup = set()
+    for n in Hierarchy(root=root).walk():
+        if n.id in by_id:
+            dup.add(n.id)
+        by_id[n.id] = n
     if dup:
         raise ValidationError(f"duplicate node ids in hierarchy: {', '.join(sorted(dup))}")
-    by_id = {n.id: n for n in h.walk()}
+    return by_id
+
+
+def validate(h: Hierarchy) -> Hierarchy:
+    """Validate the tree around its blocks (each checked when it was built)
+    and return it unchanged: globally unique node ids, one matrix for every
+    internal node with two or more children, matrix items equal to that
+    node's children, and no matrices attached to unknown or leaf nodes.
+    """
+    by_id = _nodes_by_id(h.root)
     for parent_id, m in h.matrices.items():
         node = by_id.get(parent_id)
         if node is None:
@@ -198,8 +205,7 @@ def validate(h: Hierarchy) -> Hierarchy:
                 f"matrix {parent_id!r} must compare exactly the children of "
                 f"{parent_id!r}: expected {sorted(child_ids)}, got {sorted(m.items)}"
             )
-        validate_matrix(m)
-    for n in h.internal_nodes():
+    for n in by_id.values():
         if len(n.children) >= 2 and n.id not in h.matrices:
             raise ValidationError(
                 f"internal node {n.id!r} has {len(n.children)} children but no "

@@ -53,9 +53,9 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleJudgmentsError, ValidationError
+from .errors import InfeasibleJudgmentsError
 from .fuzzy import _CRISP_REL_TOL
-from .hierarchy import ComparisonMatrix, validate_matrix
+from .hierarchy import ComparisonMatrix
 from . import simplex
 
 # Slack this close to zero still counts as feasible; absorbs LP float noise.
@@ -236,8 +236,7 @@ class _Block(NamedTuple):
 
 
 def _block(matrix: ComparisonMatrix) -> _Block:
-    """Validate the block and build its arrays."""
-    validate_matrix(matrix)
+    """Build the block's arrays; the matrix was checked when it was built."""
     idx = {item: i for i, item in enumerate(matrix.items)}
     row = np.array([idx[j.row] for j in matrix.judgments])
     col = np.array([idx[j.col] for j in matrix.judgments])
@@ -546,7 +545,6 @@ def oracle_solve(matrix: ComparisonMatrix, grid_step: float) -> SolveResult:
     relative violation is preferred, so exactly-consistent crisp blocks are
     still localized correctly. Its lambda is reported as -inf.
     """
-    validate_matrix(matrix)
     n = len(matrix.items)
     if n > ORACLE_MAX_ITEMS:
         raise ValueError(

@@ -187,6 +187,15 @@ _JUDGMENT = ("matrices", "goal", 0, "judgment")
         pytest.param(("matrices",), [], "matrices must be an object", id="matrices"),
         pytest.param(("matrices", "zzz"), [], "'zzz'", id="matrix-unknown-node"),
         pytest.param(
+            ("matrices", "a"), [{"row": "b", "col": "a", "judgment": [2, 3, 4]}],
+            "matrix attached to leaf node 'a'", id="matrix-leaf-node",
+        ),
+        # node ids are checked before any block is built from them
+        pytest.param(
+            ("hierarchy", "children", 1, "id"), "a",
+            "duplicate node ids in hierarchy: a", id="child-id-repeated",
+        ),
+        pytest.param(
             ("matrices", "goal"), {}, "matrix 'goal': must be a list",
             id="matrix-not-list",
         ),
@@ -451,17 +460,38 @@ def test_oracle_checks_block_sizes_before_solving(capsys):
     assert "block 'A' has 5 items" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (["solve", str(bundled_study_path()), "--no-timestamp"], "solve.txt"),
-        (["reproduce-paper"], "reproduce.txt"),
-    ],
-)
+_BUNDLED_RUNS = [
+    (["solve", str(bundled_study_path()), "--no-timestamp"], "solve.txt"),
+    (["reproduce-paper"], "reproduce.txt"),
+    (["oracle", str(bundled_study_path())], "oracle.txt"),
+]
+# exit 4: two bundled blocks breach the oracle's lambda tolerance
+_EXIT = {"oracle.txt": 4}
+
+
+@pytest.mark.parametrize("argv, golden", _BUNDLED_RUNS)
 def test_bundled_study_text_matches_golden(argv, golden, capsys):
-    assert main(argv) == 0
+    assert main(argv) == _EXIT.get(golden, 0)
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (FIXTURES / "golden" / golden).read_bytes()
+
+
+@pytest.mark.parametrize("argv, golden", _BUNDLED_RUNS)
+def test_bundled_study_checks_each_block_once(argv, golden, monkeypatch):
+    # the block checks run when a ComparisonMatrix is built and nowhere else
+    checked = []
+    original = fahp.hierarchy.validate_matrix
+
+    def counting(m):
+        checked.append(m.parent)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fahp") and getattr(module, "validate_matrix", None) is original:
+            monkeypatch.setattr(module, "validate_matrix", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == _EXIT.get(golden, 0)
+    assert sorted(checked) == ["W1", "W2", "W3", "goal"]
 
 
 def test_reproduce_paper_blocks_equal_solve_blocks(tmp_path):

@@ -14,6 +14,7 @@ from fahp import (
     validate,
     validate_matrix,
 )
+from fahp.hierarchy import JUDGMENT_RANGE, MIN_SPREAD
 
 
 def _m(items, pairs, parent="p"):
@@ -37,19 +38,23 @@ def test_validate_matrix_accepts_connected_sparse():
     assert validate_matrix(m) is m
 
 
+# A ComparisonMatrix runs validate_matrix when it is built, so a faulty
+# block raises at construction and no invalid block can be represented.
+
+
 def test_validate_matrix_rejects_single_item():
-    with pytest.raises(ValidationError):
-        validate_matrix(_m("a", []))
+    with pytest.raises(ValidationError, match="needs at least two items"):
+        _m("a", [])
 
 
 def test_validate_matrix_rejects_unknown_item():
-    with pytest.raises(ValidationError):
-        validate_matrix(_m("ab", [("b", "z")]))
+    with pytest.raises(ValidationError, match="references an unknown item"):
+        _m("ab", [("b", "z")])
 
 
 def test_validate_matrix_rejects_self_comparison():
-    with pytest.raises(ValidationError):
-        validate_matrix(_m("ab", [("a", "a")]))
+    with pytest.raises(ValidationError, match="compares 'a' with itself"):
+        _m("ab", [("a", "a")])
 
 
 def test_validate_matrix_rejects_duplicate_pair():
@@ -58,21 +63,36 @@ def test_validate_matrix_rejects_duplicate_pair():
         ComparisonJudgment("b", "a", TFN(1, 2, 3)),
         ComparisonJudgment("a", "b", TFN(2, 3, 4)),
     )
-    m = ComparisonMatrix(parent="p", items=("a", "b"), judgments=js)
-    with pytest.raises(ValidationError):
-        validate_matrix(m)
+    with pytest.raises(ValidationError, match="duplicated judgment"):
+        ComparisonMatrix(parent="p", items=("a", "b"), judgments=js)
 
 
 def test_validate_matrix_rejects_disconnected():
-    m = _m("abcd", [("b", "a"), ("d", "c")])
-    with pytest.raises(ValidationError):
-        validate_matrix(m)
+    with pytest.raises(ValidationError, match="disconnected; no chain .* reaches c, d"):
+        _m("abcd", [("b", "a"), ("d", "c")])
 
 
 def test_validate_matrix_rejects_duplicate_items():
-    m = ComparisonMatrix(parent="p", items=("a", "a"), judgments=())
-    with pytest.raises(ValidationError):
-        validate_matrix(m)
+    with pytest.raises(ValidationError, match="duplicate item ids"):
+        ComparisonMatrix(parent="p", items=("a", "a"), judgments=())
+
+
+@pytest.mark.parametrize(
+    "value, named",
+    [
+        (TFN(JUDGMENT_RANGE[0] / 2, 3, 4), "has l = 5e-05, outside"),
+        (TFN(1, 2, JUDGMENT_RANGE[1] * 2), "has u = 20000.0, outside"),
+    ],
+)
+def test_matrix_rejects_component_outside_range(value, named):
+    with pytest.raises(ValidationError, match=named):
+        ComparisonMatrix("p", ("a", "b"), (ComparisonJudgment("b", "a", value),))
+
+
+def test_matrix_rejects_side_narrower_than_min_spread():
+    value = TFN(2 - 2 * MIN_SPREAD * (1 - 1e-6), 2, 3)
+    with pytest.raises(ValidationError, match="for a hard bound"):
+        ComparisonMatrix("p", ("a", "b"), (ComparisonJudgment("b", "a", value),))
 
 
 def _two_level():
@@ -106,9 +126,23 @@ def test_hierarchy_walk_and_leaves():
 
 
 def test_validate_hierarchy_rejects_duplicate_ids():
-    root = Node("goal", children=(Node("A"), Node("A")))
-    h = Hierarchy(root=root, matrices={"goal": _m(("A", "A"), [], parent="goal")})
-    with pytest.raises(ValidationError):
+    # every block is valid on its own; the ids repeat across blocks, and the
+    # same node object may appear twice
+    y = Node("y")
+    root = Node(
+        "goal",
+        children=(
+            Node("A", children=(Node("x"), y)),
+            Node("B", children=(y, Node("x"))),
+        ),
+    )
+    matrices = {
+        "goal": _m(("A", "B"), [("B", "A")], parent="goal"),
+        "A": _m(("x", "y"), [("y", "x")], parent="A"),
+        "B": _m(("y", "x"), [("x", "y")], parent="B"),
+    }
+    h = Hierarchy(root=root, matrices=matrices)
+    with pytest.raises(ValidationError, match="duplicate node ids in hierarchy: x, y$"):
         validate(h)
 
 
