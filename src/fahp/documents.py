@@ -92,9 +92,12 @@ def _parse_node(obj: Any, where: str) -> Node:
 def _parse_triple(value: Any, where: str) -> TriangularFuzzyNumber:
     if not isinstance(value, list) or len(value) != 3:
         raise ValidationError(f"{where}: needs exactly three numbers [l, m, u]")
+    for v in value:
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ValidationError(f"{where}: could not convert {v!r} to a number")
     try:
         return TriangularFuzzyNumber(*(float(v) for v in value))
-    except (TypeError, ValueError, ValidationError) as exc:
+    except (OverflowError, ValidationError) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
@@ -152,14 +155,12 @@ def _parse_config(obj: Any) -> SolverConfig:
     if not isinstance(obj, dict):
         raise ValidationError("solver settings must be an object")
     _check_keys(obj, _CONFIG_KEYS, "solver settings")
-    kwargs = {}
     for key, value in obj.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValidationError(f"solver setting {key!r} must be a number")
-        kwargs[key] = float(value)
     try:
-        return SolverConfig(**kwargs)
-    except ValueError as exc:
+        return SolverConfig(**{key: float(value) for key, value in obj.items()})
+    except (OverflowError, ValueError) as exc:
         raise ValidationError(f"solver settings: {exc}") from exc
 
 

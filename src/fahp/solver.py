@@ -81,7 +81,10 @@ FEASIBLE_AT_MIN_LAMBDA = -1e4
 ORACLE_LAMBDA_TOL = 0.03
 ORACLE_WEIGHT_TOL = 0.03
 ORACLE_MAX_ITEMS = 4
+# Bounds the oracle's time only: it scores the lattice _ORACLE_CHUNK points
+# at a time, so its memory does not grow with the lattice.
 _ORACLE_MAX_POINTS = 20_000_000
+_ORACLE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -514,9 +517,15 @@ def _lattice(n: int, units: int) -> np.ndarray:
     in lexicographic order."""
     if units < n:
         raise ValueError("grid step too coarse: fewer lattice units than items")
-    points = np.empty((1, 0), dtype=np.int64)
-    left = np.array([units], dtype=np.int64)
-    for free in range(n - 1, 0, -1):
+    return _extend(
+        np.empty((1, 0), dtype=np.int64), np.array([units], dtype=np.int64), n - 1
+    )
+
+
+def _extend(points: np.ndarray, left: np.ndarray, free: int) -> np.ndarray:
+    """Each row of points followed by every vector of free + 1 positive
+    entries summing to its entry of left, in lexicographic order."""
+    for free in range(free, 0, -1):
         # each point takes k = 1 .. left - free next, leaving 1 for the rest
         counts = left - free
         parent = np.repeat(np.arange(left.size), counts)
@@ -532,13 +541,40 @@ def _lattice_size(n: int, units: int) -> int:
     return comb(units - 1, n - 1)
 
 
+def _lattice_chunks(n: int, units: int, size: int, prefix: tuple[int, ...] = ()):
+    """prefix followed by each point of _lattice(n, units), in lexicographic
+    order, in consecutive chunks of at most size points (n >= 2)."""
+
+    def chunk(ks: list[int]) -> np.ndarray:
+        heads = np.array([prefix + (k,) for k in ks], dtype=np.int64)
+        return _extend(heads, units - heads[:, -1], n - 2)
+
+    # the next entry k leaves _lattice_size(n - 1, units - k) points, fewer
+    # for each larger k: split those above size, and batch the rest up to it
+    batch, count = [], 0
+    for k in range(1, units - n + 2):
+        points = _lattice_size(n - 1, units - k)
+        if points > size:
+            yield from _lattice_chunks(n - 1, units - k, size, prefix + (k,))
+            continue
+        if count + points > size:
+            yield chunk(batch)
+            batch, count = [], 0
+        batch.append(k)
+        count += points
+    yield chunk(batch)
+
+
 def oracle_solve(matrix: ComparisonMatrix, grid_step: float) -> SolveResult:
     """Exhaustive simplex-lattice search, an independent check on solve_fpp.
 
     Evaluates lambda_at on every weight vector (k_1, ..., k_n) / N with
     integer k_i >= 1 and N = round(1 / grid_step), and returns the best
-    point. Refuses blocks with more than four items; the lattice grows
-    combinatorially.
+    point, the first in lexicographic order among equals. Refuses blocks
+    with more than four items and lattices of more than _ORACLE_MAX_POINTS
+    points; both bound the time, which grows with the lattice. The lattice
+    is scored in chunks of at most _ORACLE_CHUNK points, so memory stays
+    flat whatever the step.
 
     Hard (zero-spread) judgment sides rarely hit a lattice point exactly;
     among points violating some hard side, the one with the smallest worst
@@ -554,41 +590,50 @@ def oracle_solve(matrix: ComparisonMatrix, grid_step: float) -> SolveResult:
     if not (1e-3 <= grid_step <= 0.05):
         raise ValueError(f"grid_step must lie in [0.001, 0.05], got {grid_step}")
     units = round(1.0 / grid_step)
-    if _lattice_size(n, units) > _ORACLE_MAX_POINTS:
+    points = _lattice_size(n, units)
+    if points > _ORACLE_MAX_POINTS:
         raise ValueError(
             f"grid step {grid_step} yields too many lattice points for n = {n}; "
             "use a coarser step"
         )
-    lattice = _lattice(n, units)
-    weights = lattice.astype(float) / units
     idx = {item: i for i, item in enumerate(matrix.items)}
-    lam = np.full(weights.shape[0], np.inf)
-    hard_violation = np.zeros(weights.shape[0])
-    for j in matrix.judgments:
-        ratio = weights[:, idx[j.row]] / weights[:, idx[j.col]]
-        l, m, u = j.value.as_tuple()
-        if m > l:
-            lam = np.minimum(lam, (ratio - l) / (m - l))
+    sides = [
+        (idx[j.row], idx[j.col], *j.value.as_tuple()) for j in matrix.judgments
+    ]
+    # the first maximum of min(lam, 1) over hard-feasible points or, while
+    # none has turned up, the first minimum of the hard violation; the first
+    # feasible point sets best_violation to 0, below that of any other point
+    best_lambda, best_violation, best_w = -math.inf, math.inf, None
+    for lattice in _lattice_chunks(n, units, _ORACLE_CHUNK):
+        weights = lattice.astype(float) / units
+        lam = np.full(weights.shape[0], np.inf)
+        hard_violation = np.zeros(weights.shape[0])
+        for row, col, l, m, u in sides:
+            ratio = weights[:, row] / weights[:, col]
+            if m > l:
+                lam = np.minimum(lam, (ratio - l) / (m - l))
+            else:
+                hard_violation = np.maximum(hard_violation, (l - ratio) / l)
+            if u > m:
+                lam = np.minimum(lam, (u - ratio) / (u - m))
+            else:
+                hard_violation = np.maximum(hard_violation, (ratio - u) / u)
+        hard_ok = hard_violation <= _HARD_REL_TOL
+        if hard_ok.any():
+            scored = np.where(hard_ok, np.minimum(lam, 1.0), -np.inf)
+            best = int(np.argmax(scored))
+            if scored[best] > best_lambda:
+                best_lambda, best_violation, best_w = scored[best], 0.0, weights[best]
         else:
-            hard_violation = np.maximum(hard_violation, (l - ratio) / l)
-        if u > m:
-            lam = np.minimum(lam, (u - ratio) / (u - m))
-        else:
-            hard_violation = np.maximum(hard_violation, (ratio - u) / u)
-    hard_ok = hard_violation <= _HARD_REL_TOL
-    if hard_ok.any():
-        scored = np.where(hard_ok, np.minimum(lam, 1.0), -np.inf)
-        best = int(np.argmax(scored))
-        best_lambda = float(scored[best])
-    else:
-        best = int(np.argmin(hard_violation))
-        best_lambda = float("-inf")
-    w = weights[best]
+            best = int(np.argmin(hard_violation))
+            if hard_violation[best] < best_violation:
+                best_violation, best_w = hard_violation[best], weights[best]
+    best_lambda = float(best_lambda)
     return SolveResult(
-        weights=dict(zip(matrix.items, (float(x) for x in w))),
+        weights=dict(zip(matrix.items, (float(x) for x in best_w))),
         lambda_=best_lambda,
         consistent=best_lambda >= 0.0,
-        iterations=int(weights.shape[0]),
+        iterations=points,
         clamped=best_lambda >= 1.0 - 1e-12,
         slack=None,
     )

@@ -209,6 +209,14 @@ _JUDGMENT = ("matrices", "goal", 0, "judgment")
             _JUDGMENT, ["two", 3, 4], "judgment 1: could not convert",
             id="judgment-not-number",
         ),
+        pytest.param(
+            _JUDGMENT, [True, 2, 3], "judgment 1: could not convert True",
+            id="judgment-bool",
+        ),
+        pytest.param(
+            _JUDGMENT, ["1", "2", "3"], "judgment 1: could not convert '1'",
+            id="judgment-numeric-strings",
+        ),
         pytest.param(_JUDGMENT, "high", "judgment must be", id="judgment-string"),
         pytest.param(
             _JUDGMENT, {"term": "high", "note": 1}, "note", id="term-unknown-key"
@@ -223,6 +231,10 @@ _JUDGMENT = ("matrices", "goal", 0, "judgment")
             id="scale-term-not-number",
         ),
         pytest.param(
+            ("scale",), {"meh": [1, 2, False]}, "scale term 'meh'",
+            id="scale-term-bool",
+        ),
+        pytest.param(
             ("scale",), {"meh": [2, 3, 4], "wow": [1, 2, 3]},
             "scale: linguistic scale modes", id="scale-modes",
         ),
@@ -232,6 +244,10 @@ _JUDGMENT = ("matrices", "goal", 0, "judgment")
         pytest.param(
             ("solver",), {"lambda_cap": "1"}, "solver setting 'lambda_cap'",
             id="solver-not-number",
+        ),
+        pytest.param(
+            ("solver",), {"lambda_cap": 10**400}, "solver settings: ",
+            id="solver-too-large",
         ),
     ],
 )

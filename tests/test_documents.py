@@ -104,6 +104,25 @@ def test_bad_judgment_shape():
         parse_study(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "triple",
+    [[True, 2, 3], [1, False, 3], ["1", "2", "3"], [1, 2, None], [1, 2, 10**400]],
+    ids=["true", "false", "strings", "null", "huge-int"],
+)
+@pytest.mark.parametrize("where", ["judgment", "scale"])
+def test_triple_entries_must_be_numbers(where, triple):
+    # JSON booleans and numeric strings are not numbers, as in solver settings
+    if where == "judgment":
+        doc = _study(matrices={"goal": [{"row": "b", "col": "a", "judgment": triple}]})
+        named = "matrix 'goal', judgment 1: "
+    else:
+        doc = _study(scale={"meh": triple, "wow": [5, 6, 7]})
+        named = "scale term 'meh': "
+    with pytest.raises(ValidationError) as exc:
+        parse_study(json.dumps(doc))
+    assert str(exc.value).startswith(named)
+
+
 def test_invalid_matrix_inside_document():
     doc = _study(matrices={"goal": [{"row": "b", "col": "b", "judgment": [2, 3, 4]}]})
     with pytest.raises(ValidationError):

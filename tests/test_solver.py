@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from fahp import (
 from fahp import simplex, solver
 from fahp.fuzzy import _CRISP_REL_TOL
 from fahp.hierarchy import MIN_SPREAD
-from fahp.solver import _block, _lattice, _lattice_size, _lowest_membership
+from fahp.solver import (
+    _HARD_REL_TOL,
+    _block,
+    _lattice,
+    _lattice_chunks,
+    _lattice_size,
+    _lowest_membership,
+)
 from conftest import random_matrix
 from test_solver_invariants import FIXTURES, SWEEP_BLOCKS, _blocks, _random_block
 
@@ -345,6 +353,146 @@ def test_oracle_agrees_on_cyclic_fixture():
     assert o.lambda_ == pytest.approx(f.lambda_, abs=0.03)
 
 
+def _reference_scores(matrix, units):
+    """Every lattice point's weights, min(lambda, 1) and hard violation, in
+    one array each."""
+    weights = _lattice(len(matrix.items), units).astype(float) / units
+    idx = {item: i for i, item in enumerate(matrix.items)}
+    lam = np.full(weights.shape[0], np.inf)
+    hard_violation = np.zeros(weights.shape[0])
+    for j in matrix.judgments:
+        ratio = weights[:, idx[j.row]] / weights[:, idx[j.col]]
+        l, m, u = j.value.as_tuple()
+        if m > l:
+            lam = np.minimum(lam, (ratio - l) / (m - l))
+        else:
+            hard_violation = np.maximum(hard_violation, (l - ratio) / l)
+        if u > m:
+            lam = np.minimum(lam, (u - ratio) / (u - m))
+        else:
+            hard_violation = np.maximum(hard_violation, (ratio - u) / u)
+    return weights, np.minimum(lam, 1.0), hard_violation
+
+
+def _oracle_reference(matrix, grid_step):
+    """oracle_solve on the whole lattice in one array: the reference that
+    the chunked search must match bit for bit."""
+    units = round(1.0 / grid_step)
+    weights, lam, hard_violation = _reference_scores(matrix, units)
+    hard_ok = hard_violation <= _HARD_REL_TOL
+    if hard_ok.any():
+        scored = np.where(hard_ok, lam, -np.inf)
+        best = int(np.argmax(scored))
+        best_lambda = float(scored[best])
+    else:
+        best = int(np.argmin(hard_violation))
+        best_lambda = float("-inf")
+    return (
+        [float(x) for x in weights[best]],
+        best_lambda,
+        int(weights.shape[0]),
+        best_lambda >= 1.0 - 1e-12,
+    )
+
+
+def _assert_matches_reference(matrix, grid_step):
+    got = oracle_solve(matrix, grid_step)
+    want = _oracle_reference(matrix, grid_step)
+    assert (
+        list(got.weights.values()), got.lambda_, got.iterations, got.clamped
+    ) == want
+    return want
+
+
+CRISP_CHAIN = _mat(
+    "abc", [("b", "a", (2, 2, 2)), ("c", "a", (6, 6, 6)), ("c", "b", (3, 3, 3))]
+)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(20261020)
+    steps = {
+        2: [0.05, 0.01, 0.002], 3: [0.05, 0.01, 0.005, 0.002], 4: [0.05, 0.02, 0.01]
+    }
+    for n, ns in steps.items():
+        for step in ns:
+            for _ in range(3):
+                yield _random_block(rng, n, hard_share=0.3), step
+    # on the grid at 1/450, off it at 0.001, where every point violates a
+    # hard side and the least violation wins across 61 chunks
+    yield CRISP_CHAIN, 1 / 450
+    yield CRISP_CHAIN, 0.001
+
+
+def test_oracle_matches_the_one_array_reference():
+    cases = list(_oracle_cases())
+    assert any(
+        any(j.value.l == j.value.m or j.value.m == j.value.u for j in m.judgments)
+        for m, _ in cases
+    )
+    assert any(
+        _lattice_size(len(m.items), round(1 / step)) > solver._ORACLE_CHUNK
+        for m, step in cases
+    )
+    lambdas = [_assert_matches_reference(matrix, step)[1] for matrix, step in cases]
+    assert 1.0 in lambdas and -math.inf in lambdas
+
+
+@pytest.mark.parametrize("size", [1, 3, 64])
+def test_oracle_matches_the_reference_in_small_chunks(monkeypatch, size):
+    # tiny chunks put nearly every tie and every running best on a boundary
+    monkeypatch.setattr(solver, "_ORACLE_CHUNK", size)
+    rng = np.random.default_rng(size)
+    blocks = [
+        _random_block(rng, n, hard_share=0.3) for n in (2, 3, 4) for _ in range(4)
+    ]
+    for matrix in blocks + [CYCLIC, CONSISTENT3, SKEWED_CYCLE]:
+        _assert_matches_reference(matrix, 0.05)
+
+
+# a hub judged against every other item alike: swapping two spokes maps the
+# block onto itself, so the lattice's best points tie exactly; at these steps
+# the tied points fall in different chunks
+_STAR3 = _mat("abc", [("c", "a", (2, 3, 4)), ("c", "b", (2, 3, 4))])
+_STAR4 = _mat(
+    "abcd", [("d", "a", (2, 3, 4)), ("d", "b", (2, 3, 4)), ("d", "c", (2, 3, 4))]
+)
+_CRISP_STAR3 = _mat("abc", [("c", "a", (3, 3, 3)), ("c", "b", (3, 3, 3))])
+
+
+@pytest.mark.parametrize(
+    "matrix, units",
+    [(_STAR3, 367), (_STAR4, 50), (_STAR4, 99), (_CRISP_STAR3, 367)],
+    ids=["star3", "star4-50", "star4-99", "crisp-star3-off-grid"],
+)
+def test_oracle_ties_across_a_chunk_boundary_keep_the_first(matrix, units):
+    _, lam, hard_violation = _reference_scores(matrix, units)
+    if (hard_violation <= _HARD_REL_TOL).any():
+        tied = np.flatnonzero(lam == lam.max())
+    else:  # the crisp star is off-grid: every point violates a hard side
+        tied = np.flatnonzero(hard_violation == hard_violation.min())
+    chunks = _lattice_chunks(len(matrix.items), units, solver._ORACLE_CHUNK)
+    ends = np.cumsum([len(chunk) for chunk in chunks])
+    assert len(set(np.searchsorted(ends, tied, side="right"))) > 1
+    _assert_matches_reference(matrix, 1 / units)
+
+
+def _oracle_peak_bytes(matrix, grid_step):
+    tracemalloc.start()
+    try:
+        oracle_solve(matrix, grid_step)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_memory_is_flat_in_the_step():
+    # the 156,849-point 4-item lattice in one array would take about 16 MB
+    four = _random_block(np.random.default_rng(4), 4)
+    assert _oracle_peak_bytes(four, 0.01) < 4e6
+    assert _oracle_peak_bytes(CYCLIC, 0.001) < 4e6
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("extra", [0, 1, 5, 37])
 def test_lattice_matches_stars_and_bars(n, extra):
@@ -359,6 +507,12 @@ def test_lattice_matches_stars_and_bars(n, extra):
     assert got.dtype == np.int64
     assert got.tolist() == want
     assert len(got) == _lattice_size(n, units)
+    # the oracle's chunks, and smaller ones that split every level
+    for size in (solver._ORACLE_CHUNK, 7, 1):
+        chunks = list(_lattice_chunks(n, units, size))
+        assert max(len(chunk) for chunk in chunks) <= size
+        assert all(chunk.dtype == np.int64 for chunk in chunks)
+        assert np.concatenate(chunks).tolist() == want
 
 
 def _lowest_membership_loop(matrix, vec):
