@@ -47,24 +47,26 @@ smallest ratio, ties to the lowest index. That rule ignores pivot sizes,
 so after each of its pivots the inverse is taken afresh. The optimal x is
 refined twice on B and is reported only once it meets the original rows.
 
-The one entry point is _solve, on a _Form built by _form: c, the stacked
-constraint rows G = [-I; A_ub; A_eq] and their right-hand sides h. The
-equality rows must be linearly independent. The start is a basis given as
-the mask of its basic columns, such as the final mask of an LP of the same
-shape; the solver keeps one form per comparison block, rewrites its
-coefficients in place between LPs and passes each final mask on. A start
-whose working set is singular, or whose solve ends in anything but an
-optimum or passes _HINT_PIVOTS pivots per row and column, is dropped for
-the slack basis, whose verdict is final: every
-inequality row's slack, and one structural column per equality row,
-picked by Gauss-Jordan elimination with partial pivoting. Sized for
-problems with tens of rows; this is not a general-purpose LP library.
+The one entry point is _solve, on a _Form: c, the stacked constraint rows
+G = [-I; A_ub; A_eq] and their right-hand sides h. The equality rows must
+be linearly independent. The start is a _Basis: the mask of its basic
+columns and its working set, which _basis builds from the mask. A solve
+updates the basis in place and hands it back in the order _basis gives, so
+a run of LPs of one shape carries it from each LP to the next: the solver
+keeps one form and one basis per comparison block and rewrites the form's
+coefficients in place between LPs. A warm LP then only re-reads the rows
+of its working set and inverts them. A start whose working set is
+singular, or whose solve ends in anything but an optimum or passes
+_HINT_PIVOTS pivots per row and column, is dropped for the slack basis,
+whose verdict is final: every inequality row's slack, and one structural
+column per equality row, picked by Gauss-Jordan elimination with partial
+pivoting. Sized for problems with tens of rows; this is not a
+general-purpose LP library.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -103,8 +105,7 @@ _START_INV_TOL = 1e-8
 _FINAL_INV_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float | None
@@ -115,7 +116,7 @@ def _off(inv: np.ndarray, mat: np.ndarray) -> float:
     """How far inv @ mat is off the identity, inf on overflow."""
     with np.errstate(all="ignore"):
         prod = inv.dot(mat)
-        prod.flat[:: len(mat) + 1] -= 1.0
+        prod.ravel()[:: len(mat) + 1] -= 1.0  # the diagonal of the identity
         off = float(np.abs(prod, out=prod).max(initial=0.0))
     return off if off <= math.inf else math.inf  # NaN is off by inf
 
@@ -137,35 +138,41 @@ def _ratio_test(entries, gaps, allowed, order=None, bland=False) -> int:
     """Harris's two-pass ratio test: the position that leaves (primal) or
     enters (dual) the basis, or -1 when no allowed entry is positive.
 
-    The candidates are the positions flagged in `allowed` whose entry is
-    above _PIVOT_TOL. Pass 1 clips each candidate's gap at 0 and bounds the
-    step by min((gap + delta) / entry). Pass 2 takes, among the candidates
-    whose ratio gap / entry is within that bound, the one with the largest
-    entry; ties go to the lowest position, or to the lowest `order` value
-    when `order` is given. A call has a handful of candidates, and mostly
-    one of them fits, so both passes run on them as Python floats, which
-    round as numpy's do, rather than as a dozen whole-array numpy calls.
-    With `bland`, Bland's rule replaces both passes: the smallest ratio,
-    ties to the lowest position or `order` value.
+    `entries` and `gaps` hold a value per position, and `allowed` lists the
+    positions that may pivot in ascending order. The candidates are the
+    allowed positions whose entry is above _PIVOT_TOL. Pass 1 clips each
+    candidate's gap at 0 and bounds the step by min((gap + delta) / entry).
+    Pass 2 takes, among the candidates whose ratio gap / entry is within
+    that bound, the one with the largest entry; ties go to the lowest
+    position, or to the lowest `order` value when `order` is given. A call
+    has a handful of candidates, and mostly one of them fits, so both
+    passes run on Python floats, which round as numpy's do, and pass 1 runs
+    while the candidates are picked. With `bland`,
+    Bland's rule replaces both passes: the smallest ratio, ties to the
+    lowest position or `order` value.
     """
-    candidates = ((entries > _PIVOT_TOL) & allowed).nonzero()[0]
-    if candidates.size <= 1:
-        return int(candidates[0]) if candidates.size else -1
-    sizes = entries[candidates].tolist()
-    gaps = [gap if gap > 0.0 else 0.0 for gap in gaps[candidates].tolist()]
+    candidates, bound = [], math.inf
+    for p in allowed:
+        size = entries[p]
+        if size > _PIVOT_TOL:
+            gap = gaps[p] if gaps[p] > 0.0 else 0.0
+            candidates.append((p, gap, size))
+            ratio = (gap + _HARRIS_DELTA) / size
+            if ratio < bound:
+                bound = ratio
+    if len(candidates) <= 1:
+        return candidates[0][0] if candidates else -1
     if bland:
-        index = candidates if order is None else order[candidates]
-        ratios = [(gap / size, k) for gap, size, k in zip(gaps, sizes, index.tolist())]
-        return int(candidates[ratios.index(min(ratios))])
-    bound = min((gap + _HARRIS_DELTA) / size for gap, size in zip(gaps, sizes))
-    best, top = 0.0, []
-    for p, gap, size in zip(candidates.tolist(), gaps, sizes):
-        if gap / size <= bound:
-            if size > best:
-                best, top = size, [p]
-            elif size == best:
-                top.append(p)
-    return top[0] if order is None else min(top, key=order.__getitem__)
+        ratios = [
+            (gap / size, p if order is None else order[p]) for p, gap, size in candidates
+        ]
+        return candidates[ratios.index(min(ratios))][0]
+    best, pick = 0.0, -1
+    for p, gap, size in candidates:
+        if gap / size <= bound and size >= best:
+            if size > best or order is not None and order[p] < order[pick]:
+                best, pick = size, p
+    return pick
 
 
 class _Form(NamedTuple):
@@ -185,46 +192,58 @@ class _Form(NamedTuple):
     ncols: int
 
 
-def _form(c, a_ub, b_ub, a_eq, b_eq) -> _Form:
-    """The form of min c @ x s.t. a_ub @ x <= b_ub, a_eq @ x = b_eq, x >= 0."""
-    n, m_ub = c.size, b_ub.size
-    g = np.zeros((n + m_ub + b_eq.size, n))
-    g[:n].flat[:: n + 1] = -1.0
-    g[n : n + m_ub] = a_ub
-    g[n + m_ub :] = a_eq
-    return _Form(c, g, np.concatenate([np.zeros(n), b_ub, b_eq]), n + m_ub)
+class _Basis(NamedTuple):
+    """A basis of a form and its working set.
+
+    `basic` flags the basic columns. `work` lists the working set, the
+    nonbasic columns in ascending order and then the equality rows, so the
+    working matrix is B = g[work]. `hide` is inf at the nonbasic columns,
+    which keeps their values out of the tests. A solve updates all three in
+    place and ends with `work` in ascending order again, so the basis it
+    hands back is the one _basis would build from its final mask.
+    """
+
+    basic: np.ndarray
+    work: np.ndarray
+    hide: np.ndarray
 
 
-def _reoptimise(form: _Form, basic: np.ndarray, limit: int) -> LPResult | None:
-    """Solve the LP of `form` from the basis whose columns `basic` flags, in
-    at most `limit` pivots: "optimal", "infeasible" or "unbounded", or None
-    when the start's working set is singular, when a primal pivot's entry
-    read off the leaving row does not have the sign its column gave (the
-    inverse has lost its accuracy), or when no solution that meets the rows
-    can be read off the final working set. `basic` is updated in place and
-    ends flagging the final basis. Raises RuntimeError past the limit.
-    Past _HINT_PIVOTS pivots per row and column, which only a solve from the
-    slack basis reaches, every pivot follows Bland's smallest-index rule.
+def _basis(form: _Form, basic: np.ndarray) -> _Basis:
+    """The basis whose columns `basic` flags, with its working set."""
+    nonbasic = (~basic).nonzero()[0]
+    work = np.concatenate([nonbasic, np.arange(form.ncols, form.h.size)])
+    hide = np.zeros(form.ncols)
+    hide[nonbasic] = np.inf
+    return _Basis(basic, work, hide)
 
-    `work` lists the working set, so B = g[work] and `inv` = B^-1. Leaving
-    the constraint at position p of `work` moves x by -B^-1 e_p per unit of
-    its slack, so a basic column's entry in the entering column is
-    alpha = -g B^-1 e_p, and the entries of the row of a leaving column k
-    are -u with u = g_k B^-1.
+
+def _reoptimise(form: _Form, basis: _Basis, limit: int) -> LPResult | None:
+    """Solve the LP of `form` from `basis` in at most `limit` pivots:
+    "optimal", "infeasible" or "unbounded", or None when the start's working
+    set is singular, when a primal pivot's entry read off the leaving row
+    does not have the sign its column gave (the inverse has lost its
+    accuracy), or when no solution that meets the rows can be read off the
+    final working set. `basis` is updated in place and ends as the final
+    basis. Raises RuntimeError past the limit. Past _HINT_PIVOTS pivots per
+    row and column, which only a solve from the slack basis reaches, every
+    pivot follows Bland's rule.
+
+    The working set's rows are read from the form afresh, so the form's
+    coefficients may change between solves from one basis. B = g[work] and
+    `inv` = B^-1. Leaving the constraint at position p of `work` moves x by
+    -B^-1 e_p per unit of its slack, so a basic column's entry in the
+    entering column is alpha = -g B^-1 e_p, and the entries of the row of a
+    leaving column k are -u with u = g_k B^-1.
     """
     c, g, h, ncols = form
-    nonbasic = (~basic).nonzero()[0]
-    nsoft = nonbasic.size
-    work = np.concatenate([nonbasic, np.arange(ncols, h.size)])
+    basic, work, hide = basis
+    # The positions whose constraint can leave are the first nsoft of work:
+    # a pivot puts the basic column that leaves where the nonbasic one was.
+    nsoft = work.size - (h.size - ncols)
     mat, rhs = g[work], h[work]
     inv = _inverse(mat, _START_INV_TOL)
     if inv is None:
         return None
-    # The positions whose constraint can leave are the first nsoft of work:
-    # a pivot puts the basic column that leaves where the nonbasic one was.
-    soft = work < ncols
-    hide = np.zeros(ncols)  # keeps nonbasic values out of tests
-    hide[nonbasic] = np.inf
     g_cols, h_cols = g[:ncols], h[:ncols]
     cost, pivots = c, 0
     while True:
@@ -233,17 +252,20 @@ def _reoptimise(form: _Form, basic: np.ndarray, limit: int) -> LPResult | None:
         values += hide
         leave = int(values.argmin())
         y = cost.dot(inv)  # -d: the reduced cost of each position's column, negated
+        costs = y.tolist()
         bland = pivots > _HINT_PIVOTS * h.size
         if values[leave] < -_FEAS_TOL:  # dual pivot
             if bland:  # the lowest-index violated row leaves
                 leave = int((values < -_FEAS_TOL).argmax())
-            if cost is c and y[:nsoft].max(initial=0.0) > _COST_TOL:
+            if cost is c and max(costs[:nsoft], default=0.0) > _COST_TOL:
                 # cost shifting: raise every negative reduced cost to 0
                 shift = np.zeros(y.size)
                 np.maximum(y[:nsoft], 0.0, out=shift[:nsoft])
                 cost, y = c - shift.dot(mat), y - shift
+                costs = y.tolist()
             u = g[leave].dot(inv)
-            p = _ratio_test(u, -y, soft, work, bland)
+            gaps = [-d for d in costs]
+            p = _ratio_test(u.tolist(), gaps, range(nsoft), work, bland)
             if p < 0:
                 return LPResult("infeasible", None, None, pivots)
         elif cost is not c:  # primal feasible: restore the true costs
@@ -251,16 +273,20 @@ def _reoptimise(form: _Form, basic: np.ndarray, limit: int) -> LPResult | None:
             continue
         else:  # primal pivot
             step = small = None
-            improving = (y[:nsoft] > _COST_TOL).nonzero()[0].tolist()
+            improving = [p for p in range(nsoft) if costs[p] > _COST_TOL]
+            gaps = values.tolist() if improving else None
             for p in sorted(improving, key=work.__getitem__):
                 alpha = -(g_cols @ inv[:, p])
-                row = _ratio_test(alpha, values, basic, None, bland)
+                # the basic columns with a positive entry; the ratio test
+                # keeps them all
+                rows = ((alpha > _PIVOT_TOL) & basic).nonzero()[0].tolist()
+                row = _ratio_test(alpha.tolist(), gaps, rows, None, bland)
                 if row >= 0:
                     if bland or alpha[row] >= _SMALL_PIVOT:
                         step = row, p
                         break
                     small = small or (row, p)
-                elif y[p] > _UNBOUNDED_TOL:
+                elif costs[p] > _UNBOUNDED_TOL:
                     return LPResult("unbounded", None, None, pivots)
                 # else: cost is float dust; treat the column as non-improving
             step = step or small
@@ -285,11 +311,13 @@ def _reoptimise(form: _Form, basic: np.ndarray, limit: int) -> LPResult | None:
             if inv is None:
                 return None
 
-    if pivots and _off(inv, mat) > _START_INV_TOL:
-        inv = _inverse(mat, _FINAL_INV_TOL)
-        if inv is None:
-            return None
-        x = inv.dot(rhs)
+    if pivots:
+        if _off(inv, mat) > _START_INV_TOL:
+            inv = _inverse(mat, _FINAL_INV_TOL)
+            if inv is None:
+                return None
+            x = inv.dot(rhs)
+        work[:nsoft] = (~basic).nonzero()[0]  # back in ascending order
     for _ in range(2):
         x += inv.dot(rhs - mat.dot(x))
     x[~basic[: c.size]] = 0.0
@@ -321,26 +349,30 @@ def _slack_basis(form: _Form) -> np.ndarray:
 
 def _satisfies(form: _Form, x: np.ndarray) -> bool:
     """Whether x meets the form's inequality and equality rows to within
-    _FEAS_TOL, relative to the size of their right-hand sides."""
+    _FEAS_TOL, relative to the size of their right-hand sides (a miss within
+    _FEAS_TOL is within that whatever their size)."""
     n, ncols = form.c.size, form.ncols
     rhs = form.h[n:]
-    tol = _FEAS_TOL * (1.0 + np.abs(rhs).max(initial=0.0))
     miss = form.g[n:].dot(x)
     miss -= rhs
     eq = miss[ncols - n :]  # an equality row misses both ways
     np.abs(eq, out=eq)
-    return bool(miss.max(initial=0.0) <= tol)
+    worst = miss.max(initial=0.0)
+    return bool(
+        worst <= _FEAS_TOL
+        or worst <= _FEAS_TOL * (1.0 + np.abs(rhs).max(initial=0.0))
+    )
 
 
-def _solve(form: _Form, basic: np.ndarray | None = None):
-    """The one LP routine: (the result, the final basis's column mask).
+def _solve(form: _Form, basis: _Basis | None = None):
+    """The one LP routine: (the result, the final basis).
 
-    The LP is re-optimised from the basis `basic` flags, when given, in at
-    most _HINT_PIVOTS pivots per row and column; `basic` is updated in
-    place. A start whose working set is singular, or whose solve ends in
-    anything but an optimum or passes that limit, leaves the solve from the
-    slack basis (and its pivot count) as without a start. The mask is None
-    when the LP is not optimal.
+    The LP is re-optimised from `basis`, when given, in at most
+    _HINT_PIVOTS pivots per row and column; `basis` is updated in place. A
+    start whose working set is singular, or whose solve ends in anything but
+    an optimum or passes that limit, leaves the solve from the slack basis
+    (and its pivot count) as without a start. The final basis is None when
+    the LP is not optimal.
 
     Raises RuntimeError when round-off defeats the solve from the slack
     basis (its working set is singular to round-off, a pivot entry read off
@@ -348,18 +380,18 @@ def _solve(form: _Form, basic: np.ndarray | None = None):
     accuracy, or the solution read off its final working set misses the
     rows) or when it takes more than _MAX_ITER pivots.
     """
-    if basic is not None:
+    if basis is not None:
         try:
-            warm = _reoptimise(form, basic, _HINT_PIVOTS * form.h.size)
+            warm = _reoptimise(form, basis, _HINT_PIVOTS * form.h.size)
         except RuntimeError:  # the pivot limit
             warm = None
         if warm is not None and warm.status == "optimal":
-            return warm, basic
-    basic = _slack_basis(form)
-    res = _reoptimise(form, basic, _MAX_ITER)
+            return warm, basis
+    basis = _basis(form, _slack_basis(form))
+    res = _reoptimise(form, basis, _MAX_ITER)
     if res is None:
         raise RuntimeError(
             "simplex round-off: the working set's inverse lost its accuracy, "
             "or the solution violates its constraints"
         )
-    return res, (basic if res.status == "optimal" else None)
+    return res, (basis if res.status == "optimal" else None)

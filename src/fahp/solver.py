@@ -135,9 +135,21 @@ def _check_floor(matrix: ComparisonMatrix, config: SolverConfig) -> None:
         )
 
 
-def _slack_form(k: int, n: int, cfg: SolverConfig) -> simplex._Form:
-    """The max-slack LP of k rows over n weights, in the simplex's form, with
-    everything set that does not depend on the rows: _pose writes those.
+class _SlackLP(NamedTuple):
+    """A max-slack LP in the simplex's form, and views of the parts of it
+    that differ from one LP to the next: the weight columns of the side
+    rows, the side rows whole, and their right-hand sides."""
+
+    form: simplex._Form
+    rows: np.ndarray
+    sides: np.ndarray
+    rhs: np.ndarray
+
+
+def _slack_form(k: int, n: int, cfg: SolverConfig) -> _SlackLP:
+    """The max-slack LP of k side rows over n weights, in the simplex's
+    form, with everything set that does not depend on the rows. The caller
+    writes the rows into `rows` and _pose writes the rest.
 
     The LP is max t subject to rows_k @ w + t * scale_k <= 0 for every row,
     sum w = 1, w >= weight_floor. It is posed in v = w - weight_floor, which
@@ -147,47 +159,49 @@ def _slack_form(k: int, n: int, cfg: SolverConfig) -> simplex._Form:
     """
     c = np.zeros(n + 2)
     c[n], c[n + 1] = -1.0, 1.0
-    total = np.zeros((1, n + 2))
-    total[0, :n] = 1.0
-    floor = np.array([1.0 - n * cfg.weight_floor])
-    return simplex._form(c, np.zeros((k, n + 2)), np.zeros(k), total, floor)
+    g = np.zeros((n + k + 3, n + 2))
+    g[: n + 2].flat[:: n + 3] = -1.0  # v >= 0, tp >= 0, tn >= 0
+    g[-1, :n] = 1.0  # the sum row
+    h = np.zeros(n + k + 3)
+    h[-1] = 1.0 - n * cfg.weight_floor
+    sides = g[n + 2 : -1]
+    return _SlackLP(simplex._Form(c, g, h, n + k + 2), sides[:, :n], sides, h[n + 2 : -1])
 
 
-def _pose(
-    form: simplex._Form, rows: np.ndarray, scale: np.ndarray, cfg: SolverConfig
-) -> None:
-    """Write the rows and their slack scale into the form, in place."""
-    n = rows.shape[1]
-    sides = form.g[n + 2 : -1]
-    sides[:, :n] = rows
-    sides[:, n] = scale
-    np.negative(scale, out=sides[:, n + 1])
-    form.h[n + 2 : -1] = -cfg.weight_floor * rows.sum(axis=1)
+def _pose(lp: _SlackLP, scale, cfg: SolverConfig) -> None:
+    """Write the slack scale of the rows in lp.rows, and their right-hand
+    sides, into the form, in place."""
+    n = lp.rows.shape[1]
+    lp.sides[:, n] = scale
+    np.negative(lp.sides[:, n], out=lp.sides[:, n + 1])
+    np.multiply(lp.rows.sum(axis=1), -cfg.weight_floor, out=lp.rhs)
 
 
 def _max_t(
-    form: simplex._Form, cfg: SolverConfig, basic: np.ndarray | None = None
-) -> tuple[float, np.ndarray, np.ndarray | None] | None:
+    form: simplex._Form, cfg: SolverConfig, basis: simplex._Basis | None = None
+) -> tuple[float, np.ndarray, simplex._Basis | None] | None:
     """Best slack t of the posed max-slack LP, its weight vector and the
-    final basis's column mask, or None when the rows with a zero scale
-    cannot all hold. `basic` flags the columns of a starting basis, such as
-    the final basis of the LP before, and is updated in place."""
-    res, basic = simplex._solve(form, basic)
+    final basis, or None when the rows with a zero scale cannot all hold.
+    `basis` is a starting basis, such as the final basis of the LP before,
+    and is updated in place."""
+    res, basis = simplex._solve(form, basis)
     if res.status == "infeasible":
         return None
     if res.status != "optimal":
         raise RuntimeError(f"max-slack subproblem unexpectedly {res.status}")
-    n = form.c.size - 2
-    t = float(res.x[n] - res.x[n + 1])
-    w = res.x[:n] + cfg.weight_floor
-    return t, w / w.sum(), basic
+    x = res.x
+    n = x.size - 2
+    tp, tn = x[n:].tolist()
+    w = x[:n] + cfg.weight_floor
+    return tp - tn, w / w.sum(), basis
 
 
 def _unit_slack(rows: np.ndarray, cfg: SolverConfig) -> tuple | None:
     """_max_t for the rows with a unit scale, solved from the slack basis."""
-    form = _slack_form(*rows.shape, cfg)
-    _pose(form, rows, np.ones(len(rows)), cfg)
-    return _max_t(form, cfg)
+    lp = _slack_form(*rows.shape, cfg)
+    lp.rows[...] = rows
+    _pose(lp, 1.0, cfg)
+    return _max_t(lp.form, cfg)
 
 
 def _as_vector(matrix: ComparisonMatrix, w) -> np.ndarray:
@@ -211,14 +225,10 @@ def _as_vector(matrix: ComparisonMatrix, w) -> np.ndarray:
 
 class _Block(NamedTuple):
     """A comparison block's judgments as arrays, built once per solve_fpp,
-    feasible_at or lambda_at call.
-
-    Judgment i's rising side is side 2i and its falling side 2i + 1. Side s
-    holds at level lambda when (base_s + lambda * spread_s) @ w <= 0, and
-    spread_s @ w is its denominator D_s(w): (m - l) * w_col for the rising
-    side, (u - m) * w_col for the falling one. A hard side has a zero spread
-    row, is flagged in `hard`, and has a span of 1 and its bound in `floor`
-    or `ceiling` for _lowest_membership."""
+    feasible_at or lambda_at call. `span` holds each judgment's rising span
+    m - l in row 0 and its falling span u - m in row 1; a hard side (m == l
+    or u == m) has a span of 1 and its bound in `floor` or `ceiling` for
+    _lowest_membership."""
 
     matrix: ComparisonMatrix
     row: np.ndarray  # item index of each judgment's row
@@ -226,16 +236,12 @@ class _Block(NamedTuple):
     l: np.ndarray
     m: np.ndarray
     u: np.ndarray
-    rise_span: np.ndarray  # m - l
-    fall_span: np.ndarray  # u - m
+    span: np.ndarray
     hard_rise: np.ndarray  # indices of the judgments with m == l
     floor: np.ndarray  # l * (1 - tol) of those
     hard_fall: np.ndarray  # indices of the judgments with u == m
     ceiling: np.ndarray  # u * (1 + tol) of those
     crisp: np.ndarray  # indices of the judgments with l == u
-    base: np.ndarray  # one row per side
-    spread: np.ndarray
-    hard: np.ndarray  # the sides with a zero spread row
 
 
 def _block(matrix: ComparisonMatrix) -> _Block:
@@ -243,47 +249,61 @@ def _block(matrix: ComparisonMatrix) -> _Block:
     idx = {item: i for i, item in enumerate(matrix.items)}
     row = np.array([idx[j.row] for j in matrix.judgments])
     col = np.array([idx[j.col] for j in matrix.judgments])
-    values = [x for j in matrix.judgments for x in j.value.as_tuple()]
+    values = [x for j in matrix.judgments for v in (j.value,) for x in (v.l, v.m, v.u)]
     l, m, u = np.array(values, dtype=float).reshape(-1, 3).T
-    rise, fall = m - l, u - m
-    rising = np.arange(0, 2 * row.size, 2)
-    falling = rising + 1
-    base = np.zeros((2 * row.size, len(matrix.items)))
-    spread = np.zeros_like(base)
-    base[rising, col], base[rising, row], spread[rising, col] = l, -1.0, rise
-    base[falling, col], base[falling, row], spread[falling, col] = -u, 1.0, fall
-    hard_rise, hard_fall = (rise == 0.0).nonzero()[0], (fall == 0.0).nonzero()[0]
+    span = np.array([m - l, u - m])
+    hard = span == 0.0
+    hard_rise, hard_fall = hard[0].nonzero()[0], hard[1].nonzero()[0]
     return _Block(
         matrix, row, col, l, m, u,
-        np.where(rise > 0.0, rise, 1.0),
-        np.where(fall > 0.0, fall, 1.0),
+        np.where(span > 0.0, span, 1.0),
         hard_rise, l[hard_rise] * (1 - _CRISP_REL_TOL),
         hard_fall, u[hard_fall] * (1 + _CRISP_REL_TOL),
         (l == u).nonzero()[0],
-        base, spread, ~spread.any(axis=1),
     )
+
+
+def _sides(block: _Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block's judgment sides as the rows of its LPs: (base, spread,
+    hard), built only for a block that needs an LP.
+
+    Judgment i's rising side is side 2i and its falling side 2i + 1. Side s
+    holds at level lambda when (base_s + lambda * spread_s) @ w <= 0, and
+    spread_s @ w is its denominator D_s(w): (m - l) * w_col for the rising
+    side, (u - m) * w_col for the falling one. A hard side has a zero spread
+    row and is flagged in `hard`."""
+    row, col = block.row, block.col
+    base, spread = np.zeros((2, 2 * row.size, len(block.matrix.items)))
+    rising = np.arange(0, 2 * row.size, 2)
+    falling = rising + 1
+    base[rising, col], base[rising, row] = block.l, -1.0
+    base[falling, col], base[falling, row] = -block.u, 1.0
+    spread[rising, col] = block.m - block.l
+    spread[falling, col] = block.u - block.m
+    return base, spread, ~spread.any(axis=1)
 
 
 def _lowest_membership(block: _Block, vec: np.ndarray) -> float:
     """min(1, the lowest fuzzy.membership any judgment assigns to the ratio
     vec[row] / vec[col]), bit for bit: the same arithmetic, on arrays."""
     ratio = vec[block.row] / vec[block.col]
-    rising = (ratio - block.l) / block.rise_span
-    falling = (block.u - ratio) / block.fall_span
+    value = np.empty_like(block.span)  # rising in row 0, falling in row 1
+    np.subtract(ratio, block.l, out=value[0])
+    np.subtract(block.u, ratio, out=value[1])
+    value /= block.span
     if block.hard_rise.size:
-        rising[block.hard_rise] = np.where(
+        value[0, block.hard_rise] = np.where(
             ratio[block.hard_rise] >= block.floor, np.inf, -np.inf
         )
     if block.hard_fall.size:
-        falling[block.hard_fall] = np.where(
+        value[1, block.hard_fall] = np.where(
             ratio[block.hard_fall] <= block.ceiling, np.inf, -np.inf
         )
-    value = np.minimum(rising, falling)
     if block.crisp.size:
         # math.isclose(ratio, m, rel_tol=_CRISP_REL_TOL), for finite ratios
         at, mode = ratio[block.crisp], block.m[block.crisp]
         hit = np.abs(at - mode) <= _CRISP_REL_TOL * np.maximum(at, mode)
-        value[block.crisp] = np.where(hit & (at < np.inf), 1.0, -np.inf)
+        value[:, block.crisp] = np.where(hit & (at < np.inf), 1.0, -np.inf)
     return min(float(value.min()), 1.0)
 
 
@@ -320,13 +340,16 @@ def feasible_at(
         )
     if lam > 1.0:
         return None
-    t, w, _ = _unit_slack(block.base + lam * block.spread, cfg)
+    base, spread, _ = _sides(block)
+    t, w, _ = _unit_slack(base + lam * spread, cfg)
     if t < -_SLACK_FEAS_TOL:
         return None
     return dict(zip(matrix.items, (float(x) for x in w)))
 
 
-def _raise_conflict(block: _Block, cfg: SolverConfig) -> None:
+def _raise_conflict(
+    matrix: ComparisonMatrix, base: np.ndarray, hard: np.ndarray, cfg: SolverConfig
+) -> None:
     """Raise InfeasibleJudgmentsError for the hard sides that cannot all
     hold, naming the pairs of an irreducible subset of them.
 
@@ -336,8 +359,7 @@ def _raise_conflict(block: _Block, cfg: SolverConfig) -> None:
     slack with a unit scale is below -_SLACK_FEAS_TOL. The verdicts do not
     depend on the order of the items, so neither do the named pairs.
     """
-    base, matrix = block.base, block.matrix
-    keep = block.hard.nonzero()[0].tolist()
+    keep = hard.nonzero()[0].tolist()
     for side in list(keep):
         rest = [k for k in keep if k != side]
         if not rest:
@@ -376,9 +398,9 @@ def _least_squares_start(
     n = len(block.matrix.items)
     log_m = np.log(block.m)
     normal = np.ones((n, n))
-    normal[block.row, block.col] -= 1.0
-    normal[block.col, block.row] -= 1.0
-    normal.flat[:: n + 1] += np.bincount(block.row, minlength=n) + np.bincount(
+    # 1 - 1 off the diagonal at each judged pair, which occurs once
+    normal[block.row, block.col] = normal[block.col, block.row] = 0.0
+    normal.ravel()[:: n + 1] += np.bincount(block.row, minlength=n) + np.bincount(
         block.col, minlength=n
     )
     rhs = np.bincount(block.row, log_m, n) - np.bincount(block.col, log_m, n)
@@ -389,10 +411,12 @@ def _least_squares_start(
     return w, _lowest_membership(block, w)
 
 
-def _crash_basis(block: _Block, w: np.ndarray):
-    """A starting basis for the first Dinkelbach LP from w, as the mask of
-    its basic columns in _slack_form's numbering, or None when the soft
-    sides do not span the items. The weights and t are basic and n soft
+def _crash_basis(
+    form: simplex._Form, block: _Block, base: np.ndarray, spread: np.ndarray, w
+) -> simplex._Basis | None:
+    """A starting basis for the first Dinkelbach LP of `form`, the block's
+    max-slack LP, from w, or None when the soft sides do not span the
+    items. The weights and t are basic and n soft
     sides are tight (the sides that bind at a vertex near w); every other
     row's slack is basic.
 
@@ -401,10 +425,10 @@ def _crash_basis(block: _Block, w: np.ndarray):
     joins two components of the item graph, until n - 1 of them span the
     items, and then the lowest side that closes a cycle. Tight sides picked
     by membership alone could make the working set singular."""
-    k, n = block.base.shape
-    denom = block.spread.dot(w)
+    k, n = base.shape
+    denom = spread.dot(w)
     soft = (denom > 0).nonzero()[0]
-    member = (-(block.base[soft].dot(w)) / denom[soft]).tolist()
+    member = (-(base[soft].dot(w)) / denom[soft]).tolist()
     soft, row, col = soft.tolist(), block.row.tolist(), block.col.tolist()
     group = list(range(n))  # union-find forest over the items
 
@@ -430,7 +454,7 @@ def _crash_basis(block: _Block, w: np.ndarray):
     basic = np.ones(n + 2 + k, dtype=bool)
     basic[n + 1] = False  # tn
     basic[[n + 2 + side for side in tree + [cycle]]] = False
-    return basic
+    return simplex._basis(form, basic)
 
 
 def solve_fpp(
@@ -452,35 +476,38 @@ def solve_fpp(
     cfg = config or SolverConfig()
     block = _block(matrix)
     _check_floor(matrix, cfg)
-    base, spread, cap = block.base, block.spread, cfg.lambda_cap
+    cap = cfg.lambda_cap
     w, lam = _least_squares_start(block, cfg)
     if lam >= cap - _CLAMP_TOL:
         return _result(matrix, w, cap, 0, True, None)
-    if block.hard.all():
+    base, spread, hard = _sides(block)
+    if hard.all():
         # no side has a denominator, so one LP with a unit scale decides:
         # when the sides hold, they meet every judgment in full
         step = _unit_slack(base, cfg)
         if step is None or step[0] < -_SLACK_FEAS_TOL:
-            _raise_conflict(block, cfg)
+            _raise_conflict(matrix, base, hard, cfg)
         return _result(matrix, step[1], cap, 1, True, step[0])
-    form = _slack_form(*base.shape, cfg)
-    basic, probes = _crash_basis(block, w), 0
+    lp = _slack_form(*base.shape, cfg)
+    basis, probes = _crash_basis(lp.form, block, base, spread, w), 0
     while True:
         # max t s.t. N_i(w) - lam * D_i(w) >= t * D_i(w_k) on every soft side,
         # at lambda_cap while w misses a hard side
         missed = lam == -math.inf
-        _pose(form, base + (cap if missed else lam) * spread, spread.dot(w), cfg)
-        step = _max_t(form, cfg, basic)
+        np.multiply(spread, cap if missed else lam, out=lp.rows)
+        np.add(base, lp.rows, out=lp.rows)
+        _pose(lp, spread.dot(w), cfg)
+        step = _max_t(lp.form, cfg, basis)
         if step is None:
             # The first LP is the hard sides' verdict; after that they have
             # held once, so only round-off.
-            if probes == 0 and block.hard.any():
-                _raise_conflict(block, cfg)
+            if probes == 0 and hard.any():
+                _raise_conflict(matrix, base, hard, cfg)
             raise RuntimeError(
                 f"max-slack subproblem unexpectedly infeasible in block "
                 f"{matrix.parent!r} at lambda {lam}"
             )
-        slack, w_next, basic = step
+        slack, w_next, basis = step
         probes += 1
         if not missed and slack <= _DINKELBACH_TOL:
             break
@@ -503,7 +530,7 @@ def _result(
 ) -> SolveResult:
     lam = float(lam)
     return SolveResult(
-        weights=dict(zip(matrix.items, (float(x) for x in w))),
+        weights=dict(zip(matrix.items, w.tolist())),
         lambda_=lam,
         consistent=lam >= 0.0,
         iterations=probes,

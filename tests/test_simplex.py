@@ -29,11 +29,22 @@ def _arrays(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
     return (c, *rows(a_ub, b_ub), *rows(a_eq, b_eq))
 
 
-def _mask(columns, ncols):
-    """The column mask of the basis whose basic columns are `columns`."""
-    basic = np.zeros(ncols, dtype=bool)
+def _form(c, a_ub, b_ub, a_eq, b_eq):
+    """The simplex form of min c @ x s.t. a_ub @ x <= b_ub, a_eq @ x = b_eq,
+    x >= 0: the rows -I, a_ub and a_eq, in the layout _Form documents."""
+    n, m_ub = c.size, b_ub.size
+    g = np.zeros((n + m_ub + b_eq.size, n))
+    g[:n].flat[:: n + 1] = -1.0
+    g[n : n + m_ub] = a_ub
+    g[n + m_ub :] = a_eq
+    return simplex._Form(c, g, np.concatenate([np.zeros(n), b_ub, b_eq]), n + m_ub)
+
+
+def _basis(form, columns):
+    """The basis of `form` whose basic columns are `columns`."""
+    basic = np.zeros(form.ncols, dtype=bool)
     basic[list(columns)] = True
-    return basic
+    return simplex._basis(form, basic)
 
 
 def _solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, hint=None):
@@ -41,9 +52,9 @@ def _solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, hint=None):
     basic columns `hint` lists (structural columns, then the slack of
     inequality row r as column n + r): the result and the final basis's
     columns, or None when it is not optimal."""
-    form = simplex._form(*_arrays(c, a_ub, b_ub, a_eq, b_eq))
-    res, final = simplex._solve(form, None if hint is None else _mask(hint, form.ncols))
-    return res, None if final is None else tuple(final.nonzero()[0].tolist())
+    form = _form(*_arrays(c, a_ub, b_ub, a_eq, b_eq))
+    res, final = simplex._solve(form, None if hint is None else _basis(form, hint))
+    return res, None if final is None else tuple(final.basic.nonzero()[0].tolist())
 
 
 def test_simple_box_maximum():
@@ -345,7 +356,7 @@ def _reaches_the_cold_optimum(lp, hint):
     b_eq = np.asarray(lp.get("b_eq", np.zeros(0)), dtype=float)
     a_ub, b_ub = (np.asarray(lp[key], dtype=float) for key in ("a_ub", "b_ub"))
     c = np.asarray(lp["c"], dtype=float)
-    assert simplex._satisfies(simplex._form(c, a_ub, b_ub, a_eq, b_eq), res.x)
+    assert simplex._satisfies(_form(c, a_ub, b_ub, a_eq, b_eq), res.x)
     return res, cold
 
 
@@ -373,7 +384,7 @@ def test_stale_hint_is_reoptimised(lp, hint, kind, monkeypatch):
 
     def counted(entries, gaps, allowed, order=None, bland=False):
         if order is not None:  # the dual ratio test breaks ties by column
-            duals.append(gaps[allowed].min(initial=0.0))
+            duals.append(min([0.0] + [gaps[p] for p in allowed]))
         return ratio_test(entries, gaps, allowed, order, bland)
 
     monkeypatch.setattr(simplex, "_ratio_test", counted)
@@ -434,7 +445,10 @@ def test_ratio_test_matches_the_numpy_two_pass_test(case):
     entries, gaps, allowed, order = case
     for tie_break in (None, order):
         for bland in (False, True):
-            ours = simplex._ratio_test(entries, gaps, allowed, tie_break, bland)
+            ours = simplex._ratio_test(
+                entries.tolist(), gaps.tolist(), allowed.nonzero()[0].tolist(),
+                tie_break, bland,
+            )
             assert ours == _numpy_ratio_test(entries, gaps, allowed, tie_break, bland)
 
 
@@ -473,9 +487,9 @@ def test_hints_of_perturbed_lps_reach_the_cold_optimum(rng):
             kinds[cold[0].status] += 1
             continue
         args = [moved[key] for key in ("c", "a_ub", "b_ub", "a_eq", "b_eq")]
-        form = simplex._form(*args)
+        form = _form(*args)
         warm = simplex._reoptimise(
-            form, _mask(basis, form.ncols), simplex._HINT_PIVOTS * form.h.size
+            form, _basis(form, basis), simplex._HINT_PIVOTS * form.h.size
         )
         assert warm is not None and warm.status == "optimal"
         _reaches_the_cold_optimum(moved, basis)
@@ -602,7 +616,7 @@ _SATISFIES_FORMS = {
 
 @pytest.mark.parametrize("arrays", _SATISFIES_FORMS.values(), ids=_SATISFIES_FORMS)
 def test_satisfies_matches_the_two_max_test(arrays, rng):
-    form = simplex._form(*arrays)
+    form = _form(*arrays)
     n = form.c.size
     points = [rng.uniform(0.0, 1.0, n) for _ in range(200)]
     # points that meet the equality rows, and points that miss one by

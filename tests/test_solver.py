@@ -589,18 +589,19 @@ def test_side_rows_match_the_loop():
     # Bit for bit, on the blocks whose memberships are checked above.
     hard = 0
     for matrix in _array_blocks():
-        block = _block(matrix)
+        sides = solver._sides(_block(matrix))
         base, spread, hard_sides = _sides_loop(matrix)
-        assert np.array_equal(block.base, base)
-        assert np.array_equal(block.spread, spread)
-        assert np.array_equal(block.hard, hard_sides)
+        assert np.array_equal(sides[0], base)
+        assert np.array_equal(sides[1], spread)
+        assert np.array_equal(sides[2], hard_sides)
         hard += hard_sides.sum()
     assert hard >= 50
 
 
 def _former_block(matrix):
-    """_block's fields after `matrix` as they were built before a block
-    without hard sides skipped the bound arrays: the reference."""
+    """_block's fields after `matrix`, then _sides's arrays, as they were
+    built before a block without hard sides skipped the bound arrays and
+    before the spans and side rows moved: the reference."""
     idx = {item: i for i, item in enumerate(matrix.items)}
     row = np.array([idx[j.row] for j in matrix.judgments])
     col = np.array([idx[j.col] for j in matrix.judgments])
@@ -626,9 +627,19 @@ def test_block_fields_match_the_former_construction():
     kinds = collections.Counter()
     for matrix in _array_blocks() + soft + [TWO, CONSISTENT3, CYCLIC]:
         block = _block(matrix)
-        kinds[bool(block.hard.any())] += 1
-        for name, old in zip(solver._Block._fields[1:], _former_block(matrix)):
-            new = getattr(block, name)
+        (row, col, l, m, u, rise_span, fall_span, hard_rise, floor, hard_fall,
+         ceiling, crisp, *sides) = _former_block(matrix)
+        fields = dict(
+            row=row, col=col, l=l, m=m, u=u, span=np.array([rise_span, fall_span]),
+            hard_rise=hard_rise, floor=floor, hard_fall=hard_fall, ceiling=ceiling,
+            crisp=crisp,
+        )
+        assert list(fields) == list(solver._Block._fields[1:])
+        new_sides = solver._sides(block)
+        kinds[bool(new_sides[2].any())] += 1
+        named = [(name, getattr(block, name), old) for name, old in fields.items()]
+        named += zip(("base", "spread", "hard"), new_sides, sides)
+        for name, new, old in named:
             assert np.array_equal(new, old), name
             if name in ("l", "m", "u"):
                 assert new.dtype == np.float64, name

@@ -63,8 +63,9 @@ def _blocks(seed=20261018):
 
 
 def _lp_arrays(form):
-    """Copies of the arrays of a simplex form, as simplex._form takes them;
-    the solver rewrites its form in place between LPs."""
+    """Copies of the arrays of a simplex form: c, the inequality rows and
+    the equality rows with their right-hand sides; the solver rewrites its
+    form in place between LPs."""
     n, ncols = form.c.size, form.ncols
     return dict(
         c=form.c.copy(),
@@ -171,8 +172,7 @@ def test_max_slack_reports_the_unshifted_slack():
     # for t + theta, a shift of 2.5e-6 to 1.5e-4 there, and subtracted it.)
     cfg = solver.SolverConfig()
     for block in load_study(bundled_study_path()).hierarchy.matrices.values():
-        arrays = solver._block(block)
-        base, spread = arrays.base, arrays.spread
+        base, spread, _ = solver._sides(solver._block(block))
         res = solve_fpp(block)
         w = res.weight_vector()
         for lam, scale in (
@@ -180,9 +180,10 @@ def test_max_slack_reports_the_unshifted_slack():
             (res.lambda_, spread @ w),
         ):
             rows = base + lam * spread
-            form = solver._slack_form(*rows.shape, cfg)
-            solver._pose(form, rows, scale, cfg)
-            t, _, _ = solver._max_t(form, cfg)
+            lp = solver._slack_form(*rows.shape, cfg)
+            lp.rows[...] = rows
+            solver._pose(lp, scale, cfg)
+            t, _, _ = solver._max_t(lp.form, cfg)
             assert abs(t - _highs_slack(rows, scale)) <= 1e-9
 
 
@@ -275,8 +276,7 @@ def test_infeasible_verdicts_agree_with_highs():
     assert blocks[45] == fixture["goal"]
     infeasible = 0
     for block in blocks:
-        arrays = solver._block(block)
-        base, hard = arrays.base, arrays.hard
+        base, _, hard = solver._sides(solver._block(block))
         expected = hard.any() and _highs_slack(base[hard], np.ones(hard.sum())) < 0.0
         try:
             solve_fpp(block)
@@ -308,8 +308,7 @@ def test_conflict_names_an_irreducible_set_in_either_order():
         with pytest.raises(InfeasibleJudgmentsError) as moved:
             solve_fpp(_permuted(block, perm))
         assert moved.value.pairs == tuple((relabel[r], relabel[c]) for r, c in conflict)
-        arrays = solver._block(block)
-        base, spread = arrays.base, arrays.spread
+        base, spread, _ = solver._sides(solver._block(block))
         pairs = [(j.row, j.col) for j in block.judgments for _ in range(2)]
         sides = [k for k in (~spread.any(axis=1)).nonzero()[0] if pairs[k] in conflict]
         assert _highs_slack(base[sides], np.ones(len(sides))) < 0.0
@@ -571,7 +570,7 @@ def test_final_duals_agree_with_highs(monkeypatch):
     def recorded(form, basic=None):
         lp = _lp_arrays(form)
         res, final = solve(form, basic)
-        calls.append((lp, final.copy()))
+        calls.append((lp, final.basic.copy()))
         return res, final
 
     monkeypatch.setattr(simplex, "_solve", recorded)
@@ -596,19 +595,22 @@ def test_final_duals_agree_with_highs(monkeypatch):
 
 def test_in_place_lps_equal_fresh_forms(monkeypatch):
     # Each block's Dinkelbach LPs are re-solved in one form, rewritten in
-    # place, from the previous LP's final basis kept as a column mask. Every
+    # place, from the previous LP's final basis, working set and all. Every
     # such LP of _blocks() must equal the same rows posed in a fresh
-    # _slack_form and solved from a copy of the same starting mask, bit for
-    # bit: status, x, objective, pivots and final mask.
+    # _slack_form and solved from a basis built afresh from a copy of the
+    # same starting mask, bit for bit: status, x, objective, pivots and
+    # final basis. The basis a solve hands on is the one built afresh from
+    # its final mask.
     solve, seen = simplex._solve, []
 
     def recorded(form, basic=None):
         n = form.c.size - 2
         sides = form.g[n + 2 : -1]
         posed = sides[:, :n].copy(), sides[:, n].copy()
-        start = None if basic is None else basic.copy()
+        start = None if basic is None else basic.basic.copy()
         res, final = solve(form, basic)
-        seen.append((posed, start, res, None if final is None else final.copy()))
+        kept = None if final is None else [a.copy() for a in final]
+        seen.append((posed, start, res, kept))
         return res, final
 
     with monkeypatch.context() as patch:
@@ -619,11 +621,17 @@ def test_in_place_lps_equal_fresh_forms(monkeypatch):
     assert sum(res.pivots > 0 for _, start, res, _ in seen if start is not None) > 10
     cfg = solver.SolverConfig()
     for (rows, scale), start, res, final in seen:
-        form = solver._slack_form(*rows.shape, cfg)
-        solver._pose(form, rows, scale, cfg)
-        ref, ref_final = solve(form, None if start is None else start.copy())
+        lp = solver._slack_form(*rows.shape, cfg)
+        lp.rows[...] = rows
+        solver._pose(lp, scale, cfg)
+        fresh = None if start is None else simplex._basis(lp.form, start.copy())
+        ref, ref_final = solve(lp.form, fresh)
         assert (ref.status, ref.pivots) == (res.status, res.pivots)
         assert (ref_final is None) == (final is None)
-        assert final is None or np.array_equal(ref_final, final)
+        if final is not None:
+            rebuilt = simplex._basis(lp.form, final[0].copy())
+            for kept, ref_array, built in zip(final, ref_final, rebuilt):
+                assert np.array_equal(kept, ref_array)
+                assert np.array_equal(kept, built)
         assert np.float64(ref.objective).tobytes() == np.float64(res.objective).tobytes()
         assert ref.x.tobytes() == res.x.tobytes()
