@@ -135,21 +135,41 @@ def _check_floor(matrix: ComparisonMatrix, config: SolverConfig) -> None:
         )
 
 
+class _Sides(NamedTuple):
+    """A block's judgment sides as the rows of its LPs, one entry per side.
+
+    Judgment i's rising side is side 2i and its falling side 2i + 1. Side s
+    holds at level lambda when (base_s + lambda * spread_s) @ w <= 0, and
+    spread_s @ w is its denominator D_s(w). Both rows are zero but at two
+    items: base_s is coef[s] at item col[s] and sign[s] at item row[s] (l
+    and -1 for a rising side, -u and 1 for a falling one), and spread_s is
+    slope[s] at item col[s] (m - l or u - m). A hard side has a zero slope.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
+    sign: np.ndarray
+    slope: np.ndarray
+
+
 class _SlackLP(NamedTuple):
-    """A max-slack LP in the simplex's form, and views of the parts of it
-    that differ from one LP to the next: the weight columns of the side
-    rows, the side rows whole, and their right-hand sides."""
+    """A max-slack LP in the simplex's form and views of the parts of it
+    that _pose rewrites: the flat form rows, the side rows (whose first n
+    columns are `rows`) and their right-hand sides, and the flat position
+    of each side's entry at its col item."""
 
     form: simplex._Form
-    rows: np.ndarray
+    flat: np.ndarray
+    at: np.ndarray
     sides: np.ndarray
+    rows: np.ndarray
     rhs: np.ndarray
 
 
-def _slack_form(k: int, n: int, cfg: SolverConfig) -> _SlackLP:
-    """The max-slack LP of k side rows over n weights, in the simplex's
-    form, with everything set that does not depend on the rows. The caller
-    writes the rows into `rows` and _pose writes the rest.
+def _slack_form(sides: _Sides, n: int, cfg: SolverConfig) -> _SlackLP:
+    """The max-slack LP of the sides over n weights, in the simplex's form,
+    with its side rows set to base (lambda 0); _pose writes the rest.
 
     The LP is max t subject to rows_k @ w + t * scale_k <= 0 for every row,
     sum w = 1, w >= weight_floor. It is posed in v = w - weight_floor, which
@@ -157,6 +177,7 @@ def _slack_form(k: int, n: int, cfg: SolverConfig) -> _SlackLP:
     t = tp - tn split into nonnegatives: columns v, then tp and tn. With a
     unit scale t >= 0 exactly when every row can hold.
     """
+    k = sides.row.size
     c = np.zeros(n + 2)
     c[n], c[n + 1] = -1.0, 1.0
     g = np.zeros((n + k + 3, n + 2))
@@ -164,17 +185,34 @@ def _slack_form(k: int, n: int, cfg: SolverConfig) -> _SlackLP:
     g[-1, :n] = 1.0  # the sum row
     h = np.zeros(n + k + 3)
     h[-1] = 1.0 - n * cfg.weight_floor
-    sides = g[n + 2 : -1]
-    return _SlackLP(simplex._Form(c, g, h, n + k + 2), sides[:, :n], sides, h[n + 2 : -1])
+    at = np.arange(n + 2, n + k + 2)
+    g[at, sides.row] = sides.sign
+    at *= n + 2
+    at += sides.col
+    flat = g.ravel()
+    flat[at] = sides.coef
+    rows = g[n + 2 : -1]
+    form = simplex._Form(c, g, h, n + k + 2)
+    return _SlackLP(form, flat, at, rows, rows[:, :n], h[n + 2 : -1])
 
 
-def _pose(lp: _SlackLP, scale, cfg: SolverConfig) -> None:
-    """Write the slack scale of the rows in lp.rows, and their right-hand
-    sides, into the form, in place."""
+def _pose(
+    lp: _SlackLP, sides: _Sides, lam: float, scale, cfg: SolverConfig
+) -> None:
+    """Write the side rows at level lam, with their slack scale and their
+    right-hand sides, into the form, in place.
+
+    Only each row's entry at its col item depends on lam. A row holds that
+    entry, its sign and zeros, so its sum is the entry plus the sign, bit
+    for bit: the sum of any two floats and zeros rounds once.
+    """
+    entry = sides.slope * lam
+    entry += sides.coef
+    lp.flat[lp.at] = entry
+    np.multiply(np.add(entry, sides.sign, out=lp.rhs), -cfg.weight_floor, out=lp.rhs)
     n = lp.rows.shape[1]
     lp.sides[:, n] = scale
     np.negative(lp.sides[:, n], out=lp.sides[:, n + 1])
-    np.multiply(lp.rows.sum(axis=1), -cfg.weight_floor, out=lp.rhs)
 
 
 def _max_t(
@@ -196,11 +234,11 @@ def _max_t(
     return tp - tn, w / w.sum(), basis
 
 
-def _unit_slack(rows: np.ndarray, cfg: SolverConfig) -> tuple | None:
-    """_max_t for the rows with a unit scale, solved from the slack basis."""
-    lp = _slack_form(*rows.shape, cfg)
-    lp.rows[...] = rows
-    _pose(lp, 1.0, cfg)
+def _unit_slack(sides: _Sides, n: int, lam: float, cfg: SolverConfig) -> tuple | None:
+    """_max_t for the sides at level lam with a unit scale, solved from the
+    slack basis."""
+    lp = _slack_form(sides, n, cfg)
+    _pose(lp, sides, lam, 1.0, cfg)
     return _max_t(lp.form, cfg)
 
 
@@ -225,10 +263,10 @@ def _as_vector(matrix: ComparisonMatrix, w) -> np.ndarray:
 
 class _Block(NamedTuple):
     """A comparison block's judgments as arrays, built once per solve_fpp,
-    feasible_at or lambda_at call. `span` holds each judgment's rising span
-    m - l in row 0 and its falling span u - m in row 1; a hard side (m == l
-    or u == m) has a span of 1 and its bound in `floor` or `ceiling` for
-    _lowest_membership."""
+    feasible_at or lambda_at call. `slope` holds each judgment's rising
+    spread m - l in column 0 and its falling spread u - m in column 1, and
+    `span` the same but 1 for a hard side (m == l or u == m), whose bound
+    is in `floor` or `ceiling` for _lowest_membership."""
 
     matrix: ComparisonMatrix
     row: np.ndarray  # item index of each judgment's row
@@ -236,6 +274,7 @@ class _Block(NamedTuple):
     l: np.ndarray
     m: np.ndarray
     u: np.ndarray
+    slope: np.ndarray
     span: np.ndarray
     hard_rise: np.ndarray  # indices of the judgments with m == l
     floor: np.ndarray  # l * (1 - tol) of those
@@ -250,60 +289,54 @@ def _block(matrix: ComparisonMatrix) -> _Block:
     row = np.array([idx[j.row] for j in matrix.judgments])
     col = np.array([idx[j.col] for j in matrix.judgments])
     values = [x for j in matrix.judgments for v in (j.value,) for x in (v.l, v.m, v.u)]
-    l, m, u = np.array(values, dtype=float).reshape(-1, 3).T
-    span = np.array([m - l, u - m])
-    hard = span == 0.0
-    hard_rise, hard_fall = hard[0].nonzero()[0], hard[1].nonzero()[0]
+    lmu = np.array(values, dtype=float).reshape(-1, 3)
+    l, m, u = lmu.T
+    slope = lmu[:, 1:] - lmu[:, :2]
+    hard = slope == 0.0
+    hard_rise, hard_fall = hard[:, 0].nonzero()[0], hard[:, 1].nonzero()[0]
     return _Block(
-        matrix, row, col, l, m, u,
-        np.where(span > 0.0, span, 1.0),
+        matrix, row, col, l, m, u, slope,
+        np.where(slope > 0.0, slope, 1.0),
         hard_rise, l[hard_rise] * (1 - _CRISP_REL_TOL),
         hard_fall, u[hard_fall] * (1 + _CRISP_REL_TOL),
         (l == u).nonzero()[0],
     )
 
 
-def _sides(block: _Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block's judgment sides as the rows of its LPs: (base, spread,
-    hard), built only for a block that needs an LP.
-
-    Judgment i's rising side is side 2i and its falling side 2i + 1. Side s
-    holds at level lambda when (base_s + lambda * spread_s) @ w <= 0, and
-    spread_s @ w is its denominator D_s(w): (m - l) * w_col for the rising
-    side, (u - m) * w_col for the falling one. A hard side has a zero spread
-    row and is flagged in `hard`."""
-    row, col = block.row, block.col
-    base, spread = np.zeros((2, 2 * row.size, len(block.matrix.items)))
-    rising = np.arange(0, 2 * row.size, 2)
-    falling = rising + 1
-    base[rising, col], base[rising, row] = block.l, -1.0
-    base[falling, col], base[falling, row] = -block.u, 1.0
-    spread[rising, col] = block.m - block.l
-    spread[falling, col] = block.u - block.m
-    return base, spread, ~spread.any(axis=1)
+def _sides(block: _Block) -> _Sides:
+    """The block's sides, built only for a block that needs an LP."""
+    coef = np.empty((block.row.size, 2))
+    coef[:, 0] = block.l
+    np.negative(block.u, out=coef[:, 1])
+    sign = np.ones((block.row.size, 2))
+    sign[:, 0] = -1.0
+    return _Sides(
+        block.row.repeat(2), block.col.repeat(2), coef.ravel(), sign.ravel(),
+        block.slope.ravel(),
+    )
 
 
 def _lowest_membership(block: _Block, vec: np.ndarray) -> float:
     """min(1, the lowest fuzzy.membership any judgment assigns to the ratio
     vec[row] / vec[col]), bit for bit: the same arithmetic, on arrays."""
     ratio = vec[block.row] / vec[block.col]
-    value = np.empty_like(block.span)  # rising in row 0, falling in row 1
-    np.subtract(ratio, block.l, out=value[0])
-    np.subtract(block.u, ratio, out=value[1])
+    value = np.empty_like(block.span)  # rising in column 0, falling in 1
+    np.subtract(ratio, block.l, out=value[:, 0])
+    np.subtract(block.u, ratio, out=value[:, 1])
     value /= block.span
     if block.hard_rise.size:
-        value[0, block.hard_rise] = np.where(
+        value[block.hard_rise, 0] = np.where(
             ratio[block.hard_rise] >= block.floor, np.inf, -np.inf
         )
     if block.hard_fall.size:
-        value[1, block.hard_fall] = np.where(
+        value[block.hard_fall, 1] = np.where(
             ratio[block.hard_fall] <= block.ceiling, np.inf, -np.inf
         )
     if block.crisp.size:
         # math.isclose(ratio, m, rel_tol=_CRISP_REL_TOL), for finite ratios
         at, mode = ratio[block.crisp], block.m[block.crisp]
         hit = np.abs(at - mode) <= _CRISP_REL_TOL * np.maximum(at, mode)
-        value[:, block.crisp] = np.where(hit & (at < np.inf), 1.0, -np.inf)
+        value[block.crisp] = np.where(hit & (at < np.inf), 1.0, -np.inf)[:, None]
     return min(float(value.min()), 1.0)
 
 
@@ -340,16 +373,13 @@ def feasible_at(
         )
     if lam > 1.0:
         return None
-    base, spread, _ = _sides(block)
-    t, w, _ = _unit_slack(base + lam * spread, cfg)
+    t, w, _ = _unit_slack(_sides(block), len(matrix.items), lam, cfg)
     if t < -_SLACK_FEAS_TOL:
         return None
-    return dict(zip(matrix.items, (float(x) for x in w)))
+    return dict(zip(matrix.items, w.tolist()))
 
 
-def _raise_conflict(
-    matrix: ComparisonMatrix, base: np.ndarray, hard: np.ndarray, cfg: SolverConfig
-) -> None:
+def _raise_conflict(matrix: ComparisonMatrix, sides: _Sides, cfg: SolverConfig) -> None:
     """Raise InfeasibleJudgmentsError for the hard sides that cannot all
     hold, naming the pairs of an irreducible subset of them.
 
@@ -359,12 +389,14 @@ def _raise_conflict(
     slack with a unit scale is below -_SLACK_FEAS_TOL. The verdicts do not
     depend on the order of the items, so neither do the named pairs.
     """
-    keep = hard.nonzero()[0].tolist()
+    n = len(matrix.items)
+    keep = (sides.slope == 0.0).nonzero()[0].tolist()
     for side in list(keep):
         rest = [k for k in keep if k != side]
         if not rest:
             continue
-        if _unit_slack(base[rest], cfg)[0] < -_SLACK_FEAS_TOL:
+        subset = _Sides(*(a[rest] for a in sides))
+        if _unit_slack(subset, n, 0.0, cfg)[0] < -_SLACK_FEAS_TOL:
             keep = rest
     judged = (matrix.judgments[side // 2] for side in keep)
     conflict = list(dict.fromkeys((j.row, j.col) for j in judged))
@@ -411,12 +443,10 @@ def _least_squares_start(
     return w, _lowest_membership(block, w)
 
 
-def _crash_basis(
-    form: simplex._Form, block: _Block, base: np.ndarray, spread: np.ndarray, w
-) -> simplex._Basis | None:
-    """A starting basis for the first Dinkelbach LP of `form`, the block's
-    max-slack LP, from w, or None when the soft sides do not span the
-    items. The weights and t are basic and n soft
+def _crash_basis(lp: _SlackLP, sides: _Sides, w: np.ndarray) -> simplex._Basis | None:
+    """A starting basis for the block's first Dinkelbach LP, from w, or None
+    when the soft sides do not span the items; lp's side rows must still be
+    base (lambda 0). The weights and t are basic and n soft
     sides are tight (the sides that bind at a vertex near w); every other
     row's slack is basic.
 
@@ -425,11 +455,11 @@ def _crash_basis(
     joins two components of the item graph, until n - 1 of them span the
     items, and then the lowest side that closes a cycle. Tight sides picked
     by membership alone could make the working set singular."""
-    k, n = base.shape
-    denom = spread.dot(w)
+    k, n = lp.rows.shape
+    denom = sides.slope * w[sides.col]  # spread @ w, bit for bit (one term)
     soft = (denom > 0).nonzero()[0]
-    member = (-(base[soft].dot(w)) / denom[soft]).tolist()
-    soft, row, col = soft.tolist(), block.row.tolist(), block.col.tolist()
+    member = (-(lp.rows[soft].dot(w)) / denom[soft]).tolist()
+    soft, row, col = soft.tolist(), sides.row.tolist(), sides.col.tolist()
     group = list(range(n))  # union-find forest over the items
 
     def root(i: int) -> int:
@@ -441,7 +471,7 @@ def _crash_basis(
     tree, cycle = [], None
     for s in sorted(range(len(soft)), key=member.__getitem__):
         side = soft[s]
-        a, b = root(row[side // 2]), root(col[side // 2])
+        a, b = root(row[side]), root(col[side])
         if a != b:
             group[a] = b
             tree.append(side)
@@ -454,7 +484,7 @@ def _crash_basis(
     basic = np.ones(n + 2 + k, dtype=bool)
     basic[n + 1] = False  # tn
     basic[[n + 2 + side for side in tree + [cycle]]] = False
-    return simplex._basis(form, basic)
+    return simplex._basis(lp.form, basic)
 
 
 def solve_fpp(
@@ -480,29 +510,28 @@ def solve_fpp(
     w, lam = _least_squares_start(block, cfg)
     if lam >= cap - _CLAMP_TOL:
         return _result(matrix, w, cap, 0, True, None)
-    base, spread, hard = _sides(block)
+    sides, n = _sides(block), len(matrix.items)
+    hard = sides.slope == 0.0
     if hard.all():
         # no side has a denominator, so one LP with a unit scale decides:
         # when the sides hold, they meet every judgment in full
-        step = _unit_slack(base, cfg)
+        step = _unit_slack(sides, n, 0.0, cfg)
         if step is None or step[0] < -_SLACK_FEAS_TOL:
-            _raise_conflict(matrix, base, hard, cfg)
+            _raise_conflict(matrix, sides, cfg)
         return _result(matrix, step[1], cap, 1, True, step[0])
-    lp = _slack_form(*base.shape, cfg)
-    basis, probes = _crash_basis(lp.form, block, base, spread, w), 0
+    lp = _slack_form(sides, n, cfg)
+    basis, probes = _crash_basis(lp, sides, w), 0
     while True:
         # max t s.t. N_i(w) - lam * D_i(w) >= t * D_i(w_k) on every soft side,
         # at lambda_cap while w misses a hard side
         missed = lam == -math.inf
-        np.multiply(spread, cap if missed else lam, out=lp.rows)
-        np.add(base, lp.rows, out=lp.rows)
-        _pose(lp, spread.dot(w), cfg)
+        _pose(lp, sides, cap if missed else lam, sides.slope * w[sides.col], cfg)
         step = _max_t(lp.form, cfg, basis)
         if step is None:
             # The first LP is the hard sides' verdict; after that they have
             # held once, so only round-off.
             if probes == 0 and hard.any():
-                _raise_conflict(matrix, base, hard, cfg)
+                _raise_conflict(matrix, sides, cfg)
             raise RuntimeError(
                 f"max-slack subproblem unexpectedly infeasible in block "
                 f"{matrix.parent!r} at lambda {lam}"

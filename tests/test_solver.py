@@ -585,15 +585,40 @@ def _sides_loop(matrix):
     return base, spread, hard
 
 
-def test_side_rows_match_the_loop():
-    # Bit for bit, on the blocks whose memberships are checked above.
+def _dense(sides, n):
+    """The side rows base and spread of solver._Sides as dense arrays."""
+    base, spread = np.zeros((2, sides.row.size, n))
+    at = np.arange(sides.row.size)
+    base[at, sides.col], base[at, sides.row] = sides.coef, sides.sign
+    spread[at, sides.col] = sides.slope
+    return base, spread
+
+
+def test_side_rows_match_the_loop(rng):
+    # Bit for bit, on the blocks whose memberships are checked above: the
+    # rows of the max-slack LP's form as built and as posed at a few
+    # levels, their right-hand sides and slack scales, against the rows the
+    # loop builds.
+    cfg = solver.SolverConfig()
     hard = 0
     for matrix in _array_blocks():
+        n = len(matrix.items)
         sides = solver._sides(_block(matrix))
         base, spread, hard_sides = _sides_loop(matrix)
-        assert np.array_equal(sides[0], base)
-        assert np.array_equal(sides[1], spread)
-        assert np.array_equal(sides[2], hard_sides)
+        assert np.array_equal(sides.slope == 0.0, hard_sides)
+        assert all(np.array_equal(a, b) for a, b in zip(_dense(sides, n), (base, spread)))
+        lp = solver._slack_form(sides, n, cfg)
+        assert lp.rows.tobytes() == np.ascontiguousarray(base).tobytes()
+        w = rng.dirichlet(np.ones(n))
+        scale = sides.slope * w[sides.col]
+        assert scale.tobytes() == spread.dot(w).tobytes()
+        for lam in (1.0, 0.37, -2.5, -1e3):
+            solver._pose(lp, sides, lam, scale, cfg)
+            rows = base + lam * spread
+            assert lp.rows.tobytes() == rows.tobytes()
+            assert lp.rhs.tobytes() == (-cfg.weight_floor * rows.sum(axis=1)).tobytes()
+            assert lp.sides[:, n].tobytes() == scale.tobytes()
+            assert lp.sides[:, n + 1].tobytes() == (-scale).tobytes()
         hard += hard_sides.sum()
     assert hard >= 50
 
@@ -620,28 +645,35 @@ def _former_block(matrix):
 
 
 def test_block_fields_match_the_former_construction():
-    # Every field, with and without hard sides. The former l, m and u kept
-    # the integer dtype of integer judgments; they are float now.
+    # Every field, with and without hard sides, and the side rows. The
+    # former l, m and u kept the integer dtype of integer judgments; they
+    # are float now.
     rng = np.random.default_rng(7)
     soft = [_random_block(rng, n, hard_share=0.0) for n in range(2, 11)]
     kinds = collections.Counter()
     for matrix in _array_blocks() + soft + [TWO, CONSISTENT3, CYCLIC]:
         block = _block(matrix)
         (row, col, l, m, u, rise_span, fall_span, hard_rise, floor, hard_fall,
-         ceiling, crisp, *sides) = _former_block(matrix)
+         ceiling, crisp, base, spread, hard) = _former_block(matrix)
         fields = dict(
-            row=row, col=col, l=l, m=m, u=u, span=np.array([rise_span, fall_span]),
+            row=row, col=col, l=l, m=m, u=u,
+            slope=np.column_stack([m - l, u - m]),
+            span=np.column_stack([rise_span, fall_span]),
             hard_rise=hard_rise, floor=floor, hard_fall=hard_fall, ceiling=ceiling,
             crisp=crisp,
         )
         assert list(fields) == list(solver._Block._fields[1:])
-        new_sides = solver._sides(block)
-        kinds[bool(new_sides[2].any())] += 1
+        sides = solver._sides(block)
+        kinds[bool(hard.any())] += 1
         named = [(name, getattr(block, name), old) for name, old in fields.items()]
-        named += zip(("base", "spread", "hard"), new_sides, sides)
+        named += zip(
+            ("base", "spread", "hard"),
+            (*_dense(sides, len(matrix.items)), sides.slope == 0.0),
+            (base, spread, hard),
+        )
         for name, new, old in named:
             assert np.array_equal(new, old), name
-            if name in ("l", "m", "u"):
+            if name in ("l", "m", "u", "slope"):
                 assert new.dtype == np.float64, name
             else:
                 assert new.dtype == old.dtype, name

@@ -172,19 +172,17 @@ def test_max_slack_reports_the_unshifted_slack():
     # for t + theta, a shift of 2.5e-6 to 1.5e-4 there, and subtracted it.)
     cfg = solver.SolverConfig()
     for block in load_study(bundled_study_path()).hierarchy.matrices.values():
-        base, spread, _ = solver._sides(solver._block(block))
+        sides = solver._sides(solver._block(block))
         res = solve_fpp(block)
         w = res.weight_vector()
         for lam, scale in (
-            (cfg.lambda_cap, np.ones(len(base))),
-            (res.lambda_, spread @ w),
+            (cfg.lambda_cap, np.ones(sides.row.size)),
+            (res.lambda_, sides.slope * w[sides.col]),
         ):
-            rows = base + lam * spread
-            lp = solver._slack_form(*rows.shape, cfg)
-            lp.rows[...] = rows
-            solver._pose(lp, scale, cfg)
+            lp = solver._slack_form(sides, len(block.items), cfg)
+            solver._pose(lp, sides, lam, scale, cfg)
             t, _, _ = solver._max_t(lp.form, cfg)
-            assert abs(t - _highs_slack(rows, scale)) <= 1e-9
+            assert abs(t - _highs_slack(lp.rows.copy(), scale)) <= 1e-9
 
 
 def test_block_below_minus_ten_without_hard_sides_solves():
@@ -276,7 +274,9 @@ def test_infeasible_verdicts_agree_with_highs():
     assert blocks[45] == fixture["goal"]
     infeasible = 0
     for block in blocks:
-        base, _, hard = solver._sides(solver._block(block))
+        sides = solver._sides(solver._block(block))
+        base = solver._slack_form(sides, len(block.items), solver.SolverConfig()).rows
+        hard = sides.slope == 0.0
         expected = hard.any() and _highs_slack(base[hard], np.ones(hard.sum())) < 0.0
         try:
             solve_fpp(block)
@@ -308,9 +308,11 @@ def test_conflict_names_an_irreducible_set_in_either_order():
         with pytest.raises(InfeasibleJudgmentsError) as moved:
             solve_fpp(_permuted(block, perm))
         assert moved.value.pairs == tuple((relabel[r], relabel[c]) for r, c in conflict)
-        base, spread, _ = solver._sides(solver._block(block))
+        arrays = solver._sides(solver._block(block))
+        base = solver._slack_form(arrays, len(block.items), solver.SolverConfig()).rows
         pairs = [(j.row, j.col) for j in block.judgments for _ in range(2)]
-        sides = [k for k in (~spread.any(axis=1)).nonzero()[0] if pairs[k] in conflict]
+        hard = (arrays.slope == 0.0).nonzero()[0]
+        sides = [k for k in hard if pairs[k] in conflict]
         assert _highs_slack(base[sides], np.ones(len(sides))) < 0.0
         for pair in conflict:
             rest = [k for k in sides if pairs[k] != pair]
@@ -596,17 +598,14 @@ def test_final_duals_agree_with_highs(monkeypatch):
 def test_in_place_lps_equal_fresh_forms(monkeypatch):
     # Each block's Dinkelbach LPs are re-solved in one form, rewritten in
     # place, from the previous LP's final basis, working set and all. Every
-    # such LP of _blocks() must equal the same rows posed in a fresh
-    # _slack_form and solved from a basis built afresh from a copy of the
-    # same starting mask, bit for bit: status, x, objective, pivots and
-    # final basis. The basis a solve hands on is the one built afresh from
-    # its final mask.
+    # such LP of _blocks() must equal the same LP in a fresh form solved
+    # from a basis built afresh from a copy of the same starting mask, bit
+    # for bit: status, x, objective, pivots and final basis. The basis a
+    # solve hands on is the one built afresh from its final mask.
     solve, seen = simplex._solve, []
 
     def recorded(form, basic=None):
-        n = form.c.size - 2
-        sides = form.g[n + 2 : -1]
-        posed = sides[:, :n].copy(), sides[:, n].copy()
+        posed = simplex._Form(form.c.copy(), form.g.copy(), form.h.copy(), form.ncols)
         start = None if basic is None else basic.basic.copy()
         res, final = solve(form, basic)
         kept = None if final is None else [a.copy() for a in final]
@@ -619,17 +618,13 @@ def test_in_place_lps_equal_fresh_forms(monkeypatch):
             solve_fpp(block)
     assert len(seen) > 100
     assert sum(res.pivots > 0 for _, start, res, _ in seen if start is not None) > 10
-    cfg = solver.SolverConfig()
-    for (rows, scale), start, res, final in seen:
-        lp = solver._slack_form(*rows.shape, cfg)
-        lp.rows[...] = rows
-        solver._pose(lp, scale, cfg)
-        fresh = None if start is None else simplex._basis(lp.form, start.copy())
-        ref, ref_final = solve(lp.form, fresh)
+    for form, start, res, final in seen:
+        fresh = None if start is None else simplex._basis(form, start.copy())
+        ref, ref_final = solve(form, fresh)
         assert (ref.status, ref.pivots) == (res.status, res.pivots)
         assert (ref_final is None) == (final is None)
         if final is not None:
-            rebuilt = simplex._basis(lp.form, final[0].copy())
+            rebuilt = simplex._basis(form, final[0].copy())
             for kept, ref_array, built in zip(final, ref_final, rebuilt):
                 assert np.array_equal(kept, ref_array)
                 assert np.array_equal(kept, built)
