@@ -264,9 +264,10 @@ def _as_vector(matrix: ComparisonMatrix, w) -> np.ndarray:
 class _Block(NamedTuple):
     """A comparison block's judgments as arrays, built once per solve_fpp,
     feasible_at or lambda_at call. `slope` holds each judgment's rising
-    spread m - l in column 0 and its falling spread u - m in column 1, and
-    `span` the same but 1 for a hard side (m == l or u == m), whose bound
-    is in `floor` or `ceiling` for _lowest_membership."""
+    spread m - l in column 0 and its falling spread u - m in column 1. A
+    hard side (m == l or u == m) has a span of 1 and its bound in `floor`
+    or `ceiling` for _lowest_membership. Every array is contiguous: numpy
+    arithmetic on strided views costs about half again as much."""
 
     matrix: ComparisonMatrix
     row: np.ndarray  # item index of each judgment's row
@@ -275,7 +276,8 @@ class _Block(NamedTuple):
     m: np.ndarray
     u: np.ndarray
     slope: np.ndarray
-    span: np.ndarray
+    rise_span: np.ndarray  # m - l
+    fall_span: np.ndarray  # u - m
     hard_rise: np.ndarray  # indices of the judgments with m == l
     floor: np.ndarray  # l * (1 - tol) of those
     hard_fall: np.ndarray  # indices of the judgments with u == m
@@ -290,15 +292,14 @@ def _block(matrix: ComparisonMatrix) -> _Block:
     col = np.array([idx[j.col] for j in matrix.judgments])
     values = [x for j in matrix.judgments for v in (j.value,) for x in (v.l, v.m, v.u)]
     lmu = np.array(values, dtype=float).reshape(-1, 3)
-    l, m, u = lmu.T
+    l, m, u = lmu.T.copy()
     slope = lmu[:, 1:] - lmu[:, :2]
-    hard = slope == 0.0
-    hard_rise, hard_fall = hard[:, 0].nonzero()[0], hard[:, 1].nonzero()[0]
+    span = np.where(slope.T > 0.0, slope.T, 1.0).copy()
+    hard_rise, hard_fall = slope.T == 0.0
     return _Block(
-        matrix, row, col, l, m, u, slope,
-        np.where(slope > 0.0, slope, 1.0),
-        hard_rise, l[hard_rise] * (1 - _CRISP_REL_TOL),
-        hard_fall, u[hard_fall] * (1 + _CRISP_REL_TOL),
+        matrix, row, col, l, m, u, slope, *span,
+        hard_rise.nonzero()[0], l[hard_rise] * (1 - _CRISP_REL_TOL),
+        hard_fall.nonzero()[0], u[hard_fall] * (1 + _CRISP_REL_TOL),
         (l == u).nonzero()[0],
     )
 
@@ -320,23 +321,24 @@ def _lowest_membership(block: _Block, vec: np.ndarray) -> float:
     """min(1, the lowest fuzzy.membership any judgment assigns to the ratio
     vec[row] / vec[col]), bit for bit: the same arithmetic, on arrays."""
     ratio = vec[block.row] / vec[block.col]
-    value = np.empty_like(block.span)  # rising in column 0, falling in 1
-    np.subtract(ratio, block.l, out=value[:, 0])
-    np.subtract(block.u, ratio, out=value[:, 1])
-    value /= block.span
+    rising = ratio - block.l
+    rising /= block.rise_span
+    falling = block.u - ratio
+    falling /= block.fall_span
     if block.hard_rise.size:
-        value[block.hard_rise, 0] = np.where(
+        rising[block.hard_rise] = np.where(
             ratio[block.hard_rise] >= block.floor, np.inf, -np.inf
         )
     if block.hard_fall.size:
-        value[block.hard_fall, 1] = np.where(
+        falling[block.hard_fall] = np.where(
             ratio[block.hard_fall] <= block.ceiling, np.inf, -np.inf
         )
+    value = np.minimum(rising, falling, out=rising)
     if block.crisp.size:
         # math.isclose(ratio, m, rel_tol=_CRISP_REL_TOL), for finite ratios
         at, mode = ratio[block.crisp], block.m[block.crisp]
         hit = np.abs(at - mode) <= _CRISP_REL_TOL * np.maximum(at, mode)
-        value[block.crisp] = np.where(hit & (at < np.inf), 1.0, -np.inf)[:, None]
+        value[block.crisp] = np.where(hit & (at < np.inf), 1.0, -np.inf)
     return min(float(value.min()), 1.0)
 
 
