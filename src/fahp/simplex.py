@@ -272,9 +272,11 @@ def _reoptimise(form: _Form, basis: _Basis, limit: int) -> LPResult | None:
             cost = c
             continue
         else:  # primal pivot
-            step = small = None
             improving = [p for p in range(nsoft) if costs[p] > _COST_TOL]
-            gaps = values.tolist() if improving else None
+            if not improving:  # optimal
+                break
+            step = small = None
+            gaps = values.tolist()
             for p in sorted(improving, key=work.__getitem__):
                 alpha = -(g_cols @ inv[:, p])
                 # the basic columns with a positive entry; the ratio test

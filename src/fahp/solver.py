@@ -264,8 +264,8 @@ def _as_vector(matrix: ComparisonMatrix, w) -> np.ndarray:
 class _Block(NamedTuple):
     """A comparison block's judgments as arrays, built once per solve_fpp,
     feasible_at or lambda_at call. `slope` holds each judgment's rising
-    spread m - l in column 0 and its falling spread u - m in column 1. A
-    hard side (m == l or u == m) has a span of 1 and its bound in `floor`
+    spread m - l in row 0 and its falling spread u - m in row 1. A hard
+    side (m == l or u == m) has a span of 1 and its bound in `floor`
     or `ceiling` for _lowest_membership. Every array is contiguous: numpy
     arithmetic on strided views costs about half again as much."""
 
@@ -288,16 +288,18 @@ class _Block(NamedTuple):
 def _block(matrix: ComparisonMatrix) -> _Block:
     """Build the block's arrays; the matrix was checked when it was built."""
     idx = {item: i for i, item in enumerate(matrix.items)}
-    row = np.array([idx[j.row] for j in matrix.judgments])
-    col = np.array([idx[j.col] for j in matrix.judgments])
-    values = [x for j in matrix.judgments for v in (j.value,) for x in (v.l, v.m, v.u)]
-    lmu = np.array(values, dtype=float).reshape(-1, 3)
-    l, m, u = lmu.T.copy()
-    slope = lmu[:, 1:] - lmu[:, :2]
-    span = np.where(slope.T > 0.0, slope.T, 1.0).copy()
-    hard_rise, hard_fall = slope.T == 0.0
+    judgments = matrix.judgments
+    row = np.array([idx[j.row] for j in judgments])
+    col = np.array([idx[j.col] for j in judgments])
+    l, m, u = np.array(
+        [[j.value.l for j in judgments], [j.value.m for j in judgments],
+         [j.value.u for j in judgments]],
+        dtype=float,
+    )
+    slope = np.array([m - l, u - m])
+    hard_rise, hard_fall = slope == 0.0
     return _Block(
-        matrix, row, col, l, m, u, slope, *span,
+        matrix, row, col, l, m, u, slope, *np.where(slope > 0.0, slope, 1.0),
         hard_rise.nonzero()[0], l[hard_rise] * (1 - _CRISP_REL_TOL),
         hard_fall.nonzero()[0], u[hard_fall] * (1 + _CRISP_REL_TOL),
         (l == u).nonzero()[0],
@@ -313,7 +315,7 @@ def _sides(block: _Block) -> _Sides:
     sign[:, 0] = -1.0
     return _Sides(
         block.row.repeat(2), block.col.repeat(2), coef.ravel(), sign.ravel(),
-        block.slope.ravel(),
+        block.slope.T.ravel(),
     )
 
 

@@ -657,8 +657,8 @@ def test_block_fields_match_the_former_construction():
          ceiling, crisp, base, spread, hard) = _former_block(matrix)
         fields = dict(
             row=row, col=col, l=l, m=m, u=u,
-            slope=np.column_stack([m - l, u - m]),
-            span=np.column_stack([rise_span, fall_span]),
+            slope=np.array([m - l, u - m]),
+            rise_span=rise_span, fall_span=fall_span,
             hard_rise=hard_rise, floor=floor, hard_fall=hard_fall, ceiling=ceiling,
             crisp=crisp,
         )
