@@ -13,10 +13,13 @@ LPs that start with no basis hint outside _raise_conflict's deletion filter
 and the largest pivot count of a solve from a starting-basis hint. --out
 writes every solve's outcome, the totals and the largest hinted pivot count
 as JSON; --compare reports the largest lambda and weight differences from
-another run's file, the solves whose outcome kind differs, and the LP, pivot
-and cold-LP differences. --expect checks the totals against a committed
-file: the run fails when its LPs, pivots or cold LPs exceed the file's, or
-its solve or infeasible counts differ from them.
+another run's file, the number of solves whose outcome differs in any way
+(its kind, lambda or any weight, the pairs an infeasible verdict names, or
+an exception's message), and the LP, pivot and cold-LP differences; the run
+fails when any outcome, or the LP or pivot total, differs. --expect checks
+the totals against a committed file: the run fails when its LPs, pivots or
+cold LPs exceed the file's, or its solve or infeasible counts differ from
+them.
 
 Not collected by pytest (the name does not start with test_); it takes a
 few minutes.
@@ -156,6 +159,12 @@ def _gaps(outcomes: dict, other: dict, pairs) -> tuple[float, float, list[str]]:
     return lam, weight, differ
 
 
+def _differing(outcomes: dict, other: dict) -> list[str]:
+    """The keys whose outcome differs in any way between two runs, bit for
+    bit, including a key only one run has."""
+    return sorted(k for k in outcomes.keys() | other.keys() if outcomes.get(k) != other.get(k))
+
+
 def _meets(totals: collections.Counter, solves: int, expected: dict) -> bool:
     """Whether the run's counts meet the expected ones: at most as many LPs,
     pivots and cold LPs, and the same number of solves and infeasible
@@ -190,10 +199,12 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(
             {"totals": totals, "hinted": [most, where], "outcomes": outcomes}
         ))
+    failed = bool(totals["exceptions"] or totals["minus_inf"])
     if args.compare:
         other = json.loads(args.compare.read_text())
-        pairs = [(k, k) for k in outcomes]
-        lam, weight, differ = _gaps(outcomes, other["outcomes"], pairs)
+        pairs = [(k, k) for k in outcomes if k in other["outcomes"]]
+        lam, weight, _ = _gaps(outcomes, other["outcomes"], pairs)
+        differ = _differing(outcomes, other["outcomes"])
         print(f"against {args.compare}: lambda {lam:.3g}, weights {weight:.3g}, "
               f"{len(differ)} outcomes differ{': ' if differ else ''}"
               f"{', '.join(differ[:10])}")
@@ -203,7 +214,7 @@ def main(argv=None) -> int:
               f"cold LPs {totals['cold'] - theirs['cold']:+d} "
               f"(theirs {theirs['lps']}, {theirs['pivots']} and {theirs['cold']}), "
               f"largest hinted pivot count theirs {other['hinted'][0]}")
-    failed = bool(totals["exceptions"] or totals["minus_inf"])
+        failed |= bool(differ) or any(totals[k] != theirs[k] for k in ("lps", "pivots"))
     if args.expect:
         failed |= not _meets(totals, len(outcomes), json.loads(args.expect.read_text()))
     return 1 if failed else 0

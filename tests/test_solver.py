@@ -1,6 +1,7 @@
 """Preference-programming solver: Dinkelbach iteration, feasibility LP, and the grid oracle."""
 
 import collections
+import json
 import itertools
 import math
 import tracemalloc
@@ -718,3 +719,44 @@ def test_narrower_sides_are_rejected():
     rng = np.random.default_rng(8)
     with pytest.raises(ValidationError, match="for a hard bound"):
         _narrow_block(rng, MIN_SPREAD * (1 - 1e-9))
+
+
+SOLVER_PATH = FIXTURES.parent / "solver_path.json"
+
+
+def test_solver_path_is_pinned(monkeypatch):
+    # The Dinkelbach iteration's path on the seeded blocks of the fixture
+    # (its "about" says how they were drawn): each block's LP count and
+    # simplex pivots, counted at simplex._solve, are pinned exactly, and its
+    # lambda and weights within 1e-12 (relative); the infeasible block names
+    # the same pairs. A change that moves the path shows here in tier 1.
+    pivots = [0]
+    solve = simplex._solve
+
+    def counted(form, basis=None):
+        res = solve(form, basis)
+        pivots[0] += res[0].pivots
+        return res
+
+    monkeypatch.setattr(simplex, "_solve", counted)
+    kinds = collections.Counter()
+    for case in json.loads(SOLVER_PATH.read_text())["blocks"]:
+        matrix = _mat(case["items"], [(r, c, v) for r, c, *v in case["judgments"]], "goal")
+        kinds["hard sides"] += any(l == m or m == u for _, _, l, m, u in case["judgments"])
+        pivots[0] = 0
+        if "infeasible" in case:
+            with pytest.raises(InfeasibleJudgmentsError) as exc:
+                solve_fpp(matrix)
+            assert [list(pair) for pair in exc.value.pairs] == case["infeasible"]
+            kinds["infeasible"] += 1
+            continue
+        res = solve_fpp(matrix)
+        path = (res.iterations, pivots[0], res.clamped)
+        assert path == (case["iterations"], case["pivots"], case["clamped"]), case["name"]
+        assert math.isclose(res.lambda_, case["lambda"], rel_tol=1e-12), case["name"]
+        for item, weight in zip(case["items"], case["weights"]):
+            assert math.isclose(res.weights[item], weight, rel_tol=1e-12), case["name"]
+        kinds["clamped at the start" if res.iterations == 0 else "solved"] += 1
+    assert kinds == {
+        "hard sides": 14, "infeasible": 1, "clamped at the start": 1, "solved": 22
+    }
