@@ -49,19 +49,16 @@ refined twice on B and is reported only once it meets the original rows.
 
 The one entry point is _solve, on a _Form: c, the stacked constraint rows
 G = [-I; A_ub; A_eq] and their right-hand sides h. The equality rows must
-be linearly independent. The start is a _Basis: the mask of its basic
-columns and its working set, which _basis builds from the mask. A solve
-updates the basis in place and hands it back in the order _basis gives, so
-a run of LPs of one shape carries it from each LP to the next: the solver
-keeps one form and one basis per comparison block and rewrites the form's
-coefficients in place between LPs. A warm LP then only re-reads the rows
-of its working set and inverts them. A start whose working set is
-singular, or whose solve ends in anything but an optimum or passes
-_HINT_PIVOTS pivots per row and column, is dropped for the slack basis,
-whose verdict is final: every inequality row's slack, and one structural
-column per equality row, picked by Gauss-Jordan elimination with partial
-pivoting. Sized for problems with tens of rows; this is not a
-general-purpose LP library.
+be linearly independent. The start is a _Basis, a column mask with its
+working set; a solve updates it in place and hands it back as _basis would
+build it, so the solver carries one form and one basis per block from LP
+to LP, and a warm LP only re-reads and inverts its working set's rows. A
+start whose working set is singular, or whose solve ends in anything but
+an optimum or passes _HINT_PIVOTS pivots per row and column, is dropped
+for the slack basis, whose verdict is final: every inequality row's slack,
+and one structural column per equality row, picked by Gauss-Jordan
+elimination with partial pivoting. Sized for problems with tens of rows;
+this is not a general-purpose LP library.
 """
 
 from __future__ import annotations
@@ -138,18 +135,15 @@ def _ratio_test(entries, gaps, allowed, order=None, bland=False) -> int:
     """Harris's two-pass ratio test: the position that leaves (primal) or
     enters (dual) the basis, or -1 when no allowed entry is positive.
 
-    `entries` and `gaps` hold a value per position, and `allowed` lists the
-    positions that may pivot in ascending order. The candidates are the
-    allowed positions whose entry is above _PIVOT_TOL. Pass 1 clips each
-    candidate's gap at 0 and bounds the step by min((gap + delta) / entry).
-    Pass 2 takes, among the candidates whose ratio gap / entry is within
-    that bound, the one with the largest entry; ties go to the lowest
-    position, or to the lowest `order` value when `order` is given. A call
-    has a handful of candidates, and mostly one of them fits, so both
-    passes run on Python floats, which round as numpy's do, and pass 1 runs
-    while the candidates are picked. With `bland`,
-    Bland's rule replaces both passes: the smallest ratio, ties to the
-    lowest position or `order` value.
+    `entries` and `gaps` are lists by position; the candidates are the
+    positions in `allowed` (ascending) whose entry is above _PIVOT_TOL.
+    Pass 1, run while they are picked, clips each gap at 0 and bounds the
+    step by min((gap + delta) / entry). Pass 2 takes, among the candidates
+    whose ratio gap / entry is within that bound, the one with the largest
+    entry; ties go to the lowest position, or to the lowest `order` value
+    when `order` is given. A call has a handful of candidates, so both
+    passes run on Python floats, which round as numpy's do. With `bland`,
+    Bland's rule replaces both: the smallest ratio, ties as above.
     """
     candidates, bound = [], math.inf
     for p in allowed:
@@ -157,14 +151,13 @@ def _ratio_test(entries, gaps, allowed, order=None, bland=False) -> int:
         if size > _PIVOT_TOL:
             gap = gaps[p] if gaps[p] > 0.0 else 0.0
             candidates.append((p, gap, size))
-            ratio = (gap + _HARRIS_DELTA) / size
-            if ratio < bound:
-                bound = ratio
-    if len(candidates) <= 1:
-        return candidates[0][0] if candidates else -1
+            bound = min(bound, (gap + _HARRIS_DELTA) / size)
+    if not candidates:
+        return -1
     if bland:
         ratios = [
-            (gap / size, p if order is None else order[p]) for p, gap, size in candidates
+            (gap / size, p if order is None else order[p])
+            for p, gap, size in candidates
         ]
         return candidates[ratios.index(min(ratios))][0]
     best, pick = 0.0, -1
@@ -193,15 +186,11 @@ class _Form(NamedTuple):
 
 
 class _Basis(NamedTuple):
-    """A basis of a form and its working set.
-
-    `basic` flags the basic columns. `work` lists the working set, the
-    nonbasic columns in ascending order and then the equality rows, so the
-    working matrix is B = g[work]. `hide` is inf at the nonbasic columns,
-    which keeps their values out of the tests. A solve updates all three in
-    place and ends with `work` in ascending order again, so the basis it
-    hands back is the one _basis would build from its final mask.
-    """
+    """A basis of a form: `basic` flags its columns, `work` lists its working
+    set (the nonbasic columns in ascending order, then the equality rows) so
+    that B = g[work], and `hide` is inf at the nonbasic columns to keep
+    them out of the tests. A solve updates all three in place and hands
+    back the basis _basis would build from its final mask."""
 
     basic: np.ndarray
     work: np.ndarray
@@ -228,12 +217,12 @@ def _reoptimise(form: _Form, basis: _Basis, limit: int) -> LPResult | None:
     row and column, which only a solve from the slack basis reaches, every
     pivot follows Bland's rule.
 
-    The working set's rows are read from the form afresh, so the form's
-    coefficients may change between solves from one basis. B = g[work] and
-    `inv` = B^-1. Leaving the constraint at position p of `work` moves x by
-    -B^-1 e_p per unit of its slack, so a basic column's entry in the
-    entering column is alpha = -g B^-1 e_p, and the entries of the row of a
-    leaving column k are -u with u = g_k B^-1.
+    The working set's rows are read from the form afresh, as its
+    coefficients may change between solves. B = g[work], `inv` = B^-1.
+    Leaving the constraint at position p of `work` moves x by -B^-1 e_p per
+    unit of its slack, so a basic column's entry in the entering column is
+    alpha = -g B^-1 e_p, and the entries of the row of a leaving column k
+    are -u with u = g_k B^-1.
     """
     c, g, h, ncols = form
     basic, work, hide = basis
@@ -264,8 +253,7 @@ def _reoptimise(form: _Form, basis: _Basis, limit: int) -> LPResult | None:
                 cost, y = c - shift.dot(mat), y - shift
                 costs = y.tolist()
             u = g[leave].dot(inv)
-            gaps = [-d for d in costs]
-            p = _ratio_test(u.tolist(), gaps, range(nsoft), work, bland)
+            p = _ratio_test(u.tolist(), [-d for d in costs], range(nsoft), work, bland)
             if p < 0:
                 return LPResult("infeasible", None, None, pivots)
         elif cost is not c:  # primal feasible: restore the true costs
@@ -279,8 +267,6 @@ def _reoptimise(form: _Form, basis: _Basis, limit: int) -> LPResult | None:
             gaps = values.tolist()
             for p in sorted(improving, key=work.__getitem__):
                 alpha = -(g_cols @ inv[:, p])
-                # the basic columns with a positive entry; the ratio test
-                # keeps them all
                 rows = ((alpha > _PIVOT_TOL) & basic).nonzero()[0].tolist()
                 row = _ratio_test(alpha.tolist(), gaps, rows, None, bland)
                 if row >= 0:
@@ -360,10 +346,7 @@ def _satisfies(form: _Form, x: np.ndarray) -> bool:
     eq = miss[ncols - n :]  # an equality row misses both ways
     np.abs(eq, out=eq)
     worst = miss.max(initial=0.0)
-    return bool(
-        worst <= _FEAS_TOL
-        or worst <= _FEAS_TOL * (1.0 + np.abs(rhs).max(initial=0.0))
-    )
+    return bool(worst <= _FEAS_TOL or worst <= _FEAS_TOL * (1.0 + np.abs(rhs).max()))
 
 
 def _solve(form: _Form, basis: _Basis | None = None):

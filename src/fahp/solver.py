@@ -22,18 +22,16 @@ clamped; consistent modes are clamped without an LP. Where the start misses
 a hard side, its lambda is -inf and the first LP is posed at lambda_cap
 instead; its solution is the first iterate. The first LP is also the
 verdict on the hard sides: it is infeasible when they conflict.
-Consecutive LPs of a block differ only in their coefficients. The block's
-LP is allocated once (_slack_form), in the form the simplex works on, with
-the weight bounds, the sum-to-one row and the objective fixed; each step
-writes its side rows, their slack scale and right-hand sides in place
-(_pose) and re-solves from the final basis of the LP before, kept as the
-mask of its basic columns. The simplex inverts that basis's working set,
-an (n + 2)-square matrix, returns without a pivot when the basis is
-optimal, and otherwise re-optimises from it with dual and primal pivots on
-the same inverse. Only an LP whose basis cannot be used starts from the
-slack basis. Each result is bit for bit that of the same LP posed in a
-fresh form and solved from the same basis. A block whose every side is
-hard has no denominators: one LP with a unit scale decides it.
+Consecutive LPs of a block differ only in their coefficients. Its LP is
+built once, after the clamp check, in the simplex's form (_slack_form);
+each side row holds base at lambda 0, and a step (_pose) rewrites only the
+one entry per row that depends on lambda, the slack scale and the
+right-hand sides. The step re-solves from the LP before's final basis,
+working set and all: the simplex inverts that set, an (n + 2)-square
+matrix, returns without a pivot when the basis is still optimal, and
+otherwise re-optimises from it. Each result is bit for bit that of the
+same LP posed in a fresh form from the same basis. A block whose every
+side is hard has no denominators: one LP with a unit scale decides it.
 A side with zero spread (m == l or u == m) is a hard bound on the ratio, a
 constraint that does not depend on lambda. The reported lambda is
 lambda_at(weights); lambda >= 0 certifies that some weight vector lies
@@ -136,14 +134,11 @@ def _check_floor(matrix: ComparisonMatrix, config: SolverConfig) -> None:
 
 
 class _Sides(NamedTuple):
-    """A block's judgment sides as the rows of its LPs, one entry per side.
-
-    Judgment i's rising side is side 2i and its falling side 2i + 1. Side s
-    holds at level lambda when (base_s + lambda * spread_s) @ w <= 0, and
-    spread_s @ w is its denominator D_s(w). Both rows are zero but at two
-    items: base_s is coef[s] at item col[s] and sign[s] at item row[s] (l
-    and -1 for a rising side, -u and 1 for a falling one), and spread_s is
-    slope[s] at item col[s] (m - l or u - m). A hard side has a zero slope.
+    """A block's judgment sides: judgment i's rising side is side 2i, its
+    falling side 2i + 1. Side s holds at level lambda when (base_s + lambda
+    * spread_s) @ w <= 0; spread_s @ w is its denominator D_s(w). base_s is
+    coef[s] at item col[s] and sign[s] at item row[s] (l and -1 rising, -u
+    and 1 falling), spread_s is slope[s] (m - l, u - m; 0 if hard) at col[s].
     """
 
     row: np.ndarray
@@ -153,23 +148,10 @@ class _Sides(NamedTuple):
     slope: np.ndarray
 
 
-class _SlackLP(NamedTuple):
-    """A max-slack LP in the simplex's form and views of the parts of it
-    that _pose rewrites: the flat form rows, the side rows (whose first n
-    columns are `rows`) and their right-hand sides, and the flat position
-    of each side's entry at its col item."""
-
-    form: simplex._Form
-    flat: np.ndarray
-    at: np.ndarray
-    sides: np.ndarray
-    rows: np.ndarray
-    rhs: np.ndarray
-
-
-def _slack_form(sides: _Sides, n: int, cfg: SolverConfig) -> _SlackLP:
+def _slack_form(sides: _Sides, n: int, cfg: SolverConfig) -> tuple:
     """The max-slack LP of the sides over n weights, in the simplex's form,
-    with its side rows set to base (lambda 0); _pose writes the rest.
+    with its side rows set to base (lambda 0), and the flat index in g of
+    each side's entry at its col item; _pose writes the rest.
 
     The LP is max t subject to rows_k @ w + t * scale_k <= 0 for every row,
     sum w = 1, w >= weight_floor. It is posed in v = w - weight_floor, which
@@ -185,61 +167,47 @@ def _slack_form(sides: _Sides, n: int, cfg: SolverConfig) -> _SlackLP:
     g[-1, :n] = 1.0  # the sum row
     h = np.zeros(n + k + 3)
     h[-1] = 1.0 - n * cfg.weight_floor
-    at = np.arange(n + 2, n + k + 2)
-    g[at, sides.row] = sides.sign
-    at *= n + 2
-    at += sides.col
-    flat = g.ravel()
-    flat[at] = sides.coef
-    rows = g[n + 2 : -1]
-    form = simplex._Form(c, g, h, n + k + 2)
-    return _SlackLP(form, flat, at, rows, rows[:, :n], h[n + 2 : -1])
+    rows = np.arange(n + 2, n + k + 2)
+    g[rows, sides.row] = sides.sign
+    at = rows * (n + 2) + sides.col
+    g.ravel()[at] = sides.coef
+    return simplex._Form(c, g, h, n + k + 2), at
 
 
-def _pose(
-    lp: _SlackLP, sides: _Sides, lam: float, scale, cfg: SolverConfig
-) -> None:
-    """Write the side rows at level lam, with their slack scale and their
-    right-hand sides, into the form, in place.
-
-    Only each row's entry at its col item depends on lam. A row holds that
-    entry, its sign and zeros, so its sum is the entry plus the sign, bit
-    for bit: the sum of any two floats and zeros rounds once.
-    """
-    entry = sides.slope * lam
-    entry += sides.coef
-    lp.flat[lp.at] = entry
-    np.multiply(np.add(entry, sides.sign, out=lp.rhs), -cfg.weight_floor, out=lp.rhs)
-    n = lp.rows.shape[1]
-    lp.sides[:, n] = scale
-    np.negative(lp.sides[:, n], out=lp.sides[:, n + 1])
+def _pose(form: simplex._Form, at, sides: _Sides, lam: float, scale, cfg) -> None:
+    """Write the side rows at level lam, their slack scale and right-hand
+    sides into the form, in place. A row holds its entry at col, its sign
+    and zeros, so its sum is entry + sign bit for bit (one rounding)."""
+    entry = sides.coef + sides.slope * lam
+    form.g.ravel()[at] = entry
+    n = form.c.size - 2
+    rhs, tp = form.h[n + 2 : -1], form.g[n + 2 : -1, n]
+    np.multiply(np.add(entry, sides.sign, out=rhs), -cfg.weight_floor, out=rhs)
+    tp[:] = scale
+    np.negative(tp, out=form.g[n + 2 : -1, n + 1])
 
 
 def _max_t(
     form: simplex._Form, cfg: SolverConfig, basis: simplex._Basis | None = None
 ) -> tuple[float, np.ndarray, simplex._Basis | None] | None:
     """Best slack t of the posed max-slack LP, its weight vector and the
-    final basis, or None when the rows with a zero scale cannot all hold.
-    `basis` is a starting basis, such as the final basis of the LP before,
-    and is updated in place."""
+    final basis, or None when the rows with a zero scale cannot all hold;
+    `basis`, such as the final basis of the LP before, is updated in place."""
     res, basis = simplex._solve(form, basis)
     if res.status == "infeasible":
         return None
     if res.status != "optimal":
         raise RuntimeError(f"max-slack subproblem unexpectedly {res.status}")
-    x = res.x
-    n = x.size - 2
-    tp, tn = x[n:].tolist()
-    w = x[:n] + cfg.weight_floor
+    tp, tn = res.x[-2:].tolist()
+    w = res.x[:-2] + cfg.weight_floor
     return tp - tn, w / w.sum(), basis
 
 
 def _unit_slack(sides: _Sides, n: int, lam: float, cfg: SolverConfig) -> tuple | None:
-    """_max_t for the sides at level lam with a unit scale, solved from the
-    slack basis."""
-    lp = _slack_form(sides, n, cfg)
-    _pose(lp, sides, lam, 1.0, cfg)
-    return _max_t(lp.form, cfg)
+    """_max_t for the sides at level lam, unit scale, from the slack basis."""
+    form, at = _slack_form(sides, n, cfg)
+    _pose(form, at, sides, lam, 1.0, cfg)
+    return _max_t(form, cfg)
 
 
 def _as_vector(matrix: ComparisonMatrix, w) -> np.ndarray:
@@ -263,11 +231,10 @@ def _as_vector(matrix: ComparisonMatrix, w) -> np.ndarray:
 
 class _Block(NamedTuple):
     """A comparison block's judgments as arrays, built once per solve_fpp,
-    feasible_at or lambda_at call. `slope` holds each judgment's rising
-    spread m - l in row 0 and its falling spread u - m in row 1. A hard
-    side (m == l or u == m) has a span of 1 and its bound in `floor`
-    or `ceiling` for _lowest_membership. Every array is contiguous: numpy
-    arithmetic on strided views costs about half again as much."""
+    feasible_at or lambda_at call; contiguous, as numpy is slower on strided
+    views. `slope` holds each rising spread m - l in row 0 and each falling
+    spread u - m in row 1. A hard side (m == l or u == m) has a span of 1
+    and its bound in `floor` or `ceiling` for _lowest_membership."""
 
     matrix: ComparisonMatrix
     row: np.ndarray  # item index of each judgment's row
@@ -288,13 +255,11 @@ class _Block(NamedTuple):
 def _block(matrix: ComparisonMatrix) -> _Block:
     """Build the block's arrays; the matrix was checked when it was built."""
     idx = {item: i for i, item in enumerate(matrix.items)}
-    judgments = matrix.judgments
-    row = np.array([idx[j.row] for j in judgments])
-    col = np.array([idx[j.col] for j in judgments])
+    row = np.array([idx[j.row] for j in matrix.judgments])
+    col = np.array([idx[j.col] for j in matrix.judgments])
+    tfns = [j.value for j in matrix.judgments]
     l, m, u = np.array(
-        [[j.value.l for j in judgments], [j.value.m for j in judgments],
-         [j.value.u for j in judgments]],
-        dtype=float,
+        [[v.l for v in tfns], [v.m for v in tfns], [v.u for v in tfns]], dtype=float
     )
     slope = np.array([m - l, u - m])
     hard_rise, hard_fall = slope == 0.0
@@ -308,14 +273,11 @@ def _block(matrix: ComparisonMatrix) -> _Block:
 
 def _sides(block: _Block) -> _Sides:
     """The block's sides, built only for a block that needs an LP."""
-    coef = np.empty((block.row.size, 2))
-    coef[:, 0] = block.l
-    np.negative(block.u, out=coef[:, 1])
-    sign = np.ones((block.row.size, 2))
-    sign[:, 0] = -1.0
+    sign = np.ones(2 * block.row.size)
+    sign[::2] = -1.0
+    coef = np.array([block.l, -block.u]).T.ravel()
     return _Sides(
-        block.row.repeat(2), block.col.repeat(2), coef.ravel(), sign.ravel(),
-        block.slope.T.ravel(),
+        block.row.repeat(2), block.col.repeat(2), coef, sign, block.slope.T.ravel()
     )
 
 
@@ -323,10 +285,8 @@ def _lowest_membership(block: _Block, vec: np.ndarray) -> float:
     """min(1, the lowest fuzzy.membership any judgment assigns to the ratio
     vec[row] / vec[col]), bit for bit: the same arithmetic, on arrays."""
     ratio = vec[block.row] / vec[block.col]
-    rising = ratio - block.l
-    rising /= block.rise_span
-    falling = block.u - ratio
-    falling /= block.fall_span
+    rising = (ratio - block.l) / block.rise_span
+    falling = (block.u - ratio) / block.fall_span
     if block.hard_rise.size:
         rising[block.hard_rise] = np.where(
             ratio[block.hard_rise] >= block.floor, np.inf, -np.inf
@@ -447,22 +407,22 @@ def _least_squares_start(
     return w, _lowest_membership(block, w)
 
 
-def _crash_basis(lp: _SlackLP, sides: _Sides, w: np.ndarray) -> simplex._Basis | None:
+def _crash_basis(form: simplex._Form, sides: _Sides, w) -> simplex._Basis | None:
     """A starting basis for the block's first Dinkelbach LP, from w, or None
-    when the soft sides do not span the items; lp's side rows must still be
-    base (lambda 0). The weights and t are basic and n soft
-    sides are tight (the sides that bind at a vertex near w); every other
-    row's slack is basic.
+    when the soft sides do not span the items; the form's side rows must
+    still be base (lambda 0). The weights and t are basic and n soft sides are tight
+    (the sides that bind at a vertex near w); every other row's slack is
+    basic.
 
     The tight sides are picked in ascending membership at w, the way
     Kruskal's algorithm picks a spanning tree: a side is taken while it
     joins two components of the item graph, until n - 1 of them span the
     items, and then the lowest side that closes a cycle. Tight sides picked
     by membership alone could make the working set singular."""
-    k, n = lp.rows.shape
+    k, n = sides.row.size, w.size
     denom = sides.slope * w[sides.col]  # spread @ w, bit for bit (one term)
     soft = (denom > 0).nonzero()[0]
-    member = (-(lp.rows[soft].dot(w)) / denom[soft]).tolist()
+    member = (-(form.g[n + 2 + soft, :n].dot(w)) / denom[soft]).tolist()
     soft, row, col = soft.tolist(), sides.row.tolist(), sides.col.tolist()
     group = list(range(n))  # union-find forest over the items
 
@@ -488,7 +448,7 @@ def _crash_basis(lp: _SlackLP, sides: _Sides, w: np.ndarray) -> simplex._Basis |
     basic = np.ones(n + 2 + k, dtype=bool)
     basic[n + 1] = False  # tn
     basic[[n + 2 + side for side in tree + [cycle]]] = False
-    return simplex._basis(lp.form, basic)
+    return simplex._basis(form, basic)
 
 
 def solve_fpp(
@@ -523,14 +483,14 @@ def solve_fpp(
         if step is None or step[0] < -_SLACK_FEAS_TOL:
             _raise_conflict(matrix, sides, cfg)
         return _result(matrix, step[1], cap, 1, True, step[0])
-    lp = _slack_form(sides, n, cfg)
-    basis, probes = _crash_basis(lp, sides, w), 0
+    form, at = _slack_form(sides, n, cfg)
+    basis, probes = _crash_basis(form, sides, w), 0
     while True:
         # max t s.t. N_i(w) - lam * D_i(w) >= t * D_i(w_k) on every soft side,
         # at lambda_cap while w misses a hard side
         missed = lam == -math.inf
-        _pose(lp, sides, cap if missed else lam, sides.slope * w[sides.col], cfg)
-        step = _max_t(lp.form, cfg, basis)
+        _pose(form, at, sides, cap if missed else lam, sides.slope * w[sides.col], cfg)
+        step = _max_t(form, cfg, basis)
         if step is None:
             # The first LP is the hard sides' verdict; after that they have
             # held once, so only round-off.

@@ -608,18 +608,20 @@ def test_side_rows_match_the_loop(rng):
         base, spread, hard_sides = _sides_loop(matrix)
         assert np.array_equal(sides.slope == 0.0, hard_sides)
         assert all(np.array_equal(a, b) for a, b in zip(_dense(sides, n), (base, spread)))
-        lp = solver._slack_form(sides, n, cfg)
-        assert lp.rows.tobytes() == np.ascontiguousarray(base).tobytes()
+        form, at = solver._slack_form(sides, n, cfg)
+        posed = form.g[n + 2 : -1]
+        assert posed[:, :n].tobytes() == base.tobytes()
         w = rng.dirichlet(np.ones(n))
         scale = sides.slope * w[sides.col]
         assert scale.tobytes() == spread.dot(w).tobytes()
         for lam in (1.0, 0.37, -2.5, -1e3):
-            solver._pose(lp, sides, lam, scale, cfg)
+            solver._pose(form, at, sides, lam, scale, cfg)
             rows = base + lam * spread
-            assert lp.rows.tobytes() == rows.tobytes()
-            assert lp.rhs.tobytes() == (-cfg.weight_floor * rows.sum(axis=1)).tobytes()
-            assert lp.sides[:, n].tobytes() == scale.tobytes()
-            assert lp.sides[:, n + 1].tobytes() == (-scale).tobytes()
+            assert posed[:, :n].tobytes() == rows.tobytes()
+            rhs = form.h[n + 2 : -1]
+            assert rhs.tobytes() == (-cfg.weight_floor * rows.sum(axis=1)).tobytes()
+            assert posed[:, n].tobytes() == scale.tobytes()
+            assert posed[:, n + 1].tobytes() == (-scale).tobytes()
         hard += hard_sides.sum()
     assert hard >= 50
 

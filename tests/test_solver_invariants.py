@@ -179,10 +179,11 @@ def test_max_slack_reports_the_unshifted_slack():
             (cfg.lambda_cap, np.ones(sides.row.size)),
             (res.lambda_, sides.slope * w[sides.col]),
         ):
-            lp = solver._slack_form(sides, len(block.items), cfg)
-            solver._pose(lp, sides, lam, scale, cfg)
-            t, _, _ = solver._max_t(lp.form, cfg)
-            assert abs(t - _highs_slack(lp.rows.copy(), scale)) <= 1e-9
+            n = len(block.items)
+            form, at = solver._slack_form(sides, n, cfg)
+            solver._pose(form, at, sides, lam, scale, cfg)
+            t, _, _ = solver._max_t(form, cfg)
+            assert abs(t - _highs_slack(form.g[n + 2 : -1, :n], scale)) <= 1e-9
 
 
 def test_block_below_minus_ten_without_hard_sides_solves():
@@ -275,7 +276,8 @@ def test_infeasible_verdicts_agree_with_highs():
     infeasible = 0
     for block in blocks:
         sides = solver._sides(solver._block(block))
-        base = solver._slack_form(sides, len(block.items), solver.SolverConfig()).rows
+        n = len(block.items)
+        base = solver._slack_form(sides, n, solver.SolverConfig())[0].g[n + 2 : -1, :n]
         hard = sides.slope == 0.0
         expected = hard.any() and _highs_slack(base[hard], np.ones(hard.sum())) < 0.0
         try:
@@ -309,7 +311,8 @@ def test_conflict_names_an_irreducible_set_in_either_order():
             solve_fpp(_permuted(block, perm))
         assert moved.value.pairs == tuple((relabel[r], relabel[c]) for r, c in conflict)
         arrays = solver._sides(solver._block(block))
-        base = solver._slack_form(arrays, len(block.items), solver.SolverConfig()).rows
+        n = len(block.items)
+        base = solver._slack_form(arrays, n, solver.SolverConfig())[0].g[n + 2 : -1, :n]
         pairs = [(j.row, j.col) for j in block.judgments for _ in range(2)]
         hard = (arrays.slope == 0.0).nonzero()[0]
         sides = [k for k in hard if pairs[k] in conflict]
