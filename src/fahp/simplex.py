@@ -100,6 +100,10 @@ _HINT_PIVOTS = 2
 # refines a solution that must then meet the rows.
 _START_INV_TOL = 1e-8
 _FINAL_INV_TOL = 1e-3
+# A primal pivot's entries read off the leaving row and the entering column
+# differ by at most 2.4e-14 (relative) over the gates' 88,429 primal pivots;
+# past this gap, the updated inverse has drifted and is taken afresh.
+_DRIFT_TOL = 1e-9
 
 
 class LPResult(NamedTuple):
@@ -234,7 +238,7 @@ def _reoptimise(form: _Form, basis: _Basis, limit: int) -> LPResult | None:
     if inv is None:
         return None
     g_cols, h_cols = g[:ncols], h[:ncols]
-    cost, pivots = c, 0
+    cost, pivots, fresh = c, 0, True
     while True:
         x = inv.dot(rhs)
         values = h_cols - g_cols.dot(x)
@@ -271,31 +275,37 @@ def _reoptimise(form: _Form, basis: _Basis, limit: int) -> LPResult | None:
                 row = _ratio_test(alpha.tolist(), gaps, rows, None, bland)
                 if row >= 0:
                     if bland or alpha[row] >= _SMALL_PIVOT:
-                        step = row, p
+                        step = row, p, alpha[row]
                         break
-                    small = small or (row, p)
+                    small = small or (row, p, alpha[row])
                 elif costs[p] > _UNBOUNDED_TOL:
                     return LPResult("unbounded", None, None, pivots)
                 # else: cost is float dust; treat the column as non-improving
             step = step or small
             if step is None:
                 break
-            leave, p = step
-            u = g[leave].dot(inv)
-            if not u[p] < 0.0:  # u[p] = -alpha[leave] in exact arithmetic
+            leave, p, entry = step
+            u = g[leave].dot(inv)  # u[p] = -entry in exact arithmetic
+            if not fresh and abs(u[p] + entry) > _DRIFT_TOL * entry:
+                inv, fresh = _inverse(mat, _START_INV_TOL), True  # the updates drifted
+                if inv is None:
+                    return None
+                continue
+            if not u[p] < 0.0:
                 return None
         if pivots == limit:
             raise RuntimeError("simplex iteration limit exceeded")
         col = inv[:, p] / u[p]
         inv -= col[:, None] * u
         inv[:, p] = col
+        fresh = False
         enter = work[p]
         basic[enter], basic[leave] = True, False
         hide[enter], hide[leave] = 0.0, np.inf
         work[p], mat[p], rhs[p] = leave, g[leave], h[leave]
         pivots += 1
         if bland:  # Bland's rule ignores pivot sizes: invert afresh
-            inv = _inverse(mat, _FINAL_INV_TOL)
+            inv, fresh = _inverse(mat, _FINAL_INV_TOL), True
             if inv is None:
                 return None
 

@@ -648,3 +648,28 @@ def test_hint_whose_inverse_loses_its_accuracy_gives_the_cold_result():
     cold = _solve(*args)
     assert cold[0].status == "optimal"
     assert _same(_solve(*args, hint=lp["basis"]), cold)
+
+
+def test_drifted_inverse_is_taken_afresh(monkeypatch):
+    # lost_inverse from its hint: a dual pivot on an entry of 3.9e-10 leaves
+    # the working set singular to round-off (condition number about 1e22),
+    # and the updated inverse grows to 1.7e21. At the first primal pivot the
+    # entry read off the leaving row (0) and the one the entering column
+    # gave (0.99) disagree past _DRIFT_TOL, so the inverse is taken afresh;
+    # that working set cannot be inverted, so the hint is given up there.
+    # Before the check, the drifted inverse was used until a pivot entry had
+    # the wrong sign, and _inverse ran once.
+    lp = json.loads(ROUNDOFF_LPS.read_text())["lost_inverse"]
+    form = _form(*_arrays(*(lp[key] for key in ("c", "a_ub", "b_ub", "a_eq", "b_eq"))))
+    inverse, taken = simplex._inverse, []
+
+    def spied(mat, tol):
+        inv = inverse(mat, tol)
+        taken.append(None if inv is None else float(np.abs(inv).max()))
+        return inv
+
+    monkeypatch.setattr(simplex, "_inverse", spied)
+    limit = simplex._HINT_PIVOTS * form.h.size
+    assert simplex._reoptimise(form, _basis(form, lp["basis"]), limit) is None
+    assert len(taken) == 2 and taken[0] < 1e6 and taken[1] is None
+    assert np.linalg.cond(form.g[_basis(form, lp["basis"]).work]) < 1e9
