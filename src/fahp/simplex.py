@@ -100,9 +100,8 @@ _HINT_PIVOTS = 2
 # refines a solution that must then meet the rows.
 _START_INV_TOL = 1e-8
 _FINAL_INV_TOL = 1e-3
-# A primal pivot's entries read off the leaving row and the entering column
-# differ by at most 2.4e-14 (relative) over the gates' 88,429 primal pivots;
-# past this gap, the updated inverse has drifted and is taken afresh.
+# Past this relative gap between a primal pivot's entries read off the row and
+# the column (2.4e-14 at most over the gates), the inverse is taken afresh.
 _DRIFT_TOL = 1e-9
 
 
@@ -190,11 +189,10 @@ class _Form(NamedTuple):
 
 
 class _Basis(NamedTuple):
-    """A basis of a form: `basic` flags its columns, `work` lists its working
-    set (the nonbasic columns in ascending order, then the equality rows) so
-    that B = g[work], and `hide` is inf at the nonbasic columns to keep
-    them out of the tests. A solve updates all three in place and hands
-    back the basis _basis would build from its final mask."""
+    """A basis: `basic` flags its columns, `work` lists its working set (the
+    nonbasic columns ascending, then the equality rows; B = g[work]), `hide`
+    is inf at the nonbasic columns to keep them out of the tests. A solve
+    updates it in place into what _basis builds from the final mask."""
 
     basic: np.ndarray
     work: np.ndarray
@@ -213,13 +211,13 @@ def _basis(form: _Form, basic: np.ndarray) -> _Basis:
 def _reoptimise(form: _Form, basis: _Basis, limit: int) -> LPResult | None:
     """Solve the LP of `form` from `basis` in at most `limit` pivots:
     "optimal", "infeasible" or "unbounded", or None when the start's working
-    set is singular, when a primal pivot's entry read off the leaving row
-    does not have the sign its column gave (the inverse has lost its
-    accuracy), or when no solution that meets the rows can be read off the
-    final working set. `basis` is updated in place and ends as the final
-    basis. Raises RuntimeError past the limit. Past _HINT_PIVOTS pivots per
-    row and column, which only a solve from the slack basis reaches, every
-    pivot follows Bland's rule.
+    set is singular, when a primal pivot's entries read off the leaving row
+    and the entering column disagree (the updated inverse has drifted) and
+    the working set cannot be inverted afresh, or disagree in sign on a
+    fresh inverse, or when no solution that meets the rows can be read off
+    the final working set. `basis` is updated in place. Raises RuntimeError
+    past the limit. Past _HINT_PIVOTS pivots per row and column, which only
+    a solve from the slack basis reaches, every pivot follows Bland's rule.
 
     The working set's rows are read from the form afresh, as its
     coefficients may change between solves. B = g[work], `inv` = B^-1.

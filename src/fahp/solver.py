@@ -138,8 +138,7 @@ class _Sides(NamedTuple):
     falling side 2i + 1. Side s holds at level lambda when (base_s + lambda
     * spread_s) @ w <= 0; spread_s @ w is its denominator D_s(w). base_s is
     coef[s] at item col[s] and sign[s] at item row[s] (l and -1 rising, -u
-    and 1 falling), spread_s is slope[s] (m - l, u - m; 0 if hard) at col[s].
-    """
+    and 1 falling), spread_s is slope[s] (m - l, u - m; 0 if hard) at col[s]."""
 
     row: np.ndarray
     col: np.ndarray
@@ -149,9 +148,8 @@ class _Sides(NamedTuple):
 
 
 def _slack_form(sides: _Sides, n: int, cfg: SolverConfig) -> tuple:
-    """The max-slack LP of the sides over n weights, in the simplex's form,
-    with its side rows set to base (lambda 0), and the flat index in g of
-    each side's entry at its col item; _pose writes the rest.
+    """The max-slack LP of the sides over n weights in the simplex's form,
+    side rows at base (lambda 0), and the flat index in g of each col entry.
 
     The LP is max t subject to rows_k @ w + t * scale_k <= 0 for every row,
     sum w = 1, w >= weight_floor. It is posed in v = w - weight_floor, which
@@ -275,10 +273,8 @@ def _sides(block: _Block) -> _Sides:
     """The block's sides, built only for a block that needs an LP."""
     sign = np.ones(2 * block.row.size)
     sign[::2] = -1.0
-    coef = np.array([block.l, -block.u]).T.ravel()
-    return _Sides(
-        block.row.repeat(2), block.col.repeat(2), coef, sign, block.slope.T.ravel()
-    )
+    coef, slope = np.array([block.l, -block.u]).T.ravel(), block.slope.T.ravel()
+    return _Sides(block.row.repeat(2), block.col.repeat(2), coef, sign, slope)
 
 
 def _lowest_membership(block: _Block, vec: np.ndarray) -> float:
@@ -353,14 +349,13 @@ def _raise_conflict(matrix: ComparisonMatrix, sides: _Sides, cfg: SolverConfig) 
     slack with a unit scale is below -_SLACK_FEAS_TOL. The verdicts do not
     depend on the order of the items, so neither do the named pairs.
     """
-    n = len(matrix.items)
     keep = (sides.slope == 0.0).nonzero()[0].tolist()
     for side in list(keep):
         rest = [k for k in keep if k != side]
         if not rest:
             continue
         subset = _Sides(*(a[rest] for a in sides))
-        if _unit_slack(subset, n, 0.0, cfg)[0] < -_SLACK_FEAS_TOL:
+        if _unit_slack(subset, len(matrix.items), 0.0, cfg)[0] < -_SLACK_FEAS_TOL:
             keep = rest
     judged = (matrix.judgments[side // 2] for side in keep)
     conflict = list(dict.fromkeys((j.row, j.col) for j in judged))
