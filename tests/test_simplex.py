@@ -656,9 +656,8 @@ def test_drifted_inverse_is_taken_afresh(monkeypatch):
     # and the updated inverse grows to 1.7e21. At the first primal pivot the
     # entry read off the leaving row (0) and the one the entering column
     # gave (0.99) disagree past _DRIFT_TOL, so the inverse is taken afresh;
-    # that working set cannot be inverted, so the hint is given up there.
-    # Before the check, the drifted inverse was used until a pivot entry had
-    # the wrong sign, and _inverse ran once.
+    # that working set cannot be inverted, so the hint is given up there:
+    # _inverse runs twice, and the second time finds no inverse.
     lp = json.loads(ROUNDOFF_LPS.read_text())["lost_inverse"]
     form = _form(*_arrays(*(lp[key] for key in ("c", "a_ub", "b_ub", "a_eq", "b_eq"))))
     inverse, taken = simplex._inverse, []
