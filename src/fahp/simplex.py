@@ -12,15 +12,15 @@ B^-1 B is within 1e-8 of the identity. B^-1 gives the vertex x = B^-1 b_W,
 the slack h - G x of every constraint (the basic values) and the reduced
 costs d = -c B^-1 of the nonbasic columns, which are the LP's duals. A
 pivot swaps one row of B for another and updates B^-1 by one rank-1
-(Sherman-Morrison) step. The nonbasic columns stay the first positions of
-the working set, since a pivot puts the column that leaves where the one
-that enters was.
+(Sherman-Morrison) step, or inverts B afresh once a primal pivot's entry
+read off its row disagrees with the one from its column. The nonbasic
+columns stay the first positions of the working set, since a pivot puts
+the column that leaves where the one that enters was.
 
 The arrays are small (tens of rows), so an LP's time is mostly the fixed
 cost of each numpy call, not arithmetic. The loop's products on contiguous
 arrays are `ndarray.dot` calls, which reach the same BLAS routine as `@`
-without its gufunc dispatch, so the results are the same bit for bit; the
-final check of the rows is one residual and one maximum.
+without its gufunc dispatch, so the results are the same bit for bit.
 
 One loop re-optimises from any basis. While a basic value is below
 -_FEAS_TOL it takes a dual pivot (Lemke 1954) on the most negative one;
