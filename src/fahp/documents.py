@@ -341,14 +341,42 @@ def _object(value: Any) -> dict[str, Any]:
     return value
 
 
+def _kind(name: str, test: Callable[[Any], bool]) -> Callable[[Any], Any]:
+    """A converter that passes a JSON value of one kind through unchanged
+    and rejects any other, so that "false" is not read as true, 2.7 as 2 or
+    "2" as 2."""
+
+    def check(value: Any) -> Any:
+        if not test(value):
+            raise TypeError(f"{value!r} is not {name}")
+        return value
+
+    return check
+
+
+_boolean = _kind("true or false", lambda v: isinstance(v, bool))
+_integer = _kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_string = _kind("a string", lambda v: isinstance(v, str))
+_numeric = _kind(
+    "a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+)
+
+
+def _number(value: Any) -> float:
+    return float(_numeric(value))
+
+
 def _floats(value: Any) -> dict[str, float]:
-    return {k: float(v) for k, v in _object(value).items()}
+    return {k: _number(v) for k, v in _object(value).items()}
 
 
 def parse_results(text: str, source: str = "results") -> ResultsDocument:
     """Parse a results document; inverse of serialize_results.
 
-    An error names the block or ranking row and the key that is wrong.
+    Every field must have the JSON type serialize_results writes: true or
+    false, an integer (not a boolean), a number (not a boolean or a string;
+    a block's slack may be null) or a string. An error names the block or
+    ranking row and the key that is wrong.
     """
     data = _decode(text, source)
     where = f"{source}: malformed results document"
@@ -357,30 +385,34 @@ def parse_results(text: str, source: str = "results") -> ResultsDocument:
         at = f"{where}: block {block!r}"
         blocks[block] = SolveResult(
             weights=_field(raw, "weights", _floats, at),
-            lambda_=_field(raw, "lambda", float, at),
-            consistent=_field(raw, "consistent", bool, at),
-            iterations=_field(raw, "iterations", int, at),
-            clamped=_field(raw, "clamped", bool, at),
-            slack=_field(raw, "slack", lambda v: None if v is None else float(v), at),
+            lambda_=_field(raw, "lambda", _number, at),
+            consistent=_field(raw, "consistent", _boolean, at),
+            iterations=_field(raw, "iterations", _integer, at),
+            clamped=_field(raw, "clamped", _boolean, at),
+            slack=_field(raw, "slack", lambda v: None if v is None else _number(v), at),
         )
     rows = []
     for i, raw in enumerate(_field(data, "ranking", list, where), start=1):
         at = f"{where}: ranking row {i}"
         rows.append(
             RankingRow(
-                leaf=_field(raw, "leaf", str, at),
-                category=_field(raw, "category", str, at),
-                category_weight=_field(raw, "category_weight", float, at),
-                local_weight=_field(raw, "local_weight", float, at),
-                global_weight=_field(raw, "global_weight", float, at),
-                rank=_field(raw, "rank", int, at),
+                leaf=_field(raw, "leaf", _string, at),
+                category=_field(raw, "category", _string, at),
+                category_weight=_field(raw, "category_weight", _number, at),
+                local_weight=_field(raw, "local_weight", _number, at),
+                global_weight=_field(raw, "global_weight", _number, at),
+                rank=_field(raw, "rank", _integer, at),
             )
         )
     return ResultsDocument(
-        study=_field(data, "study", str, where),
-        tool_version=_field(data, "tool_version", str, where),
+        study=_field(data, "study", _string, where),
+        tool_version=_field(data, "tool_version", _string, where),
         config=_field(data, "config", lambda v: SolverConfig(**_floats(v)), where),
-        generated_at=data.get("generated_at"),
+        generated_at=(
+            _field(data, "generated_at", _string, where)
+            if "generated_at" in data
+            else None
+        ),
         blocks=blocks,
         ranking=GlobalRanking(rows=tuple(rows)),
     )

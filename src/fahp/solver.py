@@ -22,16 +22,22 @@ clamped; consistent modes are clamped without an LP. Where the start misses
 a hard side, its lambda is -inf and the first LP is posed at lambda_cap
 instead; its solution is the first iterate. The first LP is also the
 verdict on the hard sides: it is infeasible when they conflict.
-Consecutive LPs of a block differ only in their coefficients. Its LP is
-built once, after the clamp check, in the simplex's form (_slack_form);
-each side row holds base at lambda 0, and a step (_pose) rewrites only the
-one entry per row that depends on lambda, the slack scale and the
-right-hand sides. The step re-solves from the LP before's final basis,
-working set and all: the simplex inverts that set, an (n + 2)-square
-matrix, returns without a pivot when the basis is still optimal, and
-otherwise re-optimises from it. Each result is bit for bit that of the
-same LP posed in a fresh form from the same basis. A block whose every
-side is hard has no denominators: one LP with a unit scale decides it.
+A block is read once into one side table (_Block): judgment i's rising
+side is side 2i and its falling side 2i + 1, each with its items, base
+coefficient, sign and slope. Every membership the solver takes (lambda_at,
+the start's and each iterate's lambda, the crash basis's ranking) comes
+from one rule on that table (_memberships), bit for bit fuzzy.membership,
+and the LP's side rows are written from the same arrays. Consecutive LPs
+of a block differ only in their coefficients. Its LP is built once, after
+the clamp check, in the simplex's form (_slack_form, at level 0 with a
+unit scale), and a step (_pose) rewrites only the one entry per row that
+depends on lambda, the slack scale and the right-hand sides. The step
+re-solves from the LP before's final basis, working set and all: the
+simplex inverts that set, an (n + 2)-square matrix, returns without a pivot
+when the basis is still optimal, and otherwise re-optimises from it. Each
+result is bit for bit that of the same LP posed in a fresh form from the
+same basis. A block whose every side is hard has no denominators: one LP
+with a unit scale decides it.
 A side with zero spread (m == l or u == m) is a hard bound on the ratio, a
 constraint that does not depend on lambda. The reported lambda is
 lambda_at(weights); lambda >= 0 certifies that some weight vector lies
@@ -133,54 +139,120 @@ def _check_floor(matrix: ComparisonMatrix, config: SolverConfig) -> None:
         )
 
 
-class _Sides(NamedTuple):
-    """A block's judgment sides: judgment i's rising side is side 2i, its
-    falling side 2i + 1. Side s holds at level lambda when (base_s + lambda
-    * spread_s) @ w <= 0; spread_s @ w is its denominator D_s(w). base_s is
-    coef[s] at item col[s] and sign[s] at item row[s] (l and -1 rising, -u
-    and 1 falling), spread_s is slope[s] (m - l, u - m; 0 if hard) at col[s]."""
+class _Block(NamedTuple):
+    """A comparison block's judgment sides, built once per solve_fpp,
+    feasible_at or lambda_at call: the solver's one array form of a block.
 
-    row: np.ndarray
+    Judgment i's rising side is side 2i and its falling side 2i + 1. Side s
+    holds at level lambda when (coef[s] + lambda * slope[s]) * w[col[s]] +
+    sign[s] * w[row[s]] <= 0, with coef, sign and slope l, -1 and m - l on
+    the rising side and -u, 1 and u - m on the falling one. A side with zero
+    slope (m == l or u == m) is hard: it bounds the ratio whatever lambda.
+    _memberships grades every side from these arrays alone."""
+
+    matrix: ComparisonMatrix
+    row: np.ndarray  # item index of each side's row
     col: np.ndarray
     coef: np.ndarray
     sign: np.ndarray
     slope: np.ndarray
+    hard: np.ndarray  # indices of the hard sides
+    bound: np.ndarray  # l * (1 - tol) or -u * (1 + tol) of each hard side
+    m: np.ndarray  # each judgment's mode
+    crisp: np.ndarray  # indices of the judgments with l == u
 
 
-def _slack_form(sides: _Sides, n: int, cfg: SolverConfig) -> tuple:
-    """The max-slack LP of the sides over n weights in the simplex's form,
-    side rows at base (lambda 0), and the flat index in g of each col entry.
+def _block(matrix: ComparisonMatrix) -> _Block:
+    """Build the block's side table; the matrix was checked when it was
+    built. Its arrays are contiguous, as numpy is slower on strided views."""
+    idx = {item: i for i, item in enumerate(matrix.items)}
+    row = np.array([idx[j.row] for j in matrix.judgments]).repeat(2)
+    col = np.array([idx[j.col] for j in matrix.judgments]).repeat(2)
+    tfns = [j.value for j in matrix.judgments]
+    l, m, u = np.array(
+        [[v.l for v in tfns], [v.m for v in tfns], [v.u for v in tfns]], dtype=float
+    )
+    coef = np.array([l, -u]).T.ravel()
+    sign = np.ones(coef.size)
+    sign[::2] = -1.0
+    slope = np.array([m - l, u - m]).T.ravel()
+    hard = (slope == 0.0).nonzero()[0]
+    # l * (1 - tol) rising and -(u * (1 + tol)) falling, bit for bit
+    bound = coef[hard] * (1.0 + sign[hard] * _CRISP_REL_TOL)
+    crisp = (l == u).nonzero()[0]
+    return _Block(matrix, row, col, coef, sign, slope, hard, bound, m, crisp)
+
+
+def _memberships(block: _Block, vec: np.ndarray) -> np.ndarray:
+    """fuzzy.membership of each side at the ratio vec[row] / vec[col], bit
+    for bit: (-sign * ratio - coef) / slope on a soft side (ratio - l or
+    u - ratio over the spread, the same roundings); on a hard side inf where
+    sign * ratio + bound <= 0 (ratio >= l * (1 - tol) or ratio <= u * (1 +
+    tol), exactly) and -inf elsewhere; and on both sides of a crisp judgment
+    1 or -inf, as the ratio is close to m or not."""
+    hard, crisp = block.hard, block.crisp
+    ratio = vec[block.row] / vec[block.col]
+    lean = block.sign * ratio
+    value = -lean - block.coef
+    if hard.size:
+        # inf or -inf: over the hard side's +0 slope they stay themselves,
+        # and inf / 0 raises no floating-point warning as finite / 0 would
+        value[hard] = np.where(lean[hard] + block.bound <= 0.0, np.inf, -np.inf)
+    value /= block.slope
+    if crisp.size:
+        # math.isclose(ratio, m, rel_tol=_CRISP_REL_TOL), for finite ratios
+        at, mode = ratio[2 * crisp], block.m[crisp]
+        hit = np.abs(at - mode) <= _CRISP_REL_TOL * np.maximum(at, mode)
+        hit &= at < np.inf
+        value.reshape(-1, 2)[crisp] = np.where(hit, 1.0, -np.inf)[:, None]
+    return value
+
+
+def _lowest_membership(block: _Block, vec: np.ndarray) -> float:
+    """min(1, the lowest fuzzy.membership any judgment assigns to the ratio
+    vec[row] / vec[col]), bit for bit."""
+    return min(float(_memberships(block, vec).min()), 1.0)
+
+
+def _slack_form(block: _Block, sides, cfg: SolverConfig) -> tuple:
+    """The max-slack LP of the block's sides `sides` (side indices or a
+    slice) over its weights in the simplex's form, posed at level 0 with a
+    unit scale, and the flat index in g of each side row's col entry.
 
     The LP is max t subject to rows_k @ w + t * scale_k <= 0 for every row,
     sum w = 1, w >= weight_floor. It is posed in v = w - weight_floor, which
     leaves the right-hand side -weight_floor * rows_k.sum() on each row, and
     t = tp - tn split into nonnegatives: columns v, then tp and tn. With a
-    unit scale t >= 0 exactly when every row can hold.
+    unit scale t >= 0 exactly when every row can hold. Side s's row holds
+    coef[s] + lambda * slope[s] at item col[s] and sign[s] at item row[s],
+    so its sum is that entry + sign[s] bit for bit (one rounding).
     """
-    k = sides.row.size
+    n, coef, sign = len(block.matrix.items), block.coef[sides], block.sign[sides]
+    k = coef.size
     c = np.zeros(n + 2)
     c[n], c[n + 1] = -1.0, 1.0
     g = np.zeros((n + k + 3, n + 2))
     g[: n + 2].flat[:: n + 3] = -1.0  # v >= 0, tp >= 0, tn >= 0
     g[-1, :n] = 1.0  # the sum row
+    g[n + 2 : -1, n], g[n + 2 : -1, n + 1] = 1.0, -1.0  # the unit scale
     h = np.zeros(n + k + 3)
     h[-1] = 1.0 - n * cfg.weight_floor
+    np.multiply(coef + sign, -cfg.weight_floor, out=h[n + 2 : -1])
     rows = np.arange(n + 2, n + k + 2)
-    g[rows, sides.row] = sides.sign
-    at = rows * (n + 2) + sides.col
-    g.ravel()[at] = sides.coef
+    g[rows, block.row[sides]] = sign
+    at = rows * (n + 2) + block.col[sides]
+    g.ravel()[at] = coef
     return simplex._Form(c, g, h, n + k + 2), at
 
 
-def _pose(form: simplex._Form, at, sides: _Sides, lam: float, scale, cfg) -> None:
-    """Write the side rows at level lam, their slack scale and right-hand
-    sides into the form, in place. A row holds its entry at col, its sign
-    and zeros, so its sum is entry + sign bit for bit (one rounding)."""
-    entry = sides.coef + sides.slope * lam
+def _pose(form: simplex._Form, at, block: _Block, lam: float, scale, cfg) -> None:
+    """Write every side row of the block's form at level lam, its slack
+    scale and right-hand side, in place."""
+    entry = block.coef + block.slope * lam
     form.g.ravel()[at] = entry
     n = form.c.size - 2
     rhs, tp = form.h[n + 2 : -1], form.g[n + 2 : -1, n]
-    np.multiply(np.add(entry, sides.sign, out=rhs), -cfg.weight_floor, out=rhs)
+    np.multiply(np.add(entry, block.sign, out=rhs), -cfg.weight_floor, out=rhs)
     tp[:] = scale
     np.negative(tp, out=form.g[n + 2 : -1, n + 1])
 
@@ -201,11 +273,10 @@ def _max_t(
     return tp - tn, w / w.sum(), basis
 
 
-def _unit_slack(sides: _Sides, n: int, lam: float, cfg: SolverConfig) -> tuple | None:
-    """_max_t for the sides at level lam, unit scale, from the slack basis."""
-    form, at = _slack_form(sides, n, cfg)
-    _pose(form, at, sides, lam, 1.0, cfg)
-    return _max_t(form, cfg)
+def _unit_slack(block: _Block, sides, cfg: SolverConfig) -> tuple | None:
+    """_max_t for the block's sides `sides` at level 0, unit scale, from the
+    slack basis."""
+    return _max_t(_slack_form(block, sides, cfg)[0], cfg)
 
 
 def _as_vector(matrix: ComparisonMatrix, w) -> np.ndarray:
@@ -225,79 +296,6 @@ def _as_vector(matrix: ComparisonMatrix, w) -> np.ndarray:
     if abs(vec.sum() - 1.0) > 1e-6:
         raise ValueError(f"weights must sum to 1, got {vec.sum()!r}")
     return vec
-
-
-class _Block(NamedTuple):
-    """A comparison block's judgments as arrays, built once per solve_fpp,
-    feasible_at or lambda_at call; contiguous, as numpy is slower on strided
-    views. `slope` holds each rising spread m - l in row 0 and each falling
-    spread u - m in row 1. A hard side (m == l or u == m) has a span of 1
-    and its bound in `floor` or `ceiling` for _lowest_membership."""
-
-    matrix: ComparisonMatrix
-    row: np.ndarray  # item index of each judgment's row
-    col: np.ndarray
-    l: np.ndarray
-    m: np.ndarray
-    u: np.ndarray
-    slope: np.ndarray
-    rise_span: np.ndarray  # m - l
-    fall_span: np.ndarray  # u - m
-    hard_rise: np.ndarray  # indices of the judgments with m == l
-    floor: np.ndarray  # l * (1 - tol) of those
-    hard_fall: np.ndarray  # indices of the judgments with u == m
-    ceiling: np.ndarray  # u * (1 + tol) of those
-    crisp: np.ndarray  # indices of the judgments with l == u
-
-
-def _block(matrix: ComparisonMatrix) -> _Block:
-    """Build the block's arrays; the matrix was checked when it was built."""
-    idx = {item: i for i, item in enumerate(matrix.items)}
-    row = np.array([idx[j.row] for j in matrix.judgments])
-    col = np.array([idx[j.col] for j in matrix.judgments])
-    tfns = [j.value for j in matrix.judgments]
-    l, m, u = np.array(
-        [[v.l for v in tfns], [v.m for v in tfns], [v.u for v in tfns]], dtype=float
-    )
-    slope = np.array([m - l, u - m])
-    hard_rise, hard_fall = slope == 0.0
-    return _Block(
-        matrix, row, col, l, m, u, slope, *np.where(slope > 0.0, slope, 1.0),
-        hard_rise.nonzero()[0], l[hard_rise] * (1 - _CRISP_REL_TOL),
-        hard_fall.nonzero()[0], u[hard_fall] * (1 + _CRISP_REL_TOL),
-        (l == u).nonzero()[0],
-    )
-
-
-def _sides(block: _Block) -> _Sides:
-    """The block's sides, built only for a block that needs an LP."""
-    sign = np.ones(2 * block.row.size)
-    sign[::2] = -1.0
-    coef, slope = np.array([block.l, -block.u]).T.ravel(), block.slope.T.ravel()
-    return _Sides(block.row.repeat(2), block.col.repeat(2), coef, sign, slope)
-
-
-def _lowest_membership(block: _Block, vec: np.ndarray) -> float:
-    """min(1, the lowest fuzzy.membership any judgment assigns to the ratio
-    vec[row] / vec[col]), bit for bit: the same arithmetic, on arrays."""
-    ratio = vec[block.row] / vec[block.col]
-    rising = (ratio - block.l) / block.rise_span
-    falling = (block.u - ratio) / block.fall_span
-    if block.hard_rise.size:
-        rising[block.hard_rise] = np.where(
-            ratio[block.hard_rise] >= block.floor, np.inf, -np.inf
-        )
-    if block.hard_fall.size:
-        falling[block.hard_fall] = np.where(
-            ratio[block.hard_fall] <= block.ceiling, np.inf, -np.inf
-        )
-    value = np.minimum(rising, falling, out=rising)
-    if block.crisp.size:
-        # math.isclose(ratio, m, rel_tol=_CRISP_REL_TOL), for finite ratios
-        at, mode = ratio[block.crisp], block.m[block.crisp]
-        hit = np.abs(at - mode) <= _CRISP_REL_TOL * np.maximum(at, mode)
-        value[block.crisp] = np.where(hit & (at < np.inf), 1.0, -np.inf)
-    return min(float(value.min()), 1.0)
 
 
 def lambda_at(matrix: ComparisonMatrix, w) -> float:
@@ -333,13 +331,15 @@ def feasible_at(
         )
     if lam > 1.0:
         return None
-    t, w, _ = _unit_slack(_sides(block), len(matrix.items), lam, cfg)
+    form, at = _slack_form(block, slice(None), cfg)
+    _pose(form, at, block, lam, 1.0, cfg)
+    t, w, _ = _max_t(form, cfg)
     if t < -_SLACK_FEAS_TOL:
         return None
     return dict(zip(matrix.items, w.tolist()))
 
 
-def _raise_conflict(matrix: ComparisonMatrix, sides: _Sides, cfg: SolverConfig) -> None:
+def _raise_conflict(block: _Block, cfg: SolverConfig) -> None:
     """Raise InfeasibleJudgmentsError for the hard sides that cannot all
     hold, naming the pairs of an irreducible subset of them.
 
@@ -349,13 +349,10 @@ def _raise_conflict(matrix: ComparisonMatrix, sides: _Sides, cfg: SolverConfig) 
     slack with a unit scale is below -_SLACK_FEAS_TOL. The verdicts do not
     depend on the order of the items, so neither do the named pairs.
     """
-    keep = (sides.slope == 0.0).nonzero()[0].tolist()
+    matrix, keep = block.matrix, block.hard.tolist()
     for side in list(keep):
         rest = [k for k in keep if k != side]
-        if not rest:
-            continue
-        subset = _Sides(*(a[rest] for a in sides))
-        if _unit_slack(subset, len(matrix.items), 0.0, cfg)[0] < -_SLACK_FEAS_TOL:
+        if rest and _unit_slack(block, rest, cfg)[0] < -_SLACK_FEAS_TOL:
             keep = rest
     judged = (matrix.judgments[side // 2] for side in keep)
     conflict = list(dict.fromkeys((j.row, j.col) for j in judged))
@@ -386,15 +383,15 @@ def _least_squares_start(
     * w, so that the start lies in the LP's region: a start outside it
     would be returned when no weight vector inside does better.
     """
-    n = len(block.matrix.items)
+    n, row, col = len(block.matrix.items), block.row[::2], block.col[::2]
     log_m = np.log(block.m)
     normal = np.ones((n, n))
     # 1 - 1 off the diagonal at each judged pair, which occurs once
-    normal[block.row, block.col] = normal[block.col, block.row] = 0.0
-    normal.ravel()[:: n + 1] += np.bincount(block.row, minlength=n) + np.bincount(
-        block.col, minlength=n
+    normal[row, col] = normal[col, row] = 0.0
+    normal.ravel()[:: n + 1] += np.bincount(row, minlength=n) + np.bincount(
+        col, minlength=n
     )
-    rhs = np.bincount(block.row, log_m, n) - np.bincount(block.col, log_m, n)
+    rhs = np.bincount(row, log_m, n) - np.bincount(col, log_m, n)
     g = np.exp(np.linalg.inv(normal).dot(rhs))
     w = g / g.sum()
     if w.min() < cfg.weight_floor:
@@ -402,23 +399,21 @@ def _least_squares_start(
     return w, _lowest_membership(block, w)
 
 
-def _crash_basis(form: simplex._Form, sides: _Sides, w) -> simplex._Basis | None:
+def _crash_basis(form: simplex._Form, block: _Block, w) -> simplex._Basis | None:
     """A starting basis for the block's first Dinkelbach LP, from w, or None
-    when the soft sides do not span the items; the form's side rows must
-    still be base (lambda 0). The weights and t are basic and n soft sides are tight
-    (the sides that bind at a vertex near w); every other row's slack is
-    basic.
+    when the soft sides do not span the items. The weights and t are basic
+    and n soft sides are tight (the sides that bind at a vertex near w);
+    every other row's slack is basic.
 
     The tight sides are picked in ascending membership at w, the way
     Kruskal's algorithm picks a spanning tree: a side is taken while it
     joins two components of the item graph, until n - 1 of them span the
     items, and then the lowest side that closes a cycle. Tight sides picked
     by membership alone could make the working set singular."""
-    k, n = sides.row.size, w.size
-    denom = sides.slope * w[sides.col]  # spread @ w, bit for bit (one term)
-    soft = (denom > 0).nonzero()[0]
-    member = (-(form.g[n + 2 + soft, :n].dot(w)) / denom[soft]).tolist()
-    soft, row, col = soft.tolist(), sides.row.tolist(), sides.col.tolist()
+    k, n = block.row.size, w.size
+    member = _memberships(block, w).tolist()
+    soft = (block.slope > 0.0).nonzero()[0].tolist()
+    row, col = block.row.tolist(), block.col.tolist()
     group = list(range(n))  # union-find forest over the items
 
     def root(i: int) -> int:
@@ -428,8 +423,7 @@ def _crash_basis(form: simplex._Form, sides: _Sides, w) -> simplex._Basis | None
         return i
 
     tree, cycle = [], None
-    for s in sorted(range(len(soft)), key=member.__getitem__):
-        side = soft[s]
+    for side in sorted(soft, key=member.__getitem__):
         a, b = root(row[side]), root(col[side])
         if a != b:
             group[a] = b
@@ -469,28 +463,26 @@ def solve_fpp(
     w, lam = _least_squares_start(block, cfg)
     if lam >= cap - _CLAMP_TOL:
         return _result(matrix, w, cap, 0, True, None)
-    sides, n = _sides(block), len(matrix.items)
-    hard = sides.slope == 0.0
-    if hard.all():
+    if block.hard.size == block.slope.size:
         # no side has a denominator, so one LP with a unit scale decides:
         # when the sides hold, they meet every judgment in full
-        step = _unit_slack(sides, n, 0.0, cfg)
+        step = _unit_slack(block, slice(None), cfg)
         if step is None or step[0] < -_SLACK_FEAS_TOL:
-            _raise_conflict(matrix, sides, cfg)
+            _raise_conflict(block, cfg)
         return _result(matrix, step[1], cap, 1, True, step[0])
-    form, at = _slack_form(sides, n, cfg)
-    basis, probes = _crash_basis(form, sides, w), 0
+    form, at = _slack_form(block, slice(None), cfg)
+    basis, probes = _crash_basis(form, block, w), 0
     while True:
         # max t s.t. N_i(w) - lam * D_i(w) >= t * D_i(w_k) on every soft side,
         # at lambda_cap while w misses a hard side
         missed = lam == -math.inf
-        _pose(form, at, sides, cap if missed else lam, sides.slope * w[sides.col], cfg)
+        _pose(form, at, block, cap if missed else lam, block.slope * w[block.col], cfg)
         step = _max_t(form, cfg, basis)
         if step is None:
             # The first LP is the hard sides' verdict; after that they have
             # held once, so only round-off.
-            if probes == 0 and hard.any():
-                _raise_conflict(matrix, sides, cfg)
+            if probes == 0 and block.hard.size:
+                _raise_conflict(block, cfg)
             raise RuntimeError(
                 f"max-slack subproblem unexpectedly infeasible in block "
                 f"{matrix.parent!r} at lambda {lam}"

@@ -180,6 +180,57 @@ def test_results_with_a_list_for_an_object_are_rejected(path, tmp_path):
         pytest.param(
             ("ranking", 2, "rank"), "third", "ranking row 3: key 'rank'", id="rank-text"
         ),
+        # mistyped fields that bool(), int(), float() and str() would take
+        pytest.param(
+            ("blocks", "goal", "consistent"), "false",
+            "block 'goal': key 'consistent'", id="consistent-string",
+        ),
+        pytest.param(
+            ("blocks", "goal", "clamped"), "no",
+            "block 'goal': key 'clamped'", id="clamped-string",
+        ),
+        pytest.param(
+            ("blocks", "goal", "clamped"), 0, "block 'goal': key 'clamped'",
+            id="clamped-number",
+        ),
+        pytest.param(
+            ("blocks", "goal", "iterations"), 2.7,
+            "block 'goal': key 'iterations'", id="iterations-float",
+        ),
+        pytest.param(
+            ("blocks", "goal", "iterations"), True,
+            "block 'goal': key 'iterations'", id="iterations-bool",
+        ),
+        pytest.param(
+            ("blocks", "goal", "lambda"), True, "block 'goal': key 'lambda'",
+            id="lambda-bool",
+        ),
+        pytest.param(
+            ("blocks", "goal", "slack"), "0.1", "block 'goal': key 'slack'",
+            id="slack-string",
+        ),
+        pytest.param(
+            ("blocks", "goal", "weights", "W1"), "0.5",
+            "block 'goal': key 'weights'", id="weight-string",
+        ),
+        pytest.param(
+            ("ranking", 1, "rank"), "2", "ranking row 2: key 'rank'", id="rank-string"
+        ),
+        pytest.param(
+            ("ranking", 0, "global_weight"), "0.5",
+            "ranking row 1: key 'global_weight'", id="global-weight-string",
+        ),
+        pytest.param(
+            ("ranking", 0, "leaf"), 7, "ranking row 1: key 'leaf'", id="leaf-number"
+        ),
+        pytest.param(
+            ("config", "lambda_cap"), True, "key 'config'", id="config-bool"
+        ),
+        pytest.param(("study",), 5, "document: key 'study'", id="study-number"),
+        pytest.param(
+            ("generated_at",), 5, "document: key 'generated_at'",
+            id="generated-at-number",
+        ),
     ],
 )
 def test_malformed_results_name_the_field(path, value, named, tmp_path):

@@ -34,6 +34,7 @@ from fahp.solver import (
     _lattice_chunks,
     _lattice_size,
     _lowest_membership,
+    _memberships,
 )
 from conftest import random_matrix
 from test_solver_invariants import FIXTURES, SWEEP_BLOCKS, _blocks, _random_block
@@ -140,7 +141,7 @@ def test_missed_hard_side_starts_from_the_probe(monkeypatch):
     # weights; its solution is the first iterate.
     block = _blocks()[7]
     judged = _block(block)
-    assert judged.hard_rise.size + judged.hard_fall.size
+    assert judged.hard.size
     assert solver._least_squares_start(judged, SolverConfig())[1] == -math.inf
     hints = []
     solve = simplex._solve
@@ -539,15 +540,36 @@ def _array_blocks():
     ]
 
 
+def _on_the_bounds(block):
+    """Unnormalized weight vectors that put one judgment's ratio exactly on
+    l * (1 - 1e-12), u * (1 + 1e-12) or m, the thresholds of the hard-side
+    and crisp rules, or on l or u, where a soft side's membership is +0;
+    and one ulp either side of each. A vector divided by its sum rarely
+    keeps such a ratio."""
+    idx = {item: i for i, item in enumerate(block.items)}
+    for j in block.judgments:
+        l, m, u = j.value.as_tuple()
+        for bound in (l * (1 - _CRISP_REL_TOL), u * (1 + _CRISP_REL_TOL), m, l, u):
+            for at in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf)):
+                vec = np.ones(len(block.items))
+                vec[idx[j.row]] = at
+                assert vec[idx[j.row]] / vec[idx[j.col]] == at
+                yield vec
+
+
 def test_lowest_membership_matches_the_loop(rng):
     # Bit for bit, on _array_blocks(): at the solved weights, at random
-    # weights, and with each judgment's ratio put on l, m and u and moved by
+    # weights, with each judgment's ratio put on l, m and u and moved by
     # 0.5e-12 and 1.5e-12 of it either way, inside and outside the 1e-12
-    # bands of the crisp and hard-side rules.
-    hard = crisp = 0
+    # bands of the crisp and hard-side rules, and exactly on those bands'
+    # edges and one ulp either side, where the table's sign * ratio + bound
+    # <= 0 must agree with ratio >= l * (1 - 1e-12) and ratio <= u * (1 +
+    # 1e-12) at equality. Each judgment's two sides must also give its own
+    # membership, bit for bit.
+    hard = crisp = edges = 0
     for block in _array_blocks():
         judged = _block(block)
-        hard += judged.hard_rise.size + judged.hard_fall.size
+        hard += judged.hard.size
         crisp += judged.crisp.size
         n = len(block.items)
         vectors = [rng.dirichlet(np.ones(n)) for _ in range(5)]
@@ -563,9 +585,21 @@ def test_lowest_membership_matches_the_loop(rng):
                     vec = np.ones(n)
                     vec[idx[j.row]] = bound * nudge
                     vectors.append(vec / vec.sum())
-        for vec in vectors:
+        exact = list(_on_the_bounds(block))
+        for vec in vectors + exact:
             assert _lowest_membership(judged, vec) == _lowest_membership_loop(block, vec)
-    assert hard >= 50 and crisp >= 5
+            sides = _memberships(judged, vec)
+            each = [
+                membership(j.value, vec[idx[j.row]] / vec[idx[j.col]])
+                for j in block.judgments
+            ]
+            lowest = np.minimum(sides[::2], sides[1::2])
+            assert lowest.tobytes() == np.array(each).tobytes()
+        hard_side = judged.hard
+        for vec in exact:  # count the hard sides whose bound is hit exactly
+            ratio = vec[judged.row[hard_side]] / vec[judged.col[hard_side]]
+            edges += np.count_nonzero(judged.sign[hard_side] * ratio + judged.bound == 0)
+    assert hard >= 50 and crisp >= 5 and edges >= 300
 
 
 def _sides_loop(matrix):
@@ -586,39 +620,45 @@ def _sides_loop(matrix):
     return base, spread, hard
 
 
-def _dense(sides, n):
-    """The side rows base and spread of solver._Sides as dense arrays."""
-    base, spread = np.zeros((2, sides.row.size, n))
-    at = np.arange(sides.row.size)
-    base[at, sides.col], base[at, sides.row] = sides.coef, sides.sign
-    spread[at, sides.col] = sides.slope
+def _dense(block, n):
+    """The side rows base and spread of a solver._Block as dense arrays."""
+    base, spread = np.zeros((2, block.row.size, n))
+    at = np.arange(block.row.size)
+    base[at, block.col], base[at, block.row] = block.coef, block.sign
+    spread[at, block.col] = block.slope
     return base, spread
 
 
 def test_side_rows_match_the_loop(rng):
     # Bit for bit, on the blocks whose memberships are checked above: the
-    # rows of the max-slack LP's form as built and as posed at a few
-    # levels, their right-hand sides and slack scales, against the rows the
-    # loop builds.
+    # rows of the max-slack LP's form as built (at level 0 with a unit
+    # scale, for every side and for a subset) and as posed at a few levels,
+    # their right-hand sides and slack scales, against the rows the loop
+    # builds.
     cfg = solver.SolverConfig()
     hard = 0
     for matrix in _array_blocks():
         n = len(matrix.items)
-        sides = solver._sides(_block(matrix))
+        block = _block(matrix)
         base, spread, hard_sides = _sides_loop(matrix)
-        assert np.array_equal(sides.slope == 0.0, hard_sides)
-        assert all(np.array_equal(a, b) for a, b in zip(_dense(sides, n), (base, spread)))
-        form, at = solver._slack_form(sides, n, cfg)
-        posed = form.g[n + 2 : -1]
-        assert posed[:, :n].tobytes() == base.tobytes()
+        assert np.array_equal(block.slope == 0.0, hard_sides)
+        assert all(np.array_equal(a, b) for a, b in zip(_dense(block, n), (base, spread)))
+        subset = np.sort(rng.permutation(block.row.size)[: max(1, block.row.size // 2)])
+        for sides in (subset, slice(None)):
+            form, at = solver._slack_form(block, sides, cfg)
+            posed = form.g[n + 2 : -1]
+            assert posed[:, :n].tobytes() == base[sides].tobytes()
+            rhs = form.h[n + 2 : -1]
+            unit_rhs = -cfg.weight_floor * base[sides].sum(axis=1)
+            assert rhs.tobytes() == unit_rhs.tobytes()
+            assert (posed[:, n] == 1.0).all() and (posed[:, n + 1] == -1.0).all()
         w = rng.dirichlet(np.ones(n))
-        scale = sides.slope * w[sides.col]
+        scale = block.slope * w[block.col]
         assert scale.tobytes() == spread.dot(w).tobytes()
         for lam in (1.0, 0.37, -2.5, -1e3):
-            solver._pose(form, at, sides, lam, scale, cfg)
+            solver._pose(form, at, block, lam, scale, cfg)
             rows = base + lam * spread
             assert posed[:, :n].tobytes() == rows.tobytes()
-            rhs = form.h[n + 2 : -1]
             assert rhs.tobytes() == (-cfg.weight_floor * rows.sum(axis=1)).tobytes()
             assert posed[:, n].tobytes() == scale.tobytes()
             assert posed[:, n + 1].tobytes() == (-scale).tobytes()
@@ -648,9 +688,11 @@ def _former_block(matrix):
 
 
 def test_block_fields_match_the_former_construction():
-    # Every field, with and without hard sides, and the side rows. The
-    # former l, m and u kept the integer dtype of integer judgments; they
-    # are float now.
+    # Every field of the side table, with and without hard sides, against
+    # the former per-judgment fields and side rows: judgment i's fields at
+    # sides 2i and 2i + 1, the side rows through the dense helper, and each
+    # hard side's bound from the former floor or ceiling. The former l, m
+    # and u kept the integer dtype of integer judgments; they are float now.
     rng = np.random.default_rng(7)
     soft = [_random_block(rng, n, hard_share=0.0) for n in range(2, 11)]
     kinds = collections.Counter()
@@ -658,28 +700,32 @@ def test_block_fields_match_the_former_construction():
         block = _block(matrix)
         (row, col, l, m, u, rise_span, fall_span, hard_rise, floor, hard_fall,
          ceiling, crisp, base, spread, hard) = _former_block(matrix)
+        l, m, u = (a.astype(float) for a in (l, m, u))
+        limit = np.full(hard.size, np.nan)
+        limit[2 * hard_rise], limit[2 * hard_fall + 1] = floor, -ceiling
         fields = dict(
-            row=row, col=col, l=l, m=m, u=u,
-            slope=np.array([m - l, u - m]),
-            rise_span=rise_span, fall_span=fall_span,
-            hard_rise=hard_rise, floor=floor, hard_fall=hard_fall, ceiling=ceiling,
-            crisp=crisp,
+            row=row.repeat(2), col=col.repeat(2),
+            coef=np.array([l, -u]).T.ravel(), sign=np.tile([-1.0, 1.0], l.size),
+            slope=np.array([m - l, u - m]).T.ravel(),
+            hard=hard.nonzero()[0], bound=limit[hard], m=m, crisp=crisp,
         )
         assert list(fields) == list(solver._Block._fields[1:])
-        sides = solver._sides(block)
+        assert block.matrix is matrix
         kinds[bool(hard.any())] += 1
         named = [(name, getattr(block, name), old) for name, old in fields.items()]
         named += zip(
-            ("base", "spread", "hard"),
-            (*_dense(sides, len(matrix.items)), sides.slope == 0.0),
-            (base, spread, hard),
+            ("base", "spread"), _dense(block, len(matrix.items)), (base, spread)
         )
         for name, new, old in named:
-            assert np.array_equal(new, old), name
-            if name in ("l", "m", "u", "slope"):
+            assert new.tobytes() == old.tobytes(), name
+            if name in ("coef", "sign", "slope", "bound", "m"):
                 assert new.dtype == np.float64, name
             else:
                 assert new.dtype == old.dtype, name
+            assert new.flags.c_contiguous, name
+        # the spans of the former soft sides are the table's slopes there
+        assert np.array_equal(np.array([rise_span, fall_span]).T.ravel()[~hard],
+                              block.slope[~hard])
     assert kinds[True] >= 30 and kinds[False] >= 12
 
 

@@ -172,16 +172,16 @@ def test_max_slack_reports_the_unshifted_slack():
     # for t + theta, a shift of 2.5e-6 to 1.5e-4 there, and subtracted it.)
     cfg = solver.SolverConfig()
     for block in load_study(bundled_study_path()).hierarchy.matrices.values():
-        sides = solver._sides(solver._block(block))
+        table = solver._block(block)
         res = solve_fpp(block)
         w = res.weight_vector()
         for lam, scale in (
-            (cfg.lambda_cap, np.ones(sides.row.size)),
-            (res.lambda_, sides.slope * w[sides.col]),
+            (cfg.lambda_cap, np.ones(table.row.size)),
+            (res.lambda_, table.slope * w[table.col]),
         ):
             n = len(block.items)
-            form, at = solver._slack_form(sides, n, cfg)
-            solver._pose(form, at, sides, lam, scale, cfg)
+            form, at = solver._slack_form(table, slice(None), cfg)
+            solver._pose(form, at, table, lam, scale, cfg)
             t, _, _ = solver._max_t(form, cfg)
             assert abs(t - _highs_slack(form.g[n + 2 : -1, :n], scale)) <= 1e-9
 
@@ -275,10 +275,11 @@ def test_infeasible_verdicts_agree_with_highs():
     assert blocks[45] == fixture["goal"]
     infeasible = 0
     for block in blocks:
-        sides = solver._sides(solver._block(block))
+        table = solver._block(block)
         n = len(block.items)
-        base = solver._slack_form(sides, n, solver.SolverConfig())[0].g[n + 2 : -1, :n]
-        hard = sides.slope == 0.0
+        form = solver._slack_form(table, slice(None), solver.SolverConfig())[0]
+        base = form.g[n + 2 : -1, :n]
+        hard = table.slope == 0.0
         expected = hard.any() and _highs_slack(base[hard], np.ones(hard.sum())) < 0.0
         try:
             solve_fpp(block)
@@ -310,11 +311,12 @@ def test_conflict_names_an_irreducible_set_in_either_order():
         with pytest.raises(InfeasibleJudgmentsError) as moved:
             solve_fpp(_permuted(block, perm))
         assert moved.value.pairs == tuple((relabel[r], relabel[c]) for r, c in conflict)
-        arrays = solver._sides(solver._block(block))
+        table = solver._block(block)
         n = len(block.items)
-        base = solver._slack_form(arrays, n, solver.SolverConfig())[0].g[n + 2 : -1, :n]
+        form = solver._slack_form(table, slice(None), solver.SolverConfig())[0]
+        base = form.g[n + 2 : -1, :n]
         pairs = [(j.row, j.col) for j in block.judgments for _ in range(2)]
-        hard = (arrays.slope == 0.0).nonzero()[0]
+        hard = (table.slope == 0.0).nonzero()[0]
         sides = [k for k in hard if pairs[k] in conflict]
         assert _highs_slack(base[sides], np.ones(len(sides))) < 0.0
         for pair in conflict:
