@@ -2,48 +2,61 @@
 
 Finds the crisp weight vector whose ratios satisfy every fuzzy judgment to
 the highest common membership degree lambda. Each judgment (l, m, u) on the
-pair (row, col) has two sides, and the membership of each is a ratio of
-linear functions of w:
+pair (row, col) has two sides, rising and falling, and each grades the
+ratio r = w_row / w_col linearly:
 
-    rising  = (w_row - l * w_col) / ((m - l) * w_col)
-    falling = (u * w_col - w_row) / ((u - m) * w_col)
+    rising  = (r - l) / (m - l)
+    falling = (u - r) / (u - m)
 
-so lambda* = max_w min_i N_i(w) / D_i(w) is a generalized fractional
-program. It is solved exactly by the normalized Dinkelbach iteration of
-Crouzeix, Ferland and Schaible (JOTA 47, 1985): at lambda_k = lambda_at(w_k)
-one LP maximizes t subject to N_i(w) - lambda_k * D_i(w) >= t * D_i(w_k)
-for every side, and its solution w_{k+1} raises lambda until t reaches 0
-(to within 1e-8). Every block starts from the logarithmic least-squares
-weights of the judgments' modes (Crawford and Williams, J. Math. Psych. 29,
-1985), one n x n linear system, and its first LP from a crash basis whose
-tight rows are n soft sides of low membership there that span the items.
-Weights that reach lambda_cap, the start or any iterate, are returned
-clamped; consistent modes are clamped without an LP. Where the start misses
-a hard side, its lambda is -inf and the first LP is posed at lambda_cap
-instead; its solution is the first iterate. The first LP is also the
-verdict on the hard sides: it is infeasible when they conflict.
+In log weights x = log w, a side holds at level lambda exactly when x_row -
+x_col >= log(l + lambda (m - l)) (rising; no bound where that argument is
+<= 0) or x_row - x_col <= log(u - lambda (u - m)) (falling). A side with
+zero spread (m == l or u == m) is hard: its bound is log l or log u at any
+level. Every side is thus a difference constraint, one edge of a graph on
+the items, and the sides hold together exactly when that graph has no
+negative cycle (Bellman-Ford). Every edge gets shorter as lambda rises, so
+lambda* is found by a parametric negative-cycle search (Karp and Orlin,
+Discrete Appl. Math. 3, 1981): test a level by Bellman-Ford, warm-started
+from the current potentials; on a negative cycle, move the level down to
+the root of that cycle's log-weight by safeguarded Newton steps, bracketed
+below by the last feasible level; stop when no cycle is negative.
+
+Many weight vectors reach lambda*, so the solver returns the leximin one
+(Dubois and Fortemps, EJOR 118, 1999), which is unique. At each stage's
+level one all-pairs shortest-path pass finds the items pinned to each other
+by zero cycles (D[u][v] + D[v][u] ~ 0); they merge into one node with fixed
+offsets, and the sides inside a node drop out, among them every side that
+is tight on every optimum of the stage. The next stage raises the level of
+the remaining (free) sides. Its search starts from the closed-form level
+where the first of them would close a zero cycle with the last stage's
+shortest path back, refined to the root of that cycle; the stages stop when
+no free side is left. No stage passes level 1, where every
+judgment pins its pair, and the judgment graph is connected, so the last
+stage leaves one node: the weights are its offsets.
+
+Every block starts from the logarithmic least-squares weights of the
+judgments' modes (Crawford and Williams, J. Math. Psych. 29, 1985), one n x
+n linear system; consistent modes reach lambda_cap there and are returned
+clamped without a search. Otherwise the first search is at level 1, the
+start's lambda is the low end of its bracket and its log weights are the
+first potentials. Where the start
+misses a hard side its lambda is -inf, and a negative cycle of hard sides
+alone is the verdict that they conflict. lambda_cap caps the reported
+lambda and sets `clamped`, but the stages run on to the leximin weights
+whatever the cap. The weight floor is a check after the search: weights
+below it are mixed with it as w = floor + (1 - n * floor) * w.
+
 A block is read once into one side table (_Block): judgment i's rising
-side is side 2i and its falling side 2i + 1, each with its items, base
-coefficient, sign and slope. Every membership the solver takes (lambda_at,
-the start's and each iterate's lambda, the crash basis's ranking) comes
-from one rule on that table (_memberships), bit for bit fuzzy.membership,
-and the LP's side rows are written from the same arrays. Consecutive LPs
-of a block differ only in their coefficients. Its LP is built once, after
-the clamp check, in the simplex's form (_slack_form, at level 0 with a
-unit scale), and a step (_pose) rewrites only the one entry per row that
-depends on lambda, the slack scale and the right-hand sides. The step
-re-solves from the LP before's final basis, working set and all: the
-simplex inverts that set, an (n + 2)-square matrix, returns without a pivot
-when the basis is still optimal, and otherwise re-optimises from it. Each
-result is bit for bit that of the same LP posed in a fresh form from the
-same basis. A block whose every side is hard has no denominators: one LP
-with a unit scale decides it.
-A side with zero spread (m == l or u == m) is a hard bound on the ratio, a
-constraint that does not depend on lambda. The reported lambda is
+side is side 2i and its falling side 2i + 1, each with its items, sign,
+base (l or u) and slope in lambda. Every membership the solver takes
+(lambda_at, the start's and the result's lambda) comes from one rule on
+that table (_memberships), bit for bit fuzzy.membership, and the search's
+edges are written from the same table. The reported lambda is
 lambda_at(weights); lambda >= 0 certifies that some weight vector lies
 inside every judgment's support, and negative lambda measures how strongly
-the judgments contradict each other. lambda is capped at lambda_cap (1 by
-default): beyond full membership there is nothing left to optimize.
+the judgments contradict each other. The solve path is plain Python:
+numpy is imported only by feasible_at (an LP through the package's
+simplex), SolveResult.weight_vector and the grid oracle.
 
 A brute-force grid oracle over the simplex lattice is included as an
 independent check on the optimizer.
@@ -53,24 +66,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import InfeasibleJudgmentsError
 from .fuzzy import _CRISP_REL_TOL
 from .hierarchy import ComparisonMatrix
-from . import simplex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Slack this close to zero still counts as feasible; absorbs LP float noise.
 _SLACK_FEAS_TOL = 1e-11
-# The Dinkelbach iteration stops once its normalized slack is this small, ten
-# times the LP's own tolerances. Below that the LP cannot tell the vertices
-# of the optimal face apart, and the one it returned would depend on the
-# order of the items.
-_DINKELBACH_TOL = 1e-8
 # Weights whose lambda is this close to lambda_cap are returned clamped.
 _CLAMP_TOL = 1e-9
+# Bellman-Ford relaxes an edge only when it lowers a potential by more than
+# this (in log weight), so a cycle counts as negative only below -_RELAX_TOL
+# and potentials may miss an edge by at most this. It is a fifth of the
+# 1e-12 relative tolerance of membership's hard-side rule, so a hard side
+# held to within it still grades inf, and hard sides conflict when a cycle
+# of them falls short of zero by more than it.
+_RELAX_TOL = 2e-13
+# A cycle's root is settled at a level where the cycle's log-weight lies in
+# [0, _SETTLED]: the level is then a hair below the root, so the next search
+# does not find the cycle again, and the weights meet every side there.
+_SETTLED = 2e-14
+# Items whose shortest paths both ways sum to this or less (in log weight)
+# are pinned to each other.
+_PINNED = 1e-9
 # Relative tolerance for hard (zero-spread) judgment sides in the oracle.
 _HARD_REL_TOL = 1e-9
 # feasible_at refuses levels below this. Its LP's side rows grow with |lam|
@@ -115,9 +137,14 @@ class SolverConfig:
 class SolveResult:
     """Weights and diagnostics for one comparison block.
 
-    ``iterations`` counts the LPs solved; it is 0 for a block clamped at its
-    least-squares weights. ``slack`` is the objective of the last max-slack
-    LP, or None when no LP ran. The oracle leaves it as None.
+    ``weights`` are the leximin weights of the block: lambda_ is the
+    highest level every judgment side can reach, and among the weight
+    vectors that reach it, these raise the sides that can go higher as far
+    as they go, level by level. ``iterations`` counts the negative-cycle
+    searches (Bellman-Ford runs) of the solve; it is 0 for a block clamped
+    at its least-squares weights. ``slack`` is always None; results
+    documents keep the key. The oracle leaves it as None too and counts
+    its lattice points in ``iterations``.
     """
 
     weights: dict[str, float]
@@ -128,6 +155,8 @@ class SolveResult:
     slack: float | None = None
 
     def weight_vector(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(list(self.weights.values()))
 
 
@@ -141,160 +170,99 @@ def _check_floor(matrix: ComparisonMatrix, config: SolverConfig) -> None:
 
 class _Block(NamedTuple):
     """A comparison block's judgment sides, built once per solve_fpp,
-    feasible_at or lambda_at call: the solver's one array form of a block.
+    feasible_at or lambda_at call: the solver's one table of a block.
 
-    Judgment i's rising side is side 2i and its falling side 2i + 1. Side s
-    holds at level lambda when (coef[s] + lambda * slope[s]) * w[col[s]] +
-    sign[s] * w[row[s]] <= 0, with coef, sign and slope l, -1 and m - l on
-    the rising side and -u, 1 and u - m on the falling one. A side with zero
-    slope (m == l or u == m) is hard: it bounds the ratio whatever lambda.
-    _memberships grades every side from these arrays alone."""
+    Judgment i's rising side is side 2i and its falling side 2i + 1. At
+    level lambda side s bounds the ratio r = w[row[s]] / w[col[s]] by
+    a = base[s] - sign[s] * lambda * slope[s]: r >= a on the rising side
+    (sign -1, base l, slope m - l) and r <= a on the falling one (sign 1,
+    base u, slope u - m). A side with zero slope is hard: it bounds the
+    ratio whatever lambda. _memberships grades every side from this table
+    alone."""
 
     matrix: ComparisonMatrix
-    row: np.ndarray  # item index of each side's row
-    col: np.ndarray
-    coef: np.ndarray
-    sign: np.ndarray
-    slope: np.ndarray
-    hard: np.ndarray  # indices of the hard sides
-    bound: np.ndarray  # l * (1 - tol) or -u * (1 + tol) of each hard side
-    m: np.ndarray  # each judgment's mode
-    crisp: np.ndarray  # indices of the judgments with l == u
+    row: tuple[int, ...]  # item index of each side's row
+    col: tuple[int, ...]
+    sign: tuple[float, ...]
+    base: tuple[float, ...]
+    slope: tuple[float, ...]
+    hard: tuple[int, ...]  # indices of the hard sides
+    m: tuple[float, ...]  # each judgment's mode
+    crisp: tuple[int, ...]  # indices of the judgments with l == u
 
 
 def _block(matrix: ComparisonMatrix) -> _Block:
     """Build the block's side table; the matrix was checked when it was
-    built. Its arrays are contiguous, as numpy is slower on strided views."""
+    built."""
     idx = {item: i for i, item in enumerate(matrix.items)}
-    row = np.array([idx[j.row] for j in matrix.judgments]).repeat(2)
-    col = np.array([idx[j.col] for j in matrix.judgments]).repeat(2)
-    tfns = [j.value for j in matrix.judgments]
-    l, m, u = np.array(
-        [[v.l for v in tfns], [v.m for v in tfns], [v.u for v in tfns]], dtype=float
+    row, col, base, slope, m, crisp = [], [], [], [], [], []
+    for i, j in enumerate(matrix.judgments):
+        r, c = idx[j.row], idx[j.col]
+        lo, mode, hi = float(j.value.l), float(j.value.m), float(j.value.u)
+        row += (r, r)
+        col += (c, c)
+        base += (lo, hi)
+        slope += (mode - lo, hi - mode)
+        m.append(mode)
+        if lo == hi:
+            crisp.append(i)
+    hard = tuple(s for s, k in enumerate(slope) if k == 0.0)
+    sign = (-1.0, 1.0) * len(m)
+    return _Block(
+        matrix, tuple(row), tuple(col), sign, tuple(base), tuple(slope), hard,
+        tuple(m), tuple(crisp),
     )
-    coef = np.array([l, -u]).T.ravel()
-    sign = np.ones(coef.size)
-    sign[::2] = -1.0
-    slope = np.array([m - l, u - m]).T.ravel()
-    hard = (slope == 0.0).nonzero()[0]
-    # l * (1 - tol) rising and -(u * (1 + tol)) falling, bit for bit
-    bound = coef[hard] * (1.0 + sign[hard] * _CRISP_REL_TOL)
-    crisp = (l == u).nonzero()[0]
-    return _Block(matrix, row, col, coef, sign, slope, hard, bound, m, crisp)
 
 
-def _memberships(block: _Block, vec: np.ndarray) -> np.ndarray:
+def _memberships(block: _Block, vec) -> list[float]:
     """fuzzy.membership of each side at the ratio vec[row] / vec[col], bit
-    for bit: (-sign * ratio - coef) / slope on a soft side (ratio - l or
-    u - ratio over the spread, the same roundings); on a hard side inf where
-    sign * ratio + bound <= 0 (ratio >= l * (1 - tol) or ratio <= u * (1 +
-    tol), exactly) and -inf elsewhere; and on both sides of a crisp judgment
-    1 or -inf, as the ratio is close to m or not."""
-    hard, crisp = block.hard, block.crisp
-    ratio = vec[block.row] / vec[block.col]
-    lean = block.sign * ratio
-    value = -lean - block.coef
-    if hard.size:
-        # inf or -inf: over the hard side's +0 slope they stay themselves,
-        # and inf / 0 raises no floating-point warning as finite / 0 would
-        value[hard] = np.where(lean[hard] + block.bound <= 0.0, np.inf, -np.inf)
-    value /= block.slope
-    if crisp.size:
-        # math.isclose(ratio, m, rel_tol=_CRISP_REL_TOL), for finite ratios
-        at, mode = ratio[2 * crisp], block.m[crisp]
-        hit = np.abs(at - mode) <= _CRISP_REL_TOL * np.maximum(at, mode)
-        hit &= at < np.inf
-        value.reshape(-1, 2)[crisp] = np.where(hit, 1.0, -np.inf)[:, None]
-    return value
+    for bit: (r - l) / (m - l) rising and (u - r) / (u - m) falling on a
+    soft side; on a hard side inf where r >= l * (1 - tol) (rising) or r <=
+    u * (1 + tol) (falling) and -inf elsewhere; and on both sides of a
+    crisp judgment 1 or -inf, as r is close to m or not."""
+    out = []
+    inf = math.inf
+    for r, c, lo, rise, hi, fall in zip(
+        block.row[::2], block.col[::2], block.base[::2], block.slope[::2],
+        block.base[1::2], block.slope[1::2],
+    ):
+        ratio = vec[r] / vec[c]
+        if rise:
+            out.append((ratio - lo) / rise)
+        else:
+            out.append(inf if ratio >= lo * (1 - _CRISP_REL_TOL) else -inf)
+        if fall:
+            out.append((hi - ratio) / fall)
+        else:
+            out.append(inf if ratio <= hi * (1 + _CRISP_REL_TOL) else -inf)
+    for i in block.crisp:
+        ratio = vec[block.row[2 * i]] / vec[block.col[2 * i]]
+        hit = math.isclose(ratio, block.m[i], rel_tol=_CRISP_REL_TOL)
+        out[2 * i] = out[2 * i + 1] = 1.0 if hit else -inf
+    return out
 
 
-def _lowest_membership(block: _Block, vec: np.ndarray) -> float:
+def _lowest_membership(block: _Block, vec) -> float:
     """min(1, the lowest fuzzy.membership any judgment assigns to the ratio
     vec[row] / vec[col]), bit for bit."""
-    return min(float(_memberships(block, vec).min()), 1.0)
+    return float(min(min(_memberships(block, vec)), 1.0))
 
 
-def _slack_form(block: _Block, sides, cfg: SolverConfig) -> tuple:
-    """The max-slack LP of the block's sides `sides` (side indices or a
-    slice) over its weights in the simplex's form, posed at level 0 with a
-    unit scale, and the flat index in g of each side row's col entry.
-
-    The LP is max t subject to rows_k @ w + t * scale_k <= 0 for every row,
-    sum w = 1, w >= weight_floor. It is posed in v = w - weight_floor, which
-    leaves the right-hand side -weight_floor * rows_k.sum() on each row, and
-    t = tp - tn split into nonnegatives: columns v, then tp and tn. With a
-    unit scale t >= 0 exactly when every row can hold. Side s's row holds
-    coef[s] + lambda * slope[s] at item col[s] and sign[s] at item row[s],
-    so its sum is that entry + sign[s] bit for bit (one rounding).
-    """
-    n, coef, sign = len(block.matrix.items), block.coef[sides], block.sign[sides]
-    k = coef.size
-    c = np.zeros(n + 2)
-    c[n], c[n + 1] = -1.0, 1.0
-    g = np.zeros((n + k + 3, n + 2))
-    g[: n + 2].flat[:: n + 3] = -1.0  # v >= 0, tp >= 0, tn >= 0
-    g[-1, :n] = 1.0  # the sum row
-    g[n + 2 : -1, n], g[n + 2 : -1, n + 1] = 1.0, -1.0  # the unit scale
-    h = np.zeros(n + k + 3)
-    h[-1] = 1.0 - n * cfg.weight_floor
-    np.multiply(coef + sign, -cfg.weight_floor, out=h[n + 2 : -1])
-    rows = np.arange(n + 2, n + k + 2)
-    g[rows, block.row[sides]] = sign
-    at = rows * (n + 2) + block.col[sides]
-    g.ravel()[at] = coef
-    return simplex._Form(c, g, h, n + k + 2), at
-
-
-def _pose(form: simplex._Form, at, block: _Block, lam: float, scale, cfg) -> None:
-    """Write every side row of the block's form at level lam, its slack
-    scale and right-hand side, in place."""
-    entry = block.coef + block.slope * lam
-    form.g.ravel()[at] = entry
-    n = form.c.size - 2
-    rhs, tp = form.h[n + 2 : -1], form.g[n + 2 : -1, n]
-    np.multiply(np.add(entry, block.sign, out=rhs), -cfg.weight_floor, out=rhs)
-    tp[:] = scale
-    np.negative(tp, out=form.g[n + 2 : -1, n + 1])
-
-
-def _max_t(
-    form: simplex._Form, cfg: SolverConfig, basis: simplex._Basis | None = None
-) -> tuple[float, np.ndarray, simplex._Basis | None] | None:
-    """Best slack t of the posed max-slack LP, its weight vector and the
-    final basis, or None when the rows with a zero scale cannot all hold;
-    `basis`, such as the final basis of the LP before, is updated in place."""
-    res, basis = simplex._solve(form, basis)
-    if res.status == "infeasible":
-        return None
-    if res.status != "optimal":
-        raise RuntimeError(f"max-slack subproblem unexpectedly {res.status}")
-    tp, tn = res.x[-2:].tolist()
-    w = res.x[:-2] + cfg.weight_floor
-    return tp - tn, w / w.sum(), basis
-
-
-def _unit_slack(block: _Block, sides, cfg: SolverConfig) -> tuple | None:
-    """_max_t for the block's sides `sides` at level 0, unit scale, from the
-    slack basis."""
-    return _max_t(_slack_form(block, sides, cfg)[0], cfg)
-
-
-def _as_vector(matrix: ComparisonMatrix, w) -> np.ndarray:
+def _as_vector(matrix: ComparisonMatrix, w) -> list[float]:
+    n = len(matrix.items)
     if isinstance(w, Mapping):
         missing = [it for it in matrix.items if it not in w]
         if missing:
             raise ValueError(f"weights missing for items: {', '.join(missing)}")
-        vec = np.array([float(w[it]) for it in matrix.items])
+        vec = [float(w[it]) for it in matrix.items]
     else:
-        vec = np.asarray(w, dtype=float)
-        if vec.shape != (len(matrix.items),):
-            raise ValueError(
-                f"weight vector has shape {vec.shape}, expected ({len(matrix.items)},)"
-            )
-    if not np.all(vec > 0):
+        vec = [float(x) for x in w]
+        if len(vec) != n:
+            raise ValueError(f"weight vector has {len(vec)} entries, expected {n}")
+    if not all(x > 0 for x in vec):
         raise ValueError("weights must be strictly positive")
-    if abs(vec.sum() - 1.0) > 1e-6:
-        raise ValueError(f"weights must sum to 1, got {vec.sum()!r}")
+    if abs(math.fsum(vec) - 1.0) > 1e-6:
+        raise ValueError(f"weights must sum to 1, got {math.fsum(vec)!r}")
     return vec
 
 
@@ -316,9 +284,12 @@ def feasible_at(
     or None when that level is unattainable.
 
     The vector returned is the max-slack one, i.e. the deepest interior
-    point of the feasible region at that lambda. No vector meets a level
-    above 1, full membership. Raises ValueError when lam is not finite or
-    is below FEASIBLE_AT_MIN_LAMBDA (-1e4), where round-off defeats the LP.
+    point of the feasible region at that lambda, from one LP: max t subject
+    to (coef + lam * slope) * w_col + sign * w_row + t <= 0 for every side
+    (coef l or -u), sum w = 1 and w >= weight_floor, solved by the
+    package's simplex. No vector meets a level above 1, full membership.
+    Raises ValueError when lam is not finite or is below
+    FEASIBLE_AT_MIN_LAMBDA (-1e4), where round-off defeats the LP.
     """
     cfg = config or SolverConfig()
     block = _block(matrix)
@@ -331,28 +302,152 @@ def feasible_at(
         )
     if lam > 1.0:
         return None
-    form, at = _slack_form(block, slice(None), cfg)
-    _pose(form, at, block, lam, 1.0, cfg)
-    t, w, _ = _max_t(form, cfg)
-    if t < -_SLACK_FEAS_TOL:
+    from . import simplex
+
+    res, _ = simplex._solve(_feasibility_form(block, lam, cfg))
+    if res.status != "optimal":
+        raise RuntimeError(f"max-slack subproblem unexpectedly {res.status}")
+    tp, tn = res.x[-2:].tolist()
+    if tp - tn < -_SLACK_FEAS_TOL:
         return None
-    return dict(zip(matrix.items, w.tolist()))
+    w = res.x[:-2] + cfg.weight_floor
+    return dict(zip(matrix.items, (w / w.sum()).tolist()))
 
 
-def _raise_conflict(block: _Block, cfg: SolverConfig) -> None:
+def _feasibility_form(block: _Block, lam: float, cfg: SolverConfig):
+    """feasible_at's LP in the simplex's form, posed in v = w -
+    weight_floor, which leaves the right-hand side -weight_floor * (row
+    sum) on each side row, with t = tp - tn split into nonnegatives:
+    columns v, then tp and tn."""
+    import numpy as np
+
+    from . import simplex
+
+    n, k = len(block.matrix.items), len(block.row)
+    sign = np.array(block.sign)
+    entry = -sign * np.array(block.base) + np.array(block.slope) * lam
+    c = np.zeros(n + 2)
+    c[n], c[n + 1] = -1.0, 1.0
+    g = np.zeros((n + k + 3, n + 2))
+    g[: n + 2].flat[:: n + 3] = -1.0  # v >= 0, tp >= 0, tn >= 0
+    g[-1, :n] = 1.0  # the sum row
+    sides = g[n + 2 : -1]
+    sides[:, n], sides[:, n + 1] = 1.0, -1.0
+    at = np.arange(k)
+    sides[at, block.row] = sign
+    sides[at, block.col] = entry
+    h = np.zeros(n + k + 3)
+    h[-1] = 1.0 - n * cfg.weight_floor
+    h[n + 2 : -1] = (entry + sign) * -cfg.weight_floor
+    return simplex._Form(c, g, h, n + k + 2)
+
+
+class _Edges(NamedTuple):
+    """Judgment sides as edges of the graph the search runs on, one list
+    entry per edge. Edge i from node tail[i] to node head[i] bounds x[head]
+    - x[tail] by its weight sign[i] * log(base[i] + lam * rate[i]) +
+    const[i] at level lam: a rising side runs from its row to its col with
+    sign -1 and rate m - l, a falling side from its col to its row with
+    sign 1 and rate -(u - m); a hard side has rate 0. const holds the node
+    offsets that contraction adds. A rising side's bound drops out where
+    base + lam * rate <= 0, and its weight is then inf."""
+
+    tail: list[int]
+    head: list[int]
+    sign: list[float]
+    base: list[float]
+    rate: list[float]
+    const: list[float]
+
+
+def _side_edges(block: _Block, sides) -> _Edges:
+    """The edges of the block's sides `sides` over the items."""
+    sides = list(sides)
+    row, col, sign = block.row, block.col, block.sign
+    return _Edges(
+        [row[s] if sign[s] < 0 else col[s] for s in sides],
+        [col[s] if sign[s] < 0 else row[s] for s in sides],
+        [sign[s] for s in sides],
+        [block.base[s] for s in sides],
+        [-sign[s] * block.slope[s] for s in sides],
+        [0.0] * len(sides),
+    )
+
+
+def _weights(edges: _Edges, lam: float) -> list[float]:
+    """Each edge's weight at level lam."""
+    log, inf = math.log, math.inf
+    return [
+        s * log(a) + c if (a := b + lam * q) > 0.0 else inf
+        for s, c, b, q in zip(edges.sign, edges.const, edges.base, edges.rate)
+    ]
+
+
+def _negative_cycle(
+    tails: list[int], heads: list[int], weights: list[float], pot: list[float]
+) -> list[int] | None:
+    """The edges of a cycle of weight below -_RELAX_TOL, or None when there
+    is none and pot holds potentials that every edge meets to within
+    _RELAX_TOL (pot[head] <= pot[tail] + weight + _RELAX_TOL).
+
+    Bellman-Ford from the potentials pot, which it lowers in place. After
+    each pass it walks the predecessor edges: a cycle among them is
+    negative, by more than _RELAX_TOL, and is returned as found. Without
+    one every potential is bounded below, so the passes end."""
+    n, tol = len(pot), _RELAX_TOL
+    pred = [-1] * n
+    edges = list(zip(range(len(tails)), tails, heads, weights))
+    for _ in range(n * n + 2):
+        changed = False
+        for e, u, v, w in edges:
+            t = pot[u] + w
+            if t < pot[v] - tol:
+                pot[v] = t
+                pred[v] = e
+                changed = True
+        if not changed:
+            return None
+        # the predecessor graph has one edge into each node at most
+        seen = [0] * n  # 0 unvisited, 1 on the current walk, 2 done
+        for start in range(n):
+            v, walk = start, []
+            while v >= 0 and not seen[v]:
+                seen[v] = 1
+                walk.append(v)
+                v = tails[pred[v]] if pred[v] >= 0 else -1
+            if v >= 0 and seen[v] == 1:
+                cycle, u = [], v
+                while True:
+                    cycle.append(pred[u])
+                    u = tails[pred[u]]
+                    if u == v:
+                        return cycle[::-1]
+            for u in walk:
+                seen[u] = 2
+    raise RuntimeError("Bellman-Ford did not settle")
+
+
+def _has_conflict(block: _Block, sides) -> bool:
+    """Whether the hard sides `sides` close a negative cycle, one whose
+    log-weight is below -_RELAX_TOL."""
+    edges = _side_edges(block, sides)
+    pot = [0.0] * len(block.matrix.items)
+    return _negative_cycle(edges.tail, edges.head, _weights(edges, 0.0), pot) is not None
+
+
+def _raise_conflict(block: _Block) -> None:
     """Raise InfeasibleJudgmentsError for the hard sides that cannot all
     hold, naming the pairs of an irreducible subset of them.
 
     The subset comes from a deletion filter (Chinneck and Dravnieks, ORSA J.
     Computing 3, 1991) over the hard sides in judgment order: each side is
-    dropped when the rest still cannot all hold, that is when their best
-    slack with a unit scale is below -_SLACK_FEAS_TOL. The verdicts do not
-    depend on the order of the items, so neither do the named pairs.
+    dropped when the rest still close a negative cycle. The verdicts do
+    not depend on the order of the items, so neither do the named pairs.
     """
-    matrix, keep = block.matrix, block.hard.tolist()
+    matrix, keep = block.matrix, list(block.hard)
     for side in list(keep):
         rest = [k for k in keep if k != side]
-        if rest and _unit_slack(block, rest, cfg)[0] < -_SLACK_FEAS_TOL:
+        if rest and _has_conflict(block, rest):
             keep = rest
     judged = (matrix.judgments[side // 2] for side in keep)
     conflict = list(dict.fromkeys((j.row, j.col) for j in judged))
@@ -366,95 +461,241 @@ def _raise_conflict(block: _Block, cfg: SolverConfig) -> None:
 
 def _least_squares_start(
     block: _Block, cfg: SolverConfig
-) -> tuple[np.ndarray, float]:
+) -> tuple[list[float], float]:
     """The logarithmic least-squares weights of the judgments' modes
     (Crawford and Williams, J. Math. Psych. 29, 1985) and their lambda, which
-    is -inf where they miss a hard side. A block whose every side is hard has
-    a lambda of 1 or -inf at any weight vector.
+    is -inf where they miss a hard side.
 
     x = log w minimizes the sum of (x_row - x_col - log m)^2 over the
     judgments: L x = b, with L the Laplacian of the comparison graph. The
-    all-ones gauge makes L + 1 1^T nonsingular on a connected graph and
-    fixes sum x = 0. The system is inverted by `inv`, which the LPs load
-    anyway: `np.linalg.solve`, like `np.argsort` in _crash_basis, would
-    add a tenth of a megabyte or more of numpy code to every process.
+    all-ones gauge makes L + 1 1^T positive definite on a connected graph
+    and fixes sum x = 0; Gaussian elimination solves it without pivoting.
 
     Weights below the floor are mixed with it, w = floor + (1 - n * floor)
-    * w, so that the start lies in the LP's region: a start outside it
-    would be returned when no weight vector inside does better.
+    * w, as the result's are.
     """
-    n, row, col = len(block.matrix.items), block.row[::2], block.col[::2]
-    log_m = np.log(block.m)
-    normal = np.ones((n, n))
-    # 1 - 1 off the diagonal at each judged pair, which occurs once
-    normal[row, col] = normal[col, row] = 0.0
-    normal.ravel()[:: n + 1] += np.bincount(row, minlength=n) + np.bincount(
-        col, minlength=n
-    )
-    rhs = np.bincount(row, log_m, n) - np.bincount(col, log_m, n)
-    g = np.exp(np.linalg.inv(normal).dot(rhs))
-    w = g / g.sum()
-    if w.min() < cfg.weight_floor:
-        w = cfg.weight_floor + (1.0 - n * cfg.weight_floor) * w
+    n = len(block.matrix.items)
+    normal = [[1.0] * n for _ in range(n)]
+    rhs = [0.0] * n
+    for r, c, mode in zip(block.row[::2], block.col[::2], block.m):
+        # 1 - 1 off the diagonal at each judged pair, which occurs once
+        normal[r][c] = normal[c][r] = 0.0
+        normal[r][r] += 1.0
+        normal[c][c] += 1.0
+        log_m = math.log(mode)
+        rhs[r] += log_m
+        rhs[c] -= log_m
+    for k in range(n):
+        pivot = normal[k]
+        for i in range(k + 1, n):
+            f = normal[i][k] / pivot[k]
+            if f:
+                below = normal[i]
+                for j in range(k + 1, n):
+                    below[j] -= f * pivot[j]
+                rhs[i] -= f * rhs[k]
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        pivot = normal[k]
+        x[k] = (rhs[k] - sum(pivot[j] * x[j] for j in range(k + 1, n))) / pivot[k]
+    w = _normalized(x, cfg)
     return w, _lowest_membership(block, w)
 
 
-def _crash_basis(form: simplex._Form, block: _Block, w) -> simplex._Basis | None:
-    """A starting basis for the block's first Dinkelbach LP, from w, or None
-    when the soft sides do not span the items. The weights and t are basic
-    and n soft sides are tight (the sides that bind at a vertex near w);
-    every other row's slack is basic.
+def _normalized(x: list[float], cfg: SolverConfig) -> list[float]:
+    """exp(x) scaled to sum to 1, and mixed with the weight floor,
+    floor + (1 - n * floor) * w, when some weight is below it."""
+    top = max(x)
+    g = [math.exp(v - top) for v in x]
+    total = math.fsum(g)
+    w = [v / total for v in g]
+    if min(w) < cfg.weight_floor:
+        floor = cfg.weight_floor
+        w = [floor + (1.0 - len(w) * floor) * v for v in w]
+    return w
 
-    The tight sides are picked in ascending membership at w, the way
-    Kruskal's algorithm picks a spanning tree: a side is taken while it
-    joins two components of the item graph, until n - 1 of them span the
-    items, and then the lowest side that closes a cycle. Tight sides picked
-    by membership alone could make the working set singular."""
-    k, n = block.row.size, w.size
-    member = _memberships(block, w).tolist()
-    soft = (block.slope > 0.0).nonzero()[0].tolist()
-    row, col = block.row.tolist(), block.col.tolist()
-    group = list(range(n))  # union-find forest over the items
 
-    def root(i: int) -> int:
-        while group[i] != i:
-            group[i] = group[group[i]]
-            i = group[i]
-        return i
+class _Path(NamedTuple):
+    """The leximin search of one block: the log weights, each stage's level
+    and the number of negative-cycle searches."""
 
-    tree, cycle = [], None
-    for side in sorted(soft, key=member.__getitem__):
-        a, b = root(row[side]), root(col[side])
-        if a != b:
-            group[a] = b
-            tree.append(side)
-        elif cycle is None:
-            cycle = side
-        if len(tree) == n - 1 and cycle is not None:
+    x: list[float]
+    levels: list[float]
+    searches: int
+
+
+def _root(edges: _Edges, cycle: list[int], lo: float, hi: float) -> float:
+    """A level in [lo, hi] where the cycle's weight lies in [0, _SETTLED],
+    or the low end of its bracket once that has closed, given that the
+    weight is not positive at hi and not negative at lo.
+
+    The weight falls as the level rises. Newton steps from hi; a step that
+    leaves the bracket is replaced by its midpoint, and one that cannot
+    move below a negative point steps down one ulp. A rising side whose
+    bound reaches 0 drops out of the graph, so the cycle cannot be negative
+    at or below that level, which raises the bracket's low end."""
+    sign, base, rate, const = edges.sign, edges.base, edges.rate, edges.const
+    a, b = lo, hi
+    for e in cycle:
+        if rate[e] > 0.0:
+            a = max(a, -base[e] / rate[e])
+    x = hi
+    for _ in range(200):
+        value, slope = 0.0, 0.0
+        for e in cycle:
+            arg = base[e] + x * rate[e]
+            if arg <= 0.0:
+                value = math.inf
+                break
+            value += sign[e] * math.log(arg) + const[e]
+            slope += sign[e] * rate[e] / arg
+        if value >= 0.0:
+            if value <= _SETTLED:
+                return x
+            a = x
+        else:
+            b = x
+        step = x - value / slope if math.isfinite(value) else math.nan
+        if step >= b:
+            step = math.nextafter(b, -math.inf)
+        elif not step > a:
+            step = 0.5 * (a + b) if a > -math.inf else b - max(1.0, abs(b))
+        if step <= a:
             break
-    else:
-        return None
-    basic = np.ones(n + 2 + k, dtype=bool)
-    basic[n + 1] = False  # tn
-    basic[[n + 2 + side for side in tree + [cycle]]] = False
-    return simplex._basis(form, basic)
+        x = step
+    if a == -math.inf:
+        raise RuntimeError("the cycle's root search did not settle")
+    return a
+
+
+def _shortest_paths(size: int, tails, heads, weights) -> list[list[float]]:
+    """All-pairs shortest paths over `size` nodes (Floyd-Warshall)."""
+    inf = math.inf
+    dist = [[inf] * size for _ in range(size)]
+    for i in range(size):
+        dist[i][i] = 0.0
+    for u, v, w in zip(tails, heads, weights):
+        if w < dist[u][v]:
+            dist[u][v] = w
+    for via in range(size):
+        through = dist[via]
+        for d in dist:
+            first = d[via]
+            if first < inf:
+                for j, y in enumerate(through):
+                    if first + y < d[j]:
+                        d[j] = first + y
+    return dist
+
+
+def _next_level(
+    edges: _Edges, weights: list[float], dist: list[list[float]], lam: float
+) -> float:
+    """An upper bound at most 1 on the level the free edges can reach
+    together, from the shortest paths dist at level lam, where the graph
+    has no zero cycle between distinct nodes.
+
+    Each free edge u -> v would close a zero cycle with the path from v to
+    u by the level where its weight reaches -dist[v][u]; the edges of that
+    path only get shorter as the level rises, so the lowest such level
+    bounds the next one. The cycle of the lowest edge and its path is then
+    solved for its own root, a closer bound."""
+    best, at, inf = 1.0, -1, math.inf
+    for i, (q, u, v, s, c, b) in enumerate(
+        zip(edges.rate, edges.tail, edges.head, edges.sign, edges.const, edges.base)
+    ):
+        if q and dist[v][u] < inf:
+            # sign * log(arg) + const = -dist[v][u]
+            level = (math.exp(-s * (c + dist[v][u])) - b) / q
+            if level < best:
+                best, at = level, i
+    if at < 0:
+        return 1.0
+    best = max(best, lam)
+    # walk the path back from the edge's head to its tail
+    out = [[] for _ in dist]
+    for i, u in enumerate(edges.tail):
+        out[u].append(i)
+    cycle, node, goal = [at], edges.head[at], edges.tail[at]
+    while node != goal and len(cycle) <= len(dist):
+        step = min(out[node], key=lambda i: weights[i] + dist[edges.head[i]][goal])
+        cycle.append(step)
+        node = edges.head[step]
+    if node != goal:
+        return best
+    return _root(edges, cycle, lam, best)
+
+
+def _leximin(block: _Block, pot: list[float], lo: float) -> _Path:
+    """The leximin log weights of the block, from potentials pot that meet
+    every side at level lo (lo = -inf: they miss a hard side)."""
+    n = len(pot)
+    edges = _side_edges(block, range(len(block.row)))
+    node = list(range(n))  # each item's node; x[i] = X[node[i]] + off[i]
+    off = [0.0] * n
+    levels, searches, hi = [], 0, 1.0
+    while True:
+        lam = hi
+        while True:
+            weights = _weights(edges, lam)
+            cycle = _negative_cycle(edges.tail, edges.head, weights, pot)
+            searches += 1
+            if cycle is None:
+                break
+            if not any(edges.rate[e] for e in cycle):
+                _raise_conflict(block)
+            lam = _root(edges, cycle, lo, lam)
+        lo = lam
+        size = len(pot)
+        dist = _shortest_paths(size, edges.tail, edges.head, weights)
+        # merge the nodes pinned to each other into the lowest of them
+        group = list(range(size))
+        for u in range(size):
+            if group[u] == u:
+                for v in range(u + 1, size):
+                    if group[v] == v and dist[u][v] + dist[v][u] <= _PINNED:
+                        group[v] = u
+        moved = [0.5 * (dist[g][v] - dist[v][g]) for v, g in enumerate(group)]
+        roots = sorted(set(group))
+        index = {g: i for i, g in enumerate(roots)}
+        tails, heads = edges.tail, edges.head
+        keep = [i for i, (u, v) in enumerate(zip(tails, heads)) if group[u] != group[v]]
+        edges = _Edges(
+            [index[group[tails[i]]] for i in keep],
+            [index[group[heads[i]]] for i in keep],
+            [edges.sign[i] for i in keep],
+            [edges.base[i] for i in keep],
+            [edges.rate[i] for i in keep],
+            [edges.const[i] + moved[tails[i]] - moved[heads[i]] for i in keep],
+        )
+        levels.append(lam)
+        for i in range(n):
+            off[i] += moved[node[i]]
+            node[i] = index[group[node[i]]]
+        pot = [pot[g] for g in roots]
+        if not any(edges.rate):
+            break
+        # between the merged nodes the paths are those between their roots
+        dist = [[dist[g][h] for h in roots] for g in roots]
+        weights = [weights[i] + moved[tails[i]] - moved[heads[i]] for i in keep]
+        hi = _next_level(edges, weights, dist, lam)
+    return _Path([pot[node[i]] + off[i] for i in range(n)], levels, searches)
 
 
 def solve_fpp(
     matrix: ComparisonMatrix, config: SolverConfig | None = None
 ) -> SolveResult:
-    """Maximize the common membership level lambda over the weight simplex.
+    """Maximize the common membership level lambda over the weight simplex,
+    and return the leximin weights among those that reach it.
 
-    Runs the Dinkelbach iteration from the logarithmic least-squares weights
-    of the judgments' modes, with a crash basis for the first LP, until its
-    slack reaches zero. It stops before the slack falls to the LP's noise
-    level, where ties between vertices of the optimal face would make the
-    weights depend on the order of the items. Where those weights miss a
-    hard side, the first LP is posed at lambda_cap, and its solution is the
-    first iterate. The first weights, start or iterate, whose lambda reaches
-    lambda_cap are returned clamped. Raises InfeasibleJudgmentsError, naming
-    the conflicting pairs, when the hard (zero-spread) sides of the judgments
-    cannot all hold.
+    Starts from the logarithmic least-squares weights of the judgments'
+    modes, which are returned clamped when their lambda reaches
+    lambda_cap. Otherwise the parametric negative-cycle search finds
+    lambda* and the leximin stages the weights; the weights are mixed with
+    the weight floor where one falls below it, and the reported lambda is
+    theirs, capped at lambda_cap (clamped). Raises InfeasibleJudgmentsError,
+    naming the conflicting pairs, when the hard (zero-spread) sides of the
+    judgments cannot all hold.
     """
     cfg = config or SolverConfig()
     block = _block(matrix)
@@ -462,66 +703,36 @@ def solve_fpp(
     cap = cfg.lambda_cap
     w, lam = _least_squares_start(block, cfg)
     if lam >= cap - _CLAMP_TOL:
-        return _result(matrix, w, cap, 0, True, None)
-    if block.hard.size == block.slope.size:
-        # no side has a denominator, so one LP with a unit scale decides:
-        # when the sides hold, they meet every judgment in full
-        step = _unit_slack(block, slice(None), cfg)
-        if step is None or step[0] < -_SLACK_FEAS_TOL:
-            _raise_conflict(block, cfg)
-        return _result(matrix, step[1], cap, 1, True, step[0])
-    form, at = _slack_form(block, slice(None), cfg)
-    basis, probes = _crash_basis(form, block, w), 0
-    while True:
-        # max t s.t. N_i(w) - lam * D_i(w) >= t * D_i(w_k) on every soft side,
-        # at lambda_cap while w misses a hard side
-        missed = lam == -math.inf
-        _pose(form, at, block, cap if missed else lam, block.slope * w[block.col], cfg)
-        step = _max_t(form, cfg, basis)
-        if step is None:
-            # The first LP is the hard sides' verdict; after that they have
-            # held once, so only round-off.
-            if probes == 0 and block.hard.size:
-                _raise_conflict(block, cfg)
-            raise RuntimeError(
-                f"max-slack subproblem unexpectedly infeasible in block "
-                f"{matrix.parent!r} at lambda {lam}"
-            )
-        slack, w_next, basis = step
-        probes += 1
-        if not missed and slack <= _DINKELBACH_TOL:
-            break
-        lam_next = _lowest_membership(block, w_next)
-        if lam_next >= cap - _CLAMP_TOL:
-            return _result(matrix, w_next, cap, probes, True, slack)
-        if not lam_next > lam:
-            break
-        lam, w = lam_next, w_next
-    return _result(matrix, w, lam, probes, False, slack)
+        return _result(matrix, w, cap, 0, True)
+    if lam == -math.inf and _has_conflict(block, block.hard):
+        _raise_conflict(block)
+    path = _leximin(block, [math.log(v) for v in w], lam)
+    w = _normalized(path.x, cfg)
+    lam = _lowest_membership(block, w)
+    if lam >= cap - _CLAMP_TOL:
+        return _result(matrix, w, cap, path.searches, True)
+    return _result(matrix, w, lam, path.searches, False)
 
 
 def _result(
-    matrix: ComparisonMatrix,
-    w: np.ndarray,
-    lam: float,
-    probes: int,
-    clamped: bool,
-    slack: float | None,
+    matrix: ComparisonMatrix, w: list[float], lam: float, searches: int, clamped: bool
 ) -> SolveResult:
     lam = float(lam)
     return SolveResult(
-        weights=dict(zip(matrix.items, w.tolist())),
+        weights=dict(zip(matrix.items, w)),
         lambda_=lam,
         consistent=lam >= 0.0,
-        iterations=probes,
+        iterations=searches,
         clamped=clamped,
-        slack=None if slack is None else float(slack),
+        slack=None,
     )
 
 
 def _lattice(n: int, units: int) -> np.ndarray:
     """All integer vectors of length n with positive entries summing to units,
     in lexicographic order."""
+    import numpy as np
+
     if units < n:
         raise ValueError("grid step too coarse: fewer lattice units than items")
     return _extend(
@@ -532,6 +743,8 @@ def _lattice(n: int, units: int) -> np.ndarray:
 def _extend(points: np.ndarray, left: np.ndarray, free: int) -> np.ndarray:
     """Each row of points followed by every vector of free + 1 positive
     entries summing to its entry of left, in lexicographic order."""
+    import numpy as np
+
     for free in range(free, 0, -1):
         # each point takes k = 1 .. left - free next, leaving 1 for the rest
         counts = left - free
@@ -551,6 +764,7 @@ def _lattice_size(n: int, units: int) -> int:
 def _lattice_chunks(n: int, units: int, size: int, prefix: tuple[int, ...] = ()):
     """prefix followed by each point of _lattice(n, units), in lexicographic
     order, in consecutive chunks of at most size points (n >= 2)."""
+    import numpy as np
 
     def chunk(ks: list[int]) -> np.ndarray:
         heads = np.array([prefix + (k,) for k in ks], dtype=np.int64)
@@ -588,6 +802,8 @@ def oracle_solve(matrix: ComparisonMatrix, grid_step: float) -> SolveResult:
     relative violation is preferred, so exactly-consistent crisp blocks are
     still localized correctly. Its lambda is reported as -inf.
     """
+    import numpy as np
+
     n = len(matrix.items)
     if n > ORACLE_MAX_ITEMS:
         raise ValueError(

@@ -9,10 +9,12 @@ of the final questionnaire.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import UndefinedStatisticError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Delphi ratings come from a five-point agreement scale, stored as 0..4.
 DELPHI_MIN, DELPHI_MAX = 0, 4
@@ -157,6 +159,9 @@ class ItemResponses:
                 )
 
     def matrix(self) -> np.ndarray:
+        # imported here, so that importing the package does not load numpy
+        import numpy as np
+
         return np.asarray(self.rows, dtype=float)
 
 

@@ -7,22 +7,24 @@ The sweep: for each rng seed 11-68, 300 blocks drawn as SWEEP_BLOCKS in
 test_solver_invariants describes, each solved as drawn and with its items
 reordered (34,800 solves). The contradictory blocks: 1,500 blocks drawn by
 _contradictory_block from rng seed 101. Prints the exceptions, the solves
-whose lambda_at is -inf, the infeasible verdicts, the LPs and pivots, the
-LPs that start with no basis hint outside _raise_conflict's deletion filter
-(cold LPs), the largest lambda and weight gaps between the two item orders,
-and the largest pivot count of a solve from a starting-basis hint. --out
-writes every solve's outcome, the totals and the largest hinted pivot count
-as JSON; --compare reports the largest lambda and weight differences from
-another run's file, the number of solves whose outcome differs in any way
-(its kind, lambda or any weight, the pairs an infeasible verdict names, or
-an exception's message), and the LP, pivot and cold-LP differences; the run
-fails when any outcome, or the LP or pivot total, differs. --expect checks
-the totals against a committed file: the run fails when its LPs, pivots or
-cold LPs exceed the file's, or its solve or infeasible counts differ from
-them.
+whose lambda_at is -inf, the infeasible verdicts, the negative-cycle
+searches and leximin stages of the solver, the largest search and stage
+counts of one solve, and the largest lambda and weight gaps between the two
+item orders; the run fails when the weights of the two orders differ by
+more than ORDER_WEIGHT_TOL. --out writes every solve's outcome, the totals
+and the largest counts as JSON; --compare reports, against another run's
+file, the largest lambda and weight differences, the largest relative
+lambda shortfall and excess, the infeasible verdicts that differ (in kind
+or in the pairs they name), the number of solves whose outcome differs in
+any way (its kind, lambda or any weight, the pairs an infeasible verdict
+names, or an exception's message), and the search and stage differences;
+the run fails when any outcome, or the search or stage total, differs.
+--expect checks the totals against a committed file: the run fails when
+its searches or stages exceed the file's, or its solve or infeasible
+counts differ from them.
 
-Not collected by pytest (the name does not start with test_); it takes a
-few minutes.
+Not collected by pytest (the name does not start with test_); it takes
+about a minute.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from fahp import (  # noqa: E402
     ComparisonMatrix,
     InfeasibleJudgmentsError,
     lambda_at,
-    simplex,
     solve_fpp,
     solver,
 )
@@ -53,7 +54,10 @@ SWEEP_BLOCKS = 300
 CONTRADICTORY_SEED = 101
 CONTRADICTORY_BLOCKS = 1500
 # Totals that --expect bounds from above; every other total must match.
-_CEILINGS = ("lps", "pivots", "cold")
+_CEILINGS = ("searches", "stages")
+# The leximin weights are unique, so the two item orders of a block must
+# give the same weights up to round-off.
+ORDER_WEIGHT_TOL = 1e-12
 
 
 def _population():
@@ -77,47 +81,23 @@ def _population():
         yield f"contradictory {CONTRADICTORY_SEED} {k}", _contradictory_block(rng)
 
 
-def run() -> tuple[dict, collections.Counter, tuple[int, str]]:
-    """Solve the population: (outcome per key, totals, (largest hinted
-    pivot count, its key))."""
+def run() -> tuple[dict, collections.Counter, dict]:
+    """Solve the population: (outcome per key, totals, the largest search
+    and stage counts of one solve as [count, key])."""
     totals = collections.Counter()
-    hinted = [0, ""]
+    most = {"searches": [0, ""], "stages": [0, ""]}
     current = [""]
-    solve, reoptimise = simplex._solve, simplex._reoptimise
-    raise_conflict = solver._raise_conflict
-    hint, in_conflict = [None], [False]
+    leximin = solver._leximin
 
-    def counted(form, basic=None):
-        hint[0] = basic
-        res = solve(form, basic)
-        hint[0] = None
-        totals["lps"] += 1
-        totals["pivots"] += res[0].pivots
-        totals["cold"] += basic is None and not in_conflict[0]
-        return res
+    def counted(*args, **kwargs):
+        path = leximin(*args, **kwargs)
+        for key, count in (("searches", path.searches), ("stages", len(path.levels))):
+            totals[key] += count
+            if count > most[key][0]:
+                most[key] = [count, current[0]]
+        return path
 
-    def conflict(*args, **kwargs):
-        in_conflict[0] = True
-        try:
-            return raise_conflict(*args, **kwargs)
-        finally:
-            in_conflict[0] = False
-
-    def watched(form, basic, limit):
-        from_hint = basic is hint[0]  # the slack-basis retry has its own mask
-        try:
-            res = reoptimise(form, basic, limit)
-        except RuntimeError:  # the iteration limit
-            if from_hint:
-                totals["hint_limit"] += 1
-                print(f"{current[0]}: a hinted solve reached the iteration limit")
-            raise
-        if from_hint and res is not None and res.pivots > hinted[0]:
-            hinted[:] = [res.pivots, current[0]]
-        return res
-
-    simplex._solve, simplex._reoptimise = counted, watched
-    solver._raise_conflict = conflict
+    solver._leximin = counted
     outcomes = {}
     try:
         for key, block in _population():
@@ -138,9 +118,8 @@ def run() -> tuple[dict, collections.Counter, tuple[int, str]]:
                 print(f"{key}: lambda_at is -inf")
             outcomes[key] = {"lambda": res.lambda_, "weights": res.weights}
     finally:
-        simplex._solve, simplex._reoptimise = solve, reoptimise
-        solver._raise_conflict = raise_conflict
-    return outcomes, totals, tuple(hinted)
+        solver._leximin = leximin
+    return outcomes, totals, most
 
 
 def _gaps(outcomes: dict, other: dict, pairs) -> tuple[float, float, list[str]]:
@@ -159,6 +138,20 @@ def _gaps(outcomes: dict, other: dict, pairs) -> tuple[float, float, list[str]]:
     return lam, weight, differ
 
 
+def _relative_lambda(outcomes: dict, other: dict) -> tuple[float, float]:
+    """The largest relative shortfall and excess of each solve's lambda
+    against the other run's, (theirs - ours) / max(1, |theirs|) and (ours -
+    theirs) / max(1, |theirs|), over the keys both runs solved."""
+    below = above = 0.0
+    for key, x in outcomes.items():
+        y = other.get(key, {})
+        if "lambda" in x and "lambda" in y:
+            scale = max(1.0, abs(y["lambda"]))
+            below = max(below, (y["lambda"] - x["lambda"]) / scale)
+            above = max(above, (x["lambda"] - y["lambda"]) / scale)
+    return below, above
+
+
 def _differing(outcomes: dict, other: dict) -> list[str]:
     """The keys whose outcome differs in any way between two runs, bit for
     bit, including a key only one run has."""
@@ -166,8 +159,8 @@ def _differing(outcomes: dict, other: dict) -> list[str]:
 
 
 def _meets(totals: collections.Counter, solves: int, expected: dict) -> bool:
-    """Whether the run's counts meet the expected ones: at most as many LPs,
-    pivots and cold LPs, and the same number of solves and infeasible
+    """Whether the run's counts meet the expected ones: at most as many
+    searches and stages, and the same number of solves and infeasible
     verdicts. Prints each count that does not."""
     found = collections.Counter(totals, solves=solves)
     misses = [
@@ -185,36 +178,38 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", type=Path, help="an earlier run's --out file")
     parser.add_argument("--expect", type=Path, help="committed totals to check")
     args = parser.parse_args(argv)
-    outcomes, totals, (most, where) = run()
+    outcomes, totals, most = run()
     print(f"solves {len(outcomes)}, exceptions {totals['exceptions']}, "
           f"lambda_at -inf {totals['minus_inf']}, infeasible {totals['infeasible']}")
-    print(f"LPs {totals['lps']}, pivots {totals['pivots']}, "
-          f"cold LPs {totals['cold']}, largest hinted pivot count {most} ({where}), "
-          f"hinted solves at the iteration limit {totals['hint_limit']}")
+    print(f"searches {totals['searches']}, stages {totals['stages']}, "
+          "largest in one solve: "
+          + ", ".join(f"{key} {count} ({where})" for key, (count, where) in most.items()))
     orders = [(k, k[:-1] + "b") for k in outcomes if k.endswith(" a")]
     lam, weight, differ = _gaps(outcomes, outcomes, orders)
-    print(f"between item orders: lambda {lam:.3g}, weights {weight:.3g}, "
-          f"{len(differ)} verdicts differ")
+    print(f"between item orders: lambda {lam:.3g}, weights {weight:.3g} "
+          f"(at most {ORDER_WEIGHT_TOL:g}), {len(differ)} verdicts differ")
     if args.out:
         args.out.write_text(json.dumps(
-            {"totals": totals, "hinted": [most, where], "outcomes": outcomes}
+            {"totals": totals, "most": most, "outcomes": outcomes}
         ))
-    failed = bool(totals["exceptions"] or totals["minus_inf"])
+    failed = bool(totals["exceptions"] or totals["minus_inf"] or differ)
+    failed |= weight > ORDER_WEIGHT_TOL
     if args.compare:
         other = json.loads(args.compare.read_text())
         pairs = [(k, k) for k in outcomes if k in other["outcomes"]]
-        lam, weight, _ = _gaps(outcomes, other["outcomes"], pairs)
+        lam, weight, verdicts = _gaps(outcomes, other["outcomes"], pairs)
+        below, above = _relative_lambda(outcomes, other["outcomes"])
         differ = _differing(outcomes, other["outcomes"])
         print(f"against {args.compare}: lambda {lam:.3g}, weights {weight:.3g}, "
+              f"relative lambda shortfall {below:.3g} and excess {above:.3g}, "
+              f"{len(verdicts)} verdicts differ, "
               f"{len(differ)} outcomes differ{': ' if differ else ''}"
               f"{', '.join(differ[:10])}")
         theirs = collections.Counter(other["totals"])
-        print(f"LPs {totals['lps'] - theirs['lps']:+d}, "
-              f"pivots {totals['pivots'] - theirs['pivots']:+d}, "
-              f"cold LPs {totals['cold'] - theirs['cold']:+d} "
-              f"(theirs {theirs['lps']}, {theirs['pivots']} and {theirs['cold']}), "
-              f"largest hinted pivot count theirs {other['hinted'][0]}")
-        failed |= bool(differ) or any(totals[k] != theirs[k] for k in ("lps", "pivots"))
+        print(f"searches {totals['searches'] - theirs['searches']:+d}, "
+              f"stages {totals['stages'] - theirs['stages']:+d} "
+              f"(theirs {theirs['searches']} and {theirs['stages']})")
+        failed |= bool(differ) or any(totals[k] != theirs[k] for k in _CEILINGS)
     if args.expect:
         failed |= not _meets(totals, len(outcomes), json.loads(args.expect.read_text()))
     return 1 if failed else 0

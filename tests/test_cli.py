@@ -535,6 +535,38 @@ def test_cli_import_leaves_reproduce_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+# Runs a command as the installed `fahp` script does, then reports whether
+# numpy was loaded by the time it exits.
+_NUMPY_AT_EXIT = (
+    "import sys; from fahp.cli import main; code = main(sys.argv[1:]); "
+    "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, numpy",
+    [
+        (["solve", str(bundled_study_path()), "--no-timestamp"], 0, False),
+        (["reproduce-paper"], 0, False),
+        (["oracle", str(bundled_study_path())], 4, True),
+    ],
+    ids=["solve", "reproduce-paper", "oracle"],
+)
+def test_solve_and_reproduce_never_load_numpy(argv, code, numpy):
+    # The solver, documents and report are plain Python; numpy is imported
+    # only by the grid oracle (and by feasible_at, weight_vector and the
+    # survey statistics), so `solve` and `reproduce-paper` skip its import.
+    src = Path(fahp.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_AT_EXIT, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == str(numpy)
+
+
 def test_reproduce_paper_runs(capsys):
     rc = main(["reproduce-paper"])
     out = capsys.readouterr().out

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from fahp import simplex, solve_fpp
+from fahp import feasible_at, simplex, solve_fpp
 from test_solver_invariants import _blocks, _lp_arrays
 
 ROUNDOFF_LPS = Path(__file__).parent / "fixtures" / "roundoff" / "lps.json"
@@ -197,9 +197,10 @@ def test_cold_solve_past_the_fallback_threshold(name):
 
 
 def test_solutions_meet_their_rows_to_round_off(monkeypatch):
-    # Every max-slack LP of the random invariant blocks: after the refinement
-    # step an optimal solution meets its rows to within a few ulps of the
-    # right-hand sides, far inside the 1e-9 that _satisfies checks.
+    # feasible_at's max-slack LP of each random invariant block at a few
+    # levels: after the refinement step an optimal solution meets its rows
+    # to within a few ulps of the right-hand sides, far inside the 1e-9
+    # that _satisfies checks.
     worst = []
     solve = simplex._solve
 
@@ -219,7 +220,9 @@ def test_solutions_meet_their_rows_to_round_off(monkeypatch):
 
     monkeypatch.setattr(simplex, "_solve", checked)
     for block in _blocks():
-        solve_fpp(block)
+        best = solve_fpp(block).lambda_
+        for lam in (1.0, best, best - 0.5, -10.0):
+            feasible_at(block, lam)
     assert len(worst) > 100
     assert max(worst) <= 1e-15
 
@@ -508,8 +511,9 @@ def test_infeasible_lp_with_a_hint_reports_infeasible():
 
 
 def _max_slack_lp(n, sides, floor=1e-6):
-    """The LP solver._slack_form poses: max t subject to rows @ w + t * scale
-    <= 0 and sum w = 1 over v = w - floor, with t = tp - tn. Each side
+    """The max-slack LP of the solver's former Dinkelbach steps, of which
+    feasible_at's LP is the unit-scale case: max t subject to rows @ w + t *
+    scale <= 0 and sum w = 1 over v = w - floor, with t = tp - tn. Each side
     (r, c, upper, q, scale) is the row w_r - q w_c <= 0 when `upper`, else
     q w_c - w_r <= 0; a hard side has scale 0."""
     rows, scale = np.zeros((len(sides), n)), np.zeros(len(sides))
@@ -557,7 +561,7 @@ HIGHS_TOLERANCES = dict(primal_feasibility_tolerance=1e-10,
 @given(max_slack_lps())
 def test_max_slack_lps_agree_with_highs(lps):
     # Solved cold, and from the final basis of a perturbed copy as the
-    # solver's consecutive LPs are, each LP has HiGHS's status and, when
+    # solver's consecutive Dinkelbach LPs once were, each LP has HiGHS's status and, when
     # optimal, its objective within 1e-9 (1 + |objective|).
     lp, moved = lps
     ref = linprog(lp["c"], A_ub=lp["a_ub"], b_ub=lp["b_ub"], A_eq=lp["a_eq"],

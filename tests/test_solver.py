@@ -1,4 +1,4 @@
-"""Preference-programming solver: Dinkelbach iteration, feasibility LP, and the grid oracle."""
+"""Preference-programming solver: the leximin search, feasibility LP and grid oracle."""
 
 import collections
 import json
@@ -24,7 +24,7 @@ from fahp import (
     reciprocal,
     solve_fpp,
 )
-from fahp import simplex, solver
+from fahp import solver
 from fahp.fuzzy import _CRISP_REL_TOL
 from fahp.hierarchy import MIN_SPREAD
 from fahp.solver import (
@@ -90,69 +90,18 @@ def test_cyclic_matrix_is_strongly_inconsistent():
         assert w == pytest.approx(1 / 3, abs=1e-3)
 
 
-def _infeasible_at(monkeypatch, call):
-    """Make the call-th LP report "infeasible", as the simplex reports an LP
-    whose rows cannot all hold; return the list of calls made."""
-    calls = []
-    solve = simplex._solve
-
-    def infeasible(*args):
-        calls.append(args)
-        if len(calls) == call:
-            return simplex.LPResult("infeasible", None, None, 0), None
-        return solve(*args)
-
-    monkeypatch.setattr(simplex, "_solve", infeasible)
-    return calls
-
-
-def test_infeasible_dinkelbach_lp_names_the_block_and_lambda(monkeypatch):
-    # Once a Dinkelbach LP has held, the next keeps the same hard rows, so
-    # only round-off can make it infeasible; that must not be an unpacking
-    # error. SKEWED_CYCLE takes five LPs from its least-squares start.
-    assert solve_fpp(SKEWED_CYCLE).iterations >= 2
-    calls = _infeasible_at(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match=r"infeasible in block 't' at lambda -\d"):
-        solve_fpp(SKEWED_CYCLE)
-    assert len(calls) == 2
-
-
-def test_infeasible_first_lp_without_hard_sides_is_round_off(monkeypatch):
-    # With no hard sides the first LP cannot be infeasible either.
-    calls = _infeasible_at(monkeypatch, 1)
-    with pytest.raises(RuntimeError, match=r"infeasible in block 't' at lambda -\d"):
-        solve_fpp(SKEWED_CYCLE)
-    assert len(calls) == 1
-
-
-def test_infeasible_first_lp_with_hard_sides_is_the_conflict_verdict(monkeypatch):
-    # From the least-squares start, the first LP is the first to hold the hard
-    # sides; its infeasibility is the verdict that they conflict.
-    block = _mat("abc", [*SKEWED_CYCLE_TRIPLES[:2], ("a", "c", (0.25, 1, 1))])
-    assert solver._least_squares_start(_block(block), SolverConfig())[1] > -math.inf
-    _infeasible_at(monkeypatch, 1)
-    with pytest.raises(InfeasibleJudgmentsError):
-        solve_fpp(block)
-
-
-def test_missed_hard_side_starts_from_the_probe(monkeypatch):
+def test_missed_hard_side_starts_from_the_probe():
     # The least-squares weights of this block miss a hard side (lambda -inf),
-    # so its first LP is posed at lambda_cap, from the crash basis of those
-    # weights; its solution is the first iterate.
+    # so they give the search no feasible level: its first search is at
+    # level 1, and its bracket widens down from there to the first root.
     block = _blocks()[7]
     judged = _block(block)
-    assert judged.hard.size
-    assert solver._least_squares_start(judged, SolverConfig())[1] == -math.inf
-    hints = []
-    solve = simplex._solve
-
-    def hinted(form, basic=None):
-        hints.append(basic)
-        return solve(form, basic)
-
-    monkeypatch.setattr(simplex, "_solve", hinted)
+    assert judged.hard
+    start = solver._least_squares_start(judged, SolverConfig())
+    assert start[1] == -math.inf
+    path = solver._leximin(judged, [math.log(w) for w in start[0]], start[1])
     res = solve_fpp(block)
-    assert hints[0] is not None
+    assert path.searches == res.iterations >= 2
     assert not res.clamped and lambda_at(block, res.weights) == res.lambda_
 
 
@@ -183,11 +132,11 @@ def test_weights_sum_to_one_and_respect_floor():
         res = solve_fpp(m)
         assert sum(res.weights.values()) == pytest.approx(1.0, abs=1e-9)
         assert min(res.weights.values()) >= 1e-6 - 1e-15
+        assert res.slack is None
         if m is CYCLIC:
             assert res.iterations > 0
-            assert res.slack is not None and res.slack >= -1e-9
         else:  # clamped at the least-squares start
-            assert res.iterations == 0 and res.slack is None
+            assert res.iterations == 0
 
 
 def test_solve_is_deterministic():
@@ -562,15 +511,15 @@ def test_lowest_membership_matches_the_loop(rng):
     # weights, with each judgment's ratio put on l, m and u and moved by
     # 0.5e-12 and 1.5e-12 of it either way, inside and outside the 1e-12
     # bands of the crisp and hard-side rules, and exactly on those bands'
-    # edges and one ulp either side, where the table's sign * ratio + bound
-    # <= 0 must agree with ratio >= l * (1 - 1e-12) and ratio <= u * (1 +
-    # 1e-12) at equality. Each judgment's two sides must also give its own
-    # membership, bit for bit.
+    # edges and one ulp either side, where the table's comparison of the
+    # ratio with base * (1 - sign * 1e-12) must agree with ratio >= l * (1 -
+    # 1e-12) and ratio <= u * (1 + 1e-12) at equality. Each judgment's two
+    # sides must also give its own membership, bit for bit.
     hard = crisp = edges = 0
     for block in _array_blocks():
         judged = _block(block)
-        hard += judged.hard.size
-        crisp += judged.crisp.size
+        hard += len(judged.hard)
+        crisp += len(judged.crisp)
         n = len(block.items)
         vectors = [rng.dirichlet(np.ones(n)) for _ in range(5)]
         if len(block.items) <= 6:
@@ -588,17 +537,18 @@ def test_lowest_membership_matches_the_loop(rng):
         exact = list(_on_the_bounds(block))
         for vec in vectors + exact:
             assert _lowest_membership(judged, vec) == _lowest_membership_loop(block, vec)
-            sides = _memberships(judged, vec)
+            sides = np.array(_memberships(judged, vec))
             each = [
                 membership(j.value, vec[idx[j.row]] / vec[idx[j.col]])
                 for j in block.judgments
             ]
             lowest = np.minimum(sides[::2], sides[1::2])
             assert lowest.tobytes() == np.array(each).tobytes()
-        hard_side = judged.hard
         for vec in exact:  # count the hard sides whose bound is hit exactly
-            ratio = vec[judged.row[hard_side]] / vec[judged.col[hard_side]]
-            edges += np.count_nonzero(judged.sign[hard_side] * ratio + judged.bound == 0)
+            for side in judged.hard:
+                ratio = vec[judged.row[side]] / vec[judged.col[side]]
+                bound = judged.base[side] * (1 + judged.sign[side] * _CRISP_REL_TOL)
+                edges += ratio == bound
     assert hard >= 50 and crisp >= 5 and edges >= 300
 
 
@@ -621,47 +571,45 @@ def _sides_loop(matrix):
 
 
 def _dense(block, n):
-    """The side rows base and spread of a solver._Block as dense arrays."""
-    base, spread = np.zeros((2, block.row.size, n))
-    at = np.arange(block.row.size)
-    base[at, block.col], base[at, block.row] = block.coef, block.sign
+    """The side rows base and spread of a solver._Block as dense arrays: the
+    coefficient l or -u (-sign * base) at the col item and sign at the row
+    item, and the slope at the col item."""
+    base, spread = np.zeros((2, len(block.row), n))
+    at = np.arange(len(block.row))
+    sign = np.array(block.sign)
+    base[at, block.col], base[at, block.row] = -sign * np.array(block.base), sign
     spread[at, block.col] = block.slope
     return base, spread
 
 
-def test_side_rows_match_the_loop(rng):
+def test_side_rows_match_the_loop():
     # Bit for bit, on the blocks whose memberships are checked above: the
-    # rows of the max-slack LP's form as built (at level 0 with a unit
-    # scale, for every side and for a subset) and as posed at a few levels,
-    # their right-hand sides and slack scales, against the rows the loop
-    # builds.
+    # side rows of feasible_at's LP as posed at a few levels, their
+    # right-hand sides and unit slack scales, against the rows the loop
+    # builds; and the edge each side becomes in the search's graph, whose
+    # weight at a level is sign * log of the ratio bound those rows hold.
     cfg = solver.SolverConfig()
     hard = 0
     for matrix in _array_blocks():
         n = len(matrix.items)
         block = _block(matrix)
         base, spread, hard_sides = _sides_loop(matrix)
-        assert np.array_equal(block.slope == 0.0, hard_sides)
+        assert [k == 0.0 for k in block.slope] == hard_sides.tolist()
         assert all(np.array_equal(a, b) for a, b in zip(_dense(block, n), (base, spread)))
-        subset = np.sort(rng.permutation(block.row.size)[: max(1, block.row.size // 2)])
-        for sides in (subset, slice(None)):
-            form, at = solver._slack_form(block, sides, cfg)
-            posed = form.g[n + 2 : -1]
-            assert posed[:, :n].tobytes() == base[sides].tobytes()
-            rhs = form.h[n + 2 : -1]
-            unit_rhs = -cfg.weight_floor * base[sides].sum(axis=1)
-            assert rhs.tobytes() == unit_rhs.tobytes()
-            assert (posed[:, n] == 1.0).all() and (posed[:, n + 1] == -1.0).all()
-        w = rng.dirichlet(np.ones(n))
-        scale = block.slope * w[block.col]
-        assert scale.tobytes() == spread.dot(w).tobytes()
+        edges = solver._side_edges(block, range(len(block.row)))
         for lam in (1.0, 0.37, -2.5, -1e3):
-            solver._pose(form, at, block, lam, scale, cfg)
+            form = solver._feasibility_form(block, lam, cfg)
+            posed = form.g[n + 2 : -1]
             rows = base + lam * spread
             assert posed[:, :n].tobytes() == rows.tobytes()
+            rhs = form.h[n + 2 : -1]
             assert rhs.tobytes() == (-cfg.weight_floor * rows.sum(axis=1)).tobytes()
-            assert posed[:, n].tobytes() == scale.tobytes()
-            assert posed[:, n + 1].tobytes() == (-scale).tobytes()
+            assert (posed[:, n] == 1.0).all() and (posed[:, n + 1] == -1.0).all()
+            for s, weight in enumerate(solver._weights(edges, lam)):
+                sign, r, c = block.sign[s], block.row[s], block.col[s]
+                assert (edges.tail[s], edges.head[s]) == ((r, c) if sign < 0 else (c, r))
+                bound = -sign * rows[s, c]
+                assert weight == (sign * math.log(bound) if bound > 0 else math.inf)
         hard += hard_sides.sum()
     assert hard >= 50
 
@@ -691,8 +639,10 @@ def test_block_fields_match_the_former_construction():
     # Every field of the side table, with and without hard sides, against
     # the former per-judgment fields and side rows: judgment i's fields at
     # sides 2i and 2i + 1, the side rows through the dense helper, and each
-    # hard side's bound from the former floor or ceiling. The former l, m
-    # and u kept the integer dtype of integer judgments; they are float now.
+    # hard side's ratio bound, base * (1 - sign * 1e-12), from the former
+    # floor or ceiling. The fields are tuples of Python ints (the item and
+    # side indices) and floats; the former l, m and u kept the integer type
+    # of integer judgments, and they are floats now.
     rng = np.random.default_rng(7)
     soft = [_random_block(rng, n, hard_share=0.0) for n in range(2, 11)]
     kinds = collections.Counter()
@@ -701,31 +651,30 @@ def test_block_fields_match_the_former_construction():
         (row, col, l, m, u, rise_span, fall_span, hard_rise, floor, hard_fall,
          ceiling, crisp, base, spread, hard) = _former_block(matrix)
         l, m, u = (a.astype(float) for a in (l, m, u))
-        limit = np.full(hard.size, np.nan)
-        limit[2 * hard_rise], limit[2 * hard_fall + 1] = floor, -ceiling
         fields = dict(
-            row=row.repeat(2), col=col.repeat(2),
-            coef=np.array([l, -u]).T.ravel(), sign=np.tile([-1.0, 1.0], l.size),
-            slope=np.array([m - l, u - m]).T.ravel(),
-            hard=hard.nonzero()[0], bound=limit[hard], m=m, crisp=crisp,
+            row=row.repeat(2), col=col.repeat(2), sign=np.tile([-1.0, 1.0], l.size),
+            base=np.array([l, u]).T.ravel(), slope=np.array([m - l, u - m]).T.ravel(),
+            hard=hard.nonzero()[0], m=m, crisp=crisp,
         )
         assert list(fields) == list(solver._Block._fields[1:])
         assert block.matrix is matrix
         kinds[bool(hard.any())] += 1
-        named = [(name, getattr(block, name), old) for name, old in fields.items()]
-        named += zip(
-            ("base", "spread"), _dense(block, len(matrix.items)), (base, spread)
-        )
-        for name, new, old in named:
-            assert new.tobytes() == old.tobytes(), name
-            if name in ("coef", "sign", "slope", "bound", "m"):
-                assert new.dtype == np.float64, name
-            else:
-                assert new.dtype == old.dtype, name
-            assert new.flags.c_contiguous, name
+        for name, old in fields.items():
+            new = getattr(block, name)
+            assert type(new) is tuple, name
+            assert list(new) == old.tolist(), name
+            kind = float if name in ("sign", "base", "slope", "m") else int
+            assert all(type(x) is kind for x in new), name
+        dense = _dense(block, len(matrix.items))
+        assert dense[0].tobytes() == base.tobytes()
+        assert dense[1].tobytes() == spread.tobytes()
+        limit = np.full(hard.size, np.nan)
+        limit[2 * hard_rise], limit[2 * hard_fall + 1] = floor, ceiling
+        bounds = [b * (1 + s * _CRISP_REL_TOL) for b, s in zip(block.base, block.sign)]
+        assert np.array(bounds)[hard].tobytes() == limit[hard].tobytes()
         # the spans of the former soft sides are the table's slopes there
         assert np.array_equal(np.array([rise_span, fall_span]).T.ravel()[~hard],
-                              block.slope[~hard])
+                              np.array(block.slope)[~hard])
     assert kinds[True] >= 30 and kinds[False] >= 12
 
 
@@ -772,26 +721,18 @@ def test_narrower_sides_are_rejected():
 SOLVER_PATH = FIXTURES.parent / "solver_path.json"
 
 
-def test_solver_path_is_pinned(monkeypatch):
-    # The Dinkelbach iteration's path on the seeded blocks of the fixture
-    # (its "about" says how they were drawn): each block's LP count and
-    # simplex pivots, counted at simplex._solve, are pinned exactly, and its
-    # lambda and weights within 1e-12 (relative); the infeasible block names
-    # the same pairs. A change that moves the path shows here in tier 1.
-    pivots = [0]
-    solve = simplex._solve
-
-    def counted(form, basis=None):
-        res = solve(form, basis)
-        pivots[0] += res[0].pivots
-        return res
-
-    monkeypatch.setattr(simplex, "_solve", counted)
+def test_solver_path_is_pinned():
+    # The leximin search's path on the seeded blocks of the fixture (its
+    # "about" says how they were drawn): each block's searches and whether
+    # it is clamped are pinned exactly, its stage levels, lambda and weights
+    # within 1e-12 (relative, or 1e-15 absolute near 0); the infeasible
+    # block names the same pairs. A change that moves the path shows here in
+    # tier 1.
     kinds = collections.Counter()
+    cfg = SolverConfig()
     for case in json.loads(SOLVER_PATH.read_text())["blocks"]:
         matrix = _mat(case["items"], [(r, c, v) for r, c, *v in case["judgments"]], "goal")
         kinds["hard sides"] += any(l == m or m == u for _, _, l, m, u in case["judgments"])
-        pivots[0] = 0
         if "infeasible" in case:
             with pytest.raises(InfeasibleJudgmentsError) as exc:
                 solve_fpp(matrix)
@@ -799,11 +740,19 @@ def test_solver_path_is_pinned(monkeypatch):
             kinds["infeasible"] += 1
             continue
         res = solve_fpp(matrix)
-        path = (res.iterations, pivots[0], res.clamped)
-        assert path == (case["iterations"], case["pivots"], case["clamped"]), case["name"]
-        assert math.isclose(res.lambda_, case["lambda"], rel_tol=1e-12), case["name"]
-        for item, weight in zip(case["items"], case["weights"]):
-            assert math.isclose(res.weights[item], weight, rel_tol=1e-12), case["name"]
+        name = case["name"]
+        assert (res.iterations, res.clamped) == (case["searches"], case["clamped"]), name
+        levels = []
+        if res.iterations:
+            block = _block(matrix)
+            w, lam = solver._least_squares_start(block, cfg)
+            path = solver._leximin(block, [math.log(v) for v in w], lam)
+            levels = path.levels
+        assert len(levels) == len(case["levels"]), name
+        pinned = [*zip(levels, case["levels"]), (res.lambda_, case["lambda"])]
+        pinned += [(res.weights[item], w) for item, w in zip(case["items"], case["weights"])]
+        for got, want in pinned:
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15), name
         kinds["clamped at the start" if res.iterations == 0 else "solved"] += 1
     assert kinds == {
         "hard sides": 14, "infeasible": 1, "clamped at the start": 1, "solved": 22

@@ -1,5 +1,6 @@
-"""Invariants of the Dinkelbach solver on random blocks of 2-10 items, some
-with hard (zero-spread) sides, and regressions for blocks that once failed."""
+"""Invariants of the leximin solver on random blocks of 2-10 items, some
+with hard (zero-spread) sides, and regressions for blocks that once failed;
+and of feasible_at's max-slack LP."""
 
 import collections
 import json
@@ -16,6 +17,7 @@ from fahp import (
     ComparisonMatrix,
     InfeasibleJudgmentsError,
     bundled_study_path,
+    feasible_at,
     lambda_at,
     load_study,
     simplex,
@@ -129,6 +131,20 @@ def _highs_slack(rows, scale):
     return -res.fun
 
 
+def _side_rows(matrix, lam=0.0):
+    """The dense row of each judgment side at level lam, in the solver's
+    side order (judgment i has rising side 2i and falling side 2i + 1): the
+    side holds when row @ w <= 0."""
+    idx = {it: i for i, it in enumerate(matrix.items)}
+    rows = np.zeros((2 * len(matrix.judgments), len(matrix.items)))
+    for i, j in enumerate(matrix.judgments):
+        l, m, u = j.value.as_tuple()
+        r, c = idx[j.row], idx[j.col]
+        rows[2 * i, c], rows[2 * i, r] = l + lam * (m - l), -1.0
+        rows[2 * i + 1, c], rows[2 * i + 1, r] = -u + lam * (u - m), 1.0
+    return rows
+
+
 def _permuted(matrix, perm):
     """The block with item i renamed to item perm[i]."""
     relabel = {matrix.items[i]: matrix.items[perm[i]] for i in range(len(perm))}
@@ -165,25 +181,36 @@ def test_solution_is_permutation_equivariant():
             assert abs(b.weights[relabel[item]] - a.weights[item]) <= 1e-6
 
 
-def test_max_slack_reports_the_unshifted_slack():
-    # On the bundled blocks, the slack t that _max_t reports must be
-    # HiGHS's optimum on the same rows: at lambda_cap with a unit scale, and
-    # at the solved lambda with the Dinkelbach scale D_i(w). (It once solved
-    # for t + theta, a shift of 2.5e-6 to 1.5e-4 there, and subtracted it.)
+def _recording_lps(monkeypatch):
+    """Record every LP that simplex._solve takes: (a copy of its arrays, the
+    result, the final basis's column mask)."""
+    seen, solve = [], simplex._solve
+
+    def recorded(form, basic=None):
+        lp = _lp_arrays(form)
+        res, final = solve(form, basic)
+        seen.append((lp, res, None if final is None else final.basic.copy()))
+        return res, final
+
+    monkeypatch.setattr(simplex, "_solve", recorded)
+    return seen
+
+
+def test_max_slack_reports_the_unshifted_slack(monkeypatch):
+    # On the bundled blocks, the slack t of feasible_at's max-slack LP, at
+    # lambda_cap and at the solved lambda, must be HiGHS's optimum on the
+    # same rows with the same unit scale. (It once solved for t + theta, a
+    # shift of 2.5e-6 to 1.5e-4 there, and subtracted it.)
     cfg = solver.SolverConfig()
+    seen = _recording_lps(monkeypatch)
     for block in load_study(bundled_study_path()).hierarchy.matrices.values():
-        table = solver._block(block)
         res = solve_fpp(block)
-        w = res.weight_vector()
-        for lam, scale in (
-            (cfg.lambda_cap, np.ones(table.row.size)),
-            (res.lambda_, table.slope * w[table.col]),
-        ):
-            n = len(block.items)
-            form, at = solver._slack_form(table, slice(None), cfg)
-            solver._pose(form, at, table, lam, scale, cfg)
-            t, _, _ = solver._max_t(form, cfg)
-            assert abs(t - _highs_slack(form.g[n + 2 : -1, :n], scale)) <= 1e-9
+        for lam in (cfg.lambda_cap, res.lambda_):
+            feasible_at(block, lam)
+            _, lp, _ = seen[-1]
+            rows = _side_rows(block, lam)
+            t = lp.x[-2] - lp.x[-1]
+            assert abs(t - _highs_slack(rows, np.ones(len(rows)))) <= 1e-9
 
 
 def test_block_below_minus_ten_without_hard_sides_solves():
@@ -265,10 +292,10 @@ def _contradictory_block(rng):
 
 
 def test_infeasible_verdicts_agree_with_highs():
-    # solve_fpp raises InfeasibleJudgmentsError exactly when the phase 1 of
-    # its first LP finds no weight vector that meets every hard side. HiGHS
-    # must agree on each block: the hard sides cannot all hold exactly when
-    # the best slack over them alone, with a unit scale, is negative.
+    # solve_fpp raises InfeasibleJudgmentsError exactly when the hard sides
+    # close a negative cycle in log weights. HiGHS must agree on each block:
+    # the hard sides cannot all hold exactly when the best slack over them
+    # alone, with a unit scale, is negative.
     rng = np.random.default_rng(101)
     blocks = [_contradictory_block(rng) for _ in range(300)]
     fixture = load_study(FIXTURES / "contradictory_101_45.json").hierarchy.matrices
@@ -276,10 +303,8 @@ def test_infeasible_verdicts_agree_with_highs():
     infeasible = 0
     for block in blocks:
         table = solver._block(block)
-        n = len(block.items)
-        form = solver._slack_form(table, slice(None), solver.SolverConfig())[0]
-        base = form.g[n + 2 : -1, :n]
-        hard = table.slope == 0.0
+        base = _side_rows(block)
+        hard = np.array(table.slope) == 0.0
         expected = hard.any() and _highs_slack(base[hard], np.ones(hard.sum())) < 0.0
         try:
             solve_fpp(block)
@@ -312,11 +337,9 @@ def test_conflict_names_an_irreducible_set_in_either_order():
             solve_fpp(_permuted(block, perm))
         assert moved.value.pairs == tuple((relabel[r], relabel[c]) for r, c in conflict)
         table = solver._block(block)
-        n = len(block.items)
-        form = solver._slack_form(table, slice(None), solver.SolverConfig())[0]
-        base = form.g[n + 2 : -1, :n]
+        base = _side_rows(block)
         pairs = [(j.row, j.col) for j in block.judgments for _ in range(2)]
-        hard = (table.slope == 0.0).nonzero()[0]
+        hard = table.hard
         sides = [k for k in hard if pairs[k] in conflict]
         assert _highs_slack(base[sides], np.ones(len(sides))) < 0.0
         for pair in conflict:
@@ -409,181 +432,75 @@ def _warm_cold_blocks():
 
 
 def test_warm_start_agrees_with_cold_solves(monkeypatch):
-    # Each Dinkelbach LP starts from the previous LP's final basis. Solved
-    # once as shipped and once with that hint dropped, every block must come
-    # out the same. Some hint must have been certified as optimal and some
-    # re-optimised from its own working set, or a warm path would be dead
-    # code.
+    # Each negative-cycle search starts from the potentials the search
+    # before left, the first from the log least-squares weights. Solved once
+    # as shipped and once with every search started from zero potentials,
+    # every block must come out the same: lambda within 1e-9 and the leximin
+    # weights, which are unique, within 1e-12. Some warm search must have
+    # settled without lowering a potential, or the warm start would never
+    # pay.
     blocks = _warm_cold_blocks()
-    solve, reoptimise = simplex._solve, simplex._reoptimise
-    hints, reached = [None], collections.Counter()
+    search, settled = solver._negative_cycle, collections.Counter()
 
-    def hinting(form, basic=None):
-        hints[0] = basic
-        return solve(form, basic)
-
-    def counting(form, basic, limit):
-        res = reoptimise(form, basic, limit)
-        if basic is hints[0] and res is not None and res.status == "optimal":
-            reached["reoptimised" if res.pivots else "certified"] += 1
-        return res
+    def watched(tails, heads, weights, pot):
+        before = list(pot)
+        cycle = search(tails, heads, weights, pot)
+        settled[cycle is None and pot == before] += 1
+        return cycle
 
     with monkeypatch.context() as patch:
-        patch.setattr(simplex, "_solve", hinting)
-        patch.setattr(simplex, "_reoptimise", counting)
+        patch.setattr(solver, "_negative_cycle", watched)
         warm = [solve_fpp(block) for block in blocks]
-    assert reached["certified"] > 0 and reached["reoptimised"] > 0
+    assert settled[True] > 0 and settled[False] > 0
 
-    def cold_lp(form, basic=None):
-        return solve(form)
+    def cold(tails, heads, weights, pot):
+        pot[:] = [0.0] * len(pot)
+        return search(tails, heads, weights, pot)
 
-    monkeypatch.setattr(simplex, "_solve", cold_lp)
+    monkeypatch.setattr(solver, "_negative_cycle", cold)
     for block, a in zip(blocks, warm):
         b = solve_fpp(block)
         assert abs(a.lambda_ - b.lambda_) <= 1e-9
         for item in block.items:
-            assert abs(a.weights[item] - b.weights[item]) <= 1e-9
+            assert abs(a.weights[item] - b.weights[item]) <= 1e-12
 
 
-def test_pivot_counts_do_not_grow(monkeypatch):
-    # Pivots and LPs repeat exactly from run to run, where wall time does
-    # not. The bounds are the sums measured with each block's Dinkelbach
-    # iteration started from the logarithmic least-squares weights, its
-    # first LP from a crash basis, and every later LP from the previous
-    # LP's final basis, re-optimised by the dual simplex (and the primal
-    # one) when that basis is no longer optimal. Started from a cold
-    # lambda_cap probe instead, they were 914 and 23 pivots over 192 and 20
-    # LPs. With only a basis that was still optimal used, and every other
-    # LP solved cold, they were 1,510 and 43. Solved all cold, with the
-    # max-slack LP's slack shifted so that every soft row starts with its
-    # own slack basic and a reduced cost counted as improving below -1e-10,
-    # they were 3,123 and 143 (3,109 at -1e-9). Without the shift (phase 1
-    # from the slack basis, Harris's ratio test) they were 5,761 and 183; an
-    # artificial in every row and the plain minimum-ratio test took 12,206
-    # and 308. Each of these counts comes from the two-phase simplex for
-    # the cold LPs; with those started from the slack basis by the dual and
-    # primal simplex, the sums went from 746 and 8 to 688 and 7. An
-    # active-set pivot (one exchange in the working set) is counted as one
-    # tableau pivot was; re-optimised on the working-set inverse by one loop
-    # that takes a dual pivot whenever a basic value is negative, with the
-    # crash basis's tight sides picked as a spanning tree and a cycle, they
-    # were 682 and 7 over 178 and 13 LPs. Those counts still had a cold
-    # lambda_cap probe where the least-squares weights missed a hard side or
-    # reached the cap, and where an iterate reached it. With the first LP
-    # posed at the cap from the crash basis instead, and no LP at a clamp,
-    # they are 334 and 5 over 140 and 12 LPs. Re-solving each block's LPs in
-    # one form, rewritten in place, left every count as it was.
-    pivots = []
-    solve = simplex._solve
+def test_search_counts_do_not_grow(monkeypatch):
+    # Searches and stages repeat exactly from run to run, where wall time
+    # does not. The bounds are the sums measured when the first stage
+    # searched from level 1 and each later one from the root of the cycle
+    # that its closed-form bound picked: 230 searches and 105 stages over
+    # _blocks(), 10 and 4 over the bundled blocks.
+    leximin, counts = solver._leximin, collections.Counter()
 
-    def counted(form, basic=None):
-        res = solve(form, basic)
-        pivots.append(res[0].pivots)
-        return res
+    def counted(*args):
+        path = leximin(*args)
+        counts["searches"] += path.searches
+        counts["stages"] += len(path.levels)
+        return path
 
-    monkeypatch.setattr(simplex, "_solve", counted)
+    monkeypatch.setattr(solver, "_leximin", counted)
     for block in _blocks():
         solve_fpp(block)
-    assert 0 < sum(pivots) <= 334
-    assert len(pivots) <= 140
-    pivots.clear()
+    assert 0 < counts["searches"] <= 230
+    assert 0 < counts["stages"] <= 105
+    counts.clear()
     for block in load_study(bundled_study_path()).hierarchy.matrices.values():
         solve_fpp(block)
-    assert 0 < sum(pivots) <= 5
-    assert len(pivots) <= 12
-
-
-def test_crash_bases_are_nonsingular(monkeypatch):
-    # The 300 sweep blocks of rng seed 11, as drawn: the working set of every
-    # crash basis must be nonsingular, or the first LP runs from the slack
-    # basis. Picking the tight sides by membership alone left 4 of the 101
-    # crash bases here singular. The solver updates a crash basis in place
-    # as the LPs go on, so only the first solve from it is checked.
-    crash_basis, reoptimise, crashes, singular = (
-        solver._crash_basis, simplex._reoptimise, [], []
-    )
-    fresh = [None]
-
-    def crash(*args):
-        crashes.append(crash_basis(*args))
-        fresh[0] = crashes[-1]
-        return crashes[-1]
-
-    def checked(form, basic, limit):
-        res = reoptimise(form, basic, limit)
-        if basic is fresh[0]:
-            fresh[0] = None
-            if res is None:
-                singular.append(basic.copy())
-        return res
-
-    monkeypatch.setattr(solver, "_crash_basis", crash)
-    monkeypatch.setattr(simplex, "_reoptimise", checked)
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        n = int(rng.integers(2, 11))
-        block = _random_block(rng, n)
-        rng.permutation(n)
-        crashes.append(None)
-        try:
-            solve_fpp(block)
-        except InfeasibleJudgmentsError:
-            pass
-    assert sum(hint is not None for hint in crashes) >= 100
-    assert not singular
-
-
-def test_hinted_solves_stay_below_the_pivot_limit(monkeypatch):
-    # Sweep block 53/147 (as drawn) and contradictory block 101/821: the
-    # dual simplex on the tableau cycled from a hint on each until _MAX_ITER
-    # pivots (0.26-0.57 s) before the LP started again from the slack basis.
-    # No call of _reoptimise may reach a pivot limit on them.
-    rng = np.random.default_rng(53)
-    for _ in range(148):
-        n = int(rng.integers(2, 11))
-        sweep = _random_block(rng, n)
-        rng.permutation(n)
-    rng = np.random.default_rng(101)
-    for _ in range(822):
-        contradictory = _contradictory_block(rng)
-    reoptimise, limited, reoptimised = simplex._reoptimise, [], []
-
-    def checked(*args):
-        try:
-            res = reoptimise(*args)
-        except RuntimeError as exc:
-            limited.append(exc)
-            raise
-        if res is not None and res.pivots:
-            reoptimised.append(res.pivots)
-        return res
-
-    monkeypatch.setattr(simplex, "_reoptimise", checked)
-    for block in (sweep, contradictory):
-        reoptimised.clear()
-        solve_fpp(block)
-        assert reoptimised
-    assert not limited
+    assert 0 < counts["searches"] <= 10
+    assert 0 < counts["stages"] <= 4
 
 
 def test_final_duals_agree_with_highs(monkeypatch):
     # The reduced costs d = -c B^-1 of the final working set are the LP's
     # duals, one per judgment side whose row is tight (0 for every other):
-    # on the last max-slack LP of each bundled block they must be HiGHS's
-    # (its marginals are the derivatives of the optimum in b_ub, so -d).
-    calls = []
-    solve = simplex._solve
-
-    def recorded(form, basic=None):
-        lp = _lp_arrays(form)
-        res, final = solve(form, basic)
-        calls.append((lp, final.basic.copy()))
-        return res, final
-
-    monkeypatch.setattr(simplex, "_solve", recorded)
+    # on feasible_at's max-slack LP of each bundled block at its solved
+    # lambda they must be HiGHS's (its marginals are the derivatives of the
+    # optimum in b_ub, so -d).
+    seen = _recording_lps(monkeypatch)
     for block in load_study(bundled_study_path()).hierarchy.matrices.values():
-        solve_fpp(block)
-        lp, basic = calls[-1]
+        feasible_at(block, solve_fpp(block).lambda_)
+        lp, _, basic = seen[-1]
         c, a_ub, b_ub, a_eq, b_eq = (lp[k] for k in ("c", "a_ub", "b_ub", "a_eq", "b_eq"))
         n = c.size
         rows = np.vstack([-np.eye(n), a_ub])
@@ -598,40 +515,3 @@ def test_final_duals_agree_with_highs(monkeypatch):
         assert ref.status == 0
         assert d.min() >= -1e-12
         assert np.abs(d[n:] + ref.ineqlin.marginals).max() <= 1e-9
-
-
-def test_in_place_lps_equal_fresh_forms(monkeypatch):
-    # Each block's Dinkelbach LPs are re-solved in one form, rewritten in
-    # place, from the previous LP's final basis, working set and all. Every
-    # such LP of _blocks() must equal the same LP in a fresh form solved
-    # from a basis built afresh from a copy of the same starting mask, bit
-    # for bit: status, x, objective, pivots and final basis. The basis a
-    # solve hands on is the one built afresh from its final mask.
-    solve, seen = simplex._solve, []
-
-    def recorded(form, basic=None):
-        posed = simplex._Form(form.c.copy(), form.g.copy(), form.h.copy(), form.ncols)
-        start = None if basic is None else basic.basic.copy()
-        res, final = solve(form, basic)
-        kept = None if final is None else [a.copy() for a in final]
-        seen.append((posed, start, res, kept))
-        return res, final
-
-    with monkeypatch.context() as patch:
-        patch.setattr(simplex, "_solve", recorded)
-        for block in _blocks():
-            solve_fpp(block)
-    assert len(seen) > 100
-    assert sum(res.pivots > 0 for _, start, res, _ in seen if start is not None) > 10
-    for form, start, res, final in seen:
-        fresh = None if start is None else simplex._basis(form, start.copy())
-        ref, ref_final = solve(form, fresh)
-        assert (ref.status, ref.pivots) == (res.status, res.pivots)
-        assert (ref_final is None) == (final is None)
-        if final is not None:
-            rebuilt = simplex._basis(form, final[0].copy())
-            for kept, ref_array, built in zip(final, ref_final, rebuilt):
-                assert np.array_equal(kept, ref_array)
-                assert np.array_equal(kept, built)
-        assert np.float64(ref.objective).tobytes() == np.float64(res.objective).tobytes()
-        assert ref.x.tobytes() == res.x.tobytes()

@@ -1,7 +1,10 @@
 """Differential properties of solve_fpp on generated blocks of 2-10 items:
 the least-squares start against an equal-weights start, the returned
-weights against lambda_at, item order, and HiGHS."""
+weights against lambda_at, item order, and HiGHS; and the guarantees of
+the leximin weights: unique whatever the item order or lambda_cap, and
+each stage's sides at the highest level HiGHS can find for them."""
 
+import collections
 import math
 from unittest import mock
 
@@ -9,17 +12,20 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from fahp import (
     TFN,
     ComparisonJudgment,
     ComparisonMatrix,
     InfeasibleJudgmentsError,
+    bundled_study_path,
     lambda_at,
+    load_study,
     solve_fpp,
     solver,
 )
-from test_solver_invariants import _highs_max_slack, _permuted
+from test_solver_invariants import _blocks, _highs_max_slack, _permuted
 
 # Fixed examples, so that a failure reproduces and Tier-1 stays fast.
 PROPERTY_SETTINGS = settings(
@@ -58,10 +64,10 @@ def blocks(draw, hard):
     return ComparisonMatrix(parent="prop", items=items, judgments=tuple(judgments))
 
 
-def _solve(block):
+def _solve(block, cfg=None):
     """solve_fpp's result, or None when the hard sides conflict."""
     try:
-        return solve_fpp(block)
+        return solve_fpp(block, cfg)
     except InfeasibleJudgmentsError:
         return None
 
@@ -112,3 +118,186 @@ def test_solution_is_optimal_and_order_free(hard):
             assert abs(moved.weights[renamed] - res.weights[item]) <= 1e-6
 
     check()
+
+
+def _hard_crisp_blocks(seed=2610, count=90):
+    """Complete blocks of 2-10 items around a latent weight vector: a tenth
+    of the judgments crisp at the latent ratio, a tenth with a hard lower
+    side (l = m) and a tenth with a hard upper side (u = m) on the latent
+    side of the mode, the rest soft with log-normal noise on the mode. The
+    latent vector meets every hard side, so the blocks are feasible."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        n = 2 + k % 9
+        latent = rng.dirichlet(np.full(n, 2.0)) + 1e-2
+        items = tuple(f"i{a}" for a in range(n))
+        judgments = []
+        for a in range(n):
+            for b in range(a + 1, n):
+                ratio = float(latent[a] / latent[b])
+                noise = abs(float(rng.normal(0.0, 0.35)))
+                lo, hi = (math.exp(rng.uniform(math.log(0.05), math.log(0.8))) for _ in "lu")
+                draw = rng.random()
+                if draw < 0.1:
+                    value = TFN(ratio, ratio, ratio)
+                elif draw < 0.2:
+                    m = ratio * math.exp(-noise)
+                    value = TFN(m, m, m * math.exp(hi))
+                elif draw < 0.3:
+                    m = ratio * math.exp(noise)
+                    value = TFN(m * math.exp(-lo), m, m)
+                else:
+                    m = ratio * math.exp(noise if rng.random() < 0.5 else -noise)
+                    value = TFN(m * math.exp(-lo), m, m * math.exp(hi))
+                judgments.append(ComparisonJudgment(items[a], items[b], value))
+        out.append(ComparisonMatrix(parent="seeded", items=items, judgments=tuple(judgments)))
+    return out
+
+
+def test_leximin_weights_are_permutation_equivariant():
+    # The leximin weights are unique, so relabeling the items of a block with
+    # hard and crisp sides moves its weights with the labels, to round-off:
+    # within 1e-12, as lambda (relative to max(1, |lambda|)).
+    rng = np.random.default_rng(7)
+    kinds = collections.Counter()
+    for block in _hard_crisp_blocks():
+        perm = rng.permutation(len(block.items))
+        a, b = _solve(block), _solve(_permuted(block, perm))
+        assert (a is None) == (b is None)
+        if a is None:
+            kinds["infeasible"] += 1
+            continue
+        assert abs(a.lambda_ - b.lambda_) <= 1e-12 * max(1.0, abs(a.lambda_))
+        for i, item in enumerate(block.items):
+            assert abs(b.weights[block.items[perm[i]]] - a.weights[item]) <= 1e-12
+        values = [j.value for j in block.judgments]
+        kinds["crisp"] += any(v.is_crisp for v in values)
+        kinds["hard"] += any(v.l == v.m or v.m == v.u for v in values)
+        kinds["searched"] += a.iterations > 0
+    assert kinds["infeasible"] == 0
+    assert kinds["crisp"] >= 40 and kinds["hard"] >= 60 and kinds["searched"] >= 60
+
+
+def _path(block, cfg=None):
+    """solve_fpp's leximin search of the block: the result and its stage
+    levels (none for a block clamped at its least-squares start)."""
+    res = solve_fpp(block, cfg)
+    if not res.iterations:
+        return res, []
+    table = solver._block(block)
+    w, lam = solver._least_squares_start(table, cfg or solver.SolverConfig())
+    return res, solver._leximin(table, [math.log(v) for v in w], lam).levels
+
+
+def _highs_raise(block, held, side, target):
+    """The largest t, by HiGHS, such that side `side` holds at level target
+    with slack t (its row @ w + t <= 0) while every other side j holds at
+    level held[j], sum w = 1 and w >= 1e-6."""
+    idx = {it: i for i, it in enumerate(block.items)}
+    n = len(block.items)
+    rows = np.zeros((2 * len(block.judgments), n + 1))
+    for i, j in enumerate(block.judgments):
+        l, m, u = j.value.as_tuple()
+        r, c = idx[j.row], idx[j.col]
+        rise, fall = held[2 * i], held[2 * i + 1]
+        rows[2 * i, c], rows[2 * i, r] = l + rise * (m - l), -1.0
+        rows[2 * i + 1, c], rows[2 * i + 1, r] = -u + fall * (u - m), 1.0
+    i, c = side // 2, idx[block.judgments[side // 2].col]
+    l, m, u = block.judgments[i].value.as_tuple()
+    rows[side, c] = l + target * (m - l) if side % 2 == 0 else -u + target * (u - m)
+    rows[side, n] = 1.0
+    a_eq = np.zeros((1, n + 1))
+    a_eq[0, :n] = 1.0
+    res = linprog(
+        np.eye(n + 1)[n] * -1.0, A_ub=rows, b_ub=np.zeros(len(rows)), A_eq=a_eq,
+        b_eq=[1.0], bounds=[(1e-6, None)] * n + [(None, None)], method="highs",
+        options=dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10),
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def test_each_settled_side_is_at_its_highest_level():
+    # At the leximin weights each stage's level is the membership of some
+    # side: the sides it settled. HiGHS finds a point that holds each such
+    # side at its level while every side holds min(its membership, the
+    # level), less 1e-9, and none that raises it 1e-5 (relative) above its
+    # level under the same holds: its level is the highest it can reach
+    # once every earlier side holds its own.
+    blocks = [b for b in _blocks() if len(b.items) <= 7]
+    blocks += load_study(bundled_study_path()).hierarchy.matrices.values()
+    checked = 0
+    for block in blocks:
+        res, levels = _path(block)
+        if not levels:
+            continue
+        table = solver._block(block)
+        member = solver._memberships(table, [res.weights[it] for it in block.items])
+        for level in levels:
+            tol = 1e-9 * max(1.0, abs(level))
+            settled = [s for s, mu in enumerate(member) if abs(mu - level) <= tol]
+            assert settled, (block.items, level)
+            held = [min(mu, level) - tol for mu in member]
+            for side in settled:
+                assert _highs_raise(block, held, side, level - tol) >= -1e-12
+                assert _highs_raise(block, held, side, level + 1e-5 * max(1.0, abs(level))) < 0.0
+                checked += 1
+    assert checked >= 100
+
+
+def test_bundled_w2_takes_the_leximin_point():
+    # The max-min level of block W2 leaves a face of optimal weights; the
+    # leximin point of that face is unique.
+    w2 = load_study(bundled_study_path()).hierarchy.matrices["W2"]
+    res = solve_fpp(w2)
+    want = {"W21": 0.087833, "W22": 0.186550, "W23": 0.361594, "W24": 0.364022}
+    assert res.weights.keys() == want.keys()
+    for item, weight in want.items():
+        assert abs(res.weights[item] - weight) <= 5e-7, item
+    assert not res.clamped and abs(res.lambda_ + 0.376094) <= 5e-7
+
+
+def test_binding_weight_floor_mixes_the_weights():
+    # The smallest leximin weight of W2 is 0.0878; a floor of 0.1 binds, so
+    # every weight is mixed with it, floor + (1 - n * floor) * w, and the
+    # reported lambda is that of the mixed weights. (The floor also mixes
+    # the least-squares start, so the search takes another path to the same
+    # leximin weights, equal to round-off.)
+    w2 = load_study(bundled_study_path()).hierarchy.matrices["W2"]
+    free = solve_fpp(w2)
+    res = solve_fpp(w2, solver.SolverConfig(weight_floor=0.1))
+    assert min(free.weights.values()) < 0.1
+    for item, weight in free.weights.items():
+        assert abs(res.weights[item] - (0.1 + (1.0 - 4 * 0.1) * weight)) <= 1e-12
+    assert min(res.weights.values()) >= 0.1
+    assert res.lambda_ == lambda_at(w2, res.weights) < free.lambda_
+    assert not res.clamped
+
+
+def test_lambda_cap_below_one_keeps_the_leximin_weights():
+    # The cap caps the reported lambda, but the stages run on: a block whose
+    # least-squares start is below the cap gets the same weights whatever
+    # the cap, clamped at the cap when its lambda reaches it, and so the
+    # weights do not depend on the order of the items.
+    cfg = solver.SolverConfig(lambda_cap=0.3)
+    rng = np.random.default_rng(11)
+    past = 0
+    for block in _blocks() + _hard_crisp_blocks(count=27):
+        start = solver._least_squares_start(solver._block(block), cfg)[1]
+        full, capped = _solve(block), _solve(block, cfg)
+        if full is None:
+            assert capped is None
+            continue
+        if start >= 0.3 - 1e-9:
+            assert capped.clamped and capped.iterations == 0
+            continue
+        assert capped.weights == full.weights
+        assert capped.clamped == (full.lambda_ >= 0.3 - 1e-9)
+        assert capped.lambda_ == min(full.lambda_, 0.3) or capped.clamped
+        past += capped.clamped
+        perm = rng.permutation(len(block.items))
+        moved = _solve(_permuted(block, perm), cfg)
+        for i, item in enumerate(block.items):
+            assert abs(moved.weights[block.items[perm[i]]] - capped.weights[item]) <= 1e-12
+    assert past >= 3
