@@ -137,14 +137,15 @@ class SolverConfig:
 class SolveResult:
     """Weights and diagnostics for one comparison block.
 
-    ``weights`` are the leximin weights of the block: lambda_ is the
-    highest level every judgment side can reach, and among the weight
-    vectors that reach it, these raise the sides that can go higher as far
-    as they go, level by level. ``iterations`` counts the negative-cycle
-    searches (Bellman-Ford runs) of the solve; it is 0 for a block clamped
-    at its least-squares weights. ``slack`` is always None; results
-    documents keep the key. The oracle leaves it as None too and counts
-    its lattice points in ``iterations``.
+    ``weights`` are the leximin weights of the block, unless its
+    least-squares weights already reach lambda_cap: lambda_ is the highest
+    level every judgment side can reach, and among the weight vectors that
+    reach it, these raise the sides that can go higher as far as they go,
+    level by level. ``iterations`` counts the negative-cycle searches
+    (Bellman-Ford runs) of the solve; it is 0 for a block clamped at its
+    least-squares weights. The solver and the oracle leave ``slack`` as
+    None; results documents keep the key. The oracle counts its lattice
+    points in ``iterations``.
     """
 
     weights: dict[str, float]

@@ -30,12 +30,15 @@ FIXTURES = Path(__file__).parent / "fixtures" / "roundoff"
 WEIGHT_FLOOR = 1e-6
 
 
-def _random_block(rng, n, hard_share=0.15):
+def _random_block(rng, n, hard_share=0.15, crisp_share=0.0):
     """A complete block around a latent weight vector.
 
     Modes are the latent ratios times log-normal noise and the spreads are
-    log-uniform. A hard side is placed on the latent side of its mode, so
-    the latent vector meets every hard side and the block is feasible.
+    log-uniform. A hard side is placed on the latent side of its mode, and
+    a crisp judgment (drawn first, with probability crisp_share) sits at the
+    latent ratio, so the latent vector meets every hard side and the block
+    is feasible. With no crisp share the draws are those of a block drawn
+    before crisp judgments were added.
     """
     items = tuple(f"i{k}" for k in range(n))
     w = np.maximum(rng.dirichlet(np.full(n, 2.0)), 1e-2)
@@ -46,7 +49,9 @@ def _random_block(rng, n, hard_share=0.15):
             noise = float(rng.normal(0.0, 0.35))
             lo = math.exp(rng.uniform(math.log(0.05), math.log(0.8)))
             hi = math.exp(rng.uniform(math.log(0.05), math.log(0.8)))
-            if rng.random() < hard_share:  # hard lower side: ratio >= l = m
+            if crisp_share and rng.random() < crisp_share:
+                value = TFN(ratio, ratio, ratio)
+            elif rng.random() < hard_share:  # hard lower side: ratio >= l = m
                 m = ratio * math.exp(-abs(noise))
                 value = TFN(m, m, m * math.exp(hi))
             elif rng.random() < hard_share:  # hard upper side: ratio <= u = m

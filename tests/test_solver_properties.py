@@ -25,7 +25,13 @@ from fahp import (
     solve_fpp,
     solver,
 )
-from test_solver_invariants import _blocks, _highs_max_slack, _permuted
+from test_solver_invariants import (
+    _blocks,
+    _highs_max_slack,
+    _permuted,
+    _random_block,
+    _side_rows,
+)
 
 # Fixed examples, so that a failure reproduces and Tier-1 stays fast.
 PROPERTY_SETTINGS = settings(
@@ -121,38 +127,14 @@ def test_solution_is_optimal_and_order_free(hard):
 
 
 def _hard_crisp_blocks(seed=2610, count=90):
-    """Complete blocks of 2-10 items around a latent weight vector: a tenth
-    of the judgments crisp at the latent ratio, a tenth with a hard lower
-    side (l = m) and a tenth with a hard upper side (u = m) on the latent
-    side of the mode, the rest soft with log-normal noise on the mode. The
-    latent vector meets every hard side, so the blocks are feasible."""
+    """Complete blocks of 2-10 items with hard sides and crisp judgments,
+    drawn by _random_block: a tenth of the judgments crisp at the latent
+    ratio and about a seventh of the rest with a hard side."""
     rng = np.random.default_rng(seed)
-    out = []
-    for k in range(count):
-        n = 2 + k % 9
-        latent = rng.dirichlet(np.full(n, 2.0)) + 1e-2
-        items = tuple(f"i{a}" for a in range(n))
-        judgments = []
-        for a in range(n):
-            for b in range(a + 1, n):
-                ratio = float(latent[a] / latent[b])
-                noise = abs(float(rng.normal(0.0, 0.35)))
-                lo, hi = (math.exp(rng.uniform(math.log(0.05), math.log(0.8))) for _ in "lu")
-                draw = rng.random()
-                if draw < 0.1:
-                    value = TFN(ratio, ratio, ratio)
-                elif draw < 0.2:
-                    m = ratio * math.exp(-noise)
-                    value = TFN(m, m, m * math.exp(hi))
-                elif draw < 0.3:
-                    m = ratio * math.exp(noise)
-                    value = TFN(m * math.exp(-lo), m, m)
-                else:
-                    m = ratio * math.exp(noise if rng.random() < 0.5 else -noise)
-                    value = TFN(m * math.exp(-lo), m, m * math.exp(hi))
-                judgments.append(ComparisonJudgment(items[a], items[b], value))
-        out.append(ComparisonMatrix(parent="seeded", items=items, judgments=tuple(judgments)))
-    return out
+    return [
+        _random_block(rng, 2 + k % 9, hard_share=0.15, crisp_share=0.1)
+        for k in range(count)
+    ]
 
 
 def test_leximin_weights_are_permutation_equivariant():
@@ -194,23 +176,17 @@ def _highs_raise(block, held, side, target):
     """The largest t, by HiGHS, such that side `side` holds at level target
     with slack t (its row @ w + t <= 0) while every other side j holds at
     level held[j], sum w = 1 and w >= 1e-6."""
-    idx = {it: i for i, it in enumerate(block.items)}
     n = len(block.items)
-    rows = np.zeros((2 * len(block.judgments), n + 1))
-    for i, j in enumerate(block.judgments):
-        l, m, u = j.value.as_tuple()
-        r, c = idx[j.row], idx[j.col]
-        rise, fall = held[2 * i], held[2 * i + 1]
-        rows[2 * i, c], rows[2 * i, r] = l + rise * (m - l), -1.0
-        rows[2 * i + 1, c], rows[2 * i + 1, r] = -u + fall * (u - m), 1.0
-    i, c = side // 2, idx[block.judgments[side // 2].col]
-    l, m, u = block.judgments[i].value.as_tuple()
-    rows[side, c] = l + target * (m - l) if side % 2 == 0 else -u + target * (u - m)
+    base = _side_rows(block, 0.0)
+    slope = _side_rows(block, 1.0) - base
+    levels = np.array(held, dtype=float)
+    levels[side] = target
+    rows = np.column_stack([base + levels[:, None] * slope, np.zeros(len(base))])
     rows[side, n] = 1.0
     a_eq = np.zeros((1, n + 1))
     a_eq[0, :n] = 1.0
     res = linprog(
-        np.eye(n + 1)[n] * -1.0, A_ub=rows, b_ub=np.zeros(len(rows)), A_eq=a_eq,
+        -np.eye(n + 1)[n], A_ub=rows, b_ub=np.zeros(len(rows)), A_eq=a_eq,
         b_eq=[1.0], bounds=[(1e-6, None)] * n + [(None, None)], method="highs",
         options=dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10),
     )
