@@ -6,7 +6,7 @@ the active-set form of the simplex method (Gill, Murray and Wright,
 standard form is read as a constraint: structural column j as -x_j <= 0,
 the slack of inequality row r as that row. A basis's nonbasic columns are
 its active constraints, and with every equality row they make the working
-set: one n x n matrix B (n + 2 columns for the solver's max-slack LPs)
+set: one n x n matrix B (n + 2 columns for feasible_at's max-slack LP)
 whose inverse comes once from numpy's LAPACK-backed `inv`, kept only when
 B^-1 B is within 1e-8 of the identity. B^-1 gives the vertex x = B^-1 b_W,
 the slack h - G x of every constraint (the basic values) and the reduced
@@ -51,8 +51,8 @@ The one entry point is _solve, on a _Form: c, the stacked constraint rows
 G = [-I; A_ub; A_eq] and their right-hand sides h. The equality rows must
 be linearly independent. The start is a _Basis, a column mask with its
 working set; a solve updates it in place and hands it back as _basis would
-build it, so the solver carries one form and one basis per block from LP
-to LP, and a warm LP only re-reads and inverts its working set's rows. A
+build it, so a caller can carry one form and one basis from LP to LP,
+and a warm LP only re-reads and inverts its working set's rows. A
 start whose working set is singular, or whose solve ends in anything but
 an optimum or passes _HINT_PIVOTS pivots per row and column, is dropped
 for the slack basis, whose verdict is final: every inequality row's slack,
@@ -68,11 +68,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-# A column improves when its reduced cost is below -_COST_TOL. The solver
-# stops its Dinkelbach iteration at a slack of 1e-8, so the LPs must resolve
-# their optimum well below that: at 1e-9 a column of cost -6e-10 was taken
-# as optimal, and a max-slack LP ended 1.6e-11 short of its optimum at a
-# vertex whose weights were 0.001 away (in one of a block's two item orders).
+# A column improves when its reduced cost is below -_COST_TOL, well below
+# the 1e-8 at which the LPs' optima must be resolved: at 1e-9 a column of
+# cost -6e-10 was taken as optimal, and a max-slack LP ended 1.6e-11 short
+# of its optimum at a vertex whose weights were 0.001 away (in one of a
+# block's two item orders).
 _COST_TOL = 1e-10
 _PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-9
@@ -90,10 +90,10 @@ _UNBOUNDED_TOL = 1e-7
 _MAX_ITER = 10_000
 # Pivots per row and column of the LP before a solve from a hint gives up
 # for the slack basis, and past which a solve from the slack basis follows
-# Bland's rule. Over the rng 11-68 sweep and the contradictory blocks
-# of the solver's tests (tests/gates.py), a hinted solve took at most 102
-# pivots, on 90 rows and 12 columns (0.99 per row and column), where the
-# dual simplex of a tableau once cycled to _MAX_ITER from two hints.
+# Bland's rule. Over the rng 11-68 sweep and the contradictory blocks of
+# tests/gates.py, the hinted solves of the former LP solver took at most
+# 102 pivots, on 90 rows and 12 columns (0.99 per row and column), where
+# the dual simplex of a tableau once cycled to _MAX_ITER from two hints.
 _HINT_PIVOTS = 2
 # How far inv @ B may be off the identity: for a starting basis, whose
 # inverse every pivot updates, and for the final basis, whose inverse only

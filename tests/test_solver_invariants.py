@@ -71,7 +71,7 @@ def _blocks(seed=20261018):
 
 def _lp_arrays(form):
     """Copies of the arrays of a simplex form: c, the inequality rows and
-    the equality rows with their right-hand sides; the solver rewrites its
+    the equality rows with their right-hand sides; a caller may rewrite its
     form in place between LPs."""
     n, ncols = form.c.size, form.ncols
     return dict(
