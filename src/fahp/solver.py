@@ -589,6 +589,24 @@ def _shortest_paths(size: int, tails, heads, weights) -> list[list[float]]:
     return dist
 
 
+def _first_closing(
+    edges: _Edges, dist: list[list[float]]
+) -> tuple[float, int]:
+    """The lowest level at which a free edge u -> v would close a zero cycle
+    with the path from v to u in dist, and that edge; (1.0, -1) when no
+    free edge has a path back."""
+    best, at, inf = 1.0, -1, math.inf
+    for i, (q, u, v, s, c, b) in enumerate(
+        zip(edges.rate, edges.tail, edges.head, edges.sign, edges.const, edges.base)
+    ):
+        if q and dist[v][u] < inf:
+            # sign * log(arg) + const = -dist[v][u]
+            level = (math.exp(-s * (c + dist[v][u])) - b) / q
+            if level < best:
+                best, at = level, i
+    return best, at
+
+
 def _next_level(
     edges: _Edges, weights: list[float], dist: list[list[float]], lam: float
 ) -> float:
@@ -601,15 +619,7 @@ def _next_level(
     path only get shorter as the level rises, so the lowest such level
     bounds the next one. The cycle of the lowest edge and its path is then
     solved for its own root, a closer bound."""
-    best, at, inf = 1.0, -1, math.inf
-    for i, (q, u, v, s, c, b) in enumerate(
-        zip(edges.rate, edges.tail, edges.head, edges.sign, edges.const, edges.base)
-    ):
-        if q and dist[v][u] < inf:
-            # sign * log(arg) + const = -dist[v][u]
-            level = (math.exp(-s * (c + dist[v][u])) - b) / q
-            if level < best:
-                best, at = level, i
+    best, at = _first_closing(edges, dist)
     if at < 0:
         return 1.0
     best = max(best, lam)
@@ -645,7 +655,10 @@ def _leximin(block: _Block, pot: list[float], lo: float) -> _Path:
                 break
             if not any(edges.rate[e] for e in cycle):
                 _raise_conflict(block)
-            lam = _root(edges, cycle, lo, lam)
+            root = _root(edges, cycle, lo, lam)
+            if root >= lam:
+                break  # the level is within round-off of the cycle's root
+            lam = root
         lo = lam
         size = len(pot)
         dist = _shortest_paths(size, edges.tail, edges.head, weights)
@@ -656,6 +669,14 @@ def _leximin(block: _Block, pot: list[float], lo: float) -> _Path:
                 for v in range(u + 1, size):
                     if group[v] == v and dist[u][v] + dist[v][u] <= _PINNED:
                         group[v] = u
+        if group == list(range(size)) and any(edges.rate):
+            # Near the level where a rising side's bound reaches 0 its weight
+            # changes by more than _PINNED between neighbouring floats, so
+            # no level may bring the stage's cycle within _PINNED: pin the
+            # ends of the free edge that closes a zero cycle first.
+            at = _first_closing(edges, dist)[1]
+            u, v = sorted((edges.tail[at], edges.head[at]))
+            group[v] = u
         moved = [0.5 * (dist[g][v] - dist[v][g]) for v, g in enumerate(group)]
         roots = sorted(set(group))
         index = {g: i for i, g in enumerate(roots)}

@@ -269,6 +269,32 @@ def test_contradictory_blocks_solve_to_the_optimum(name):
     assert _highs_max_slack(block, res.lambda_ + 1e-5 * abs(res.lambda_)) < 0.0
 
 
+def test_level_on_a_steep_root_solves():
+    # steep_root: 7 items whose modes are log-uniform over [1e-3, 1e3], each
+    # judgment (m/2, m, 2m). Its lambda* lies 1.5e-10 above -1, where the
+    # rising bounds m/2 + lambda * m/2 all but vanish, so one ulp of lambda
+    # moves their log weights by about 7e-7 and no float level brings a
+    # stage's cycle within the pinning tolerance: the stages repeated at the
+    # same level, without end, until the ends of the side that closes a
+    # zero cycle first were pinned. With a floor that does not bind, the
+    # weights reach that level in either item order; the default floor
+    # binds (the smallest weight is 2e-8), and the mixed weights report
+    # their own, lower lambda.
+    block = load_study(FIXTURES / "steep_root.json").hierarchy.matrices["goal"]
+    cfg = solver.SolverConfig(weight_floor=1e-12)
+    res = solve_fpp(block, cfg)
+    assert -1.0 < res.lambda_ < -1.0 + 1e-9
+    assert lambda_at(block, res.weights) == res.lambda_
+    perm = list(range(len(block.items)))[::-1]
+    moved = solve_fpp(_permuted(block, perm), cfg)
+    assert abs(moved.lambda_ - res.lambda_) <= 1e-12
+    for i, item in enumerate(block.items):
+        assert abs(moved.weights[block.items[perm[i]]] - res.weights[item]) <= 1e-9
+    floored = solve_fpp(block)
+    assert floored.lambda_ == lambda_at(block, floored.weights) < res.lambda_
+    assert min(floored.weights.values()) >= 1e-6
+
+
 def _contradictory_block(rng):
     """A complete block of 3-10 items whose modes ignore any weight vector.
 
