@@ -669,12 +669,12 @@ def _leximin(block: _Block, pot: list[float], lo: float) -> _Path:
                 for v in range(u + 1, size):
                     if group[v] == v and dist[u][v] + dist[v][u] <= _PINNED:
                         group[v] = u
-        if group == list(range(size)) and any(edges.rate):
+        at = _first_closing(edges, dist)[1] if group == list(range(size)) else -1
+        if at >= 0:
             # Near the level where a rising side's bound reaches 0 its weight
             # changes by more than _PINNED between neighbouring floats, so
             # no level may bring the stage's cycle within _PINNED: pin the
             # ends of the free edge that closes a zero cycle first.
-            at = _first_closing(edges, dist)[1]
             u, v = sorted((edges.tail[at], edges.head[at]))
             group[v] = u
         moved = [0.5 * (dist[g][v] - dist[v][g]) for v, g in enumerate(group)]
