@@ -110,7 +110,7 @@ def test_missed_hard_side_starts_from_the_probe():
 )
 def test_consistent_modes_are_clamped_by_the_probe_alone(block):
     # The least-squares weights of consistent modes reach the cap; the block
-    # is clamped there without an LP.
+    # is clamped there without a search.
     res = solve_fpp(block)
     assert res.lambda_ == 1.0 and res.clamped
     assert res.iterations == 0 and res.slack is None
