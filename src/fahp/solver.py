@@ -39,12 +39,22 @@ judgments' modes (Crawford and Williams, J. Math. Psych. 29, 1985), one n x
 n linear system; consistent modes reach lambda_cap there and are returned
 clamped without a search. Otherwise the first search is at level 1, the
 start's lambda is the low end of its bracket and its log weights are the
-first potentials. Where the start
-misses a hard side its lambda is -inf, and a negative cycle of hard sides
-alone is the verdict that they conflict. lambda_cap caps the reported
-lambda and sets `clamped`, but the stages run on to the leximin weights
-whatever the cap. The weight floor is a check after the search: weights
-below it are mixed with it as w = floor + (1 - n * floor) * w.
+first potentials; where the start misses a hard side its lambda is -inf.
+Hard sides conflict when a cycle of them is negative, or when no weights
+that meet them all keep the weight floor; a block whose exact hard bounds
+conflict only by less than membership's 1e-12 tolerance is searched with
+each hard bound loosened by a little less than it. lambda_cap caps the
+reported lambda and sets `clamped`, but the stages run on to the leximin
+weights whatever the cap.
+
+The weight floor is kept exactly, as a constraint of the search. Among the
+points that meet a graph's edges the least one with every log weight >= 0
+keeps the smallest weight highest (_deepest), so the floor holds at a level
+exactly when that point keeps it, and only that point does where it is met
+with equality. When the leximin weights fall below the floor, the stages
+run again with that test after each search; at the first stage where it
+fails, a bisection on the level finds where the floor binds, and that
+point is the result.
 
 A block is read once into one side table (_Block): judgment i's rising
 side is side 2i and its falling side 2i + 1, each with its items, sign,
@@ -83,9 +93,13 @@ _CLAMP_TOL = 1e-9
 # this (in log weight), so a cycle counts as negative only below -_RELAX_TOL
 # and potentials may miss an edge by at most this. It is a fifth of the
 # 1e-12 relative tolerance of membership's hard-side rule, so a hard side
-# held to within it still grades inf, and hard sides conflict when a cycle
-# of them falls short of zero by more than it.
+# held to within it still grades inf.
 _RELAX_TOL = 2e-13
+# The slack a hard side's bound gets in the log ratio where the exact bounds
+# close a negative cycle: membership accepts each hard side to 1e-12
+# relative, and potentials meet an edge to within _RELAX_TOL, so a hard side
+# met within its slack still grades inf.
+_HARD_SLACK = math.log1p(_CRISP_REL_TOL) - 2 * _RELAX_TOL
 # A cycle's root is settled at a level where the cycle's log-weight lies in
 # [0, _SETTLED]: the level is then a hair below the root, so the next search
 # does not find the cycle again, and the weights meet every side there.
@@ -93,6 +107,8 @@ _SETTLED = 2e-14
 # Items whose shortest paths both ways sum to this or less (in log weight)
 # are pinned to each other.
 _PINNED = 1e-9
+# _floor_point bisects a level down to this, relative to max(1, |level|).
+_LEVEL_RES = 4.0 * 2.0**-52
 # Relative tolerance for hard (zero-spread) judgment sides in the oracle.
 _HARD_REL_TOL = 1e-9
 # feasible_at refuses levels below this. Its LP's side rows grow with |lam|
@@ -139,9 +155,9 @@ class SolveResult:
 
     ``weights`` are the leximin weights of the block, unless its
     least-squares weights already reach lambda_cap: lambda_ is the highest
-    level every judgment side can reach, and among the weight vectors that
-    reach it, these raise the sides that can go higher as far as they go,
-    level by level. ``iterations`` counts the negative-cycle searches
+    level every judgment side can reach with every weight at weight_floor
+    or above, and among the weight vectors that reach it, these raise the
+    sides that can go higher as far as they go, level by level. ``iterations`` counts the negative-cycle searches
     (Bellman-Ford runs) of the solve; it is 0 for a block clamped at its
     least-squares weights. The solver and the oracle leave ``slack`` as
     None; results documents keep the key. The oracle counts its lattice
@@ -349,9 +365,10 @@ class _Edges(NamedTuple):
     - x[tail] by its weight sign[i] * log(base[i] + lam * rate[i]) +
     const[i] at level lam: a rising side runs from its row to its col with
     sign -1 and rate m - l, a falling side from its col to its row with
-    sign 1 and rate -(u - m); a hard side has rate 0. const holds the node
-    offsets that contraction adds. A rising side's bound drops out where
-    base + lam * rate <= 0, and its weight is then inf."""
+    sign 1 and rate -(u - m); a hard side has rate 0. const holds a hard
+    side's slack and the node offsets that contraction adds. A rising
+    side's bound drops out where base + lam * rate <= 0, and its weight is
+    then inf."""
 
     tail: list[int]
     head: list[int]
@@ -361,17 +378,18 @@ class _Edges(NamedTuple):
     const: list[float]
 
 
-def _side_edges(block: _Block, sides) -> _Edges:
-    """The edges of the block's sides `sides` over the items."""
+def _side_edges(block: _Block, sides, slack: float = 0.0) -> _Edges:
+    """The edges of the block's sides `sides` over the items, each hard
+    side's bound loosened by slack."""
     sides = list(sides)
-    row, col, sign = block.row, block.col, block.sign
+    row, col, sign, slope = block.row, block.col, block.sign, block.slope
     return _Edges(
         [row[s] if sign[s] < 0 else col[s] for s in sides],
         [col[s] if sign[s] < 0 else row[s] for s in sides],
         [sign[s] for s in sides],
         [block.base[s] for s in sides],
-        [-sign[s] * block.slope[s] for s in sides],
-        [0.0] * len(sides),
+        [-sign[s] * slope[s] for s in sides],
+        [0.0 if slope[s] else slack for s in sides],
     )
 
 
@@ -428,27 +446,46 @@ def _negative_cycle(
     raise RuntimeError("Bellman-Ford did not settle")
 
 
-def _has_conflict(block: _Block, sides) -> bool:
-    """Whether the hard sides `sides` close a negative cycle, one whose
-    log-weight is below -_RELAX_TOL."""
-    edges = _side_edges(block, sides)
-    pot = [0.0] * len(block.matrix.items)
-    return _negative_cycle(edges.tail, edges.head, _weights(edges, 0.0), pot) is not None
+def _has_conflict(block: _Block, sides, slack: float, floor: float) -> bool:
+    """Whether the hard sides `sides`, loosened by slack, close a negative
+    cycle, one whose log-weight is below -_RELAX_TOL, or leave no weights
+    at the floor or above."""
+    n = len(block.matrix.items)
+    edges = _side_edges(block, sides, slack)
+    weights = _weights(edges, 0.0)
+    if _negative_cycle(edges.tail, edges.head, weights, [0.0] * n) is not None:
+        return True
+    dist = _shortest_paths(n, edges.tail, edges.head, weights)
+    return not _keeps_floor(_deepest(dist, range(n), [0.0] * n), floor)
 
 
-def _raise_conflict(block: _Block) -> None:
+def _hard_slack(block: _Block, floor: float) -> float:
+    """The slack of each hard side in the search: 0 where the exact bounds
+    hold together above the floor, and _HARD_SLACK where only the loosened
+    ones do, so that hard sides which membership's 1e-12 tolerance can meet
+    together are not called conflicting. Raises InfeasibleJudgmentsError
+    where the loosened bounds conflict too."""
+    if not block.hard or not _has_conflict(block, block.hard, 0.0, floor):
+        return 0.0
+    if _has_conflict(block, block.hard, _HARD_SLACK, floor):
+        _raise_conflict(block, _HARD_SLACK, floor)
+    return _HARD_SLACK
+
+
+def _raise_conflict(block: _Block, slack: float, floor: float) -> None:
     """Raise InfeasibleJudgmentsError for the hard sides that cannot all
-    hold, naming the pairs of an irreducible subset of them.
+    hold above the floor, loosened by slack, naming the pairs of an
+    irreducible subset of them.
 
     The subset comes from a deletion filter (Chinneck and Dravnieks, ORSA J.
     Computing 3, 1991) over the hard sides in judgment order: each side is
-    dropped when the rest still close a negative cycle. The verdicts do
-    not depend on the order of the items, so neither do the named pairs.
+    dropped when the rest still conflict. The verdicts do not depend on the
+    order of the items, so neither do the named pairs.
     """
     matrix, keep = block.matrix, list(block.hard)
     for side in list(keep):
         rest = [k for k in keep if k != side]
-        if rest and _has_conflict(block, rest):
+        if rest and _has_conflict(block, rest, slack, floor):
             keep = rest
     judged = (matrix.judgments[side // 2] for side in keep)
     conflict = list(dict.fromkeys((j.row, j.col) for j in judged))
@@ -473,7 +510,7 @@ def _least_squares_start(
     and fixes sum x = 0; Gaussian elimination solves it without pivoting.
 
     Weights below the floor are mixed with it, w = floor + (1 - n * floor)
-    * w, as the result's are.
+    * w.
     """
     n = len(block.matrix.items)
     normal = [[1.0] * n for _ in range(n)]
@@ -499,21 +536,19 @@ def _least_squares_start(
     for k in range(n - 1, -1, -1):
         pivot = normal[k]
         x[k] = (rhs[k] - sum(pivot[j] * x[j] for j in range(k + 1, n))) / pivot[k]
-    w = _normalized(x, cfg)
+    w = _normalized(x)
+    if min(w) < cfg.weight_floor:
+        floor = cfg.weight_floor
+        w = [floor + (1.0 - n * floor) * v for v in w]
     return w, _lowest_membership(block, w)
 
 
-def _normalized(x: list[float], cfg: SolverConfig) -> list[float]:
-    """exp(x) scaled to sum to 1, and mixed with the weight floor,
-    floor + (1 - n * floor) * w, when some weight is below it."""
+def _normalized(x: list[float]) -> list[float]:
+    """exp(x) scaled to sum to 1."""
     top = max(x)
     g = [math.exp(v - top) for v in x]
     total = math.fsum(g)
-    w = [v / total for v in g]
-    if min(w) < cfg.weight_floor:
-        floor = cfg.weight_floor
-        w = [floor + (1.0 - len(w) * floor) * v for v in w]
-    return w
+    return [v / total for v in g]
 
 
 class _Path(NamedTuple):
@@ -589,6 +624,69 @@ def _shortest_paths(size: int, tails, heads, weights) -> list[list[float]]:
     return dist
 
 
+def _deepest(dist: list[list[float]], node, off) -> list[float]:
+    """The log weights x of the items that keep the smallest weight highest
+    among the points that meet the graph's edges, given its shortest paths
+    dist, where x[i] = X[node[i]] + off[i].
+
+    The smallest weight of x is 1 / sum exp(x - min x), which only grows as
+    any x[i] above the lowest falls, so the best x is the least one with
+    every x[i] >= 0 (a difference system's solutions have a least element):
+    X[g] = max over nodes h of -low[h] - dist[g][h], with low[h] the lowest
+    offset in node h. Its lowest entry is 0, and it is the only point of
+    the graph whose smallest weight is that high."""
+    inf = math.inf
+    low = [inf] * len(dist)
+    for g, o in zip(node, off):
+        low[g] = min(low[g], o)
+    top = [max(-b - d for b, d in zip(low, row) if d < inf) for row in dist]
+    return [top[g] + o for g, o in zip(node, off)]
+
+
+def _keeps_floor(x: list[float], floor: float) -> bool:
+    """Whether the weights of log weights x are all at the floor or above."""
+    return min(_normalized(x)) >= floor
+
+
+def _floor_point(
+    edges: _Edges, node: list[int], off: list[float], floor: float, lo: float,
+    hi: float,
+) -> tuple[float, list[float]]:
+    """The highest level in [lo, hi] to float resolution at which the
+    graph's deepest point keeps the floor, and that point's log weights,
+    given that it keeps the floor at lo (lo = -inf: somewhere below hi) and
+    not at hi. Bisection: the deepest point's smallest weight falls as the
+    level rises, since every edge gets shorter."""
+    size = max(node) + 1
+
+    def deepest(level):
+        weights = _weights(edges, level)
+        dist = _shortest_paths(size, edges.tail, edges.head, weights)
+        return _deepest(dist, node, off)
+
+    x = None
+    if lo > -math.inf:
+        x = deepest(lo)
+        if not _keeps_floor(x, floor):
+            lo, x = -math.inf, None
+    step = max(1.0, abs(hi))
+    while x is None:
+        lo = hi - step
+        x = deepest(lo)
+        if not _keeps_floor(x, floor):
+            if step > 1e300:
+                raise RuntimeError("the weight floor holds at no level")
+            x, step = None, 2.0 * step
+    while hi - lo > _LEVEL_RES * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        point = deepest(mid)
+        if _keeps_floor(point, floor):
+            lo, x = mid, point
+        else:
+            hi = mid
+    return lo, x
+
+
 def _first_closing(
     edges: _Edges, dist: list[list[float]]
 ) -> tuple[float, int]:
@@ -637,11 +735,15 @@ def _next_level(
     return _root(edges, cycle, lam, best)
 
 
-def _leximin(block: _Block, pot: list[float], lo: float) -> _Path:
-    """The leximin log weights of the block, from potentials pot that meet
-    every side at level lo (lo = -inf: they miss a hard side)."""
+def _leximin(
+    block: _Block, pot: list[float], lo: float, slack: float = 0.0,
+    floor: float | None = None,
+) -> _Path:
+    """The leximin log weights of the block whose weights keep the floor,
+    when one is given, from potentials pot that meet every side at level lo
+    (lo = -inf: they miss a hard side), each hard side loosened by slack."""
     n = len(pot)
-    edges = _side_edges(block, range(len(block.row)))
+    edges = _side_edges(block, range(len(block.row)), slack)
     node = list(range(n))  # each item's node; x[i] = X[node[i]] + off[i]
     off = [0.0] * n
     levels, searches, hi = [], 0, 1.0
@@ -654,14 +756,22 @@ def _leximin(block: _Block, pot: list[float], lo: float) -> _Path:
             if cycle is None:
                 break
             if not any(edges.rate[e] for e in cycle):
-                _raise_conflict(block)
+                # solve_fpp has checked that the hard sides hold together
+                raise RuntimeError(
+                    f"a cycle of hard sides in block {block.matrix.parent!r} "
+                    f"is negative by round-off at level {lam}"
+                )
             root = _root(edges, cycle, lo, lam)
             if root >= lam:
                 break  # the level is within round-off of the cycle's root
             lam = root
-        lo = lam
         size = len(pot)
         dist = _shortest_paths(size, edges.tail, edges.head, weights)
+        if floor is not None and not _keeps_floor(_deepest(dist, node, off), floor):
+            # the floor binds below this level, and one point keeps it there
+            lam, x = _floor_point(edges, node, off, floor, lo, lam)
+            return _Path(x, levels + [lam], searches)
+        lo = lam
         # merge the nodes pinned to each other into the lowest of them
         group = list(range(size))
         for u in range(size):
@@ -713,27 +823,31 @@ def solve_fpp(
     Starts from the logarithmic least-squares weights of the judgments'
     modes, which are returned clamped when their lambda reaches
     lambda_cap. Otherwise the parametric negative-cycle search finds
-    lambda* and the leximin stages the weights; the weights are mixed with
-    the weight floor where one falls below it, and the reported lambda is
-    theirs, capped at lambda_cap (clamped). Raises InfeasibleJudgmentsError,
-    naming the conflicting pairs, when the hard (zero-spread) sides of the
-    judgments cannot all hold.
+    lambda* and the leximin stages the weights, every weight at
+    weight_floor or above; the reported lambda is theirs, capped at
+    lambda_cap (clamped). Raises InfeasibleJudgmentsError, naming the
+    conflicting pairs, when the hard (zero-spread) sides of the judgments
+    cannot all hold with every weight at the floor or above.
     """
     cfg = config or SolverConfig()
     block = _block(matrix)
     _check_floor(matrix, cfg)
-    cap = cfg.lambda_cap
+    cap, floor = cfg.lambda_cap, cfg.weight_floor
     w, lam = _least_squares_start(block, cfg)
     if lam >= cap - _CLAMP_TOL:
         return _result(matrix, w, cap, 0, True)
-    if lam == -math.inf and _has_conflict(block, block.hard):
-        _raise_conflict(block)
-    path = _leximin(block, [math.log(v) for v in w], lam)
-    w = _normalized(path.x, cfg)
+    slack = _hard_slack(block, floor)
+    pot = [math.log(v) for v in w]
+    path = _leximin(block, pot, lam, slack)
+    w, searches = _normalized(path.x), path.searches
+    if min(w) < floor:
+        # the floor binds at some stage: run the stages again, checking it
+        path = _leximin(block, pot, lam, slack, floor)
+        w, searches = _normalized(path.x), searches + path.searches
     lam = _lowest_membership(block, w)
     if lam >= cap - _CLAMP_TOL:
-        return _result(matrix, w, cap, path.searches, True)
-    return _result(matrix, w, lam, path.searches, False)
+        return _result(matrix, w, cap, searches, True)
+    return _result(matrix, w, lam, searches, False)
 
 
 def _result(

@@ -277,9 +277,7 @@ def test_level_on_a_steep_root_solves():
     # stage's cycle within the pinning tolerance: the stages repeated at the
     # same level, without end, until the ends of the side that closes a
     # zero cycle first were pinned. With a floor that does not bind, the
-    # weights reach that level in either item order; the default floor
-    # binds (the smallest weight is 2e-8), and the mixed weights report
-    # their own, lower lambda.
+    # weights reach that level in either item order.
     block = load_study(FIXTURES / "steep_root.json").hierarchy.matrices["goal"]
     cfg = solver.SolverConfig(weight_floor=1e-12)
     res = solve_fpp(block, cfg)
@@ -290,9 +288,75 @@ def test_level_on_a_steep_root_solves():
     assert abs(moved.lambda_ - res.lambda_) <= 1e-12
     for i, item in enumerate(block.items):
         assert abs(moved.weights[block.items[perm[i]]] - res.weights[item]) <= 1e-9
+    # The default floor binds: the smallest weight above is 2e-8. The search
+    # keeps the floor, so lambda is the highest level at which any weights
+    # keep it: HiGHS finds none just above, and the smallest weight sits on
+    # the floor. The Dinkelbach LPs, which held w >= floor, stopped at
+    # -6.102280939766, and mixing the leximin weights with the floor after
+    # the search gave -102.8.
     floored = solve_fpp(block)
     assert floored.lambda_ == lambda_at(block, floored.weights) < res.lambda_
-    assert min(floored.weights.values()) >= 1e-6
+    assert -6.102280939766 <= floored.lambda_ < -6.1022809392
+    assert _highs_max_slack(block, floored.lambda_ + 1e-6) < 0.0
+    assert abs(min(floored.weights.values()) - WEIGHT_FLOOR) <= 1e-15
+    moved = solve_fpp(_permuted(block, perm))
+    for i, item in enumerate(block.items):
+        assert abs(moved.weights[block.items[perm[i]]] - floored.weights[item]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, pairs",
+    [
+        ("floor_conflict_1_950", [("i0", "i2"), ("i1", "i9"), ("i2", "i4"), ("i4", "i9")]),
+        ("floor_conflict_1_1326", [("i0", "i3"), ("i0", "i6"), ("i2", "i4"), ("i4", "i6")]),
+    ],
+)
+def test_hard_sides_that_break_the_floor_conflict(name, pairs):
+    # Wide blocks of a sweep whose chains of hard sides ask for a weight
+    # ratio that leaves some weight below the default floor: no weights meet
+    # them, and the deletion filter names the chain. Mixing the weights with
+    # the floor after the search broke a hard side, and lambda read -inf
+    # with no error. Without a floor that binds, the hard sides hold.
+    block = load_study(FIXTURES / f"{name}.json").hierarchy.matrices["goal"]
+    with pytest.raises(InfeasibleJudgmentsError) as exc:
+        solve_fpp(block)
+    assert [tuple(p) for p in exc.value.pairs] == pairs
+    res = solve_fpp(block, solver.SolverConfig(weight_floor=1e-12))
+    assert lambda_at(block, res.weights) == res.lambda_ > -math.inf
+
+
+def _crisp_cycle(ca):
+    """Crisp (b, a) = 2, (c, b) = 3 and (c, a) = ca, with soft judgments on
+    d."""
+    return ComparisonMatrix(
+        parent="x",
+        items=("a", "b", "c", "d"),
+        judgments=tuple(
+            ComparisonJudgment(r, c, TFN(*t))
+            for r, c, t in [
+                ("b", "a", (2, 2, 2)),
+                ("c", "b", (3, 3, 3)),
+                ("c", "a", (ca, ca, ca)),
+                ("d", "a", (1, 2, 3)),
+                ("d", "b", (0.5, 1, 2)),
+                ("d", "c", (0.2, 0.3, 0.5)),
+            ]
+        ),
+    )
+
+
+def test_hard_sides_within_the_membership_tolerance_hold():
+    # (c, a) = 6 (1 + 5e-13) misses the product of the other two crisp
+    # judgments by half of membership's 1e-12 relative tolerance, so weights
+    # exist that meet all three to within it; a cycle test on the exact
+    # bounds called them conflicting. A miss of 3e-12 is a conflict.
+    block = _crisp_cycle(6 * (1 + 5e-13))
+    res = solve_fpp(block)
+    assert res.lambda_ == lambda_at(block, res.weights)
+    assert res.lambda_ == pytest.approx(10 / 11, rel=1e-11)
+    with pytest.raises(InfeasibleJudgmentsError) as exc:
+        solve_fpp(_crisp_cycle(6 * (1 + 3e-12)))
+    assert set(exc.value.pairs) == {("b", "a"), ("c", "b"), ("c", "a")}
 
 
 def _contradictory_block(rng):

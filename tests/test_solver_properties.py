@@ -234,21 +234,27 @@ def test_bundled_w2_takes_the_leximin_point():
     assert not res.clamped and abs(res.lambda_ + 0.376094) <= 5e-7
 
 
-def test_binding_weight_floor_mixes_the_weights():
-    # The smallest leximin weight of W2 is 0.0878; a floor of 0.1 binds, so
-    # every weight is mixed with it, floor + (1 - n * floor) * w, and the
-    # reported lambda is that of the mixed weights. (The floor also mixes
-    # the least-squares start, so the search takes another path to the same
-    # leximin weights, equal to round-off.)
+def test_binding_weight_floor_is_kept_by_the_search():
+    # The smallest leximin weight of W2 is 0.0878, so a floor of 0.1 binds.
+    # The search keeps it: lambda is the highest level at which any weights
+    # keep the floor, where only one point does, and its smallest weight
+    # sits on the floor. feasible_at, an LP with w >= floor, finds weights
+    # just below that level and none above it, and the weights do not
+    # depend on the order of the items.
     w2 = load_study(bundled_study_path()).hierarchy.matrices["W2"]
+    cfg = solver.SolverConfig(weight_floor=0.1)
     free = solve_fpp(w2)
-    res = solve_fpp(w2, solver.SolverConfig(weight_floor=0.1))
+    res = solve_fpp(w2, cfg)
     assert min(free.weights.values()) < 0.1
-    for item, weight in free.weights.items():
-        assert abs(res.weights[item] - (0.1 + (1.0 - 4 * 0.1) * weight)) <= 1e-12
-    assert min(res.weights.values()) >= 0.1
+    assert abs(min(res.weights.values()) - 0.1) <= 1e-15
     assert res.lambda_ == lambda_at(w2, res.weights) < free.lambda_
     assert not res.clamped
+    assert solver.feasible_at(w2, res.lambda_ - 1e-9, cfg) is not None
+    assert solver.feasible_at(w2, res.lambda_ + 1e-6, cfg) is None
+    perm = [3, 1, 0, 2]
+    moved = solve_fpp(_permuted(w2, perm), cfg)
+    for i, item in enumerate(w2.items):
+        assert abs(moved.weights[w2.items[perm[i]]] - res.weights[item]) <= 1e-12
 
 
 def test_lambda_cap_below_one_keeps_the_leximin_weights():
