@@ -235,26 +235,36 @@ def test_bundled_w2_takes_the_leximin_point():
 
 
 def test_binding_weight_floor_is_kept_by_the_search():
-    # The smallest leximin weight of W2 is 0.0878, so a floor of 0.1 binds.
-    # The search keeps it: lambda is the highest level at which any weights
-    # keep the floor, where only one point does, and its smallest weight
-    # sits on the floor. feasible_at, an LP with w >= floor, finds weights
-    # just below that level and none above it, and the weights do not
-    # depend on the order of the items.
+    # The smallest leximin weight of W2 is 0.0878, so a floor of 0.1 binds,
+    # as a floor of 0.5 / n does on most generated blocks. The search keeps
+    # it: lambda is the highest level at which any weights keep the floor,
+    # where only one point does, and its smallest weight sits on the floor.
+    # feasible_at, an LP with w >= floor, finds weights just below that
+    # level and none above it, and the weights do not depend on the order
+    # of the items.
     w2 = load_study(bundled_study_path()).hierarchy.matrices["W2"]
-    cfg = solver.SolverConfig(weight_floor=0.1)
-    free = solve_fpp(w2)
-    res = solve_fpp(w2, cfg)
-    assert min(free.weights.values()) < 0.1
-    assert abs(min(res.weights.values()) - 0.1) <= 1e-15
-    assert res.lambda_ == lambda_at(w2, res.weights) < free.lambda_
-    assert not res.clamped
-    assert solver.feasible_at(w2, res.lambda_ - 1e-9, cfg) is not None
-    assert solver.feasible_at(w2, res.lambda_ + 1e-6, cfg) is None
-    perm = [3, 1, 0, 2]
-    moved = solve_fpp(_permuted(w2, perm), cfg)
-    for i, item in enumerate(w2.items):
-        assert abs(moved.weights[w2.items[perm[i]]] - res.weights[item]) <= 1e-12
+    assert min(solve_fpp(w2).weights.values()) < 0.1
+    cases = [(w2, 0.1)] + [(b, 0.5 / len(b.items)) for b in _blocks()]
+    rng = np.random.default_rng(5)
+    bound = 0
+    for block, floor in cases:
+        cfg = solver.SolverConfig(weight_floor=floor)
+        free, res = _solve(block), _solve(block, cfg)
+        if res is None or min(free.weights.values()) >= floor:
+            continue
+        bound += 1
+        assert abs(min(res.weights.values()) - floor) <= 1e-15
+        step = max(1.0, abs(res.lambda_))
+        # where the floor binds at a later stage, lambda* is the same
+        assert res.lambda_ == lambda_at(block, res.weights) <= free.lambda_ + 1e-12 * step
+        assert not res.clamped
+        assert solver.feasible_at(block, res.lambda_ - 1e-9 * step, cfg) is not None
+        assert solver.feasible_at(block, res.lambda_ + 1e-6 * step, cfg) is None
+        perm = rng.permutation(len(block.items))
+        moved = solve_fpp(_permuted(block, perm), cfg)
+        for i, item in enumerate(block.items):
+            assert abs(moved.weights[block.items[perm[i]]] - res.weights[item]) <= 1e-12
+    assert bound >= 20
 
 
 def test_lambda_cap_below_one_keeps_the_leximin_weights():
