@@ -652,11 +652,13 @@ def _floor_point(
     edges: _Edges, node: list[int], off: list[float], floor: float, lo: float,
     hi: float,
 ) -> tuple[float, list[float]]:
-    """The highest level in [lo, hi] to float resolution at which the
+    """The highest level below hi, to float resolution, at which the
     graph's deepest point keeps the floor, and that point's log weights,
-    given that it keeps the floor at lo (lo = -inf: somewhere below hi) and
-    not at hi. Bisection: the deepest point's smallest weight falls as the
-    level rises, since every edge gets shorter."""
+    given that it does not keep the floor at hi. Bisection from lo, or,
+    where the floor fails there too (or lo is -inf), from a level that
+    steps down from hi in doubling steps until the floor holds: the deepest
+    point's smallest weight falls as the level rises, since every edge gets
+    shorter."""
     size = max(node) + 1
 
     def deepest(level):
@@ -664,19 +666,14 @@ def _floor_point(
         dist = _shortest_paths(size, edges.tail, edges.head, weights)
         return _deepest(dist, node, off)
 
-    x = None
-    if lo > -math.inf:
-        x = deepest(lo)
-        if not _keeps_floor(x, floor):
-            lo, x = -math.inf, None
+    x = deepest(lo) if lo > -math.inf else None
     step = max(1.0, abs(hi))
-    while x is None:
+    while x is None or not _keeps_floor(x, floor):
+        if step > 1e300:
+            raise RuntimeError("the weight floor holds at no level")
         lo = hi - step
         x = deepest(lo)
-        if not _keeps_floor(x, floor):
-            if step > 1e300:
-                raise RuntimeError("the weight floor holds at no level")
-            x, step = None, 2.0 * step
+        step *= 2.0
     while hi - lo > _LEVEL_RES * max(1.0, abs(hi)):
         mid = 0.5 * (lo + hi)
         point = deepest(mid)
