@@ -7,11 +7,9 @@ judgments or undefined statistic, 4 oracle tolerance breach.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
@@ -45,6 +43,8 @@ EXIT_ORACLE = 4
 
 
 def _timestamp() -> str:
+    from datetime import datetime, timezone
+
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -133,8 +133,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     for block, fpp in solve_study(study).blocks.items():
         matrix = study.hierarchy.matrices[block]
         n = len(matrix.items)
-        # the search's memory is flat in the step, but its time is not: a
-        # four-item lattice at 0.01 is already 156,849 points, so go no finer
+        # the search's memory is flat in the step, but its time is not: it
+        # grows with the lattice's lines, 4,753 for four items at 0.01, so
+        # go no finer
         step = args.step if n < 4 else max(args.step, 0.01)
         grid = oracle_solve(matrix, step)
         lam_delta = abs(fpp.lambda_ - grid.lambda_)
@@ -159,6 +160,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def _read_csv(path: str, kind: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """A CSV file's header and its non-blank rows, numbered from 2."""
+    import csv
+
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))

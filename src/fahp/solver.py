@@ -66,16 +66,18 @@ lambda_at(weights); lambda >= 0 certifies that some weight vector lies
 inside every judgment's support, and negative lambda measures how strongly
 the judgments contradict each other. The solve path is plain Python:
 numpy is imported only by feasible_at (an LP through the package's
-simplex), SolveResult.weight_vector and the grid oracle.
+simplex) and SolveResult.weight_vector.
 
-A brute-force grid oracle over the simplex lattice is included as an
-independent check on the optimizer.
+A grid oracle over the simplex lattice is included as an independent check
+on the optimizer. It returns exactly the point that scoring every lattice
+point would, but finds it line by line in plain Python (oracle_solve).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import InfeasibleJudgmentsError
@@ -123,10 +125,9 @@ FEASIBLE_AT_MIN_LAMBDA = -1e4
 ORACLE_LAMBDA_TOL = 0.03
 ORACLE_WEIGHT_TOL = 0.03
 ORACLE_MAX_ITEMS = 4
-# Bounds the oracle's time only: it scores the lattice _ORACLE_CHUNK points
-# at a time, so its memory does not grow with the lattice.
+# Bounds the oracle's time only: it holds one line of the lattice at a time,
+# so its memory does not grow with the lattice.
 _ORACLE_MAX_POINTS = 20_000_000
-_ORACLE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -861,82 +862,115 @@ def _result(
     )
 
 
-def _lattice(n: int, units: int) -> np.ndarray:
-    """All integer vectors of length n with positive entries summing to units,
-    in lexicographic order."""
-    import numpy as np
-
-    if units < n:
-        raise ValueError("grid step too coarse: fewer lattice units than items")
-    return _extend(
-        np.empty((1, 0), dtype=np.int64), np.array([units], dtype=np.int64), n - 1
-    )
-
-
-def _extend(points: np.ndarray, left: np.ndarray, free: int) -> np.ndarray:
-    """Each row of points followed by every vector of free + 1 positive
-    entries summing to its entry of left, in lexicographic order."""
-    import numpy as np
-
-    for free in range(free, 0, -1):
-        # each point takes k = 1 .. left - free next, leaving 1 for the rest
-        counts = left - free
-        parent = np.repeat(np.arange(left.size), counts)
-        k = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-        points = np.column_stack([points[parent], k])
-        left = left[parent] - k
-    return np.column_stack([points, left])
-
-
 def _lattice_size(n: int, units: int) -> int:
-    from math import comb
-
-    return comb(units - 1, n - 1)
+    return math.comb(units - 1, n - 1)
 
 
-def _lattice_chunks(n: int, units: int, size: int, prefix: tuple[int, ...] = ()):
-    """prefix followed by each point of _lattice(n, units), in lexicographic
-    order, in consecutive chunks of at most size points (n >= 2)."""
-    import numpy as np
+def _lines(n: int, units: int):
+    """Each line of the lattice of n positive entries summing to units, in
+    lexicographic order: its fixed entries k_1 ... k_{n-2} and the units
+    left to the last two (n >= 2)."""
+    for cuts in combinations(range(1, units - 1), n - 2):
+        ks = [b - a for a, b in zip((0,) + cuts, cuts)]
+        yield ks, units - sum(ks)
 
-    def chunk(ks: list[int]) -> np.ndarray:
-        heads = np.array([prefix + (k,) for k in ks], dtype=np.int64)
-        return _extend(heads, units - heads[:, -1], n - 2)
 
-    # the next entry k leaves _lattice_size(n - 1, units - k) points, fewer
-    # for each larger k: split those above size, and batch the rest up to it
-    batch, count = [], 0
-    for k in range(1, units - n + 2):
-        points = _lattice_size(n - 1, units - k)
-        if points > size:
-            yield from _lattice_chunks(n - 1, units - k, size, prefix + (k,))
-            continue
-        if count + points > size:
-            yield chunk(batch)
-            batch, count = [], 0
-        batch.append(k)
-        count += points
-    yield chunk(batch)
+def _lowest(terms, w: list[float]) -> float:
+    """The least term (w[i] / w[j] - p) / q over terms of (i, j, p, q); inf
+    for none."""
+    low = math.inf
+    for i, j, p, q in terms:
+        t = (w[i] / w[j] - p) / q
+        if t < low:
+            low = t
+    return low
+
+
+def _first(holds, lo: int, hi: int, start: int) -> int:
+    """The least a in [lo, hi] where holds(a), or hi + 1 where none does;
+    holds must be false up to some a and true from there on. The search
+    strides away from start by doubling steps before it bisects, so an
+    answer near start costs few calls."""
+    if lo <= hi:
+        start, step = min(max(start, lo), hi), 1
+        if holds(start):
+            while start - step >= lo and holds(start - step):
+                start -= step
+                step *= 2
+            lo, hi = max(lo, start - step + 1), start - 1
+        else:
+            while start + step <= hi and not holds(start + step):
+                start += step
+                step *= 2
+            lo, hi = start + 1, min(hi, start + step - 1)
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _line_best(
+    value, cap: float, grows, shrinks, lo: int, hi: int, floor: float, guess: int
+):
+    """The greatest f(a) = min(cap, value(grows, a), value(shrinks, a)) over
+    a in [lo, hi], the first a that reaches it and the first a where the
+    growing part meets the shrinking one, all found from guess; or -inf,
+    None and guess where f cannot beat floor. value(grows, a) must be
+    nondecreasing in a and value(shrinks, a) nonincreasing, so f follows
+    the growing part up to the meeting point and the shrinking part from
+    there on."""
+    guess = min(max(guess, lo), hi)
+    # f peaks beside the meeting point, and the greater part at guess bounds
+    # both parts there: before the meeting point the growing part is the
+    # lesser, after it the shrinking one
+    if min(cap, max(value(grows, guess), value(shrinks, guess))) <= floor:
+        return -math.inf, None, guess
+    meet = _first(lambda a: value(grows, a) >= value(shrinks, a), lo, hi, guess)
+    left = value(grows, meet - 1) if meet > lo else -math.inf
+    right = value(shrinks, meet) if meet <= hi else -math.inf
+    top = min(cap, max(left, right))
+    if top <= floor:
+        return -math.inf, None, meet
+    if left < top:
+        return top, meet, meet
+    first = _first(lambda a: value(grows, a) >= top, lo, meet - 1, meet - 1)
+    return top, first, meet
 
 
 def oracle_solve(matrix: ComparisonMatrix, grid_step: float) -> SolveResult:
     """Exhaustive simplex-lattice search, an independent check on solve_fpp.
 
-    Evaluates lambda_at on every weight vector (k_1, ..., k_n) / N with
-    integer k_i >= 1 and N = round(1 / grid_step), and returns the best
-    point, the first in lexicographic order among equals. Refuses blocks
-    with more than four items and lattices of more than _ORACLE_MAX_POINTS
-    points; both bound the time, which grows with the lattice. The lattice
-    is scored in chunks of at most _ORACLE_CHUNK points, so memory stays
-    flat whatever the step.
+    Returns the lattice point w = (k_1, ..., k_n) / N, with integer k_i >=
+    1 and N = round(1 / grid_step), that maximizes min(1, the lowest grade
+    of its soft judgment sides) among the points that meet the hard sides,
+    the first in lexicographic order among equals, exactly as scoring every
+    point would. Refuses blocks with more than four items and lattices of
+    more than _ORACLE_MAX_POINTS points. iterations is the lattice size, the
+    number of points the search answers for, which perfbench's
+    solver.oracle_points reads as an exact count.
 
     Hard (zero-spread) judgment sides rarely hit a lattice point exactly;
-    among points violating some hard side, the one with the smallest worst
-    relative violation is preferred, so exactly-consistent crisp blocks are
-    still localized correctly. Its lambda is reported as -inf.
-    """
-    import numpy as np
+    a point meets them when its worst relative violation, (l - r) / l or
+    (r - u) / u, is at most _HARD_REL_TOL. Where no point does, the first
+    point of least worst violation is returned, so exactly-consistent crisp
+    blocks are still localized correctly, and its lambda is reported as
+    -inf.
 
+    The search goes line by line: a line fixes k_1 ... k_{n-2} and lets a =
+    k_{n-1} run, with k_n = N - k_1 - ... - k_{n-1}; lines and the points on
+    each come in lexicographic order. Correctly rounded division and
+    subtraction are monotone, so along a line every side's grade is
+    constant, nondecreasing or nonincreasing in a, and so is its hard
+    violation. The points meeting the hard sides then form one interval,
+    and over it min(1, lambda) rises to where the least nondecreasing grade
+    meets the least nonincreasing one and falls after it: a few bisections
+    find a line's first best point (_line_best), and a line whose best
+    cannot beat the best so far, strictly, is skipped. Time grows with the
+    number of lines, 4,753 for four items at 0.01, and memory is flat.
+    """
     n = len(matrix.items)
     if n > ORACLE_MAX_ITEMS:
         raise ValueError(
@@ -952,41 +986,65 @@ def oracle_solve(matrix: ComparisonMatrix, grid_step: float) -> SolveResult:
             f"grid step {grid_step} yields too many lattice points for n = {n}; "
             "use a coarser step"
         )
-    idx = {item: i for i, item in enumerate(matrix.items)}
-    sides = [
-        (idx[j.row], idx[j.col], *j.value.as_tuple()) for j in matrix.judgments
-    ]
-    # the first maximum of min(lam, 1) over hard-feasible points or, while
-    # none has turned up, the first minimum of the hard violation; the first
-    # feasible point sets best_violation to 0, below that of any other point
-    best_lambda, best_violation, best_w = -math.inf, math.inf, None
-    for lattice in _lattice_chunks(n, units, _ORACLE_CHUNK):
-        weights = lattice.astype(float) / units
-        lam = np.full(weights.shape[0], np.inf)
-        hard_violation = np.zeros(weights.shape[0])
-        for row, col, l, m, u in sides:
-            ratio = weights[:, row] / weights[:, col]
-            if m > l:
-                lam = np.minimum(lam, (ratio - l) / (m - l))
-            else:
-                hard_violation = np.maximum(hard_violation, (l - ratio) / l)
-            if u > m:
-                lam = np.minimum(lam, (u - ratio) / (u - m))
-            else:
-                hard_violation = np.maximum(hard_violation, (ratio - u) / u)
-        hard_ok = hard_violation <= _HARD_REL_TOL
-        if hard_ok.any():
-            scored = np.where(hard_ok, np.minimum(lam, 1.0), -np.inf)
-            best = int(np.argmax(scored))
-            if scored[best] > best_lambda:
-                best_lambda, best_violation, best_w = scored[best], 0.0, weights[best]
-        else:
-            best = int(np.argmin(hard_violation))
-            if hard_violation[best] < best_violation:
-                best_violation, best_w = hard_violation[best], weights[best]
-    best_lambda = float(best_lambda)
+    # Each side becomes a term (i, j, p, q) of _lowest: its grade on a soft
+    # side, and its slack, minus its relative violation, on a hard one, so
+    # that a point meets the hard sides where their least slack is at least
+    # -_HARD_REL_TOL and violates them least where that slack is greatest. Along a line,
+    # w[n - 2] grows with a and w[n - 1] shrinks; terms are filed as
+    # constant (0), nondecreasing (1) or nonincreasing (-1) in a.
+    block = _block(matrix)
+    soft = {0: [], 1: [], -1: []}
+    hard = {0: [], 1: [], -1: []}
+    grow, shrink = n - 2, n - 1
+    for i, j, sign, base, slope in zip(
+        block.row, block.col, block.sign, block.base, block.slope
+    ):
+        q = -sign * (slope or base)
+        way = (i == grow or j == shrink) - (i == shrink or j == grow)
+        (soft if slope else hard)[way if q > 0 else -way].append((i, j, base, q))
+    tol = -_HARD_REL_TOL
+    w = [0.0] * n
+    rest = units
+
+    def value(terms, a: int) -> float:
+        w[grow], w[shrink] = a / units, (rest - a) / units
+        return _lowest(terms, w)
+
+    best_lambda = best_slack = -math.inf
+    best = None
+    # each search starts where it ended on the last line that ran it
+    lo = hi = meet = slack_meet = 1
+    for ks, rest in _lines(n, units):
+        for i, k in enumerate(ks):
+            w[i] = k / units
+        last = rest - 1
+        cap = min(1.0, _lowest(soft[0], w))
+        if cap <= best_lambda:
+            continue
+        slack = _lowest(hard[0], w)
+        if slack >= tol:
+            lo = _first(lambda a: value(hard[1], a) >= tol, 1, last, lo)
+            hi = _first(lambda a: value(hard[-1], a) < tol, lo, last, hi + 1) - 1
+            if lo <= hi:
+                top, a, meet = _line_best(
+                    value, cap, soft[1], soft[-1], lo, hi, best_lambda, meet
+                )
+                if top > best_lambda:
+                    best_lambda, best = top, (ks, a, rest)
+                continue
+        if best_lambda == -math.inf:
+            # no point so far meets the hard sides: track the least violation
+            top, a, slack_meet = _line_best(
+                value, min(0.0, slack), hard[1], hard[-1], 1, last, best_slack,
+                slack_meet,
+            )
+            if top > best_slack:
+                best_slack, best = top, (ks, a, rest)
+    ks, a, rest = best
     return SolveResult(
-        weights=dict(zip(matrix.items, (float(x) for x in best_w))),
+        weights={
+            item: k / units for item, k in zip(matrix.items, ks + [a, rest - a])
+        },
         lambda_=best_lambda,
         consistent=best_lambda >= 0.0,
         iterations=points,

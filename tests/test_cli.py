@@ -481,6 +481,7 @@ _BUNDLED_RUNS = [
     (["reproduce-paper"], "reproduce.txt"),
     (["oracle", str(bundled_study_path())], "oracle.txt"),
 ]
+_BUNDLED_IDS = ["solve", "reproduce-paper", "oracle"]
 # exit 4: two bundled blocks breach the oracle's lambda tolerance
 _EXIT = {"oracle.txt": 4}
 
@@ -543,19 +544,11 @@ _NUMPY_AT_EXIT = (
 )
 
 
-@pytest.mark.parametrize(
-    "argv, code, numpy",
-    [
-        (["solve", str(bundled_study_path()), "--no-timestamp"], 0, False),
-        (["reproduce-paper"], 0, False),
-        (["oracle", str(bundled_study_path())], 4, True),
-    ],
-    ids=["solve", "reproduce-paper", "oracle"],
-)
-def test_solve_and_reproduce_never_load_numpy(argv, code, numpy):
-    # The solver, documents and report are plain Python; numpy is imported
-    # only by the grid oracle (and by feasible_at, weight_vector and the
-    # survey statistics), so `solve` and `reproduce-paper` skip its import.
+@pytest.mark.parametrize("argv, golden", _BUNDLED_RUNS, ids=_BUNDLED_IDS)
+def test_solve_and_reproduce_never_load_numpy(argv, golden):
+    # The solver, grid oracle, documents and report are plain Python; numpy
+    # is imported only by feasible_at, weight_vector and the survey
+    # statistics, so `solve`, `reproduce-paper` and `oracle` skip its import.
     src = Path(fahp.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_AT_EXIT, *argv],
@@ -563,8 +556,28 @@ def test_solve_and_reproduce_never_load_numpy(argv, code, numpy):
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert proc.returncode == code, proc.stderr
-    assert proc.stderr.strip().splitlines()[-1] == str(numpy)
+    assert proc.returncode == _EXIT.get(golden, 0), proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == "False"
+
+
+# Runs a command as the installed `fahp` script does, with numpy made
+# unimportable.
+_WITHOUT_NUMPY = (
+    "import sys; sys.modules['numpy'] = None; from fahp.cli import main; "
+    "sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize("argv, golden", _BUNDLED_RUNS, ids=_BUNDLED_IDS)
+def test_bundled_study_runs_without_numpy(argv, golden):
+    src = Path(fahp.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "utf-8"},
+    )
+    assert proc.returncode == _EXIT.get(golden, 0), proc.stderr
+    assert proc.stdout == (FIXTURES / "golden" / golden).read_bytes()
 
 
 def test_reproduce_paper_runs(capsys):

@@ -30,9 +30,8 @@ from fahp.hierarchy import MIN_SPREAD
 from fahp.solver import (
     _HARD_REL_TOL,
     _block,
-    _lattice,
-    _lattice_chunks,
     _lattice_size,
+    _lines,
     _lowest_membership,
     _memberships,
 )
@@ -304,10 +303,21 @@ def test_oracle_agrees_on_cyclic_fixture():
     assert o.lambda_ == pytest.approx(f.lambda_, abs=0.03)
 
 
+def _stars_and_bars(n, units):
+    """Every vector of n positive integers summing to units, in
+    lexicographic order: n - 1 cut points among the units - 1 gaps give
+    them, and combinations() yields the cuts in the same order."""
+    return [
+        [b - a for a, b in zip((0,) + c, c + (units,))]
+        for c in itertools.combinations(range(1, units), n - 1)
+    ]
+
+
 def _reference_scores(matrix, units):
     """Every lattice point's weights, min(lambda, 1) and hard violation, in
     one array each."""
-    weights = _lattice(len(matrix.items), units).astype(float) / units
+    lattice = np.array(_stars_and_bars(len(matrix.items), units), dtype=np.int64)
+    weights = lattice.astype(float) / units
     idx = {item: i for i, item in enumerate(matrix.items)}
     lam = np.full(weights.shape[0], np.inf)
     hard_violation = np.zeros(weights.shape[0])
@@ -326,8 +336,8 @@ def _reference_scores(matrix, units):
 
 
 def _oracle_reference(matrix, grid_step):
-    """oracle_solve on the whole lattice in one array: the reference that
-    the chunked search must match bit for bit."""
+    """The grid oracle scored point by point on the whole lattice in one
+    array: the reference that the line search must match bit for bit."""
     units = round(1.0 / grid_step)
     weights, lam, hard_violation = _reference_scores(matrix, units)
     hard_ok = hard_violation <= _HARD_REL_TOL
@@ -355,24 +365,42 @@ def _assert_matches_reference(matrix, grid_step):
     return want
 
 
+# a hub judged against every other item alike: swapping two spokes maps the
+# block onto itself, so the lattice's best points tie exactly, on different
+# lines of the search
+_STAR3 = _mat("abc", [("c", "a", (2, 3, 4)), ("c", "b", (2, 3, 4))])
+_STAR4 = _mat(
+    "abcd", [("d", "a", (2, 3, 4)), ("d", "b", (2, 3, 4)), ("d", "c", (2, 3, 4))]
+)
+_CRISP_STAR3 = _mat("abc", [("c", "a", (3, 3, 3)), ("c", "b", (3, 3, 3))])
+
+
 CRISP_CHAIN = _mat(
     "abc", [("b", "a", (2, 2, 2)), ("c", "a", (6, 6, 6)), ("c", "b", (3, 3, 3))]
 )
 
 
 def _oracle_cases():
+    """Seeded blocks of two to four items, soft, with hard sides and with
+    crisp judgments, at steps down to 0.002 (0.01 for four items), and
+    blocks whose lattice ties or violates a hard side everywhere, at the
+    finest step."""
     rng = np.random.default_rng(20261020)
     steps = {
-        2: [0.05, 0.01, 0.002], 3: [0.05, 0.01, 0.005, 0.002], 4: [0.05, 0.02, 0.01]
+        2: [0.05, 0.02, 0.01, 0.005, 0.002],
+        3: [0.05, 0.02, 0.01, 0.005, 0.002],
+        4: [0.05, 0.02, 0.01],
     }
     for n, ns in steps.items():
         for step in ns:
-            for _ in range(3):
-                yield _random_block(rng, n, hard_share=0.3), step
-    # on the grid at 1/450, off it at 0.001, where every point violates a
-    # hard side and the least violation wins across 61 chunks
+            for hard_share, crisp_share in ((0.0, 0.0), (0.3, 0.0), (0.15, 0.4)):
+                for _ in range(2):
+                    yield _random_block(rng, n, hard_share, crisp_share), step
+    # on the grid at 1/450; off it at 0.001, where every point violates a
+    # hard side and the least violation wins across 998 lines
     yield CRISP_CHAIN, 1 / 450
-    yield CRISP_CHAIN, 0.001
+    for matrix in (CRISP_CHAIN, _STAR3, _CRISP_STAR3, CYCLIC):
+        yield matrix, 0.001
 
 
 def test_oracle_matches_the_one_array_reference():
@@ -381,19 +409,16 @@ def test_oracle_matches_the_one_array_reference():
         any(j.value.l == j.value.m or j.value.m == j.value.u for j in m.judgments)
         for m, _ in cases
     )
-    assert any(
-        _lattice_size(len(m.items), round(1 / step)) > solver._ORACLE_CHUNK
-        for m, step in cases
-    )
     lambdas = [_assert_matches_reference(matrix, step)[1] for matrix, step in cases]
+    # both modes: some lattice point meets every hard side, or none does
     assert 1.0 in lambdas and -math.inf in lambdas
+    assert sum(lam > -math.inf for lam in lambdas) > 20
+    assert lambdas.count(-math.inf) > 10
 
 
-@pytest.mark.parametrize("size", [1, 3, 64])
-def test_oracle_matches_the_reference_in_small_chunks(monkeypatch, size):
-    # tiny chunks put nearly every tie and every running best on a boundary
-    monkeypatch.setattr(solver, "_ORACLE_CHUNK", size)
-    rng = np.random.default_rng(size)
+@pytest.mark.parametrize("seed", [1, 3, 64])
+def test_oracle_matches_the_reference_on_seeded_blocks(seed):
+    rng = np.random.default_rng(seed)
     blocks = [
         _random_block(rng, n, hard_share=0.3) for n in (2, 3, 4) for _ in range(4)
     ]
@@ -401,30 +426,19 @@ def test_oracle_matches_the_reference_in_small_chunks(monkeypatch, size):
         _assert_matches_reference(matrix, 0.05)
 
 
-# a hub judged against every other item alike: swapping two spokes maps the
-# block onto itself, so the lattice's best points tie exactly; at these steps
-# the tied points fall in different chunks
-_STAR3 = _mat("abc", [("c", "a", (2, 3, 4)), ("c", "b", (2, 3, 4))])
-_STAR4 = _mat(
-    "abcd", [("d", "a", (2, 3, 4)), ("d", "b", (2, 3, 4)), ("d", "c", (2, 3, 4))]
-)
-_CRISP_STAR3 = _mat("abc", [("c", "a", (3, 3, 3)), ("c", "b", (3, 3, 3))])
-
-
 @pytest.mark.parametrize(
     "matrix, units",
     [(_STAR3, 367), (_STAR4, 50), (_STAR4, 99), (_CRISP_STAR3, 367)],
     ids=["star3", "star4-50", "star4-99", "crisp-star3-off-grid"],
 )
-def test_oracle_ties_across_a_chunk_boundary_keep_the_first(matrix, units):
-    _, lam, hard_violation = _reference_scores(matrix, units)
+def test_oracle_ties_across_lines_keep_the_first(matrix, units):
+    weights, lam, hard_violation = _reference_scores(matrix, units)
     if (hard_violation <= _HARD_REL_TOL).any():
         tied = np.flatnonzero(lam == lam.max())
     else:  # the crisp star is off-grid: every point violates a hard side
         tied = np.flatnonzero(hard_violation == hard_violation.min())
-    chunks = _lattice_chunks(len(matrix.items), units, solver._ORACLE_CHUNK)
-    ends = np.cumsum([len(chunk) for chunk in chunks])
-    assert len(set(np.searchsorted(ends, tied, side="right"))) > 1
+    # a line fixes every weight but the last two
+    assert len({tuple(weights[t, :-2]) for t in tied}) > 1
     _assert_matches_reference(matrix, 1 / units)
 
 
@@ -447,23 +461,14 @@ def test_oracle_memory_is_flat_in_the_step():
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("extra", [0, 1, 5, 37])
 def test_lattice_matches_stars_and_bars(n, extra):
-    # n - 1 cut points among units - 1 gaps give the positive compositions,
-    # and combinations() yields them in the same lexicographic order
+    # the oracle's lines, each run through its free entry, are the lattice
+    # in lexicographic order
     units = n + extra
-    cuts = itertools.combinations(range(1, units), n - 1)
-    want = [
-        [b - a for a, b in zip((0,) + c, c + (units,))] for c in cuts
+    got = [
+        ks + [a, rest - a] for ks, rest in _lines(n, units) for a in range(1, rest)
     ]
-    got = _lattice(n, units)
-    assert got.dtype == np.int64
-    assert got.tolist() == want
+    assert got == _stars_and_bars(n, units)
     assert len(got) == _lattice_size(n, units)
-    # the oracle's chunks, and smaller ones that split every level
-    for size in (solver._ORACLE_CHUNK, 7, 1):
-        chunks = list(_lattice_chunks(n, units, size))
-        assert max(len(chunk) for chunk in chunks) <= size
-        assert all(chunk.dtype == np.int64 for chunk in chunks)
-        assert np.concatenate(chunks).tolist() == want
 
 
 def _lowest_membership_loop(matrix, vec):
