@@ -57,15 +57,29 @@ from .solver import (
     oracle_solve,
     solve_fpp,
 )
-from .survey import (
-    CaspScore,
-    DelphiRatings,
-    ItemResponses,
-    casp_pass,
-    cronbach_alpha,
-    delphi_round,
-    run_delphi,
+
+# The survey statistics are loaded on first use (PEP 562), so that the
+# commands that never screen a survey do not import them.
+_SURVEY_NAMES = frozenset(
+    {
+        "CaspScore",
+        "DelphiRatings",
+        "ItemResponses",
+        "casp_pass",
+        "cronbach_alpha",
+        "delphi_round",
+        "run_delphi",
+    }
 )
+
+
+def __getattr__(name: str):
+    if name in _SURVEY_NAMES:
+        from . import survey
+
+        return getattr(survey, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

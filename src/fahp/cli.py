@@ -11,6 +11,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .composition import rank
@@ -27,13 +28,11 @@ from .errors import (
     ValidationError,
 )
 from .solver import ORACLE_LAMBDA_TOL, ORACLE_MAX_ITEMS, ORACLE_WEIGHT_TOL, oracle_solve
-from .survey import (
-    DelphiRatings,
-    ItemResponses,
-    cronbach_alpha,
-    delphi_round,
-    run_delphi,
-)
+
+# delphi and alpha import the survey module where they use it, so that the
+# other subcommands do not load it
+if TYPE_CHECKING:
+    from .survey import DelphiRatings, ItemResponses
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -176,6 +175,8 @@ def _read_csv(path: str, kind: str) -> tuple[list[str], list[tuple[int, list[str
 
 
 def _read_ratings_csv(path: str) -> DelphiRatings:
+    from .survey import DelphiRatings
+
     header, body = _read_csv(path, "ratings")
     if header != ["item", "expert", "rating"]:
         raise ValidationError(f"{path}: header must be exactly 'item,expert,rating'")
@@ -221,6 +222,8 @@ def _read_ratings_csv(path: str) -> DelphiRatings:
 
 
 def cmd_delphi(args: argparse.Namespace) -> int:
+    from .survey import delphi_round, run_delphi
+
     rounds = [_read_ratings_csv(p) for p in args.ratings]
     if args.rounds is not None and args.rounds != len(rounds):
         raise ValidationError(
@@ -249,6 +252,8 @@ def cmd_delphi(args: argparse.Namespace) -> int:
 
 
 def _read_responses_csv(path: str) -> ItemResponses:
+    from .survey import ItemResponses
+
     header, body = _read_csv(path, "responses")
     if not header or any(not h.strip() for h in header):
         raise ValidationError(f"{path}: first row must list item ids")
@@ -269,6 +274,8 @@ def _read_responses_csv(path: str) -> ItemResponses:
 
 
 def cmd_alpha(args: argparse.Namespace) -> int:
+    from .survey import cronbach_alpha
+
     responses = _read_responses_csv(args.responses)
     alpha = cronbach_alpha(responses)
     sys.stdout.write(

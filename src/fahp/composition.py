@@ -9,13 +9,13 @@ is wanted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
+from ._record import record
 from .errors import CompositionError
 
 
-@dataclass(frozen=True)
+@record
 class RankingRow:
     leaf: str
     category: str
@@ -25,7 +25,7 @@ class RankingRow:
     rank: int
 
 
-@dataclass(frozen=True)
+@record
 class GlobalRanking:
     rows: tuple[RankingRow, ...]
 

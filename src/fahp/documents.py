@@ -11,12 +11,11 @@ other, and every command that solves a study goes through it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from . import __version__
+from ._record import record
 from .composition import GlobalRanking, RankingRow, compose_global
 from .errors import ValidationError
 from .fuzzy import DEFAULT_SCALE, LinguisticScale, TriangularFuzzyNumber, scale_lookup
@@ -36,7 +35,7 @@ _JUDGMENT_KEYS = {"row", "col", "judgment"}
 _CONFIG_KEYS = {"lambda_cap", "weight_floor"}
 
 
-@dataclass(frozen=True)
+@record
 class StudyDocument:
     """A parsed and validated study, ready to solve."""
 
@@ -46,7 +45,7 @@ class StudyDocument:
     config: SolverConfig
 
 
-@dataclass(frozen=True)
+@record
 class ResultsDocument:
     """Solver output for one study run."""
 
@@ -230,7 +229,7 @@ def load_study(path: str | Path) -> StudyDocument:
 
 def bundled_study_path() -> Path:
     """Filesystem path of the packaged supply-chain study document."""
-    return Path(str(resources.files("fahp").joinpath("data/supply_chain_study.json")))
+    return Path(__file__).parent / "data" / "supply_chain_study.json"
 
 
 def solve_study(

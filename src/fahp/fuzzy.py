@@ -11,9 +11,9 @@ zero so that strongly violated judgments score strongly negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import record
 from .errors import UnknownTermError, ValidationError
 
 # Relative tolerance for deciding that a ratio hits the mode of a crisp
@@ -22,7 +22,7 @@ from .errors import UnknownTermError, ValidationError
 _CRISP_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class TriangularFuzzyNumber:
     """A fuzzy ratio with support [l, u] and mode m, 0 < l <= m <= u < inf."""
 
@@ -48,7 +48,7 @@ class TriangularFuzzyNumber:
 TFN = TriangularFuzzyNumber
 
 
-@dataclass(frozen=True)
+@record
 class LinguisticScale:
     """Ordered mapping from verbal terms to triangular fuzzy ratios.
 

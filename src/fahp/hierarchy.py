@@ -9,9 +9,10 @@ is checked when it is built; validate checks the tree around it on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
+from ._record import record
 from .errors import ValidationError
 from .fuzzy import TriangularFuzzyNumber
 
@@ -37,7 +38,7 @@ JUDGMENT_RANGE = (1e-4, 1e4)
 MIN_SPREAD = 1e-3
 
 
-@dataclass(frozen=True)
+@record
 class Node:
     """A hierarchy node; leaves are the alternatives being ranked."""
 
@@ -56,7 +57,7 @@ class Node:
         return not self.children
 
 
-@dataclass(frozen=True)
+@record
 class ComparisonJudgment:
     """One entered pairwise judgment: w_row / w_col is about `value`."""
 
@@ -65,7 +66,7 @@ class ComparisonJudgment:
     value: TriangularFuzzyNumber
 
 
-@dataclass(frozen=True)
+@record
 class ComparisonMatrix:
     """The judged pairs among the children of one parent node; valid once built."""
 
@@ -141,12 +142,12 @@ def validate_matrix(m: ComparisonMatrix) -> ComparisonMatrix:
     return m
 
 
-@dataclass(frozen=True)
+@record
 class Hierarchy:
     """A decision tree plus its comparison blocks; validate checks the tree."""
 
     root: Node
-    matrices: Mapping[str, ComparisonMatrix] = field(default_factory=dict)
+    matrices: Mapping[str, ComparisonMatrix] = MappingProxyType({})
 
     def walk(self) -> Iterator[Node]:
         """Nodes in depth-first pre-order, root first."""

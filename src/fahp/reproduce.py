@@ -15,9 +15,9 @@ the precision they were printed with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Mapping
 
+from ._record import record
 from .composition import GlobalRanking, compose_global
 from .documents import (
     block_to_dict,
@@ -61,7 +61,7 @@ PUBLISHED_GLOBAL_WEIGHTS = {
 IDENTITY_TOL = 5e-6
 
 
-@dataclass(frozen=True)
+@record
 class DeviationRow:
     block: str
     item: str  # empty for lambda rows
@@ -73,7 +73,7 @@ class DeviationRow:
         return abs(self.published - self.computed)
 
 
-@dataclass(frozen=True)
+@record
 class ReproduceReport:
     blocks: dict[str, SolveResult]
     local_rows: tuple[DeviationRow, ...]

@@ -64,9 +64,9 @@ that table (_memberships), bit for bit fuzzy.membership, and the search's
 edges are written from the same table. The reported lambda is
 lambda_at(weights); lambda >= 0 certifies that some weight vector lies
 inside every judgment's support, and negative lambda measures how strongly
-the judgments contradict each other. The solve path is plain Python:
-numpy is imported only by feasible_at (an LP through the package's
-simplex) and SolveResult.weight_vector.
+the judgments contradict each other. The solve path is plain Python: in the
+whole package numpy is imported only by feasible_at (an LP through the
+package's simplex) and SolveResult.weight_vector.
 
 A grid oracle over the simplex lattice is included as an independent check
 on the optimizer. It returns exactly the point that scoring every lattice
@@ -76,10 +76,10 @@ point would, but finds it line by line in plain Python (oracle_solve).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
+from ._record import record
 from .errors import InfeasibleJudgmentsError
 from .fuzzy import _CRISP_REL_TOL
 from .hierarchy import ComparisonMatrix
@@ -130,7 +130,7 @@ ORACLE_MAX_ITEMS = 4
 _ORACLE_MAX_POINTS = 20_000_000
 
 
-@dataclass(frozen=True)
+@record
 class SolverConfig:
     """Membership cap and weight floor for the solver."""
 
@@ -150,7 +150,7 @@ class SolverConfig:
             )
 
 
-@dataclass(frozen=True)
+@record
 class SolveResult:
     """Weights and diagnostics for one comparison block.
 
@@ -158,11 +158,11 @@ class SolveResult:
     least-squares weights already reach lambda_cap: lambda_ is the highest
     level every judgment side can reach with every weight at weight_floor
     or above, and among the weight vectors that reach it, these raise the
-    sides that can go higher as far as they go, level by level. ``iterations`` counts the negative-cycle searches
-    (Bellman-Ford runs) of the solve; it is 0 for a block clamped at its
-    least-squares weights. The solver and the oracle leave ``slack`` as
-    None; results documents keep the key. The oracle counts its lattice
-    points in ``iterations``.
+    sides that can go higher as far as they go, level by level.
+    ``iterations`` counts the negative-cycle searches (Bellman-Ford runs) of
+    the solve; it is 0 for a block clamped at its least-squares weights.
+    The solver and the oracle leave ``slack`` as None; results documents
+    keep the key. The oracle counts its lattice points in ``iterations``.
     """
 
     weights: dict[str, float]

@@ -8,13 +8,11 @@ of the final questionnaire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+import math
+from statistics import variance
 
+from ._record import record
 from .errors import UndefinedStatisticError, ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Delphi ratings come from a five-point agreement scale, stored as 0..4.
 DELPHI_MIN, DELPHI_MAX = 0, 4
@@ -24,7 +22,7 @@ DELPHI_AGREE = (3, 4)
 _CASP_CRITERIA = 10
 
 
-@dataclass(frozen=True)
+@record
 class CaspScore:
     """Ten appraisal criteria for one candidate paper, each scored 1..5."""
 
@@ -49,7 +47,7 @@ def casp_pass(score: CaspScore) -> bool:
     return sum(score.criteria) > 4 * _CASP_CRITERIA
 
 
-@dataclass(frozen=True)
+@record
 class DelphiRatings:
     """One Delphi round: every expert rates every item on the 0..4 scale.
 
@@ -137,7 +135,7 @@ def run_delphi(
     return frozenset(accepted_all)
 
 
-@dataclass(frozen=True)
+@record
 class ItemResponses:
     """Questionnaire responses: one row per respondent, one column per item."""
 
@@ -158,25 +156,18 @@ class ItemResponses:
                     f"{len(self.items)} items"
                 )
 
-    def matrix(self) -> np.ndarray:
-        # imported here, so that importing the package does not load numpy
-        import numpy as np
 
-        return np.asarray(self.rows, dtype=float)
-
-
-def cronbach_alpha(responses: ItemResponses, ddof: int = 1) -> float:
+def cronbach_alpha(responses: ItemResponses) -> float:
     """Internal-consistency coefficient alpha of a questionnaire.
 
     alpha = k/(k-1) * (1 - sum(item variances) / variance(total score)),
-    with sample variances (ddof=1) by default.
+    with sample variances.
     """
-    x = responses.matrix()
-    k = x.shape[1]
-    item_vars = x.var(axis=0, ddof=ddof)
-    total_var = x.sum(axis=1).var(ddof=ddof)
+    k = len(responses.items)
+    item_vars = math.fsum(variance(column) for column in zip(*responses.rows))
+    total_var = variance([math.fsum(row) for row in responses.rows])
     if total_var <= 0.0:
         raise UndefinedStatisticError(
             "total-score variance is zero; alpha is undefined for these responses"
         )
-    return float(k / (k - 1) * (1.0 - item_vars.sum() / total_var))
+    return k / (k - 1) * (1.0 - item_vars / total_var)

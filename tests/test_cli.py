@@ -536,28 +536,37 @@ def test_cli_import_leaves_reproduce_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-# Runs a command as the installed `fahp` script does, then reports whether
-# numpy was loaded by the time it exits.
-_NUMPY_AT_EXIT = (
+# Runs a command as the installed `fahp` script does, then reports which of
+# the modules that no bundled run needs were loaded by the time it exits,
+# and checks that every public name of the package still resolves.
+_LOADED_AT_EXIT = (
     "import sys; from fahp.cli import main; code = main(sys.argv[1:]); "
-    "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+    "print(sorted(set(sys.modules) & {unneeded!r}), file=sys.stderr); "
+    "import fahp; [getattr(fahp, name) for name in fahp.__all__]; "
+    "print(fahp.cronbach_alpha.__module__, file=sys.stderr); sys.exit(code)"
 )
+# numpy, because the solver, grid oracle, documents and report are plain
+# Python (numpy is imported only by feasible_at and weight_vector);
+# dataclasses and inspect, because the package's records are its own
+# (fahp._record); importlib.resources, because the bundled study is found
+# next to the package's files; fahp.survey, because only delphi and alpha
+# use it.
+_UNNEEDED = {"numpy", "dataclasses", "inspect", "importlib.resources", "fahp.survey"}
 
 
 @pytest.mark.parametrize("argv, golden", _BUNDLED_RUNS, ids=_BUNDLED_IDS)
-def test_solve_and_reproduce_never_load_numpy(argv, golden):
-    # The solver, grid oracle, documents and report are plain Python; numpy
-    # is imported only by feasible_at, weight_vector and the survey
-    # statistics, so `solve`, `reproduce-paper` and `oracle` skip its import.
+def test_bundled_runs_load_only_what_they_use(argv, golden):
+    # -S keeps site hooks (a .pth file can import importlib.resources) out
+    # of the child, so what it reports is what fahp itself loaded
     src = Path(fahp.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_AT_EXIT, *argv],
+        [sys.executable, "-S", "-c", _LOADED_AT_EXIT.format(unneeded=_UNNEEDED), *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == _EXIT.get(golden, 0), proc.stderr
-    assert proc.stderr.strip().splitlines()[-1] == "False"
+    assert proc.stderr.strip().splitlines()[-2:] == ["[]", "fahp.survey"]
 
 
 # Runs a command as the installed `fahp` script does, with numpy made
