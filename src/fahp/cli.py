@@ -51,10 +51,7 @@ def _format_results(study: StudyDocument, doc: ResultsDocument) -> str:
     h = study.hierarchy
     labels = {n.id: n.label for n in h.walk()}
     lines = [f"study: {doc.study}"]
-    cfg = doc.config
-    lines.append(
-        f"solver: lambda cap {cfg.lambda_cap:g}, weight floor {cfg.weight_floor:g}"
-    )
+    lines.append(f"solver: lambda cap {doc.config.lambda_cap:g}")
     for block, res in doc.blocks.items():
         lines.append("")
         lines.append(

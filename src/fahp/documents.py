@@ -32,7 +32,7 @@ from .solver import SolveResult, SolverConfig, solve_fpp
 _STUDY_KEYS = {"name", "scale", "hierarchy", "matrices", "solver"}
 _NODE_KEYS = {"id", "label", "children"}
 _JUDGMENT_KEYS = {"row", "col", "judgment"}
-_CONFIG_KEYS = {"lambda_cap", "weight_floor"}
+_CONFIG_KEYS = {"lambda_cap"}
 
 
 @record
@@ -276,7 +276,7 @@ def solve_study(
 
 
 def _config_dict(config: SolverConfig) -> dict[str, float]:
-    return {"lambda_cap": config.lambda_cap, "weight_floor": config.weight_floor}
+    return {"lambda_cap": config.lambda_cap}
 
 
 def block_to_dict(res: SolveResult) -> dict[str, Any]:
@@ -287,7 +287,6 @@ def block_to_dict(res: SolveResult) -> dict[str, Any]:
         "consistent": res.consistent,
         "clamped": res.clamped,
         "iterations": res.iterations,
-        "slack": res.slack,
     }
 
 
@@ -330,7 +329,7 @@ def _field(obj: Any, key: str, convert: Callable[[Any], Any], where: str) -> Any
         raise ValidationError(f"{where}: must be an object")
     try:
         return convert(_require(obj, key, where))
-    except (OverflowError, TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{where}: key {key!r}: {exc}") from exc
 
 
@@ -373,9 +372,9 @@ def parse_results(text: str, source: str = "results") -> ResultsDocument:
     """Parse a results document; inverse of serialize_results.
 
     Every field must have the JSON type serialize_results writes: true or
-    false, an integer (not a boolean), a number (not a boolean or a string;
-    a block's slack may be null) or a string. An error names the block or
-    ranking row and the key that is wrong.
+    false, an integer (not a boolean), a number (not a boolean or a string)
+    or a string; the config is read as a study's solver settings are. An
+    error names the block or ranking row and the key that is wrong.
     """
     data = _decode(text, source)
     where = f"{source}: malformed results document"
@@ -388,7 +387,6 @@ def parse_results(text: str, source: str = "results") -> ResultsDocument:
             consistent=_field(raw, "consistent", _boolean, at),
             iterations=_field(raw, "iterations", _integer, at),
             clamped=_field(raw, "clamped", _boolean, at),
-            slack=_field(raw, "slack", lambda v: None if v is None else _number(v), at),
         )
     rows = []
     for i, raw in enumerate(_field(data, "ranking", list, where), start=1):
@@ -406,7 +404,7 @@ def parse_results(text: str, source: str = "results") -> ResultsDocument:
     return ResultsDocument(
         study=_field(data, "study", _string, where),
         tool_version=_field(data, "tool_version", _string, where),
-        config=_field(data, "config", lambda v: SolverConfig(**_floats(v)), where),
+        config=_field(data, "config", lambda v: _parse_config(_object(v)), where),
         generated_at=(
             _field(data, "generated_at", _string, where)
             if "generated_at" in data

@@ -18,7 +18,7 @@ class CompositionError(ValidationError):
 
 
 class InfeasibleJudgmentsError(DecisionToolError):
-    """No weight vector satisfies the judgments even at the search floor.
+    """No weight vector meets the judgments' zero-spread (hard) bounds.
 
     Carries the offending (row, col) pairs so callers can report which
     judgments conflict.

@@ -40,21 +40,18 @@ n linear system; consistent modes reach lambda_cap there and are returned
 clamped without a search. Otherwise the first search is at level 1, the
 start's lambda is the low end of its bracket and its log weights are the
 first potentials; where the start misses a hard side its lambda is -inf.
-Hard sides conflict when a cycle of them is negative, or when no weights
-that meet them all keep the weight floor; a block whose exact hard bounds
-conflict only by less than membership's 1e-12 tolerance is searched with
-each hard bound loosened by a little less than it. lambda_cap caps the
-reported lambda and sets `clamped`, but the stages run on to the leximin
-weights whatever the cap.
+Hard sides conflict exactly when a cycle of them is negative; a block whose
+exact hard bounds conflict only by less than membership's 1e-12 tolerance is
+searched with each hard bound loosened by a little less than it. lambda_cap
+caps the reported lambda and sets `clamped`, but the stages run on to the
+leximin weights whatever the cap.
 
-The weight floor is kept exactly, as a constraint of the search. Among the
-points that meet a graph's edges the least one with every log weight >= 0
-keeps the smallest weight highest (_deepest), so the floor holds at a level
-exactly when that point keeps it, and only that point does where it is met
-with equality. When the leximin weights fall below the floor, the stages
-run again with that test after each search; at the first stage where it
-fails, a bisection on the level finds where the floor binds, and that
-point is the result.
+Preference programming asks only that the weights sum to 1 and be positive
+(Mikhailov, Fuzzy Sets and Systems 134, 2003), and weights found as log
+weights are positive by construction, so the search has no lower bound on
+a weight. A block whose judgments ask for weights that span more than a
+float holds is refused with a ValidationError: normalized, the start's or
+the result's smallest weight would fall below the least normal float.
 
 A block is read once into one side table (_Block): judgment i's rising
 side is side 2i and its falling side 2i + 1, each with its items, sign,
@@ -76,11 +73,12 @@ point would, but finds it line by line in plain Python (oracle_solve).
 from __future__ import annotations
 
 import math
+import sys
 from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from ._record import record
-from .errors import InfeasibleJudgmentsError
+from .errors import InfeasibleJudgmentsError, ValidationError
 from .fuzzy import _CRISP_REL_TOL
 from .hierarchy import ComparisonMatrix
 
@@ -109,8 +107,6 @@ _SETTLED = 2e-14
 # Items whose shortest paths both ways sum to this or less (in log weight)
 # are pinned to each other.
 _PINNED = 1e-9
-# _floor_point bisects a level down to this, relative to max(1, |level|).
-_LEVEL_RES = 4.0 * 2.0**-52
 # Relative tolerance for hard (zero-spread) judgment sides in the oracle.
 _HARD_REL_TOL = 1e-9
 # feasible_at refuses levels below this. Its LP's side rows grow with |lam|
@@ -119,6 +115,9 @@ _HARD_REL_TOL = 1e-9
 # from -10 to -1e6, it first failed ("simplex round-off") at -1.6e5; the
 # bound keeps a factor of ten from that.
 FEASIBLE_AT_MIN_LAMBDA = -1e4
+# feasible_at's LP keeps every weight at this or above: its weights must be
+# strictly positive, and an LP's optimum may otherwise put one at 0.
+_LP_MIN_WEIGHT = 1e-6
 
 #: Documented agreement tolerances between solve_fpp and oracle_solve on
 #: matrices whose judgment spreads are wide relative to the grid step.
@@ -132,10 +131,9 @@ _ORACLE_MAX_POINTS = 20_000_000
 
 @record
 class SolverConfig:
-    """Membership cap and weight floor for the solver."""
+    """Membership cap for the solver."""
 
     lambda_cap: float = 1.0
-    weight_floor: float = 1e-6
 
     def __post_init__(self):
         # memberships are capped at 1, so a larger cap never binds; a cap
@@ -143,10 +141,6 @@ class SolverConfig:
         if not 0.0 <= self.lambda_cap <= 1.0:
             raise ValueError(
                 f"lambda_cap must lie between 0 and 1, got {self.lambda_cap}"
-            )
-        if not (self.weight_floor > 0 and math.isfinite(self.weight_floor)):
-            raise ValueError(
-                f"weight_floor must be positive and finite, got {self.weight_floor}"
             )
 
 
@@ -156,13 +150,12 @@ class SolveResult:
 
     ``weights`` are the leximin weights of the block, unless its
     least-squares weights already reach lambda_cap: lambda_ is the highest
-    level every judgment side can reach with every weight at weight_floor
-    or above, and among the weight vectors that reach it, these raise the
-    sides that can go higher as far as they go, level by level.
-    ``iterations`` counts the negative-cycle searches (Bellman-Ford runs) of
-    the solve; it is 0 for a block clamped at its least-squares weights.
-    The solver and the oracle leave ``slack`` as None; results documents
-    keep the key. The oracle counts its lattice points in ``iterations``.
+    level every judgment side can reach, and among the weight vectors that
+    reach it, these raise the sides that can go higher as far as they go,
+    level by level. ``iterations`` counts the negative-cycle searches
+    (Bellman-Ford runs) of the solve; it is 0 for a block clamped at its
+    least-squares weights. The oracle counts its lattice points in
+    ``iterations``.
     """
 
     weights: dict[str, float]
@@ -170,20 +163,11 @@ class SolveResult:
     consistent: bool
     iterations: int
     clamped: bool
-    slack: float | None = None
 
     def weight_vector(self) -> np.ndarray:
         import numpy as np
 
         return np.array(list(self.weights.values()))
-
-
-def _check_floor(matrix: ComparisonMatrix, config: SolverConfig) -> None:
-    if len(matrix.items) * config.weight_floor >= 1.0:
-        raise ValueError(
-            f"weight_floor {config.weight_floor} is too large for "
-            f"{len(matrix.items)} items"
-        )
 
 
 class _Block(NamedTuple):
@@ -295,23 +279,19 @@ def lambda_at(matrix: ComparisonMatrix, w) -> float:
     return _lowest_membership(_block(matrix), _as_vector(matrix, w))
 
 
-def feasible_at(
-    matrix: ComparisonMatrix, lam: float, config: SolverConfig | None = None
-) -> dict[str, float] | None:
+def feasible_at(matrix: ComparisonMatrix, lam: float) -> dict[str, float] | None:
     """A strictly positive weight vector meeting every judgment at level lam,
     or None when that level is unattainable.
 
     The vector returned is the max-slack one, i.e. the deepest interior
     point of the feasible region at that lambda, from one LP: max t subject
     to (coef + lam * slope) * w_col + sign * w_row + t <= 0 for every side
-    (coef l or -u), sum w = 1 and w >= weight_floor, solved by the
-    package's simplex. No vector meets a level above 1, full membership.
+    (coef l or -u), sum w = 1 and w >= 1e-6, solved by the package's
+    simplex. No vector meets a level above 1, full membership.
     Raises ValueError when lam is not finite or is below
     FEASIBLE_AT_MIN_LAMBDA (-1e4), where round-off defeats the LP.
     """
-    cfg = config or SolverConfig()
     block = _block(matrix)
-    _check_floor(matrix, cfg)
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     if lam < FEASIBLE_AT_MIN_LAMBDA:
@@ -322,19 +302,19 @@ def feasible_at(
         return None
     from . import simplex
 
-    res, _ = simplex._solve(_feasibility_form(block, lam, cfg))
+    res, _ = simplex._solve(_feasibility_form(block, lam))
     if res.status != "optimal":
         raise RuntimeError(f"max-slack subproblem unexpectedly {res.status}")
     tp, tn = res.x[-2:].tolist()
     if tp - tn < -_SLACK_FEAS_TOL:
         return None
-    w = res.x[:-2] + cfg.weight_floor
+    w = res.x[:-2] + _LP_MIN_WEIGHT
     return dict(zip(matrix.items, (w / w.sum()).tolist()))
 
 
-def _feasibility_form(block: _Block, lam: float, cfg: SolverConfig):
+def _feasibility_form(block: _Block, lam: float):
     """feasible_at's LP in the simplex's form, posed in v = w -
-    weight_floor, which leaves the right-hand side -weight_floor * (row
+    _LP_MIN_WEIGHT, which leaves the right-hand side -_LP_MIN_WEIGHT * (row
     sum) on each side row, with t = tp - tn split into nonnegatives:
     columns v, then tp and tn."""
     import numpy as np
@@ -355,8 +335,8 @@ def _feasibility_form(block: _Block, lam: float, cfg: SolverConfig):
     sides[at, block.row] = sign
     sides[at, block.col] = entry
     h = np.zeros(n + k + 3)
-    h[-1] = 1.0 - n * cfg.weight_floor
-    h[n + 2 : -1] = (entry + sign) * -cfg.weight_floor
+    h[-1] = 1.0 - n * _LP_MIN_WEIGHT
+    h[n + 2 : -1] = (entry + sign) * -_LP_MIN_WEIGHT
     return simplex._Form(c, g, h, n + k + 2)
 
 
@@ -447,36 +427,31 @@ def _negative_cycle(
     raise RuntimeError("Bellman-Ford did not settle")
 
 
-def _has_conflict(block: _Block, sides, slack: float, floor: float) -> bool:
+def _has_conflict(block: _Block, sides, slack: float) -> bool:
     """Whether the hard sides `sides`, loosened by slack, close a negative
-    cycle, one whose log-weight is below -_RELAX_TOL, or leave no weights
-    at the floor or above."""
-    n = len(block.matrix.items)
+    cycle, one whose log-weight is below -_RELAX_TOL."""
     edges = _side_edges(block, sides, slack)
-    weights = _weights(edges, 0.0)
-    if _negative_cycle(edges.tail, edges.head, weights, [0.0] * n) is not None:
-        return True
-    dist = _shortest_paths(n, edges.tail, edges.head, weights)
-    return not _keeps_floor(_deepest(dist, range(n), [0.0] * n), floor)
+    weights, pot = _weights(edges, 0.0), [0.0] * len(block.matrix.items)
+    return _negative_cycle(edges.tail, edges.head, weights, pot) is not None
 
 
-def _hard_slack(block: _Block, floor: float) -> float:
+def _hard_slack(block: _Block) -> float:
     """The slack of each hard side in the search: 0 where the exact bounds
-    hold together above the floor, and _HARD_SLACK where only the loosened
-    ones do, so that hard sides which membership's 1e-12 tolerance can meet
-    together are not called conflicting. Raises InfeasibleJudgmentsError
-    where the loosened bounds conflict too."""
-    if not block.hard or not _has_conflict(block, block.hard, 0.0, floor):
+    hold together, and _HARD_SLACK where only the loosened ones do, so that
+    hard sides which membership's 1e-12 tolerance can meet together are not
+    called conflicting. Raises InfeasibleJudgmentsError where the loosened
+    bounds conflict too."""
+    if not block.hard or not _has_conflict(block, block.hard, 0.0):
         return 0.0
-    if _has_conflict(block, block.hard, _HARD_SLACK, floor):
-        _raise_conflict(block, _HARD_SLACK, floor)
+    if _has_conflict(block, block.hard, _HARD_SLACK):
+        _raise_conflict(block, _HARD_SLACK)
     return _HARD_SLACK
 
 
-def _raise_conflict(block: _Block, slack: float, floor: float) -> None:
+def _raise_conflict(block: _Block, slack: float) -> None:
     """Raise InfeasibleJudgmentsError for the hard sides that cannot all
-    hold above the floor, loosened by slack, naming the pairs of an
-    irreducible subset of them.
+    hold, loosened by slack, naming the pairs of an irreducible subset of
+    them.
 
     The subset comes from a deletion filter (Chinneck and Dravnieks, ORSA J.
     Computing 3, 1991) over the hard sides in judgment order: each side is
@@ -486,7 +461,7 @@ def _raise_conflict(block: _Block, slack: float, floor: float) -> None:
     matrix, keep = block.matrix, list(block.hard)
     for side in list(keep):
         rest = [k for k in keep if k != side]
-        if rest and _has_conflict(block, rest, slack, floor):
+        if rest and _has_conflict(block, rest, slack):
             keep = rest
     judged = (matrix.judgments[side // 2] for side in keep)
     conflict = list(dict.fromkeys((j.row, j.col) for j in judged))
@@ -498,9 +473,7 @@ def _raise_conflict(block: _Block, slack: float, floor: float) -> None:
     )
 
 
-def _least_squares_start(
-    block: _Block, cfg: SolverConfig
-) -> tuple[list[float], float]:
+def _least_squares_start(block: _Block) -> tuple[list[float], float]:
     """The logarithmic least-squares weights of the judgments' modes
     (Crawford and Williams, J. Math. Psych. 29, 1985) and their lambda, which
     is -inf where they miss a hard side.
@@ -509,9 +482,6 @@ def _least_squares_start(
     judgments: L x = b, with L the Laplacian of the comparison graph. The
     all-ones gauge makes L + 1 1^T positive definite on a connected graph
     and fixes sum x = 0; Gaussian elimination solves it without pivoting.
-
-    Weights below the floor are mixed with it, w = floor + (1 - n * floor)
-    * w.
     """
     n = len(block.matrix.items)
     normal = [[1.0] * n for _ in range(n)]
@@ -537,19 +507,25 @@ def _least_squares_start(
     for k in range(n - 1, -1, -1):
         pivot = normal[k]
         x[k] = (rhs[k] - sum(pivot[j] * x[j] for j in range(k + 1, n))) / pivot[k]
-    w = _normalized(x)
-    if min(w) < cfg.weight_floor:
-        floor = cfg.weight_floor
-        w = [floor + (1.0 - n * floor) * v for v in w]
+    w = _normalized(block, x)
     return w, _lowest_membership(block, w)
 
 
-def _normalized(x: list[float]) -> list[float]:
-    """exp(x) scaled to sum to 1."""
+def _normalized(block: _Block, x: list[float]) -> list[float]:
+    """exp(x) scaled to sum to 1. Raises ValidationError, naming the block,
+    where the smallest weight falls below the least normal float: the
+    ratios of such weights are lost to underflow."""
     top = max(x)
     g = [math.exp(v - top) for v in x]
     total = math.fsum(g)
-    return [v / total for v in g]
+    w = [v / total for v in g]
+    if min(w) < sys.float_info.min:
+        raise ValidationError(
+            f"matrix {block.matrix.parent!r}: the judgments ask for weights "
+            f"that span more than a float holds (the smallest falls below "
+            f"{sys.float_info.min:g})"
+        )
+    return w
 
 
 class _Path(NamedTuple):
@@ -625,66 +601,6 @@ def _shortest_paths(size: int, tails, heads, weights) -> list[list[float]]:
     return dist
 
 
-def _deepest(dist: list[list[float]], node, off) -> list[float]:
-    """The log weights x of the items that keep the smallest weight highest
-    among the points that meet the graph's edges, given its shortest paths
-    dist, where x[i] = X[node[i]] + off[i].
-
-    The smallest weight of x is 1 / sum exp(x - min x), which only grows as
-    any x[i] above the lowest falls, so the best x is the least one with
-    every x[i] >= 0 (a difference system's solutions have a least element):
-    X[g] = max over nodes h of -low[h] - dist[g][h], with low[h] the lowest
-    offset in node h. Its lowest entry is 0, and it is the only point of
-    the graph whose smallest weight is that high."""
-    inf = math.inf
-    low = [inf] * len(dist)
-    for g, o in zip(node, off):
-        low[g] = min(low[g], o)
-    top = [max(-b - d for b, d in zip(low, row) if d < inf) for row in dist]
-    return [top[g] + o for g, o in zip(node, off)]
-
-
-def _keeps_floor(x: list[float], floor: float) -> bool:
-    """Whether the weights of log weights x are all at the floor or above."""
-    return min(_normalized(x)) >= floor
-
-
-def _floor_point(
-    edges: _Edges, node: list[int], off: list[float], floor: float, lo: float,
-    hi: float,
-) -> tuple[float, list[float]]:
-    """The highest level below hi, to float resolution, at which the
-    graph's deepest point keeps the floor, and that point's log weights,
-    given that it does not keep the floor at hi. Bisection from lo, or,
-    where the floor fails there too (or lo is -inf), from a level that
-    steps down from hi in doubling steps until the floor holds: the deepest
-    point's smallest weight falls as the level rises, since every edge gets
-    shorter."""
-    size = max(node) + 1
-
-    def deepest(level):
-        weights = _weights(edges, level)
-        dist = _shortest_paths(size, edges.tail, edges.head, weights)
-        return _deepest(dist, node, off)
-
-    x = deepest(lo) if lo > -math.inf else None
-    step = max(1.0, abs(hi))
-    while x is None or not _keeps_floor(x, floor):
-        if step > 1e300:
-            raise RuntimeError("the weight floor holds at no level")
-        lo = hi - step
-        x = deepest(lo)
-        step *= 2.0
-    while hi - lo > _LEVEL_RES * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        point = deepest(mid)
-        if _keeps_floor(point, floor):
-            lo, x = mid, point
-        else:
-            hi = mid
-    return lo, x
-
-
 def _first_closing(
     edges: _Edges, dist: list[list[float]]
 ) -> tuple[float, int]:
@@ -733,13 +649,10 @@ def _next_level(
     return _root(edges, cycle, lam, best)
 
 
-def _leximin(
-    block: _Block, pot: list[float], lo: float, slack: float = 0.0,
-    floor: float | None = None,
-) -> _Path:
-    """The leximin log weights of the block whose weights keep the floor,
-    when one is given, from potentials pot that meet every side at level lo
-    (lo = -inf: they miss a hard side), each hard side loosened by slack."""
+def _leximin(block: _Block, pot: list[float], lo: float, slack: float = 0.0) -> _Path:
+    """The leximin log weights of the block, from potentials pot that meet
+    every side at level lo (lo = -inf: they miss a hard side), each hard
+    side loosened by slack."""
     n = len(pot)
     edges = _side_edges(block, range(len(block.row)), slack)
     node = list(range(n))  # each item's node; x[i] = X[node[i]] + off[i]
@@ -765,10 +678,6 @@ def _leximin(
             lam = root
         size = len(pot)
         dist = _shortest_paths(size, edges.tail, edges.head, weights)
-        if floor is not None and not _keeps_floor(_deepest(dist, node, off), floor):
-            # the floor binds below this level, and one point keeps it there
-            lam, x = _floor_point(edges, node, off, floor, lo, lam)
-            return _Path(x, levels + [lam], searches)
         lo = lam
         # merge the nodes pinned to each other into the lowest of them
         group = list(range(size))
@@ -821,31 +730,24 @@ def solve_fpp(
     Starts from the logarithmic least-squares weights of the judgments'
     modes, which are returned clamped when their lambda reaches
     lambda_cap. Otherwise the parametric negative-cycle search finds
-    lambda* and the leximin stages the weights, every weight at
-    weight_floor or above; the reported lambda is theirs, capped at
-    lambda_cap (clamped). Raises InfeasibleJudgmentsError, naming the
-    conflicting pairs, when the hard (zero-spread) sides of the judgments
-    cannot all hold with every weight at the floor or above.
+    lambda* and the leximin stages the weights; the reported lambda is
+    theirs, capped at lambda_cap (clamped). Raises InfeasibleJudgmentsError,
+    naming the conflicting pairs, when a cycle of the hard (zero-spread)
+    sides of the judgments is negative, and ValidationError when the
+    weights span more than a float holds.
     """
-    cfg = config or SolverConfig()
+    cap = (config or SolverConfig()).lambda_cap
     block = _block(matrix)
-    _check_floor(matrix, cfg)
-    cap, floor = cfg.lambda_cap, cfg.weight_floor
-    w, lam = _least_squares_start(block, cfg)
+    w, lam = _least_squares_start(block)
     if lam >= cap - _CLAMP_TOL:
         return _result(matrix, w, cap, 0, True)
-    slack = _hard_slack(block, floor)
-    pot = [math.log(v) for v in w]
-    path = _leximin(block, pot, lam, slack)
-    w, searches = _normalized(path.x), path.searches
-    if min(w) < floor:
-        # the floor binds at some stage: run the stages again, checking it
-        path = _leximin(block, pot, lam, slack, floor)
-        w, searches = _normalized(path.x), searches + path.searches
+    slack = _hard_slack(block)
+    path = _leximin(block, [math.log(v) for v in w], lam, slack)
+    w = _normalized(block, path.x)
     lam = _lowest_membership(block, w)
     if lam >= cap - _CLAMP_TOL:
-        return _result(matrix, w, cap, searches, True)
-    return _result(matrix, w, lam, searches, False)
+        return _result(matrix, w, cap, path.searches, True)
+    return _result(matrix, w, lam, path.searches, False)
 
 
 def _result(
@@ -858,7 +760,6 @@ def _result(
         consistent=lam >= 0.0,
         iterations=searches,
         clamped=clamped,
-        slack=None,
     )
 
 
@@ -1049,5 +950,4 @@ def oracle_solve(matrix: ComparisonMatrix, grid_step: float) -> SolveResult:
         consistent=best_lambda >= 0.0,
         iterations=points,
         clamped=best_lambda >= 1.0 - 1e-12,
-        slack=None,
     )

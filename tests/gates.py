@@ -24,7 +24,7 @@ its searches or stages exceed the file's, or its solve or infeasible
 counts differ from them.
 
 Not collected by pytest (the name does not start with test_); it takes
-about a minute.
+about 20 seconds.
 """
 
 from __future__ import annotations

@@ -61,10 +61,9 @@ def test_parse_custom_scale():
 
 
 def test_parse_solver_section():
-    doc = _study(solver={"lambda_cap": 0.5, "weight_floor": 1e-5})
+    doc = _study(solver={"lambda_cap": 0.5})
     parsed = parse_study(json.dumps(doc))
     assert parsed.config.lambda_cap == 0.5
-    assert parsed.config.weight_floor == 1e-5
 
 
 def test_unknown_top_level_key_is_named():
@@ -205,9 +204,11 @@ def test_results_with_a_list_for_an_object_are_rejected(path, tmp_path):
             ("blocks", "goal", "lambda"), True, "block 'goal': key 'lambda'",
             id="lambda-bool",
         ),
+        # the retired weight floor, refused as in a study's solver settings
         pytest.param(
-            ("blocks", "goal", "slack"), "0.1", "block 'goal': key 'slack'",
-            id="slack-string",
+            ("config", "weight_floor"), 1e-6,
+            "key 'config': solver settings: unknown keys: weight_floor",
+            id="config-weight-floor",
         ),
         pytest.param(
             ("blocks", "goal", "weights", "W1"), "0.5",

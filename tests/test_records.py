@@ -44,7 +44,7 @@ def _ranking():
 
 
 def _result():
-    return SolveResult({"a": 0.6, "b": 0.4}, 0.5, False, 3, False, None)
+    return SolveResult({"a": 0.6, "b": 0.4}, 0.5, False, 3, False)
 
 
 # Each record class with a function that builds its fields, in declared
@@ -60,14 +60,13 @@ _FIELDS = {
         "judgments": (ComparisonJudgment("a", "b", TFN(1, 2, 3)),),
     },
     Hierarchy: lambda: {"root": _tree(), "matrices": {"g": _matrix()}},
-    SolverConfig: lambda: {"lambda_cap": 0.5, "weight_floor": 1e-3},
+    SolverConfig: lambda: {"lambda_cap": 0.5},
     SolveResult: lambda: {
         "weights": {"a": 0.6, "b": 0.4},
         "lambda_": 0.5,
         "consistent": False,
         "iterations": 3,
         "clamped": False,
-        "slack": 0.25,
     },
     RankingRow: lambda: {
         "leaf": "a",
@@ -111,11 +110,7 @@ _CLASSES = list(_FIELDS)
 _DEFAULTS = {
     Node: ({"id": "a"}, {"label": "a", "children": ()}),
     Hierarchy: ({"root": Node("g")}, {"matrices": {}}),
-    SolverConfig: ({}, {"lambda_cap": 1.0, "weight_floor": 1e-6}),
-    SolveResult: (
-        {"weights": {"a": 1.0}, "lambda_": 1.0, "consistent": True, "iterations": 0, "clamped": True},
-        {"slack": None},
-    ),
+    SolverConfig: ({}, {"lambda_cap": 1.0}),
 }
 
 # Fields that __post_init__ refuses, with the error it raises.

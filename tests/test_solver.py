@@ -96,7 +96,7 @@ def test_missed_hard_side_starts_from_the_probe():
     block = _blocks()[7]
     judged = _block(block)
     assert judged.hard
-    start = solver._least_squares_start(judged, SolverConfig())
+    start = solver._least_squares_start(judged)
     assert start[1] == -math.inf
     path = solver._leximin(judged, [math.log(w) for w in start[0]], start[1])
     res = solve_fpp(block)
@@ -112,26 +112,25 @@ def test_consistent_modes_are_clamped_by_the_probe_alone(block):
     # is clamped there without a search.
     res = solve_fpp(block)
     assert res.lambda_ == 1.0 and res.clamped
-    assert res.iterations == 0 and res.slack is None
+    assert res.iterations == 0
 
 
 def test_iteration_reaching_the_cap_ends_with_the_probe():
     # LOPSIDED starts at lambda 0.17 and its optimum is 0.71: with the cap at
     # 0.5 an iterate crosses the cap, and those weights are returned clamped.
     cfg = SolverConfig(lambda_cap=0.5)
-    start = solver._least_squares_start(_block(LOPSIDED), cfg)
+    start = solver._least_squares_start(_block(LOPSIDED))
     assert start[1] < 0.5 < solve_fpp(LOPSIDED).lambda_
     res = solve_fpp(LOPSIDED, cfg)
     assert res.lambda_ == 0.5 and res.clamped and res.iterations >= 1
     assert lambda_at(LOPSIDED, res.weights) >= 0.5
 
 
-def test_weights_sum_to_one_and_respect_floor():
+def test_weights_are_positive_and_sum_to_one():
     for m in (TWO, CONSISTENT3, CYCLIC):
         res = solve_fpp(m)
         assert sum(res.weights.values()) == pytest.approx(1.0, abs=1e-9)
-        assert min(res.weights.values()) >= 1e-6 - 1e-15
-        assert res.slack is None
+        assert min(res.weights.values()) > 0.0
         if m is CYCLIC:
             assert res.iterations > 0
         else:  # clamped at the least-squares start
@@ -234,7 +233,7 @@ def test_feasible_at_refuses_levels_below_its_bound(block):
 
 def test_infeasible_solver_config_rejected():
     with pytest.raises(ValueError):
-        SolverConfig(weight_floor=-1e-6)
+        SolverConfig(lambda_cap=1.5)
 
 
 def test_custom_cap_clamps_lower():
@@ -593,7 +592,6 @@ def test_side_rows_match_the_loop():
     # right-hand sides and unit slack scales, against the rows the loop
     # builds; and the edge each side becomes in the search's graph, whose
     # weight at a level is sign * log of the ratio bound those rows hold.
-    cfg = solver.SolverConfig()
     hard = 0
     for matrix in _array_blocks():
         n = len(matrix.items)
@@ -603,12 +601,13 @@ def test_side_rows_match_the_loop():
         assert all(np.array_equal(a, b) for a, b in zip(_dense(block, n), (base, spread)))
         edges = solver._side_edges(block, range(len(block.row)))
         for lam in (1.0, 0.37, -2.5, -1e3):
-            form = solver._feasibility_form(block, lam, cfg)
+            form = solver._feasibility_form(block, lam)
             posed = form.g[n + 2 : -1]
             rows = base + lam * spread
             assert posed[:, :n].tobytes() == rows.tobytes()
             rhs = form.h[n + 2 : -1]
-            assert rhs.tobytes() == (-cfg.weight_floor * rows.sum(axis=1)).tobytes()
+            bound = solver._LP_MIN_WEIGHT
+            assert rhs.tobytes() == (-bound * rows.sum(axis=1)).tobytes()
             assert (posed[:, n] == 1.0).all() and (posed[:, n + 1] == -1.0).all()
             for s, weight in enumerate(solver._weights(edges, lam)):
                 sign, r, c = block.sign[s], block.row[s], block.col[s]
@@ -734,7 +733,6 @@ def test_solver_path_is_pinned():
     # block names the same pairs. A change that moves the path shows here in
     # tier 1.
     kinds = collections.Counter()
-    cfg = SolverConfig()
     for case in json.loads(SOLVER_PATH.read_text())["blocks"]:
         matrix = _mat(case["items"], [(r, c, v) for r, c, *v in case["judgments"]], "goal")
         kinds["hard sides"] += any(l == m or m == u for _, _, l, m, u in case["judgments"])
@@ -750,7 +748,7 @@ def test_solver_path_is_pinned():
         levels = []
         if res.iterations:
             block = _block(matrix)
-            w, lam = solver._least_squares_start(block, cfg)
+            w, lam = solver._least_squares_start(block)
             path = solver._leximin(block, [math.log(v) for v in w], lam)
             levels = path.levels
         assert len(levels) == len(case["levels"]), name

@@ -16,6 +16,7 @@ from fahp import (
     ComparisonJudgment,
     ComparisonMatrix,
     InfeasibleJudgmentsError,
+    ValidationError,
     bundled_study_path,
     feasible_at,
     lambda_at,
@@ -27,7 +28,11 @@ from fahp import (
 from fahp.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "roundoff"
-WEIGHT_FLOOR = 1e-6
+# The HiGHS judges keep every weight at this or above. HiGHS's primal
+# tolerance is 1e-7, so on smaller weights it reports feasible levels that
+# are not: contradictory_103_267 1e-5 * |lambda| above its optimum. A lower
+# bound is passed for one call only, to check that a level is infeasible.
+HIGHS_MIN_WEIGHT = 1e-6
 
 
 def _random_block(rng, n, hard_share=0.15, crisp_share=0.0):
@@ -83,8 +88,9 @@ def _lp_arrays(form):
     )
 
 
-def _highs_max_slack(matrix, lam):
-    """max t s.t. every judgment side + t <= 0 at level lam, by HiGHS."""
+def _highs_max_slack(matrix, lam, min_weight=HIGHS_MIN_WEIGHT):
+    """max t s.t. every judgment side + t <= 0 at level lam and w >=
+    min_weight, by HiGHS."""
     idx = {it: i for i, it in enumerate(matrix.items)}
     n = len(matrix.items)
     rows = []
@@ -108,7 +114,7 @@ def _highs_max_slack(matrix, lam):
         b_ub=np.zeros(len(rows)),
         A_eq=a_eq,
         b_eq=[1.0],
-        bounds=[(WEIGHT_FLOOR, None)] * n + [(None, None)],
+        bounds=[(min_weight, None)] * n + [(None, None)],
         method="highs",
     )
     assert res.status == 0, res.message
@@ -116,8 +122,8 @@ def _highs_max_slack(matrix, lam):
 
 
 def _highs_slack(rows, scale):
-    """max t s.t. rows @ w + t * scale <= 0, sum w = 1, w >= the floor, by
-    HiGHS."""
+    """max t s.t. rows @ w + t * scale <= 0, sum w = 1, w >= HIGHS_MIN_WEIGHT,
+    by HiGHS."""
     k, n = rows.shape
     a_eq = np.zeros((1, n + 1))
     a_eq[0, :n] = 1.0
@@ -129,7 +135,7 @@ def _highs_slack(rows, scale):
         b_ub=np.zeros(k),
         A_eq=a_eq,
         b_eq=[1.0],
-        bounds=[(WEIGHT_FLOOR, None)] * n + [(None, None)],
+        bounds=[(HIGHS_MIN_WEIGHT, None)] * n + [(None, None)],
         method="highs",
     )
     assert res.status == 0, res.message
@@ -251,10 +257,9 @@ def test_roundoff_blocks_solve_to_the_optimum(name, tmp_path):
 
 # 10-item blocks whose modes are drawn log-uniformly from [1/9, 9] apart from
 # any weight vector, log-spreads of 0.005-0.3 and a fifth of the sides hard,
-# so that lambda is far below -100 and weights sit on the floor. Without the
-# refinement step, the solutions missed a hard side by more than
-# membership's tolerance: on contradictory_101_45 lambda_at gave -inf and the
-# next LP raised, and contradictory_101_768 stopped at lambda -4213.0
+# so that lambda is far below -100. Without the refinement step, the
+# solutions missed a hard side by more than membership's tolerance: on
+# contradictory_101_45 lambda_at gave -inf and the next LP raised, and contradictory_101_768 stopped at lambda -4213.0
 # instead of -233.9. contradictory_103_267 raised "phase-1 simplex ended
 # with status 'unbounded'" (before that, "simplex round-off: the basis is
 # singular") when every LP was solved cold by the two-phase simplex; from
@@ -276,53 +281,76 @@ def test_level_on_a_steep_root_solves():
     # moves their log weights by about 7e-7 and no float level brings a
     # stage's cycle within the pinning tolerance: the stages repeated at the
     # same level, without end, until the ends of the side that closes a
-    # zero cycle first were pinned. With a floor that does not bind, the
-    # weights reach that level in either item order.
+    # zero cycle first were pinned. The weights reach that level in either
+    # item order. The smallest is 2.0e-8, so HiGHS judges the level above
+    # with a lower bound below it. (A weight floor of 1e-6 held lambda at
+    # -6.10.)
     block = load_study(FIXTURES / "steep_root.json").hierarchy.matrices["goal"]
-    cfg = solver.SolverConfig(weight_floor=1e-12)
-    res = solve_fpp(block, cfg)
+    res = solve_fpp(block)
     assert -1.0 < res.lambda_ < -1.0 + 1e-9
     assert lambda_at(block, res.weights) == res.lambda_
+    assert _highs_max_slack(block, res.lambda_ + 1e-6, min_weight=1e-12) < 0.0
     perm = list(range(len(block.items)))[::-1]
-    moved = solve_fpp(_permuted(block, perm), cfg)
+    moved = solve_fpp(_permuted(block, perm))
     assert abs(moved.lambda_ - res.lambda_) <= 1e-12
     for i, item in enumerate(block.items):
         assert abs(moved.weights[block.items[perm[i]]] - res.weights[item]) <= 1e-9
-    # The default floor binds: the smallest weight above is 2e-8. The search
-    # keeps the floor, so lambda is the highest level at which any weights
-    # keep it: HiGHS finds none just above, and the smallest weight sits on
-    # the floor. The Dinkelbach LPs, which held w >= floor, stopped at
-    # -6.102280939766, and mixing the leximin weights with the floor after
-    # the search gave -102.8.
-    floored = solve_fpp(block)
-    assert floored.lambda_ == lambda_at(block, floored.weights) < res.lambda_
-    assert -6.102280939766 <= floored.lambda_ < -6.1022809392
-    assert _highs_max_slack(block, floored.lambda_ + 1e-6) < 0.0
-    assert abs(min(floored.weights.values()) - WEIGHT_FLOOR) <= 1e-15
-    moved = solve_fpp(_permuted(block, perm))
-    for i, item in enumerate(block.items):
-        assert abs(moved.weights[block.items[perm[i]]] - floored.weights[item]) <= 1e-12
 
 
 @pytest.mark.parametrize(
-    "name, pairs",
+    "name, smallest",
     [
-        ("floor_conflict_1_950", [("i0", "i2"), ("i1", "i9"), ("i2", "i4"), ("i4", "i9")]),
-        ("floor_conflict_1_1326", [("i0", "i3"), ("i0", "i6"), ("i2", "i4"), ("i4", "i6")]),
+        pytest.param("floor_conflict_1_950", 1.6e-7, id="floor_conflict_1_950"),
+        pytest.param("floor_conflict_1_1326", 1.7e-8, id="floor_conflict_1_1326"),
     ],
 )
-def test_hard_sides_that_break_the_floor_conflict(name, pairs):
+def test_hard_sides_that_ask_for_small_weights_hold(name, smallest):
     # Wide blocks of a sweep whose chains of hard sides ask for a weight
-    # ratio that leaves some weight below the default floor: no weights meet
-    # them, and the deletion filter names the chain. Mixing the weights with
-    # the floor after the search broke a hard side, and lambda read -inf
-    # with no error. Without a floor that binds, the hard sides hold.
+    # ratio that leaves some weight below 1e-6. The hard sides hold, and the
+    # block solves to a finite lambda. (A weight floor of 1e-6 made both
+    # raise InfeasibleJudgmentsError, and mixing the weights with that floor
+    # after the search broke a hard side, with lambda -inf and no error.)
     block = load_study(FIXTURES / f"{name}.json").hierarchy.matrices["goal"]
-    with pytest.raises(InfeasibleJudgmentsError) as exc:
-        solve_fpp(block)
-    assert [tuple(p) for p in exc.value.pairs] == pairs
-    res = solve_fpp(block, solver.SolverConfig(weight_floor=1e-12))
+    res = solve_fpp(block)
     assert lambda_at(block, res.weights) == res.lambda_ > -math.inf
+    assert math.isclose(min(res.weights.values()), smallest, rel_tol=0.05)
+
+
+def _chain(n):
+    """n items, each judged (8e3, 9e3, 1e4) times the next: exactly
+    consistent, with weights spanning 9e3 ** (n - 1)."""
+    items = tuple(f"c{k}" for k in range(n))
+    judgments = tuple(
+        ComparisonJudgment(a, b, TFN(8e3, 9e3, 1e4)) for a, b in zip(items, items[1:])
+    )
+    return ComparisonMatrix(parent="goal", items=items, judgments=judgments)
+
+
+def test_weights_a_float_can_hold_solve_and_others_exit_2(tmp_path, capsys):
+    # 40 items span e^355: the block is clamped at lambda 1 at its
+    # least-squares weights. (A weight floor of 1e-6 held it at -7.9986.)
+    # 85 items span e^765, past the least normal float: the weights would
+    # underflow to 0, and the next membership divided by zero (exit 1).
+    res = solve_fpp(_chain(40))
+    assert res.lambda_ == 1.0 and res.clamped
+    assert math.isclose(min(res.weights.values()), 6.1e-155, rel_tol=0.01)
+    with pytest.raises(ValidationError, match="matrix 'goal': .* span more"):
+        solve_fpp(_chain(85))
+    block = _chain(85)
+    doc = {
+        "name": "chain",
+        "hierarchy": {"id": "goal", "children": [{"id": c} for c in block.items]},
+        "matrices": {
+            "goal": [
+                {"row": j.row, "col": j.col, "judgment": list(j.value.as_tuple())}
+                for j in block.judgments
+            ]
+        },
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 2
+    assert "matrix 'goal'" in capsys.readouterr().err
 
 
 def _crisp_cycle(ca):

@@ -78,7 +78,7 @@ def _solve(block, cfg=None):
         return None
 
 
-def _equal_weights(block, cfg):
+def _equal_weights(block):
     """The start (w, lambda) at equal weights."""
     w = np.full(len(block.matrix.items), 1.0 / len(block.matrix.items))
     return w, solver._lowest_membership(block, w)
@@ -168,7 +168,7 @@ def _path(block, cfg=None):
     if not res.iterations:
         return res, []
     table = solver._block(block)
-    w, lam = solver._least_squares_start(table, cfg or solver.SolverConfig())
+    w, lam = solver._least_squares_start(table)
     return res, solver._leximin(table, [math.log(v) for v in w], lam).levels
 
 
@@ -234,39 +234,6 @@ def test_bundled_w2_takes_the_leximin_point():
     assert not res.clamped and abs(res.lambda_ + 0.376094) <= 5e-7
 
 
-def test_binding_weight_floor_is_kept_by_the_search():
-    # The smallest leximin weight of W2 is 0.0878, so a floor of 0.1 binds,
-    # as a floor of 0.5 / n does on most generated blocks. The search keeps
-    # it: lambda is the highest level at which any weights keep the floor,
-    # where only one point does, and its smallest weight sits on the floor.
-    # feasible_at, an LP with w >= floor, finds weights just below that
-    # level and none above it, and the weights do not depend on the order
-    # of the items.
-    w2 = load_study(bundled_study_path()).hierarchy.matrices["W2"]
-    assert min(solve_fpp(w2).weights.values()) < 0.1
-    cases = [(w2, 0.1)] + [(b, 0.5 / len(b.items)) for b in _blocks()]
-    rng = np.random.default_rng(5)
-    bound = 0
-    for block, floor in cases:
-        cfg = solver.SolverConfig(weight_floor=floor)
-        free, res = _solve(block), _solve(block, cfg)
-        if res is None or min(free.weights.values()) >= floor:
-            continue
-        bound += 1
-        assert abs(min(res.weights.values()) - floor) <= 1e-15
-        step = max(1.0, abs(res.lambda_))
-        # where the floor binds at a later stage, lambda* is the same
-        assert res.lambda_ == lambda_at(block, res.weights) <= free.lambda_ + 1e-12 * step
-        assert not res.clamped
-        assert solver.feasible_at(block, res.lambda_ - 1e-9 * step, cfg) is not None
-        assert solver.feasible_at(block, res.lambda_ + 1e-6 * step, cfg) is None
-        perm = rng.permutation(len(block.items))
-        moved = solve_fpp(_permuted(block, perm), cfg)
-        for i, item in enumerate(block.items):
-            assert abs(moved.weights[block.items[perm[i]]] - res.weights[item]) <= 1e-12
-    assert bound >= 20
-
-
 def test_lambda_cap_below_one_keeps_the_leximin_weights():
     # The cap caps the reported lambda, but the stages run on: a block whose
     # least-squares start is below the cap gets the same weights whatever
@@ -276,7 +243,7 @@ def test_lambda_cap_below_one_keeps_the_leximin_weights():
     rng = np.random.default_rng(11)
     past = 0
     for block in _blocks() + _hard_crisp_blocks(count=27):
-        start = solver._least_squares_start(solver._block(block), cfg)[1]
+        start = solver._least_squares_start(solver._block(block))[1]
         full, capped = _solve(block), _solve(block, cfg)
         if full is None:
             assert capped is None
