@@ -11,6 +11,7 @@ other, and every command that solves a study goes through it.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -24,15 +25,18 @@ from .hierarchy import (
     ComparisonMatrix,
     Hierarchy,
     Node,
+    _check_tree,
     _nodes_by_id,
-    validate,
 )
 from .solver import SolveResult, SolverConfig, solve_fpp
 
-_STUDY_KEYS = {"name", "scale", "hierarchy", "matrices", "solver"}
-_NODE_KEYS = {"id", "label", "children"}
-_JUDGMENT_KEYS = {"row", "col", "judgment"}
-_CONFIG_KEYS = {"lambda_cap"}
+_STUDY_KEYS = frozenset({"name", "scale", "hierarchy", "matrices", "solver"})
+_STUDY_REQUIRED = ("name", "hierarchy", "matrices")
+_NODE_KEYS = frozenset({"id", "label", "children"})
+_JUDGMENT_KEYS = frozenset({"row", "col", "judgment"})
+_JUDGMENT_REQUIRED = ("row", "col", "judgment")
+_TERM_KEYS = frozenset({"term"})
+_CONFIG_KEYS = frozenset({"lambda_cap"})
 
 
 @record
@@ -57,93 +61,110 @@ class ResultsDocument:
     ranking: GlobalRanking
 
 
-def _require(obj: Mapping[str, Any], key: str, where: str) -> Any:
-    if key not in obj:
-        raise ValidationError(f"{where}: missing required key {key!r}")
-    return obj[key]
+# The study reader's helpers raise errors that do not say where; the except
+# clause of the object being read puts its location in front of the message,
+# so no location string is built unless something is wrong.
 
 
-def _check_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValidationError(f"{where}: unknown keys: {', '.join(sorted(unknown))}")
+def _check_keys(
+    obj: Mapping[str, Any], allowed: frozenset[str], required: tuple[str, ...] = ()
+) -> None:
+    """Reject a key of obj outside allowed, then the first of required that
+    obj lacks."""
+    if not obj.keys() <= allowed:
+        unknown = ", ".join(sorted(obj.keys() - allowed))
+        raise ValidationError(f"unknown keys: {unknown}")
+    for key in required:
+        if key not in obj:
+            raise ValidationError(f"missing required key {key!r}")
 
 
-def _parse_node(obj: Any, where: str) -> Node:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where}: node must be an object")
-    _check_keys(obj, _NODE_KEYS, where)
-    node_id = _require(obj, "id", where)
-    if not isinstance(node_id, str) or not node_id:
-        raise ValidationError(f"{where}: node id must be a non-empty string")
-    label = obj.get("label", "")
-    if not isinstance(label, str):
-        raise ValidationError(f"{where}: node label must be a string")
-    children_raw = obj.get("children", [])
-    if not isinstance(children_raw, list):
-        raise ValidationError(f"{where}: children must be a list")
-    children = tuple(
-        _parse_node(c, f"{where} > {node_id}") for c in children_raw
-    )
+def _parse_node(obj: Any, source: str, path: tuple[str, ...] = ()) -> Node:
+    """A node and its subtree; path holds the ids of the node's ancestors."""
+    try:
+        if not isinstance(obj, dict):
+            raise ValidationError("node must be an object")
+        _check_keys(obj, _NODE_KEYS, ("id",))
+        node_id = obj["id"]
+        if not isinstance(node_id, str) or not node_id:
+            raise ValidationError("node id must be a non-empty string")
+        label = obj.get("label", "")
+        if not isinstance(label, str):
+            raise ValidationError("node label must be a string")
+        children_raw = obj.get("children", [])
+        if not isinstance(children_raw, list):
+            raise ValidationError("children must be a list")
+    except ValidationError as exc:
+        where = " > ".join((f"{source} hierarchy", *path))
+        exc.args = (f"{where}: {exc}",)
+        raise
+    path += (node_id,)
+    children = tuple([_parse_node(c, source, path) for c in children_raw])
     return Node(id=node_id, label=label, children=children)
 
 
-def _parse_triple(value: Any, where: str) -> TriangularFuzzyNumber:
+def _parse_triple(value: Any) -> TriangularFuzzyNumber:
     if not isinstance(value, list) or len(value) != 3:
-        raise ValidationError(f"{where}: needs exactly three numbers [l, m, u]")
+        raise ValidationError("needs exactly three numbers [l, m, u]")
     for v in value:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValidationError(f"{where}: could not convert {v!r} to a number")
+            raise ValidationError(f"could not convert {v!r} to a number")
+    l, m, u = value
     try:
-        return TriangularFuzzyNumber(*(float(v) for v in value))
-    except (OverflowError, ValidationError) as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+        return TriangularFuzzyNumber(float(l), float(m), float(u))
+    except OverflowError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
-def _parse_judgment_value(
-    value: Any, scale: LinguisticScale, where: str
-) -> TriangularFuzzyNumber:
+def _parse_judgment(entry: Any, scale: LinguisticScale) -> ComparisonJudgment:
+    if not isinstance(entry, dict):
+        raise ValidationError("must be an object")
+    if entry.keys() != _JUDGMENT_KEYS:
+        # every allowed key is required, so this names what is wrong
+        _check_keys(entry, _JUDGMENT_KEYS, _JUDGMENT_REQUIRED)
+    row, col, value = entry["row"], entry["col"], entry["judgment"]
+    if not isinstance(row, str):
+        raise ValidationError("'row' must be an item id string")
+    if not isinstance(col, str):
+        raise ValidationError("'col' must be an item id string")
     if isinstance(value, list):
-        return _parse_triple(value, where)
-    if isinstance(value, dict):
-        _check_keys(value, {"term"}, where)
-        term = _require(value, "term", where)
-        return scale_lookup(term, scale)
-    raise ValidationError(
-        f"{where}: judgment must be [l, m, u] or {{\"term\": ...}}"
-    )
+        value = _parse_triple(value)
+    elif isinstance(value, dict):
+        _check_keys(value, _TERM_KEYS, ("term",))
+        term = value["term"]
+        if not isinstance(term, str):
+            raise ValidationError("term must be a string")
+        value = scale_lookup(term, scale)
+    else:
+        raise ValidationError('judgment must be [l, m, u] or {"term": ...}')
+    return ComparisonJudgment(row=row, col=col, value=value)
 
 
 def _parse_matrix(
-    parent: str, entries: Any, node: Node, scale: LinguisticScale
+    parent: str, entries: Any, items: tuple[str, ...], scale: LinguisticScale
 ) -> ComparisonMatrix:
-    where = f"matrix {parent!r}"
     if not isinstance(entries, list):
-        raise ValidationError(f"{where}: must be a list of judgments")
+        raise ValidationError(f"matrix {parent!r}: must be a list of judgments")
     judgments = []
-    for i, entry in enumerate(entries):
-        at = f"{where}, judgment {i + 1}"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{at}: must be an object")
-        _check_keys(entry, _JUDGMENT_KEYS, at)
-        row = _require(entry, "row", at)
-        col = _require(entry, "col", at)
-        for key, value in (("row", row), ("col", col)):
-            if not isinstance(value, str):
-                raise ValidationError(f"{at}: {key!r} must be an item id string")
-        value = _parse_judgment_value(_require(entry, "judgment", at), scale, at)
-        judgments.append(ComparisonJudgment(row=row, col=col, value=value))
-    items = tuple(c.id for c in node.children)
+    for i, entry in enumerate(entries, start=1):
+        try:
+            judgments.append(_parse_judgment(entry, scale))
+        except ValidationError as exc:
+            exc.args = (f"matrix {parent!r}, judgment {i}: {exc}",)
+            raise
     return ComparisonMatrix(parent=parent, items=items, judgments=tuple(judgments))
 
 
 def _parse_scale(obj: Any) -> LinguisticScale:
     if not isinstance(obj, dict) or not obj:
         raise ValidationError("scale must be a non-empty object of term -> [l, m, u]")
-    entries = [
-        (term, _parse_triple(triple, f"scale term {term!r}"))
-        for term, triple in obj.items()
-    ]
+    entries = []
+    for term, triple in obj.items():
+        try:
+            entries.append((term, _parse_triple(triple)))
+        except ValidationError as exc:
+            exc.args = (f"scale term {term!r}: {exc}",)
+            raise
     try:
         return LinguisticScale(entries=tuple(entries))
     except ValidationError as exc:
@@ -153,7 +174,11 @@ def _parse_scale(obj: Any) -> LinguisticScale:
 def _parse_config(obj: Any) -> SolverConfig:
     if not isinstance(obj, dict):
         raise ValidationError("solver settings must be an object")
-    _check_keys(obj, _CONFIG_KEYS, "solver settings")
+    try:
+        _check_keys(obj, _CONFIG_KEYS)
+    except ValidationError as exc:
+        exc.args = (f"solver settings: {exc}",)
+        raise
     for key, value in obj.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValidationError(f"solver setting {key!r} must be a number")
@@ -161,6 +186,26 @@ def _parse_config(obj: Any) -> SolverConfig:
         return SolverConfig(**{key: float(value) for key, value in obj.items()})
     except (OverflowError, ValueError) as exc:
         raise ValidationError(f"solver settings: {exc}") from exc
+
+
+def _check_utf8(name: str, nodes: dict[str, Node], source: str) -> None:
+    """Reject a study name, node id or label that UTF-8 cannot encode. JSON
+    text can spell such a string with an escaped lone surrogate ("\\ud800"),
+    and it would fail only once the results or the table were being written."""
+
+    def check(what: str, text: str) -> None:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(
+                f"{source}: {what} {text!r} holds a lone surrogate, which "
+                "UTF-8 cannot encode"
+            ) from None
+
+    check("name", name)
+    for node in nodes.values():
+        check("node id", node.id)
+        check(f"label of node {node.id!r}", node.label)
 
 
 def _decode(text: str, source: str) -> dict[str, Any]:
@@ -195,25 +240,35 @@ def _decode(text: str, source: str) -> dict[str, Any]:
 def parse_study(text: str, source: str = "study") -> StudyDocument:
     """Parse and validate a study document from JSON text."""
     data = _decode(text, source)
-    _check_keys(data, _STUDY_KEYS, source)
-    name = _require(data, "name", source)
-    if not isinstance(name, str) or not name:
-        raise ValidationError(f"{source}: name must be a non-empty string")
+    try:
+        _check_keys(data, _STUDY_KEYS, _STUDY_REQUIRED)
+        name = data["name"]
+        if not isinstance(name, str) or not name:
+            raise ValidationError("name must be a non-empty string")
+        matrices_raw = data["matrices"]
+        if not isinstance(matrices_raw, dict):
+            raise ValidationError("matrices must be an object")
+    except ValidationError as exc:
+        exc.args = (f"{source}: {exc}",)
+        raise
     scale = _parse_scale(data["scale"]) if "scale" in data else DEFAULT_SCALE
     config = _parse_config(data["solver"]) if "solver" in data else SolverConfig()
-    root = _parse_node(_require(data, "hierarchy", source), f"{source} hierarchy")
-    matrices_raw = _require(data, "matrices", source)
-    if not isinstance(matrices_raw, dict):
-        raise ValidationError(f"{source}: matrices must be an object")
+    root = _parse_node(data["hierarchy"], source)
     nodes = _nodes_by_id(root)
+    # a file's text can hold a lone surrogate only as a \u escape; a str
+    # handed to parse_study can hold one as it is, and is then not ASCII
+    if "\\u" in text or not text.isascii():
+        _check_utf8(name, nodes, source)
     matrices = {}
     for parent, entries in matrices_raw.items():
         node = nodes.get(parent)
         if node is None or node.is_leaf:
             kind = "unknown" if node is None else "leaf"
             raise ValidationError(f"{source}: matrix attached to {kind} node {parent!r}")
-        matrices[parent] = _parse_matrix(parent, entries, node, scale)
-    hierarchy = validate(Hierarchy(root=root, matrices=matrices))
+        items = tuple([c.id for c in node.children])
+        matrices[parent] = _parse_matrix(parent, entries, items, scale)
+    _check_tree(nodes, matrices)
+    hierarchy = Hierarchy(root=root, matrices=matrices)
     return StudyDocument(name=name, hierarchy=hierarchy, scale=scale, config=config)
 
 
@@ -275,10 +330,6 @@ def solve_study(
     )
 
 
-def _config_dict(config: SolverConfig) -> dict[str, float]:
-    return {"lambda_cap": config.lambda_cap}
-
-
 def block_to_dict(res: SolveResult) -> dict[str, Any]:
     """One block's solver output, as results and deviation documents store it."""
     return {
@@ -305,30 +356,83 @@ def ranking_to_list(ranking: GlobalRanking) -> list[dict[str, Any]]:
     ]
 
 
-def results_to_dict(doc: ResultsDocument) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "study": doc.study,
-        "tool_version": doc.tool_version,
-        "config": _config_dict(doc.config),
-    }
-    if doc.generated_at is not None:
-        out["generated_at"] = doc.generated_at
-    out["blocks"] = {block: block_to_dict(res) for block, res in doc.blocks.items()}
-    out["ranking"] = ranking_to_list(doc.ranking)
-    return out
+#: json's spelling of the float values that have no JSON literal
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = repr(x)
+    return _NONFINITE.get(text, text)
+
+
+def _enclosed(entries: list[str], brackets: str, indent: str) -> str:
+    """A JSON object or array laid out as json.dumps(indent=2) lays it out:
+    its entries one per line at indent plus two spaces, or {} or [] when
+    there are none."""
+    if not entries:
+        return brackets
+    inner = ",\n  " + indent
+    return f"{brackets[0]}\n  {indent}{inner.join(entries)}\n{indent}{brackets[1]}"
 
 
 def serialize_results(doc: ResultsDocument) -> str:
-    """Deterministic JSON for a results document (full float precision)."""
-    return json.dumps(results_to_dict(doc), indent=2, ensure_ascii=False) + "\n"
+    """Deterministic JSON for a results document (full float precision).
+
+    The text is exactly json.dumps(..., indent=2, ensure_ascii=False) of the
+    document plus a newline: strings through json's own encoder, floats by
+    repr with json's NaN and Infinity. It is written here directly, since
+    json runs an indented dump in pure Python, at several times the cost.
+    """
+    string, number = encode_basestring, _float_text
+    blocks = []
+    for block, res in doc.blocks.items():
+        weights = [f"{string(item)}: {number(w)}" for item, w in res.weights.items()]
+        blocks.append(
+            f"{string(block)}: {{\n"
+            f'      "weights": {_enclosed(weights, "{}", "      ")},\n'
+            f'      "lambda": {number(res.lambda_)},\n'
+            f'      "consistent": {"true" if res.consistent else "false"},\n'
+            f'      "clamped": {"true" if res.clamped else "false"},\n'
+            f'      "iterations": {res.iterations!r}\n'
+            "    }"
+        )
+    rows = [
+        "{\n"
+        f'      "leaf": {string(r.leaf)},\n'
+        f'      "category": {string(r.category)},\n'
+        f'      "category_weight": {number(r.category_weight)},\n'
+        f'      "local_weight": {number(r.local_weight)},\n'
+        f'      "global_weight": {number(r.global_weight)},\n'
+        f'      "rank": {r.rank!r}\n'
+        "    }"
+        for r in doc.ranking.rows
+    ]
+    stamp = (
+        "" if doc.generated_at is None
+        else f'  "generated_at": {string(doc.generated_at)},\n'
+    )
+    return (
+        "{\n"
+        f'  "study": {string(doc.study)},\n'
+        f'  "tool_version": {string(doc.tool_version)},\n'
+        '  "config": {\n'
+        f'    "lambda_cap": {number(doc.config.lambda_cap)}\n'
+        "  },\n"
+        f"{stamp}"
+        f'  "blocks": {_enclosed(blocks, "{}", "  ")},\n'
+        f'  "ranking": {_enclosed(rows, "[]", "  ")}\n'
+        "}\n"
+    )
 
 
 def _field(obj: Any, key: str, convert: Callable[[Any], Any], where: str) -> Any:
     """obj[key], converted; an error names where and the key."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: must be an object")
+    if key not in obj:
+        raise ValidationError(f"{where}: missing required key {key!r}")
     try:
-        return convert(_require(obj, key, where))
+        return convert(obj[key])
     except (OverflowError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{where}: key {key!r}: {exc}") from exc
 

@@ -16,24 +16,26 @@ from ._record import record
 from .errors import ValidationError
 from .fuzzy import TriangularFuzzyNumber
 
-#: Every component of a judgment must lie in this range. Outside it the
-#: max-slack LPs mix coefficients far apart in size, and their round-off
-#: made the solver fail: hard-sided judgments at 1e-6 to 1e-5 and judgments
-#: beyond 1e9 did. The range keeps a factor of ten from the first; a scale
-#: of verbal judgments spans about 1/9 to 9.
+#: Every component of a judgment must lie in this range. The bound dates
+#: from the max-slack LPs the solver used until the leximin search replaced
+#: them: outside it, those LPs mixed coefficients far apart in size, and
+#: their round-off made the solver fail on hard-sided judgments at 1e-6 to
+#: 1e-5 and on judgments beyond 1e9. The range kept a factor of ten from the
+#: first; a scale of verbal judgments spans about 1/9 to 9.
 JUDGMENT_RANGE = (1e-4, 1e4)
 
 #: A side's spread, m - l or u - m, is either 0 (a hard bound on the ratio)
-#: or at least this fraction of m. Narrower sides make nearly parallel LP
-#: rows, and their round-off made the solver fail. The sweep: contradictory
+#: or at least this fraction of m. Like JUDGMENT_RANGE, the bound was set
+#: for the former LP solver, where narrower sides made nearly parallel LP
+#: rows whose round-off made it fail. The sweep that set it: contradictory
 #: blocks of 3-7 items where six judgments in ten have one side of a given
 #: relative spread, run with warnings as errors. With 10,000 blocks per
 #: spread, 9 raised at 1e-6 and 2 at 3e-6, none from 1e-5 up (nor in 40,000
 #: more at each of 1e-4, 3e-4 and 1e-3). But at 1e-4 a hinted LP once
-#: divided by an exact 0 (a warning; the solver now falls back to the slack
-#: basis there). Hinted solves fall back to that basis about once in 450
+#: divided by an exact 0 (a warning; that solver then fell back to the
+#: slack basis). Hinted solves fell back to that basis about once in 450
 #: at 1e-4, once in 1,800 to 2,600 at 3e-4 and once in 12,000 to 35,000 at
-#: 1e-3, as at 3e-3 and 1e-2 (once in 13,000 to 67,000). The bound keeps a
+#: 1e-3, as at 3e-3 and 1e-2 (once in 13,000 to 67,000). The bound kept a
 #: factor of ten from that first failure.
 MIN_SPREAD = 1e-3
 
@@ -90,14 +92,14 @@ def validate_matrix(m: ComparisonMatrix) -> ComparisonMatrix:
     where = f"matrix {m.parent!r}"
     if len(m.items) < 2:
         raise ValidationError(f"{where}: needs at least two items")
-    if len(set(m.items)) != len(m.items):
-        raise ValidationError(f"{where}: duplicate item ids")
-    seen_pairs: set[frozenset[str]] = set()
-    lo, hi = JUDGMENT_RANGE
-    index = {it: i for i, it in enumerate(m.items)}
+    # each item's judged partners; it also tells the known items and the
+    # pairs already judged
     adjacency: dict[str, set[str]] = {it: set() for it in m.items}
+    if len(adjacency) != len(m.items):
+        raise ValidationError(f"{where}: duplicate item ids")
+    lo, hi = JUDGMENT_RANGE
     for j in m.judgments:
-        if j.row not in index or j.col not in index:
+        if j.row not in adjacency or j.col not in adjacency:
             raise ValidationError(
                 f"{where}: judgment ({j.row}, {j.col}) references an unknown item"
             )
@@ -118,12 +120,10 @@ def validate_matrix(m: ComparisonMatrix) -> ComparisonMatrix:
                 f"within {MIN_SPREAD:g} * m of m = {mode!r}; use {name} = m "
                 "for a hard bound"
             )
-        pair = frozenset((j.row, j.col))
-        if pair in seen_pairs:
+        if j.col in adjacency[j.row]:
             raise ValidationError(
                 f"{where}: duplicated judgment for pair ({j.row}, {j.col})"
             )
-        seen_pairs.add(pair)
         adjacency[j.row].add(j.col)
         adjacency[j.col].add(j.row)
     # connectivity via traversal from the first item
@@ -189,8 +189,15 @@ def validate(h: Hierarchy) -> Hierarchy:
     internal node with two or more children, matrix items equal to that
     node's children, and no matrices attached to unknown or leaf nodes.
     """
-    by_id = _nodes_by_id(h.root)
-    for parent_id, m in h.matrices.items():
+    _check_tree(_nodes_by_id(h.root), h.matrices)
+    return h
+
+
+def _check_tree(
+    by_id: Mapping[str, Node], matrices: Mapping[str, ComparisonMatrix]
+) -> None:
+    """validate's checks, given the tree's nodes by id from _nodes_by_id."""
+    for parent_id, m in matrices.items():
         node = by_id.get(parent_id)
         if node is None:
             raise ValidationError(f"matrix attached to unknown node {parent_id!r}")
@@ -207,9 +214,8 @@ def validate(h: Hierarchy) -> Hierarchy:
                 f"{parent_id!r}: expected {sorted(child_ids)}, got {sorted(m.items)}"
             )
     for n in by_id.values():
-        if len(n.children) >= 2 and n.id not in h.matrices:
+        if len(n.children) >= 2 and n.id not in matrices:
             raise ValidationError(
                 f"internal node {n.id!r} has {len(n.children)} children but no "
                 "comparison matrix"
             )
-    return h

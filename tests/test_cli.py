@@ -223,6 +223,19 @@ _JUDGMENT = ("matrices", "goal", 0, "judgment")
             _JUDGMENT, {"term": "high", "note": 1}, "note", id="term-unknown-key"
         ),
         pytest.param(_JUDGMENT, {}, "'term'", id="term-missing"),
+        pytest.param(
+            _JUDGMENT, {"term": "hgih"},
+            "matrix 'goal', judgment 1: unknown linguistic term 'hgih'; valid terms: ",
+            id="term-unknown",
+        ),
+        pytest.param(
+            _JUDGMENT, {"term": 5}, "matrix 'goal', judgment 1: term must be a string",
+            id="term-number",
+        ),
+        pytest.param(
+            _JUDGMENT, {"term": ["high"]},
+            "matrix 'goal', judgment 1: term must be a string", id="term-list",
+        ),
         pytest.param(("scale",), [], "scale must be", id="scale-not-object"),
         pytest.param(
             ("scale",), {"meh": [1, 2]}, "scale term 'meh'", id="scale-term-length"
@@ -257,6 +270,34 @@ def test_malformed_study_exits_2_naming_the_key(tmp_path, capsys, keys, value, n
     path.write_text(json.dumps(_mutated(json.loads(path.read_text()), keys, value)))
     assert main(["solve", str(path)]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keys, named",
+    [
+        pytest.param(("name",), "name 's\\ud800' holds a lone surrogate", id="name"),
+        pytest.param(
+            _CHILD + ("id",), "node id 's\\ud800' holds a lone surrogate", id="node-id"
+        ),
+        pytest.param(
+            _CHILD + ("label",),
+            "label of node 'a' 's\\ud800' holds a lone surrogate", id="label",
+        ),
+    ],
+)
+def test_lone_surrogate_exits_2_before_writing(tmp_path, capsys, keys, named):
+    # json reads "s\ud800" as a string that UTF-8 cannot encode; the results
+    # file was left empty, or (for a label) written before the table failed
+    path = _tiny_study(tmp_path)
+    doc = _mutated(json.loads(path.read_text()), keys, "s\ud800")
+    if keys[-1] == "id":
+        doc["matrices"]["goal"][0]["col"] = "s\ud800"
+    path.write_text(json.dumps(doc))
+    assert "\\ud800" in path.read_text()
+    out = tmp_path / "results.json"
+    assert main(["solve", str(path), "--out", str(out)]) == 2
+    assert f"error: {path}: {named}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _GOAL = '[{"row": "b", "col": "a", "judgment": [2, 3, 4]}]'
@@ -492,6 +533,13 @@ def test_bundled_study_text_matches_golden(argv, golden, capsys):
     assert main(argv) == _EXIT.get(golden, 0)
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (FIXTURES / "golden" / golden).read_bytes()
+
+
+def test_bundled_results_document_matches_golden(tmp_path):
+    out = tmp_path / "results.json"
+    argv = ["solve", str(bundled_study_path()), "--no-timestamp", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (FIXTURES / "golden" / "solve_results.json").read_bytes()
 
 
 @pytest.mark.parametrize("argv, golden", _BUNDLED_RUNS)

@@ -1,10 +1,19 @@
 """Study and results document parsing, serialization, and the bundled dataset."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fahp import (
+    GlobalRanking,
+    RankingRow,
+    ResultsDocument,
+    SolveResult,
+    SolverConfig,
+    UnknownTermError,
     ValidationError,
     bundled_study_path,
     load_study,
@@ -12,7 +21,12 @@ from fahp import (
     solve_study,
 )
 from fahp.cli import main
-from fahp.documents import parse_results, serialize_results
+from fahp.documents import (
+    block_to_dict,
+    parse_results,
+    ranking_to_list,
+    serialize_results,
+)
 
 
 MINIMAL = {
@@ -86,9 +100,11 @@ def test_unknown_term_is_rejected():
     doc = _study(
         matrices={"goal": [{"row": "b", "col": "a", "judgment": {"term": "gigantic"}}]}
     )
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(UnknownTermError) as exc:
         parse_study(json.dumps(doc))
-    assert "gigantic" in str(exc.value)
+    assert str(exc.value).startswith(
+        "matrix 'goal', judgment 1: unknown linguistic term 'gigantic'; valid terms: "
+    )
 
 
 def test_malformed_json_reports_position():
@@ -143,6 +159,84 @@ def test_results_roundtrip_is_fixed_point(tmp_path):
     assert doc.generated_at is None
     assert sorted(doc.blocks) == ["W1", "W2", "W3", "goal"]
     assert doc.ranking.rows[0].rank == 1
+
+
+# Names and ids that json escapes (quotes, backslashes, control characters)
+# or writes as they are (non-ASCII, astral and line-separator characters).
+_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",))
+    | st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\xe9\U0001d11e'),
+    max_size=6,
+)
+_EDGE_FLOATS = [-0.0, 5e-324, 1e308, math.inf, -math.inf]
+
+
+def _results_documents(nan):
+    """ResultsDocuments with every kind of float json writes; NaN if nan."""
+    floats = st.floats(allow_nan=nan) | st.sampled_from(
+        _EDGE_FLOATS + [math.nan] * nan
+    )
+    blocks = st.dictionaries(
+        _TEXT,
+        st.builds(
+            SolveResult,
+            weights=st.dictionaries(_TEXT, floats, max_size=3),
+            lambda_=floats,
+            consistent=st.booleans(),
+            iterations=st.integers(0, 10**6),
+            clamped=st.booleans(),
+        ),
+        max_size=3,
+    )
+    rows = st.lists(
+        st.builds(
+            RankingRow,
+            leaf=_TEXT,
+            category=_TEXT,
+            category_weight=floats,
+            local_weight=floats,
+            global_weight=floats,
+            rank=st.integers(1, 1000),
+        ),
+        max_size=3,
+    )
+    return st.builds(
+        ResultsDocument,
+        study=_TEXT,
+        tool_version=_TEXT,
+        config=st.builds(
+            SolverConfig, st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324])
+        ),
+        generated_at=st.none() | _TEXT,
+        blocks=blocks,
+        ranking=st.builds(GlobalRanking, rows.map(tuple)),
+    )
+
+
+def _reference_text(doc):
+    """What json.dumps writes for the document: the judge of the writer."""
+    ref = {
+        "study": doc.study,
+        "tool_version": doc.tool_version,
+        "config": {"lambda_cap": doc.config.lambda_cap},
+    }
+    if doc.generated_at is not None:
+        ref["generated_at"] = doc.generated_at
+    ref["blocks"] = {block: block_to_dict(res) for block, res in doc.blocks.items()}
+    ref["ranking"] = ranking_to_list(doc.ranking)
+    return json.dumps(ref, indent=2, ensure_ascii=False) + "\n"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_results_documents(nan=True))
+def test_serialize_results_writes_what_json_dumps_writes(doc):
+    assert serialize_results(doc) == _reference_text(doc)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_results_documents(nan=False))
+def test_serialize_results_round_trips_without_nan(doc):
+    assert parse_results(serialize_results(doc)) == doc
 
 
 def _as_list(data, *path):
