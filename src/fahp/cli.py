@@ -90,12 +90,30 @@ def _write(path: str, text: str, kind: str) -> None:
         raise ValidationError(f"cannot write {kind} file {path}: {exc}") from exc
 
 
+def _check_stdout(text: str) -> None:
+    """Raise ValidationError, naming standard output and its encoding, where
+    that encoding cannot write text; a stream without an encoding (an
+    in-memory one) takes any text."""
+    encoding = getattr(sys.stdout, "encoding", None)
+    if not encoding:
+        return
+    try:
+        text.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(
+            f"standard output's encoding {encoding!r} cannot write the "
+            f"character {exc.object[exc.start]!a} of the results table"
+        ) from None
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     study = load_study(args.study)
     doc = solve_study(study, None if args.no_timestamp else _timestamp())
+    table = _format_results(study, doc)
+    _check_stdout(table)
     if args.out:
         _write(args.out, serialize_results(doc), "results")
-    sys.stdout.write(_format_results(study, doc))
+    sys.stdout.write(table)
     return EXIT_OK
 
 

@@ -37,9 +37,13 @@ stage leaves one node: the weights are its offsets.
 Every block starts from the logarithmic least-squares weights of the
 judgments' modes (Crawford and Williams, J. Math. Psych. 29, 1985), one n x
 n linear system; consistent modes reach lambda_cap there and are returned
-clamped without a search. Otherwise the first search is at level 1, the
-start's lambda is the low end of its bracket and its log weights are the
-first potentials; where the start misses a hard side its lambda is -inf.
+clamped without a search. Otherwise the start's lambda is the low end of
+the first search's bracket and its log weights are the first potentials;
+where the start misses a hard side its lambda is -inf. The side that the
+start meets with the least log slack closes a triangle with each third item,
+and each triangle is a cycle, so the lowest level where one closes bounds
+lambda* from above: the first search is at that level, or at level 1 for a
+block of two items, a hard tightest side or a start at -inf.
 Hard sides conflict exactly when a cycle of them is negative; a block whose
 exact hard bounds conflict only by less than membership's 1e-12 tolerance is
 searched with each hard bound loosened by a little less than it. lambda_cap
@@ -393,20 +397,37 @@ def _negative_cycle(
     Bellman-Ford from the potentials pot, which it lowers in place. After
     each pass it walks the predecessor edges: a cycle among them is
     negative, by more than _RELAX_TOL, and is returned as found. Without
-    one every potential is bounded below, so the passes end."""
+    one every potential is bounded below, so the passes end. A cycle that
+    a pass closes runs through a node whose predecessor that pass changed,
+    so the walk waits for a pass where such a node lies on a cycle; the
+    cycle returned and the potentials are those of a walk after every
+    pass."""
     n, tol = len(pot), _RELAX_TOL
     pred = [-1] * n
     edges = list(zip(range(len(tails)), tails, heads, weights))
     for _ in range(n * n + 2):
-        changed = False
+        changed = []
         for e, u, v, w in edges:
             t = pot[u] + w
             if t < pot[v] - tol:
                 pot[v] = t
                 pred[v] = e
-                changed = True
+                changed.append(v)
         if not changed:
             return None
+        # follow each changed node's predecessors for n steps at most
+        for v in changed:
+            u = v
+            for _ in range(n):
+                if pred[u] < 0:
+                    break
+                u = tails[pred[u]]
+                if u == v:
+                    break
+            if u == v:
+                break  # v lies on a cycle
+        else:
+            continue
         # the predecessor graph has one edge into each node at most
         seen = [0] * n  # 0 unvisited, 1 on the current walk, 2 done
         for start in range(n):
@@ -649,6 +670,58 @@ def _next_level(
     return _root(edges, cycle, lam, best)
 
 
+def _triangle_bound(edges: _Edges, pot: list[float], lo: float) -> float:
+    """An upper bound at most 1 on the level every side can reach, from the
+    potentials pot that meet every side at level lo > -inf.
+
+    The side that pot meets with the least log slack, an edge u -> v, closes
+    a triangle u -> v -> k -> u with each third item k. Each triangle is a
+    cycle of the graph, so the level where its weight reaches 0 bounds the
+    level of the block. The triangles are visited in increasing weight at
+    level 1, and each one still negative at the lowest root so far is solved
+    for its own root, bracketed below by lo. 1 where that side is hard or
+    closes no triangle."""
+    tails, heads, sign, base, rate, const = edges
+    log, inf = math.log, math.inf
+    gaps = [
+        s * log(a) + c + pot[u] - pot[v] if (a := b + lo * q) > 0.0 else inf
+        for u, v, s, b, q, c in zip(tails, heads, sign, base, rate, const)
+    ]
+    worst = gaps.index(min(gaps))
+    if not rate[worst]:
+        return 1.0
+    u, v = tails[worst], heads[worst]
+    into = {t: i for i, (t, h) in enumerate(zip(tails, heads)) if h == u}
+    # each triangle's weight at level 1 but for the worst side's, which
+    # all of them share
+    triangles = sorted(
+        (
+            sign[i] * log(base[i] + rate[i]) + const[i]
+            + sign[j] * log(base[j] + rate[j]) + const[j],
+            [worst, i, j],
+        )
+        for i, (t, k) in enumerate(zip(tails, heads))
+        if t == v and (j := into.get(k)) is not None
+    )
+    bound = 1.0
+    for _, cycle in triangles:
+        if _cycle_weight(edges, cycle, bound) < 0.0:
+            bound = _root(edges, cycle, lo, bound)
+    return bound
+
+
+def _cycle_weight(edges: _Edges, cycle: list[int], lam: float) -> float:
+    """The weight of the cycle's edges at level lam; inf where a rising
+    side's bound has dropped out."""
+    value = 0.0
+    for e in cycle:
+        arg = edges.base[e] + lam * edges.rate[e]
+        if arg <= 0.0:
+            return math.inf
+        value += edges.sign[e] * math.log(arg) + edges.const[e]
+    return value
+
+
 def _leximin(block: _Block, pot: list[float], lo: float, slack: float = 0.0) -> _Path:
     """The leximin log weights of the block, from potentials pot that meet
     every side at level lo (lo = -inf: they miss a hard side), each hard
@@ -657,7 +730,8 @@ def _leximin(block: _Block, pot: list[float], lo: float, slack: float = 0.0) -> 
     edges = _side_edges(block, range(len(block.row)), slack)
     node = list(range(n))  # each item's node; x[i] = X[node[i]] + off[i]
     off = [0.0] * n
-    levels, searches, hi = [], 0, 1.0
+    hi = _triangle_bound(edges, pot, lo) if lo > -math.inf else 1.0
+    levels, searches = [], 0
     while True:
         lam = hi
         while True:

@@ -300,6 +300,34 @@ def test_lone_surrogate_exits_2_before_writing(tmp_path, capsys, keys, named):
     assert not out.exists()
 
 
+def test_label_that_stdout_cannot_encode_exits_2_before_writing(tmp_path):
+    # The table is checked against standard output's encoding before the
+    # results file is written, so an ASCII stdout and the label "été" leave
+    # no file and name the stream; an in-memory stdout takes any label.
+    path = _tiny_study(tmp_path)
+    doc = _mutated(json.loads(path.read_text()), _CHILD + ("label",), "été")
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "results.json"
+    src = Path(fahp.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "ascii"}
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_ENTRY, "solve", str(path), "--out", str(out)],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (
+        "error: standard output's encoding 'ascii' cannot write the character "
+        "'\\xe9' of the results table\n"
+    )
+    assert not out.exists()
+    table = io.StringIO()
+    with contextlib.redirect_stdout(table):
+        assert main(["solve", str(path), "--out", str(out)]) == 0
+    assert "été" in table.getvalue()
+    assert json.loads(out.read_text(encoding="utf-8"))["study"] == "tiny"
+
+
 _GOAL = '[{"row": "b", "col": "a", "judgment": [2, 3, 4]}]'
 _CHILDREN = '"hierarchy": {"id": "goal", "children": [{"id": "a"}, {"id": "b"}]}'
 

@@ -591,9 +591,9 @@ def test_warm_start_agrees_with_cold_solves(monkeypatch):
 def test_search_counts_do_not_grow(monkeypatch):
     # Searches and stages repeat exactly from run to run, where wall time
     # does not. The bounds are the sums measured when the first stage
-    # searched from level 1 and each later one from the root of the cycle
-    # that its closed-form bound picked: 230 searches and 105 stages over
-    # _blocks(), 10 and 4 over the bundled blocks.
+    # searched from its triangle bound and each later one from the root of
+    # the cycle that its closed-form bound picked: 202 searches and 105
+    # stages over _blocks(), 6 and 4 over the bundled blocks.
     leximin, counts = solver._leximin, collections.Counter()
 
     def counted(*args):
@@ -605,13 +605,102 @@ def test_search_counts_do_not_grow(monkeypatch):
     monkeypatch.setattr(solver, "_leximin", counted)
     for block in _blocks():
         solve_fpp(block)
-    assert 0 < counts["searches"] <= 230
+    assert 0 < counts["searches"] <= 202
     assert 0 < counts["stages"] <= 105
     counts.clear()
     for block in load_study(bundled_study_path()).hierarchy.matrices.values():
         solve_fpp(block)
-    assert 0 < counts["searches"] <= 10
+    assert 0 < counts["searches"] <= 6
     assert 0 < counts["stages"] <= 4
+
+
+def _watch_first_searches(patch):
+    """Record, for each _leximin call from here on, the level of its first
+    search, its number of items, its start's lambda and its first stage's
+    level, in the list returned."""
+    searched, leximin, weights = [], solver._leximin, solver._weights
+    levels = []
+
+    def watched_weights(edges, lam):
+        levels.append(lam)
+        return weights(edges, lam)
+
+    def watched_leximin(block, pot, lo, slack=0.0):
+        levels.clear()
+        path = leximin(block, pot, lo, slack)
+        searched.append((levels[0], len(pot), lo, path.levels[0]))
+        return path
+
+    patch.setattr(solver, "_weights", watched_weights)
+    patch.setattr(solver, "_leximin", watched_leximin)
+    return searched
+
+
+def _solved(block):
+    try:
+        return solve_fpp(block)
+    except InfeasibleJudgmentsError:
+        return None
+
+
+def test_first_search_starts_between_the_optimum_and_one(monkeypatch):
+    # The first search starts at the triangle bound: no lower than the
+    # lambda* that a search from level 1 finds, and no higher than 1; at
+    # exactly 1 for two items and for a start that misses a hard side. The
+    # weights agree with those of a search from level 1, and between the
+    # two item orders, within 1e-12.
+    rng = np.random.default_rng(3101)
+    blocks = [
+        _random_block(
+            rng, 3 + k % 8, hard_share=(0.0, 0.15, 0.3)[k % 3],
+            crisp_share=(0.0, 0.1)[k % 2],
+        )
+        for k in range(160)
+    ]
+    rng = np.random.default_rng(101)
+    blocks += [_contradictory_block(rng) for _ in range(120)]
+    kinds = collections.Counter()
+    for block in blocks:
+        with monkeypatch.context() as patch:
+            searched = _watch_first_searches(patch)
+            res = _solved(block)
+        moved = _solved(ComparisonMatrix(
+            parent=block.parent, items=block.items[::-1], judgments=block.judgments
+        ))
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_triangle_bound", lambda edges, pot, lo: 1.0)
+            from_one = _solved(block)
+        if res is None:
+            assert moved is None and from_one is None
+            kinds["infeasible"] += 1
+            continue
+        for other in (moved, from_one):
+            assert math.isclose(res.lambda_, other.lambda_, rel_tol=1e-12, abs_tol=1e-12)
+            for item in block.items:
+                assert abs(res.weights[item] - other.weights[item]) <= 1e-12
+        if not searched:
+            kinds["clamped at the start"] += 1
+            continue
+        [(start, _, lo, level)] = searched
+        assert level <= start <= 1.0
+        assert start >= from_one.lambda_ - 1e-12 * max(1.0, abs(from_one.lambda_))
+        if lo == -math.inf:
+            assert start == 1.0
+            kinds["start misses a hard side"] += 1
+        else:
+            kinds["from level 1" if start == 1.0 else "below level 1"] += 1
+    assert {"infeasible", "start misses a hard side", "below level 1"} <= set(kinds)
+    # two items are clamped at their least-squares start, which meets the
+    # mode, so only another start reaches the search: ratio 2.5 on (2, 3, 4)
+    two = ComparisonMatrix(
+        parent="goal", items=("a", "b"),
+        judgments=(ComparisonJudgment("a", "b", TFN(2.0, 3.0, 4.0)),),
+    )
+    with monkeypatch.context() as patch:
+        searched = _watch_first_searches(patch)
+        solver._leximin(solver._block(two), [math.log(2.5), 0.0], 0.5)
+    [(start, n, _, level)] = searched
+    assert (start, n, level) == (1.0, 2, 1.0)
 
 
 def test_final_duals_agree_with_highs(monkeypatch):
