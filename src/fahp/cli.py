@@ -11,7 +11,6 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .composition import rank
@@ -28,11 +27,6 @@ from .errors import (
     ValidationError,
 )
 from .solver import ORACLE_LAMBDA_TOL, ORACLE_MAX_ITEMS, ORACLE_WEIGHT_TOL, oracle_solve
-
-# delphi and alpha import the survey module where they use it, so that the
-# other subcommands do not load it
-if TYPE_CHECKING:
-    from .survey import DelphiRatings, ItemResponses
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -90,10 +84,11 @@ def _write(path: str, text: str, kind: str) -> None:
         raise ValidationError(f"cannot write {kind} file {path}: {exc}") from exc
 
 
-def _check_stdout(text: str) -> None:
-    """Raise ValidationError, naming standard output and its encoding, where
-    that encoding cannot write text; a stream without an encoding (an
-    in-memory one) takes any text."""
+def _check_stdout(text: str, what: str) -> None:
+    """Raise ValidationError, naming standard output, its encoding and what
+    text is, where that encoding cannot write text; a stream without an
+    encoding (an in-memory one) takes any text. Every command checks its
+    text before it writes anything."""
     encoding = getattr(sys.stdout, "encoding", None)
     if not encoding:
         return
@@ -102,7 +97,7 @@ def _check_stdout(text: str) -> None:
     except UnicodeEncodeError as exc:
         raise ValidationError(
             f"standard output's encoding {encoding!r} cannot write the "
-            f"character {exc.object[exc.start]!a} of the results table"
+            f"character {exc.object[exc.start]!a} of {what}"
         ) from None
 
 
@@ -110,7 +105,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     study = load_study(args.study)
     doc = solve_study(study, None if args.no_timestamp else _timestamp())
     table = _format_results(study, doc)
-    _check_stdout(table)
+    _check_stdout(table, "the results table")
     if args.out:
         _write(args.out, serialize_results(doc), "results")
     sys.stdout.write(table)
@@ -127,10 +122,12 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
             "published-figure identity check failed; embedded reference "
             "values are corrupt"
         )
+    text = format_report(report)
+    _check_stdout(text, "the paper report")
     if args.out:
         payload = json.dumps(report_to_dict(report), indent=2, ensure_ascii=False)
         _write(args.out, payload + "\n", "report")
-    sys.stdout.write(format_report(report))
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -168,78 +165,18 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     lines.append(
         f"tolerances: lambda {ORACLE_LAMBDA_TOL}, weights {ORACLE_WEIGHT_TOL}"
     )
-    sys.stdout.write("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _check_stdout(text, "the oracle report")
+    sys.stdout.write(text)
     return EXIT_ORACLE if breaches else EXIT_OK
 
 
-def _read_csv(path: str, kind: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """A CSV file's header and its non-blank rows, numbered from 2."""
-    import csv
-
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ValidationError(f"cannot read {kind} file {path}: {exc}") from exc
-    body = [
-        (lineno, row)
-        for lineno, row in enumerate(rows[1:], start=2)
-        if row and (len(row) > 1 or row[0].strip())
-    ]
-    return (rows[0] if rows else []), body
-
-
-def _read_ratings_csv(path: str) -> DelphiRatings:
-    from .survey import DelphiRatings
-
-    header, body = _read_csv(path, "ratings")
-    if header != ["item", "expert", "rating"]:
-        raise ValidationError(f"{path}: header must be exactly 'item,expert,rating'")
-    items: list[str] = []
-    experts: list[str] = []
-    cells: dict[tuple[str, str], int] = {}
-    for lineno, row in body:
-        if len(row) != 3:
-            raise ValidationError(
-                f"{path}: row {lineno}: expected 3 fields, got {len(row)}"
-            )
-        item, expert, rating_raw = (f.strip() for f in row)
-        try:
-            rating = int(rating_raw)
-        except ValueError:
-            raise ValidationError(
-                f"{path}: row {lineno}: rating {rating_raw!r} is not an integer"
-            ) from None
-        if item not in items:
-            items.append(item)
-        if expert not in experts:
-            experts.append(expert)
-        if (item, expert) in cells:
-            raise ValidationError(
-                f"{path}: row {lineno}: duplicate rating for ({item}, {expert})"
-            )
-        cells[(item, expert)] = rating
-    if not cells:
-        raise ValidationError(f"{path}: no ratings found")
-    missing = [
-        (i, e) for i in items for e in experts if (i, e) not in cells
-    ]
-    if missing:
-        i, e = missing[0]
-        raise ValidationError(
-            f"{path}: incomplete ratings: no rating for ({i}, {e}) "
-            f"(and {len(missing) - 1} more)"
-        )
-    ratings = tuple(
-        tuple(cells[(i, e)] for e in experts) for i in items
-    )
-    return DelphiRatings(items=tuple(items), experts=tuple(experts), ratings=ratings)
-
-
 def cmd_delphi(args: argparse.Namespace) -> int:
-    from .survey import delphi_round, run_delphi
+    # delphi and alpha import the survey module here, so that the other
+    # subcommands do not load it
+    from .survey import delphi_round, read_ratings_csv, run_delphi
 
-    rounds = [_read_ratings_csv(p) for p in args.ratings]
+    rounds = [read_ratings_csv(p) for p in args.ratings]
     if args.rounds is not None and args.rounds != len(rounds):
         raise ValidationError(
             f"--rounds {args.rounds} does not match the {len(rounds)} ratings "
@@ -262,41 +199,23 @@ def cmd_delphi(args: argparse.Namespace) -> int:
         f"accepted overall ({len(final_accepted)}): "
         + ", ".join(sorted(final_accepted))
     )
-    sys.stdout.write("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _check_stdout(text, "the Delphi report")
+    sys.stdout.write(text)
     return EXIT_OK
 
 
-def _read_responses_csv(path: str) -> ItemResponses:
-    from .survey import ItemResponses
-
-    header, body = _read_csv(path, "responses")
-    if not header or any(not h.strip() for h in header):
-        raise ValidationError(f"{path}: first row must list item ids")
-    items = tuple(h.strip() for h in header)
-    rows = []
-    for lineno, row in body:
-        if len(row) != len(items):
-            raise ValidationError(
-                f"{path}: row {lineno}: expected {len(items)} values, got {len(row)}"
-            )
-        try:
-            rows.append(tuple(float(v) for v in row))
-        except ValueError:
-            raise ValidationError(
-                f"{path}: row {lineno}: non-numeric response"
-            ) from None
-    return ItemResponses(items=items, rows=tuple(rows))
-
-
 def cmd_alpha(args: argparse.Namespace) -> int:
-    from .survey import cronbach_alpha
+    from .survey import cronbach_alpha, read_responses_csv
 
-    responses = _read_responses_csv(args.responses)
+    responses = read_responses_csv(args.responses)
     alpha = cronbach_alpha(responses)
-    sys.stdout.write(
+    text = (
         f"alpha = {alpha:.6g} ({len(responses.items)} items, "
         f"{len(responses.rows)} respondents)\n"
     )
+    _check_stdout(text, "the alpha report")
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -26,29 +26,32 @@ Many weight vectors reach lambda*, so the solver returns the leximin one
 level one all-pairs shortest-path pass finds the items pinned to each other
 by zero cycles (D[u][v] + D[v][u] ~ 0); they merge into one node with fixed
 offsets, and the sides inside a node drop out, among them every side that
-is tight on every optimum of the stage. The next stage raises the level of
-the remaining (free) sides. Its search starts from the closed-form level
-where the first of them would close a zero cycle with the last stage's
-shortest path back, refined to the root of that cycle; the stages stop when
-no free side is left. No stage passes level 1, where every
-judgment pins its pair, and the judgment graph is connected, so the last
-stage leaves one node: the weights are its offsets.
+is tight on every optimum of the stage; one sweep over the edges contracts
+the graph, shifting the weights of the edges it keeps by their ends'
+offsets. The next stage raises the level of the remaining (free) sides.
+Its search starts from the closed-form level where the first of them would
+close a zero cycle with the last stage's shortest path back, refined to the
+root of that cycle; the stages stop when no free side is left. No stage
+passes level 1, where every judgment pins its pair, and the judgment graph
+is connected, so the last stage leaves one node: the weights are its
+offsets.
 
 Every block starts from the logarithmic least-squares weights of the
 judgments' modes (Crawford and Williams, J. Math. Psych. 29, 1985), one n x
 n linear system; consistent modes reach lambda_cap there and are returned
 clamped without a search. Otherwise the start's lambda is the low end of
 the first search's bracket and its log weights are the first potentials;
-where the start misses a hard side its lambda is -inf. The side that the
-start meets with the least log slack closes a triangle with each third item,
-and each triangle is a cycle, so the lowest level where one closes bounds
-lambda* from above: the first search is at that level, or at level 1 for a
-block of two items, a hard tightest side or a start at -inf.
-Hard sides conflict exactly when a cycle of them is negative; a block whose
-exact hard bounds conflict only by less than membership's 1e-12 tolerance is
-searched with each hard bound loosened by a little less than it. lambda_cap
-caps the reported lambda and sets `clamped`, but the stages run on to the
-leximin weights whatever the cap.
+where the start misses a hard side its lambda is -inf. The side the start
+grades lowest, which it meets with the least log slack of the soft sides,
+closes a triangle with each third item, and each triangle is a cycle, so the
+lowest level where one closes bounds lambda* from above: the first search
+is at that level, or at level 1 for a block of two items, a hard side with
+less log slack than that side or a start at -inf. Hard sides conflict
+exactly when a cycle of them is negative; a block whose exact hard bounds
+conflict only by less than membership's 1e-12 tolerance is searched with
+each hard bound loosened by a little less than it. lambda_cap caps the
+reported lambda and sets `clamped`, but the stages run on to the leximin
+weights whatever the cap.
 
 Preference programming asks only that the weights sum to 1 and be positive
 (Mikhailov, Fuzzy Sets and Systems 134, 2003), and weights found as log
@@ -62,12 +65,13 @@ side is side 2i and its falling side 2i + 1, each with its items, sign,
 base (l or u) and slope in lambda. Every membership the solver takes
 (lambda_at, the start's and the result's lambda) comes from one rule on
 that table (_memberships), bit for bit fuzzy.membership, and the search's
-edges are written from the same table. The reported lambda is
-lambda_at(weights); lambda >= 0 certifies that some weight vector lies
-inside every judgment's support, and negative lambda measures how strongly
-the judgments contradict each other. The solve path is plain Python: in the
-whole package numpy is imported only by feasible_at (an LP through the
-package's simplex) and SolveResult.weight_vector.
+edges are written from the same table: side s is edge s of the first
+stage. The reported lambda is lambda_at(weights); lambda >= 0 certifies
+that some weight vector lies inside every judgment's support, and negative
+lambda measures how strongly the judgments contradict each other. The
+solve path is plain Python: in the whole package numpy is imported only by
+feasible_at (an LP through the package's simplex) and
+SolveResult.weight_vector.
 
 A grid oracle over the simplex lattice is included as an independent check
 on the optimizer. It returns exactly the point that scoring every lattice
@@ -363,19 +367,20 @@ class _Edges(NamedTuple):
     const: list[float]
 
 
-def _side_edges(block: _Block, sides, slack: float = 0.0) -> _Edges:
-    """The edges of the block's sides `sides` over the items, each hard
-    side's bound loosened by slack."""
-    sides = list(sides)
-    row, col, sign, slope = block.row, block.col, block.sign, block.slope
-    return _Edges(
-        [row[s] if sign[s] < 0 else col[s] for s in sides],
-        [col[s] if sign[s] < 0 else row[s] for s in sides],
-        [sign[s] for s in sides],
-        [block.base[s] for s in sides],
-        [-sign[s] * slope[s] for s in sides],
-        [0.0 if slope[s] else slack for s in sides],
-    )
+def _side_edges(block: _Block, slack: float = 0.0) -> _Edges:
+    """The edges of the block's sides over the items, edge s from side s,
+    each hard side's bound loosened by slack."""
+    tails, heads, rate, const = [], [], [], []
+    for r, c, s, k in zip(block.row, block.col, block.sign, block.slope):
+        if s < 0.0:
+            tails.append(r)
+            heads.append(c)
+        else:
+            tails.append(c)
+            heads.append(r)
+        rate.append(-s * k)
+        const.append(0.0 if k else slack)
+    return _Edges(tails, heads, list(block.sign), list(block.base), rate, const)
 
 
 def _weights(edges: _Edges, lam: float) -> list[float]:
@@ -451,7 +456,8 @@ def _negative_cycle(
 def _has_conflict(block: _Block, sides, slack: float) -> bool:
     """Whether the hard sides `sides`, loosened by slack, close a negative
     cycle, one whose log-weight is below -_RELAX_TOL."""
-    edges = _side_edges(block, sides, slack)
+    every = _side_edges(block, slack)
+    edges = _Edges(*([column[s] for s in sides] for column in every))
     weights, pot = _weights(edges, 0.0), [0.0] * len(block.matrix.items)
     return _negative_cycle(edges.tail, edges.head, weights, pot) is not None
 
@@ -494,10 +500,11 @@ def _raise_conflict(block: _Block, slack: float) -> None:
     )
 
 
-def _least_squares_start(block: _Block) -> tuple[list[float], float]:
+def _least_squares_start(block: _Block) -> tuple[list[float], float, int]:
     """The logarithmic least-squares weights of the judgments' modes
-    (Crawford and Williams, J. Math. Psych. 29, 1985) and their lambda, which
-    is -inf where they miss a hard side.
+    (Crawford and Williams, J. Math. Psych. 29, 1985), their lambda, which
+    is -inf where they miss a hard side, and the first side that grades
+    lowest there.
 
     x = log w minimizes the sum of (x_row - x_col - log m)^2 over the
     judgments: L x = b, with L the Laplacian of the comparison graph. The
@@ -529,7 +536,9 @@ def _least_squares_start(block: _Block) -> tuple[list[float], float]:
         pivot = normal[k]
         x[k] = (rhs[k] - sum(pivot[j] * x[j] for j in range(k + 1, n))) / pivot[k]
     w = _normalized(block, x)
-    return w, _lowest_membership(block, w)
+    grades = _memberships(block, w)
+    low = min(grades)
+    return w, float(min(low, 1.0)), grades.index(low)
 
 
 def _normalized(block: _Block, x: list[float]) -> list[float]:
@@ -670,35 +679,40 @@ def _next_level(
     return _root(edges, cycle, lam, best)
 
 
-def _triangle_bound(edges: _Edges, pot: list[float], lo: float) -> float:
+def _triangle_bound(
+    edges: _Edges, pot: list[float], lo: float, tight: int, hard: tuple[int, ...]
+) -> float:
     """An upper bound at most 1 on the level every side can reach, from the
-    potentials pot that meet every side at level lo > -inf.
+    potentials pot that meet every side at level lo > -inf, where the soft
+    side `tight` grades lowest.
 
-    The side that pot meets with the least log slack, an edge u -> v, closes
-    a triangle u -> v -> k -> u with each third item k. Each triangle is a
-    cycle of the graph, so the level where its weight reaches 0 bounds the
-    level of the block. The triangles are visited in increasing weight at
-    level 1, and each one still negative at the lowest root so far is solved
-    for its own root, bracketed below by lo. 1 where that side is hard or
-    closes no triangle."""
+    pot meets that side, an edge u -> v, with the least log slack of the
+    soft sides. It closes a triangle u -> v -> k -> u with each third item
+    k. Each triangle is a cycle of the graph, so the level where its weight
+    reaches 0 bounds the level of the block. The triangles are visited in
+    increasing weight at level 1, and each one still negative at the lowest
+    root so far is solved for its own root, bracketed below by lo. 1 where
+    a side of `hard` has less log slack (or as little, and comes first), or
+    where no triangle closes."""
     tails, heads, sign, base, rate, const = edges
     log, inf = math.log, math.inf
-    gaps = [
-        s * log(a) + c + pot[u] - pot[v] if (a := b + lo * q) > 0.0 else inf
-        for u, v, s, b, q, c in zip(tails, heads, sign, base, rate, const)
-    ]
-    worst = gaps.index(min(gaps))
-    if not rate[worst]:
+
+    def gap(e: int) -> float:
+        if (a := base[e] + lo * rate[e]) > 0.0:
+            return sign[e] * log(a) + const[e] + pot[tails[e]] - pot[heads[e]]
+        return inf
+
+    if hard and min((gap(e), e) for e in hard) < (gap(tight), tight):
         return 1.0
-    u, v = tails[worst], heads[worst]
+    u, v = tails[tight], heads[tight]
     into = {t: i for i, (t, h) in enumerate(zip(tails, heads)) if h == u}
-    # each triangle's weight at level 1 but for the worst side's, which
+    # each triangle's weight at level 1 but for the tight side's, which
     # all of them share
     triangles = sorted(
         (
             sign[i] * log(base[i] + rate[i]) + const[i]
             + sign[j] * log(base[j] + rate[j]) + const[j],
-            [worst, i, j],
+            [tight, i, j],
         )
         for i, (t, k) in enumerate(zip(tails, heads))
         if t == v and (j := into.get(k)) is not None
@@ -722,15 +736,17 @@ def _cycle_weight(edges: _Edges, cycle: list[int], lam: float) -> float:
     return value
 
 
-def _leximin(block: _Block, pot: list[float], lo: float, slack: float = 0.0) -> _Path:
+def _leximin(
+    block: _Block, pot: list[float], lo: float, tight: int, slack: float = 0.0
+) -> _Path:
     """The leximin log weights of the block, from potentials pot that meet
-    every side at level lo (lo = -inf: they miss a hard side), each hard
-    side loosened by slack."""
+    every side at level lo (lo = -inf: they miss a hard side) and grade the
+    side `tight` lowest, each hard side loosened by slack."""
     n = len(pot)
-    edges = _side_edges(block, range(len(block.row)), slack)
+    edges = _side_edges(block, slack)
     node = list(range(n))  # each item's node; x[i] = X[node[i]] + off[i]
     off = [0.0] * n
-    hi = _triangle_bound(edges, pot, lo) if lo > -math.inf else 1.0
+    hi = _triangle_bound(edges, pot, lo, tight, block.hard) if lo > -math.inf else 1.0
     levels, searches = [], 0
     while True:
         lam = hi
@@ -771,27 +787,32 @@ def _leximin(block: _Block, pot: list[float], lo: float, slack: float = 0.0) -> 
         moved = [0.5 * (dist[g][v] - dist[v][g]) for v, g in enumerate(group)]
         roots = sorted(set(group))
         index = {g: i for i, g in enumerate(roots)}
-        tails, heads = edges.tail, edges.head
-        keep = [i for i, (u, v) in enumerate(zip(tails, heads)) if group[u] != group[v]]
-        edges = _Edges(
-            [index[group[tails[i]]] for i in keep],
-            [index[group[heads[i]]] for i in keep],
-            [edges.sign[i] for i in keep],
-            [edges.base[i] for i in keep],
-            [edges.rate[i] for i in keep],
-            [edges.const[i] + moved[tails[i]] - moved[heads[i]] for i in keep],
-        )
+        where = [index[g] for g in group]
+        # one sweep keeps the edges between distinct nodes, shifted by the
+        # offsets of their ends
+        tails, heads, sign, base, rate, const, shifted = [], [], [], [], [], [], []
+        free = False
+        for u, v, s, b, q, c, w in zip(*edges, weights):
+            if (t := where[u]) != (h := where[v]):
+                tails.append(t)
+                heads.append(h)
+                sign.append(s)
+                base.append(b)
+                rate.append(q)
+                const.append(c + moved[u] - moved[v])
+                shifted.append(w + moved[u] - moved[v])
+                free = free or q != 0.0
+        edges = _Edges(tails, heads, sign, base, rate, const)
         levels.append(lam)
         for i in range(n):
             off[i] += moved[node[i]]
-            node[i] = index[group[node[i]]]
+            node[i] = where[node[i]]
         pot = [pot[g] for g in roots]
-        if not any(edges.rate):
+        if not free:
             break
         # between the merged nodes the paths are those between their roots
         dist = [[dist[g][h] for h in roots] for g in roots]
-        weights = [weights[i] + moved[tails[i]] - moved[heads[i]] for i in keep]
-        hi = _next_level(edges, weights, dist, lam)
+        hi = _next_level(edges, shifted, dist, lam)
     return _Path([pot[node[i]] + off[i] for i in range(n)], levels, searches)
 
 
@@ -812,11 +833,11 @@ def solve_fpp(
     """
     cap = (config or SolverConfig()).lambda_cap
     block = _block(matrix)
-    w, lam = _least_squares_start(block)
+    w, lam, tight = _least_squares_start(block)
     if lam >= cap - _CLAMP_TOL:
         return _result(matrix, w, cap, 0, True)
     slack = _hard_slack(block)
-    path = _leximin(block, [math.log(v) for v in w], lam, slack)
+    path = _leximin(block, [math.log(v) for v in w], lam, tight, slack)
     w = _normalized(block, path.x)
     lam = _lowest_membership(block, w)
     if lam >= cap - _CLAMP_TOL:

@@ -3,11 +3,13 @@
 Covers the three gates a study of this kind runs before any pairwise
 comparison happens: appraisal scoring of candidate source papers, Delphi
 consensus rounds over candidate items, and internal-consistency checking
-of the final questionnaire.
+of the final questionnaire. The Delphi ratings and the questionnaire
+responses are read from CSV files here, next to the records they fill.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from statistics import variance
 
@@ -135,6 +137,69 @@ def run_delphi(
     return frozenset(accepted_all)
 
 
+def _read_csv(path: str, kind: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """A CSV file's header and its non-blank rows, numbered from 2."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"cannot read {kind} file {path}: {exc}") from exc
+    body = [
+        (lineno, row)
+        for lineno, row in enumerate(rows[1:], start=2)
+        if row and (len(row) > 1 or row[0].strip())
+    ]
+    return (rows[0] if rows else []), body
+
+
+def read_ratings_csv(path: str) -> DelphiRatings:
+    """One Delphi round from a CSV file with the header item,expert,rating
+    and one rating per row. Raises ValidationError, naming the file and
+    row, on a malformed file."""
+    header, body = _read_csv(path, "ratings")
+    if header != ["item", "expert", "rating"]:
+        raise ValidationError(f"{path}: header must be exactly 'item,expert,rating'")
+    items: list[str] = []
+    experts: list[str] = []
+    cells: dict[tuple[str, str], int] = {}
+    for lineno, row in body:
+        if len(row) != 3:
+            raise ValidationError(
+                f"{path}: row {lineno}: expected 3 fields, got {len(row)}"
+            )
+        item, expert, rating_raw = (f.strip() for f in row)
+        try:
+            rating = int(rating_raw)
+        except ValueError:
+            raise ValidationError(
+                f"{path}: row {lineno}: rating {rating_raw!r} is not an integer"
+            ) from None
+        if item not in items:
+            items.append(item)
+        if expert not in experts:
+            experts.append(expert)
+        if (item, expert) in cells:
+            raise ValidationError(
+                f"{path}: row {lineno}: duplicate rating for ({item}, {expert})"
+            )
+        cells[(item, expert)] = rating
+    if not cells:
+        raise ValidationError(f"{path}: no ratings found")
+    missing = [
+        (i, e) for i in items for e in experts if (i, e) not in cells
+    ]
+    if missing:
+        i, e = missing[0]
+        raise ValidationError(
+            f"{path}: incomplete ratings: no rating for ({i}, {e}) "
+            f"(and {len(missing) - 1} more)"
+        )
+    ratings = tuple(
+        tuple(cells[(i, e)] for e in experts) for i in items
+    )
+    return DelphiRatings(items=tuple(items), experts=tuple(experts), ratings=ratings)
+
+
 @record
 class ItemResponses:
     """Questionnaire responses: one row per respondent, one column per item."""
@@ -171,3 +236,26 @@ def cronbach_alpha(responses: ItemResponses) -> float:
             "total-score variance is zero; alpha is undefined for these responses"
         )
     return k / (k - 1) * (1.0 - item_vars / total_var)
+
+
+def read_responses_csv(path: str) -> ItemResponses:
+    """Questionnaire responses from a CSV file whose first row lists the
+    item ids, one respondent per row after it. Raises ValidationError,
+    naming the file and row, on a malformed file."""
+    header, body = _read_csv(path, "responses")
+    if not header or any(not h.strip() for h in header):
+        raise ValidationError(f"{path}: first row must list item ids")
+    items = tuple(h.strip() for h in header)
+    rows = []
+    for lineno, row in body:
+        if len(row) != len(items):
+            raise ValidationError(
+                f"{path}: row {lineno}: expected {len(items)} values, got {len(row)}"
+            )
+        try:
+            rows.append(tuple(float(v) for v in row))
+        except ValueError:
+            raise ValidationError(
+                f"{path}: row {lineno}: non-numeric response"
+            ) from None
+    return ItemResponses(items=items, rows=tuple(rows))

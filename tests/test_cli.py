@@ -328,6 +328,47 @@ def test_label_that_stdout_cannot_encode_exits_2_before_writing(tmp_path):
     assert json.loads(out.read_text(encoding="utf-8"))["study"] == "tiny"
 
 
+def _oracle_study_named_ge(tmp_path):
+    doc = json.loads(_tiny_study(tmp_path).read_text())
+    doc["hierarchy"]["id"] = "gé"
+    doc["matrices"] = {"gé": doc["matrices"]["goal"]}
+    path = tmp_path / "ge.json"
+    path.write_text(json.dumps(doc))
+    return ["oracle", str(path)], "gé", "the oracle report"
+
+
+def _ratings_with_item_qualite(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("item,expert,rating\nqualité,e1,4\nqualité,e2,3\n", encoding="utf-8")
+    return ["delphi", str(path)], "qualité", "the Delphi report"
+
+
+@pytest.mark.parametrize(
+    "make", [_oracle_study_named_ge, _ratings_with_item_qualite], ids=["oracle", "delphi"]
+)
+def test_report_that_stdout_cannot_encode_exits_2_naming_it(tmp_path, make):
+    # oracle and delphi check their report against standard output's
+    # encoding as solve checks its table: an ASCII stdout exits 2 naming the
+    # stream and the report, and writes nothing; an in-memory stdout takes
+    # any text.
+    argv, text, what = make(tmp_path)
+    src = Path(fahp.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "ascii"}
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_ENTRY, *argv], capture_output=True, env=env
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (
+        "error: standard output's encoding 'ascii' cannot write the character "
+        f"'\\xe9' of {what}\n"
+    )
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        assert main(argv) == 0
+    assert text in report.getvalue()
+
+
 _GOAL = '[{"row": "b", "col": "a", "judgment": [2, 3, 4]}]'
 _CHILDREN = '"hierarchy": {"id": "goal", "children": [{"id": "a"}, {"id": "b"}]}'
 

@@ -51,3 +51,17 @@ def test_compare_fails_on_any_difference(monkeypatch, tmp_path, capsys):
     for total in ("searches", "stages"):
         code, _ = _compare(monkeypatch, tmp_path, capsys, OUTCOMES, {**TOTALS, total: 4})
         assert code == 1, total
+
+
+def test_expect_bounds_searches_and_pins_stages(monkeypatch, tmp_path, capsys):
+    # Fewer searches than the committed total pass, as a faster search may
+    # need fewer; the leximin stages must match it exactly either way.
+    run = OUTCOMES, collections.Counter(TOTALS), MOST
+    monkeypatch.setattr(gates, "run", lambda: copy.deepcopy(run))
+    expected = {"solves": 3, "infeasible": 0, **TOTALS}
+    for change, code in (({}, 0), ({"searches": 4}, 0), ({"searches": 2}, 1),
+                         ({"stages": 3}, 1), ({"stages": 1}, 1)):
+        path = tmp_path / "totals.json"
+        path.write_text(json.dumps({**expected, **change}))
+        assert gates.main(["--expect", str(path)]) == code, change
+        capsys.readouterr()

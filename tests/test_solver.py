@@ -98,7 +98,7 @@ def test_missed_hard_side_starts_from_the_probe():
     assert judged.hard
     start = solver._least_squares_start(judged)
     assert start[1] == -math.inf
-    path = solver._leximin(judged, [math.log(w) for w in start[0]], start[1])
+    path = solver._leximin(judged, [math.log(w) for w in start[0]], *start[1:])
     res = solve_fpp(block)
     assert path.searches == res.iterations >= 2
     assert not res.clamped and lambda_at(block, res.weights) == res.lambda_
@@ -599,7 +599,7 @@ def test_side_rows_match_the_loop():
         base, spread, hard_sides = _sides_loop(matrix)
         assert [k == 0.0 for k in block.slope] == hard_sides.tolist()
         assert all(np.array_equal(a, b) for a, b in zip(_dense(block, n), (base, spread)))
-        edges = solver._side_edges(block, range(len(block.row)))
+        edges = solver._side_edges(block)
         for lam in (1.0, 0.37, -2.5, -1e3):
             form = solver._feasibility_form(block, lam)
             posed = form.g[n + 2 : -1]
@@ -748,8 +748,8 @@ def test_solver_path_is_pinned():
         levels = []
         if res.iterations:
             block = _block(matrix)
-            w, lam = solver._least_squares_start(block)
-            path = solver._leximin(block, [math.log(v) for v in w], lam)
+            w, lam, tight = solver._least_squares_start(block)
+            path = solver._leximin(block, [math.log(v) for v in w], lam, tight)
             levels = path.levels
         assert len(levels) == len(case["levels"]), name
         pinned = [*zip(levels, case["levels"]), (res.lambda_, case["lambda"])]

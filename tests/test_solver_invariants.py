@@ -5,6 +5,7 @@ and of feasible_at's max-slack LP."""
 import collections
 import json
 import math
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -625,9 +626,9 @@ def _watch_first_searches(patch):
         levels.append(lam)
         return weights(edges, lam)
 
-    def watched_leximin(block, pot, lo, slack=0.0):
+    def watched_leximin(block, pot, lo, tight, slack=0.0):
         levels.clear()
-        path = leximin(block, pot, lo, slack)
+        path = leximin(block, pot, lo, tight, slack)
         searched.append((levels[0], len(pot), lo, path.levels[0]))
         return path
 
@@ -668,7 +669,7 @@ def test_first_search_starts_between_the_optimum_and_one(monkeypatch):
             parent=block.parent, items=block.items[::-1], judgments=block.judgments
         ))
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "_triangle_bound", lambda edges, pot, lo: 1.0)
+            patch.setattr(solver, "_triangle_bound", lambda *args: 1.0)
             from_one = _solved(block)
         if res is None:
             assert moved is None and from_one is None
@@ -698,9 +699,74 @@ def test_first_search_starts_between_the_optimum_and_one(monkeypatch):
     )
     with monkeypatch.context() as patch:
         searched = _watch_first_searches(patch)
-        solver._leximin(solver._block(two), [math.log(2.5), 0.0], 0.5)
+        solver._leximin(solver._block(two), [math.log(2.5), 0.0], 0.5, 0)
     [(start, n, _, level)] = searched
     assert (start, n, level) == (1.0, 2, 1.0)
+
+
+def test_triangle_start_takes_the_side_the_start_grades_lowest(monkeypatch):
+    # _triangle_bound gets the side the least-squares start grades lowest.
+    # At the start's level, the start's potentials meet it with the least
+    # log slack of the soft sides, to within 1e-12. Where a hard side has
+    # less slack (or as little, and comes first), the first search starts
+    # at level 1, as it did when the side was the one of least log slack
+    # over every side.
+    rng = np.random.default_rng(3201)
+    blocks = [
+        _random_block(
+            rng, 3 + k % 8, hard_share=(0.0, 0.15, 0.3)[k % 3],
+            crisp_share=(0.0, 0.1)[k % 2],
+        )
+        for k in range(180)
+    ]
+    rng = np.random.default_rng(102)
+    blocks += [_contradictory_block(rng) for _ in range(120)]
+    # A crisp judgment at the latent ratio of (a, b), soft ones on (a, c)
+    # and (a, d), and modes on the cycle b -> c -> d that each miss the
+    # latent ratio by the factor f the same way round: the least-squares
+    # fit moves none of a's pairs, so the start meets the crisp judgment's
+    # hard sides to round-off, and one of them has less slack than the soft
+    # side graded lowest.
+    w, items = (0.4, 0.3, 0.2, 0.1), ("a", "b", "c", "d")
+    for f in (1.5, 2.5, 3.1):
+        miss = {(0, 1): 1.0, (1, 2): f, (2, 3): f, (1, 3): 1 / f}
+        judgments = []
+        for i, j in combinations(range(4), 2):
+            m = w[i] / w[j] * miss.get((i, j), 1.0)
+            value = TFN(m, m, m) if (i, j) == (0, 1) else TFN(m / 1.5, m, m * 1.5)
+            judgments.append(ComparisonJudgment(items[i], items[j], value))
+        blocks.append(
+            ComparisonMatrix(parent="goal", items=items, judgments=tuple(judgments))
+        )
+    calls, bound = [], solver._triangle_bound
+
+    def watched(edges, pot, lo, tight, hard):
+        level = bound(edges, pot, lo, tight, hard)
+        # a copy: the search lowers pot in place
+        calls.append((edges, list(pot), lo, tight, hard, level))
+        return level
+
+    monkeypatch.setattr(solver, "_triangle_bound", watched)
+    for block in blocks:
+        _solved(block)
+    kinds = collections.Counter()
+    for (tails, heads, sign, base, rate, const), pot, lo, tight, hard, level in calls:
+        def slack(e):
+            # inf where a rising side's bound has dropped out
+            if (a := base[e] + lo * rate[e]) <= 0.0:
+                return math.inf
+            return sign[e] * math.log(a) + const[e] + pot[tails[e]] - pot[heads[e]]
+
+        soft = [e for e in range(len(rate)) if rate[e]]
+        assert tight in soft and tight not in hard
+        assert sorted(hard) == [e for e in range(len(rate)) if not rate[e]]
+        assert slack(tight) <= min(slack(e) for e in soft) + 1e-12
+        if any((slack(e), e) < (slack(tight), tight) for e in hard):
+            assert level == 1.0
+            kinds["a hard side has less slack"] += 1
+        else:
+            kinds["below level 1" if level < 1.0 else "from level 1"] += 1
+    assert kinds["below level 1"] >= 100 and kinds["a hard side has less slack"] >= 2
 
 
 def test_final_duals_agree_with_highs(monkeypatch):

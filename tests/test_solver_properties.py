@@ -79,9 +79,11 @@ def _solve(block, cfg=None):
 
 
 def _equal_weights(block):
-    """The start (w, lambda) at equal weights."""
+    """The start (w, lambda, the first side graded lowest) at equal
+    weights."""
     w = np.full(len(block.matrix.items), 1.0 / len(block.matrix.items))
-    return w, solver._lowest_membership(block, w)
+    grades = solver._memberships(block, w)
+    return w, solver._lowest_membership(block, w), grades.index(min(grades))
 
 
 @pytest.mark.parametrize("hard", [False, True], ids=["soft", "hard"])
@@ -168,8 +170,8 @@ def _path(block, cfg=None):
     if not res.iterations:
         return res, []
     table = solver._block(block)
-    w, lam = solver._least_squares_start(table)
-    return res, solver._leximin(table, [math.log(v) for v in w], lam).levels
+    w, lam, tight = solver._least_squares_start(table)
+    return res, solver._leximin(table, [math.log(v) for v in w], lam, tight).levels
 
 
 def _highs_raise(block, held, side, target):
