@@ -69,9 +69,8 @@ edges are written from the same table: side s is edge s of the first
 stage. The reported lambda is lambda_at(weights); lambda >= 0 certifies
 that some weight vector lies inside every judgment's support, and negative
 lambda measures how strongly the judgments contradict each other. The
-solve path is plain Python: in the whole package numpy is imported only by
-feasible_at (an LP through the package's simplex) and
-SolveResult.weight_vector.
+package is plain Python and imports no numpy. feasible_at answers from
+solve_fpp, so the two cannot disagree on a level.
 
 A grid oracle over the simplex lattice is included as an independent check
 on the optimizer. It returns exactly the point that scoring every lattice
@@ -83,18 +82,13 @@ from __future__ import annotations
 import math
 import sys
 from itertools import combinations
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from ._record import record
 from .errors import InfeasibleJudgmentsError, ValidationError
 from .fuzzy import _CRISP_REL_TOL
 from .hierarchy import ComparisonMatrix
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# Slack this close to zero still counts as feasible; absorbs LP float noise.
-_SLACK_FEAS_TOL = 1e-11
 # Weights whose lambda is this close to lambda_cap are returned clamped.
 _CLAMP_TOL = 1e-9
 # Bellman-Ford relaxes an edge only when it lowers a potential by more than
@@ -117,15 +111,6 @@ _SETTLED = 2e-14
 _PINNED = 1e-9
 # Relative tolerance for hard (zero-spread) judgment sides in the oracle.
 _HARD_REL_TOL = 1e-9
-# feasible_at refuses levels below this. Its LP's side rows grow with |lam|
-# while the sum row stays 1. Over the 600 solves of gates seed 11 and the
-# 1,500 contradictory blocks of rng seed 101, at every tenth of a decade
-# from -10 to -1e6, it first failed ("simplex round-off") at -1.6e5; the
-# bound keeps a factor of ten from that.
-FEASIBLE_AT_MIN_LAMBDA = -1e4
-# feasible_at's LP keeps every weight at this or above: its weights must be
-# strictly positive, and an LP's optimum may otherwise put one at 0.
-_LP_MIN_WEIGHT = 1e-6
 
 #: Documented agreement tolerances between solve_fpp and oracle_solve on
 #: matrices whose judgment spreads are wide relative to the grid step.
@@ -172,15 +157,10 @@ class SolveResult:
     iterations: int
     clamped: bool
 
-    def weight_vector(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(list(self.weights.values()))
-
 
 class _Block(NamedTuple):
-    """A comparison block's judgment sides, built once per solve_fpp,
-    feasible_at or lambda_at call: the solver's one table of a block.
+    """A comparison block's judgment sides, built once per solve_fpp or
+    lambda_at call: the solver's one table of a block.
 
     Judgment i's rising side is side 2i and its falling side 2i + 1. At
     level lambda side s bounds the ratio r = w[row[s]] / w[col[s]] by
@@ -291,61 +271,24 @@ def feasible_at(matrix: ComparisonMatrix, lam: float) -> dict[str, float] | None
     """A strictly positive weight vector meeting every judgment at level lam,
     or None when that level is unattainable.
 
-    The vector returned is the max-slack one, i.e. the deepest interior
-    point of the feasible region at that lambda, from one LP: max t subject
-    to (coef + lam * slope) * w_col + sign * w_row + t <= 0 for every side
-    (coef l or -u), sum w = 1 and w >= 1e-6, solved by the package's
-    simplex. No vector meets a level above 1, full membership.
-    Raises ValueError when lam is not finite or is below
-    FEASIBLE_AT_MIN_LAMBDA (-1e4), where round-off defeats the LP.
+    lambda* = solve_fpp(matrix).lambda_ is the highest level the sides
+    reach together, so a level up to it gets solve_fpp's weights, which
+    meet every side at lambda* or above (to within 1e-9 where the block is
+    returned clamped at its least-squares weights), and a level above it
+    gets None. A block whose hard sides conflict reaches no level, and no
+    block reaches one above 1, full membership. Raises ValueError when lam
+    is not finite, and ValidationError, as solve_fpp does, when the weights
+    span more than a float holds.
     """
-    block = _block(matrix)
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
-    if lam < FEASIBLE_AT_MIN_LAMBDA:
-        raise ValueError(
-            f"lam must be at least {FEASIBLE_AT_MIN_LAMBDA:g}, got {lam:g}"
-        )
     if lam > 1.0:
         return None
-    from . import simplex
-
-    res, _ = simplex._solve(_feasibility_form(block, lam))
-    if res.status != "optimal":
-        raise RuntimeError(f"max-slack subproblem unexpectedly {res.status}")
-    tp, tn = res.x[-2:].tolist()
-    if tp - tn < -_SLACK_FEAS_TOL:
+    try:
+        res = solve_fpp(matrix)
+    except InfeasibleJudgmentsError:
         return None
-    w = res.x[:-2] + _LP_MIN_WEIGHT
-    return dict(zip(matrix.items, (w / w.sum()).tolist()))
-
-
-def _feasibility_form(block: _Block, lam: float):
-    """feasible_at's LP in the simplex's form, posed in v = w -
-    _LP_MIN_WEIGHT, which leaves the right-hand side -_LP_MIN_WEIGHT * (row
-    sum) on each side row, with t = tp - tn split into nonnegatives:
-    columns v, then tp and tn."""
-    import numpy as np
-
-    from . import simplex
-
-    n, k = len(block.matrix.items), len(block.row)
-    sign = np.array(block.sign)
-    entry = -sign * np.array(block.base) + np.array(block.slope) * lam
-    c = np.zeros(n + 2)
-    c[n], c[n + 1] = -1.0, 1.0
-    g = np.zeros((n + k + 3, n + 2))
-    g[: n + 2].flat[:: n + 3] = -1.0  # v >= 0, tp >= 0, tn >= 0
-    g[-1, :n] = 1.0  # the sum row
-    sides = g[n + 2 : -1]
-    sides[:, n], sides[:, n + 1] = 1.0, -1.0
-    at = np.arange(k)
-    sides[at, block.row] = sign
-    sides[at, block.col] = entry
-    h = np.zeros(n + k + 3)
-    h[-1] = 1.0 - n * _LP_MIN_WEIGHT
-    h[n + 2 : -1] = (entry + sign) * -_LP_MIN_WEIGHT
-    return simplex._Form(c, g, h, n + k + 2)
+    return res.weights if lam <= res.lambda_ else None
 
 
 class _Edges(NamedTuple):

@@ -663,8 +663,7 @@ _LOADED_AT_EXIT = (
     "import fahp; [getattr(fahp, name) for name in fahp.__all__]; "
     "print(fahp.cronbach_alpha.__module__, file=sys.stderr); sys.exit(code)"
 )
-# numpy, because the solver, grid oracle, documents and report are plain
-# Python (numpy is imported only by feasible_at and weight_vector);
+# numpy, because the package is plain Python and imports it nowhere;
 # dataclasses and inspect, because the package's records are its own
 # (fahp._record); importlib.resources, because the bundled study is found
 # next to the package's files; fahp.survey, because only delphi and alpha

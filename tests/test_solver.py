@@ -1,4 +1,4 @@
-"""Preference-programming solver: the leximin search, feasibility LP and grid oracle."""
+"""Preference-programming solver: the leximin search, feasible_at and grid oracle."""
 
 import collections
 import json
@@ -203,7 +203,7 @@ def test_feasible_at_brackets_the_optimum():
 
 def test_feasible_at_rejects_levels_no_vector_meets():
     # Membership is at most 1, so a level above it is unattainable without
-    # an LP; a level that is not a number is the caller's error.
+    # a solve; a level that is not a number is the caller's error.
     assert feasible_at(CONSISTENT3, 1.0) is not None
     assert feasible_at(CONSISTENT3, 1.0 + 1e-9) is None
     assert feasible_at(CYCLIC, 1e12) is None
@@ -216,16 +216,12 @@ def test_feasible_at_rejects_levels_no_vector_meets():
     ("a", "b", (1, 2, 3)), ("b", "c", (1, 2, 3)), ("a", "c", (3, 4, 5))
 ])])
 def test_feasible_at_refuses_levels_below_its_bound(block):
-    # Below the bound the LP's side rows outgrow its sum row: on the second
-    # block -1e7, -1e9 and -1e15 raised "simplex round-off", -1e12 a
-    # TypeError and -1e300 the iteration limit. Every decade from -1e300 to
-    # -1e5 is refused naming the bound, and every decade from -1e4 to 0
+    # No finite level is refused: every decade from -1e300 to -1, and 0,
     # gives a vector that meets the level exactly when lambda* reaches it.
-    bound, best = solver.FEASIBLE_AT_MIN_LAMBDA, solve_fpp(block).lambda_
-    for exponent in range(300, 4, -1):
-        with pytest.raises(ValueError, match=f"at least {bound:g}"):
-            feasible_at(block, -(10.0**exponent))
-    for lam in [-(10.0**exponent) for exponent in range(4, -1, -1)] + [bound, 0.0]:
+    # (The LP that once answered refused levels below -1e4, where round-off
+    # defeated it.)
+    best = solve_fpp(block).lambda_
+    for lam in [-(10.0**exponent) for exponent in range(300, -1, -1)] + [0.0]:
         w = feasible_at(block, lam)
         assert (w is not None) == (lam <= best)
         assert w is None or lambda_at(block, w) >= lam
@@ -528,7 +524,7 @@ def test_lowest_membership_matches_the_loop(rng):
         vectors = [rng.dirichlet(np.ones(n)) for _ in range(5)]
         if len(block.items) <= 6:
             try:
-                vectors.append(solve_fpp(block).weight_vector())
+                vectors.append(np.array(list(solve_fpp(block).weights.values())))
             except InfeasibleJudgmentsError:
                 pass
         idx = {item: i for i, item in enumerate(block.items)}
@@ -588,10 +584,9 @@ def _dense(block, n):
 
 def test_side_rows_match_the_loop():
     # Bit for bit, on the blocks whose memberships are checked above: the
-    # side rows of feasible_at's LP as posed at a few levels, their
-    # right-hand sides and unit slack scales, against the rows the loop
-    # builds; and the edge each side becomes in the search's graph, whose
-    # weight at a level is sign * log of the ratio bound those rows hold.
+    # table's side rows against the rows the loop builds, and the edge each
+    # side becomes in the search's graph, whose weight at a level is sign *
+    # log of the ratio bound those rows hold.
     hard = 0
     for matrix in _array_blocks():
         n = len(matrix.items)
@@ -601,14 +596,7 @@ def test_side_rows_match_the_loop():
         assert all(np.array_equal(a, b) for a, b in zip(_dense(block, n), (base, spread)))
         edges = solver._side_edges(block)
         for lam in (1.0, 0.37, -2.5, -1e3):
-            form = solver._feasibility_form(block, lam)
-            posed = form.g[n + 2 : -1]
             rows = base + lam * spread
-            assert posed[:, :n].tobytes() == rows.tobytes()
-            rhs = form.h[n + 2 : -1]
-            bound = solver._LP_MIN_WEIGHT
-            assert rhs.tobytes() == (-bound * rows.sum(axis=1)).tobytes()
-            assert (posed[:, n] == 1.0).all() and (posed[:, n + 1] == -1.0).all()
             for s, weight in enumerate(solver._weights(edges, lam)):
                 sign, r, c = block.sign[s], block.row[s], block.col[s]
                 assert (edges.tail[s], edges.head[s]) == ((r, c) if sign < 0 else (c, r))

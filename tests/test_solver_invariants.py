@@ -1,6 +1,5 @@
 """Invariants of the leximin solver on random blocks of 2-10 items, some
-with hard (zero-spread) sides, and regressions for blocks that once failed;
-and of feasible_at's max-slack LP."""
+with hard (zero-spread) sides, and regressions for blocks that once failed."""
 
 import collections
 import json
@@ -22,7 +21,6 @@ from fahp import (
     feasible_at,
     lambda_at,
     load_study,
-    simplex,
     solve_fpp,
     solver,
 )
@@ -73,20 +71,6 @@ def _random_block(rng, n, hard_share=0.15, crisp_share=0.0):
 def _blocks(seed=20261018):
     rng = np.random.default_rng(seed)
     return [_random_block(rng, n) for n in range(2, 11) for _ in range(4)]
-
-
-def _lp_arrays(form):
-    """Copies of the arrays of a simplex form: c, the inequality rows and
-    the equality rows with their right-hand sides; a caller may rewrite its
-    form in place between LPs."""
-    n, ncols = form.c.size, form.ncols
-    return dict(
-        c=form.c.copy(),
-        a_ub=form.g[n:ncols].copy(),
-        b_ub=form.h[n:ncols].copy(),
-        a_eq=form.g[ncols:].copy(),
-        b_eq=form.h[ncols:].copy(),
-    )
 
 
 def _highs_max_slack(matrix, lam, min_weight=HIGHS_MIN_WEIGHT):
@@ -191,38 +175,6 @@ def test_solution_is_permutation_equivariant():
         assert abs(a.lambda_ - b.lambda_) <= 1e-9
         for item in block.items:
             assert abs(b.weights[relabel[item]] - a.weights[item]) <= 1e-6
-
-
-def _recording_lps(monkeypatch):
-    """Record every LP that simplex._solve takes: (a copy of its arrays, the
-    result, the final basis's column mask)."""
-    seen, solve = [], simplex._solve
-
-    def recorded(form, basic=None):
-        lp = _lp_arrays(form)
-        res, final = solve(form, basic)
-        seen.append((lp, res, None if final is None else final.basic.copy()))
-        return res, final
-
-    monkeypatch.setattr(simplex, "_solve", recorded)
-    return seen
-
-
-def test_max_slack_reports_the_unshifted_slack(monkeypatch):
-    # On the bundled blocks, the slack t of feasible_at's max-slack LP, at
-    # lambda_cap and at the solved lambda, must be HiGHS's optimum on the
-    # same rows with the same unit scale. (It once solved for t + theta, a
-    # shift of 2.5e-6 to 1.5e-4 there, and subtracted it.)
-    cfg = solver.SolverConfig()
-    seen = _recording_lps(monkeypatch)
-    for block in load_study(bundled_study_path()).hierarchy.matrices.values():
-        res = solve_fpp(block)
-        for lam in (cfg.lambda_cap, res.lambda_):
-            feasible_at(block, lam)
-            _, lp, _ = seen[-1]
-            rows = _side_rows(block, lam)
-            t = lp.x[-2] - lp.x[-1]
-            assert abs(t - _highs_slack(rows, np.ones(len(rows)))) <= 1e-9
 
 
 def test_block_below_minus_ten_without_hard_sides_solves():
@@ -471,6 +423,49 @@ def test_conflict_names_an_irreducible_set_in_either_order():
             assert _highs_slack(base[rest], np.ones(len(rest))) >= -1e-11
         named += 1
     assert named >= 15
+
+
+def test_feasible_at_answers_exactly_up_to_lambda_star():
+    # feasible_at gives solve_fpp's weights at lambda*, and 1e-9 below it,
+    # and None one ulp above it; on a block that is not clamped those
+    # weights meet the level with no tolerance. (The max-slack LP it once
+    # solved returned weights whose lambda_at lay below the level asked for,
+    # on these blocks by a few ulps.) A block whose hard sides conflict gets
+    # None at every level. The blocks have hard sides (_blocks and the
+    # contradictory draws) and crisp judgments.
+    crisp = np.random.default_rng(5)
+    blocks = _blocks() + [
+        _random_block(crisp, n, crisp_share=0.3) for n in range(2, 11) for _ in range(2)
+    ]
+    rng = np.random.default_rng(101)
+    blocks += [_contradictory_block(rng) for _ in range(300)]
+    blocks += [
+        load_study(FIXTURES / f"{name}.json").hierarchy.matrices["goal"]
+        for name in (
+            "contradictory_101_768", "contradictory_103_267",
+            "floor_conflict_1_950", "floor_conflict_1_1326",
+        )
+    ]
+    kinds = collections.Counter()
+    for block in blocks:
+        try:
+            res = solve_fpp(block)
+        except InfeasibleJudgmentsError:
+            kinds["conflict"] += 1
+            for lam in (1.0, 0.5, 0.0, -1.0, -1e3, -1e300):
+                assert feasible_at(block, lam) is None
+            continue
+        best = res.lambda_
+        for lam in (best, math.nextafter(best, 2), best - 1e-9):
+            w = feasible_at(block, lam)
+            assert (w is None) == (lam > best)
+            if w is not None:
+                assert w == res.weights
+                assert res.clamped or lambda_at(block, w) >= lam
+        kinds["clamped" if res.clamped else "searched"] += 1
+        kinds["crisp"] += bool(solver._block(block).crisp)
+    assert kinds["conflict"] >= 15 and kinds["clamped"] >= 5
+    assert kinds["searched"] >= 300 and kinds["crisp"] >= 10
 
 
 # Blocks of a seeded sweep: for each rng seed, 300 blocks drawn with
@@ -767,29 +762,3 @@ def test_triangle_start_takes_the_side_the_start_grades_lowest(monkeypatch):
         else:
             kinds["below level 1" if level < 1.0 else "from level 1"] += 1
     assert kinds["below level 1"] >= 100 and kinds["a hard side has less slack"] >= 2
-
-
-def test_final_duals_agree_with_highs(monkeypatch):
-    # The reduced costs d = -c B^-1 of the final working set are the LP's
-    # duals, one per judgment side whose row is tight (0 for every other):
-    # on feasible_at's max-slack LP of each bundled block at its solved
-    # lambda they must be HiGHS's (its marginals are the derivatives of the
-    # optimum in b_ub, so -d).
-    seen = _recording_lps(monkeypatch)
-    for block in load_study(bundled_study_path()).hierarchy.matrices.values():
-        feasible_at(block, solve_fpp(block).lambda_)
-        lp, _, basic = seen[-1]
-        c, a_ub, b_ub, a_eq, b_eq = (lp[k] for k in ("c", "a_ub", "b_ub", "a_eq", "b_eq"))
-        n = c.size
-        rows = np.vstack([-np.eye(n), a_ub])
-        nonbasic = (~basic).nonzero()[0]
-        d = np.zeros(len(rows))
-        d[nonbasic] = -np.linalg.solve(np.vstack([rows[nonbasic], a_eq]).T, c)[
-            : len(nonbasic)
-        ]
-        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs",
-                      options=dict(primal_feasibility_tolerance=1e-10,
-                                   dual_feasibility_tolerance=1e-10))
-        assert ref.status == 0
-        assert d.min() >= -1e-12
-        assert np.abs(d[n:] + ref.ineqlin.marginals).max() <= 1e-9
