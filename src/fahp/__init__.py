@@ -51,7 +51,6 @@ from .solver import (
     ORACLE_MAX_ITEMS,
     ORACLE_WEIGHT_TOL,
     SolveResult,
-    SolverConfig,
     feasible_at,
     lambda_at,
     oracle_solve,
@@ -102,7 +101,6 @@ __all__ = [
     "RankingRow",
     "ResultsDocument",
     "SolveResult",
-    "SolverConfig",
     "StudyDocument",
     "TFN",
     "TriangularFuzzyNumber",

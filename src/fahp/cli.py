@@ -45,7 +45,6 @@ def _format_results(study: StudyDocument, doc: ResultsDocument) -> str:
     h = study.hierarchy
     labels = {n.id: n.label for n in h.walk()}
     lines = [f"study: {doc.study}"]
-    lines.append(f"solver: lambda cap {doc.config.lambda_cap:g}")
     for block, res in doc.blocks.items():
         lines.append("")
         lines.append(

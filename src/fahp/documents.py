@@ -1,11 +1,12 @@
 """Study and results documents: the JSON formats the CLI reads and writes.
 
 A study document holds a named hierarchy, its comparison matrices (numeric
-triples or linguistic terms), an optional replacement scale, and optional
-solver settings. A results document echoes the configuration and carries
-per-block solver output plus the composed global ranking; serialization is
-deterministic and round-trips losslessly. solve_study turns the one into the
-other, and every command that solves a study goes through it.
+triples or linguistic terms) and an optional replacement scale; the solver
+takes no settings, so a study has no solver section. A results document
+carries per-block solver output plus the composed global ranking;
+serialization is deterministic and round-trips losslessly. solve_study turns
+the one into the other, and every command that solves a study goes through
+it.
 """
 
 from __future__ import annotations
@@ -28,15 +29,21 @@ from .hierarchy import (
     _check_tree,
     _nodes_by_id,
 )
-from .solver import SolveResult, SolverConfig, solve_fpp
+from .solver import SolveResult, solve_fpp
 
-_STUDY_KEYS = frozenset({"name", "scale", "hierarchy", "matrices", "solver"})
+_STUDY_KEYS = frozenset({"name", "scale", "hierarchy", "matrices"})
 _STUDY_REQUIRED = ("name", "hierarchy", "matrices")
 _NODE_KEYS = frozenset({"id", "label", "children"})
 _JUDGMENT_KEYS = frozenset({"row", "col", "judgment"})
 _JUDGMENT_REQUIRED = ("row", "col", "judgment")
 _TERM_KEYS = frozenset({"term"})
-_CONFIG_KEYS = frozenset({"lambda_cap"})
+_RESULTS_KEYS = frozenset(
+    {"study", "tool_version", "generated_at", "blocks", "ranking"}
+)
+_BLOCK_KEYS = frozenset({"weights", "lambda", "consistent", "clamped", "iterations"})
+_ROW_KEYS = frozenset(
+    {"leaf", "category", "category_weight", "local_weight", "global_weight", "rank"}
+)
 
 
 @record
@@ -46,7 +53,6 @@ class StudyDocument:
     name: str
     hierarchy: Hierarchy
     scale: LinguisticScale
-    config: SolverConfig
 
 
 @record
@@ -55,7 +61,6 @@ class ResultsDocument:
 
     study: str
     tool_version: str
-    config: SolverConfig
     generated_at: str | None
     blocks: dict[str, SolveResult]
     ranking: GlobalRanking
@@ -171,23 +176,6 @@ def _parse_scale(obj: Any) -> LinguisticScale:
         raise ValidationError(f"scale: {exc}") from exc
 
 
-def _parse_config(obj: Any) -> SolverConfig:
-    if not isinstance(obj, dict):
-        raise ValidationError("solver settings must be an object")
-    try:
-        _check_keys(obj, _CONFIG_KEYS)
-    except ValidationError as exc:
-        exc.args = (f"solver settings: {exc}",)
-        raise
-    for key, value in obj.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(f"solver setting {key!r} must be a number")
-    try:
-        return SolverConfig(**{key: float(value) for key, value in obj.items()})
-    except (OverflowError, ValueError) as exc:
-        raise ValidationError(f"solver settings: {exc}") from exc
-
-
 def _check_utf8(name: str, nodes: dict[str, Node], source: str) -> None:
     """Reject a study name, node id or label that UTF-8 cannot encode. JSON
     text can spell such a string with an escaped lone surrogate ("\\ud800"),
@@ -252,7 +240,6 @@ def parse_study(text: str, source: str = "study") -> StudyDocument:
         exc.args = (f"{source}: {exc}",)
         raise
     scale = _parse_scale(data["scale"]) if "scale" in data else DEFAULT_SCALE
-    config = _parse_config(data["solver"]) if "solver" in data else SolverConfig()
     root = _parse_node(data["hierarchy"], source)
     nodes = _nodes_by_id(root)
     # a file's text can hold a lone surrogate only as a \u escape; a str
@@ -269,7 +256,7 @@ def parse_study(text: str, source: str = "study") -> StudyDocument:
         matrices[parent] = _parse_matrix(parent, entries, items, scale)
     _check_tree(nodes, matrices)
     hierarchy = Hierarchy(root=root, matrices=matrices)
-    return StudyDocument(name=name, hierarchy=hierarchy, scale=scale, config=config)
+    return StudyDocument(name=name, hierarchy=hierarchy, scale=scale)
 
 
 def load_study(path: str | Path) -> StudyDocument:
@@ -299,7 +286,7 @@ def solve_study(
     """
     h = study.hierarchy
     blocks = {
-        node.id: solve_fpp(h.matrices[node.id], study.config)
+        node.id: solve_fpp(h.matrices[node.id])
         for node in h.walk()
         if node.id in h.matrices
     }
@@ -323,37 +310,10 @@ def solve_study(
     return ResultsDocument(
         study=study.name,
         tool_version=__version__,
-        config=study.config,
         generated_at=generated_at,
         blocks=blocks,
         ranking=compose_global(category_weights, local_weights),
     )
-
-
-def block_to_dict(res: SolveResult) -> dict[str, Any]:
-    """One block's solver output, as results and deviation documents store it."""
-    return {
-        "weights": dict(res.weights),
-        "lambda": res.lambda_,
-        "consistent": res.consistent,
-        "clamped": res.clamped,
-        "iterations": res.iterations,
-    }
-
-
-def ranking_to_list(ranking: GlobalRanking) -> list[dict[str, Any]]:
-    """The ranking rows, as results and deviation documents store them."""
-    return [
-        {
-            "leaf": r.leaf,
-            "category": r.category,
-            "category_weight": r.category_weight,
-            "local_weight": r.local_weight,
-            "global_weight": r.global_weight,
-            "rank": r.rank,
-        }
-        for r in ranking.rows
-    ]
 
 
 #: json's spelling of the float values that have no JSON literal
@@ -415,9 +375,6 @@ def serialize_results(doc: ResultsDocument) -> str:
         "{\n"
         f'  "study": {string(doc.study)},\n'
         f'  "tool_version": {string(doc.tool_version)},\n'
-        '  "config": {\n'
-        f'    "lambda_cap": {number(doc.config.lambda_cap)}\n'
-        "  },\n"
         f"{stamp}"
         f'  "blocks": {_enclosed(blocks, "{}", "  ")},\n'
         f'  "ranking": {_enclosed(rows, "[]", "  ")}\n'
@@ -435,6 +392,17 @@ def _field(obj: Any, key: str, convert: Callable[[Any], Any], where: str) -> Any
         return convert(obj[key])
     except (OverflowError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{where}: key {key!r}: {exc}") from exc
+
+
+def _check_fields(obj: Any, allowed: frozenset[str], where: str) -> None:
+    """Reject a key of obj outside allowed, naming where; what is not an
+    object is left to _field to refuse."""
+    if isinstance(obj, dict):
+        try:
+            _check_keys(obj, allowed)
+        except ValidationError as exc:
+            exc.args = (f"{where}: {exc}",)
+            raise
 
 
 def _object(value: Any) -> dict[str, Any]:
@@ -477,14 +445,18 @@ def parse_results(text: str, source: str = "results") -> ResultsDocument:
 
     Every field must have the JSON type serialize_results writes: true or
     false, an integer (not a boolean), a number (not a boolean or a string)
-    or a string; the config is read as a study's solver settings are. An
-    error names the block or ranking row and the key that is wrong.
+    or a string, and no object may hold a key that serialize_results does
+    not write, such as the "config" of documents written when the solver
+    took settings. An error names the block or ranking row and the key that
+    is wrong.
     """
     data = _decode(text, source)
     where = f"{source}: malformed results document"
+    _check_fields(data, _RESULTS_KEYS, where)
     blocks = {}
     for block, raw in _field(data, "blocks", _object, where).items():
         at = f"{where}: block {block!r}"
+        _check_fields(raw, _BLOCK_KEYS, at)
         blocks[block] = SolveResult(
             weights=_field(raw, "weights", _floats, at),
             lambda_=_field(raw, "lambda", _number, at),
@@ -495,6 +467,7 @@ def parse_results(text: str, source: str = "results") -> ResultsDocument:
     rows = []
     for i, raw in enumerate(_field(data, "ranking", list, where), start=1):
         at = f"{where}: ranking row {i}"
+        _check_fields(raw, _ROW_KEYS, at)
         rows.append(
             RankingRow(
                 leaf=_field(raw, "leaf", _string, at),
@@ -508,7 +481,6 @@ def parse_results(text: str, source: str = "results") -> ResultsDocument:
     return ResultsDocument(
         study=_field(data, "study", _string, where),
         tool_version=_field(data, "tool_version", _string, where),
-        config=_field(data, "config", lambda v: _parse_config(_object(v)), where),
         generated_at=(
             _field(data, "generated_at", _string, where)
             if "generated_at" in data

@@ -19,13 +19,7 @@ from typing import Any, Mapping
 
 from ._record import record
 from .composition import GlobalRanking, compose_global
-from .documents import (
-    block_to_dict,
-    bundled_study_path,
-    load_study,
-    ranking_to_list,
-    solve_study,
-)
+from .documents import bundled_study_path, load_study, solve_study
 from .solver import SolveResult
 
 #: Weights of the three categories as originally published.
@@ -126,6 +120,34 @@ def build_report() -> ReproduceReport:
         identity_rows=_deviations(PUBLISHED_GLOBAL_WEIGHTS, identity.as_dict()),
         computed_ranking=results.ranking,
     )
+
+
+def block_to_dict(res: SolveResult) -> dict[str, Any]:
+    """One block's solver output, as the deviation document stores it: the
+    fields and key order of a block in a results document."""
+    return {
+        "weights": dict(res.weights),
+        "lambda": res.lambda_,
+        "consistent": res.consistent,
+        "clamped": res.clamped,
+        "iterations": res.iterations,
+    }
+
+
+def ranking_to_list(ranking: GlobalRanking) -> list[dict[str, Any]]:
+    """The ranking rows, as the deviation document stores them: the fields
+    and key order of a results document's ranking rows."""
+    return [
+        {
+            "leaf": r.leaf,
+            "category": r.category,
+            "category_weight": r.category_weight,
+            "local_weight": r.local_weight,
+            "global_weight": r.global_weight,
+            "rank": r.rank,
+        }
+        for r in ranking.rows
+    ]
 
 
 def report_to_dict(report: ReproduceReport) -> dict[str, Any]:

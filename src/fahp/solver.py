@@ -38,20 +38,20 @@ offsets.
 
 Every block starts from the logarithmic least-squares weights of the
 judgments' modes (Crawford and Williams, J. Math. Psych. 29, 1985), one n x
-n linear system; consistent modes reach lambda_cap there and are returned
-clamped without a search. Otherwise the start's lambda is the low end of
-the first search's bracket and its log weights are the first potentials;
-where the start misses a hard side its lambda is -inf. The side the start
-grades lowest, which it meets with the least log slack of the soft sides,
-closes a triangle with each third item, and each triangle is a cycle, so the
-lowest level where one closes bounds lambda* from above: the first search
-is at that level, or at level 1 for a block of two items, a hard side with
-less log slack than that side or a start at -inf. Hard sides conflict
+n linear system; consistent modes reach level 1 there, where every judgment
+pins its pair, and are returned clamped without a search. Otherwise the
+start's lambda is the low end of the first search's bracket and its log
+weights are the first potentials; where the start misses a hard side its
+lambda is -inf. The side the start grades lowest, which it meets with the
+least log slack of the soft sides, closes a triangle with each third item,
+and each triangle is a cycle, so the lowest level where one closes bounds
+lambda* from above: the first search is at that level, or at level 1 for a
+block of two items, a hard side with less log slack than that side or a
+start at -inf. Hard sides conflict
 exactly when a cycle of them is negative; a block whose exact hard bounds
 conflict only by less than membership's 1e-12 tolerance is searched with
-each hard bound loosened by a little less than it. lambda_cap caps the
-reported lambda and sets `clamped`, but the stages run on to the leximin
-weights whatever the cap.
+each hard bound loosened by a little less than it. A lambda within 1e-9 of
+1, from the start or from the stages, is reported as 1 and sets `clamped`.
 
 Preference programming asks only that the weights sum to 1 and be positive
 (Mikhailov, Fuzzy Sets and Systems 134, 2003), and weights found as log
@@ -89,7 +89,7 @@ from .errors import InfeasibleJudgmentsError, ValidationError
 from .fuzzy import _CRISP_REL_TOL
 from .hierarchy import ComparisonMatrix
 
-# Weights whose lambda is this close to lambda_cap are returned clamped.
+# Weights whose lambda is this close to 1 are returned clamped at 1.
 _CLAMP_TOL = 1e-9
 # Bellman-Ford relaxes an edge only when it lowers a potential by more than
 # this (in log weight), so a cycle counts as negative only below -_RELAX_TOL
@@ -123,32 +123,17 @@ _ORACLE_MAX_POINTS = 20_000_000
 
 
 @record
-class SolverConfig:
-    """Membership cap for the solver."""
-
-    lambda_cap: float = 1.0
-
-    def __post_init__(self):
-        # memberships are capped at 1, so a larger cap never binds; a cap
-        # below 0 would report blocks as clamped at a negative lambda
-        if not 0.0 <= self.lambda_cap <= 1.0:
-            raise ValueError(
-                f"lambda_cap must lie between 0 and 1, got {self.lambda_cap}"
-            )
-
-
-@record
 class SolveResult:
     """Weights and diagnostics for one comparison block.
 
-    ``weights`` are the leximin weights of the block, unless its
-    least-squares weights already reach lambda_cap: lambda_ is the highest
-    level every judgment side can reach, and among the weight vectors that
-    reach it, these raise the sides that can go higher as far as they go,
-    level by level. ``iterations`` counts the negative-cycle searches
-    (Bellman-Ford runs) of the solve; it is 0 for a block clamped at its
-    least-squares weights. The oracle counts its lattice points in
-    ``iterations``.
+    ``weights`` are the leximin weights of the block: lambda_ is the
+    highest level every judgment side can reach, and among the weight
+    vectors that reach it, these raise the sides that can go higher as far
+    as they go, level by level. A lambda within 1e-9 of 1, where every
+    judgment pins its pair, is reported as 1 with ``clamped`` set.
+    ``iterations`` counts the negative-cycle searches (Bellman-Ford runs) of
+    the solve; it is 0 for a block whose least-squares weights reach 1. The
+    oracle counts its lattice points in ``iterations``.
     """
 
     weights: dict[str, float]
@@ -759,32 +744,29 @@ def _leximin(
     return _Path([pot[node[i]] + off[i] for i in range(n)], levels, searches)
 
 
-def solve_fpp(
-    matrix: ComparisonMatrix, config: SolverConfig | None = None
-) -> SolveResult:
+def solve_fpp(matrix: ComparisonMatrix) -> SolveResult:
     """Maximize the common membership level lambda over the weight simplex,
     and return the leximin weights among those that reach it.
 
     Starts from the logarithmic least-squares weights of the judgments'
-    modes, which are returned clamped when their lambda reaches
-    lambda_cap. Otherwise the parametric negative-cycle search finds
-    lambda* and the leximin stages the weights; the reported lambda is
-    theirs, capped at lambda_cap (clamped). Raises InfeasibleJudgmentsError,
-    naming the conflicting pairs, when a cycle of the hard (zero-spread)
-    sides of the judgments is negative, and ValidationError when the
-    weights span more than a float holds.
+    modes, which are returned clamped when their lambda reaches 1.
+    Otherwise the parametric negative-cycle search finds lambda* and the
+    leximin stages the weights; the reported lambda is theirs, or 1
+    (clamped) where theirs lies within 1e-9 of 1. Raises
+    InfeasibleJudgmentsError, naming the conflicting pairs, when a cycle of
+    the hard (zero-spread) sides of the judgments is negative, and
+    ValidationError when the weights span more than a float holds.
     """
-    cap = (config or SolverConfig()).lambda_cap
     block = _block(matrix)
     w, lam, tight = _least_squares_start(block)
-    if lam >= cap - _CLAMP_TOL:
-        return _result(matrix, w, cap, 0, True)
+    if lam >= 1.0 - _CLAMP_TOL:
+        return _result(matrix, w, 1.0, 0, True)
     slack = _hard_slack(block)
     path = _leximin(block, [math.log(v) for v in w], lam, tight, slack)
     w = _normalized(block, path.x)
     lam = _lowest_membership(block, w)
-    if lam >= cap - _CLAMP_TOL:
-        return _result(matrix, w, cap, path.searches, True)
+    if lam >= 1.0 - _CLAMP_TOL:
+        return _result(matrix, w, 1.0, path.searches, True)
     return _result(matrix, w, lam, path.searches, False)
 
 

@@ -226,11 +226,17 @@ def cronbach_alpha(responses: ItemResponses) -> float:
     """Internal-consistency coefficient alpha of a questionnaire.
 
     alpha = k/(k-1) * (1 - sum(item variances) / variance(total score)),
-    with sample variances.
+    with sample variances. Raises ValidationError where a variance or a
+    total score overflows a float.
     """
     k = len(responses.items)
-    item_vars = math.fsum(variance(column) for column in zip(*responses.rows))
-    total_var = variance([math.fsum(row) for row in responses.rows])
+    try:
+        item_vars = math.fsum(variance(column) for column in zip(*responses.rows))
+        total_var = variance([math.fsum(row) for row in responses.rows])
+    except OverflowError:
+        raise ValidationError(
+            "responses too large: a variance or a total score overflows a float"
+        ) from None
     if total_var <= 0.0:
         raise UndefinedStatisticError(
             "total-score variance is zero; alpha is undefined for these responses"
@@ -241,7 +247,8 @@ def cronbach_alpha(responses: ItemResponses) -> float:
 def read_responses_csv(path: str) -> ItemResponses:
     """Questionnaire responses from a CSV file whose first row lists the
     item ids, one respondent per row after it. Raises ValidationError,
-    naming the file and row, on a malformed file."""
+    naming the file and row, on a malformed file or a response that is not
+    a finite number."""
     header, body = _read_csv(path, "responses")
     if not header or any(not h.strip() for h in header):
         raise ValidationError(f"{path}: first row must list item ids")
@@ -253,9 +260,12 @@ def read_responses_csv(path: str) -> ItemResponses:
                 f"{path}: row {lineno}: expected {len(items)} values, got {len(row)}"
             )
         try:
-            rows.append(tuple(float(v) for v in row))
+            values = tuple(float(v) for v in row)
         except ValueError:
             raise ValidationError(
                 f"{path}: row {lineno}: non-numeric response"
             ) from None
+        if not all(map(math.isfinite, values)):
+            raise ValidationError(f"{path}: row {lineno}: non-finite response")
+        rows.append(values)
     return ItemResponses(items=items, rows=tuple(rows))

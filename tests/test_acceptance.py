@@ -41,6 +41,7 @@ from fahp.reproduce import (
     build_report,
 )
 from conftest import random_matrix
+from test_solver_invariants import _highs_max_slack
 
 EXPECTED_ORDER = ["W32", "W13", "W31", "W11", "W21", "W23", "W14", "W24", "W12", "W22"]
 
@@ -166,13 +167,21 @@ def test_criterion_7_invariant_suite(capsys):
         for item in m.items:
             assert abs(b.weights[relabel[item]] - a.weights[item]) <= 1e-6
 
-    # monotone feasibility in lambda
+    # monotone feasibility in lambda, judged by HiGHS: feasible_at answers
+    # from the solver's own search, so it would be monotone by construction
     for _ in range(5):
         m = random_matrix(gen, int(gen.integers(2, 4)))
-        samples = sorted(float(v) for v in gen.uniform(-2.0, 1.0, size=10))
-        flags = [feasible_at(m, lam) is not None for lam in samples]
+        best = solve_fpp(m).lambda_
+        # the drawn levels mostly lie below lambda*, so judge either side of
+        # it too
+        near = [lam for lam in (best - 1e-3, best + 1e-3) if lam <= 1.0]
+        samples = sorted([float(v) for v in gen.uniform(-2.0, 1.0, size=10)] + near)
+        flags = [_highs_max_slack(m, lam) >= 0.0 for lam in samples]
         # once infeasible, never feasible again at a higher lambda
         assert flags == sorted(flags, reverse=True)
+        for lam, flag in zip(samples, flags):
+            if abs(lam - best) > 1e-6:
+                assert flag == (feasible_at(m, lam) is not None), (lam, best)
 
     # membership boundary values
     for _ in range(20):

@@ -93,20 +93,20 @@ def test_solve_unknown_key_exits_2(tmp_path):
         ({"row": "b", "col": "a", "judgment": [1, 2, float("inf")]}, None, "judgment 1"),
         ({"row": ["b"], "col": "a", "judgment": [2, 3, 4]}, None, "'row'"),
         ({"row": "b", "col": 7, "judgment": [2, 3, 4]}, None, "'col'"),
-        (None, {"lambda_cap": float("inf")}, "lambda_cap"),
-        # retired: rejected as an unknown key
-        (None, {"weight_floor": 1e-6}, "weight_floor"),
-        (None, {"lambda_lo": -10}, "lambda_lo"),
-        (None, {"bisection_tol": 1e-6}, "bisection_tol"),
-        (None, {"lambda_cap": 1e15}, "lambda_cap"),
+        # the solver takes no settings: a solver section written for any of
+        # its former ones is refused as an unknown key
+        (None, {"lambda_cap": float("inf")}, "unknown keys: solver"),
+        (None, {"weight_floor": 1e-6}, "unknown keys: solver"),
+        (None, {"lambda_lo": -10}, "unknown keys: solver"),
+        (None, {"bisection_tol": 1e-6}, "unknown keys: solver"),
+        (None, {"lambda_cap": 1.0}, "unknown keys: solver"),
         # components outside JUDGMENT_RANGE; these exited 1 on round-off
         ({"row": "b", "col": "a", "judgment": [1e9, 1e10, 1e11]}, None, "(b, a) has u"),
         ({"row": "b", "col": "a", "judgment": [1e10, 1e10, 1e10]}, None, "(b, a) has u"),
         ({"row": "b", "col": "a", "judgment": [1e-12, 1e-11, 1e-10]}, None, "(b, a) has l"),
         ({"row": "b", "col": "a", "judgment": [5e-5, 3, 4]}, None, "(b, a) has l"),
-        # negative caps clamped blocks at a negative lambda, or exited 1 on round-off
-        (None, {"lambda_cap": -0.5}, "lambda_cap"),
-        (None, {"lambda_cap": -1e300}, "lambda_cap"),
+        (None, {"lambda_cap": -0.5}, "unknown keys: solver"),
+        (None, {"lambda_cap": -1e300}, "unknown keys: solver"),
         # nonzero side spreads below MIN_SPREAD * m (see the next test)
         ({"row": "b", "col": "a", "judgment": [2, 2.000000002, 3]}, None,
          "(b, a) has l = 2.0, within"),
@@ -252,15 +252,14 @@ _JUDGMENT = ("matrices", "goal", 0, "judgment")
             ("scale",), {"meh": [2, 3, 4], "wow": [1, 2, 3]},
             "scale: linguistic scale modes", id="scale-modes",
         ),
+        # a solver section of any shape is refused as an unknown key
+        pytest.param(("solver",), [], "unknown keys: solver", id="solver"),
         pytest.param(
-            ("solver",), [], "solver settings must be an object", id="solver"
-        ),
-        pytest.param(
-            ("solver",), {"lambda_cap": "1"}, "solver setting 'lambda_cap'",
+            ("solver",), {"lambda_cap": "1"}, "unknown keys: solver",
             id="solver-not-number",
         ),
         pytest.param(
-            ("solver",), {"lambda_cap": 10**400}, "solver settings: ",
+            ("solver",), {"lambda_cap": 10**400}, "unknown keys: solver",
             id="solver-too-large",
         ),
     ],
@@ -801,6 +800,28 @@ def test_alpha_ragged_rows_exit_2(tmp_path):
     assert main(["alpha", str(csv)]) == 2
 
 
+@pytest.mark.parametrize(
+    "rows, named",
+    # non-finite responses printed alpha = nan and exited 0; responses that
+    # overflow a variance or a total score exited 1
+    [
+        pytest.param("1,2\nnan,3\n", "row 3: non-finite response", id="nan"),
+        pytest.param("inf,2\n1,3\n", "row 2: non-finite response", id="inf"),
+        pytest.param("1,2\n3,-Infinity\n", "row 3: non-finite response", id="-inf"),
+        pytest.param("1e308,1\n-1e308,2\n", "overflows a float", id="variance"),
+        pytest.param(
+            "1e308,1e308\n1e308,1e308\n", "overflows a float", id="total-score"
+        ),
+    ],
+)
+def test_alpha_unscorable_responses_exit_2(tmp_path, capsys, rows, named):
+    csv = tmp_path / "resp.csv"
+    csv.write_text("q0,q1\n" + rows)
+    assert main(["alpha", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -835,20 +856,15 @@ def _judgments(draw, mode):
 
 @st.composite
 def _mutated_studies(draw):
-    """The bundled study with judgments replaced, solver settings added and
-    keys removed, and the names that an error about each mutation may give:
-    its matrix or its key."""
+    """The bundled study with judgments replaced and keys removed, and the
+    names that an error about each mutation may give: its matrix or its
+    key."""
     doc, names = copy.deepcopy(_BUNDLED), []
     block = draw(st.sampled_from(sorted(doc["matrices"])))
     for _ in range(draw(st.integers(0, 4))):
         entry = draw(st.sampled_from(doc["matrices"][block]))
         entry["judgment"] = draw(_judgments(entry["judgment"][1]))
         names.append(f"matrix {block!r}")
-    if draw(st.booleans()):
-        doc["solver"] = {}
-        if draw(st.booleans()):
-            doc["solver"]["lambda_cap"] = draw(st.floats(0.0, 1.0))
-        names.append("lambda_cap")
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         where = draw(st.sampled_from(["study", "matrices", "judgment"]))
         if where == "study":
@@ -871,9 +887,9 @@ def _mutated_studies(draw):
 @given(_mutated_studies())
 def test_mutated_studies_never_exit_1(case):
     # Any study the bundled one can be mutated into by out-of-range, narrow
-    # or crisp judgments, solver settings in range or removed keys solves
-    # (0), is refused as invalid input naming the matrix or the key (2), or
-    # is refused as infeasible (3). Exit 1 is an internal error.
+    # or crisp judgments or removed keys solves (0), is refused as invalid
+    # input naming the matrix or the key (2), or is refused as infeasible
+    # (3). Exit 1 is an internal error.
     doc, names = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "study.json"

@@ -12,7 +12,6 @@ from fahp import (
     RankingRow,
     ResultsDocument,
     SolveResult,
-    SolverConfig,
     UnknownTermError,
     ValidationError,
     bundled_study_path,
@@ -21,12 +20,8 @@ from fahp import (
     solve_study,
 )
 from fahp.cli import main
-from fahp.documents import (
-    block_to_dict,
-    parse_results,
-    ranking_to_list,
-    serialize_results,
-)
+from fahp.documents import parse_results, serialize_results
+from fahp.reproduce import block_to_dict, ranking_to_list
 
 
 MINIMAL = {
@@ -75,9 +70,11 @@ def test_parse_custom_scale():
 
 
 def test_parse_solver_section():
+    # the solver takes no settings: a study with a solver section, such as
+    # one written for the former lambda_cap, is refused, naming the section
     doc = _study(solver={"lambda_cap": 0.5})
-    parsed = parse_study(json.dumps(doc))
-    assert parsed.config.lambda_cap == 0.5
+    with pytest.raises(ValidationError, match="^study: unknown keys: solver$"):
+        parse_study(json.dumps(doc))
 
 
 def test_unknown_top_level_key_is_named():
@@ -126,7 +123,7 @@ def test_bad_judgment_shape():
 )
 @pytest.mark.parametrize("where", ["judgment", "scale"])
 def test_triple_entries_must_be_numbers(where, triple):
-    # JSON booleans and numeric strings are not numbers, as in solver settings
+    # JSON booleans and numeric strings are not numbers, as in results documents
     if where == "judgment":
         doc = _study(matrices={"goal": [{"row": "b", "col": "a", "judgment": triple}]})
         named = "matrix 'goal', judgment 1: "
@@ -204,9 +201,6 @@ def _results_documents(nan):
         ResultsDocument,
         study=_TEXT,
         tool_version=_TEXT,
-        config=st.builds(
-            SolverConfig, st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324])
-        ),
         generated_at=st.none() | _TEXT,
         blocks=blocks,
         ranking=st.builds(GlobalRanking, rows.map(tuple)),
@@ -215,11 +209,7 @@ def _results_documents(nan):
 
 def _reference_text(doc):
     """What json.dumps writes for the document: the judge of the writer."""
-    ref = {
-        "study": doc.study,
-        "tool_version": doc.tool_version,
-        "config": {"lambda_cap": doc.config.lambda_cap},
-    }
+    ref = {"study": doc.study, "tool_version": doc.tool_version}
     if doc.generated_at is not None:
         ref["generated_at"] = doc.generated_at
     ref["blocks"] = {block: block_to_dict(res) for block, res in doc.blocks.items()}
@@ -247,9 +237,7 @@ def _as_list(data, *path):
     data[key] = list(data[key].values())
 
 
-@pytest.mark.parametrize(
-    "path", [("config",), ("blocks",), ("blocks", "goal", "weights")]
-)
+@pytest.mark.parametrize("path", [("blocks",), ("blocks", "goal", "weights")])
 def test_results_with_a_list_for_an_object_are_rejected(path, tmp_path):
     out = tmp_path / "results.json"
     main(["solve", str(bundled_study_path()), "--no-timestamp", "--out", str(out)])
@@ -298,11 +286,28 @@ def test_results_with_a_list_for_an_object_are_rejected(path, tmp_path):
             ("blocks", "goal", "lambda"), True, "block 'goal': key 'lambda'",
             id="lambda-bool",
         ),
-        # the retired weight floor, refused as in a study's solver settings
+        # documents written while the solver took settings: their config is
+        # refused, whatever it holds, and not dropped without a word
         pytest.param(
-            ("config", "weight_floor"), 1e-6,
-            "key 'config': solver settings: unknown keys: weight_floor",
+            ("config",), {"lambda_cap": 1.0}, "document: unknown keys: config",
+            id="config",
+        ),
+        pytest.param(
+            ("config",), {"weight_floor": 1e-6}, "document: unknown keys: config",
             id="config-weight-floor",
+        ),
+        pytest.param(
+            ("config",), {"lambda_cap": True}, "document: unknown keys: config",
+            id="config-bool",
+        ),
+        pytest.param(("extra",), 1, "document: unknown keys: extra", id="top-extra"),
+        pytest.param(
+            ("blocks", "goal", "junk"), 0, "block 'goal': unknown keys: junk",
+            id="block-extra",
+        ),
+        pytest.param(
+            ("ranking", 0, "zzz"), "", "ranking row 1: unknown keys: zzz",
+            id="row-extra",
         ),
         pytest.param(
             ("blocks", "goal", "weights", "W1"), "0.5",
@@ -317,9 +322,6 @@ def test_results_with_a_list_for_an_object_are_rejected(path, tmp_path):
         ),
         pytest.param(
             ("ranking", 0, "leaf"), 7, "ranking row 1: key 'leaf'", id="leaf-number"
-        ),
-        pytest.param(
-            ("config", "lambda_cap"), True, "key 'config'", id="config-bool"
         ),
         pytest.param(("study",), 5, "document: key 'study'", id="study-number"),
         pytest.param(
@@ -382,7 +384,7 @@ def test_results_document_key_order(tmp_path):
     out = tmp_path / "results.json"
     main(["solve", str(bundled_study_path()), "--no-timestamp", "--out", str(out)])
     top = list(json.loads(out.read_text()))
-    assert top == ["study", "tool_version", "config", "blocks", "ranking"]
+    assert top == ["study", "tool_version", "blocks", "ranking"]
 
 
 def test_results_timestamp_present_by_default(tmp_path):

@@ -23,7 +23,6 @@ from fahp import (
     RankingRow,
     ResultsDocument,
     SolveResult,
-    SolverConfig,
     StudyDocument,
     ValidationError,
 )
@@ -60,7 +59,6 @@ _FIELDS = {
         "judgments": (ComparisonJudgment("a", "b", TFN(1, 2, 3)),),
     },
     Hierarchy: lambda: {"root": _tree(), "matrices": {"g": _matrix()}},
-    SolverConfig: lambda: {"lambda_cap": 0.5},
     SolveResult: lambda: {
         "weights": {"a": 0.6, "b": 0.4},
         "lambda_": 0.5,
@@ -81,12 +79,10 @@ _FIELDS = {
         "name": "s",
         "hierarchy": Hierarchy(_tree(), {"g": _matrix()}),
         "scale": DEFAULT_SCALE,
-        "config": SolverConfig(),
     },
     ResultsDocument: lambda: {
         "study": "s",
         "tool_version": "0.1.0",
-        "config": SolverConfig(),
         "generated_at": None,
         "blocks": {"g": _result()},
         "ranking": _ranking(),
@@ -110,7 +106,6 @@ _CLASSES = list(_FIELDS)
 _DEFAULTS = {
     Node: ({"id": "a"}, {"label": "a", "children": ()}),
     Hierarchy: ({"root": Node("g")}, {"matrices": {}}),
-    SolverConfig: ({}, {"lambda_cap": 1.0}),
 }
 
 # Fields that __post_init__ refuses, with the error it raises.
@@ -119,7 +114,6 @@ _INVALID = {
     LinguisticScale: ({"entries": (("low", TFN(1, 2, 3)), ("low", TFN(2, 3, 4)))}, ValidationError),
     Node: ({"id": ""}, ValidationError),
     ComparisonMatrix: ({"parent": "g", "items": ("a",), "judgments": ()}, ValidationError),
-    SolverConfig: ({"lambda_cap": 2.0}, ValueError),
     CaspScore: ({"paper": "p", "criteria": (4,) * 9}, ValidationError),
     DelphiRatings: ({"items": (), "experts": ("e",), "ratings": ()}, ValidationError),
     ItemResponses: ({"items": ("q1",), "rows": ((1.0,), (2.0,))}, ValidationError),
@@ -132,7 +126,6 @@ _OTHER_FIRST = {
     TFN: 1.5,
     LinguisticScale: (("low", TFN(1, 2, 3)),),
     Hierarchy: Node("z"),
-    SolverConfig: 0.25,
     SolveResult: {"a": 0.5, "b": 0.5},
     GlobalRanking: (),
     ReproduceReport: {},

@@ -14,7 +14,6 @@ from fahp import (
     ComparisonJudgment,
     ComparisonMatrix,
     InfeasibleJudgmentsError,
-    SolverConfig,
     ValidationError,
     feasible_at,
     lambda_at,
@@ -54,10 +53,6 @@ SKEWED_CYCLE_TRIPLES = [
     ("b", "a", (2, 3, 4)), ("c", "b", (1, 2, 3)), ("a", "c", (2, 3, 4))
 ]
 SKEWED_CYCLE = _mat("abc", SKEWED_CYCLE_TRIPLES)
-LOPSIDED = _mat(
-    "abc",
-    [("b", "a", (1, 2, 3)), ("c", "b", (1.5, 2, 6)), ("c", "a", (1.5, 2, 6))],
-)
 
 
 def test_single_judgment_reaches_the_cap():
@@ -108,22 +103,11 @@ def test_missed_hard_side_starts_from_the_probe():
     "block", [TWO, CONSISTENT3, _blocks()[0]], ids=["two", "consistent", "two-hard"]
 )
 def test_consistent_modes_are_clamped_by_the_probe_alone(block):
-    # The least-squares weights of consistent modes reach the cap; the block
+    # The least-squares weights of consistent modes reach level 1; the block
     # is clamped there without a search.
     res = solve_fpp(block)
     assert res.lambda_ == 1.0 and res.clamped
     assert res.iterations == 0
-
-
-def test_iteration_reaching_the_cap_ends_with_the_probe():
-    # LOPSIDED starts at lambda 0.17 and its optimum is 0.71: with the cap at
-    # 0.5 an iterate crosses the cap, and those weights are returned clamped.
-    cfg = SolverConfig(lambda_cap=0.5)
-    start = solver._least_squares_start(_block(LOPSIDED))
-    assert start[1] < 0.5 < solve_fpp(LOPSIDED).lambda_
-    res = solve_fpp(LOPSIDED, cfg)
-    assert res.lambda_ == 0.5 and res.clamped and res.iterations >= 1
-    assert lambda_at(LOPSIDED, res.weights) >= 0.5
 
 
 def test_weights_are_positive_and_sum_to_one():
@@ -225,17 +209,6 @@ def test_feasible_at_refuses_levels_below_its_bound(block):
         w = feasible_at(block, lam)
         assert (w is not None) == (lam <= best)
         assert w is None or lambda_at(block, w) >= lam
-
-
-def test_infeasible_solver_config_rejected():
-    with pytest.raises(ValueError):
-        SolverConfig(lambda_cap=1.5)
-
-
-def test_custom_cap_clamps_lower():
-    res = solve_fpp(TWO, SolverConfig(lambda_cap=0.5))
-    assert res.clamped
-    assert res.lambda_ == pytest.approx(0.5, abs=1e-9)
 
 
 def test_certificate_on_random_matrices(rng):

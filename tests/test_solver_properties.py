@@ -1,8 +1,8 @@
 """Differential properties of solve_fpp on generated blocks of 2-10 items:
 the least-squares start against an equal-weights start, the returned
 weights against lambda_at, item order, and HiGHS; and the guarantees of
-the leximin weights: unique whatever the item order or lambda_cap, and
-each stage's sides at the highest level HiGHS can find for them."""
+the leximin weights: unique whatever the item order, and each stage's
+sides at the highest level HiGHS can find for them."""
 
 import collections
 import math
@@ -70,10 +70,10 @@ def blocks(draw, hard):
     return ComparisonMatrix(parent="prop", items=items, judgments=tuple(judgments))
 
 
-def _solve(block, cfg=None):
+def _solve(block):
     """solve_fpp's result, or None when the hard sides conflict."""
     try:
-        return solve_fpp(block, cfg)
+        return solve_fpp(block)
     except InfeasibleJudgmentsError:
         return None
 
@@ -163,10 +163,10 @@ def test_leximin_weights_are_permutation_equivariant():
     assert kinds["crisp"] >= 40 and kinds["hard"] >= 60 and kinds["searched"] >= 60
 
 
-def _path(block, cfg=None):
+def _path(block):
     """solve_fpp's leximin search of the block: the result and its stage
     levels (none for a block clamped at its least-squares start)."""
-    res = solve_fpp(block, cfg)
+    res = solve_fpp(block)
     if not res.iterations:
         return res, []
     table = solver._block(block)
@@ -235,30 +235,3 @@ def test_bundled_w2_takes_the_leximin_point():
         assert abs(res.weights[item] - weight) <= 5e-7, item
     assert not res.clamped and abs(res.lambda_ + 0.376094) <= 5e-7
 
-
-def test_lambda_cap_below_one_keeps_the_leximin_weights():
-    # The cap caps the reported lambda, but the stages run on: a block whose
-    # least-squares start is below the cap gets the same weights whatever
-    # the cap, clamped at the cap when its lambda reaches it, and so the
-    # weights do not depend on the order of the items.
-    cfg = solver.SolverConfig(lambda_cap=0.3)
-    rng = np.random.default_rng(11)
-    past = 0
-    for block in _blocks() + _hard_crisp_blocks(count=27):
-        start = solver._least_squares_start(solver._block(block))[1]
-        full, capped = _solve(block), _solve(block, cfg)
-        if full is None:
-            assert capped is None
-            continue
-        if start >= 0.3 - 1e-9:
-            assert capped.clamped and capped.iterations == 0
-            continue
-        assert capped.weights == full.weights
-        assert capped.clamped == (full.lambda_ >= 0.3 - 1e-9)
-        assert capped.lambda_ == min(full.lambda_, 0.3) or capped.clamped
-        past += capped.clamped
-        perm = rng.permutation(len(block.items))
-        moved = _solve(_permuted(block, perm), cfg)
-        for i, item in enumerate(block.items):
-            assert abs(moved.weights[block.items[perm[i]]] - capped.weights[item]) <= 1e-12
-    assert past >= 3
